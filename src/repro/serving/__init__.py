@@ -12,8 +12,9 @@ of work identify as the key to hardware-speed traversal) and serves them:
   :class:`CompiledCascade` arrays, exact parity with node-based descent;
   opt-in ``quantize=True`` compacts arrays to float32/int16 within the
   :data:`~repro.serving.compiler.QUANTIZE_ATOL` tolerance;
-* :mod:`batch` — level-synchronous vectorized traversal over those arrays
-  (``predict`` / ``predict_proba`` / truncated-depth prediction);
+* :mod:`batch` — one level-synchronous kernel descending all rows through
+  all trees of a forest together (``predict`` / ``predict_proba`` /
+  truncated-depth prediction);
 * :mod:`registry` — content-hash keyed, thread-safe cache of compiled
   models, so repeated prediction jobs stop reloading and recompiling;
 * :mod:`server` — an in-process micro-batching :class:`PredictionServer`
@@ -37,7 +38,7 @@ from .admission import (
     TokenBucket,
 )
 
-from .batch import BatchPredictor, traverse_tree
+from .batch import BatchPredictor
 from .compiler import (
     QUANTIZE_ATOL,
     QUANTIZE_MIN_AGREEMENT,
@@ -113,5 +114,4 @@ __all__ = [
     "load_compiled_hdfs",
     "load_compiled_local",
     "quantized_key",
-    "traverse_tree",
 ]

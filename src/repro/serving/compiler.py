@@ -17,9 +17,14 @@ arrays indexed by node id:
   (paper Appendix D) and descents may stop anywhere.
 
 Nodes are laid out in **breadth-first order**, so node ids are sorted by
-depth.  Two things follow: level-synchronous traversal touches one
-contiguous band of the arrays per step, and truncating a tree at depth
-``d`` is literally slicing a prefix of every array (:meth:`FlatTree.truncated`).
+depth and truncating a tree at depth ``d`` is literally slicing a prefix of
+every array (:meth:`FlatTree.truncated`).
+
+A :class:`FlatForest` owns each of those arrays **once for the whole
+forest** (``stacked``: the member trees' arrays end to end, ids still
+tree-local) and its trees are slice views of them.  That block is what the
+batch kernel gathers from and what ``shm_model`` publishes, so a fleet
+worker's bulk arrays are views of the shared image, never copies.
 
 Categorical splits keep the paper's stop-at-node semantics exactly: the
 direction table maps a category code to ``LEFT`` (in ``S_l``), ``RIGHT``
@@ -36,6 +41,7 @@ import numpy as np
 from ..core.tree import DecisionTree, TreeNode
 from ..data.schema import ColumnKind, ProblemKind
 from ..ensemble.forest import ForestModel
+from .batch import BatchPredictor
 
 #: Direction codes stored in :attr:`FlatTree.cat_dir`.
 CAT_LEFT: int = 1
@@ -51,6 +57,22 @@ CAT_STOP: int = -1
 #: regression test asserts label agreement >= :data:`QUANTIZE_MIN_AGREEMENT`.
 QUANTIZE_ATOL: float = 1e-6
 QUANTIZE_MIN_AGREEMENT: float = 0.995
+
+#: Array attributes of a :class:`FlatTree`, in the one order that byte
+#: accounting, fingerprints and the shm image all use.  Every array has one
+#: entry per node except ``cat_dir`` (one per direction-table slot).
+TREE_ARRAYS = (
+    "feature",
+    "numeric",
+    "threshold",
+    "left",
+    "right",
+    "depth",
+    "predictions",
+    "cat_offset",
+    "cat_len",
+    "cat_dir",
+)
 
 
 @dataclass
@@ -86,16 +108,7 @@ class FlatTree:
 
     def nbytes(self) -> int:
         """Total bytes of all arrays (serving memory accounting)."""
-        return int(
-            sum(
-                a.nbytes
-                for a in (
-                    self.feature, self.numeric, self.threshold, self.left,
-                    self.right, self.depth, self.predictions,
-                    self.cat_offset, self.cat_len, self.cat_dir,
-                )
-            )
-        )
+        return int(sum(getattr(self, attr).nbytes for attr in TREE_ARRAYS))
 
     def truncated(self, max_depth: int) -> "FlatTree":
         """Slice the tree at ``max_depth`` — the BFS layout makes this a
@@ -184,22 +197,90 @@ class FlatTree:
         )
 
 
+def unstack_trees(
+    stacked: dict[str, np.ndarray],
+    node_counts: list[int],
+    cat_counts: list[int],
+    tree_ids: list[int],
+    problem: ProblemKind,
+    n_classes: int,
+    quantized: bool,
+) -> list[FlatTree]:
+    """Member trees as slice views of a forest's ``stacked`` arrays."""
+    trees = []
+    node_lo = cat_lo = 0
+    for n_nodes, n_cats, tree_id in zip(node_counts, cat_counts, tree_ids):
+        fields = {
+            attr: stacked[attr][node_lo : node_lo + n_nodes]
+            for attr in TREE_ARRAYS
+            if attr != "cat_dir"
+        }
+        fields["cat_dir"] = stacked["cat_dir"][cat_lo : cat_lo + n_cats]
+        trees.append(
+            FlatTree(
+                problem=problem,
+                n_classes=n_classes,
+                tree_id=tree_id,
+                quantized=quantized,
+                **fields,
+            )
+        )
+        node_lo += n_nodes
+        cat_lo += n_cats
+    return trees
+
+
 @dataclass
 class FlatForest:
-    """A compiled ensemble: one :class:`FlatTree` per member tree."""
+    """A compiled ensemble: one :class:`FlatTree` per member tree.
+
+    Construction copies the given trees' arrays into ``stacked`` and
+    replaces ``trees`` with views of it; pass ``stacked`` (with trees
+    already viewing it, see :func:`unstack_trees`) to adopt existing
+    memory instead, as ``shm_model`` does for a mapped image.
+    """
 
     trees: list[FlatTree]
     problem: ProblemKind
     n_classes: int = 0
+    #: Every :data:`TREE_ARRAYS` attribute of all member trees end to end,
+    #: in tree order; node ids and ``cat_offset`` stay tree-local.
+    stacked: dict[str, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("a compiled forest needs at least one tree")
+        if self.stacked is None:
+            self.stacked = {
+                attr: np.concatenate([getattr(t, attr) for t in self.trees])
+                for attr in TREE_ARRAYS
+            }
+            self.trees = unstack_trees(
+                self.stacked,
+                self.node_counts,
+                self.cat_counts,
+                [t.tree_id for t in self.trees],
+                self.problem,
+                self.n_classes,
+                self.trees[0].quantized,
+            )
 
     @property
     def n_trees(self) -> int:
         """Ensemble size."""
         return len(self.trees)
+
+    @property
+    def node_counts(self) -> list[int]:
+        """Nodes per member tree: where each starts in ``stacked``."""
+        return [t.n_nodes for t in self.trees]
+
+    @property
+    def cat_counts(self) -> list[int]:
+        """``cat_dir`` slots per member tree."""
+        return [int(t.cat_dir.size) for t in self.trees]
 
     @property
     def quantized(self) -> bool:
@@ -344,11 +425,12 @@ def compile_forest(
 # ----------------------------------------------------------------------
 @dataclass
 class CompiledCascadeLayer:
-    """One cascade layer: its compiled forests plus the MGS window used."""
+    """One cascade layer: a predictor per compiled forest plus the MGS
+    window used."""
 
     index: int
     grain_window: int
-    forests: list[FlatForest] = field(default_factory=list)
+    predictors: list[BatchPredictor] = field(default_factory=list)
 
 
 @dataclass
@@ -371,7 +453,9 @@ class CompiledCascade:
     def total_nodes(self) -> int:
         """Total node count across every layer's forests."""
         return sum(
-            f.total_nodes() for layer in self.layers for f in layer.forests
+            p.forest.total_nodes()
+            for layer in self.layers
+            for p in layer.predictors
         )
 
     def _layer_input(
@@ -390,21 +474,15 @@ class CompiledCascade:
         self, grain_features: dict[int, np.ndarray]
     ) -> list[np.ndarray]:
         """PMF predictions after each layer (Table VII accuracy column)."""
-        from .batch import BatchPredictor
-
         outputs: list[np.ndarray] = []
         previous: np.ndarray | None = None
         for layer in self.layers:
             features = self._layer_input(
                 layer.index, grain_features, previous
             )
-            columns = [
-                np.ascontiguousarray(features[:, i])
-                for i in range(features.shape[1])
-            ]
             blocks = [
-                BatchPredictor(forest).predict_proba_columns(columns)
-                for forest in layer.forests
+                predictor.predict_proba_matrix(features)
+                for predictor in layer.predictors
             ]
             outputs.append(
                 np.mean(np.stack(blocks, axis=1), axis=1)
@@ -431,8 +509,9 @@ def compile_cascade(cascade) -> CompiledCascade:
         CompiledCascadeLayer(
             index=layer.index,
             grain_window=layer.grain_window,
-            forests=[
-                compile_forest(trained.forest) for trained in layer.forests
+            predictors=[
+                BatchPredictor(compile_forest(trained.forest))
+                for trained in layer.forests
             ],
         )
         for layer in cascade.layers

@@ -33,22 +33,7 @@ import numpy as np
 from ..data.schema import ProblemKind
 from ..data.shm import AttachedPack, SharedArrayPack, new_run_prefix
 from .batch import BatchPredictor
-from .compiler import FlatForest, FlatTree
-
-#: Per-tree array attributes packed into the shared segment, in a fixed
-#: order so fingerprints and pack layouts are deterministic.
-_TREE_ARRAYS = (
-    "feature",
-    "numeric",
-    "threshold",
-    "left",
-    "right",
-    "depth",
-    "predictions",
-    "cat_offset",
-    "cat_len",
-    "cat_dir",
-)
+from .compiler import TREE_ARRAYS, FlatForest, unstack_trees
 
 
 def flat_fingerprint(flat: FlatForest) -> str:
@@ -65,7 +50,7 @@ def flat_fingerprint(flat: FlatForest) -> str:
     )
     for tree in flat.trees:
         digest.update(f"|{tree.tree_id}|{int(tree.quantized)}".encode())
-        for attr in _TREE_ARRAYS:
+        for attr in TREE_ARRAYS:
             array = getattr(tree, attr)
             digest.update(f"|{attr}:{array.dtype}:{array.shape}".encode())
             digest.update(np.ascontiguousarray(array).tobytes())
@@ -76,9 +61,10 @@ class AttachedModel:
     """One worker's read-only view of a published compiled model.
 
     ``forest`` aliases the shared segment (zero copies); ``predictor``
-    is the vectorized kernel over it.  ``nbytes`` is the mapped payload
-    — the number the fleet's ``shm_bytes_mapped`` counter reports, and
-    the number that proves nothing was copied.
+    is the vectorized kernel over it, adding only index-sized private
+    arrays.  ``nbytes`` is the mapped payload — the number the fleet's
+    ``shm_bytes_mapped`` counter reports, and the number that proves
+    nothing was copied.
     """
 
     def __init__(
@@ -101,8 +87,8 @@ class AttachedModel:
 class SharedCompiledModel:
     """A picklable description of a compiled model living in shm.
 
-    Create once in the publisher (:meth:`create` packs every tree's
-    arrays into one named segment), ship the handle to workers by value
+    Create once in the publisher (:meth:`create` packs the forest's
+    stacked arrays into one named segment), ship the handle to workers by value
     (a few hundred bytes regardless of model size), :meth:`attach`
     there.  The creator — and only the creator — calls :meth:`unlink`
     when the model is retired.
@@ -115,6 +101,8 @@ class SharedCompiledModel:
         problem: ProblemKind,
         n_classes: int,
         tree_ids: list[int],
+        node_counts: list[int],
+        cat_counts: list[int],
         quantized: bool,
     ) -> None:
         self.key = key
@@ -122,6 +110,8 @@ class SharedCompiledModel:
         self.problem = problem
         self.n_classes = n_classes
         self.tree_ids = tree_ids
+        self.node_counts = node_counts
+        self.cat_counts = cat_counts
         self.quantized = quantized
 
     # -- lifecycle ------------------------------------------------------
@@ -136,20 +126,18 @@ class SharedCompiledModel:
         repo-wide shm prefix, so leak checks and crash sweeps see fleet
         models exactly like every other segment.
         """
-        arrays: list[tuple[str, np.ndarray]] = []
-        for i, tree in enumerate(flat.trees):
-            for attr in _TREE_ARRAYS:
-                arrays.append(
-                    (f"t{i}.{attr}", np.ascontiguousarray(getattr(tree, attr)))
-                )
         segment_name = f"{prefix or new_run_prefix()}-model"
-        pack = SharedArrayPack.create(arrays, segment_name)
+        pack = SharedArrayPack.create(
+            [(attr, flat.stacked[attr]) for attr in TREE_ARRAYS], segment_name
+        )
         return cls(
             key=key,
             pack=pack,
             problem=flat.problem,
             n_classes=flat.n_classes,
             tree_ids=[tree.tree_id for tree in flat.trees],
+            node_counts=flat.node_counts,
+            cat_counts=flat.cat_counts,
             quantized=flat.quantized,
         )
 
@@ -157,23 +145,20 @@ class SharedCompiledModel:
         """Map the segment and rebuild the forest as read-only views."""
         attachment = self.pack.attach()
         try:
-            trees = []
-            for i, tree_id in enumerate(self.tree_ids):
-                fields = {
-                    attr: attachment.arrays[f"t{i}.{attr}"]
-                    for attr in _TREE_ARRAYS
-                }
-                trees.append(
-                    FlatTree(
-                        problem=self.problem,
-                        n_classes=self.n_classes,
-                        tree_id=tree_id,
-                        quantized=self.quantized,
-                        **fields,
-                    )
-                )
+            trees = unstack_trees(
+                attachment.arrays,
+                self.node_counts,
+                self.cat_counts,
+                self.tree_ids,
+                self.problem,
+                self.n_classes,
+                self.quantized,
+            )
             forest = FlatForest(
-                trees=trees, problem=self.problem, n_classes=self.n_classes
+                trees=trees,
+                problem=self.problem,
+                n_classes=self.n_classes,
+                stacked=attachment.arrays,
             )
         except BaseException:
             attachment.close()

@@ -10,9 +10,12 @@ engine everywhere (harness, distributed predictor, CLI).
 import io
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import SystemConfig, TreeConfig, train_tree
@@ -24,11 +27,19 @@ from repro.core.persistence import (
     save_model_local,
 )
 from repro.core.predictor import predict_from_hdfs
-from repro.data import ProblemKind, write_csv
+from repro.data import (
+    ColumnKind,
+    ColumnSpec,
+    DataTable,
+    ProblemKind,
+    TableSchema,
+    write_csv,
+)
 from repro.datasets import SyntheticSpec, generate
 from repro.ensemble import ForestModel
 from repro.hdfs import SimHdfs
 from repro.serving import (
+    QUANTIZE_ATOL,
     BatchPredictor,
     FlatForest,
     ModelRegistry,
@@ -39,6 +50,8 @@ from repro.serving import (
     load_compiled_hdfs,
     load_compiled_local,
 )
+from repro.serving.batch import TILE_ROWS
+from repro.serving.compiler import CAT_LEFT, CAT_STOP
 from repro.serving.server import QueueFullError
 
 
@@ -112,6 +125,19 @@ class TestCompiler:
         assert flat.total_nodes() == forest.total_nodes()
         assert flat.output_width == forest.n_classes
         assert flat.nbytes() == sum(t.nbytes() for t in flat.trees)
+
+    def test_forest_owns_one_block_per_array(self, small_mixed_classification):
+        """Trees are views of the forest's stacked arrays, in tree order."""
+        flat = compile_forest(make_forest(small_mixed_classification))
+        assert flat.nbytes() == sum(a.nbytes for a in flat.stacked.values())
+        lo = 0
+        for tree in flat.trees:
+            assert np.shares_memory(tree.threshold, flat.stacked["threshold"])
+            np.testing.assert_array_equal(
+                flat.stacked["left"][lo : lo + tree.n_nodes], tree.left
+            )
+            lo += tree.n_nodes
+        assert lo == flat.total_nodes()
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
@@ -235,6 +261,289 @@ class TestParity:
             BatchPredictor(
                 compile_forest(make_forest(make_table(0)))
             ).predict_values(make_table(0))
+
+# ----------------------------------------------------------------------
+# the level-synchronous kernel: generated and pinned parity cases
+# ----------------------------------------------------------------------
+def _matrix_of(table):
+    return np.column_stack(
+        [np.asarray(col, dtype=np.float64) for col in table.columns]
+    )
+
+
+def _reference_node(tree, row, max_depth):
+    """Per-row descent over one FlatTree's own arrays (test-side oracle).
+
+    Independent of the kernel: one row, one tree, one node at a time.  It
+    is what pins *quantized* compiles, which node descent cannot (their
+    thresholds are the float32 ceilings, their predictions float32).
+    """
+    i = 0
+    while tree.feature[i] >= 0 and (
+        max_depth is None or tree.depth[i] < max_depth
+    ):
+        value = row[tree.feature[i]]
+        if np.isnan(value):
+            break
+        if tree.numeric[i]:
+            go_left = value <= tree.threshold[i]
+        else:
+            code = int(value)
+            if not 0 <= code < tree.cat_len[i]:
+                break
+            direction = tree.cat_dir[tree.cat_offset[i] + code]
+            if direction == CAT_STOP:
+                break
+            go_left = direction == CAT_LEFT
+        i = tree.left[i] if go_left else tree.right[i]
+    return i
+
+
+def _reference_average(flat, matrix, max_depth):
+    acc = np.zeros((len(matrix), flat.output_width), dtype=np.float64)
+    for tree in flat.trees:
+        nodes = [_reference_node(tree, row, max_depth) for row in matrix]
+        acc += tree.predictions[nodes]
+    acc /= flat.n_trees
+    return acc
+
+
+_NUMERIC_SHAPES = ("continuous", "ties", "constant", "all_nan", "nan_heavy")
+
+
+def _numeric_column(rng, shape, n):
+    if shape == "continuous":
+        return rng.normal(size=n)
+    if shape == "ties":
+        return rng.integers(0, 4, size=n).astype(np.float64)
+    if shape == "constant":
+        return np.full(n, 2.5)
+    if shape == "all_nan":
+        return np.full(n, np.nan)
+    column = rng.normal(size=n)
+    column[rng.random(n) < 0.5] = np.nan
+    return column
+
+
+def _generated_tables(seed, problem, numeric_shapes, n_categories, n_rows):
+    """A training table and a serving table over one schema.
+
+    The serving table draws categorical codes from the full range plus
+    ``-1``, the training table never shows each column's last code: those
+    rows meet *unseen* codes at serving time, the others *missing* ones.
+    """
+    rng = np.random.default_rng(seed)
+    specs = [
+        ColumnSpec(f"n{i}", ColumnKind.NUMERIC)
+        for i in range(len(numeric_shapes))
+    ] + [
+        ColumnSpec(
+            f"c{i}",
+            ColumnKind.CATEGORICAL,
+            tuple(str(code) for code in range(k)),
+        )
+        for i, k in enumerate(n_categories)
+    ]
+    if problem is ProblemKind.CLASSIFICATION:
+        target = ColumnSpec("y", ColumnKind.CATEGORICAL, ("a", "b", "c"))
+    else:
+        target = ColumnSpec("y", ColumnKind.NUMERIC)
+    schema = TableSchema(columns=tuple(specs), target=target, problem=problem)
+
+    def draw(n, held_out):
+        columns = [
+            _numeric_column(rng, shape, n) for shape in numeric_shapes
+        ] + [
+            rng.integers(-1, k - held_out, size=n).astype(np.int32)
+            for k in n_categories
+        ]
+        if problem is ProblemKind.CLASSIFICATION:
+            y = rng.integers(0, 3, size=n)
+        else:
+            y = rng.normal(size=n)
+        return DataTable(schema, columns, y)
+
+    return draw(n_rows, held_out=1), draw(n_rows, held_out=0)
+
+
+class TestLevelKernel:
+    """One kernel for the whole forest == node descent, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        problem=st.sampled_from(list(ProblemKind)),
+        numeric_shapes=st.lists(
+            st.sampled_from(_NUMERIC_SHAPES), min_size=1, max_size=4
+        ),
+        n_categories=st.lists(
+            st.integers(min_value=2, max_value=5), min_size=0, max_size=2
+        ),
+        n_rows=st.integers(min_value=8, max_value=70),
+        quantize=st.booleans(),
+    )
+    def test_property_parity_with_descent(
+        self, seed, problem, numeric_shapes, n_categories, n_rows, quantize
+    ):
+        train, serve = _generated_tables(
+            seed, problem, numeric_shapes, n_categories, n_rows
+        )
+        forest = ForestModel(
+            [
+                train_tree(train, TreeConfig(max_depth=depth, seed=seed + i))
+                for i, depth in enumerate((None, 3))
+            ]
+        )
+        flat = compile_forest(forest, quantize=quantize)
+        predictor = BatchPredictor(flat)
+        matrix = _matrix_of(serve)
+        classify = problem is ProblemKind.CLASSIFICATION
+        for max_depth in [None, *range(flat.max_depth() + 2)]:
+            if classify:
+                from_table = predictor.predict_proba(serve, max_depth)
+                from_matrix = predictor.predict_proba_matrix(matrix, max_depth)
+                descent = forest.predict_proba(serve, max_depth)
+            else:
+                from_table = predictor.predict_values(serve, max_depth)
+                from_matrix = predictor.predict_matrix(matrix, max_depth)
+                descent = forest.predict_values(serve, max_depth)
+            np.testing.assert_array_equal(from_table, from_matrix)
+            if quantize:
+                expected = _reference_average(flat, matrix, max_depth)
+                descent_tolerance = QUANTIZE_ATOL
+            else:
+                expected = descent.reshape(len(matrix), -1)
+                descent_tolerance = 0.0
+            np.testing.assert_array_equal(
+                from_matrix.reshape(len(matrix), -1), expected
+            )
+            # The float32 ceilings move no row of these tables across a
+            # threshold, so quantized output is also within the contract.
+            assert (
+                np.abs(from_table - descent).max(initial=0.0)
+                <= descent_tolerance
+            )
+
+    @pytest.mark.parametrize(
+        "n_rows",
+        [0, 1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 5],
+    )
+    def test_batch_sizes_around_the_tile(self, n_rows):
+        table = make_table(21, missing=0.05, rows=3 * TILE_ROWS + 5)
+        forest = make_forest(table.take(np.arange(400)), n_trees=3, seed=21)
+        predictor = BatchPredictor(compile_forest(forest))
+        rows = table.take(np.arange(n_rows))
+        proba = predictor.predict_proba_matrix(_matrix_of(table)[:n_rows])
+        assert proba.shape == (n_rows, forest.n_classes)
+        np.testing.assert_array_equal(proba, forest.predict_proba(rows))
+        np.testing.assert_array_equal(
+            predictor.predict_proba(rows), forest.predict_proba(rows)
+        )
+
+    def test_non_contiguous_matrix(self, small_mixed_classification):
+        table = small_mixed_classification
+        forest = make_forest(table, n_trees=2)
+        predictor = BatchPredictor(compile_forest(forest))
+        wide = np.asfortranarray(_matrix_of(table))
+        np.testing.assert_array_equal(
+            predictor.predict_proba_matrix(wide[::2]),
+            forest.predict_proba(table.take(np.arange(0, table.n_rows, 2))),
+        )
+
+    def _skewed_regression(self, n=64):
+        """``y = 2**x``: every best split peels off the largest value, so
+        the unbounded tree is a chain far deeper than log2 of its size."""
+        schema = TableSchema(
+            columns=(ColumnSpec("x", ColumnKind.NUMERIC),),
+            target=ColumnSpec("y", ColumnKind.NUMERIC),
+            problem=ProblemKind.REGRESSION,
+        )
+        x = np.arange(n, dtype=np.float64)
+        train = DataTable(schema, [x], 2.0**x)
+        rng = np.random.default_rng(5)
+        served = rng.uniform(-1.0, n, size=3000)
+        served[::97] = np.nan
+        return train, DataTable(schema, [served], np.zeros(served.size))
+
+    def test_skewed_forest_compacts_the_working_set(self):
+        train, serve = self._skewed_regression()
+        tree = train_tree(train, TreeConfig(max_depth=None))
+        assert tree.depth > 3 * np.log2(tree.n_nodes)
+        forest = ForestModel([tree, train_tree(train, TreeConfig(max_depth=4))])
+        predictor = BatchPredictor(compile_forest(forest))
+        np.testing.assert_array_equal(
+            predictor.predict_values(serve), forest.predict_values(serve)
+        )
+        assert predictor.compactions > 0  # the halving rule really fired
+        for max_depth in (0, 1, 5, tree.depth - 1, tree.depth + 3):
+            np.testing.assert_array_equal(
+                predictor.predict_values(serve, max_depth),
+                forest.predict_values(serve, max_depth),
+            )
+
+    def test_single_leaf_tree_and_mixed_depths(self, small_mixed_classification):
+        table = small_mixed_classification
+        stump = train_tree(table, TreeConfig(max_depth=0))
+        assert stump.n_nodes == 1
+        alone = BatchPredictor(compile_forest(stump))
+        np.testing.assert_array_equal(
+            alone.predict_proba(table), stump.predict_proba(table)
+        )
+        forest = ForestModel(
+            [
+                train_tree(table, TreeConfig(max_depth=depth, seed=depth))
+                for depth in (7, 0, 2)
+            ]
+        )
+        mixed = BatchPredictor(compile_forest(forest))
+        for max_depth in (None, 0, 1, 2, 3, 9):
+            np.testing.assert_array_equal(
+                mixed.predict_proba(table, max_depth),
+                forest.predict_proba(table, max_depth),
+            )
+
+    def test_nan_in_categorical_column_is_missing(self):
+        """NaN in a float-encoded categorical column stops at the node like
+        ``-1`` does, with no invalid float->int cast on the way."""
+        table = make_table(13, rows=400)
+        forest = make_forest(table, n_trees=3, seed=13)
+        predictor = BatchPredictor(compile_forest(forest))
+        with_codes = _matrix_of(table)
+        with_codes[::3, 3] = -1.0
+        with_codes[1::5, 4] = -1.0
+        with_nans = np.where(with_codes == -1.0, np.nan, with_codes)
+        with_nans[:, :3] = with_codes[:, :3]  # numeric columns untouched
+        assert np.isnan(with_nans[:, 3:]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_nans = predictor.predict_proba_matrix(with_nans)
+            np.testing.assert_array_equal(
+                from_nans, predictor.predict_proba_matrix(with_codes)
+            )
+            # Values no int64 holds are unseen codes, not a cast warning.
+            with_nans[0, 3], with_nans[1, 3] = np.inf, 1e300
+            predictor.predict_proba_matrix(with_nans)
+        assert not np.array_equal(
+            from_nans, predictor.predict_proba_matrix(_matrix_of(table))
+        )
+
+    def test_too_narrow_matrix_is_rejected(self, small_mixed_classification):
+        table = small_mixed_classification
+        forest = make_forest(table, n_trees=2)
+        predictor = BatchPredictor(compile_forest(forest))
+        with pytest.raises(IndexError, match="columns"):
+            predictor.predict_proba_matrix(_matrix_of(table)[:, :1])
+
+    def test_fleet_serves_multi_tile_batches_like_descent(self):
+        table = make_table(17, missing=0.05, rows=2 * TILE_ROWS + 3)
+        forest = make_forest(table.take(np.arange(300)), n_trees=3, seed=17)
+        expected = forest.predict_proba(table)
+        matrix = _matrix_of(table)
+        config = ServerConfig(max_batch_size=len(matrix))
+        with PredictionServer(forest, config) as solo:
+            np.testing.assert_array_equal(solo.predict_proba(matrix), expected)
+        with PredictionServer(forest, config, n_workers=2) as fleet:
+            np.testing.assert_array_equal(fleet.predict_proba(matrix), expected)
 
 
 class TestFingerprints:
@@ -717,12 +1026,6 @@ from repro.serving import (
 )
 from repro.serving.fleet import FLEET_KILL_ENV
 from repro.runtime.base import WorkerDiedError
-
-
-def _matrix_of(table):
-    return np.column_stack(
-        [np.asarray(col, dtype=np.float64) for col in table.columns]
-    )
 
 
 class TestQuantize:

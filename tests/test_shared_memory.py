@@ -391,6 +391,15 @@ class TestSharedCompiledModel:
                 )
                 tree = attached.forest.trees[0]
                 assert not tree.threshold.flags.writeable
+                # The kernel's bulk arrays are the mapped image itself.
+                for name in ("threshold", "predictions", "cat_dir"):
+                    bulk = getattr(attached.predictor, f"_{name}")
+                    assert bulk is attached.forest.stacked[name]
+                    assert not bulk.flags.owndata
+                    assert not bulk.flags.writeable
+                assert np.shares_memory(
+                    tree.threshold, attached.forest.stacked["threshold"]
+                )
             finally:
                 attached.close()
             attached.close()  # idempotent
