@@ -6,6 +6,10 @@ split search (the MLlib baseline's), the weighted quantile sketch, and
 whole-tree building — so kernel regressions are caught directly.
 """
 
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,108 @@ def test_whole_tree_build_kernel(benchmark):
         rounds=3, iterations=1,
     )
     assert tree.n_nodes > 10
+
+
+# ----------------------------------------------------------------------
+# the classification split scan, per node and per level, vs its oracle
+# ----------------------------------------------------------------------
+#: (rows, classes) of one `best_numeric_split`: a deep node, a mid node,
+#: the root of the e2e table.  2 % NaN as in that table.
+SCAN_SHAPES = [(n, k) for n in (100, 1_500, 24_000) for k in (2, 5)]
+#: One level of the batched kernel: rows of a fat subtree task, split into
+#: few large and many small frontier nodes.
+LEVEL_ROWS = 12_000
+LEVEL_SEGMENTS = (2, 128)
+SCAN_REPEATS = 30
+
+
+def _scan_inputs(n_rows: int, n_classes: int, seed: int):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n_rows)
+    values[rng.random(n_rows) < 0.02] = np.nan
+    return values, rng.integers(0, n_classes, size=n_rows)
+
+
+def _fastest(fn) -> float:
+    best = float("inf")
+    for _ in range(SCAN_REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_split_scan_sweep(run_once):
+    """Row sweep of the exact classification scan and one kernel level,
+    each next to the frozen stable-sort, row-major oracle of
+    ``tests/reference_scan.py`` (per level: the oracle once per node)."""
+    from repro.core.kernel import _batched_numeric_classification
+
+    from conftest import save_result
+
+    sys.path.insert(0, str(Path(__file__).parents[1]))
+    from tests.reference_scan import reference_numeric_split
+
+    def experiment():
+        rows = []
+        for n_rows, k in SCAN_SHAPES:
+            values, codes = _scan_inputs(n_rows, k, seed=n_rows + k)
+            labels = codes.astype(np.float64)
+            args = (0, values, labels, Impurity.GINI, k)
+            assert best_numeric_split(*args) == reference_numeric_split(*args)
+            rows.append((
+                f"scan {n_rows} rows, {k} classes",
+                _fastest(lambda: best_numeric_split(*args)),
+                _fastest(lambda: reference_numeric_split(*args)),
+            ))
+        k = 5
+        values, codes = _scan_inputs(LEVEL_ROWS, k, seed=7)
+        labels = codes.astype(np.float64)
+        for n_seg in LEVEL_SEGMENTS:
+            sizes = np.full(n_seg, LEVEL_ROWS // n_seg, dtype=np.int64)
+            sizes[-1] += LEVEL_ROWS - int(sizes.sum())
+            bounds = np.concatenate(([0], np.cumsum(sizes)))
+            seg = np.repeat(np.arange(n_seg, dtype=np.int64), sizes)
+            counts = np.bincount(
+                codes * n_seg + seg, minlength=k * n_seg
+            ).reshape(k, n_seg)
+
+            def level():
+                return _batched_numeric_classification(
+                    0, values, codes, seg, n_seg, sizes, counts,
+                    Impurity.GINI, k,
+                )
+
+            def per_node():
+                return [
+                    reference_numeric_split(
+                        0, values[lo:hi], labels[lo:hi], Impurity.GINI, k
+                    )
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+
+            entry = level()
+            assert [entry.split_for(j) for j in range(n_seg)] == per_node()
+            rows.append((
+                f"level {LEVEL_ROWS} rows, {n_seg} nodes, {k} classes",
+                _fastest(level),
+                _fastest(per_node),
+            ))
+        return rows
+
+    rows = run_once(experiment)
+    lines = [
+        f"Exact classification split scan vs the stable-sort oracle "
+        f"(Gini, 2 % NaN, fastest of {SCAN_REPEATS})",
+        f"{'shape':<42s}{'scan':>10s}{'oracle':>10s}{'ratio':>8s}",
+    ]
+    for label, new, old in rows:
+        lines.append(
+            f"{label:<42s}{new * 1e6:>8.0f}us{old * 1e6:>8.0f}us"
+            f"{new / old:>8.2f}"
+        )
+    save_result("split_scan_sweep", "\n".join(lines))
+    # Not a gate on speed (hosts differ); the equalities above are the test.
 
 
 # ----------------------------------------------------------------------

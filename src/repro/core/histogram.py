@@ -49,11 +49,10 @@ import numpy as np
 from ..data.schema import ColumnKind
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
-    variance_rows,
-    weighted_children_impurity,
+    classification_children_scores,
+    variance_children_scores,
 )
-from .splits import CandidateSplit
+from .splits import CandidateSplit, label_codes
 
 #: A threshold book: ``{max_bins: {column: thresholds array}}``, covering
 #: every numeric column of the table for every distinct ``max_bins`` any
@@ -197,7 +196,7 @@ def column_histogram(
     b = codes[present].astype(np.int64)
     ys = y[present]
     if criterion.is_classification:
-        flat = b * n_classes + ys.astype(np.int64)
+        flat = b * n_classes + label_codes(ys)
         counts = np.bincount(flat, minlength=n_bins * n_classes).reshape(
             n_bins, n_classes
         )
@@ -229,13 +228,14 @@ def score_histogram(
         return None
     n_missing = hist.n_missing
     if criterion.is_classification:
-        stats = hist.counts.astype(np.float64)
-        cum = np.cumsum(stats, axis=0)[:-1]  # prefix: "bin <= t" per cut
-        total = stats.sum(axis=0)
-        n_left = cum.sum(axis=1)
+        cum = np.cumsum(hist.counts.T, axis=1)  # class-major prefix counts
+        total = cum[:, -1:]
+        cum = cum[:, :-1]  # "bin <= t" per cut
+        n_left = cum.sum(axis=0)
         n_right = total.sum() - n_left
-        left_imp = classification_impurity_rows(cum, criterion)
-        right_imp = classification_impurity_rows(total[None, :] - cum, criterion)
+        scores = classification_children_scores(
+            cum, n_left, total - cum, n_right, criterion
+        )
     else:
         counts = hist.bin_counts.astype(np.float64)
         c_cum = np.cumsum(counts)[:-1]
@@ -243,16 +243,17 @@ def score_histogram(
         q_cum = np.cumsum(hist.y_sq_sum)[:-1]
         n_left = c_cum
         n_right = counts.sum() - c_cum
-        left_imp = variance_rows(c_cum, s_cum, q_cum)
-        right_imp = variance_rows(
-            counts.sum() - c_cum,
+        scores = variance_children_scores(
+            n_left,
+            s_cum,
+            q_cum,
+            n_right,
             hist.y_sum.sum() - s_cum,
             hist.y_sq_sum.sum() - q_cum,
         )
     valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
     scores = np.where(valid, scores, np.inf)
     best = int(np.argmin(scores))  # first minimum == smallest threshold
     nl, nr = int(n_left[best]), int(n_right[best])

@@ -8,8 +8,10 @@ values for regression (Section II).  All functions here operate on
 what the split-search scans accumulate incrementally, and what column-task
 workers could ship in messages.
 
-Vectorized variants accept 2-D stacks of statistics so a split scan can
-score every candidate boundary of a sorted column in one NumPy pass.
+Vectorized variants score every candidate boundary of a split scan in one
+pass.  Class counts are stacked *class-major*, ``(n_classes, candidates)``:
+each class is one contiguous vector, so a score is a handful of whole-vector
+operations per class instead of a reduction over a short strided axis.
 """
 
 from __future__ import annotations
@@ -67,36 +69,63 @@ def classification_impurity(counts: np.ndarray, criterion: Impurity) -> float:
     raise ValueError(f"{criterion} is not a classification criterion")
 
 
-def gini_rows(counts: np.ndarray) -> np.ndarray:
-    """Gini per row of a ``(m, k)`` class-count matrix."""
-    totals = counts.sum(axis=1)
-    safe = np.where(totals == 0, 1.0, totals)
-    p = counts / safe[:, None]
-    out = 1.0 - (p * p).sum(axis=1)
-    out[totals == 0] = 0.0
-    return out
+def _square(p: np.ndarray) -> np.ndarray:
+    return np.multiply(p, p, out=p)
 
 
-def entropy_rows(counts: np.ndarray) -> np.ndarray:
-    """Entropy (nats) per row of a ``(m, k)`` class-count matrix."""
-    totals = counts.sum(axis=1)
-    safe = np.where(totals == 0, 1.0, totals)
-    p = counts / safe[:, None]
+def _p_log_p(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(p > 0, np.log(p), 0.0)
-    out = -(p * logp).sum(axis=1)
-    out[totals == 0] = 0.0
-    return out
+    return np.multiply(p, logp, out=p)
 
 
-def classification_impurity_rows(
-    counts: np.ndarray, criterion: Impurity
+def _sum_over_classes(counts, totals, term) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_c term(counts[c] / totals)`` and the mask of zero totals.
+
+    The terms are added class by class in class order, whole candidate
+    vectors at a time; that order is the definition of every
+    classification score (it is also the order in which NumPy sums a row
+    of up to 7 entries).  ``sum(axis=0)`` would not do: its order depends
+    on the strides and the shape of its input.
+    """
+    zero = totals == 0
+    safe = np.where(zero, 1.0, totals) if zero.any() else totals
+    terms = term(counts / safe)
+    acc = terms[0].copy()  # not a view: lets go of the whole stack on return
+    for row in terms[1:]:
+        acc += row
+    return acc, zero
+
+
+def gini_classes(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Gini per candidate of a class-major ``(n_classes, ...)`` count stack.
+
+    ``counts[c]`` holds class ``c``'s count for every candidate and
+    ``totals`` their sum over classes, which a split scan already has as
+    the child size.  A candidate with no rows scores 0.
+    """
+    acc, zero = _sum_over_classes(counts, totals, _square)
+    np.subtract(1.0, acc, out=acc)
+    acc[zero] = 0.0
+    return acc
+
+
+def entropy_classes(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy (nats) per candidate; layout as :func:`gini_classes`."""
+    acc, zero = _sum_over_classes(counts, totals, _p_log_p)
+    np.negative(acc, out=acc)
+    acc[zero] = 0.0
+    return acc
+
+
+def classification_impurity_classes(
+    counts: np.ndarray, totals: np.ndarray, criterion: Impurity
 ) -> np.ndarray:
-    """Vectorized Gini/entropy over a stack of class-count vectors."""
+    """Vectorized Gini/entropy over a class-major stack of count vectors."""
     if criterion is Impurity.GINI:
-        return gini_rows(counts)
+        return gini_classes(counts, totals)
     if criterion is Impurity.ENTROPY:
-        return entropy_rows(counts)
+        return entropy_classes(counts, totals)
     raise ValueError(f"{criterion} is not a classification criterion")
 
 
@@ -112,27 +141,76 @@ def variance_rows(
 
 
 def weighted_children_impurity(
-    left_impurity: np.ndarray | float,
-    left_weight: np.ndarray | float,
-    right_impurity: np.ndarray | float,
-    right_weight: np.ndarray | float,
-) -> np.ndarray | float:
-    """Size-weighted mean impurity of a candidate (left, right) split.
+    left_impurity: float,
+    left_weight: float,
+    right_impurity: float,
+    right_weight: float,
+) -> float:
+    """Size-weighted mean impurity of one candidate (left, right) split.
 
     This is the quantity the split search minimizes; the parent impurity is
     a constant per node, so minimizing the weighted child impurity maximizes
     the impurity decrease the paper describes.
     """
     total = left_weight + right_weight
-    if np.isscalar(total):
-        if total == 0:
-            return 0.0
-        return (
-            left_weight * left_impurity + right_weight * right_impurity
-        ) / total
-    safe = np.where(total == 0, 1.0, total)
-    out = (left_weight * left_impurity + right_weight * right_impurity) / safe
-    return np.where(total == 0, 0.0, out)
+    if total == 0:
+        return 0.0
+    return (left_weight * left_impurity + right_weight * right_impurity) / total
+
+
+def _children_scores(
+    left_imp: np.ndarray,
+    n_left: np.ndarray,
+    right_imp: np.ndarray,
+    n_right: np.ndarray,
+) -> np.ndarray:
+    """:func:`weighted_children_impurity` of every candidate at once."""
+    total = n_left + n_right
+    zero = total == 0
+    if zero.any():
+        total = np.where(zero, 1.0, total)
+    out = n_left * left_imp
+    out += n_right * right_imp
+    out /= total
+    return out
+
+
+def classification_children_scores(
+    left_counts: np.ndarray,
+    n_left: np.ndarray,
+    right_counts: np.ndarray,
+    n_right: np.ndarray,
+    criterion: Impurity,
+) -> np.ndarray:
+    """Split score of every candidate from class-major child class counts.
+
+    The one scoring arithmetic of every classification scan — exact and
+    binned, per node and per level, numeric and categorical — so all of
+    them give a candidate the same bits.
+    """
+    return _children_scores(
+        classification_impurity_classes(left_counts, n_left, criterion),
+        n_left,
+        classification_impurity_classes(right_counts, n_right, criterion),
+        n_right,
+    )
+
+
+def variance_children_scores(
+    n_left: np.ndarray,
+    left_sum: np.ndarray,
+    left_sq: np.ndarray,
+    n_right: np.ndarray,
+    right_sum: np.ndarray,
+    right_sq: np.ndarray,
+) -> np.ndarray:
+    """Split score of every candidate from its children's regression triples."""
+    return _children_scores(
+        variance_rows(n_left, left_sum, left_sq),
+        n_left,
+        variance_rows(n_right, right_sum, right_sq),
+        n_right,
+    )
 
 
 def default_impurity(is_classification: bool) -> Impurity:

@@ -14,9 +14,10 @@ literature, see PAPERS.md):
 * per-node label statistics for classification in a single ``bincount``
   over ``segment * n_classes + y``;
 * the numeric best-split scan for classification batched across all
-  frontier nodes: one stable ``lexsort`` by ``(segment, value)``, global
-  integer cumulative class counts minus segment offsets, and one
-  vectorized impurity pass over every candidate boundary of every node;
+  frontier nodes: one sort by ``(segment, value)``, one packed integer
+  cumulative class count for the level minus its value at each segment
+  start, and one class-major scoring pass over every candidate boundary
+  of every node;
 * when a frontier node's row count drops to the small-node cutoff, that
   node switches depth-next — the scalar :func:`~repro.core.builder.
   build_subtree` finishes its subtree, where batching overhead would
@@ -28,18 +29,29 @@ repo's ground-truth invariant — by construction:
 * node ids are the same heap paths and all per-node RNG draws key off
   ``(seed, path)`` / ``(seed, path, column)``, so extra-trees reproduce
   the scalar draws regardless of traversal order;
-* integer statistics (class counts) are exact under "global cumsum minus
-  segment offset", so the batched classification scan reproduces the
-  per-node cumulative counts digit for digit, and all downstream impurity
-  math runs through the very same row-vectorized functions
-  (:func:`~repro.core.impurity.classification_impurity_rows`,
-  :func:`~repro.core.impurity.weighted_children_impurity`) the scalar
-  scan uses, elementwise;
-* ``np.lexsort((values, segment))`` is stable, so within a segment it is
-  the same permutation as the scalar per-node stable argsort;
+* a classification score reads class counts only at boundaries between
+  *distinct* values of a node, and the rows left of such a boundary are
+  the same set however equal values are ordered among themselves.  Tie
+  order therefore reaches no count, no score and no threshold (a run of
+  ``-0.0`` / ``0.0`` ties is mapped to ``0.0``, see
+  :func:`~repro.core.splits.boundary_threshold`), so neither scan needs
+  a stable sort: both use NumPy's default ``argsort`` on NaN-compacted
+  values (the SIMD sort falls back to a slow path when NaNs are left
+  in), and the level sort is that plus a stable 16-bit radix sort of
+  the segment ids, which only regroups rows by node;
+* integer statistics (class counts) are exact under "level-wide
+  cumulative count minus its value at the segment start", and both
+  scans count and score through the very same functions
+  (:func:`~repro.core.splits.left_class_counts`,
+  :func:`~repro.core.impurity.classification_children_scores`), whose
+  arithmetic is elementwise per candidate and whose sum over classes
+  runs in one fixed order — a candidate gets the same bits whether it is
+  scored alone, with its node, or with its level;
 * floating-point accumulations whose result depends on summation order —
   regression cumulative sums, node means, categorical subset scans — are
-  *not* re-associated: those cases call the existing per-column split
+  *not* re-associated: the regression scan keeps a stable sort (tie
+  order does reach a cumulative sum of ``y``) and restarts its sums per
+  segment, and the other cases call the existing per-column split
   functions in :mod:`repro.core.splits` on the node-contiguous slices of
   the level gather, which see exactly the arrays the scalar path sees;
 * cross-column tie-breaking keeps the scalar rule (strictly smaller
@@ -47,7 +59,9 @@ repo's ground-truth invariant — by construction:
   within a column the first boundary achieving the minimum score wins,
   matching ``np.argmin``.
 
-The parity sweep in ``tests/test_builder.py`` pins all of this.
+The parity sweep in ``tests/test_builder.py`` pins all of this, on
+tie-heavy and 9-class tables too; ``tests/test_splits.py`` holds the
+scalar scan to the stable-sort, row-major scan it replaced.
 """
 
 from __future__ import annotations
@@ -75,13 +89,14 @@ from .config import TREE_KERNELS, TreeConfig, TreeKind
 from .histogram import bin_indices
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
-    variance_rows,
-    weighted_children_impurity,
+    classification_children_scores,
+    variance_children_scores,
 )
 from .splits import (
     CandidateSplit,
     best_split_for_column,
+    boundary_threshold,
+    left_class_counts,
     random_split_for_column,
     route_training_rows,
 )
@@ -233,7 +248,7 @@ class _BatchedNumericEntry:
             score=float(self.scores[b]),
             n_left=nl + (nm if nl >= nr else 0),
             n_right=nr + (0 if nl >= nr else nm),
-            threshold=float(self.sv[self.bidx[b]]),
+            threshold=boundary_threshold(self.sv, self.bidx[b]),
             n_missing=nm,
             missing_to_left=nl >= nr,
         )
@@ -282,22 +297,23 @@ def _batched_numeric_classification(
     with one sort and one impurity pass for the entire level.
 
     ``sizes`` is the per-segment row count and ``seg_counts`` the
-    per-segment integer class counts the level statistics pass already
-    produced (``None`` when the caller has no class counts, e.g. a
-    classification criterion forced onto a regression target) — reusing
-    them skips a full-level bincount per column.
+    class-major ``(n_classes, n_segments)`` integer class counts the
+    level statistics pass already produced (``None`` when the caller has
+    no class counts, e.g. a classification criterion forced onto a
+    regression target) — reusing them skips a full-level bincount per
+    column.
     """
     entry = _BatchedNumericEntry(column, n_segments)
     present = ~np.isnan(values)
-    miss_counts: np.ndarray | None = None
+    total_counts = seg_counts
     if present.all():
-        # Fast path for NaN-free columns: no row compaction needed.
         entry.n_missing = np.zeros(n_segments, dtype=np.int64)
         vp = values
         sp = seg
         yc = y_codes
         n_present = sizes
     else:
+        # NaNs are compacted away before the sort, as in the scalar scan.
         absent = ~present
         seg_absent = seg[absent]
         entry.n_missing = np.bincount(seg_absent, minlength=n_segments)
@@ -305,31 +321,30 @@ def _batched_numeric_classification(
         sp = seg[present]
         yc = y_codes[present]
         n_present = sizes - entry.n_missing
-        miss_counts = np.bincount(
-            seg_absent * n_classes + y_codes[absent],
-            minlength=n_segments * n_classes,
-        ).reshape(n_segments, n_classes)
+        if seg_counts is not None:
+            total_counts = seg_counts - np.bincount(
+                y_codes[absent] * n_segments + seg_absent,
+                minlength=n_classes * n_segments,
+            ).reshape(n_classes, n_segments)
     if vp.size == 0:
         return entry
+    if total_counts is None:
+        total_counts = np.bincount(
+            yc * n_segments + sp, minlength=n_classes * n_segments
+        ).reshape(n_classes, n_segments)
     pres_starts = np.zeros(n_segments + 1, dtype=np.int64)
     np.cumsum(n_present, out=pres_starts[1:])
 
-    # Stable sort by (segment, value).  ``vp`` is already grouped by
-    # segment (the level gather is node-contiguous), so sorting each
-    # segment's slice with the scalar's own stable argsort gives the
-    # identical permutation; ``lexsort`` computes the same order in one
-    # call, which wins when a level has many tiny segments (per-slice
-    # call overhead) and loses when it has a few huge ones (it re-sorts
-    # the already-grouped segment key).
-    if n_segments * 2048 <= vp.size:
-        order = np.empty(vp.size, dtype=np.int64)
-        for s in range(n_segments):
-            lo, hi = int(pres_starts[s]), int(pres_starts[s + 1])
-            order[lo:hi] = lo + np.argsort(vp[lo:hi], kind="stable")
-    else:
-        order = np.lexsort((vp, sp))
+    # Sort by (segment, value): an unstable sort by value, then a stable
+    # sort of the segment ids of that order.  Rows never change segment
+    # (the level gather is node-contiguous), and within a segment only
+    # the order of equal values is left open, which no score can see.
+    # NumPy's stable sort of 16-bit keys is a radix sort.
+    keys = sp.astype(np.uint16) if n_segments <= 1 << 16 else sp
+    by_value = np.argsort(vp)
+    order = by_value[np.argsort(keys[by_value], kind="stable")]
     sv = vp[order]
-    ss = sp  # per-segment sorting never moves rows across segments
+    ss = sp  # sorting never moves rows across segments
     syc = yc[order]
 
     # A boundary needs two present rows of the same segment, so segments
@@ -340,46 +355,21 @@ def _batched_numeric_classification(
     if bidx.size == 0:
         return entry
     bseg = ss[bidx]
-    seg_start = pres_starts[:-1]
-    bstart = seg_start[bseg]
-    n_left = bidx + 1 - bstart
+    bstart = pres_starts[:-1][bseg]
+    bstop = bidx + 1
+    n_left = bstop - bstart
     n_right = n_present[bseg] - n_left
 
-    # Per-class cumulative counts: integer global cumsum minus the count
-    # at the segment start — exact, hence identical to per-node cumsums.
-    # The last class is the exact integer complement of the others (the
-    # scalar scan's own cumsums are integers too, so equality is literal),
-    # which saves one full cumsum pass — half the passes for binary jobs.
-    left_counts = np.empty((bidx.size, n_classes), dtype=np.float64)
-    cumz = np.empty(vp.size + 1, dtype=np.int64)
-    cumz[0] = 0
-    if n_classes == 2:
-        np.cumsum(syc, out=cumz[1:])
-        ones = cumz[bidx + 1] - cumz[bstart]
-        left_counts[:, 1] = ones
-        left_counts[:, 0] = n_left - ones
-    else:
-        acc = np.zeros(bidx.size, dtype=np.int64)
-        for cls in range(n_classes - 1):
-            np.cumsum(syc == cls, out=cumz[1:])
-            c = cumz[bidx + 1] - cumz[bstart]
-            left_counts[:, cls] = c
-            acc += c
-        left_counts[:, n_classes - 1] = n_left - acc
-    if seg_counts is None:
-        total_counts = np.bincount(
-            sp * n_classes + yc,
-            minlength=n_segments * n_classes,
-        ).reshape(n_segments, n_classes)
-    elif miss_counts is None:
-        total_counts = seg_counts
-    else:
-        total_counts = seg_counts - miss_counts
-    right_counts = total_counts[bseg] - left_counts
-
-    left_imp = classification_impurity_rows(left_counts, criterion)
-    right_imp = classification_impurity_rows(right_counts, criterion)
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
+    # Integer cumulative counts minus the count at the segment start are
+    # exact, hence identical to per-node cumulative counts.
+    left_counts = left_class_counts(syc, bstart, bstop, n_classes)
+    scores = classification_children_scores(
+        left_counts,
+        n_left,
+        np.take(total_counts, bseg, axis=1) - left_counts,
+        n_right,
+        criterion,
+    )
 
     # First minimum per segment == the scalar np.argmin (first-min) rule.
     first_b = _first_per_group(bseg)
@@ -474,10 +464,9 @@ def _batched_numeric_regression(
             tot_y[s] = cum_y[hi - 1]
             tot_y2[s] = cum_y2[hi - 1]
     l_sum, l_sq = cum_y[bidx], cum_y2[bidx]
-    r_sum, r_sq = tot_y[bseg] - l_sum, tot_y2[bseg] - l_sq
-    left_imp = variance_rows(n_left.astype(float), l_sum, l_sq)
-    right_imp = variance_rows(n_right.astype(float), r_sum, r_sq)
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
+    scores = variance_children_scores(
+        n_left, l_sum, l_sq, n_right, tot_y[bseg] - l_sum, tot_y2[bseg] - l_sq
+    )
 
     first_b = _first_per_group(bseg)
     counts_b = np.diff(np.append(first_b, bseg.size))
@@ -590,22 +579,20 @@ def _batched_binned_numeric(
         sp = seg[present]
         yp = y_or_codes[present]
     n_bins = thresholds.size + 1
-    cuts = n_bins - 1
     if criterion.is_classification:
+        # Class-major: each class's (segment, bin) plane is contiguous.
         stats = np.bincount(
-            (sp * n_bins + codes) * n_classes + yp,
-            minlength=n_segments * n_bins * n_classes,
-        ).reshape(n_segments, n_bins, n_classes).astype(np.float64)
-        cum = np.cumsum(stats, axis=1)[:, :-1, :]
-        total = stats.sum(axis=1)
-        n_left = cum.sum(axis=2)
-        n_right = total.sum(axis=1)[:, None] - n_left
-        left_imp = classification_impurity_rows(
-            cum.reshape(-1, n_classes), criterion
-        ).reshape(n_segments, cuts)
-        right_imp = classification_impurity_rows(
-            (total[:, None, :] - cum).reshape(-1, n_classes), criterion
-        ).reshape(n_segments, cuts)
+            (yp * n_segments + sp) * n_bins + codes,
+            minlength=n_classes * n_segments * n_bins,
+        ).reshape(n_classes, n_segments, n_bins)
+        cum = np.cumsum(stats, axis=2)
+        total = cum[:, :, -1:]
+        cum = cum[:, :, :-1]
+        n_left = cum.sum(axis=0)
+        n_right = total.sum(axis=0) - n_left
+        scores = classification_children_scores(
+            cum, n_left, total - cum, n_right, criterion
+        )
     else:
         flat = sp * n_bins + codes
         size = n_segments * n_bins
@@ -625,18 +612,16 @@ def _batched_binned_numeric(
         q_cum = np.cumsum(y_sq, axis=1)[:, :-1]
         n_left = c_cum
         n_right = bin_counts.sum(axis=1)[:, None] - c_cum
-        left_imp = variance_rows(c_cum, s_cum, q_cum)
-        right_imp = variance_rows(
+        scores = variance_children_scores(
+            n_left,
+            s_cum,
+            q_cum,
             n_right,
             y_sum.sum(axis=1)[:, None] - s_cum,
             y_sq.sum(axis=1)[:, None] - q_cum,
         )
     valid = (n_left > 0) & (n_right > 0)
-    scores = np.where(
-        valid,
-        weighted_children_impurity(left_imp, n_left, right_imp, n_right),
-        np.inf,
-    )
+    scores = np.where(valid, scores, np.inf)
     best = np.argmin(scores, axis=1)  # first minimum == smallest threshold
     has = valid.any(axis=1)
     entry.best_cut[has] = best[has]
@@ -822,14 +807,14 @@ def build_subtree_vectorized(
 
         column_cache: dict[int, np.ndarray] = {}
         entries: list = []
-        y_codes_act = None
+        # What a scan reads as labels: class codes (cast once per level)
+        # under a classification criterion, the targets otherwise.
+        y_scan = y_act
         act_counts = None
         if criterion.is_classification:
-            y_codes_act = (
-                y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
-            )
+            y_scan = y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
             if is_clf:
-                act_counts = counts[act_idx]
+                act_counts = np.ascontiguousarray(counts[act_idx].T)
         for col in candidate_columns:
             spec = table.column_spec(col)
             tick = time.perf_counter()
@@ -841,7 +826,7 @@ def build_subtree_vectorized(
                     _batched_binned_numeric(
                         col,
                         v,
-                        y_codes_act if criterion.is_classification else y_act,
+                        y_scan,
                         seg_act,
                         a,
                         thresholds.get(col, _NO_THRESHOLDS),
@@ -852,7 +837,7 @@ def build_subtree_vectorized(
             elif spec.kind is ColumnKind.NUMERIC and criterion.is_classification:
                 entries.append(
                     _batched_numeric_classification(
-                        col, v, y_codes_act, seg_act, a, act_sizes,
+                        col, v, y_scan, seg_act, a, act_sizes,
                         act_counts, criterion, n_classes,
                     )
                 )
@@ -871,7 +856,7 @@ def build_subtree_vectorized(
                         col,
                         spec.kind,
                         v[act_starts[j] : act_starts[j + 1]],
-                        y_act[act_starts[j] : act_starts[j + 1]],
+                        y_scan[act_starts[j] : act_starts[j + 1]],
                         criterion,
                         n_classes,
                         spec.n_categories,

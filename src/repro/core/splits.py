@@ -25,6 +25,18 @@ or the earlier-enumerated category subset, and across columns the engine
 breaks ties toward the lower column index.  Determinism is what makes the
 distributed engine's output bit-identical to the serial builder's — a tested
 invariant of this reproduction.
+
+Determinism does not need a stable sort where the *order of equal values*
+cannot reach an output, and for a classification target it cannot: a score
+reads class counts only at a boundary between two distinct values, the rows
+left of that boundary are the same set in any order of the ties, and counts
+are integers.  So the Case-1 classification scan sorts with NumPy's default
+(unstable, SIMD where the CPU has it) ``argsort``; NaNs are compacted away
+first, because the SIMD sort takes a slow path when it meets one.  The one
+value that does depend on tie order — which of ``-0.0`` and ``0.0`` ends a
+run of zeros — is canonicalised in :func:`boundary_threshold`.  A regression
+target keeps the stable sort: its cumulative sums of ``y`` are floating
+point, so the order of tied rows changes their last bits.
 """
 
 from __future__ import annotations
@@ -37,9 +49,8 @@ from ..data.schema import ColumnKind
 from ..data.table import MISSING_CODE
 from .impurity import (
     Impurity,
-    classification_impurity_rows,
-    variance_rows,
-    weighted_children_impurity,
+    classification_children_scores,
+    variance_children_scores,
 )
 
 #: Enumerate all category subsets exhaustively when the number of non-empty
@@ -47,7 +58,7 @@ from .impurity import (
 EXHAUSTIVE_SUBSET_LIMIT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateSplit:
     """The best split condition found for one attribute at one node.
 
@@ -81,6 +92,65 @@ class CandidateSplit:
         return f"{name} in {cats}"
 
 
+def label_codes(y: np.ndarray) -> np.ndarray:
+    """Class labels as ``int64`` codes (a no-op when they already are)."""
+    return y.astype(np.int64, copy=False)
+
+
+def boundary_threshold(sorted_values: np.ndarray, index: int) -> float:
+    """The threshold ``A_i <= v`` of a boundary of a sorted column.
+
+    ``-0.0`` and ``0.0`` sort as ties, so which of the two ends a run of
+    zeros is up to the sort; ``+ 0.0`` maps both to ``0.0`` and leaves
+    every other value alone, which keeps a model's bytes independent of
+    sort kind and CPU.
+    """
+    return float(sorted_values[index] + 0.0)
+
+
+def left_class_counts(
+    sorted_codes: np.ndarray,
+    starts: np.ndarray | int,
+    stops: np.ndarray,
+    n_classes: int,
+) -> np.ndarray:
+    """Class-major ``(n_classes, m)`` counts of sorted rows ``starts..stops``.
+
+    Candidate ``i`` has rows ``starts[i]`` (the first row of its node; 0
+    for a single node) up to but excluding ``stops[i]`` on its left, so
+    one pass serves every node of a level.  The pass is one cumulative
+    sum for several classes at once: a count never exceeds the number of
+    rows, so each class gets a bit field that wide in an ``int64`` and a
+    row adds 1 to the field of its class; fields cannot carry into each
+    other, and the difference of two cumulative words is the difference
+    field by field.  All integer, hence exact; the last class is the
+    complement of the rest.
+    """
+    counts = np.empty((n_classes, stops.size), dtype=np.int64)
+    bits = int(sorted_codes.size).bit_length()
+    per_word = 63 // bits
+    field = (1 << bits) - 1
+    cum = np.empty(sorted_codes.size + 1, dtype=np.int64)
+    cum[0] = 0
+    rest = counts[-1]
+    np.subtract(stops, starts, out=rest)
+    for first in range(0, n_classes - 1, per_word):
+        group = range(first, min(first + per_word, n_classes - 1))
+        increment = np.zeros(n_classes, dtype=np.int64)
+        for cls in group:
+            increment[cls] = 1 << (bits * (cls - first))
+        np.take(increment, sorted_codes, out=cum[1:])
+        np.cumsum(cum[1:], out=cum[1:])
+        words = cum[stops]
+        words -= cum[starts]
+        for cls in group:
+            row = counts[cls]
+            np.right_shift(words, bits * (cls - first), out=row)
+            row &= field
+            rest -= row
+    return counts
+
+
 def best_numeric_split(
     column: int,
     values: np.ndarray,
@@ -92,19 +162,25 @@ def best_numeric_split(
 
     Sorts the node's rows by the attribute value and scores every boundary
     between distinct values.  The threshold is the left boundary value itself
-    (the paper's ``A_i <= v`` uses data values for ``v``).
+    (the paper's ``A_i <= v`` uses data values for ``v``).  ``y`` holds the
+    labels (classification: as floats or as integer codes) or targets.
     """
     present = ~np.isnan(values)
     n_missing = int(values.size - present.sum())
-    vals = values[present]
-    ys = y[present]
-    n = vals.size
+    if n_missing:
+        values = values[present]
+        y = y[present]
+    n = values.size
     if n < 2:
         return None
 
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    sy = ys[order]
+    if criterion.is_classification:
+        y = label_codes(y)
+        order = np.argsort(values)  # tie order is free, see module docstring
+    else:
+        order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sy = y[order]
 
     # Candidate boundaries: positions i where sv[i] < sv[i + 1].
     boundary = np.nonzero(sv[:-1] < sv[1:])[0]
@@ -114,24 +190,23 @@ def best_numeric_split(
     n_right = n - n_left
 
     if criterion.is_classification:
-        # Per-class cumulative counts along the sorted order.
-        left_counts = np.empty((boundary.size, n_classes), dtype=np.float64)
-        for cls in range(n_classes):
-            cum = np.cumsum(sy == cls)
-            left_counts[:, cls] = cum[boundary]
-        total_counts = np.bincount(sy.astype(np.int64), minlength=n_classes)
-        right_counts = total_counts[None, :] - left_counts
-        left_imp = classification_impurity_rows(left_counts, criterion)
-        right_imp = classification_impurity_rows(right_counts, criterion)
+        left_counts = left_class_counts(sy, 0, n_left, n_classes)
+        total_counts = np.bincount(sy, minlength=n_classes)
+        scores = classification_children_scores(
+            left_counts,
+            n_left,
+            total_counts[:, None] - left_counts,
+            n_right,
+            criterion,
+        )
     else:
         cum_y = np.cumsum(sy)
         cum_y2 = np.cumsum(sy * sy)
         l_sum, l_sq = cum_y[boundary], cum_y2[boundary]
-        r_sum, r_sq = cum_y[-1] - l_sum, cum_y2[-1] - l_sq
-        left_imp = variance_rows(n_left.astype(float), l_sum, l_sq)
-        right_imp = variance_rows(n_right.astype(float), r_sum, r_sq)
+        scores = variance_children_scores(
+            n_left, l_sum, l_sq, n_right, cum_y[-1] - l_sum, cum_y2[-1] - l_sq
+        )
 
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
     best = int(np.argmin(scores))  # first minimum == smallest threshold
     nl, nr = int(n_left[best]), int(n_right[best])
     return CandidateSplit(
@@ -140,7 +215,7 @@ def best_numeric_split(
         score=float(scores[best]),
         n_left=nl + (n_missing if nl >= nr else 0),
         n_right=nr + (0 if nl >= nr else n_missing),
-        threshold=float(sv[boundary[best]]),
+        threshold=boundary_threshold(sv, boundary[best]),
         n_missing=n_missing,
         missing_to_left=nl >= nr,
     )
@@ -150,7 +225,7 @@ def _category_stats_classification(
     codes: np.ndarray, y: np.ndarray, n_categories: int, n_classes: int
 ) -> np.ndarray:
     """Class-count matrix of shape ``(n_categories, n_classes)``."""
-    flat = codes.astype(np.int64) * n_classes + y.astype(np.int64)
+    flat = codes.astype(np.int64) * n_classes + label_codes(y)
     counts = np.bincount(flat, minlength=n_categories * n_classes)
     return counts.reshape(n_categories, n_classes).astype(np.float64)
 
@@ -192,9 +267,9 @@ def best_categorical_regression_split(
     cum_s = np.cumsum(s)[:-1]
     cum_q = np.cumsum(q)[:-1]
     tot_c, tot_s, tot_q = c.sum(), s.sum(), q.sum()
-    left_imp = variance_rows(cum_c, cum_s, cum_q)
-    right_imp = variance_rows(tot_c - cum_c, tot_s - cum_s, tot_q - cum_q)
-    scores = weighted_children_impurity(left_imp, cum_c, right_imp, tot_c - cum_c)
+    scores = variance_children_scores(
+        cum_c, cum_s, cum_q, tot_c - cum_c, tot_s - cum_s, tot_q - cum_q
+    )
     best = int(np.argmin(scores))
 
     left = frozenset(int(code) for code in order[: best + 1])
@@ -270,15 +345,14 @@ def best_categorical_classification_split(
         candidates = [(i,) for i in range(nonempty.size)]
         left_counts = live
 
-    right_counts = total[None, :] - left_counts
     n_left = left_counts.sum(axis=1)
     n_right = n_total - n_left
     valid = (n_left > 0) & (n_right > 0)
     if not valid.any():
         return None
-    left_imp = classification_impurity_rows(left_counts, criterion)
-    right_imp = classification_impurity_rows(right_counts, criterion)
-    scores = weighted_children_impurity(left_imp, n_left, right_imp, n_right)
+    scores = classification_children_scores(
+        left_counts.T, n_left, (total - left_counts).T, n_right, criterion
+    )
     scores = np.where(valid, scores, np.inf)
     best = int(np.argmin(scores))
 
@@ -400,25 +474,23 @@ def _realized_score(
 ) -> float:
     """Weighted child impurity of an already-decided partition."""
     yl, yr = y[go_left], y[~go_left]
+    nl, nr = np.array([yl.size]), np.array([yr.size])
     if criterion.is_classification:
-        lc = np.bincount(yl.astype(np.int64), minlength=n_classes).astype(float)
-        rc = np.bincount(yr.astype(np.int64), minlength=n_classes).astype(float)
-        li = classification_impurity_rows(lc[None, :], criterion)[0]
-        ri = classification_impurity_rows(rc[None, :], criterion)[0]
+        lc = np.bincount(label_codes(yl), minlength=n_classes)
+        rc = np.bincount(label_codes(yr), minlength=n_classes)
+        scores = classification_children_scores(
+            lc[:, None], nl, rc[:, None], nr, criterion
+        )
     else:
-        li = variance_rows(
-            np.array([float(yl.size)]),
+        scores = variance_children_scores(
+            nl,
             np.array([yl.sum()]),
             np.array([(yl * yl).sum()]),
-        )[0]
-        ri = variance_rows(
-            np.array([float(yr.size)]),
+            nr,
             np.array([yr.sum()]),
             np.array([(yr * yr).sum()]),
-        )[0]
-    return float(
-        weighted_children_impurity(li, yl.size, ri, yr.size)
-    )
+        )
+    return float(scores[0])
 
 
 def route_training_rows(values: np.ndarray, split: CandidateSplit) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from ..data.schema import ProblemKind
 from ..data.shm import ShmSlice
 from .config import TreeConfig
-from .splits import CandidateSplit
+from .splits import CandidateSplit, label_codes
 
 #: Task identity: (tree_uid, heap path).
 TaskId = tuple[int, int]
@@ -117,10 +117,10 @@ class NodeStatsPayload:
     def from_labels(
         cls, y: np.ndarray, problem: ProblemKind, n_classes: int
     ) -> "NodeStatsPayload":
-        """Compute stats from a node's label array."""
+        """Compute stats from a node's labels (floats or integer codes)."""
         pure = bool(y.size > 0 and np.all(y == y[0]))
         if problem is ProblemKind.CLASSIFICATION:
-            counts = np.bincount(y.astype(np.int64), minlength=n_classes)
+            counts = np.bincount(label_codes(y), minlength=n_classes)
             return cls(n_rows=int(y.size), counts=counts, pure=pure)
         return cls(
             n_rows=int(y.size),

@@ -28,7 +28,7 @@ from ..data.table import DataTable
 from .splits import CandidateSplit, route_test_value
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node ``x`` of a decision tree.
 

@@ -44,6 +44,7 @@ from .kernel import KernelCounters, build_subtree_auto
 from .splits import (
     CandidateSplit,
     best_split_for_column,
+    label_codes,
     random_split_for_column,
     route_training_rows,
 )
@@ -300,10 +301,14 @@ class WorkerActor:
             return  # revoked while queued
         plan = state.plan
         ids = state.row_ids
-        y = self.table.target[ids]
         criterion = plan.ctx.config.resolved_criterion(
             self.table.problem is ProblemKind.CLASSIFICATION
         )
+        # One gather and one cast to class codes serve every column's scan
+        # and the node statistics.
+        y = self.table.target[ids]
+        if self.table.problem is ProblemKind.CLASSIFICATION:
+            y = label_codes(y)
         thresholds = book_for_config(self.threshold_book, plan.ctx.config)
         splits: list[CandidateSplit | None] = []
         hists: list[ColumnHistogram] | None = (
@@ -354,7 +359,9 @@ class WorkerActor:
             task=task,
             worker=self.worker_id,
             splits=splits,
-            stats=self._stats_of(ids),
+            stats=NodeStatsPayload.from_labels(
+                y, self.table.problem, self.table.n_classes
+            ),
             hists=hists,
         )
         size = self.cost.column_result_bytes(len(plan.columns))

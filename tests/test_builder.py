@@ -274,7 +274,9 @@ def test_property_any_seeded_dataset_trains(seed):
 # ----------------------------------------------------------------------
 # scalar vs vectorized kernel parity (repro.core.kernel)
 # ----------------------------------------------------------------------
-def _parity_table(problem=ProblemKind.CLASSIFICATION, missing=0.1, seed=9):
+def _parity_table(
+    problem=ProblemKind.CLASSIFICATION, missing=0.1, seed=9, n_classes=3
+):
     return generate(
         SyntheticSpec(
             name="kparity",
@@ -282,13 +284,31 @@ def _parity_table(problem=ProblemKind.CLASSIFICATION, missing=0.1, seed=9):
             n_rows=500,
             n_numeric=4,
             n_categorical=2,
-            n_classes=3 if problem is ProblemKind.CLASSIFICATION else 2,
+            n_classes=n_classes if problem is ProblemKind.CLASSIFICATION else 2,
             planted_depth=4,
             noise=0.25,
             missing_rate=missing,
             seed=seed,
         )
     )
+
+
+def _tie_heavy(table):
+    """``table`` with every numeric column coarsened to a handful of
+    distinct values, the zeros among them of both signs — ties the
+    unstable classification sort is free to order either way."""
+    from repro.data import ColumnKind, DataTable
+
+    columns = []
+    for index, spec in enumerate(table.schema.columns):
+        col = table.column(index)
+        if spec.kind is ColumnKind.NUMERIC:
+            col = np.round(col / np.nanstd(col))
+            zeros = np.flatnonzero(col == 0)
+            col[zeros[::2]] = -0.0
+            col[zeros[1::2]] = 0.0
+        columns.append(col)
+    return DataTable(table.schema, columns, table.target)
 
 
 def assert_kernels_bit_identical(table, config, row_ids=None):
@@ -300,6 +320,24 @@ def assert_kernels_bit_identical(table, config, row_ids=None):
     assert trees_equal(scalar, vec)
     assert scalar.to_dict() == vec.to_dict()
     return scalar
+
+
+def assert_sim_matches(table, config, serial):
+    """The ``sim``-distributed tree serializes like the serial one, with
+    every node a column task and with the paper's task mix."""
+    from repro.core import SystemConfig, TreeServer, decision_tree_job
+
+    base = SystemConfig(n_workers=3, compers_per_worker=2)
+    for system in (
+        base.scaled_to(table.n_rows),
+        SystemConfig(
+            n_workers=3, compers_per_worker=2, tau_subtree=1, tau_dfs=1
+        ),
+    ):
+        report = TreeServer(system).fit(
+            table, [decision_tree_job("dt", config)]
+        )
+        assert report.tree("dt").to_dict() == serial.to_dict()
 
 
 class TestKernelParity:
@@ -336,6 +374,39 @@ class TestKernelParity:
             table,
             TreeConfig(max_depth=None, tree_kind=TreeKind.EXTRA, seed=7),
         )
+
+    @pytest.mark.parametrize("criterion", [Impurity.GINI, Impurity.ENTROPY])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            pytest.param(lambda: _tie_heavy(_parity_table()), id="tie-heavy"),
+            pytest.param(
+                lambda: _tie_heavy(_parity_table(missing=0.0)),
+                id="tie-heavy-no-nan",
+            ),
+            pytest.param(lambda: _parity_table(n_classes=9), id="9-class"),
+        ],
+    )
+    def test_tie_order_and_class_order_reach_no_output(self, table, criterion):
+        """Scalar recursion == level kernel == ``sim`` distributed, where
+        the sort may order ties freely (signed zeros included) and where
+        the class sum runs past NumPy's sequential row length."""
+        table = table()
+        config = TreeConfig(max_depth=None, criterion=criterion, seed=3)
+        serial = assert_kernels_bit_identical(table, config)
+        assert_sim_matches(table, config, serial)
+        for node in serial.nodes():
+            if node.split is not None and node.split.threshold == 0.0:
+                assert not np.signbit(node.split.threshold)
+
+    def test_regression_tie_heavy(self):
+        table = _tie_heavy(_parity_table(problem=ProblemKind.REGRESSION))
+        config = TreeConfig(max_depth=None, criterion=Impurity.VARIANCE, seed=4)
+        serial = assert_kernels_bit_identical(table, config)
+        assert_sim_matches(table, config, serial)
+        for node in serial.nodes():
+            if node.split is not None and node.split.threshold == 0.0:
+                assert not np.signbit(node.split.threshold)
 
     def test_bootstrap_rows(self):
         table = _parity_table()

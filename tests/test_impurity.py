@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from repro.core.impurity import (
     Impurity,
+    classification_children_scores,
     classification_impurity,
-    classification_impurity_rows,
+    classification_impurity_classes,
     default_impurity,
     entropy,
-    entropy_rows,
+    entropy_classes,
     gini,
-    gini_rows,
+    gini_classes,
     variance,
+    variance_children_scores,
     variance_rows,
     weighted_children_impurity,
 )
@@ -94,26 +96,49 @@ class TestVariance:
         assert variance(len(y), float(y.sum()), float((y * y).sum())) >= 0.0
 
 
+def _class_major(columns):
+    """Stack count vectors of unequal length as a ``(k, m)`` matrix."""
+    k = max(len(c) for c in columns)
+    matrix = np.zeros((k, len(columns)))
+    for i, c in enumerate(columns):
+        matrix[: len(c), i] = c
+    return matrix
+
+
 class TestVectorizedForms:
     @given(st.lists(counts_strategy, min_size=1, max_size=5))
-    def test_gini_rows_matches_scalar(self, rows):
-        k = max(len(r) for r in rows)
-        matrix = np.zeros((len(rows), k))
-        for i, r in enumerate(rows):
-            matrix[i, : len(r)] = r
-        vec = gini_rows(matrix)
-        for i in range(len(rows)):
-            assert vec[i] == pytest.approx(gini(matrix[i]))
+    def test_gini_classes_matches_scalar(self, columns):
+        matrix = _class_major(columns)
+        vec = gini_classes(matrix, matrix.sum(axis=0))
+        for i in range(len(columns)):
+            assert vec[i] == pytest.approx(gini(matrix[:, i]))
 
     @given(st.lists(counts_strategy, min_size=1, max_size=5))
-    def test_entropy_rows_matches_scalar(self, rows):
-        k = max(len(r) for r in rows)
-        matrix = np.zeros((len(rows), k))
-        for i, r in enumerate(rows):
-            matrix[i, : len(r)] = r
-        vec = entropy_rows(matrix)
-        for i in range(len(rows)):
-            assert vec[i] == pytest.approx(entropy(matrix[i]))
+    def test_entropy_classes_matches_scalar(self, columns):
+        matrix = _class_major(columns)
+        vec = entropy_classes(matrix, matrix.sum(axis=0))
+        for i in range(len(columns)):
+            assert vec[i] == pytest.approx(entropy(matrix[:, i]))
+
+    @pytest.mark.parametrize("fn", [gini_classes, entropy_classes])
+    def test_layout_and_dtype_do_not_matter(self, fn):
+        """Integer counts, a transposed view and extra candidate axes all
+        give the bits of the plain float matrix: the order of the class
+        sum is fixed by the function, not by strides."""
+        rng = np.random.default_rng(2)
+        counts = rng.integers(0, 40, size=(9, 24))
+        totals = counts.sum(axis=0)
+        want = fn(counts.astype(np.float64), totals.astype(np.float64))
+        assert np.array_equal(fn(counts, totals), want)
+        assert np.array_equal(
+            fn(np.asfortranarray(counts), totals), want
+        )
+        assert np.array_equal(
+            fn(counts.reshape(9, 4, 6), totals.reshape(4, 6)),
+            want.reshape(4, 6),
+        )
+        one = fn(counts[:, :1], totals[:1])
+        assert one[0] == want[0]
 
     def test_variance_rows_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -125,9 +150,56 @@ class TestVectorizedForms:
         for i, g in enumerate(groups):
             assert vec[i] == pytest.approx(np.var(g), abs=1e-12)
 
-    def test_zero_rows_are_zero(self):
-        assert gini_rows(np.zeros((2, 3))).tolist() == [0.0, 0.0]
-        assert entropy_rows(np.zeros((2, 3))).tolist() == [0.0, 0.0]
+    def test_zero_totals_are_zero(self):
+        counts, totals = np.zeros((3, 2)), np.zeros(2)
+        assert gini_classes(counts, totals).tolist() == [0.0, 0.0]
+        assert entropy_classes(counts, totals).tolist() == [0.0, 0.0]
+        mixed = np.array([[0.0, 2.0], [0.0, 2.0]])
+        assert gini_classes(mixed, mixed.sum(axis=0)).tolist() == [0.0, 0.5]
+
+
+class TestChildrenScores:
+    @given(
+        st.lists(
+            st.tuples(counts_strategy, counts_strategy), min_size=1, max_size=5
+        ),
+        st.sampled_from([Impurity.GINI, Impurity.ENTROPY]),
+    )
+    def test_classification_matches_scalar_mix(self, pairs, criterion):
+        left = _class_major([lc for lc, _ in pairs])
+        right = _class_major([rc for _, rc in pairs])
+        k = max(len(left), len(right))
+        left = np.pad(left, ((0, k - len(left)), (0, 0)))
+        right = np.pad(right, ((0, k - len(right)), (0, 0)))
+        nl, nr = left.sum(axis=0), right.sum(axis=0)
+        scores = classification_children_scores(left, nl, right, nr, criterion)
+        for i in range(len(pairs)):
+            want = weighted_children_impurity(
+                classification_impurity(left[:, i], criterion), nl[i],
+                classification_impurity(right[:, i], criterion), nr[i],
+            )
+            assert scores[i] == pytest.approx(want, abs=1e-12)
+
+    def test_variance_matches_scalar_mix(self):
+        rng = np.random.default_rng(3)
+        lefts = [rng.normal(size=n) for n in (0, 1, 7)]
+        rights = [rng.normal(size=n) for n in (0, 4, 2)]
+
+        def triple(groups):
+            return (
+                np.array([len(g) for g in groups]),
+                np.array([g.sum() for g in groups]),
+                np.array([(g * g).sum() for g in groups]),
+            )
+
+        scores = variance_children_scores(*triple(lefts), *triple(rights))
+        assert scores[0] == 0.0  # no rows on either side
+        for i in (1, 2):
+            want = weighted_children_impurity(
+                np.var(lefts[i]), len(lefts[i]),
+                np.var(rights[i]), len(rights[i]),
+            )
+            assert scores[i] == pytest.approx(want, abs=1e-12)
 
 
 class TestWeightedChildren:
@@ -164,7 +236,9 @@ class TestDispatch:
         with pytest.raises(ValueError):
             classification_impurity(np.array([1.0]), Impurity.VARIANCE)
         with pytest.raises(ValueError):
-            classification_impurity_rows(np.ones((1, 2)), Impurity.VARIANCE)
+            classification_impurity_classes(
+                np.ones((2, 1)), np.full(1, 2.0), Impurity.VARIANCE
+            )
 
     def test_defaults_match_paper(self):
         assert default_impurity(True) is Impurity.GINI

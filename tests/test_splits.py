@@ -29,6 +29,8 @@ from repro.core.splits import (
 )
 from repro.data.schema import ColumnKind
 
+from .reference_scan import reference_numeric_split
+
 
 def brute_force_numeric(values, y, criterion, n_classes):
     """Score every distinct-value threshold exhaustively."""
@@ -156,6 +158,101 @@ class TestNumericSplit:
         else:
             assert split is not None
             assert split.score == pytest.approx(brute, abs=1e-9)
+
+
+# Columns built to break a scan that leans on tie order or on NaN, zero
+# and infinity handling: few distinct values, both zeros, both infinities.
+_TIE_HEAVY = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1.0, 1.0, 2.5, np.inf])
+_SPREAD = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
+
+
+#: Summing at most 12 terms of [0, 1] in another order moves the sum by a
+#: few units of the last place of 1.0; the score inherits that.
+_REORDER_TOLERANCE = 4 * np.finfo(np.float64).eps
+
+
+@st.composite
+def _scan_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    element = draw(st.sampled_from([_TIE_HEAVY, _SPREAD, st.just(3.0)]))
+    values = np.array(
+        draw(st.lists(element, min_size=n, max_size=n)), dtype=np.float64
+    )
+    missing = draw(st.sampled_from(["none", "few", "most", "all"]))
+    rate = {"none": 0.0, "few": 0.02, "most": 0.95, "all": 1.0}[missing]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values[rng.random(n) < rate] = np.nan
+    n_classes = draw(st.integers(min_value=2, max_value=12))
+    y = rng.integers(0, n_classes, size=n).astype(np.float64)
+    return values, y, n_classes
+
+
+class TestScanAgainstFrozenOracle:
+    """The production scan vs the pre-PR-15 scan kept in reference_scan.py.
+
+    Unstable sort and class-major scoring must not move any output: the
+    split is equal field by field, and the score bit for bit while NumPy's
+    row sum is sequential (up to 7 classes); from 8 classes on the
+    class-by-class order is the definition and may differ in the last bits.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_scan_cases(),
+        criterion=st.sampled_from([Impurity.GINI, Impurity.ENTROPY]),
+    )
+    def test_classification_matches_oracle(self, case, criterion):
+        values, y, n_classes = case
+        got = best_numeric_split(0, values, y, criterion, n_classes)
+        want = reference_numeric_split(0, values, y, criterion, n_classes)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        assert (
+            got.threshold, got.n_left, got.n_right,
+            got.n_missing, got.missing_to_left,
+        ) == (
+            want.threshold, want.n_left, want.n_right,
+            want.n_missing, want.missing_to_left,
+        )
+        if n_classes <= 7:
+            assert got.score == want.score
+            assert np.signbit(got.score) == np.signbit(want.score)
+        else:
+            assert abs(got.score - want.score) <= _REORDER_TOLERANCE * max(
+                1.0, want.score
+            )
+        # Integer class codes (what a column task passes) change nothing.
+        assert got == best_numeric_split(
+            0, values, y.astype(np.int64), criterion, n_classes
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_scan_cases())
+    def test_regression_matches_oracle(self, case):
+        values, y, _ = case
+        got = best_numeric_split(0, values, y, Impurity.VARIANCE, 0)
+        want = reference_numeric_split(0, values, y, Impurity.VARIANCE, 0)
+        assert got == want  # the regression scan is unchanged: stable sort
+
+
+class TestSignedZeroThreshold:
+    """A threshold between ``-0.0`` and ``0.0`` ties is always ``+0.0``."""
+
+    @pytest.mark.parametrize(
+        "criterion", [Impurity.GINI, Impurity.ENTROPY, Impurity.VARIANCE]
+    )
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_zero_run_gives_positive_zero(self, criterion, flip):
+        zeros = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
+        values = np.array((zeros[::-1] if flip else zeros) + [5.0] * 6)
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        split = best_numeric_split(0, values, y, criterion, 2)
+        assert split is not None
+        assert split.threshold == 0.0
+        assert not np.signbit(split.threshold)
+        assert split.n_left == 6
 
 
 class TestCategoricalRegression:
