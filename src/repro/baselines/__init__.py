@@ -1,11 +1,6 @@
 """Baseline systems the paper compares against: PLANET/MLlib-style
 histogram training and XGBoost-style gradient boosting."""
 
-from .histogram import (
-    best_binned_numeric_split,
-    bin_indices,
-    equi_depth_thresholds,
-)
 from .planet import PlanetConfig, PlanetReport, PlanetTrainer
 from .sketch import WeightedQuantileSketch
 from .yggdrasil import YggdrasilConfig, YggdrasilReport, YggdrasilTrainer
@@ -28,7 +23,4 @@ __all__ = [
     "YggdrasilConfig",
     "YggdrasilReport",
     "YggdrasilTrainer",
-    "best_binned_numeric_split",
-    "bin_indices",
-    "equi_depth_thresholds",
 ]

@@ -36,6 +36,11 @@ from ..core.builder import (
     sample_candidate_columns,
 )
 from ..core.config import ColumnSampling, TreeConfig
+from ..core.histogram import (
+    best_binned_numeric_split,
+    bin_indices,
+    equi_depth_thresholds,
+)
 from ..core.splits import (
     CandidateSplit,
     best_split_for_column,
@@ -44,7 +49,6 @@ from ..core.splits import (
 from ..core.tree import DecisionTree, TreeNode
 from ..data.schema import ColumnKind, ProblemKind
 from ..data.table import DataTable
-from .histogram import best_binned_numeric_split, bin_indices, equi_depth_thresholds
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ import numpy as np
 
 from .core.config import (
     SPLIT_MODES,
-    TREE_KERNELS,
     SystemConfig,
     TreeConfig,
     TreeKind,
@@ -129,12 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-worker-failures", type=int, default=1, metavar="N",
         help="fault-policy recover: give up after N worker crashes "
         "(default: 1)",
-    )
-    train.add_argument(
-        "--kernel", choices=TREE_KERNELS, default="vectorized",
-        help="subtree training kernel: vectorized (level-synchronous "
-        "breadth-first batching, default) or scalar (one node at a "
-        "time); both build bit-identical trees",
     )
     train.add_argument(
         "--split-mode", choices=SPLIT_MODES, default="exact",
@@ -300,7 +293,6 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
         tau_leaf=args.tau_leaf,
         tree_kind=TreeKind.EXTRA if args.extra_trees else TreeKind.DECISION,
         seed=args.seed,
-        kernel=args.kernel,
         split_mode=args.split_mode,
         max_bins=args.max_bins,
     )
@@ -387,8 +379,7 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
         )
         if transport.get("subtree_nodes_built"):
             print(
-                f"training kernel: {transport['kernel']} "
-                f"build={transport['subtree_kernel_s']:.3f}s "
+                f"training kernel: build={transport['subtree_kernel_s']:.3f}s "
                 f"gather={transport['subtree_gather_s']:.3f}s "
                 f"nodes={transport['subtree_nodes_built']}",
                 file=out,

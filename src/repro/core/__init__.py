@@ -2,9 +2,10 @@
 task engine, hybrid scheduling, delegate-worker row maintenance and the
 Section VI load balancer."""
 
-from .builder import build_subtree, train_tree
+from .builder import train_tree
 from .config import ColumnSampling, SystemConfig, TreeConfig, TreeKind
 from .impurity import Impurity
+from .kernel import build_subtree
 from .persistence import (
     load_model_hdfs,
     load_model_local,

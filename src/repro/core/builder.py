@@ -1,15 +1,14 @@
-"""Serial exact tree builder.
+"""Tree-building helpers and the serial trainer.
 
-This is the single-machine training kernel.  It serves three roles:
-
-1. **Subtree-task execution** — when a distributed task ``t_x`` has
-   ``|D_x| <= tau_D``, the key worker pulls ``D_x`` and calls
-   :func:`build_subtree` to construct the whole ``Delta_x`` locally
-   (paper Fig. 3(b)).
-2. **Ground truth** — the exactness invariant asserts that distributed
-   training returns exactly the tree this builder produces.
-3. **A conventional serial trainer** — used by the paper's "fairness of
-   implementation" experiment and by the deep forest's fast local backend.
+What every builder of a tree — the level kernel in
+:mod:`repro.core.kernel`, the master's column-task arbitration, the
+PLANET baseline — must agree on lives here: heap-path node ids, the
+per-node RNG keys, candidate-column and bootstrap sampling, node label
+statistics and the leaf / usefulness rules.  :func:`train_tree` trains one
+complete tree on a single machine with the kernel; it is the ground truth
+of the exactness invariant (distributed training returns exactly this
+tree), the serial trainer of the paper's "fairness of implementation"
+experiment and the deep forest's fast local backend.
 
 Node ids are *heap paths*: the root is 1, node ``p``'s children are ``2p``
 and ``2p + 1``.  The path determines the depth (``path.bit_length() - 1``)
@@ -23,21 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.schema import ColumnKind, ProblemKind
+from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from .config import TreeConfig, TreeKind
-from .histogram import best_binned_numeric_split, bin_indices
+from .histogram import column_thresholds, hist_active
 from .impurity import classification_impurity, variance
-from .splits import (
-    CandidateSplit,
-    best_split_for_column,
-    random_split_for_column,
-    route_training_rows,
-)
-from .tree import DecisionTree, TreeNode
-
-#: Empty threshold set: a degenerate hist-mode column offers no candidates.
-_NO_THRESHOLDS = np.empty(0)
+from .splits import CandidateSplit
+from .tree import DecisionTree
 
 
 def path_depth(path: int) -> int:
@@ -135,79 +126,6 @@ def node_statistics(
     return NodeStats(n, mean, pure)
 
 
-def find_best_split(
-    table: DataTable,
-    row_ids: np.ndarray,
-    candidate_columns: tuple[int, ...],
-    config: TreeConfig,
-    path: int,
-    thresholds: dict[int, np.ndarray] | None = None,
-) -> CandidateSplit | None:
-    """Best split across the candidate attributes for one node.
-
-    Decision trees compare the exact per-column bests and break ties toward
-    the lower column index.  Extra-trees draw one random column and one
-    random condition per node (paper Appendix F), retrying over the
-    remaining columns when the draw is degenerate.
-
-    ``thresholds`` switches numeric columns to histogram prefix-cut search
-    (``split_mode="hist"``): per-column equi-depth thresholds, computed
-    once over the full table, restrict the candidate cuts; statistics stay
-    node-local.  Categorical columns are searched exactly either way.
-    """
-    y = table.target[row_ids]
-    criterion = config.resolved_criterion(
-        table.problem is ProblemKind.CLASSIFICATION
-    )
-    n_classes = table.n_classes
-
-    if config.tree_kind is TreeKind.EXTRA:
-        for col in extra_tree_column_order(config.seed, path, candidate_columns):
-            spec = table.column_spec(col)
-            split = random_split_for_column(
-                col,
-                spec.kind,
-                table.column(col)[row_ids],
-                y,
-                criterion,
-                n_classes,
-                extra_tree_split_rng(config.seed, path, col),
-                spec.n_categories,
-            )
-            if split is not None:
-                return split
-        return None
-
-    best: CandidateSplit | None = None
-    for col in candidate_columns:
-        spec = table.column_spec(col)
-        if thresholds is not None and spec.kind is ColumnKind.NUMERIC:
-            t = thresholds.get(col, _NO_THRESHOLDS)
-            split = best_binned_numeric_split(
-                col,
-                bin_indices(table.column(col)[row_ids], t),
-                t,
-                y,
-                criterion,
-                n_classes,
-            )
-        else:
-            split = best_split_for_column(
-                col,
-                spec.kind,
-                table.column(col)[row_ids],
-                y,
-                criterion,
-                n_classes,
-                spec.n_categories,
-            )
-        if split is None:
-            continue
-        if best is None or split.sort_key() < best.sort_key():
-            best = split
-    return best
-
-
 def should_stop(
     stats: NodeStats, depth: int, config: TreeConfig
 ) -> bool:
@@ -256,67 +174,6 @@ def parent_impurity_of(
     return variance(float(y.size), float(y.sum()), float((y * y).sum()))
 
 
-def build_subtree(
-    table: DataTable,
-    config: TreeConfig,
-    row_ids: np.ndarray,
-    candidate_columns: tuple[int, ...] | None = None,
-    root_path: int = 1,
-    thresholds: dict[int, np.ndarray] | None = None,
-) -> TreeNode:
-    """Build the subtree ``Delta_x`` rooted at heap path ``root_path``.
-
-    Iterative (explicit stack) so unbounded-depth trees are safe.  This is
-    exactly the computation a subtree-task performs on its key worker.
-    ``thresholds`` (hist mode) restricts numeric split search to the
-    global equi-depth candidate cuts — see :func:`find_best_split`.
-    """
-    if candidate_columns is None:
-        candidate_columns = sample_candidate_columns(config, table.n_columns)
-    criterion = config.resolved_criterion(
-        table.problem is ProblemKind.CLASSIFICATION
-    )
-
-    root_holder: list[TreeNode] = []
-    # Stack entries: (row_ids, path, attach) where attach places the built
-    # node into its parent (or the root holder).
-    stack: list[tuple[np.ndarray, int, tuple[TreeNode, str] | None]] = [
-        (np.asarray(row_ids, dtype=np.int64), root_path, None)
-    ]
-    while stack:
-        ids, path, attach = stack.pop()
-        y = table.target[ids]
-        stats = node_statistics(y, table.problem, table.n_classes)
-        node = TreeNode(
-            node_id=path,
-            depth=path_depth(path),
-            n_rows=stats.n_rows,
-            prediction=stats.prediction,
-        )
-        if attach is None:
-            root_holder.append(node)
-        else:
-            parent, side = attach
-            setattr(parent, side, node)
-
-        if should_stop(stats, node.depth, config):
-            continue
-        split = find_best_split(
-            table, ids, candidate_columns, config, path, thresholds
-        )
-        parent_imp = parent_impurity_of(
-            y, criterion, table.n_classes, counts=stats.counts
-        )
-        if not split_is_useful(split, parent_imp, config):
-            continue
-        assert split is not None
-        node.split = split
-        go_left = route_training_rows(table.column(split.column)[ids], split)
-        stack.append((ids[go_left], 2 * path, (node, "left")))
-        stack.append((ids[~go_left], 2 * path + 1, (node, "right")))
-    return root_holder[0]
-
-
 def train_tree(
     table: DataTable,
     config: TreeConfig,
@@ -328,19 +185,13 @@ def train_tree(
     ``row_ids`` restricts training to a row subset (bootstrap bagging or a
     pre-split training fold); by default all rows are used, as in the paper.
 
-    Dispatches on ``config.kernel`` (``"vectorized"`` by default), so the
-    serial path, the deep-forest local backend and the fairness benchmarks
-    all run the level-synchronous kernel; the result is bit-identical
-    either way.
-
     In hist mode (``config.split_mode="hist"``) the equi-depth thresholds
     are computed here from the **full** table — even when ``row_ids``
     restricts training to a subset — matching the distributed engine,
     whose threshold book is built once per run before any task runs.
     """
     # Imported here, not at module level: kernel.py builds on this module.
-    from .histogram import column_thresholds, hist_active
-    from .kernel import build_subtree_auto
+    from .kernel import build_subtree
 
     if row_ids is None:
         row_ids = np.arange(table.n_rows, dtype=np.int64)
@@ -349,7 +200,7 @@ def train_tree(
         if hist_active(config)
         else None
     )
-    root = build_subtree_auto(table, config, row_ids, thresholds=thresholds)
+    root = build_subtree(table, config, row_ids, thresholds=thresholds)
     return DecisionTree(
         root=root,
         problem=table.problem,

@@ -33,13 +33,6 @@ class TreeKind(enum.Enum):
     EXTRA = "extra"
 
 
-#: Training-kernel implementations accepted by ``TreeConfig.kernel`` (and
-#: the ``REPRO_KERNEL`` env override / ``repro train --kernel`` flag).
-#: ``"scalar"`` is the one-node-at-a-time reference builder;
-#: ``"vectorized"`` is the level-synchronous breadth-first / depth-next
-#: kernel in :mod:`repro.core.kernel`.  Both produce bit-identical trees.
-TREE_KERNELS = ("scalar", "vectorized")
-
 #: Split-search modes accepted by ``TreeConfig.split_mode`` (and the
 #: ``repro train --split-mode`` flag).  ``"exact"`` is the paper's exact
 #: per-boundary scan; ``"hist"`` scores equi-depth histogram prefix cuts
@@ -60,6 +53,10 @@ class ColumnSampling(enum.Enum):
 @dataclass(frozen=True)
 class TreeConfig:
     """Hyperparameters of a single tree (or every tree of an ensemble job).
+
+    The one place a tree's training is configured: it travels inside every
+    task plan, so every backend trains what is written here, and nothing
+    at the runtime or CLI level overrides it (CLI flags only fill it in).
 
     Parameters
     ----------
@@ -84,13 +81,6 @@ class TreeConfig:
         Seed for all per-tree randomness (column sampling, extra-tree
         thresholds).  Per-node randomness is derived from ``(seed, node
         path)`` so serial and distributed training draw identical values.
-    kernel:
-        Which subtree-training kernel executes this tree's CPU-bound node
-        construction: ``"vectorized"`` (default — the level-synchronous
-        breadth-first / depth-next kernel) or ``"scalar"`` (the one-node-
-        at-a-time reference builder).  The two are bit-identical; the
-        choice only affects wall-clock.  Travels inside every task plan,
-        so all runtime backends honour it.
     split_mode:
         ``"exact"`` (default — the paper's exact per-boundary scan) or
         ``"hist"`` (equi-depth histogram prefix cuts over at most
@@ -114,16 +104,10 @@ class TreeConfig:
     tree_kind: TreeKind = TreeKind.DECISION
     min_impurity_decrease: float = 1e-12
     seed: int = 0
-    kernel: str = "vectorized"
     split_mode: str = "exact"
     max_bins: int = 32
 
     def __post_init__(self) -> None:
-        if self.kernel not in TREE_KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{TREE_KERNELS}"
-            )
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(
                 f"unknown split_mode {self.split_mode!r}; expected one of "

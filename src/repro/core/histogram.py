@@ -6,8 +6,8 @@ already O(1) per column.  The communication-heavy part of the protocol is
 elsewhere — subtree-task gathers ship whole float64 column slices, and the
 related PLANET / MLlib / PV-Tree line of work replaces exact scans with
 equi-depth histograms precisely to shrink what travels.  This module is
-that machinery, promoted from ``repro.baselines.histogram`` into the core
-engine behind the existing task seam:
+that machinery, behind the existing task seam (the PLANET baseline in
+:mod:`repro.baselines.planet` runs on the same functions):
 
 * :func:`equi_depth_thresholds` / :func:`bin_indices` — candidate
   thresholds per column (computed **once over the full table** at training
@@ -280,8 +280,8 @@ def best_binned_numeric_split(
     """Best candidate threshold from a node's pre-binned values.
 
     Convenience composition of :func:`column_histogram` and
-    :func:`score_histogram` — the scalar builder's hist split search, and
-    the promoted replacement of the ``baselines.histogram`` prototype.
+    :func:`score_histogram` — the per-node hist split search of the
+    PLANET baseline and of the test-side reference recursion.
     ``bins`` must be the **node's own rows'** codes; whole-table bins
     handed as a slice are fine (the slice is node-local), but statistics
     are always derived from exactly what is passed in.

@@ -56,65 +56,6 @@ class TrainingJob:
         """Total tree count across all stages."""
         return sum(len(stage.trees) for stage in self.stages)
 
-    def with_kernel(self, kernel: str) -> "TrainingJob":
-        """Copy of this job with every tree's training kernel overridden.
-
-        The seam :class:`~repro.core.server.TreeServer` uses to apply a
-        ``RuntimeOptions.kernel`` override — kernel choice is a runtime
-        concern, but it travels in :class:`~repro.core.config.TreeConfig`
-        so task plans carry it to workers on every backend.
-        """
-        stages = [
-            JobStage(
-                [
-                    TreeRequest(replace(tree.config, kernel=kernel))
-                    for tree in stage.trees
-                ]
-            )
-            for stage in self.stages
-        ]
-        return TrainingJob(
-            name=self.name,
-            stages=stages,
-            bootstrap_rows=self.bootstrap_rows,
-            metadata=dict(self.metadata),
-        )
-
-    def with_split_mode(
-        self, split_mode: str | None = None, max_bins: int | None = None
-    ) -> "TrainingJob":
-        """Copy of this job with every tree's split mode / bins overridden.
-
-        The seam :class:`~repro.core.server.TreeServer` uses to apply a
-        ``RuntimeOptions.split_mode`` / ``max_bins`` override (mirroring
-        :meth:`with_kernel`): split search is configured per tree in
-        :class:`~repro.core.config.TreeConfig` so task plans carry it to
-        workers on every backend.  ``None`` keeps a field's per-tree
-        values.
-        """
-        overrides: dict = {}
-        if split_mode is not None:
-            overrides["split_mode"] = split_mode
-        if max_bins is not None:
-            overrides["max_bins"] = max_bins
-        if not overrides:
-            return self
-        stages = [
-            JobStage(
-                [
-                    TreeRequest(replace(tree.config, **overrides))
-                    for tree in stage.trees
-                ]
-            )
-            for stage in self.stages
-        ]
-        return TrainingJob(
-            name=self.name,
-            stages=stages,
-            bootstrap_rows=self.bootstrap_rows,
-            metadata=dict(self.metadata),
-        )
-
 
 def decision_tree_job(
     name: str, config: TreeConfig | None = None

@@ -1,11 +1,13 @@
-"""Level-synchronous (breadth-first / depth-next) subtree training kernel.
+"""Level-synchronous (breadth-first) subtree training kernel.
 
-The scalar builder in :mod:`repro.core.builder` grows one node per Python
-iteration, fancy-indexing ``y`` and every candidate column per *node*.
-For a subtree-task that is the CPU-bound tail of every backend: thousands
-of small NumPy calls whose fixed per-call overhead dominates the actual
-arithmetic.  This module processes the whole frontier of a subtree at
-once instead (the breadth-first / depth-next hybrid of the RF-training
+:func:`build_subtree` is the one subtree builder: a subtree-task's key
+worker calls it on ``D_x`` (paper Fig. 3(b)) and
+:func:`~repro.core.builder.train_tree` calls it on the whole table.
+Growing one node per Python iteration — fancy-indexing ``y`` and every
+candidate column per *node* — spends the CPU-bound tail of every backend
+in thousands of small NumPy calls whose fixed per-call overhead
+dominates the arithmetic, so the kernel processes the whole frontier of
+a subtree at once (the breadth-first scheme of the RF-training
 literature, see PAPERS.md):
 
 * one gather of ``y`` and of each candidate column per *level*, with rows
@@ -17,18 +19,16 @@ literature, see PAPERS.md):
   frontier nodes: one sort by ``(segment, value)``, one packed integer
   cumulative class count for the level minus its value at each segment
   start, and one class-major scoring pass over every candidate boundary
-  of every node;
-* when a frontier node's row count drops to the small-node cutoff, that
-  node switches depth-next — the scalar :func:`~repro.core.builder.
-  build_subtree` finishes its subtree, where batching overhead would
-  exceed the work.
+  of every node.
 
-**Exactness.**  The kernel is bit-identical to the scalar builder — the
-repo's ground-truth invariant — by construction:
+**Exactness.**  The kernel is bit-identical to growing the tree one node
+at a time with the per-column scans of :mod:`repro.core.splits` — the
+repo's ground-truth invariant, with that recursion kept as the oracle in
+``tests/reference_builder.py`` — by construction:
 
 * node ids are the same heap paths and all per-node RNG draws key off
   ``(seed, path)`` / ``(seed, path, column)``, so extra-trees reproduce
-  the scalar draws regardless of traversal order;
+  the per-node draws regardless of traversal order;
 * a classification score reads class counts only at boundaries between
   *distinct* values of a node, and the rows left of such a boundary are
   the same set however equal values are ordered among themselves.  Tie
@@ -53,20 +53,20 @@ repo's ground-truth invariant — by construction:
   order does reach a cumulative sum of ``y``) and restarts its sums per
   segment, and the other cases call the existing per-column split
   functions in :mod:`repro.core.splits` on the node-contiguous slices of
-  the level gather, which see exactly the arrays the scalar path sees;
-* cross-column tie-breaking keeps the scalar rule (strictly smaller
+  the level gather, which see exactly the arrays a per-node scan sees;
+* cross-column tie-breaking keeps the per-node rule (strictly smaller
   ``(score, column)`` wins, i.e. ties go to the lower column index), and
   within a column the first boundary achieving the minimum score wins,
   matching ``np.argmin``.
 
-The parity sweep in ``tests/test_builder.py`` pins all of this, on
-tie-heavy and 9-class tables too; ``tests/test_splits.py`` holds the
-scalar scan to the stable-sort, row-major scan it replaced.
+The parity sweep in ``tests/test_builder.py`` pins all of this against
+the oracle, on tie-heavy, 9-class and non-collapsed hist-mode tables
+too; ``tests/test_splits.py`` holds the per-column scan to the
+stable-sort, row-major scan it replaced.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -76,7 +76,6 @@ from ..data.schema import ColumnKind, ProblemKind
 from ..data.table import DataTable
 from .builder import (
     NodeStats,
-    build_subtree,
     extra_tree_column_order,
     extra_tree_split_rng,
     parent_impurity_of,
@@ -85,7 +84,7 @@ from .builder import (
     should_stop,
     split_is_useful,
 )
-from .config import TREE_KERNELS, TreeConfig, TreeKind
+from .config import TreeConfig, TreeKind
 from .histogram import bin_indices
 from .impurity import (
     Impurity,
@@ -102,21 +101,6 @@ from .splits import (
 )
 from .tree import TreeNode
 
-#: Environment override for the kernel choice — mirrors the runtime's
-#: other env hooks (``REPRO_MP_KILL`` etc.) so CI legs can force a kernel
-#: without touching configs.  Checked at dispatch time.
-ENV_KERNEL = "REPRO_KERNEL"
-
-#: Frontier nodes with at most this many rows are finished depth-next by
-#: the scalar builder.  Any value is exact — the cutoff only moves work
-#: between two bit-identical code paths (the parity sweep pins several
-#: values) — so this is purely a performance knob.  On this NumPy stack
-#: the measured crossover is below a single row: fixed per-call overhead
-#: dominates scalar node construction at every node size, so the default
-#: is 0 (pure breadth-first) and the depth-next switch is an escape
-#: hatch for stacks where small-slice batching is comparatively slower.
-DEPTH_NEXT_CUTOFF = 0
-
 #: Empty threshold set: a degenerate hist-mode column offers no candidates.
 _NO_THRESHOLDS = np.empty(0)
 
@@ -125,74 +109,14 @@ _NO_THRESHOLDS = np.empty(0)
 class KernelCounters:
     """Per-worker training-kernel observability counters.
 
-    ``build_s`` is total wall-clock inside subtree builds, ``gather_s``
-    the slice of it spent fancy-indexing ``y``/column values out of the
-    table (vectorized kernel only; the scalar builder's gathers are
-    interleaved per node and not separable), ``nodes_built`` the tree
-    nodes constructed, and ``kernel`` which implementation ran last.
+    ``build_s`` is total wall-clock inside :func:`build_subtree`,
+    ``gather_s`` the slice of it spent fancy-indexing ``y``/column values
+    out of the table, and ``nodes_built`` the tree nodes constructed.
     """
 
-    kernel: str = ""
     build_s: float = 0.0
     gather_s: float = 0.0
     nodes_built: int = 0
-
-
-def resolve_kernel(config: TreeConfig) -> str:
-    """Effective kernel for a tree config (env override wins)."""
-    env = os.environ.get(ENV_KERNEL, "").strip()
-    if env:
-        if env not in TREE_KERNELS:
-            raise ValueError(
-                f"{ENV_KERNEL}={env!r}: expected one of {TREE_KERNELS}"
-            )
-        return env
-    return config.kernel
-
-
-def build_subtree_auto(
-    table: DataTable,
-    config: TreeConfig,
-    row_ids: np.ndarray,
-    candidate_columns: tuple[int, ...] | None = None,
-    root_path: int = 1,
-    counters: KernelCounters | None = None,
-    thresholds: dict[int, np.ndarray] | None = None,
-) -> TreeNode:
-    """Build a subtree with the kernel ``config.kernel`` selects.
-
-    The single dispatch point for every subtree construction: the worker
-    actors of all runtime backends, the serial :func:`~repro.core.
-    builder.train_tree` path, and through it the deep-forest local
-    backend.  ``counters``, when given, accumulates build/gather seconds.
-    ``thresholds`` (hist mode) restricts numeric split search to the
-    global equi-depth candidate cuts on both kernels.
-    """
-    kernel = resolve_kernel(config)
-    start = time.perf_counter()
-    if kernel == "vectorized":
-        root = build_subtree_vectorized(
-            table,
-            config,
-            row_ids,
-            candidate_columns=candidate_columns,
-            root_path=root_path,
-            counters=counters,
-            thresholds=thresholds,
-        )
-    else:
-        root = build_subtree(
-            table,
-            config,
-            row_ids,
-            candidate_columns=candidate_columns,
-            root_path=root_path,
-            thresholds=thresholds,
-        )
-    if counters is not None:
-        counters.kernel = kernel
-        counters.build_s += time.perf_counter() - start
-    return root
 
 
 class _BatchedNumericEntry:
@@ -631,23 +555,23 @@ def _batched_binned_numeric(
     return entry
 
 
-def build_subtree_vectorized(
+def build_subtree(
     table: DataTable,
     config: TreeConfig,
     row_ids: np.ndarray,
     candidate_columns: tuple[int, ...] | None = None,
     root_path: int = 1,
     counters: KernelCounters | None = None,
-    small_node_cutoff: int = DEPTH_NEXT_CUTOFF,
     thresholds: dict[int, np.ndarray] | None = None,
 ) -> TreeNode:
-    """Build ``Delta_x`` level-synchronously; bit-identical to the scalar
-    :func:`~repro.core.builder.build_subtree`.
+    """Build the subtree ``Delta_x`` rooted at heap path ``root_path``.
 
-    Processes the whole frontier per iteration; frontier nodes at or
-    below ``small_node_cutoff`` rows switch depth-next and are finished
-    by the scalar builder rooted at their heap path.
+    Exactly the computation a subtree-task performs on its key worker,
+    one whole frontier per iteration.  ``thresholds`` (hist mode)
+    restricts numeric split search to the global equi-depth candidate
+    cuts; ``counters``, when given, accumulates build and gather seconds.
     """
+    start = time.perf_counter()
     if candidate_columns is None:
         candidate_columns = sample_candidate_columns(config, table.n_columns)
     is_clf = table.problem is ProblemKind.CLASSIFICATION
@@ -669,33 +593,13 @@ def build_subtree_vectorized(
     # Frontier entries: (row ids, heap path, attach) — one whole level.
     frontier: list = [(np.asarray(row_ids, dtype=np.int64), root_path, None)]
     while frontier:
-        big = []
-        for ids, path, attach in frontier:
-            if ids.size <= small_node_cutoff:
-                # Depth-next: the scalar builder finishes small subtrees.
-                attach_node(
-                    build_subtree(
-                        table,
-                        config,
-                        ids,
-                        candidate_columns,
-                        root_path=path,
-                        thresholds=thresholds,
-                    ),
-                    attach,
-                )
-            else:
-                big.append((ids, path, attach))
-        if not big:
-            break
-
-        m = len(big)
+        m = len(frontier)
         sizes = np.fromiter(
-            (entry[0].size for entry in big), dtype=np.int64, count=m
+            (entry[0].size for entry in frontier), dtype=np.int64, count=m
         )
         starts = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
-        level_rows = np.concatenate([entry[0] for entry in big])
+        level_rows = np.concatenate([entry[0] for entry in frontier])
         seg_all = np.repeat(np.arange(m, dtype=np.int64), sizes)
 
         tick = time.perf_counter()
@@ -732,7 +636,7 @@ def build_subtree_vectorized(
 
         nodes: list[TreeNode] = []
         stopped = np.zeros(m, dtype=bool)
-        for i, (ids, path, attach) in enumerate(big):
+        for i, (ids, path, attach) in enumerate(frontier):
             stats = stats_list[i]
             node = TreeNode(
                 node_id=path,
@@ -765,7 +669,7 @@ def build_subtree_vectorized(
             # per node on the level-gathered slices unchanged.
             for j in range(a):
                 i = int(act_idx[j])
-                _, path, _ = big[i]
+                _, path, _ = frontier[i]
                 s0, s1 = int(act_starts[j]), int(act_starts[j + 1])
                 ids_seg = act_rows[s0:s1]
                 y_seg = y_act[s0:s1]
@@ -867,7 +771,7 @@ def build_subtree_vectorized(
 
         for j in range(a):
             i = int(act_idx[j])
-            _, path, _ = big[i]
+            _, path, _ = frontier[i]
             best_entry = None
             best_key = None
             for entry in entries:  # candidate_columns order
@@ -898,4 +802,5 @@ def build_subtree_vectorized(
 
     if counters is not None:
         counters.gather_s += gather_s
+        counters.build_s += time.perf_counter() - start
     return root_holder[0]

@@ -143,13 +143,6 @@ class TreeServer:
         """
         from ..runtime import create_runtime
 
-        kernel = getattr(self.runtime_options, "kernel", None)
-        if kernel is not None:
-            jobs = [job.with_kernel(kernel) for job in jobs]
-        split_mode = getattr(self.runtime_options, "split_mode", None)
-        max_bins = getattr(self.runtime_options, "max_bins", None)
-        if split_mode is not None or max_bins is not None:
-            jobs = [job.with_split_mode(split_mode, max_bins) for job in jobs]
         runtime = create_runtime(
             self.backend, self.system, self.cost, self.runtime_options
         )

@@ -59,8 +59,10 @@ MSG_WORKER_WELCOME = "worker_welcome"
 #: version differs — both sides must run the same protocol revision to
 #: guarantee bit-identical training.  v2 added histogram split mode: the
 #: welcome ships the equi-depth threshold book and column results may
-#: carry per-bin summaries instead of exact splits.
-SOCKET_PROTOCOL_VERSION = 2
+#: carry per-bin summaries instead of exact splits.  v3 dropped the kernel
+#: name from the pickled ``TreeConfig`` and ``WorkerStatsMsg``, which a v2
+#: peer would fail to unpickle.
+SOCKET_PROTOCOL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ class RowResponseShmMsg:
     """Parent worker -> requester: the row ids, parked in shared memory.
 
     The multiprocess backend's zero-copy variant of
-    :class:`RowResponseMsg`: ``ref`` is a :class:`~repro.data.shared.
+    :class:`RowResponseMsg`: ``ref`` is a :class:`~repro.data.shm.
     ShmSlice` descriptor into the *sender's* arena.  The receiver copies
     the slice out on arrival; the sender frees the slot when the master
     confirms the child side resolved (``expect_fetches``), by which time
@@ -464,12 +466,9 @@ class WorkerStatsMsg:
     #: (crashed) worker's arena segment was already swept.
     stale_shm_drops: int = 0
     # -- training-kernel counters (see repro.core.kernel) ---------------
-    #: Which subtree kernel ran last on this worker ("" = none ran).
-    subtree_kernel: str = ""
     #: Wall-clock seconds spent inside subtree builds.
     subtree_kernel_s: float = 0.0
-    #: Slice of the above spent gathering ``y``/column values
-    #: (vectorized kernel only).
+    #: Slice of the above spent gathering ``y``/column values.
     subtree_gather_s: float = 0.0
     #: Tree nodes constructed by subtree-tasks on this worker.
     subtree_nodes_built: int = 0

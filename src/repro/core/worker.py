@@ -10,7 +10,7 @@ plays four roles, often simultaneously:
   partition ``I_x`` into ``I_xl`` / ``I_xr`` and serve them to child tasks
   directly (the master never relays row ids — Section V);
 * **key worker** — for a subtree-task, gather ``D_x`` from column servers
-  and build the whole ``Delta_x`` locally with the serial exact builder;
+  and build the whole ``Delta_x`` locally with the level kernel;
 * **column server** — fetch ``I_x`` itself and ship the requested column
   values of ``D_x`` to a key worker.
 
@@ -40,7 +40,7 @@ from .histogram import (
     decode_bin_codes,
     encode_bin_codes,
 )
-from .kernel import KernelCounters, build_subtree_auto
+from .kernel import KernelCounters, build_subtree
 from .splits import (
     CandidateSplit,
     best_split_for_column,
@@ -603,7 +603,7 @@ class WorkerActor:
             else:
                 columns.append(np.full(n, -1, dtype=np.int32))
         d_x = DataTable(self.table.schema, columns, self.table.target[ids])
-        root = build_subtree_auto(
+        root = build_subtree(
             d_x,
             plan.ctx.config,
             row_ids=np.arange(n, dtype=np.int64),

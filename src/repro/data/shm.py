@@ -36,10 +36,6 @@ not; ``spawn`` attaches by name):
   confirms a child side resolved, by which time causality guarantees
   every reader has consumed its copy).
 
-``repro.data.shared`` re-exports everything here for compatibility — it
-was this module's original home before the serving fleet needed the same
-machinery.
-
 CPython's ``resource_tracker`` is deliberately kept out of the loop: on
 3.12 and earlier it registers segments on *attach* as well as create, and
 its registry is a name set shared by every process of the program, so any

@@ -165,15 +165,8 @@ class RuntimeOptions:
     rejected.  ``rendezvous_timeout_seconds`` bounds how long the master
     waits for all workers to dial in.
 
-    Training kernel: ``kernel`` overrides ``TreeConfig.kernel`` for every
-    tree of every submitted job (``"scalar"`` or ``"vectorized"``, see
-    ``docs/RUNTIME.md``); ``None`` leaves the per-job configs alone.  The
-    choice is performance-only — both kernels build bit-identical trees.
-
-    Split mode: ``split_mode`` overrides ``TreeConfig.split_mode`` for
-    every tree of every submitted job (``"exact"`` or ``"hist"``, see
-    docs/RUNTIME.md "Split modes"), and ``max_bins`` likewise overrides
-    the histogram bucket cap; ``None`` leaves the per-job configs alone.
+    Nothing here configures a tree: what is trained, and how its splits
+    are searched, is :class:`~repro.core.config.TreeConfig` alone.
     """
 
     message_timeout_seconds: float = 30.0
@@ -189,32 +182,8 @@ class RuntimeOptions:
     listen: str | None = None
     expected_hosts: tuple[str, ...] | None = None
     rendezvous_timeout_seconds: float = 60.0
-    kernel: str | None = None
-    split_mode: str | None = None
-    max_bins: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel is not None:
-            from ..core.config import TREE_KERNELS
-
-            if self.kernel not in TREE_KERNELS:
-                raise ValueError(
-                    f"unknown kernel {self.kernel!r}; expected one of "
-                    f"{TREE_KERNELS} (or None to keep per-job configs)"
-                )
-        if self.split_mode is not None:
-            from ..core.config import SPLIT_MODES
-
-            if self.split_mode not in SPLIT_MODES:
-                raise ValueError(
-                    f"unknown split_mode {self.split_mode!r}; expected one "
-                    f"of {SPLIT_MODES} (or None to keep per-job configs)"
-                )
-        if self.max_bins is not None and self.max_bins < 2:
-            raise ValueError(
-                f"max_bins must be >= 2, got {self.max_bins!r} "
-                f"(or None to keep per-job configs)"
-            )
         if self.fault_policy is not None and self.fault_policy not in FAULT_POLICIES:
             raise ValueError(
                 f"unknown fault_policy {self.fault_policy!r}; expected one "

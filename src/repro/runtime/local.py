@@ -1,23 +1,22 @@
 """Real-machine stand-ins for the simulator surface the actors consume.
 
 ``MasterActor`` and ``WorkerActor`` talk to a small slice of
-:class:`~repro.cluster.topology.SimulatedCluster`: ``cost``, ``machines``
-(execute / alloc / free / halted), ``engine`` (now / schedule_at),
-``network.sender_free_at`` and ``send``.  On the multiprocess backend the
-same actor code runs against these shims instead:
+:class:`~repro.cluster.topology.SimulatedCluster`, and on the process
+backends the same actor code runs against :class:`LocalCluster` instead.
+The whole surface (``docs/RUNTIME.md`` keeps the inventory):
 
-* compute submitted to :class:`LocalMachine` runs *immediately on the
-  calling OS process* — the op estimate is recorded for metrics but real
-  wall-clock is whatever numpy takes;
-* :class:`ImmediateEngine` turns ``schedule_at`` into a run-to-completion
-  callback queue (drained by the owning event loop), so the master's
-  self-rescheduling dispatch pump drains ``B_plan`` without recursion and
-  without simulated pacing;
-* sends go straight to the backing :class:`~repro.runtime.base.Transport`.
-
-Memory accounting (`alloc`/`free`) is kept live because the protocol's
-clean-shutdown invariant — every worker returns to zero task bytes — is
-checked on the real backend too (via end-of-run worker stats reports).
+* ``cost``, ``n_workers`` / ``worker_ids()`` and ``send`` — sends go
+  straight to the backing :class:`~repro.runtime.base.Transport`;
+* ``machines[i].execute / alloc / free / set_base_memory / halted /
+  stats`` — compute runs *immediately on the calling OS process* (the op
+  estimate is kept for metrics), and memory accounting stays live because
+  the clean-shutdown invariant — every worker returns to zero task bytes
+  — is checked on the real backends too, via the run-end stats reports;
+* ``engine.now / schedule_at / drain`` — ``schedule_at`` becomes a
+  run-to-completion callback queue drained by the owning event loop, so
+  the master's self-rescheduling dispatch pump drains ``B_plan`` without
+  recursion and without simulated pacing;
+* ``network.sender_free_at`` — a real NIC is never artificially busy.
 """
 
 from __future__ import annotations
@@ -43,21 +42,15 @@ class ImmediateEngine:
 
     def __init__(self) -> None:
         self._pending: deque[Callable[[], None]] = deque()
-        self.events_processed = 0
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
         """Queue ``fn``; ``when`` is meaningless off the simulator."""
-        self._pending.append(fn)
-
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Relative variant, same semantics."""
         self._pending.append(fn)
 
     def drain(self) -> None:
         """Run queued callbacks until none remain (they may enqueue more)."""
         while self._pending:
             self._pending.popleft()()
-            self.events_processed += 1
 
 
 class LocalNic:
@@ -74,7 +67,6 @@ class LocalMachine:
     def __init__(self, machine_id: int) -> None:
         self.machine_id = machine_id
         self.stats = MachineStats()
-        self.record_timeline = False
 
     @property
     def halted(self) -> bool:
@@ -88,10 +80,6 @@ class LocalMachine:
         if ops < 0:
             raise ValueError("ops must be non-negative")
         self.stats.ops_executed += ops
-        self.stats.ops_by_label[label] = (
-            self.stats.ops_by_label.get(label, 0.0) + ops
-        )
-        self.stats.items_executed += 1
         fn()
 
     def set_base_memory(self, nbytes: int) -> None:
@@ -126,22 +114,14 @@ class LocalCluster:
     hosted by this process accumulate meaningful stats.
     """
 
-    MASTER = 0
-
     def __init__(
-        self,
-        n_workers: int,
-        cost: CostModel,
-        transport: Transport,
-        extra_machines: int = 0,
+        self, n_workers: int, cost: CostModel, transport: Transport
     ) -> None:
         self.cost = cost
         self.engine = ImmediateEngine()
         self.network = LocalNic()
         self._n_workers = n_workers
-        self.machines = [
-            LocalMachine(i) for i in range(n_workers + 1 + extra_machines)
-        ]
+        self.machines = [LocalMachine(i) for i in range(n_workers + 1)]
         self._transport = transport
         # --- send-side metrics (per hosting process) -------------------
         self.messages_sent = 0

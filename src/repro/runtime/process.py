@@ -14,13 +14,13 @@ The data plane is shared-memory first (``RuntimeOptions.use_shm``,
 default on — see ``docs/RUNTIME.md``):
 
 * the column table and ``Y`` live in named shm segments
-  (:class:`~repro.data.shared.SharedTableHandle`); workers map them as
+  (:class:`~repro.data.shm.SharedTableHandle`); workers map them as
   read-only views instead of inheriting fork copies, which also makes
   the ``spawn`` start method a first-class citizen — only a small handle
   is pickled to each child;
 * large row-id sets (``I_xl`` / ``I_xr``) are parked in per-worker
-  pooled arenas (:class:`~repro.data.shared.ShmArena`) and cross the
-  queues as :class:`~repro.data.shared.ShmSlice` descriptors, with the
+  pooled arenas (:class:`~repro.data.shm.ShmArena`) and cross the
+  queues as :class:`~repro.data.shm.ShmSlice` descriptors, with the
   master still out of the relay path;
 * the :class:`QueueFabric` coalesces queued sends into one pickled blob
   per destination, flushed whenever an event loop goes idle, cutting
@@ -71,7 +71,8 @@ import pickle
 import queue as queue_module
 import time
 import traceback
-from typing import Any
+from collections import deque
+from typing import Any, Callable, Sequence
 
 import multiprocessing
 
@@ -232,52 +233,71 @@ class QueueFabric:
             q.cancel_join_thread()
 
 
-def _worker_main(
+def env_fault_hook(env_name: str) -> tuple[int, int] | None:
+    """The ``(worker, after_n_messages)`` spec in ``env_name``, if set.
+
+    The one reader of :data:`KILL_ENV` / :data:`RAISE_ENV`: the drivers
+    fold it into their options, an external ``repro worker`` applies it
+    to itself.
+    """
+    spec = os.environ.get(env_name)
+    return parse_kill_spec(spec, env_name) if spec else None
+
+
+def injected_after(spec: tuple[int, int] | None, worker_id: int) -> int | None:
+    """Message count at which a ``(worker, n)`` hook fires on this worker."""
+    return spec[1] if spec is not None and spec[0] == worker_id else None
+
+
+def worker_error_message(worker_id: int, exc: BaseException) -> Message:
+    """The ``worker_error`` a failing worker ships home (call while
+    handling ``exc``: the traceback is the current one)."""
+    error = WorkerErrorMsg(
+        worker=worker_id,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback=traceback.format_exc(),
+    )
+    return Message(worker_id, 0, MSG_WORKER_ERROR, error, 0)
+
+
+def run_worker_loop(
     worker_id: int,
     n_workers: int,
-    table_ref: "DataTable | SharedTableHandle",
+    table: DataTable,
     held_columns: set[int],
-    queues: list,
     cost: CostModel,
-    options_tuple: tuple,
-    crash_after: int | None,
+    fabric: QueueFabric,
+    next_messages: Callable[[], "Sequence[Message] | None"],
+    crash: Callable[[], None],
+    *,
+    shm_prefix: str | None,
+    shm_threshold_bytes: int,
+    threshold_book: dict | None,
+    shm_peers: set[int] | None = None,
+    attached_nbytes: int = 0,
+    crash_after: int | None = None,
     raise_after: int | None = None,
 ) -> None:
-    """Entry point of one worker process: an event loop around the actor.
+    """The worker event loop of both process backends.
 
-    ``table_ref`` is either the table itself (inherited cheaply under
-    ``fork``, pickled under ``spawn``) or a :class:`SharedTableHandle` to
-    attach (shm data plane, either start method).  Runs until a
-    :class:`ShutdownMsg` arrives (reply with run-end stats, exit 0), the
-    parent disappears (exit silently — we are orphaned), or the actor
-    raises (ship the traceback to the driver, exit 1).  ``crash_after``
-    hard-kills the process after that many handled messages — the
-    fault-injection hook behind the worker-death tests; ``raise_after``
-    is its soft sibling, raising an ordinary exception instead so the
-    ``worker_error`` path (and its recovery) can be exercised end to end.
+    Builds the unmodified :class:`~repro.core.worker.WorkerActor` over
+    :class:`~repro.runtime.local.LocalCluster` shims and pumps messages
+    into it: flush the fabric whenever idle, answer the shutdown
+    broadcast with a stats report and return.  What the substrates do
+    differently comes in as two callables.  ``next_messages`` blocks for
+    at most one poll interval and returns the next decoded batch, an
+    empty one when nothing arrived, or ``None`` when the master is gone
+    (we are orphaned: return quietly).  ``crash`` must not return — it
+    is how an injected hard crash leaves after ``crash_after`` handled
+    messages, the fault-injection hook behind the worker-death tests;
+    ``raise_after`` is its soft sibling, raising an ordinary exception so
+    the ``worker_error`` path (and its recovery) can be exercised end to
+    end.  Any exception propagates: shipping it home is the caller's.
     """
     from ..core.worker import WorkerActor  # import here: cheap under fork
 
-    from collections import deque
-
-    (
-        poll_seconds,
-        shm_prefix,
-        shm_threshold,
-        coalesce_max,
-        threshold_book,
-    ) = options_tuple
-
-    attached = None
     arena = None
-    actor = None
-    fabric = QueueFabric(queues, max_batch=coalesce_max)
     try:
-        if isinstance(table_ref, SharedTableHandle):
-            attached = table_ref.attach()
-            table = attached.table
-        else:
-            table = table_ref
         if shm_prefix is not None:
             arena = ShmArena(f"{shm_prefix}-w{worker_id}")
         cluster = LocalCluster(n_workers, cost, fabric)
@@ -287,25 +307,24 @@ def _worker_main(
             table,
             held_columns,
             arena=arena,
-            shm_threshold_bytes=shm_threshold,
+            shm_threshold_bytes=shm_threshold_bytes,
+            shm_peers=shm_peers,
             threshold_book=threshold_book,
         )
         machine = cluster.machines[worker_id]
-        inbox = queues[worker_id]
         pending: deque[Message] = deque()
         handled = 0
         while True:
             if not pending:
                 fabric.flush()  # idle: everything buffered goes out now
-                try:
-                    pending.extend(_decode(inbox.get(timeout=poll_seconds)))
-                except queue_module.Empty:
-                    parent = multiprocessing.parent_process()
-                    if parent is not None and not parent.is_alive():
-                        return  # orphaned; nothing useful left to do
-                    continue
+                batch = next_messages()
+                if batch is None:
+                    return  # orphaned; nothing useful left to do
+                pending.extend(batch)
+                continue
             message = pending.popleft()
             if isinstance(message.payload, ShutdownMsg):
+                # Built before it is sent: the counters do not include it.
                 stats = WorkerStatsMsg(
                     worker=worker_id,
                     outstanding=actor.outstanding_state(),
@@ -317,21 +336,18 @@ def _worker_main(
                     ops_executed=machine.stats.ops_executed,
                     bytes_by_kind=dict(cluster.bytes_by_kind),
                     bytes_pickled=fabric.bytes_pickled,
-                    shm_bytes_mapped=(
-                        (attached.nbytes if attached is not None else 0)
-                        + (arena.bytes_read if arena is not None else 0)
-                    ),
+                    shm_bytes_mapped=attached_nbytes
+                    + (arena.bytes_read if arena is not None else 0),
                     coalesced_batches=fabric.coalesced_batches,
                     revoked_trees_seen=actor.revoked_trees_seen,
                     stale_shm_drops=actor.stale_shm_drops,
-                    subtree_kernel=actor.kernel_counters.kernel,
                     subtree_kernel_s=actor.kernel_counters.build_s,
                     subtree_gather_s=actor.kernel_counters.gather_s,
                     subtree_nodes_built=actor.kernel_counters.nodes_built,
                 )
                 fabric.send(worker_id, 0, MSG_WORKER_STATS, stats, 0)
                 fabric.flush()
-                return  # normal exit flushes the queue feeder threads
+                return
             handled += 1
             actor.handle_message(message)
             if raise_after is not None and handled >= raise_after:
@@ -339,41 +355,103 @@ def _worker_main(
                     f"injected worker logic error after {handled} messages"
                 )
             if crash_after is not None and handled >= crash_after:
-                # Simulated hard crash: no goodbye, no shm teardown — the
-                # parent's sweep covers the arena.  The queue feeders are
-                # drained first because ``multiprocessing`` queues share
-                # their write lock and byte stream across processes:
-                # ``os._exit`` mid-write would leave a truncated frame (a
-                # peer's ``recv_bytes`` blocks forever) or a held write
-                # lock (every other sender blocks) — corruption a real
-                # network transport cannot inflict on surviving peers.
-                # The injected crash is abrupt at the *protocol* layer
-                # (sends of the last handled message are still buffered
-                # in the fabric and die with us) but clean at the
-                # *transport* layer.
-                for crash_queue in queues:
-                    crash_queue.close()
-                    crash_queue.join_thread()
-                os._exit(CRASH_EXITCODE)
-    except BaseException as exc:  # noqa: BLE001 - ship any failure home
-        error = WorkerErrorMsg(
-            worker=worker_id,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-        )
+                crash()
+    finally:
+        # Release the shm footprint: drop array references first so the
+        # mmaps can actually unmap, then unlink what this process owns.
+        actor = cluster = machine = None  # noqa: F841
+        if arena is not None:
+            arena.close()
+
+
+def _worker_main(
+    worker_id: int,
+    n_workers: int,
+    table_ref: "DataTable | SharedTableHandle",
+    held_columns: set[int],
+    queues: list,
+    cost: CostModel,
+    options_tuple: tuple,
+    crash_after: int | None,
+    raise_after: int | None = None,
+) -> None:
+    """Entry point of one mp worker process.
+
+    ``table_ref`` is either the table itself (inherited cheaply under
+    ``fork``, pickled under ``spawn``) or a :class:`SharedTableHandle` to
+    attach (shm data plane, either start method).  Runs
+    :func:`run_worker_loop` on its inbox queue until the shutdown
+    broadcast (exit 0; a normal exit flushes the queue feeder threads),
+    the parent disappears (exit silently — we are orphaned), or the actor
+    raises (ship the traceback to the driver, exit 1).
+    """
+    (
+        poll_seconds,
+        shm_prefix,
+        shm_threshold,
+        coalesce_max,
+        threshold_book,
+    ) = options_tuple
+    inbox = queues[worker_id]
+
+    def next_messages() -> "Sequence[Message] | None":
         try:
-            queues[0].put(Message(worker_id, 0, MSG_WORKER_ERROR, error, 0))
+            return _decode(inbox.get(timeout=poll_seconds))
+        except queue_module.Empty:
+            parent = multiprocessing.parent_process()
+            if parent is not None and not parent.is_alive():
+                return None
+            return ()
+
+    def crash() -> None:
+        # Simulated hard crash: no goodbye, no shm teardown — the
+        # parent's sweep covers the arena.  The queue feeders are
+        # drained first because ``multiprocessing`` queues share
+        # their write lock and byte stream across processes:
+        # ``os._exit`` mid-write would leave a truncated frame (a
+        # peer's ``recv_bytes`` blocks forever) or a held write
+        # lock (every other sender blocks) — corruption a real
+        # network transport cannot inflict on surviving peers.
+        # The injected crash is abrupt at the *protocol* layer
+        # (sends of the last handled message are still buffered
+        # in the fabric and die with us) but clean at the
+        # *transport* layer.
+        for crash_queue in queues:
+            crash_queue.close()
+            crash_queue.join_thread()
+        os._exit(CRASH_EXITCODE)
+
+    attached = None
+    try:
+        if isinstance(table_ref, SharedTableHandle):
+            attached = table_ref.attach()
+            table = attached.table
+        else:
+            table = table_ref
+        run_worker_loop(
+            worker_id,
+            n_workers,
+            table,
+            held_columns,
+            cost,
+            QueueFabric(queues, max_batch=coalesce_max),
+            next_messages,
+            crash,
+            shm_prefix=shm_prefix,
+            shm_threshold_bytes=shm_threshold,
+            threshold_book=threshold_book,
+            attached_nbytes=attached.nbytes if attached is not None else 0,
+            crash_after=crash_after,
+            raise_after=raise_after,
+        )
+    except BaseException as exc:  # noqa: BLE001 - ship any failure home
+        try:
+            queues[0].put(worker_error_message(worker_id, exc))
         except Exception:  # the fabric itself may be gone
             pass
         raise SystemExit(1)
     finally:
-        # Release this process's shm footprint: drop array references
-        # first so the mmaps can actually unmap, then unlink what we own.
-        actor = None
-        cluster = None
-        table = None
-        if arena is not None:
-            arena.close()
+        table = None  # noqa: F841 - drop views before closing segments
         if attached is not None:
             attached.close()
 
@@ -417,8 +495,6 @@ class ProcessTransport:
             options.coalesce_max_messages,
             threshold_book,
         )
-        crash = options.crash_worker_after
-        raises = options.raise_worker_after
         try:
             for wid in range(1, n_workers + 1):
                 held = {c for c, ws in placement.items() if wid in ws}
@@ -432,12 +508,8 @@ class ProcessTransport:
                         self.queues,
                         cost,
                         worker_options,
-                        crash[1]
-                        if crash is not None and crash[0] == wid
-                        else None,
-                        raises[1]
-                        if raises is not None and raises[0] == wid
-                        else None,
+                        injected_after(options.crash_worker_after, wid),
+                        injected_after(options.raise_worker_after, wid),
                     ),
                     name=f"repro-worker-{wid}",
                     daemon=True,
@@ -587,17 +659,13 @@ class ProcessRuntime(Runtime):
                     f"{feature} is only supported on the sim backend"
                 )
         self.validate(table, jobs)
-        kill_spec = os.environ.get(KILL_ENV)
-        if kill_spec and self.options.crash_worker_after is None:
-            self.options = dataclasses.replace(
-                self.options, crash_worker_after=parse_kill_spec(kill_spec)
-            )
-        raise_spec = os.environ.get(RAISE_ENV)
-        if raise_spec and self.options.raise_worker_after is None:
-            self.options = dataclasses.replace(
-                self.options,
-                raise_worker_after=parse_kill_spec(raise_spec, RAISE_ENV),
-            )
+        self.options = dataclasses.replace(
+            self.options,
+            crash_worker_after=self.options.crash_worker_after
+            or env_fault_hook(KILL_ENV),
+            raise_worker_after=self.options.raise_worker_after
+            or env_fault_hook(RAISE_ENV),
+        )
         self._fault_policy = self.options.resolved_fault_policy(self.name)
         self._failures = 0
         start = time.perf_counter()
@@ -940,19 +1008,12 @@ class ProcessRuntime(Runtime):
                 "coalesced_batches": stats[wid].coalesced_batches,
                 "revoked_trees_seen": stats[wid].revoked_trees_seen,
                 "stale_shm_drops": stats[wid].stale_shm_drops,
-                "subtree_kernel": stats[wid].subtree_kernel,
                 "subtree_kernel_s": stats[wid].subtree_kernel_s,
                 "subtree_gather_s": stats[wid].subtree_gather_s,
                 "subtree_nodes_built": stats[wid].subtree_nodes_built,
             }
             for wid in sorted(stats)
         }
-        # Kernel name: every worker resolved the same config, so take the
-        # first non-empty ("" when no subtree-task ran anywhere).
-        kernel_names = [
-            w["subtree_kernel"] for w in per_worker.values()
-            if w["subtree_kernel"]
-        ]
         report.transport = {
             "shm": transport.shm_prefix is not None,
             "start_method": transport.start_method,
@@ -971,7 +1032,6 @@ class ProcessRuntime(Runtime):
             ),
             "coalesced_batches": fabric.coalesced_batches
             + sum(w["coalesced_batches"] for w in per_worker.values()),
-            "kernel": kernel_names[0] if kernel_names else "",
             "subtree_kernel_s": sum(
                 w["subtree_kernel_s"] for w in per_worker.values()
             ),

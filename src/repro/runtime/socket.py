@@ -82,9 +82,8 @@ import struct
 import threading
 import time
 import warnings
-from collections import deque
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import multiprocessing
 
@@ -92,25 +91,18 @@ from ..cluster.cost import CostModel
 from ..cluster.network import Message
 from ..core.histogram import book_from_wire, book_to_wire
 from ..core.tasks import (
-    MSG_WORKER_ERROR,
-    MSG_WORKER_STATS,
     SOCKET_PROTOCOL_VERSION,
-    ShutdownMsg,
-    WorkerErrorMsg,
     WorkerHelloMsg,
-    WorkerStatsMsg,
     WorkerWelcomeMsg,
 )
 from ..data.shm import (
     SharedTableHandle,
-    ShmArena,
     list_segments,
     new_run_prefix,
     unlink_segments,
 )
 from ..data.table import DataTable, table_fingerprint
 from .base import RuntimeBackendError, RuntimeOptions, WorkerDiedError
-from .local import LocalCluster
 from .process import (
     CRASH_EXITCODE,
     KILL_ENV,
@@ -118,8 +110,11 @@ from .process import (
     ProcessRuntime,
     QueueFabric,
     _decode,
-    parse_kill_spec,
+    env_fault_hook,
+    injected_after,
     resolve_start_method,
+    run_worker_loop,
+    worker_error_message,
 )
 
 #: Frame header: ``(dst: int32, payload length: uint64)``, network order.
@@ -473,122 +468,74 @@ def _run_socket_worker(
     raise_after: int | None,
     attached_nbytes: int = 0,
 ) -> int:
-    """Post-handshake worker event loop; returns the process exit code.
+    """Post-handshake worker; returns the process exit code.
 
-    Mirrors ``process._worker_main``: pump frames from the master hub
-    (plus the local self-send queue) into the unmodified
-    :class:`~repro.core.worker.WorkerActor`, flush the fabric whenever
-    idle, answer the shutdown broadcast with a stats report, ship any
-    exception home as a ``worker_error`` frame, and honour the two
-    fault-injection hooks.  A master-side EOF means the run is over
-    without us (driver died or reaped us) — exit quietly like an
-    orphaned mp worker.
+    Runs :func:`~repro.runtime.process.run_worker_loop` on frames from
+    the master hub plus the local self-send queue, and ships any
+    exception home as a ``worker_error`` frame.  A master-side EOF means
+    the run is over without us (driver died or reaped us) — exit quietly
+    like an orphaned mp worker.
     """
-    from ..core.worker import WorkerActor
-
-    n_workers = welcome.n_workers
     local: queue_module.SimpleQueue = queue_module.SimpleQueue()
     queues: list[Any] = [
         _LocalQueue(local) if dst == worker_id else _SocketQueue(stream, dst)
-        for dst in range(n_workers + 1)
+        for dst in range(welcome.n_workers + 1)
     ]
-    fabric = QueueFabric(queues, max_batch=welcome.coalesce_max_messages)
-    arena = None
-    actor = None
-    cluster = None
+
+    def next_messages() -> "Sequence[Message] | None":
+        try:
+            blob: Any = local.get_nowait()
+        except queue_module.Empty:
+            try:
+                frame = stream.read_frame(
+                    timeout=welcome.poll_interval_seconds
+                )
+            except (ConnectionClosed, OSError):
+                return None  # master gone; we are orphaned
+            if frame is None:
+                return ()
+            blob = frame[1]
+        return _decode(blob)
+
+    def crash() -> None:
+        # Simulated hard crash.  Unlike mp queues, a socket shares no
+        # cross-process locks or byte streams — bytes already handed to
+        # the kernel are delivered, buffered fabric sends die with us —
+        # so no draining is needed; ``os._exit`` is already clean at the
+        # transport layer.
+        os._exit(CRASH_EXITCODE)
+
     try:
-        if welcome.shm_prefix is not None:
-            arena = ShmArena(f"{welcome.shm_prefix}-w{worker_id}")
-        shm_peers = {
-            wid
-            for wid, peer_host in welcome.host_map.items()
-            if wid != 0 and peer_host == host_id
-        }
         cost = welcome.cost
         assert isinstance(cost, CostModel)
-        cluster = LocalCluster(n_workers, cost, fabric)
-        actor = WorkerActor(
-            cluster,
+        run_worker_loop(
             worker_id,
+            welcome.n_workers,
             table,
             set(welcome.held_columns),
-            arena=arena,
+            cost,
+            QueueFabric(queues, max_batch=welcome.coalesce_max_messages),
+            next_messages,
+            crash,
+            shm_prefix=welcome.shm_prefix,
             shm_threshold_bytes=welcome.shm_threshold_bytes,
-            shm_peers=shm_peers,
             threshold_book=welcome.threshold_book,
+            shm_peers={
+                wid
+                for wid, peer_host in welcome.host_map.items()
+                if wid != 0 and peer_host == host_id
+            },
+            attached_nbytes=attached_nbytes,
+            crash_after=crash_after,
+            raise_after=raise_after,
         )
-        machine = cluster.machines[worker_id]
-        pending: deque[Message] = deque()
-        handled = 0
-        while True:
-            if not pending:
-                fabric.flush()  # idle: everything buffered goes out now
-                try:
-                    blob: Any = local.get_nowait()
-                except queue_module.Empty:
-                    try:
-                        frame = stream.read_frame(
-                            timeout=welcome.poll_interval_seconds
-                        )
-                    except (ConnectionClosed, OSError):
-                        return 0  # master gone; we are orphaned
-                    if frame is None:
-                        continue
-                    blob = frame[1]
-                pending.extend(_decode(blob))
-                continue
-            message = pending.popleft()
-            if isinstance(message.payload, ShutdownMsg):
-                stats = WorkerStatsMsg(
-                    worker=worker_id,
-                    outstanding=actor.outstanding_state(),
-                    mem_task_bytes=machine.stats.mem_task_bytes,
-                    mem_task_peak=machine.stats.mem_task_peak,
-                    mem_base_bytes=machine.stats.mem_base_bytes,
-                    messages_handled=handled,
-                    messages_sent=cluster.messages_sent,
-                    ops_executed=machine.stats.ops_executed,
-                    bytes_by_kind=dict(cluster.bytes_by_kind),
-                    bytes_pickled=fabric.bytes_pickled,
-                    shm_bytes_mapped=attached_nbytes
-                    + (arena.bytes_read if arena is not None else 0),
-                    coalesced_batches=fabric.coalesced_batches,
-                    revoked_trees_seen=actor.revoked_trees_seen,
-                    stale_shm_drops=actor.stale_shm_drops,
-                    subtree_kernel=actor.kernel_counters.kernel,
-                    subtree_kernel_s=actor.kernel_counters.build_s,
-                    subtree_gather_s=actor.kernel_counters.gather_s,
-                    subtree_nodes_built=actor.kernel_counters.nodes_built,
-                )
-                fabric.send(worker_id, 0, MSG_WORKER_STATS, stats, 0)
-                fabric.flush()
-                return 0
-            handled += 1
-            actor.handle_message(message)
-            if raise_after is not None and handled >= raise_after:
-                raise RuntimeError(
-                    f"injected worker logic error after {handled} messages"
-                )
-            if crash_after is not None and handled >= crash_after:
-                # Simulated hard crash.  Unlike mp queues, a socket
-                # shares no cross-process locks or byte streams — bytes
-                # already handed to the kernel are delivered, buffered
-                # fabric sends die with us — so no draining is needed;
-                # ``os._exit`` is already clean at the transport layer.
-                os._exit(CRASH_EXITCODE)
+        return 0
     except BaseException as exc:  # noqa: BLE001 - ship any failure home
-        import traceback as traceback_module
-
-        error = WorkerErrorMsg(
-            worker=worker_id,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback_module.format_exc(),
-        )
         try:
             stream.send_frame(
                 0,
                 pickle.dumps(
-                    [Message(worker_id, 0, MSG_WORKER_ERROR, error, 0)],
+                    [worker_error_message(worker_id, exc)],
                     protocol=pickle.HIGHEST_PROTOCOL,
                 ),
             )
@@ -596,13 +543,7 @@ def _run_socket_worker(
             pass  # the master is gone too; nothing to report to
         return 1
     finally:
-        # Release the shm footprint: drop array references first so the
-        # mmaps can unmap, then unlink what this process owns.
-        actor = None
-        cluster = None
-        table = None  # noqa: F841 - deliberate reference drop
-        if arena is not None:
-            arena.close()
+        table = None  # noqa: F841 - drop views before the caller unmaps
         stream.close()
 
 
@@ -681,24 +622,13 @@ def connect_worker(
     """
     if isinstance(address, str):
         address = parse_address(address)
-    crash_after = raise_after = None
-    kill_spec = os.environ.get(KILL_ENV)
-    if kill_spec:
-        wid, after = parse_kill_spec(kill_spec)
-        if wid == worker_id:
-            crash_after = after
-    raise_spec = os.environ.get(RAISE_ENV)
-    if raise_spec:
-        wid, after = parse_kill_spec(raise_spec, RAISE_ENV)
-        if wid == worker_id:
-            raise_after = after
     return _dial_and_run(
         address,
         worker_id,
         table,
         host_id=host_id,
-        crash_after=crash_after,
-        raise_after=raise_after,
+        crash_after=injected_after(env_fault_hook(KILL_ENV), worker_id),
+        raise_after=injected_after(env_fault_hook(RAISE_ENV), worker_id),
         handshake_timeout=handshake_timeout,
     )
 
@@ -861,8 +791,6 @@ class SocketTransport:
         table_ref: DataTable | SharedTableHandle = (
             self.table_handle if self.table_handle is not None else table
         )
-        crash = self.options.crash_worker_after
-        raises = self.options.raise_worker_after
         for wid in range(1, self.n_workers + 1):
             process = context.Process(
                 target=_launched_worker_main,
@@ -871,10 +799,8 @@ class SocketTransport:
                     wid,
                     table_ref,
                     self.host_id,
-                    crash[1] if crash is not None and crash[0] == wid else None,
-                    raises[1]
-                    if raises is not None and raises[0] == wid
-                    else None,
+                    injected_after(self.options.crash_worker_after, wid),
+                    injected_after(self.options.raise_worker_after, wid),
                 ),
                 name=f"repro-socket-worker-{wid}",
                 daemon=True,

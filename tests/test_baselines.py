@@ -11,11 +11,13 @@ from repro.baselines import (
     WeightedQuantileSketch,
     XGBoostConfig,
     XGBoostTrainer,
+)
+from repro.core import TreeConfig, train_tree
+from repro.core.histogram import (
     best_binned_numeric_split,
     bin_indices,
     equi_depth_thresholds,
 )
-from repro.core import TreeConfig, train_tree
 from repro.core.impurity import Impurity
 from repro.core.splits import best_numeric_split
 from repro.data.schema import ProblemKind

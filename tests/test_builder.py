@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.builder import (
     bootstrap_row_ids,
-    build_subtree,
     extra_tree_column_order,
     node_rng,
     path_depth,
@@ -16,9 +15,12 @@ from repro.core.builder import (
 )
 from repro.core.config import ColumnSampling, TreeConfig, TreeKind
 from repro.core.impurity import Impurity
-from repro.core.tree import trees_equal
+from repro.core.kernel import KernelCounters, build_subtree
+from repro.core.tree import node_to_dict, trees_equal
 from repro.data import ProblemKind
 from repro.datasets import SyntheticSpec, generate
+
+from .reference_builder import reference_build_subtree, reference_train_tree
 
 
 class TestPathHelpers:
@@ -272,16 +274,21 @@ def test_property_any_seeded_dataset_trains(seed):
 
 
 # ----------------------------------------------------------------------
-# scalar vs vectorized kernel parity (repro.core.kernel)
+# level kernel (repro.core.kernel) vs the frozen scalar recursion
+# (tests/reference_builder.py)
 # ----------------------------------------------------------------------
 def _parity_table(
-    problem=ProblemKind.CLASSIFICATION, missing=0.1, seed=9, n_classes=3
+    problem=ProblemKind.CLASSIFICATION,
+    missing=0.1,
+    seed=9,
+    n_classes=3,
+    n_rows=500,
 ):
     return generate(
         SyntheticSpec(
             name="kparity",
             problem=problem,
-            n_rows=500,
+            n_rows=n_rows,
             n_numeric=4,
             n_categorical=2,
             n_classes=n_classes if problem is ProblemKind.CLASSIFICATION else 2,
@@ -311,15 +318,14 @@ def _tie_heavy(table):
     return DataTable(table.schema, columns, table.target)
 
 
-def assert_kernels_bit_identical(table, config, row_ids=None):
-    """Scalar and vectorized builds must serialize to identical dicts."""
-    from dataclasses import replace
-
-    scalar = train_tree(table, replace(config, kernel="scalar"), row_ids=row_ids)
-    vec = train_tree(table, replace(config, kernel="vectorized"), row_ids=row_ids)
-    assert trees_equal(scalar, vec)
-    assert scalar.to_dict() == vec.to_dict()
-    return scalar
+def assert_matches_reference(table, config, row_ids=None):
+    """``train_tree`` and the reference recursion must serialize to
+    identical dicts."""
+    reference = reference_train_tree(table, config, row_ids=row_ids)
+    tree = train_tree(table, config, row_ids=row_ids)
+    assert trees_equal(reference, tree)
+    assert reference.to_dict() == tree.to_dict()
+    return tree
 
 
 def assert_sim_matches(table, config, serial):
@@ -341,26 +347,26 @@ def assert_sim_matches(table, config, serial):
 
 
 class TestKernelParity:
-    """The vectorized kernel is bit-identical to the scalar builder.
+    """The level kernel is bit-identical to the scalar recursion.
 
     This is the exactness invariant extended to the kernel seam: the
     level-synchronous builder must reproduce heap paths, RNG draws, and
-    every tie-break of the scalar path across the whole configuration
-    matrix.
+    every tie-break of growing one node at a time, across the whole
+    configuration matrix.
     """
 
     @pytest.mark.parametrize("criterion", [Impurity.GINI, Impurity.ENTROPY])
     @pytest.mark.parametrize("missing", [0.0, 0.15])
     def test_classification_decision(self, criterion, missing):
         table = _parity_table(missing=missing)
-        assert_kernels_bit_identical(
+        assert_matches_reference(
             table, TreeConfig(max_depth=None, criterion=criterion, seed=3)
         )
 
     @pytest.mark.parametrize("missing", [0.0, 0.15])
     def test_regression_decision(self, missing):
         table = _parity_table(problem=ProblemKind.REGRESSION, missing=missing)
-        assert_kernels_bit_identical(
+        assert_matches_reference(
             table,
             TreeConfig(max_depth=None, criterion=Impurity.VARIANCE, seed=4),
         )
@@ -370,7 +376,7 @@ class TestKernelParity:
     )
     def test_extra_trees(self, problem):
         table = _parity_table(problem=problem)
-        assert_kernels_bit_identical(
+        assert_matches_reference(
             table,
             TreeConfig(max_depth=None, tree_kind=TreeKind.EXTRA, seed=7),
         )
@@ -393,7 +399,7 @@ class TestKernelParity:
         the class sum runs past NumPy's sequential row length."""
         table = table()
         config = TreeConfig(max_depth=None, criterion=criterion, seed=3)
-        serial = assert_kernels_bit_identical(table, config)
+        serial = assert_matches_reference(table, config)
         assert_sim_matches(table, config, serial)
         for node in serial.nodes():
             if node.split is not None and node.split.threshold == 0.0:
@@ -402,7 +408,7 @@ class TestKernelParity:
     def test_regression_tie_heavy(self):
         table = _tie_heavy(_parity_table(problem=ProblemKind.REGRESSION))
         config = TreeConfig(max_depth=None, criterion=Impurity.VARIANCE, seed=4)
-        serial = assert_kernels_bit_identical(table, config)
+        serial = assert_matches_reference(table, config)
         assert_sim_matches(table, config, serial)
         for node in serial.nodes():
             if node.split is not None and node.split.threshold == 0.0:
@@ -411,7 +417,7 @@ class TestKernelParity:
     def test_bootstrap_rows(self):
         table = _parity_table()
         rows = bootstrap_row_ids(21, table.n_rows)
-        assert_kernels_bit_identical(
+        assert_matches_reference(
             table, TreeConfig(max_depth=None, seed=21), row_ids=rows
         )
 
@@ -429,57 +435,68 @@ class TestKernelParity:
         ids=["depth0", "depth1", "tau-leaf-50", "high-gain-bar", "sqrt-cols"],
     )
     def test_edge_configs(self, config):
-        assert_kernels_bit_identical(_parity_table(), config)
+        assert_matches_reference(_parity_table(), config)
 
-    @pytest.mark.parametrize("cutoff", [0, 3, 1_000_000])
-    def test_depth_next_cutoff_is_exact(self, cutoff):
-        """Any small-node cutoff only moves work between identical paths."""
-        from repro.core.kernel import build_subtree_vectorized
+    @pytest.mark.parametrize("problem", ["clf", "reg"])
+    @pytest.mark.parametrize("missing", [0.0, 0.15])
+    @pytest.mark.parametrize("max_bins", [4, 32])
+    def test_hist_mode_beyond_collapse(self, max_bins, missing, problem):
+        """Hist mode where it is not exact mode in disguise: every numeric
+        column has far more distinct values than bins."""
+        table = _parity_table(
+            problem=(
+                ProblemKind.CLASSIFICATION
+                if problem == "clf"
+                else ProblemKind.REGRESSION
+            ),
+            missing=missing,
+            n_rows=1500,
+        )
+        tree = assert_matches_reference(
+            table,
+            TreeConfig(
+                max_depth=None, seed=6, split_mode="hist", max_bins=max_bins
+            ),
+        )
+        assert tree.n_nodes > 100
 
+    def test_subtree_below_the_root(self):
+        """A subtree-task's call: a row subset, a candidate-column subset
+        and a root that is not heap path 1."""
         table = _parity_table()
         cfg = TreeConfig(max_depth=None, seed=5)
-        rows = np.arange(table.n_rows, dtype=np.int64)
-        scalar = build_subtree(table, cfg, rows)
-        vec = build_subtree_vectorized(
-            table, cfg, rows, small_node_cutoff=cutoff
+        rows = np.arange(0, table.n_rows, 3, dtype=np.int64)
+        reference, root = (
+            build(table, cfg, rows, candidate_columns=(0, 2, 4), root_path=5)
+            for build in (reference_build_subtree, build_subtree)
         )
-        from repro.core.tree import node_to_dict
+        assert root.node_id == 5 and not root.is_leaf
+        assert node_to_dict(reference) == node_to_dict(root)
 
-        assert node_to_dict(scalar) == node_to_dict(vec)
-
-    def test_env_override_wins(self, monkeypatch):
-        from repro.core.kernel import KernelCounters, build_subtree_auto
-
-        table = _parity_table()
-        rows = np.arange(table.n_rows, dtype=np.int64)
-        counters = KernelCounters()
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        build_subtree_auto(
-            table, TreeConfig(max_depth=4), rows, counters=counters
+    @pytest.mark.parametrize(
+        "problem", [ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION]
+    )
+    def test_empty_root_is_a_leaf(self, problem):
+        table = _parity_table(problem=problem)
+        none = np.empty(0, dtype=np.int64)
+        reference, root = (
+            build(table, TreeConfig(), none)
+            for build in (reference_build_subtree, build_subtree)
         )
-        assert counters.kernel == "scalar"
-        assert counters.build_s > 0
-
-    def test_env_override_validated(self, monkeypatch):
-        from repro.core.kernel import resolve_kernel
-
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            resolve_kernel(TreeConfig())
+        assert root.is_leaf and root.n_rows == 0
+        assert node_to_dict(reference) == node_to_dict(root)
 
     def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
+        """There is one kernel and no field to name another."""
+        with pytest.raises(TypeError):
             TreeConfig(kernel="turbo")
 
     def test_counters_accumulate(self):
-        from repro.core.kernel import KernelCounters, build_subtree_auto
-
         table = _parity_table()
         rows = np.arange(table.n_rows, dtype=np.int64)
         counters = KernelCounters()
-        build_subtree_auto(
+        build_subtree(
             table, TreeConfig(max_depth=None), rows, counters=counters
         )
-        assert counters.kernel == "vectorized"
         assert counters.build_s > 0
         assert 0 <= counters.gather_s <= counters.build_s

@@ -1,7 +1,12 @@
 """Tests for configuration objects and job specifications."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import ColumnSampling, SystemConfig, TreeConfig, TreeKind
 from repro.core.impurity import Impurity
 from repro.core.jobs import (
@@ -10,6 +15,7 @@ from repro.core.jobs import (
     random_forest_job,
     staged_job,
 )
+from repro.runtime import RuntimeOptions
 
 
 class TestTreeConfig:
@@ -118,3 +124,32 @@ class TestJobs:
             staged_job("x", [])
         with pytest.raises(ValueError):
             staged_job("x", [[]])
+
+
+class TestOptionSurface:
+    def test_every_settable_name_is_spelled_out_here(self):
+        """One place configures a tree, one the runtime, and the env vars
+        read under ``src/`` are the fault-injection hooks: the next
+        option, wherever it is added, is a visible diff to this test."""
+
+        def fields(cls):
+            return {field.name for field in dataclasses.fields(cls)}
+
+        assert fields(TreeConfig) == {
+            "max_depth", "tau_leaf", "criterion", "column_sampling",
+            "column_ratio", "tree_kind", "min_impurity_decrease", "seed",
+            "split_mode", "max_bins",
+        }
+        assert fields(RuntimeOptions) == {
+            "message_timeout_seconds", "poll_interval_seconds",
+            "start_method", "crash_worker_after", "raise_worker_after",
+            "use_shm", "shm_threshold_bytes", "coalesce_max_messages",
+            "fault_policy", "max_worker_failures", "listen",
+            "expected_hosts", "rendezvous_timeout_seconds",
+        }
+        env_names = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            env_names |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
+        assert env_names == {
+            "REPRO_MP_KILL", "REPRO_MP_RAISE", "REPRO_FLEET_KILL",
+        }

@@ -1,7 +1,7 @@
-"""Histogram split mode (``split_mode="hist"``): the promoted core path.
+"""Histogram split mode (``split_mode="hist"``).
 
-Pins the three guarantees of the equi-depth machinery promoted from
-``repro.baselines.histogram`` into ``repro.core.histogram``:
+Pins the three guarantees of the equi-depth machinery in
+``repro.core.histogram``:
 
 * **Exact-collapse parity** — columns with at most ``max_bins`` distinct
   present values use their exact distinct values as thresholds, so hist
@@ -14,7 +14,8 @@ Pins the three guarantees of the equi-depth machinery promoted from
   invariant ``|I_xl| + |I_xr| = |I_x|`` holds at every node.
 * **Degenerate-column guards** — constant, all-NaN and quantile-collapsed
   columns yield an empty threshold set and a clean "no split", never an
-  empty argmin or an IndexError, in the scalar and vectorized kernels.
+  empty argmin or an IndexError, in the level kernel and in the scalar
+  recursion that is its oracle.
 
 Plus the distributed story: sim/mp/socket train hist-mode forests
 bit-identical to the serial hist builder (shm on and off), and on the
@@ -42,8 +43,21 @@ from repro.data import ColumnKind, ColumnSpec, DataTable, ProblemKind, TableSche
 from repro.datasets import SyntheticSpec, generate
 from repro.runtime import RuntimeOptions
 
+from .reference_builder import reference_train_tree
+
 CLF_CRITERION = TreeConfig().resolved_criterion(True)
 REG_CRITERION = TreeConfig().resolved_criterion(False)
+
+
+#: The whole-tree properties below are held by the product trainer and by
+#: the oracle it is compared with (``tests/reference_builder.py``).
+both_trainers = pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(reference_train_tree, id="scalar"),
+        pytest.param(train_tree, id="vectorized"),
+    ],
+)
 
 
 def _hist(config: TreeConfig, max_bins: int = 32) -> TreeConfig:
@@ -124,11 +138,11 @@ class TestThresholds:
         t = equi_depth_thresholds(values, max_bins=3)
         assert np.all(t < 5.0)
 
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
-    def test_degenerate_columns_train_cleanly(self, kernel):
+    @both_trainers
+    def test_degenerate_columns_train_cleanly(self, train):
         """A table whose numeric columns are constant / all-NaN trains to
-        a usable tree (splitting on the remaining real column) in both
-        kernels, hist and exact."""
+        a usable tree (splitting on the remaining real column), hist and
+        exact."""
         rng = np.random.default_rng(5)
         signal = rng.integers(0, 6, size=120).astype(np.float64)
         table = _numeric_table(
@@ -139,9 +153,9 @@ class TestThresholds:
             },
             (signal > 2.5).astype(np.float64),
         )
-        cfg = TreeConfig(seed=1, kernel=kernel, max_depth=4)
-        exact = train_tree(table, cfg)
-        hist = train_tree(table, _hist(cfg, max_bins=8))
+        cfg = TreeConfig(seed=1, max_depth=4)
+        exact = train(table, cfg)
+        hist = train(table, _hist(cfg, max_bins=8))
         assert exact.root.split is not None
         assert exact.root.split.column == 2
         assert trees_equal(exact, hist)  # signal column collapses exactly
@@ -181,11 +195,11 @@ class TestBinCodes:
 # exact-collapse parity and tie rules
 # ----------------------------------------------------------------------
 class TestExactCollapseParity:
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    @both_trainers
     @pytest.mark.parametrize("problem", ["clf", "reg"])
-    def test_low_cardinality_table_is_bit_identical(self, kernel, problem):
+    def test_low_cardinality_table_is_bit_identical(self, train, problem):
         """Every column has <= max_bins distinct values -> the hist tree
-        equals the exact tree bit-for-bit, kernels and problems alike."""
+        equals the exact tree bit-for-bit, both problems alike."""
         spec = SyntheticSpec(
             "lowcard",
             400,
@@ -212,15 +226,15 @@ class TestExactCollapseParity:
             # then per cut.  Integer-valued labels make every partial sum
             # exact in float64, so association cannot change a score.
             table.target[:] = np.round(table.target)
-        cfg = TreeConfig(seed=3, kernel=kernel)
-        exact = train_tree(table, cfg)
+        cfg = TreeConfig(seed=3)
+        exact = train(table, cfg)
         for max_bins in (64, 4096):
-            hist = train_tree(table, _hist(cfg, max_bins=max_bins))
+            hist = train(table, _hist(cfg, max_bins=max_bins))
             assert trees_equal(exact, hist)
             assert exact.to_dict() == hist.to_dict()
 
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
-    def test_skewed_distinct_values_survive_collapse(self, kernel):
+    @both_trainers
+    def test_skewed_distinct_values_survive_collapse(self, train):
         """The satellite bugfix: on skewed columns the quantile positions
         miss low-frequency distinct values; the collapse rule keeps them,
         so the hist tree still finds the minority cut."""
@@ -230,14 +244,14 @@ class TestExactCollapseParity:
         y = (col < 1.5).astype(np.float64)
         noise = rng.normal(size=col.size)
         table = _numeric_table({"skew": col, "noise": noise}, y)
-        cfg = TreeConfig(seed=2, kernel=kernel, max_depth=4)
-        exact = train_tree(table, cfg)
-        hist = train_tree(table, _hist(cfg, max_bins=8))
+        cfg = TreeConfig(seed=2, max_depth=4)
+        exact = train(table, cfg)
+        hist = train(table, _hist(cfg, max_bins=8))
         assert trees_equal(exact, hist)
         assert hist.root.split is not None and hist.root.split.column == 0
 
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
-    def test_cross_column_ties_pick_lower_column(self, kernel):
+    @both_trainers
+    def test_cross_column_ties_pick_lower_column(self, train):
         """Duplicated columns score identically at every node; the strict
         ``(score, column)`` rule must route every split to the copy with
         the lower index — in hist mode exactly as in exact mode."""
@@ -245,8 +259,8 @@ class TestExactCollapseParity:
         base = rng.normal(size=300)
         y = (base + 0.3 * rng.normal(size=300) > 0).astype(np.float64)
         table = _numeric_table({"a": base, "b": base.copy()}, y)
-        cfg = _hist(TreeConfig(seed=1, kernel=kernel, max_depth=5), 16)
-        tree = train_tree(table, cfg)
+        cfg = _hist(TreeConfig(seed=1, max_depth=5), 16)
+        tree = train(table, cfg)
 
         def walk(node):
             if node is None:
@@ -413,24 +427,11 @@ class TestValidation:
         assert TreeConfig(split_mode="hist", max_bins=2).max_bins == 2
 
     def test_runtime_options_reject_bad_values(self):
-        with pytest.raises(ValueError):
-            RuntimeOptions(split_mode="approx")
-        with pytest.raises(ValueError):
-            RuntimeOptions(max_bins=1)
-        assert RuntimeOptions(split_mode="hist", max_bins=8).max_bins == 8
-        assert RuntimeOptions().split_mode is None  # keep per-job configs
-
-    def test_runtime_options_override_applies_to_jobs(self):
-        table = generate(SyntheticSpec("v", 250, 5, 0, seed=2))
-        cfg = TreeConfig(seed=9, max_depth=5)
-        serial_hist = train_tree(table, _hist(cfg, 16))
-        report = TreeServer(
-            SystemConfig(n_workers=2, compers_per_worker=2).scaled_to(
-                table.n_rows
-            ),
-            runtime_options=RuntimeOptions(split_mode="hist", max_bins=16),
-        ).fit(table, [decision_tree_job("dt", cfg)])
-        assert trees_equal(serial_hist, report.tree("dt"))
+        """Split search is configured in ``TreeConfig`` and nowhere else:
+        the runtime has no field to override it with, good value or bad."""
+        for option in ({"split_mode": "hist"}, {"max_bins": 8}):
+            with pytest.raises(TypeError):
+                RuntimeOptions(**option)
 
     def test_cli_rejects_bad_split_flags(self, tmp_path, capsys):
         from repro.cli import main

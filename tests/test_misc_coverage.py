@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.cluster import CostModel, SimulationEngine, log2_ceil
 from repro.core import TreeConfig, TreeKind, train_tree
-from repro.baselines.histogram import bin_indices, equi_depth_thresholds
+from repro.core.histogram import bin_indices, equi_depth_thresholds
 from repro.data import write_csv
 
 

@@ -49,6 +49,8 @@ from repro.runtime import (
 )
 from repro.runtime.base import MessageTimeoutError, RuntimeBackendError
 
+from .reference_builder import reference_train_tree
+
 #: CI runs this suite twice — REPRO_MP_SHM=1 and =0 — so the whole parity
 #: and robustness surface is exercised with and without the shared-memory
 #: data plane; locally the default (shm on) applies.
@@ -145,48 +147,33 @@ class TestParity:
 
 
 # ----------------------------------------------------------------------
-# training-kernel seam
+# training kernel
 # ----------------------------------------------------------------------
 class TestTrainingKernel:
-    def test_vectorized_mp_matches_scalar_serial(self, monkeypatch):
-        """End-to-end kernel parity: an mp run under the vectorized kernel
-        produces the exact model of a scalar-kernel sim run."""
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_vectorized_mp_matches_scalar_serial(self):
+        """End to end: the forest the mp workers build with the level
+        kernel is the one the frozen scalar recursion builds serially."""
         table = _table("covtype")
         jobs = [
             random_forest_job("rf", 3, TreeConfig(max_depth=8), seed=5),
             decision_tree_job("dt", TreeConfig(max_depth=None)),
         ]
-
-        def fit(backend, kernel):
-            server = TreeServer(
-                _system(3, table_rows=table.n_rows),
-                backend=backend,
-                runtime_options=_options(kernel=kernel),
-            )
-            return server.fit(table, jobs)
-
-        scalar = fit("sim", "scalar")
-        vec = fit("mp", "vectorized")
-        assert_bit_identical(scalar.trees("rf"), vec.trees("rf"))
-        assert_bit_identical(scalar.trees("dt"), vec.trees("dt"))
-        transport = vec.cluster.transport
-        assert transport["kernel"] == "vectorized"
+        report = _fit("mp", table, jobs)
+        for job in jobs:
+            reference = [
+                reference_train_tree(table, request.config, tree_id=i)
+                for i, request in enumerate(job.stages[0].trees)
+            ]
+            assert_bit_identical(reference, report.trees(job.name))
+        transport = report.cluster.transport
         assert transport["subtree_nodes_built"] > 0
         assert transport["subtree_kernel_s"] > 0
         for counters in transport["per_worker"].values():
             assert counters["subtree_kernel_s"] >= 0
 
-    def test_kernel_override_reaches_workers(self, monkeypatch):
-        """RuntimeOptions.kernel rewrites every job's tree configs."""
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        table = _table("covtype")
-        jobs = [random_forest_job("rf", 2, TreeConfig(max_depth=6), seed=1)]
-        report = _fit_with(table, jobs, _options(kernel="scalar"), n_workers=2)
-        assert report.cluster.transport["kernel"] == "scalar"
-
     def test_invalid_kernel_option_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
+        """The runtime has no say in how a tree is built."""
+        with pytest.raises(TypeError):
             _options(kernel="turbo")
 
 
@@ -321,7 +308,7 @@ def _fit_with(table, jobs, options, n_workers=3):
 
 
 def _repro_segments():
-    from repro.data.shared import list_segments
+    from repro.data.shm import list_segments
 
     return list_segments()
 

@@ -88,7 +88,7 @@ def assert_bit_identical(expected, got):
 
 
 def _repro_segments():
-    from repro.data.shared import list_segments
+    from repro.data.shm import list_segments
 
     return list_segments()
 

@@ -1,6 +1,6 @@
 """The shared-memory data plane's primitives: tables, arenas, lifecycle.
 
-``SharedTableHandle`` and ``ShmArena`` (``repro.data.shared``) carry the
+``SharedTableHandle`` and ``ShmArena`` (``repro.data.shm``) carry the
 mp backend's zero-copy data plane, so their contracts are pinned directly:
 attach rebuilds bit-identical *read-only* views under any start method,
 descriptors stay tiny regardless of payload, arena slots recycle, and —
@@ -18,8 +18,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.data.shared import (
+from repro.data.shm import (
     SHM_NAME_PREFIX,
+    SharedArrayPack,
     SharedTableHandle,
     ShmArena,
     ShmSlice,
@@ -28,7 +29,6 @@ from repro.data.shared import (
     new_run_prefix,
     unlink_segments,
 )
-from repro.data.shm import SharedArrayPack
 from repro.datasets import dataset_spec, generate
 
 
@@ -254,7 +254,7 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# module move: repro.data.shm is the real module, shared re-exports
+# repro.data.shm is where the shm machinery lives
 # ----------------------------------------------------------------------
 class TestModulePath:
     def test_shm_module_is_canonical(self):
@@ -264,14 +264,6 @@ class TestModulePath:
         assert ShmArena.__module__ == "repro.data.shm"
         assert SharedArrayPack.__module__ == "repro.data.shm"
         assert shm.SHM_NAME_PREFIX == SHM_NAME_PREFIX
-
-    def test_shared_compat_reexports_same_objects(self):
-        """``repro.data.shared`` imports stay valid and alias, not copy."""
-        import repro.data.shared as shared
-        import repro.data.shm as shm
-
-        for name in shared.__all__:
-            assert getattr(shared, name) is getattr(shm, name), name
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.core.config import TreeConfig, TreeKind
 from repro.core.splits import CandidateSplit
 from repro.core.tasks import MESSAGE_DATACLASSES
 from repro.data.schema import ColumnKind, ProblemKind
-from repro.data.shared import ShmSlice
+from repro.data.shm import ShmSlice
 
 
 def deep_equal(a, b) -> bool:
