@@ -117,6 +117,13 @@ SCAN_SHAPES = [(n, k) for n in (100, 1_500, 24_000) for k in (2, 5)]
 LEVEL_ROWS = 12_000
 LEVEL_SEGMENTS = (2, 128)
 SCAN_REPEATS = 30
+#: (rows, categories) of one `best_categorical_classification_split`: a
+#: leaf-sized node too, and a cardinality either side of the
+#: subset-enumeration limit (6: up to 31 subsets; 13: `|S_l| = 1`).
+CATEGORICAL_SHAPES = [
+    (n, c) for c in (6, 13) for n in (12, 100, 1_500, 24_000)
+]
+CATEGORICAL_LEVEL_SEGMENTS = (2, 128, 1_024)
 
 
 def _scan_inputs(n_rows: int, n_classes: int, seed: int):
@@ -124,6 +131,15 @@ def _scan_inputs(n_rows: int, n_classes: int, seed: int):
     values = rng.normal(size=n_rows)
     values[rng.random(n_rows) < 0.02] = np.nan
     return values, rng.integers(0, n_classes, size=n_rows)
+
+
+def _categorical_inputs(
+    n_rows: int, n_categories: int, n_classes: int, seed: int
+):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, n_categories, size=n_rows).astype(np.int32)
+    codes[rng.random(n_rows) < 0.02] = -1
+    return codes, rng.integers(0, n_classes, size=n_rows)
 
 
 def _fastest(fn) -> float:
@@ -136,15 +152,20 @@ def _fastest(fn) -> float:
 
 
 def test_split_scan_sweep(run_once):
-    """Row sweep of the exact classification scan and one kernel level,
-    each next to the frozen stable-sort, row-major oracle of
-    ``tests/reference_scan.py`` (per level: the oracle once per node)."""
+    """Row sweep of the exact classification scans — numeric and
+    categorical — and one kernel level of each, each next to its frozen
+    oracle in ``tests/reference_scan.py`` (per level: the oracle once per
+    node)."""
     from repro.core.kernel import _batched_numeric_classification
+    from repro.core.splits import categorical_classification_scan
 
     from conftest import save_result
 
     sys.path.insert(0, str(Path(__file__).parents[1]))
-    from tests.reference_scan import reference_numeric_split
+    from tests.reference_scan import (
+        reference_categorical_classification_split,
+        reference_numeric_split,
+    )
 
     def experiment():
         rows = []
@@ -191,12 +212,56 @@ def test_split_scan_sweep(run_once):
                 _fastest(level),
                 _fastest(per_node),
             ))
+
+        for n_rows, n_cat in CATEGORICAL_SHAPES:
+            codes, y = _categorical_inputs(
+                n_rows, n_cat, k, seed=n_rows + n_cat
+            )
+            args = (0, codes, y, n_cat, Impurity.GINI, k)
+            assert best_categorical_classification_split(
+                *args
+            ) == reference_categorical_classification_split(*args)
+            rows.append((
+                f"categorical {n_rows} rows, {n_cat} categories",
+                _fastest(lambda: best_categorical_classification_split(*args)),
+                _fastest(
+                    lambda: reference_categorical_classification_split(*args)
+                ),
+            ))
+        n_cat = 6
+        codes, y = _categorical_inputs(LEVEL_ROWS, n_cat, k, seed=11)
+        for n_seg in CATEGORICAL_LEVEL_SEGMENTS:
+            sizes = np.full(n_seg, LEVEL_ROWS // n_seg, dtype=np.int64)
+            sizes[-1] += LEVEL_ROWS - int(sizes.sum())
+            bounds = np.concatenate(([0], np.cumsum(sizes)))
+
+            def level():
+                return categorical_classification_scan(
+                    0, codes, y, bounds, n_cat, Impurity.GINI, k
+                )
+
+            def per_node():
+                return [
+                    reference_categorical_classification_split(
+                        0, codes[lo:hi], y[lo:hi], n_cat, Impurity.GINI, k
+                    )
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+
+            scan = level()
+            assert [scan.split_for(j) for j in range(n_seg)] == per_node()
+            rows.append((
+                f"categorical level {LEVEL_ROWS} rows, {n_seg} nodes",
+                _fastest(level),
+                _fastest(per_node),
+            ))
         return rows
 
     rows = run_once(experiment)
     lines = [
-        f"Exact classification split scan vs the stable-sort oracle "
-        f"(Gini, 2 % NaN, fastest of {SCAN_REPEATS})",
+        f"Exact classification split scans vs their frozen oracles "
+        f"(Gini, 2 % missing, fastest of {SCAN_REPEATS}; categorical: "
+        f"5 classes, level of 6 categories)",
         f"{'shape':<42s}{'scan':>10s}{'oracle':>10s}{'ratio':>8s}",
     ]
     for label, new, old in rows:

@@ -19,7 +19,12 @@ literature, see PAPERS.md):
   frontier nodes: one sort by ``(segment, value)``, one packed integer
   cumulative class count for the level minus its value at each segment
   start, and one class-major scoring pass over every candidate boundary
-  of every node.
+  of every node;
+* the categorical best-split scan for classification likewise
+  (:func:`~repro.core.splits.categorical_classification_scan`): one
+  ``bincount`` into a ``(class, node, category)`` table, and the subset
+  enumeration as one matrix product and one scoring pass per group of
+  nodes that see equally many categories.
 
 **Exactness.**  The kernel is bit-identical to growing the tree one node
 at a time with the per-column scans of :mod:`repro.core.splits` — the
@@ -46,23 +51,33 @@ repo's ground-truth invariant, with that recursion kept as the oracle in
   :func:`~repro.core.impurity.classification_children_scores`), whose
   arithmetic is elementwise per candidate and whose sum over classes
   runs in one fixed order — a candidate gets the same bits whether it is
-  scored alone, with its node, or with its level;
+  scored alone, with its node, or with its level.  Categorical
+  *classification* belongs here too: a subset's left counts are sums of
+  per-category class counts, integers far below ``2^53``, so they are
+  the same in any order and out of one table for the whole level, and
+  the column task's per-node scan is the one-segment call of the level
+  function — one implementation, one set of bits;
 * floating-point accumulations whose result depends on summation order —
-  regression cumulative sums, node means, categorical subset scans — are
-  *not* re-associated: the regression scan keeps a stable sort (tie
-  order does reach a cumulative sum of ``y``) and restarts its sums per
-  segment, and the other cases call the existing per-column split
-  functions in :mod:`repro.core.splits` on the node-contiguous slices of
-  the level gather, which see exactly the arrays a per-node scan sees;
+  regression cumulative sums, node means, categorical *regression* —
+  are *not* re-associated: the numeric regression scan keeps a stable
+  sort (tie order does reach a cumulative sum of ``y``) and restarts its
+  sums per segment, and categorical regression (float
+  ``bincount(weights=)`` sums in row order, ``c.sum()``, candidates
+  ordered by a ``lexsort`` on category means) calls
+  :func:`~repro.core.splits.best_categorical_regression_split` per node
+  on the node-contiguous slices of the level gather, which see exactly
+  the arrays a per-node scan sees.  Extra-trees also run per node: their
+  draws are keyed by node and taken one column at a time;
 * cross-column tie-breaking keeps the per-node rule (strictly smaller
   ``(score, column)`` wins, i.e. ties go to the lower column index), and
   within a column the first boundary achieving the minimum score wins,
   matching ``np.argmin``.
 
 The parity sweep in ``tests/test_builder.py`` pins all of this against
-the oracle, on tie-heavy, 9-class and non-collapsed hist-mode tables
-too; ``tests/test_splits.py`` holds the per-column scan to the
-stable-sort, row-major scan it replaced.
+the oracle, on tie-heavy, 9-class, non-collapsed hist-mode and
+cardinality-2-to-40 categorical tables too; ``tests/test_splits.py``
+holds the per-column scans — and the categorical one per level — to the
+scans they replaced, frozen in ``tests/reference_scan.py``.
 """
 
 from __future__ import annotations
@@ -93,8 +108,9 @@ from .impurity import (
 )
 from .splits import (
     CandidateSplit,
-    best_split_for_column,
+    best_categorical_regression_split,
     boundary_threshold,
+    categorical_classification_scan,
     left_class_counts,
     random_split_for_column,
     route_training_rows,
@@ -751,18 +767,23 @@ def build_subtree(
                         col, v, y_act, seg_act, a, act_sizes
                     )
                 )
+            elif criterion.is_classification:
+                entries.append(
+                    categorical_classification_scan(
+                        col, v, y_scan, act_starts, spec.n_categories,
+                        criterion, n_classes,
+                    )
+                )
             else:
-                # Order-sensitive float accumulations that cannot be
-                # restarted per segment (category subset scans): run the
-                # scalar per-column search on the node-contiguous slices.
+                # Categorical regression stays per node: its category
+                # sums are float ``bincount(weights=)`` accumulations in
+                # row order and its candidate order a sort by category
+                # mean, neither of which survives pooling a level.
                 splits = [
-                    best_split_for_column(
+                    best_categorical_regression_split(
                         col,
-                        spec.kind,
                         v[act_starts[j] : act_starts[j + 1]],
-                        y_scan[act_starts[j] : act_starts[j + 1]],
-                        criterion,
-                        n_classes,
+                        y_act[act_starts[j] : act_starts[j + 1]],
                         spec.n_categories,
                     )
                     for j in range(a)

@@ -14,7 +14,15 @@ implements the three cases the paper describes:
 * **Case 3 — categorical attribute, categorical target** (classification):
   subsets must be enumerated; following the paper, when ``|S_i|`` is large we
   restrict ``|S_l| = 1`` so only ``O(|S_i|)`` splits are checked, and we
-  enumerate all subsets exhaustively when ``|S_i|`` is small.
+  enumerate all subsets exhaustively when ``|S_i|`` is small.  One function,
+  :func:`categorical_classification_scan`, does this for all the nodes of a
+  level at once — a column task's single node is its one-segment call — and
+  the enumeration is a table: the 0/1 membership matrix of the subsets of
+  ``g`` categories, built once per ``g`` in enumeration order, times the
+  nodes' integer class counts gives every candidate's left counts, and the
+  first minimum along the candidate axis is the earliest-enumerated subset,
+  the tie rule of enumerating them one by one.  The level's count table is
+  built :data:`LEVEL_TABLE_BINS` bins (``int64``: 8 MiB) at a time.
 
 Missing values are excluded from split scoring; during training they are
 routed to the larger child, and at prediction time a missing or unseen value
@@ -41,6 +49,7 @@ point, so the order of tied rows changes their last bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +65,12 @@ from .impurity import (
 #: Enumerate all category subsets exhaustively when the number of non-empty
 #: categories at the node is at most this; otherwise restrict ``|S_l| = 1``.
 EXHAUSTIVE_SUBSET_LIMIT = 8
+
+#: Most ``(class, segment, category)`` bins that
+#: :func:`categorical_classification_scan` counts at once (``int64``: 8 MiB);
+#: a level with more is walked in runs of segments.  A constant, like
+#: serving's ``TILE_ROWS``, not an option.
+LEVEL_TABLE_BINS = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,15 +236,6 @@ def best_numeric_split(
     )
 
 
-def _category_stats_classification(
-    codes: np.ndarray, y: np.ndarray, n_categories: int, n_classes: int
-) -> np.ndarray:
-    """Class-count matrix of shape ``(n_categories, n_classes)``."""
-    flat = codes.astype(np.int64) * n_classes + label_codes(y)
-    counts = np.bincount(flat, minlength=n_categories * n_classes)
-    return counts.reshape(n_categories, n_classes).astype(np.float64)
-
-
 def best_categorical_regression_split(
     column: int,
     codes: np.ndarray,
@@ -306,6 +312,206 @@ def _enumerate_subsets(n: int) -> list[tuple[int, ...]]:
     return subsets
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_table(n: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The candidate subsets of ``n`` categories and their membership table.
+
+    ``table[i, j]`` is 1 when category ``i`` (of the node's non-empty
+    categories, in code order) is in candidate ``j``, candidates in the
+    order of :func:`_enumerate_subsets`, so ``counts @ table`` is every
+    candidate's left count at once.  A pure function of ``n``, asked for
+    ``2 <= n <= EXHAUSTIVE_SUBSET_LIMIT`` only, hence built once per
+    process and ``n`` and kept.
+    """
+    subsets = _enumerate_subsets(n)
+    table = np.zeros((n, len(subsets)))
+    for j, subset in enumerate(subsets):
+        table[list(subset), j] = 1.0
+    table.flags.writeable = False
+    return subsets, table
+
+
+@dataclass(slots=True)
+class CategoricalLevelScan:
+    """Case 3 results of one categorical column over the nodes of a level.
+
+    One entry per segment: the winning candidate, its score and left
+    size, and what the segment holds — arrays, so that a
+    :class:`CandidateSplit` is built only for a segment whose node picks
+    this column (:meth:`split_for`), not one per (node, column).
+    """
+
+    column: int
+    #: Winning candidate, -1 for none: an index into the enumerated
+    #: subsets of the categories the segment sees, or the category code
+    #: itself when it sees more than :data:`EXHAUSTIVE_SUBSET_LIMIT`.
+    best: np.ndarray
+    seg_scores: np.ndarray
+    n_left: np.ndarray
+    n_present: np.ndarray
+    n_missing: np.ndarray
+    #: ``(segments, categories)``: which categories a segment sees.
+    nonempty: np.ndarray
+
+    def key_for(self, segment: int) -> tuple[float, int] | None:
+        if self.best[segment] < 0:
+            return None
+        return (float(self.seg_scores[segment]), self.column)
+
+    def split_for(self, segment: int) -> CandidateSplit | None:
+        best = int(self.best[segment])
+        if best < 0:
+            return None
+        seen = self.nonempty[segment].nonzero()[0].tolist()
+        if len(seen) <= EXHAUSTIVE_SUBSET_LIMIT:
+            subsets, _ = _subset_table(len(seen))
+            left = frozenset(seen[i] for i in subsets[best])
+        else:
+            left = frozenset((best,))
+        nl = int(self.n_left[segment])
+        nr = int(self.n_present[segment]) - nl
+        nm = int(self.n_missing[segment])
+        return CandidateSplit(
+            column=self.column,
+            kind=ColumnKind.CATEGORICAL,
+            score=float(self.seg_scores[segment]),
+            n_left=nl + (nm if nl >= nr else 0),
+            n_right=nr + (0 if nl >= nr else nm),
+            left_categories=left,
+            right_categories=frozenset(seen) - left,
+            n_missing=nm,
+            missing_to_left=nl >= nr,
+        )
+
+
+def categorical_classification_scan(
+    column: int,
+    codes: np.ndarray,
+    y_codes: np.ndarray,
+    starts: np.ndarray,
+    n_categories: int,
+    criterion: Impurity,
+    n_classes: int,
+) -> CategoricalLevelScan:
+    """Case 3 (categorical attribute, categorical target) over a level.
+
+    Segment ``i`` — one node — is rows ``starts[i]:starts[i + 1]`` of
+    ``codes`` and of the ``int64`` class codes ``y_codes``; there is at
+    least one segment.  One ``bincount`` gives the class-major ``(class,
+    segment, category)`` count table of every segment, missing codes in
+    a slot of their own.  Segments that see the same number ``g`` of
+    categories are scored together: exhaustive subset enumeration when
+    ``g`` is at most :data:`EXHAUSTIVE_SUBSET_LIMIT` — the non-empty
+    categories' counts times the membership table of
+    :func:`_subset_table` — and otherwise the paper's ``|S_l| = 1``
+    restriction, one candidate per category with the empty ones masked
+    out.  The first minimum along the candidate axis wins: the
+    earliest-enumerated subset, or the lowest category code.
+
+    Every count is an integer below ``2^53`` (as ``int64``, or as
+    ``float64`` once through the matrix product), so no sum depends on
+    its order, and a candidate is scored by the elementwise
+    :func:`~repro.core.impurity.classification_children_scores`: it gets
+    the same bits alone, with its node or with its level.
+    """
+    n_segments = starts.size - 1
+    # A code's slot is ``code - MISSING_CODE``: slot 0 counts the missing.
+    slots = n_categories + 1
+    step = max(1, LEVEL_TABLE_BINS // (n_classes * slots))
+    runs = []
+    for first in range(0, n_segments, step):
+        m = min(step, n_segments - first)
+        lo, hi = int(starts[first]), int(starts[first + m])
+        flat = y_codes[lo:hi] * (m * slots)
+        flat += codes[lo:hi]
+        if m == 1:  # one segment: no per-row segment offset to build
+            flat -= MISSING_CODE
+        else:
+            flat += np.repeat(
+                np.arange(-MISSING_CODE, m * slots, slots),
+                np.diff(starts[first : first + m + 1]),
+            )
+        table = np.bincount(flat, minlength=n_classes * m * slots)
+        runs.append(
+            _scan_count_table(table.reshape(n_classes, m, slots), criterion)
+        )
+    fields = runs[0] if len(runs) == 1 else map(np.concatenate, zip(*runs))
+    return CategoricalLevelScan(column, *fields)
+
+
+def _scan_count_table(table: np.ndarray, criterion: Impurity) -> tuple:
+    """The fields of a :class:`CategoricalLevelScan` from the ``(class,
+    segment, slot)`` counts of a run of segments."""
+    n_classes = table.shape[0]
+    counts = table[:, :, 1:]
+    class_totals = counts.sum(axis=2)
+    slot_totals = table.sum(axis=0)
+    n_missing = slot_totals[:, 0]
+    cat_totals = slot_totals[:, 1:]
+    n_present = cat_totals.sum(axis=1)
+    nonempty = cat_totals > 0
+    n_seen = nonempty.sum(axis=1)
+    m, n_categories = nonempty.shape
+    picked = []  # per group: its segments, their winners, scores, left sizes
+
+    def pick(members, left, n_left, offered=None):
+        """Score every candidate of segments ``members``, keep the best."""
+        scores = classification_children_scores(
+            left,
+            n_left,
+            class_totals[:, members, None] - left,
+            n_present[members, None] - n_left,
+            criterion,
+        )
+        if offered is not None:
+            scores = np.where(offered, scores, np.inf)
+        winner = scores.argmin(axis=1)  # first minimum, the scalar tie rule
+        rows = np.arange(winner.size)
+        picked.append(
+            (members, winner, scores[rows, winner], n_left[rows, winner])
+        )
+
+    # Segments that see equally many categories share a candidate list and
+    # are scored together.  Where a group is every segment of the run (the
+    # root, most shallow levels, a single node) it is indexed with a slice,
+    # which gives views where an index array gives copies.
+    groups = set(n_seen.tolist())
+    everyone = slice(None)
+    for g in groups:
+        if not 2 <= g <= EXHAUSTIVE_SUBSET_LIMIT:
+            continue  # nothing to split on, or too many to enumerate (below)
+        members = everyone if len(groups) == 1 else (n_seen == g).nonzero()[0]
+        live, live_totals = counts[:, members], cat_totals[members]
+        if g < n_categories:  # drop the categories a segment does not see
+            seen = nonempty[members]
+            live = live[:, seen].reshape(n_classes, -1, g)
+            live_totals = live_totals[seen].reshape(-1, g)
+        _, membership = _subset_table(g)
+        pick(members, live @ membership, live_totals @ membership)
+    if max(groups) > EXHAUSTIVE_SUBSET_LIMIT:
+        # |S_l| = 1: each category is a candidate, the empty ones masked.
+        members = (
+            everyone
+            if min(groups) > EXHAUSTIVE_SUBSET_LIMIT
+            else (n_seen > EXHAUSTIVE_SUBSET_LIMIT).nonzero()[0]
+        )
+        pick(
+            members, counts[:, members], cat_totals[members], nonempty[members]
+        )
+    if len(picked) == 1 and picked[0][0] is everyone:
+        # One group that is the whole run: its arrays are the result.
+        _, best, seg_scores, seg_n_left = picked[0]
+    else:
+        best = np.full(m, -1, dtype=np.int64)
+        seg_scores = np.full(m, np.inf)
+        seg_n_left = np.zeros(m, dtype=np.int64)
+        for members, winner, score, n_left in picked:
+            best[members] = winner
+            seg_scores[members] = score
+            seg_n_left[members] = n_left
+    return best, seg_scores, seg_n_left, n_present, n_missing, nonempty
+
+
 def best_categorical_classification_split(
     column: int,
     codes: np.ndarray,
@@ -314,65 +520,16 @@ def best_categorical_classification_split(
     criterion: Impurity,
     n_classes: int,
 ) -> CandidateSplit | None:
-    """Case 3: categorical attribute, categorical target.
-
-    Exhaustive subset enumeration when the node sees at most
-    :data:`EXHAUSTIVE_SUBSET_LIMIT` categories; otherwise the paper's
-    ``|S_l| = 1`` restriction (one-vs-rest per category).
-    """
-    present = codes != MISSING_CODE
-    n_missing = int(codes.size - present.sum())
-    cd = codes[present]
-    ys = y[present]
-    if cd.size < 2:
-        return None
-
-    stats = _category_stats_classification(cd, ys, n_categories, n_classes)
-    cat_totals = stats.sum(axis=1)
-    nonempty = np.nonzero(cat_totals > 0)[0]
-    if nonempty.size < 2:
-        return None
-    live = stats[nonempty]  # (g, k) stats of non-empty categories
-    total = live.sum(axis=0)
-    n_total = float(total.sum())
-
-    if nonempty.size <= EXHAUSTIVE_SUBSET_LIMIT:
-        candidates = _enumerate_subsets(nonempty.size)
-        left_counts = np.stack(
-            [live[list(subset)].sum(axis=0) for subset in candidates]
-        )
-    else:
-        candidates = [(i,) for i in range(nonempty.size)]
-        left_counts = live
-
-    n_left = left_counts.sum(axis=1)
-    n_right = n_total - n_left
-    valid = (n_left > 0) & (n_right > 0)
-    if not valid.any():
-        return None
-    scores = classification_children_scores(
-        left_counts.T, n_left, (total - left_counts).T, n_right, criterion
-    )
-    scores = np.where(valid, scores, np.inf)
-    best = int(np.argmin(scores))
-
-    left_local = set(candidates[best])
-    left = frozenset(int(nonempty[i]) for i in left_local)
-    right = frozenset(
-        int(nonempty[i]) for i in range(nonempty.size) if i not in left_local
-    )
-    nl, nr = int(n_left[best]), int(n_right[best])
-    return CandidateSplit(
-        column=column,
-        kind=ColumnKind.CATEGORICAL,
-        score=float(scores[best]),
-        n_left=nl + (n_missing if nl >= nr else 0),
-        n_right=nr + (0 if nl >= nr else n_missing),
-        left_categories=left,
-        right_categories=right,
-        n_missing=n_missing,
-        missing_to_left=nl >= nr,
-    )
+    """Case 3 for one node: the one-segment call of the level scan."""
+    return categorical_classification_scan(
+        column,
+        codes,
+        label_codes(y),
+        np.array([0, codes.size]),
+        n_categories,
+        criterion,
+        n_classes,
+    ).split_for(0)
 
 
 def best_split_for_column(
@@ -386,9 +543,10 @@ def best_split_for_column(
 ) -> CandidateSplit | None:
     """Dispatch to the right Appendix-B case for one attribute.
 
-    This single entry point is shared by the serial builder, the column-task
-    worker code in the distributed engine, and the subtree builder, which is
-    what guarantees all of them pick identical splits.
+    The entry point of a column task and of the reference recursion in
+    ``tests/``.  The level kernel runs the same scans a level at a time
+    (categorical regression: this module's function, node by node), which
+    is what guarantees all of them pick identical splits.
     """
     if kind is ColumnKind.NUMERIC:
         return best_numeric_split(column, values, y, criterion, n_classes)

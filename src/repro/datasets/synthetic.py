@@ -232,8 +232,8 @@ def generate(spec: SyntheticSpec) -> DataTable:
             size = int(rng.integers(1, max(2, cardinality // 2 + 1)))
             chosen = rng.choice(cardinality, size=size, replace=False)
             above = np.isin(columns[column], chosen)
-        scores[above] += contribution
-        scores[~above] -= 0.5 * contribution
+        # One add: ``x - y`` is ``x + (-y)`` bit for bit in IEEE arithmetic.
+        scores += np.where(above[:, None], contribution, -0.5 * contribution)
 
     # Interaction component: a planted tree over the same relevant columns.
     planted = _grow_planted_tree(

@@ -13,8 +13,12 @@ Frozen: do not optimise, do not vectorise, do not route through
 ``repro.core.kernel``.  The two functions are verbatim but for the name
 ``reference_build_subtree`` (it was ``build_subtree``, which now names
 the kernel).  The leaf rules, RNG keys and per-column scans they call
-are the production ones; the numeric scan has its own oracle in
-``tests/reference_scan.py``.
+are the production ones — ``best_split_for_column``, one node at a time,
+which for a categorical column under a classification criterion is the
+one-segment call of the kernel's level scan; the numeric scan
+(``reference_numeric_split``) and that categorical scan
+(``reference_categorical_classification_split``) have their own oracles
+in ``tests/reference_scan.py``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,39 @@
-"""The numeric split scan as it stood before PR 15, frozen as a test oracle.
+"""Split scans as they stood before they were rewritten, frozen as test oracles.
 
-Stable sort, row-major ``(m, n_classes)`` class counts reduced with
+:func:`reference_numeric_split` is the numeric scan before PR 15: stable
+sort, row-major ``(m, n_classes)`` class counts reduced with
 ``sum(axis=1)``, impurities weighted in a separate pass.  The production
 scan (:func:`repro.core.splits.best_numeric_split`) sorts unstably and scores
 class-major; ``tests/test_splits.py`` holds it to this function's outputs.
-Nothing here may import the production scoring functions.
+
+:func:`reference_categorical_classification_split` is the Appendix B
+case 3 scan before PR 20: one node at a time, float64 class counts, the
+subsets re-enumerated in Python and summed one list comprehension each.
+The production scan
+(:func:`repro.core.splits.categorical_classification_scan`) counts a whole
+level in one integer table and reads the subsets from a membership table
+built once per category count; ``tests/test_splits.py`` holds it — alone
+and per level — to this function's outputs, bit for bit.
+
+Frozen: do not optimise.  Nothing here may import the production scoring
+functions, with one stated exception: the categorical oracle calls
+:func:`repro.core.impurity.classification_children_scores`, as the scan
+it froze did.  PR 20 did not touch scoring — what it changed is counting,
+enumeration and tie-break, and those are what the oracle keeps its own
+copy of (``_category_stats_classification``, ``_enumerate_subsets``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.impurity import Impurity
+from repro.core.impurity import Impurity, classification_children_scores
 from repro.core.splits import CandidateSplit
 from repro.data.schema import ColumnKind
+from repro.data.table import MISSING_CODE
+
+#: The value of ``repro.core.splits.EXHAUSTIVE_SUBSET_LIMIT`` when frozen.
+EXHAUSTIVE_SUBSET_LIMIT = 8
 
 
 def gini_rows(counts: np.ndarray) -> np.ndarray:
@@ -104,6 +124,106 @@ def reference_numeric_split(
         n_left=nl + (n_missing if nl >= nr else 0),
         n_right=nr + (0 if nl >= nr else n_missing),
         threshold=float(sv[boundary[best]]),
+        n_missing=n_missing,
+        missing_to_left=nl >= nr,
+    )
+
+
+def label_codes(y: np.ndarray) -> np.ndarray:
+    return y.astype(np.int64, copy=False)
+
+
+def _category_stats_classification(
+    codes: np.ndarray, y: np.ndarray, n_categories: int, n_classes: int
+) -> np.ndarray:
+    """Class-count matrix of shape ``(n_categories, n_classes)``."""
+    flat = codes.astype(np.int64) * n_classes + label_codes(y)
+    counts = np.bincount(flat, minlength=n_categories * n_classes)
+    return counts.reshape(n_categories, n_classes).astype(np.float64)
+
+
+def _enumerate_subsets(n: int) -> list[tuple[int, ...]]:
+    """Proper non-empty subsets of ``range(n)`` that contain element 0.
+
+    Fixing element 0 on the left removes mirror-image duplicates, leaving
+    ``2^(n-1) - 1`` distinct binary partitions.
+    """
+    subsets: list[tuple[int, ...]] = []
+    for mask in range(1, 1 << (n - 1)):
+        subset = tuple(
+            i for i in range(n) if (i == 0) or (mask >> (i - 1)) & 1
+        )
+        if len(subset) < n:
+            subsets.append(subset)
+    # mask == 0 case: {0} alone.
+    subsets.insert(0, (0,))
+    return subsets
+
+
+def reference_categorical_classification_split(
+    column: int,
+    codes: np.ndarray,
+    y: np.ndarray,
+    n_categories: int,
+    criterion: Impurity,
+    n_classes: int,
+) -> CandidateSplit | None:
+    """Case 3: categorical attribute, categorical target.
+
+    Exhaustive subset enumeration when the node sees at most
+    :data:`EXHAUSTIVE_SUBSET_LIMIT` categories; otherwise the paper's
+    ``|S_l| = 1`` restriction (one-vs-rest per category).
+    """
+    present = codes != MISSING_CODE
+    n_missing = int(codes.size - present.sum())
+    cd = codes[present]
+    ys = y[present]
+    if cd.size < 2:
+        return None
+
+    stats = _category_stats_classification(cd, ys, n_categories, n_classes)
+    cat_totals = stats.sum(axis=1)
+    nonempty = np.nonzero(cat_totals > 0)[0]
+    if nonempty.size < 2:
+        return None
+    live = stats[nonempty]  # (g, k) stats of non-empty categories
+    total = live.sum(axis=0)
+    n_total = float(total.sum())
+
+    if nonempty.size <= EXHAUSTIVE_SUBSET_LIMIT:
+        candidates = _enumerate_subsets(nonempty.size)
+        left_counts = np.stack(
+            [live[list(subset)].sum(axis=0) for subset in candidates]
+        )
+    else:
+        candidates = [(i,) for i in range(nonempty.size)]
+        left_counts = live
+
+    n_left = left_counts.sum(axis=1)
+    n_right = n_total - n_left
+    valid = (n_left > 0) & (n_right > 0)
+    if not valid.any():
+        return None
+    scores = classification_children_scores(
+        left_counts.T, n_left, (total - left_counts).T, n_right, criterion
+    )
+    scores = np.where(valid, scores, np.inf)
+    best = int(np.argmin(scores))
+
+    left_local = set(candidates[best])
+    left = frozenset(int(nonempty[i]) for i in left_local)
+    right = frozenset(
+        int(nonempty[i]) for i in range(nonempty.size) if i not in left_local
+    )
+    nl, nr = int(n_left[best]), int(n_right[best])
+    return CandidateSplit(
+        column=column,
+        kind=ColumnKind.CATEGORICAL,
+        score=float(scores[best]),
+        n_left=nl + (n_missing if nl >= nr else 0),
+        n_right=nr + (0 if nl >= nr else n_missing),
+        left_categories=left,
+        right_categories=right,
         n_missing=n_missing,
         missing_to_left=nl >= nr,
     )

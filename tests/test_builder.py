@@ -283,6 +283,7 @@ def _parity_table(
     seed=9,
     n_classes=3,
     n_rows=500,
+    cardinality=6,
 ):
     return generate(
         SyntheticSpec(
@@ -291,6 +292,7 @@ def _parity_table(
             n_rows=n_rows,
             n_numeric=4,
             n_categorical=2,
+            categorical_cardinality=cardinality,
             n_classes=n_classes if problem is ProblemKind.CLASSIFICATION else 2,
             planted_depth=4,
             noise=0.25,
@@ -404,6 +406,101 @@ class TestKernelParity:
         for node in serial.nodes():
             if node.split is not None and node.split.threshold == 0.0:
                 assert not np.signbit(node.split.threshold)
+
+    @pytest.mark.parametrize("split_mode", ["exact", "hist"])
+    @pytest.mark.parametrize("criterion", [Impurity.GINI, Impurity.ENTROPY])
+    @pytest.mark.parametrize("missing", [0.0, 0.1])
+    @pytest.mark.parametrize("cardinality", [2, 8, 9, 13, 40])
+    def test_categorical_cardinalities(
+        self, cardinality, missing, criterion, split_mode
+    ):
+        """Scalar recursion == level kernel == ``sim`` distributed on
+        categorical columns either side of the subset-enumeration limit:
+        the recursion and the column tasks scan one node at a time, the
+        kernel a level at a time, through one function."""
+        table = _parity_table(cardinality=cardinality, missing=missing)
+        config = TreeConfig(
+            max_depth=None,
+            criterion=criterion,
+            seed=3,
+            split_mode=split_mode,
+            max_bins=16,
+        )
+        serial = assert_matches_reference(table, config)
+        assert_sim_matches(table, config, serial)
+        assert any(
+            node.split is not None and node.split.left_categories
+            for node in serial.nodes()
+        )
+
+    def test_categorical_classification_leaves_the_per_node_path(
+        self, monkeypatch
+    ):
+        """Under a classification criterion the kernel calls the level
+        scan once per categorical column per level and no per-node split
+        function; categorical regression still scans node by node."""
+        from repro.core import kernel, splits
+
+        calls = {"level": 0, "node": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            kernel,
+            "categorical_classification_scan",
+            counting("level", kernel.categorical_classification_scan),
+        )
+        for name in (
+            "best_split_for_column",
+            "best_categorical_classification_split",
+        ):
+            monkeypatch.setattr(
+                splits, name, counting("node", getattr(splits, name))
+            )
+        monkeypatch.setattr(
+            kernel,
+            "best_categorical_regression_split",
+            counting("node", kernel.best_categorical_regression_split),
+        )
+        tree = train_tree(_parity_table(), TreeConfig(max_depth=3, seed=3))
+        assert tree.depth == 3
+        assert calls == {"level": 2 * 3, "node": 0}  # 2 columns, 3 levels
+
+        calls.update(level=0, node=0)
+        tree = train_tree(
+            _parity_table(problem=ProblemKind.REGRESSION),
+            TreeConfig(max_depth=3, seed=4),
+        )
+        internal = sum(not node.is_leaf for node in tree.nodes())
+        assert calls["level"] == 0 and calls["node"] >= 2 * internal > 0
+
+    def test_subsets_are_enumerated_once_per_category_count(self, monkeypatch):
+        """The subset table is a pure function of the number of seen
+        categories: a 3-level build (7 nodes, 2 categorical columns)
+        enumerates at most once for each, and a second build not at all."""
+        from repro.core import splits
+
+        enumerated = []
+        enumerate_subsets = splits._enumerate_subsets
+
+        def counting(n):
+            enumerated.append(n)
+            return enumerate_subsets(n)
+
+        monkeypatch.setattr(splits, "_enumerate_subsets", counting)
+        splits._subset_table.cache_clear()  # as in a fresh process
+        table = _parity_table()
+        train_tree(table, TreeConfig(max_depth=3, seed=3))
+        assert enumerated and len(enumerated) == len(set(enumerated))
+        assert max(enumerated) <= splits.EXHAUSTIVE_SUBSET_LIMIT
+        before = list(enumerated)
+        train_tree(table, TreeConfig(max_depth=3, seed=3))
+        assert enumerated == before
 
     def test_regression_tie_heavy(self):
         table = _tie_heavy(_parity_table(problem=ProblemKind.REGRESSION))

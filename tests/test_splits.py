@@ -5,11 +5,14 @@ grouped algorithms of Appendix B must agree with exhaustive enumeration of
 every possible split on small random inputs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import splits
 from repro.core.impurity import (
     Impurity,
     classification_impurity,
@@ -23,13 +26,17 @@ from repro.core.splits import (
     best_categorical_regression_split,
     best_numeric_split,
     best_split_for_column,
+    categorical_classification_scan,
     random_split_for_column,
     route_test_value,
     route_training_rows,
 )
 from repro.data.schema import ColumnKind
 
-from .reference_scan import reference_numeric_split
+from .reference_scan import (
+    reference_categorical_classification_split,
+    reference_numeric_split,
+)
 
 
 def brute_force_numeric(values, y, criterion, n_classes):
@@ -187,14 +194,167 @@ def _scan_cases(draw):
     return values, y, n_classes
 
 
-class TestScanAgainstFrozenOracle:
-    """The production scan vs the pre-PR-15 scan kept in reference_scan.py.
+_MISSING_RATES = {"none": 0.0, "few": 0.02, "most": 0.95, "all": 1.0}
 
-    Unstable sort and class-major scoring must not move any output: the
-    split is equal field by field, and the score bit for bit while NumPy's
-    row sum is sequential (up to 7 classes); from 8 classes on the
-    class-by-class order is the definition and may differ in the last bits.
+
+@st.composite
+def _categorical_cases(draw, max_rows=60):
+    """One node of a categorical column: ``(codes, y, n_categories,
+    n_classes)``.  1-12 declared categories of which any number occur, so
+    both the enumerated and the ``|S_l| = 1`` branch and the 8 / 9 edge
+    between them; no, few, most or all codes missing; one-class nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_rows))
+    n_categories = draw(st.integers(min_value=1, max_value=12))
+    n_present = draw(st.integers(min_value=0, max_value=n_categories))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.full(n, -1, dtype=np.int32)
+    if n_present:
+        present = rng.choice(n_categories, size=n_present, replace=False)
+        codes = rng.choice(present, size=n).astype(np.int32)
+    rate = _MISSING_RATES[draw(st.sampled_from(sorted(_MISSING_RATES)))]
+    codes[rng.random(n) < rate] = -1
+    n_classes = draw(st.integers(min_value=2, max_value=12))
+    y = rng.integers(0, n_classes, size=n)
+    if draw(st.sampled_from([False, False, False, True])):
+        y[:] = y[0]  # a pure node
+    return codes, y, n_categories, n_classes
+
+
+def _same_split_same_bits(got, want):
+    assert got == want  # every field, the score included
+    if want is not None:
+        assert np.signbit(got.score) == np.signbit(want.score)
+
+
+class TestScanAgainstFrozenOracle:
+    """The production scans vs the scans kept in reference_scan.py.
+
+    Numeric (frozen before PR 15): unstable sort and class-major scoring
+    must not move any output: the split is equal field by field, and the
+    score bit for bit while NumPy's row sum is sequential (up to 7
+    classes); from 8 classes on the class-by-class order is the definition
+    and may differ in the last bits.
+
+    Categorical classification (frozen before PR 20): the level-wide,
+    table-driven scan changes counting, enumeration and tie-break but not
+    scoring, so split and score are equal bit for bit at every class
+    count, for one node and for every node of a level.
     """
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        case=_categorical_cases(),
+        criterion=st.sampled_from([Impurity.GINI, Impurity.ENTROPY]),
+    )
+    def test_categorical_matches_oracle(self, case, criterion):
+        codes, y, n_categories, n_classes = case
+        args = (2, codes, y, n_categories, criterion, n_classes)
+        want = reference_categorical_classification_split(*args)
+        _same_split_same_bits(
+            best_categorical_classification_split(*args), want
+        )
+        # Labels as floats (the serial builder's) change nothing.
+        _same_split_same_bits(
+            best_categorical_classification_split(
+                2, codes, y.astype(np.float64), *args[3:]
+            ),
+            want,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_categories=st.integers(min_value=1, max_value=12),
+        n_classes=st.integers(min_value=2, max_value=9),
+        sizes=st.lists(
+            st.sampled_from([0, 0, 1, 1, 2, 3, 7, 20, 45]),
+            min_size=1,
+            max_size=12,
+        ),
+        table_bins=st.sampled_from([1, 40, 300, splits.LEVEL_TABLE_BINS]),
+        criterion=st.sampled_from([Impurity.GINI, Impurity.ENTROPY]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_categorical_level_matches_oracle_per_segment(
+        self, n_categories, n_classes, sizes, table_bins, criterion, seed
+    ):
+        """A level equals the oracle called once per segment — with empty
+        and 1-row segments, segments that see one category or only missing
+        codes, and the count table cut into runs of segments (down to one
+        segment a run) by a tiny bin constant."""
+        rng = np.random.default_rng(seed)
+        starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        codes = rng.integers(0, n_categories, size=starts[-1]).astype(np.int32)
+        codes[rng.random(codes.size) < 0.05] = -1
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            kind = rng.integers(8)
+            if kind < 2:  # sees a few of the categories only
+                few = rng.choice(n_categories, size=rng.integers(1, 4))
+                codes[lo:hi] = rng.choice(few, size=hi - lo)
+            elif kind == 2:  # sees none: every code missing
+                codes[lo:hi] = -1
+        y = rng.integers(0, n_classes, size=codes.size)
+        with mock.patch.object(splits, "LEVEL_TABLE_BINS", table_bins):
+            scan = categorical_classification_scan(
+                4, codes, y, starts, n_categories, criterion, n_classes
+            )
+        for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            want = reference_categorical_classification_split(
+                4, codes[lo:hi], y[lo:hi], n_categories, criterion, n_classes
+            )
+            _same_split_same_bits(scan.split_for(i), want)
+            assert scan.key_for(i) == (
+                None if want is None else want.sort_key()
+            )
+
+    @pytest.mark.parametrize("criterion", [Impurity.GINI, Impurity.ENTROPY])
+    def test_unseen_category_never_wins_a_tie(self, criterion):
+        """``|S_l| = 1`` with every candidate tied at the parent's
+        impurity, which is also what an empty left child would score: the
+        first *seen* category wins, not the unseen lower code."""
+        codes = np.repeat(np.arange(1, 11), 2).astype(np.int32)
+        y = np.tile([0, 1], 10)
+        args = (0, codes, y, 12, criterion, 2)
+        got = best_categorical_classification_split(*args)
+        _same_split_same_bits(
+            got, reference_categorical_classification_split(*args)
+        )
+        assert got.left_categories == {1} and got.n_left == 2
+
+    def test_level_count_table_stays_within_the_bin_constant(self):
+        """300 categories at a 512-node level: more bins than
+        ``LEVEL_TABLE_BINS``, so the table is built in runs of segments,
+        none larger than the constant, and the result is the oracle's."""
+        n_categories, n_classes, n_segments = 300, 8, 512
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(0, 40, size=n_segments)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        codes = rng.integers(0, n_categories, size=starts[-1]).astype(np.int32)
+        codes[rng.random(codes.size) < 0.02] = -1
+        y = rng.integers(0, n_classes, size=codes.size)
+        assert (
+            n_segments * (n_categories + 1) * n_classes
+            > splits.LEVEL_TABLE_BINS
+        )
+        table_sizes = []
+        scan_count_table = splits._scan_count_table
+
+        def recording(table, criterion):
+            table_sizes.append(table.size)
+            return scan_count_table(table, criterion)
+
+        with mock.patch.object(splits, "_scan_count_table", recording):
+            scan = categorical_classification_scan(
+                0, codes, y, starts, n_categories, Impurity.GINI, n_classes
+            )
+        assert len(table_sizes) > 1
+        assert max(table_sizes) <= splits.LEVEL_TABLE_BINS
+        for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+            assert scan.split_for(i) == (
+                reference_categorical_classification_split(
+                    0, codes[lo:hi], y[lo:hi], n_categories,
+                    Impurity.GINI, n_classes,
+                )
+            )
 
     @settings(max_examples=300, deadline=None)
     @given(
