@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
+from .server import LatencyWindow
 
 
 class ThrottledError(Exception):
@@ -120,13 +119,7 @@ class AdmissionStats:
     admitted: int = 0
     throttled: int = 0
     #: Most recent queue waits of admitted requests (seconds).
-    queue_waits: deque = field(default_factory=lambda: deque(maxlen=65536))
-
-    def queue_wait_percentile_ms(self, q: float) -> float:
-        """Queue-wait percentile over the recorded window, milliseconds."""
-        if not self.queue_waits:
-            return 0.0
-        return float(np.percentile(np.asarray(self.queue_waits), q) * 1e3)
+    queue_waits: LatencyWindow = field(default_factory=LatencyWindow)
 
 
 class AdmissionController:

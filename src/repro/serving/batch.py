@@ -91,7 +91,8 @@ class BatchPredictor:
         self._depth = forest.max_depth()
 
         feature = stacked["feature"].astype(np.intp)
-        self._n_columns = int(feature.max()) + 1  # columns a batch must have
+        #: Columns a batch must have (one past the last split column).
+        self.n_columns = int(feature.max()) + 1
         leaf = feature < 0
         feature[leaf] = 0  # any valid column: a leaf's moves all stay
         self._feature = feature
@@ -133,11 +134,11 @@ class BatchPredictor:
         is ``intp[n_trees * n]``, tree-major.
         """
         n, n_columns = block.shape
-        if n_columns < self._n_columns:
+        if n_columns < self.n_columns:
             # The flat gather below would read into the next row.
             raise IndexError(
                 f"batch has {n_columns} columns, the model splits on "
-                f"column {self._n_columns - 1}"
+                f"column {self.n_columns - 1}"
             )
         values = block.reshape(-1)
         node = np.repeat(self._roots, n)

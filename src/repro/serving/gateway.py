@@ -44,7 +44,6 @@ import json
 import math
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -53,7 +52,12 @@ import numpy as np
 from .admission import AdmissionController, QuotaConfig, ThrottledError
 from .compiler import FlatForest
 from .registry import ModelRegistry, default_registry, load_compiled_local
-from .server import PredictionServer, QueueFullError, ServingReport
+from .server import (
+    LatencyWindow,
+    PredictionServer,
+    QueueFullError,
+    ServingReport,
+)
 from .shm_model import flat_fingerprint
 
 #: Hard ceiling on request-line/header line length (bytes).
@@ -122,13 +126,9 @@ class GatewayStats:
     rollbacks: int = 0
     #: Recent end-to-end predict latencies through the gateway (seconds);
     #: feeds the p99-derived hedge delay.
-    latencies: deque = field(default_factory=lambda: deque(maxlen=4096))
-
-    def latency_percentile_ms(self, q: float) -> float:
-        """Gateway predict-latency percentile (milliseconds)."""
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q) * 1e3)
+    latencies: LatencyWindow = field(
+        default_factory=lambda: LatencyWindow(maxlen=4096)
+    )
 
 
 def combine_reports(reports: list[ServingReport]) -> ServingReport:
@@ -358,7 +358,7 @@ class Gateway:
             return cfg.hedge_after_ms / 1e3
         if len(self.stats.latencies) < cfg.hedge_min_samples:
             return cfg.hedge_initial_ms / 1e3
-        p99_ms = self.stats.latency_percentile_ms(99)
+        p99_ms = self.stats.latencies.percentile_ms(99)
         return (
             min(max(p99_ms * cfg.hedge_p99_factor, cfg.hedge_min_ms),
                 cfg.hedge_max_ms)
@@ -424,6 +424,16 @@ class Gateway:
             ) from None
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise _HttpReply(400, {"error": "need at least one row"})
+        expected = self.replicas[0].predictor.n_columns
+        if matrix.shape[1] < expected:
+            raise _HttpReply(
+                400,
+                {
+                    "error": "too few columns",
+                    "expected_columns": expected,
+                    "received_columns": int(matrix.shape[1]),
+                },
+            )
         proba = bool(body.get("proba", False))
         client = str(
             headers.get("x-client") or body.get("client") or "default"
@@ -572,11 +582,11 @@ class Gateway:
             "rollbacks": s.rollbacks,
             "hedge_delay_ms": self.hedge_delay_seconds() * 1e3,
             "queue_wait_ms_p50":
-                self.admission.stats.queue_wait_percentile_ms(50),
+                self.admission.stats.queue_waits.percentile_ms(50),
             "queue_wait_ms_p99":
-                self.admission.stats.queue_wait_percentile_ms(99),
-            "gateway_p50_latency_ms": s.latency_percentile_ms(50),
-            "gateway_p99_latency_ms": s.latency_percentile_ms(99),
+                self.admission.stats.queue_waits.percentile_ms(99),
+            "gateway_p50_latency_ms": s.latencies.percentile_ms(50),
+            "gateway_p99_latency_ms": s.latencies.percentile_ms(99),
         }
 
     # ------------------------------------------------------------------

@@ -14,6 +14,37 @@ Rejections are counted *structurally* — queue-full backpressure separately
 from submits that arrive after shutdown began — so a saturated server and
 a mis-sequenced client look different in the shutdown summary.
 
+**What is paid per request, and what per micro-batch.**  The dispatcher
+follows the paper's Section IV rule for a coordinating thread (quoted in
+``core/master.py``): it manages work and does nothing per item on the
+critical path that it can do per batch.
+
+* Per request: one small object (the :class:`PredictionFuture`, which
+  *is* the queue entry — it owns no lock, event or condition) and one
+  ``deque.append`` inside one critical section that also holds the
+  capacity check, so the bound is exact under racing producers.
+* Per micro-batch: one wake-up of the dispatcher (``submit`` notifies only
+  when the queue goes empty -> non-empty, which is the only state the
+  dispatcher ever sleeps in), one lock hold that takes the whole backlog
+  up to ``max_batch_size`` rows, one ``concatenate``, one kernel call, one
+  ``extend`` of the latency window, and one ``notify_all`` on the
+  server-wide ``served`` condition.
+
+No wake-up can be lost: the dispatcher stores a future's block and then its
+``_done`` flag *before* it takes the ``served`` lock to notify, and a
+waiter tests ``_done`` while holding that lock — so either the waiter sees
+the flag, or it is already inside ``wait()`` when the notify is sent.
+``result()`` on a future that is already done touches no lock at all (in a
+closed loop that is all but the first wait of every batch).  A
+``notify_all`` wakes every thread blocked in ``result()``, whichever batch
+it waits for; that is bounded by the caller's thread count (the gateway
+blocks at most ``max(8, 4 x replicas)`` executor threads), and each
+re-tests its own flag.
+
+A micro-batch holds requests of one column count only (a width change ends
+the batch), and a request narrower than the model needs is refused at
+``submit`` — so a malformed request can only ever fail itself.
+
 With ``n_workers=N`` the kernel call is delegated to a
 :class:`~repro.serving.fleet.ServingFleet`: N OS processes attach the
 compiled model from one shared-memory segment and each serves a
@@ -35,7 +66,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty, Full, Queue
 
 import numpy as np
 
@@ -88,6 +118,22 @@ class ServerConfig:
             raise ValueError("queue_capacity must be >= 1")
 
 
+class LatencyWindow(deque):
+    """The most recent ``maxlen`` durations (seconds), read in milliseconds:
+    the one bounded window behind the server, gateway and admission stats."""
+
+    def __init__(self, iterable=(), maxlen: int = 65536) -> None:
+        super().__init__(iterable, maxlen)
+
+    def percentile_ms(self, q: float) -> float:
+        """Percentile ``q`` of the window in milliseconds (0 when empty)."""
+        return float(np.percentile(self, q) * 1e3) if self else 0.0
+
+    def max_ms(self) -> float:
+        """Largest duration of the window in milliseconds (0 when empty)."""
+        return float(max(self) * 1e3) if self else 0.0
+
+
 @dataclass
 class ServingStats:
     """Raw counters accumulated by the dispatcher thread."""
@@ -103,18 +149,12 @@ class ServingStats:
     first_enqueue: float | None = None
     last_complete: float | None = None
     #: Most recent per-request latencies (seconds); bounded window.
-    latencies: deque = field(default_factory=lambda: deque(maxlen=65536))
+    latencies: LatencyWindow = field(default_factory=LatencyWindow)
 
     @property
     def rejected(self) -> int:
         """Total rejected submits, all causes (compat roll-up)."""
         return self.rejected_queue_full + self.rejected_shutdown
-
-    def latency_percentile_ms(self, q: float) -> float:
-        """Latency percentile over the recorded window, in milliseconds."""
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q) * 1e3)
 
 
 @dataclass
@@ -185,44 +225,43 @@ class ServingReport:
 
 
 class PredictionFuture:
-    """Handle returned by ``submit``; resolves to this request's block."""
+    """Handle returned by ``submit``; resolves to this request's block.
 
-    def __init__(self, n_rows: int) -> None:
-        self.n_rows = n_rows
-        self._event = threading.Event()
+    Also the queue entry: it carries the request's rows to the dispatcher.
+    It owns no synchronisation object — ``_served`` is the server's one
+    condition, shared by every future of that server.
+    """
+
+    __slots__ = (
+        "n_rows", "_rows", "_proba", "_enqueued",
+        "_served", "_done", "_value", "_error",
+    )
+
+    def __init__(
+        self, rows: np.ndarray, proba: bool, served: threading.Condition
+    ) -> None:
+        self.n_rows = len(rows)
+        self._rows = rows
+        self._proba = proba
+        self._enqueued = time.monotonic()
+        self._served = served
+        self._done = False
         self._value: np.ndarray | None = None
         self._error: BaseException | None = None
 
-    def _resolve(self, value: np.ndarray) -> None:
-        self._value = value
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
     def done(self) -> bool:
         """Whether the result (or an error) is available."""
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: float | None = None) -> np.ndarray:
         """Block for the prediction block of this request's rows."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("prediction not ready")
+        if not self._done:
+            with self._served:
+                if not self._served.wait_for(lambda: self._done, timeout):
+                    raise TimeoutError("prediction not ready")
         if self._error is not None:
             raise self._error
-        assert self._value is not None
         return self._value
-
-
-class _Request:
-    __slots__ = ("rows", "proba", "enqueued", "future")
-
-    def __init__(self, rows: np.ndarray, proba: bool, enqueued: float) -> None:
-        self.rows = rows
-        self.proba = proba
-        self.enqueued = enqueued
-        self.future = PredictionFuture(len(rows))
 
 
 class PredictionServer:
@@ -270,10 +309,16 @@ class PredictionServer:
             else None
         )
         self.stats = ServingStats()
-        self._queue: Queue = Queue(maxsize=self.config.queue_capacity)
+        #: Admitted requests the dispatcher has not taken yet, oldest first.
+        self._pending: deque[PredictionFuture] = deque()
+        #: Guards ``_pending`` and ``_accepting``; the dispatcher sleeps on
+        #: it, and only while ``_pending`` is empty.
+        self._arrived = threading.Condition(threading.Lock())
+        #: What every unresolved ``PredictionFuture.result`` sleeps on.
+        self._served = threading.Condition(threading.Lock())
+        self._accepting = False
         self._thread: threading.Thread | None = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # start/stop only
 
     def _resolve_flat(self, model) -> FlatForest:
         """Compile/unwrap any accepted model form into a FlatForest."""
@@ -299,7 +344,7 @@ class PredictionServer:
                 if self._fleet is not None:
                     self._fleet.start()
                     self._fleet.publish(self.predictor.forest)
-                self._stopping.clear()
+                self._accepting = True
                 self._thread = threading.Thread(
                     target=self._run, name="repro-serving", daemon=True
                 )
@@ -316,7 +361,9 @@ class PredictionServer:
             thread = self._thread
             if thread is None:
                 return
-            self._stopping.set()
+            with self._arrived:
+                self._accepting = False
+                self._arrived.notify()
             thread.join()
             self._thread = None
             if self._fleet is not None:
@@ -344,27 +391,38 @@ class PredictionServer:
         ``rows`` is a row vector, a list of row vectors, or an
         ``(n, n_columns)`` array — numeric values as floats, categorical
         values as integer codes (``-1`` / NaN for missing).  Raises
-        :class:`QueueFullError` when the bounded queue is full.
+        :class:`QueueFullError` when the bounded queue is full, and
+        ``ValueError`` for a request the model cannot serve (no rows, or
+        fewer columns than it splits on) — before it can share a batch.
         """
-        if self._thread is None or self._stopping.is_set():
-            self.stats.rejected_shutdown += 1
-            raise RuntimeError("server is not running (call start())")
-        matrix = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        matrix = np.asarray(rows, dtype=np.float64)  # no copy if it is one
+        if matrix.ndim < 2:
+            matrix = np.atleast_2d(matrix)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ValueError("a request needs at least one row")
-        if proba and self.predictor.problem is not ProblemKind.CLASSIFICATION:
+        predictor = self.predictor
+        if matrix.shape[1] < predictor.n_columns:
+            raise ValueError(
+                f"a request needs at least {predictor.n_columns} columns "
+                f"(the model splits on column {predictor.n_columns - 1}), "
+                f"got {matrix.shape[1]}"
+            )
+        if proba and predictor.problem is not ProblemKind.CLASSIFICATION:
             raise ValueError("proba requests need a classification model")
-        request = _Request(matrix, proba, time.monotonic())
-        try:
-            self._queue.put_nowait(request)
-        except Full:
-            self.stats.rejected_queue_full += 1
-            raise QueueFullError(
-                self._queue.qsize(), self.config.queue_capacity
-            ) from None
-        if self.stats.first_enqueue is None:
-            self.stats.first_enqueue = request.enqueued
-        return request.future
+        future = PredictionFuture(matrix, proba, self._served)
+        pending = self._pending
+        with self._arrived:
+            if not self._accepting:
+                self.stats.rejected_shutdown += 1
+                raise RuntimeError("server is not running (call start())")
+            depth = len(pending)
+            if depth >= self.config.queue_capacity:
+                self.stats.rejected_queue_full += 1
+                raise QueueFullError(depth, self.config.queue_capacity)
+            pending.append(future)
+            if not depth:
+                self._arrived.notify()
+        return future
 
     def predict(self, rows, timeout: float | None = 30.0) -> np.ndarray:
         """Submit one request and block for its labels/values."""
@@ -419,7 +477,6 @@ class PredictionServer:
             rows_per_second = s.n_rows / elapsed
         else:
             rows_per_second = 0.0
-        max_ms = max(s.latencies) * 1e3 if s.latencies else 0.0
         return ServingReport(
             n_requests=s.n_requests,
             n_rows=s.n_rows,
@@ -427,9 +484,9 @@ class PredictionServer:
             rejected=s.rejected,
             avg_batch_rows=(s.n_rows / s.n_batches) if s.n_batches else 0.0,
             rows_per_second=rows_per_second,
-            p50_latency_ms=s.latency_percentile_ms(50),
-            p99_latency_ms=s.latency_percentile_ms(99),
-            max_latency_ms=float(max_ms),
+            p50_latency_ms=s.latencies.percentile_ms(50),
+            p99_latency_ms=s.latencies.percentile_ms(99),
+            max_latency_ms=s.latencies.max_ms(),
             kernel_seconds=s.kernel_seconds,
             rejected_queue_full=s.rejected_queue_full,
             rejected_shutdown=s.rejected_shutdown,
@@ -440,43 +497,61 @@ class PredictionServer:
     # dispatcher
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        cfg = self.config
         while True:
-            try:
-                first = self._queue.get(timeout=0.01)
-            except Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            batch = [first]
-            n_rows = len(first.rows)
-            deadline = first.enqueued + cfg.max_delay_seconds
-            while n_rows < cfg.max_batch_size:
-                remaining = deadline - time.monotonic()
-                try:
-                    if remaining <= 0 or self._stopping.is_set():
-                        # Deadline hit: stop waiting, but still sweep in
-                        # whatever is already queued (backlog coalescing).
-                        nxt = self._queue.get_nowait()
-                    else:
-                        nxt = self._queue.get(timeout=remaining)
-                except Empty:
-                    break
-                batch.append(nxt)
-                n_rows += len(nxt.rows)
+            batch = self._next_batch()
+            if batch is None:
+                return
             self._serve(batch)
 
-    def _serve(self, batch: list[_Request]) -> None:
-        matrix = (
-            batch[0].rows
-            if len(batch) == 1
-            else np.concatenate([r.rows for r in batch], axis=0)
-        )
-        classification = (
-            self.predictor.problem is ProblemKind.CLASSIFICATION
-        )
-        started = time.monotonic()
+    def _next_batch(self) -> list[PredictionFuture] | None:
+        """Block for the next micro-batch; ``None`` once stopped and drained.
+
+        FIFO.  Takes everything already queued in one lock hold, then waits
+        for more only while the batch is short of ``max_batch_size`` rows
+        and the oldest request is younger than ``max_delay_seconds``; a
+        past deadline (or ``stop``) still sweeps in what is queued.  A
+        request of another width stays queued and heads the next batch.
+        """
+        limit = self.config.max_batch_size
+        pending = self._pending
+        arrived = self._arrived
+        with arrived:
+            while not pending:
+                if not self._accepting:
+                    return None
+                arrived.wait()
+            first = pending[0]
+            width = first._rows.shape[1]
+            deadline = first._enqueued + self.config.max_delay_seconds
+            batch: list[PredictionFuture] = []
+            n_rows = 0
+            while True:
+                while pending and n_rows < limit:
+                    if pending[0]._rows.shape[1] != width:
+                        return batch
+                    request = pending.popleft()
+                    batch.append(request)
+                    n_rows += request.n_rows
+                if n_rows >= limit or not self._accepting:
+                    return batch
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return batch
+                arrived.wait(remaining)
+
+    def _serve(self, batch: list[PredictionFuture]) -> None:
+        stats = self.stats
+        if stats.first_enqueue is None:
+            stats.first_enqueue = batch[0]._enqueued
+        predictor = self.predictor  # one model per batch, whatever swaps
+        classification = predictor.problem is ProblemKind.CLASSIFICATION
         try:
+            matrix = (
+                batch[0]._rows
+                if len(batch) == 1
+                else np.concatenate([r._rows for r in batch], axis=0)
+            )
+            started = time.monotonic()
             # Fleet and in-process paths run the same row-wise math:
             # classification always computes the proba matrix (so one
             # micro-batch can mix proba and label requests) and argmaxes
@@ -491,33 +566,37 @@ class PredictionServer:
                 proba = raw if classification else None
                 labels = np.argmax(raw, axis=1) if classification else raw
             elif classification:
-                proba = self.predictor.predict_proba_matrix(
+                proba = predictor.predict_proba_matrix(
                     matrix, self.config.max_depth
                 )
                 labels = np.argmax(proba, axis=1)
             else:
                 proba = None
-                labels = self.predictor.predict_matrix(
+                labels = predictor.predict_matrix(
                     matrix, self.config.max_depth
                 )
+            done = time.monotonic()
         except BaseException as error:  # noqa: BLE001 - forwarded to callers
             for request in batch:
-                request.future._fail(error)
-            return
-        self.stats.kernel_seconds += time.monotonic() - started
-        done = time.monotonic()
-        offset = 0
-        for request in batch:
-            n = len(request.rows)
-            block = (
-                proba[offset : offset + n]
-                if request.proba and proba is not None
-                else labels[offset : offset + n]
-            )
-            request.future._resolve(block)
-            offset += n
-            self.stats.latencies.append(done - request.enqueued)
-        self.stats.n_requests += len(batch)
-        self.stats.n_rows += len(matrix)
-        self.stats.n_batches += 1
-        self.stats.last_complete = done
+                request._error = error
+                request._done = True
+        else:
+            stats.kernel_seconds += done - started
+            stats.latencies.extend([done - r._enqueued for r in batch])
+            stats.n_requests += len(batch)
+            stats.n_rows += len(matrix)
+            stats.n_batches += 1
+            stats.last_complete = done
+            # Counters first, block second, flag last: ``result()`` reads
+            # ``_done`` without a lock, and whoever sees it set must find
+            # the block in place and the batch already counted.
+            offset = 0
+            for request in batch:
+                end = offset + request.n_rows
+                request._value = (
+                    proba[offset:end] if request._proba else labels[offset:end]
+                )
+                request._done = True
+                offset = end
+        with self._served:
+            self._served.notify_all()

@@ -16,6 +16,7 @@ from repro.core.jobs import (
     staged_job,
 )
 from repro.runtime import RuntimeOptions
+from repro.serving import ServerConfig
 
 
 class TestTreeConfig:
@@ -128,9 +129,10 @@ class TestJobs:
 
 class TestOptionSurface:
     def test_every_settable_name_is_spelled_out_here(self):
-        """One place configures a tree, one the runtime, and the env vars
-        read under ``src/`` are the fault-injection hooks: the next
-        option, wherever it is added, is a visible diff to this test."""
+        """One place configures a tree, one the runtime, one a prediction
+        server, and the env vars read under ``src/`` are the
+        fault-injection hooks: the next option, wherever it is added, is
+        a visible diff to this test."""
 
         def fields(cls):
             return {field.name for field in dataclasses.fields(cls)}
@@ -146,6 +148,10 @@ class TestOptionSurface:
             "use_shm", "shm_threshold_bytes", "coalesce_max_messages",
             "fault_policy", "max_worker_failures", "listen",
             "expected_hosts", "rendezvous_timeout_seconds",
+        }
+        assert fields(ServerConfig) == {
+            "max_batch_size", "max_delay_seconds", "queue_capacity",
+            "max_depth",
         }
         env_names = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):

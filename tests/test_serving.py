@@ -7,7 +7,9 @@ truncation depth — because the serving layer silently replaces the node
 engine everywhere (harness, distributed predictor, CLI).
 """
 
+import functools
 import io
+import sys
 import threading
 import time
 import warnings
@@ -734,6 +736,34 @@ class GatedPredictor(BatchPredictor):
         return super().predict_proba_matrix(matrix, max_depth)
 
 
+class RecordingPredictor(BatchPredictor):
+    """Predictor that notes the row count of every server kernel call."""
+
+    def __init__(self, forest):
+        super().__init__(forest)
+        self.batch_rows = []
+
+    def predict_proba_matrix(self, matrix, max_depth=None):
+        self.batch_rows.append(len(matrix))
+        return super().predict_proba_matrix(matrix, max_depth)
+
+
+@functools.cache
+def _property_model():
+    """One small compiled forest + its matrix for the hypothesis test
+    (built once: ``@given`` cannot take a function-scoped fixture)."""
+    table = make_table(11, rows=120)
+    return compile_forest(make_forest(table, n_trees=2)), _matrix_of(table)
+
+
+def _run_threads(threads, timeout=20.0):
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive()
+
+
 class TestServer:
     @pytest.fixture
     def compiled(self, small_mixed_classification):
@@ -744,6 +774,14 @@ class TestServer:
         return np.column_stack(
             [np.asarray(col, dtype=np.float64) for col in table.columns]
         )
+
+    @pytest.fixture
+    def fast_switching(self):
+        """Hand the GIL over ~500x as often, so racing threads do race."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(interval)
 
     def test_predict_parity(self, compiled):
         flat, forest, table = compiled
@@ -898,6 +936,306 @@ class TestServer:
         summary = report.summary()
         assert "rows/s" in summary and "p50" in summary
         assert report.to_dict()["n_rows"] == 8
+
+    # ------------------------------------------------------------------
+    # malformed requests fail alone
+    # ------------------------------------------------------------------
+    def test_odd_width_request_cannot_wedge_the_dispatcher(self, compiled):
+        """A width change ends the micro-batch; nothing dies, nobody else
+        pays.  (Before: the concatenate raised in the dispatcher thread,
+        which died with ``running`` still true.)"""
+        flat, forest, table = compiled
+        matrix = self._matrix(table)
+        expected = forest.predict(table)
+        wider = np.hstack([matrix[2:5], np.zeros((3, 3))])
+        config = ServerConfig(max_batch_size=4096, max_delay_seconds=0.05)
+        with PredictionServer(flat, config) as server:
+            narrow = matrix[:2, : server.predictor.n_columns - 1]
+            good = server.submit(matrix[:2])
+            with pytest.raises(ValueError, match="columns"):
+                server.submit(narrow)  # same delay window as ``good``
+            odd = server.submit(wider)  # extra columns are never read
+            np.testing.assert_array_equal(good.result(5.0), expected[:2])
+            np.testing.assert_array_equal(odd.result(5.0), expected[2:5])
+            assert server.report().n_batches == 2  # widths never mix
+            np.testing.assert_array_equal(
+                server.predict(matrix[5:9], timeout=5.0), expected[5:9]
+            )
+            assert server._thread.is_alive()
+
+    def test_batch_forming_error_fails_that_batch_only(
+        self, compiled, monkeypatch
+    ):
+        """Whatever raises while a batch is put together reaches that
+        batch's futures; the dispatcher serves the next one."""
+        flat, forest, table = compiled
+        matrix = self._matrix(table)
+        expected = forest.predict(table)
+        concatenate = np.concatenate
+        raised = []
+
+        def failing_once(*args, **kwargs):
+            if (
+                threading.current_thread().name == "repro-serving"
+                and not raised
+            ):
+                raised.append(True)
+                raise MemoryError("no room for the batch")
+            return concatenate(*args, **kwargs)
+
+        predictor = GatedPredictor(flat)
+        with PredictionServer(predictor) as server:
+            opener = server.submit(matrix[:1])
+            assert predictor.entered.wait(5.0)
+            monkeypatch.setattr(np, "concatenate", failing_once)
+            doomed = [server.submit(matrix[i : i + 1]) for i in (1, 2, 3)]
+            predictor.release.set()
+            opener.result(5.0)
+            for future in doomed:
+                with pytest.raises(MemoryError, match="no room"):
+                    future.result(5.0)
+                assert future.done()
+            pair = [server.submit(matrix[i : i + 1]) for i in (4, 5)]
+            for i, future in zip((4, 5), pair):
+                np.testing.assert_array_equal(
+                    future.result(5.0), expected[i : i + 1]
+                )
+            monkeypatch.undo()
+            assert server._thread.is_alive()
+
+    def test_failed_batch_resolves_every_future_and_the_next_is_served(
+        self, compiled
+    ):
+        flat, forest, table = compiled
+        matrix = self._matrix(table)
+
+        class FailsSecondCall(GatedPredictor):
+            calls = 0
+
+            def predict_proba_matrix(self, matrix, max_depth=None):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("kernel exploded")
+                return super().predict_proba_matrix(matrix, max_depth)
+
+        predictor = FailsSecondCall(flat)
+        with PredictionServer(predictor) as server:
+            opener = server.submit(matrix[:1])
+            assert predictor.entered.wait(5.0)
+            # Queued behind a busy dispatcher: one backlog, one batch.
+            doomed = [server.submit(matrix[i : i + 2]) for i in (1, 3, 5)]
+            predictor.release.set()
+            opener.result(5.0)
+            for future in doomed:
+                with pytest.raises(RuntimeError, match="kernel exploded"):
+                    future.result(5.0)
+            assert predictor.calls == 2
+            np.testing.assert_array_equal(
+                server.predict(matrix[:9], timeout=5.0),
+                forest.predict(table)[:9],
+            )
+        report = server.report()
+        assert report.n_batches == 2  # the failed batch is not counted
+        assert report.n_requests == 2
+
+    # ------------------------------------------------------------------
+    # the front door under concurrency
+    # ------------------------------------------------------------------
+    def test_blocked_callers_each_get_their_own_rows(
+        self, compiled, fast_switching
+    ):
+        """32 threads asleep on the one ``served`` condition: a batch's
+        single ``notify_all`` must reach every one of its callers."""
+        flat, forest, table = compiled
+        matrix = self._matrix(table)
+        expected = forest.predict(table)
+        n_callers = 32
+        answers = [None] * n_callers
+        barrier = threading.Barrier(n_callers)
+        config = ServerConfig(max_batch_size=4096, max_delay_seconds=0.05)
+        with PredictionServer(flat, config) as server:
+
+            def call(i):
+                barrier.wait(10.0)
+                answers[i] = server.predict(
+                    matrix[3 * i : 3 * i + 3], timeout=10.0
+                )
+
+            _run_threads(
+                [
+                    threading.Thread(target=call, args=(i,))
+                    for i in range(n_callers)
+                ]
+            )
+        for i, answer in enumerate(answers):
+            np.testing.assert_array_equal(answer, expected[3 * i : 3 * i + 3])
+        report = server.report()
+        assert report.n_requests == n_callers
+        assert report.n_batches < n_callers
+
+    def test_capacity_is_exact_under_racing_producers(
+        self, compiled, fast_switching
+    ):
+        flat, _, table = compiled
+        predictor = GatedPredictor(flat)
+        capacity, n_producers, attempts_each = 16, 8, 10
+        config = ServerConfig(
+            max_batch_size=1, max_delay_seconds=0.0, queue_capacity=capacity
+        )
+        row = self._matrix(table)[:1]
+        admitted, refused = [], []
+        barrier = threading.Barrier(n_producers)
+        with PredictionServer(predictor, config) as server:
+            opener = server.submit(row)
+            assert predictor.entered.wait(5.0)  # the queue only fills
+
+            def produce():
+                barrier.wait(10.0)
+                for _ in range(attempts_each):
+                    try:
+                        admitted.append(server.submit(row))
+                    except QueueFullError as error:
+                        refused.append(error)
+
+            _run_threads(
+                [threading.Thread(target=produce) for _ in range(n_producers)]
+            )
+            assert len(admitted) == capacity
+            assert len(admitted) + len(refused) == n_producers * attempts_each
+            assert server.stats.rejected_queue_full == len(refused)
+            assert {e.queue_depth for e in refused} == {capacity}
+            assert {e.capacity for e in refused} == {capacity}
+            predictor.release.set()
+            for future in [opener, *admitted]:
+                assert future.result(10.0).shape == (1,)
+
+    def test_labels_and_proba_mixed_in_one_micro_batch(self, compiled):
+        flat, forest, table = compiled
+        matrix = self._matrix(table)
+        labels, proba = forest.predict(table), forest.predict_proba(table)
+        predictor = GatedPredictor(flat)
+        with PredictionServer(predictor) as server:
+            opener = server.submit(matrix[:1])
+            assert predictor.entered.wait(5.0)
+            futures = [
+                server.submit(matrix[2 * i : 2 * i + 2], proba=bool(i % 2))
+                for i in range(1, 9)
+            ]
+            predictor.release.set()
+            opener.result(5.0)
+            for i, future in zip(range(1, 9), futures):
+                want = proba if i % 2 else labels
+                np.testing.assert_array_equal(
+                    future.result(5.0), want[2 * i : 2 * i + 2]
+                )
+            assert server.report().n_batches == 2  # opener, then the rest
+
+    def test_done_and_zero_timeout(self, compiled):
+        flat, _, table = compiled
+        predictor = GatedPredictor(flat)
+        with PredictionServer(predictor) as server:
+            future = server.submit(self._matrix(table)[:1])
+            assert predictor.entered.wait(5.0)
+            assert not future.done()
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                future.result(0)
+            assert time.monotonic() - started < 1.0  # did not block
+            predictor.release.set()
+            assert future.result(5.0).shape == (1,)
+            assert future.done()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.integers(min_value=1, max_value=40), min_size=1, max_size=30
+        ),
+        max_batch_size=st.integers(min_value=1, max_value=64),
+        delay=st.sampled_from([0.0, 0.002]),
+    )
+    def test_property_every_request_gets_its_own_rows(
+        self, sizes, max_batch_size, delay
+    ):
+        flat, matrix = _property_model()
+        predictor, reference = RecordingPredictor(flat), BatchPredictor(flat)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        requests = [
+            matrix[np.arange(a, b) % len(matrix)]
+            for a, b in zip(starts[:-1], starts[1:])
+        ]
+        config = ServerConfig(
+            max_batch_size=max_batch_size, max_delay_seconds=delay
+        )
+        with PredictionServer(predictor, config) as server:
+            futures = [server.submit(rows) for rows in requests]
+            for rows, future in zip(requests, futures):
+                np.testing.assert_array_equal(
+                    future.result(10.0), reference.predict_matrix(rows)
+                )
+        report = server.report()
+        assert report.n_requests == len(sizes)
+        assert report.n_rows == sum(sizes)
+        assert report.n_batches == len(predictor.batch_rows)
+        # FIFO: the batches cut the request sequence in order, and each
+        # was still short of max_batch_size before its last request.
+        position = 0
+        for rows in predictor.batch_rows:
+            taken = 0
+            while taken < rows:
+                assert taken < max_batch_size
+                taken += sizes[position]
+                position += 1
+            assert taken == rows
+        assert position == len(sizes)
+
+    # ------------------------------------------------------------------
+    # replaced, not forked
+    # ------------------------------------------------------------------
+    def test_a_request_owns_no_synchronisation_object(
+        self, compiled, monkeypatch
+    ):
+        import repro.serving.server as server_module
+
+        assert not {"queue", "Queue", "Empty", "Full"} & set(
+            vars(server_module)
+        )
+        flat, _, table = compiled
+        row = self._matrix(table)[:1]
+        predictor = GatedPredictor(flat)
+        config = ServerConfig(queue_capacity=2048)
+        with PredictionServer(predictor, config) as server:
+            opener = server.submit(row)
+            assert predictor.entered.wait(5.0)  # the dispatcher is parked
+            made = []
+            for name in (
+                "Lock", "RLock", "Condition", "Event", "_allocate_lock"
+            ):
+                factory = getattr(threading, name)
+
+                def counting(*args, _name=name, _factory=factory, **kwargs):
+                    made.append(_name)
+                    return _factory(*args, **kwargs)
+
+                monkeypatch.setattr(threading, name, counting)
+            futures = [server.submit(row) for _ in range(1000)]
+            monkeypatch.undo()
+            assert made == []
+            primitives = (
+                threading.Event,
+                threading.Condition,
+                type(threading.Lock()),
+                type(threading.RLock()),
+            )
+            future = futures[0]
+            assert not hasattr(future, "__dict__")
+            for slot in type(future).__slots__:
+                value = getattr(future, slot)
+                assert value is server._served or not isinstance(
+                    value, primitives
+                )
+            predictor.release.set()
+            for future in [opener, *futures]:
+                future.result(10.0)
 
 
 class TestCascadeCompile:

@@ -203,7 +203,7 @@ class TestAdmissionController:
         assert waits[2] > 0.0 and waits[3] > 0.0  # parked, not bounced
         assert controller.stats.admitted == 4
         assert controller.stats.throttled == 0
-        assert controller.stats.queue_wait_percentile_ms(99) > 0.0
+        assert controller.stats.queue_waits.percentile_ms(99) > 0.0
 
     def test_waiting_room_bound_throttles_with_retry_after(self):
         controller = AdmissionController(
@@ -404,6 +404,60 @@ class TestGatewayHttp:
             # The gateway survived all of it.
             status, payload, _ = http_call(port, "GET", "/healthz")
             assert status == 200 and payload["status"] == "ok"
+        finally:
+            runner.stop()
+
+    def test_odd_width_bodies_cannot_wedge_a_replica(
+        self, classification_setup
+    ):
+        """Too few columns is the client's error (400, both widths named);
+        a wider body sharing a delay window with a normal one is served
+        in a batch of its own.  (Before: the replica's dispatcher died on
+        the mix and every later request timed out.)"""
+        table, forest, mat = classification_setup
+        labels = forest.predict(table)
+        replica = PredictionServer(
+            forest, ServerConfig(max_delay_seconds=0.05)
+        )
+        gateway, runner = run_gateway([replica])
+        try:
+            port = runner.port
+            bodies = [mat[:2], np.hstack([mat[2:4], np.zeros((2, 3))])]
+            replies = [None, None]
+
+            def post(i):
+                replies[i] = http_call(
+                    port, "POST", "/predict", {"rows": bodies[i].tolist()}
+                )
+
+            threads = [
+                threading.Thread(target=post, args=(i,)) for i in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            for i, (status, payload, _) in enumerate(replies):
+                assert status == 200
+                assert payload["predictions"] == (
+                    labels[2 * i : 2 * i + 2].tolist()
+                )
+            needed = replica.predictor.n_columns
+            status, payload, _ = http_call(
+                port, "POST", "/predict",
+                {"rows": mat[:2, : needed - 1].tolist()},
+            )
+            assert status == 400
+            assert payload["expected_columns"] == needed
+            assert payload["received_columns"] == needed - 1
+            status, payload, _ = http_call(
+                port, "POST", "/predict", {"rows": mat[4:6].tolist()}
+            )
+            assert status == 200
+            assert payload["predictions"] == labels[4:6].tolist()
+            assert replica._thread.is_alive()
+            assert gateway.stats.http_errors == 0
         finally:
             runner.stop()
 
