@@ -37,8 +37,8 @@ class TreeKind(enum.Enum):
 #: ``repro train --split-mode`` flag).  ``"exact"`` is the paper's exact
 #: per-boundary scan; ``"hist"`` scores equi-depth histogram prefix cuts
 #: (PLANET / MLlib ``maxBins`` style, see :mod:`repro.core.histogram`) so
-#: column-task workers ship O(bins) summaries instead of exact results
-#: and subtree gathers ship small bin codes instead of float64 columns.
+#: column-task workers scan O(bins) cuts instead of every boundary and
+#: subtree gathers ship small bin codes instead of float64 columns.
 SPLIT_MODES = ("exact", "hist")
 
 

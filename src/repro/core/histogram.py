@@ -12,12 +12,15 @@ that machinery, behind the existing task seam (the PLANET baseline in
 * :func:`equi_depth_thresholds` / :func:`bin_indices` — candidate
   thresholds per column (computed **once over the full table** at training
   start and shipped to every machine) and the per-row bucket codes.
-* :class:`ColumnHistogram` — the per-(node, column) summary a column-task
-  worker ships instead of an exact split: per-bin class counts
-  (classification) or per-bin ``(count, sum, sum-of-squares)``
-  (regression), plus the node-local missing-row count.
-* :func:`score_histogram` — the master-side O(bins) prefix-cut scoring
-  that turns a summary into a :class:`~repro.core.splits.CandidateSplit`.
+* :class:`ColumnHistogram` — the per-(node, column) summary: per-bin
+  class counts (classification) or per-bin ``(count, sum,
+  sum-of-squares)`` (regression), plus the node-local missing-row count.
+  The intermediate of :func:`best_binned_numeric_split`, never a wire
+  record: a column lives whole on one worker, so its histogram over
+  ``I_x`` is already complete there.
+* :func:`score_histogram` — the O(bins) prefix-cut scoring that turns a
+  summary into a :class:`~repro.core.splits.CandidateSplit`, run by
+  whoever built the summary (column-task worker, PLANET baseline).
 * :func:`encode_bin_codes` / :func:`decode_bin_codes` — the subtree-task
   data plane: column servers ship int8/int16 bucket codes instead of
   float64 values, and the key worker decodes them into *pseudo-values*
@@ -57,8 +60,8 @@ from .splits import CandidateSplit, label_codes
 #: A threshold book: ``{max_bins: {column: thresholds array}}``, covering
 #: every numeric column of the table for every distinct ``max_bins`` any
 #: submitted hist-mode tree uses.  Computed once at training start from
-#: the full table and shipped to the master and every worker, so every
-#: machine bins against identical global thresholds.
+#: the full table and shipped to every worker, so every machine bins
+#: against identical global thresholds.
 ThresholdBook = dict[int, dict[int, np.ndarray]]
 
 
@@ -161,13 +164,12 @@ def decode_bin_codes(codes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 class ColumnHistogram:
     """Sufficient split statistics of one column at one node.
 
-    This is what a hist-mode column-task worker ships to the master in
-    place of an exact :class:`~repro.core.splits.CandidateSplit`: O(bins)
-    integers/floats per column instead of an O(rows) scan result.
-    ``counts`` is the ``(n_bins, n_classes)`` class-count matrix
-    (classification); ``bin_counts`` / ``y_sum`` / ``y_sq_sum`` are the
-    per-bin regression triples.  ``n_missing`` is the **node-local**
-    missing-row count (rows of this node with NaN in this column).
+    What :func:`column_histogram` hands :func:`score_histogram`: O(bins)
+    integers/floats per column, never shipped.  ``counts`` is the
+    ``(n_bins, n_classes)`` class-count matrix (classification);
+    ``bin_counts`` / ``y_sum`` / ``y_sq_sum`` are the per-bin regression
+    triples.  ``n_missing`` is the **node-local** missing-row count (rows
+    of this node with NaN in this column).
     """
 
     column: int
@@ -217,12 +219,12 @@ def score_histogram(
 ) -> CandidateSplit | None:
     """Best prefix cut of one node-local histogram.
 
-    The master-side half of the hist column-task: O(bins) work per
-    column.  Tie rules match the exact scan — ``np.argmin`` over cuts in
-    ascending-threshold order picks the *first* minimum, i.e. the
-    smallest threshold; invalid cuts (an empty child) are masked to
-    ``inf``; ``None`` means "this column offers no split".  Missing rows
-    join the larger child, counted from the node's own rows.
+    O(bins) work per column.  Tie rules match the exact scan —
+    ``np.argmin`` over cuts in ascending-threshold order picks the
+    *first* minimum, i.e. the smallest threshold; invalid cuts (an empty
+    child) are masked to ``inf``; ``None`` means "this column offers no
+    split".  Missing rows join the larger child, counted from the node's
+    own rows.
     """
     if thresholds.size == 0:
         return None
@@ -280,8 +282,8 @@ def best_binned_numeric_split(
     """Best candidate threshold from a node's pre-binned values.
 
     Convenience composition of :func:`column_histogram` and
-    :func:`score_histogram` — the per-node hist split search of the
-    PLANET baseline and of the test-side reference recursion.
+    :func:`score_histogram` — the per-node hist split search of a
+    column-task worker and of the PLANET baseline.
     ``bins`` must be the **node's own rows'** codes; whole-table bins
     handed as a slice are fine (the slice is node-local), but statistics
     are always derived from exactly what is passed in.

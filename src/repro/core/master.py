@@ -1,7 +1,9 @@
 """Master actor: task management, tree assembly, fault recovery.
 
 The master is dedicated to task management and never computes tasks itself
-(paper Section IV).  Its two real-system threads map onto the simulator as:
+(paper Section IV) — in both split modes: a column task answers with
+already-scored splits, so the master holds no numeric state about the data.
+Its two real-system threads map onto the simulator as:
 
 * ``theta_main`` — the *dispatch pump*: a self-rescheduling loop that pops
   plans from ``B_plan`` (head first), computes the greedy worker assignment
@@ -71,7 +73,6 @@ from .builder import (
     sample_candidate_columns,
     split_is_useful,
 )
-from .histogram import book_for_config, score_histogram
 from .tree import DecisionTree, TreeNode, node_from_dict
 
 
@@ -140,15 +141,10 @@ class MasterActor:
         uid_offset: int = 0,
         secondary_id: int | None = None,
         completed: dict[str, dict[int, DecisionTree]] | None = None,
-        threshold_book: dict | None = None,
     ) -> None:
         self.cluster = cluster
         self.machine_id = machine_id
         self.info = table_info
-        #: Equi-depth threshold book for hist-mode jobs (``{max_bins:
-        #: {column: thresholds}}``); the master scores shipped per-bin
-        #: summaries against it.  ``None`` when every job trains exact.
-        self.threshold_book = threshold_book
         self.system = system
         self.cost = cluster.cost
         self.holders = {c: list(ws) for c, ws in holders.items()}
@@ -431,21 +427,10 @@ class MasterActor:
         criterion = config.resolved_criterion(
             self.info.problem is ProblemKind.CLASSIFICATION
         )
-        thresholds = book_for_config(self.threshold_book, config)
         best: CandidateSplit | None = None
         best_worker: int | None = None
         for worker in sorted(state.results):
-            result = state.results[worker]
-            candidates = list(result.splits)
-            if thresholds is not None and result.hists:
-                # Hist mode: score each shipped per-bin summary into a
-                # CandidateSplit (O(bins) per column) before arbitration.
-                for hist in result.hists:
-                    t = thresholds.get(hist.column)
-                    if t is None:
-                        continue
-                    candidates.append(score_histogram(hist, t, criterion))
-            for split in candidates:
+            for split in state.results[worker].splits:
                 if split is None:
                     continue
                 if best is None or split.sort_key() < best.sort_key():

@@ -47,16 +47,12 @@ class SecondaryMasterActor:
         jobs: list[TrainingJob],
         system: SystemConfig,
         holders: dict[int, list[int]],
-        threshold_book: dict | None = None,
     ) -> None:
         self.cluster = cluster
         self.machine_id = machine_id
         self.info = table_info
         self.jobs = jobs
         self.system = system
-        # Hist-mode threshold book, shared at setup like the job metadata,
-        # so a promoted master scores histogram summaries identically.
-        self.threshold_book = threshold_book
         # Deep-copy the placement: the primary mutates its own holder
         # lists on worker crashes (`holders[c].remove(worker)`), and an
         # aliased view would double-apply those removals — the standby
@@ -134,6 +130,5 @@ class SecondaryMasterActor:
             machine_id=self.machine_id,
             uid_offset=fence,
             completed=self.completed,
-            threshold_book=self.threshold_book,
         )
         self.promoted.start()

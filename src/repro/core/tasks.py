@@ -58,11 +58,12 @@ MSG_WORKER_WELCOME = "worker_welcome"
 #: Wire version of the socket handshake.  A master rejects a hello whose
 #: version differs — both sides must run the same protocol revision to
 #: guarantee bit-identical training.  v2 added histogram split mode: the
-#: welcome ships the equi-depth threshold book and column results may
-#: carry per-bin summaries instead of exact splits.  v3 dropped the kernel
+#: welcome ships the equi-depth threshold book.  v3 dropped the kernel
 #: name from the pickled ``TreeConfig`` and ``WorkerStatsMsg``, which a v2
-#: peer would fail to unpickle.
-SOCKET_PROTOCOL_VERSION = 3
+#: peer would fail to unpickle.  v4 took the per-bin summaries of v2/v3
+#: off ``ColumnResultMsg``: a ``None`` in ``splits`` now always means "no
+#: split", so a v3 worker's placeholders would train a different forest.
+SOCKET_PROTOCOL_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -217,19 +218,15 @@ class SubtreePlanMsg:
 class ColumnResultMsg:
     """Worker -> master: per-column best splits plus node label stats.
 
-    In hist mode (``TreeConfig.split_mode="hist"``) numeric decision-tree
-    columns ship a :class:`~repro.core.histogram.ColumnHistogram` in
-    ``hists`` — O(bins) per-bin statistics the master scores itself —
-    with a ``None`` placeholder in ``splits``; categorical columns keep
-    shipping exact splits either way.  ``hists`` is ``None`` in exact
-    mode (and for old pickles), keeping the wire form unchanged there.
+    ``splits`` is in plan-column order, ``None`` where a column offers no
+    split — the same shape in both split modes (a hist-mode worker scores
+    its own complete histogram).
     """
 
     task: TaskId
     worker: int
     splits: list[CandidateSplit | None]
     stats: NodeStatsPayload
-    hists: list | None = None
 
 
 @dataclass

@@ -33,10 +33,9 @@ from ..data.table import DataTable
 from .builder import extra_tree_split_rng
 from .config import TreeKind
 from .histogram import (
-    ColumnHistogram,
+    best_binned_numeric_split,
     bin_indices,
     book_for_config,
-    column_histogram,
     decode_bin_codes,
     encode_bin_codes,
 )
@@ -311,9 +310,6 @@ class WorkerActor:
             y = label_codes(y)
         thresholds = book_for_config(self.threshold_book, plan.ctx.config)
         splits: list[CandidateSplit | None] = []
-        hists: list[ColumnHistogram] | None = (
-            [] if thresholds is not None else None
-        )
         for col in plan.columns:
             spec = self.table.column_spec(col)
             values = self.column_values(col)[ids]
@@ -329,21 +325,17 @@ class WorkerActor:
                     spec.n_categories,
                 )
             elif thresholds is not None and spec.kind is ColumnKind.NUMERIC:
-                # Hist mode: ship the node-local per-bin summary instead
-                # of an exact split; the master scores the prefix cuts.
+                # Hist mode: the column lives whole on this worker, so its
+                # node-local histogram is complete — score it right here.
                 col_thresholds = thresholds.get(col, _NO_THRESHOLDS)
-                hists.append(
-                    column_histogram(
-                        col,
-                        bin_indices(values, col_thresholds),
-                        y,
-                        col_thresholds.size + 1,
-                        criterion,
-                        self.table.n_classes,
-                    )
+                split = best_binned_numeric_split(
+                    col,
+                    bin_indices(values, col_thresholds),
+                    col_thresholds,
+                    y,
+                    criterion,
+                    self.table.n_classes,
                 )
-                splits.append(None)
-                continue
             else:
                 split = best_split_for_column(
                     col,
@@ -362,16 +354,8 @@ class WorkerActor:
             stats=NodeStatsPayload.from_labels(
                 y, self.table.problem, self.table.n_classes
             ),
-            hists=hists,
         )
         size = self.cost.column_result_bytes(len(plan.columns))
-        if hists:
-            # Per-bin statistics ride along: O(bins) values per column.
-            entries = sum(
-                h.counts.size if h.counts is not None else 3 * h.bin_counts.size
-                for h in hists
-            )
-            size += entries * self.cost.value_bytes
         self._send(self.master_id, MSG_COLUMN_RESULT, result, size)
         # I_x is retained: if this worker becomes the delegate it will
         # partition it; otherwise a task_delete will free it.

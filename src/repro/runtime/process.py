@@ -719,14 +719,7 @@ class ProcessRuntime(Runtime):
             problem=table.problem,
             n_classes=table.n_classes,
         )
-        master = MasterActor(
-            cluster,
-            info,
-            jobs,
-            self.system,
-            placement,
-            threshold_book=self._threshold_book,
-        )
+        master = MasterActor(cluster, info, jobs, self.system, placement)
         master.start()
         cluster.engine.drain()
 

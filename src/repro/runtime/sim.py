@@ -92,8 +92,7 @@ class SimRuntime(Runtime):
             table.n_columns, worker_ids, self.system.column_replication
         )
         # Hist-mode equi-depth thresholds: computed once, before any task,
-        # and shared by the master and every worker (empty when all jobs
-        # train exact).
+        # and shared by every worker (empty when all jobs train exact).
         book = build_threshold_book(table, jobs)
         workers: list[WorkerActor] = []
         for wid in worker_ids:
@@ -118,7 +117,6 @@ class SimRuntime(Runtime):
                 jobs,
                 self.system,
                 placement,
-                threshold_book=book,
             )
             cluster.register(secondary_id, secondary)
         master = MasterActor(
@@ -128,7 +126,6 @@ class SimRuntime(Runtime):
             self.system,
             placement,
             secondary_id=(secondary.machine_id if secondary else None),
-            threshold_book=book,
         )
         cluster.register(cluster.MASTER, master)
 

@@ -18,7 +18,10 @@ which for a categorical column under a classification criterion is the
 one-segment call of the kernel's level scan; the numeric scan
 (``reference_numeric_split``) and that categorical scan
 (``reference_categorical_classification_split``) have their own oracles
-in ``tests/reference_scan.py``.
+in ``tests/reference_scan.py``.  The one exception is the hist-mode
+numeric scan: it is that file's frozen ``reference_binned_split``, not the
+production ``best_binned_numeric_split`` (PR 24), so the hist recursion
+does not compare production with itself.
 """
 
 from __future__ import annotations
@@ -36,12 +39,7 @@ from repro.core.builder import (
     split_is_useful,
 )
 from repro.core.config import TreeConfig, TreeKind
-from repro.core.histogram import (
-    best_binned_numeric_split,
-    bin_indices,
-    column_thresholds,
-    hist_active,
-)
+from repro.core.histogram import bin_indices, column_thresholds, hist_active
 from repro.core.splits import (
     CandidateSplit,
     best_split_for_column,
@@ -51,6 +49,8 @@ from repro.core.splits import (
 from repro.core.tree import DecisionTree, TreeNode
 from repro.data.schema import ColumnKind, ProblemKind
 from repro.data.table import DataTable
+
+from .reference_scan import reference_binned_split
 
 #: Empty threshold set: a degenerate hist-mode column offers no candidates.
 _NO_THRESHOLDS = np.empty(0)
@@ -104,7 +104,7 @@ def find_best_split(
         spec = table.column_spec(col)
         if thresholds is not None and spec.kind is ColumnKind.NUMERIC:
             t = thresholds.get(col, _NO_THRESHOLDS)
-            split = best_binned_numeric_split(
+            split = reference_binned_split(
                 col,
                 bin_indices(table.column(col)[row_ids], t),
                 t,

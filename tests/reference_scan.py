@@ -15,6 +15,17 @@ level in one integer table and reads the subsets from a membership table
 built once per category count; ``tests/test_splits.py`` holds it — alone
 and per level — to this function's outputs, bit for bit.
 
+:func:`reference_binned_split` is the hist-mode numeric scan as PR 24 found
+it: ``column_histogram`` + ``score_histogram`` + their composition
+``best_binned_numeric_split`` (:mod:`repro.core.histogram`), with its own
+copy of the class-major, class-by-class scoring arithmetic
+(``_classes_impurity``).  PR 24 moved that scan's caller from the master
+to the column-task worker without touching it; the oracle is what makes the
+next change to it (bin once per run, ROADMAP item 2(b)) safe.
+``tests/test_histogram_mode.py`` holds production to it field for field,
+and the hist reference recursion (``tests/reference_builder.py``) searches
+with it, so it no longer compares production with itself.
+
 Frozen: do not optimise.  Nothing here may import the production scoring
 functions, with one stated exception: the categorical oracle calls
 :func:`repro.core.impurity.classification_children_scores`, as the scan
@@ -224,6 +235,93 @@ def reference_categorical_classification_split(
         n_right=nr + (0 if nl >= nr else n_missing),
         left_categories=left,
         right_categories=right,
+        n_missing=n_missing,
+        missing_to_left=nl >= nr,
+    )
+
+
+def _classes_impurity(counts, totals, criterion: Impurity) -> np.ndarray:
+    """Gini/entropy per candidate of a class-major ``(n_classes, m)`` stack.
+
+    Terms are added class by class, in class order — the definition of a
+    classification score since PR 15 (``sum(axis=...)`` orders its adds by
+    shape and strides, and differs from this beyond 7 classes).
+    """
+    zero = totals == 0
+    p = counts / np.where(zero, 1.0, totals)
+    if criterion is Impurity.GINI:
+        terms = p * p
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * np.where(p > 0, np.log(p), 0.0)
+    acc = terms[0].copy()
+    for row in terms[1:]:
+        acc = acc + row
+    out = 1.0 - acc if criterion is Impurity.GINI else -acc
+    out[zero] = 0.0
+    return out
+
+
+def reference_binned_split(
+    column: int,
+    bins: np.ndarray,
+    thresholds: np.ndarray,
+    y: np.ndarray,
+    criterion: Impurity,
+    n_classes: int,
+) -> CandidateSplit | None:
+    """Best prefix cut over a node's own bucket codes (``-1`` missing).
+
+    Per-bin statistics from the node's rows, prefix sums over bins in
+    ascending-threshold order, one score per cut ``bin <= t``; cuts with
+    an empty child are masked, the first minimum wins, missing rows join
+    the larger child.
+    """
+    present = bins >= 0
+    if int(present.sum()) < 2 or thresholds.size == 0:
+        return None
+    n_bins = len(thresholds) + 1
+    n_missing = int(bins.size - present.sum())
+    b = bins[present].astype(np.int64)
+    ys = y[present]
+    if criterion.is_classification:
+        flat = b * n_classes + label_codes(ys)
+        counts = np.bincount(flat, minlength=n_bins * n_classes).reshape(
+            n_bins, n_classes
+        )
+        cum = np.cumsum(counts.T, axis=1)
+        total = cum[:, -1:]
+        cum = cum[:, :-1]
+        n_left = cum.sum(axis=0)
+        n_right = total.sum() - n_left
+        left_imp = _classes_impurity(cum, n_left, criterion)
+        right_imp = _classes_impurity(total - cum, n_right, criterion)
+    else:
+        bin_counts = np.bincount(b, minlength=n_bins).astype(np.float64)
+        y_sum = np.bincount(b, weights=ys, minlength=n_bins)
+        y_sq_sum = np.bincount(b, weights=ys * ys, minlength=n_bins)
+        n_left = np.cumsum(bin_counts)[:-1]
+        s_cum = np.cumsum(y_sum)[:-1]
+        q_cum = np.cumsum(y_sq_sum)[:-1]
+        n_right = bin_counts.sum() - n_left
+        left_imp = variance_rows(n_left, s_cum, q_cum)
+        right_imp = variance_rows(
+            n_right, y_sum.sum() - s_cum, y_sq_sum.sum() - q_cum
+        )
+    valid = (n_left > 0) & (n_right > 0)
+    if not valid.any():
+        return None
+    scores = weighted_children_rows(left_imp, n_left, right_imp, n_right)
+    scores = np.where(valid, scores, np.inf)
+    best = int(np.argmin(scores))
+    nl, nr = int(n_left[best]), int(n_right[best])
+    return CandidateSplit(
+        column=column,
+        kind=ColumnKind.NUMERIC,
+        score=float(scores[best]),
+        n_left=nl + (n_missing if nl >= nr else 0),
+        n_right=nr + (0 if nl >= nr else n_missing),
+        threshold=float(thresholds[best]),
         n_missing=n_missing,
         missing_to_left=nl >= nr,
     )

@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SystemConfig, TreeConfig, TreeServer, trees_equal
 from repro.core.builder import train_tree
 from repro.core.config import SPLIT_MODES
+from repro.core.impurity import Impurity
 from repro.core.histogram import (
     best_binned_numeric_split,
     bin_indices,
@@ -39,11 +42,13 @@ from repro.core.histogram import (
     equi_depth_thresholds,
 )
 from repro.core.jobs import decision_tree_job, random_forest_job
+from repro.core.splits import CandidateSplit
 from repro.data import ColumnKind, ColumnSpec, DataTable, ProblemKind, TableSchema
 from repro.datasets import SyntheticSpec, generate
 from repro.runtime import RuntimeOptions
 
 from .reference_builder import reference_train_tree
+from .reference_scan import reference_binned_split
 
 CLF_CRITERION = TreeConfig().resolved_criterion(True)
 REG_CRITERION = TreeConfig().resolved_criterion(False)
@@ -323,6 +328,72 @@ class TestNodeLocalMissing:
 
 
 # ----------------------------------------------------------------------
+# the binned scan against its frozen copy
+# ----------------------------------------------------------------------
+@st.composite
+def _binned_cases(draw):
+    """One node of a binned numeric column: ``(codes, y, thresholds,
+    criterion, n_classes)``.  0-12 thresholds (0: the degenerate column);
+    rows spread over all bins, crowded into two, or all in one; no, few,
+    most or all rows missing, or exactly one present; 2-9 classes with
+    pure nodes, or a regression target drawn from 1, 3 or many values."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 10, 30, 80]))
+    n_thresholds = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thresholds = np.cumsum(rng.random(n_thresholds) + 0.01) - 3.0
+    spread = draw(st.sampled_from(["all", "all", "all", "two", "one"]))
+    if spread == "all":
+        codes = rng.integers(0, n_thresholds + 1, size=n)
+    else:
+        occupied = rng.integers(0, n_thresholds + 1, size=2)
+        codes = rng.choice(occupied[: 2 if spread == "two" else 1], size=n)
+    rate = {"none": 0.0, "few": 0.1, "most": 0.8, "all": 1.0, "all-but-1": 1.0}
+    missing = draw(st.sampled_from(["none", "few", *sorted(rate)]))
+    keep = codes[0]
+    codes[rng.random(n) < rate[missing]] = -1
+    if missing == "all-but-1":
+        codes[0] = keep
+    if draw(st.booleans()):
+        n_classes = draw(st.integers(min_value=2, max_value=9))
+        y = rng.integers(0, n_classes, size=n)
+        if draw(st.sampled_from([False, False, False, True])):
+            y[:] = y[0]  # a pure node: every cut ties
+        criterion = draw(st.sampled_from([Impurity.GINI, Impurity.ENTROPY]))
+    else:
+        n_classes = 0
+        levels = draw(st.sampled_from([1, 3, n]))
+        y = rng.choice(rng.normal(size=levels) * 10.0, size=n)
+        criterion = Impurity.VARIANCE
+    return codes.astype(np.int64), y, thresholds, criterion, n_classes
+
+
+class TestBinnedScanAgainstFrozenOracle:
+    """Production ``best_binned_numeric_split`` vs ``reference_binned_split``
+    (the scan as PR 24 found it, kept in ``tests/reference_scan.py``): the
+    same split or the same ``None``, every field, the score bit for bit —
+    at every class count, since both add class terms in class order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_binned_cases())
+    def test_binned_split_matches_oracle(self, case):
+        codes, y, thresholds, criterion, n_classes = case
+        want = reference_binned_split(
+            3, codes, thresholds, y, criterion, n_classes
+        )
+        for labels in (y, y.astype(np.float64)):  # the serial builder's
+            for wire in (codes, codes.astype(np.int8)):  # gathered codes
+                got = best_binned_numeric_split(
+                    3, wire, thresholds, labels, criterion, n_classes
+                )
+                # Dataclass equality: score, threshold, n_left, n_right,
+                # n_missing, missing_to_left — every field.
+                assert got == want
+                if want is not None:
+                    assert np.signbit(got.score) == np.signbit(want.score)
+                    assert got.n_left + got.n_right == codes.size
+
+
+# ----------------------------------------------------------------------
 # distributed determinism and the byte win
 # ----------------------------------------------------------------------
 class TestDistributedHist:
@@ -355,6 +426,67 @@ class TestDistributedHist:
         for a, b in zip(serial, report.models["rf"]):
             assert trees_equal(a, b)
             assert a.to_dict() == b.to_dict()
+
+    def test_hist_column_result_is_charged_like_an_exact_one(self, monkeypatch):
+        """One column-task answer (PR 24): on ``sim`` a hist column result
+        carries scored ``CandidateSplit`` s and is charged
+        ``column_result_bytes(n_columns)`` — no per-bin term — so on a
+        table where hist collapses to exact (same trees, same plans) the
+        two modes move the same messages and the same bytes, result for
+        result.  The message count is the parent commit's for this job:
+        scoring moved from the master to the worker without adding or
+        removing a message."""
+        from repro.cluster.network import Network
+        from repro.core.tasks import MSG_COLUMN_RESULT
+
+        rng = np.random.default_rng(5)
+        columns = {
+            f"c{i}": np.round(rng.normal(size=600) * 2.0) / 2.0 for i in range(5)
+        }
+        columns["c4"][rng.random(600) < 0.1] = np.nan
+        noisy = columns["c0"] - columns["c2"] + rng.normal(size=600)
+        y = (noisy > 0).astype(np.float64)
+        table = _numeric_table(columns, y)
+        system = SystemConfig(
+            n_workers=3, compers_per_worker=2, tau_subtree=16, tau_dfs=16
+        )
+        sent: list[tuple] = []
+        real_send = Network.send
+
+        def spy(self, src, dst, kind, payload, size_bytes):
+            if src != dst:
+                sent.append((kind, payload, size_bytes))
+            return real_send(self, src, dst, kind, payload, size_bytes)
+
+        monkeypatch.setattr(Network, "send", spy)
+
+        def run(config):
+            sent.clear()
+            server = TreeServer(system)
+            report = server.fit(table, [decision_tree_job("dt", config)])
+            results = []
+            for kind, payload, size in sent:
+                if kind == MSG_COLUMN_RESULT:
+                    n_columns = len(payload.splits)
+                    assert size == server.cost.column_result_bytes(n_columns)
+                    assert all(
+                        s is None or type(s) is CandidateSplit
+                        for s in payload.splits
+                    )
+                    results.append((n_columns, size))
+            return report, len(sent), results
+
+        cfg = TreeConfig(seed=2, max_depth=7)
+        exact, exact_messages, exact_results = run(cfg)
+        hist, hist_messages, hist_results = run(_hist(cfg, 64))
+        assert trees_equal(exact.tree("dt"), hist.tree("dt"))
+        assert hist.counters.column_tasks == 47
+        assert hist_results == exact_results
+        # Pinned at the parent commit: 665 messages there too, but 84 976 B
+        # of hist column results (the per-bin summaries rode along).
+        assert hist_messages == exact_messages == 665
+        for report in (exact, hist):
+            assert report.cluster.bytes_by_kind[MSG_COLUMN_RESULT] == 34_592
 
     def test_hist_moves_fewer_bytes_than_exact_on_socket(self):
         """The headline data-plane win: identical jobs, identical wide

@@ -490,6 +490,34 @@ class TestCrashRecovery:
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
+    @pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "queues"])
+    def test_hist_forest_recovers_to_the_serial_hist_forest(self, use_shm):
+        """Hist mode under recovery: the re-admitted trees' column tasks
+        are scored on the surviving replica holders, against the book
+        every worker got at spawn — the master has none to lose."""
+        table = _table()
+        config = TreeConfig(max_depth=7, split_mode="hist", max_bins=16)
+        jobs = [random_forest_job("rf", 4, config, seed=self.JOBS_SEED)]
+        serial = [
+            reference_train_tree(table, req.config, tree_id=i)
+            for i, req in enumerate(jobs[0].stages[0].trees)
+        ]
+        report = _fit_with(
+            table,
+            jobs,
+            _options(
+                fault_policy="recover",
+                use_shm=use_shm,
+                crash_worker_after=(2, 6),
+            ),
+        )
+        assert_bit_identical(serial, report.trees("rf"))
+        assert report.counters.recovered_workers == 1
+        assert report.counters.column_tasks > 0
+        assert set(report.cluster.transport["per_worker"]) == {1, 3}
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
+
     def test_explicit_option_beats_env_hook(self, monkeypatch):
         """RuntimeOptions.crash_worker_after wins over REPRO_MP_KILL."""
         table = _table()

@@ -209,8 +209,12 @@ class TestRendezvous:
             kw.setdefault("host_id", "host-a")
             return WorkerHelloMsg(**kw)
 
+        assert SOCKET_PROTOCOL_VERSION == 4
         rejected = [
             (hello(worker_id=1, protocol_version=999), "protocol version"),
+            # v3 answered hist column tasks with per-bin summaries and
+            # ``None`` placeholders, which v4 reads as "no split".
+            (hello(worker_id=1, protocol_version=3), "protocol version"),
             (hello(worker_id=1, table_hash="0" * 64), "fingerprint"),
             (hello(worker_id=7), "out of range"),
             (hello(worker_id=1, host_id="host-evil"), "expected_hosts"),

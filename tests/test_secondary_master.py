@@ -160,6 +160,46 @@ class TestMasterFailover:
             for a, b in zip(clean.trees("rf"), crashed.trees("rf"))
         )
 
+    def test_hist_forest_survives_failover(self, table):
+        """A hist-mode forest, master crashed midway, equals the serial
+        hist forest.  Column tasks answer with scored ``CandidateSplit`` s
+        in both split modes, so the promoted master arbitrates hist nodes
+        with no threshold book — the standby is never handed one."""
+        import inspect
+
+        from repro.core.builder import train_tree
+        from repro.core.master import MasterActor
+        from repro.core.secondary import SecondaryMasterActor
+
+        for actor in (SecondaryMasterActor, MasterActor):
+            assert "threshold_book" not in inspect.signature(
+                actor.__init__
+            ).parameters
+
+        system = system_for(table)
+        config = TreeConfig(max_depth=6, split_mode="hist", max_bins=8)
+
+        def job():
+            return random_forest_job("rf", 6, config, seed=21)
+
+        serial = [
+            train_tree(table, req.config, tree_id=i)
+            for i, req in enumerate(job().stages[0].trees)
+        ]
+        clean = TreeServer(system).fit(table, [job()])
+        crashed = TreeServer(system).fit(
+            table,
+            [job()],
+            crash_plans=[CrashPlan(machine_id=0, at_time=clean.sim_seconds / 2)],
+            secondary_master=True,
+        )
+        # The promoted master resolved hist column tasks of its own.
+        assert crashed.counters.column_tasks > 0
+        assert crashed.sim_seconds > clean.sim_seconds
+        for want, a, b in zip(serial, clean.trees("rf"), crashed.trees("rf")):
+            assert trees_equal(want, a)
+            assert trees_equal(want, b)
+
     def test_standby_holders_are_not_aliased(self, table):
         """Unit pin for the deep-copy: mutating the placement the standby
         was built from must not leak into its snapshot."""

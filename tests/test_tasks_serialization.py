@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import tasks
 from repro.core.config import TreeConfig, TreeKind
+from repro.core.histogram import best_binned_numeric_split
 from repro.core.splits import CandidateSplit
 from repro.core.tasks import MESSAGE_DATACLASSES
 from repro.data.schema import ColumnKind, ProblemKind
@@ -82,6 +83,16 @@ SPLIT_CAT = CandidateSplit(
     left_categories=frozenset({1, 4}),
     right_categories=frozenset({0, 2, 3}),
 )
+#: What a hist-mode column task answers with: the worker's own scoring of
+#: its complete node-local histogram — a plain ``CandidateSplit``.
+SPLIT_HIST = best_binned_numeric_split(
+    0,
+    np.array([0, 0, 1, 2, -1, 2, 1, 0]),
+    np.array([-0.5, 0.75]),
+    np.array([0, 0, 1, 1, 1, 1, 0, 0]),
+    TreeConfig().resolved_criterion(True),
+    3,
+)
 STATS_CLS = tasks.NodeStatsPayload.from_labels(
     np.array([0, 1, 1, 2, 2, 2]), ProblemKind.CLASSIFICATION, 3
 )
@@ -99,7 +110,7 @@ MESSAGE_FACTORIES: dict[type, object] = {
         local_columns=(0,), server_map={2: (2,), 4: (5,)},
     ),
     tasks.ColumnResultMsg: tasks.ColumnResultMsg(
-        task=(7, 2), worker=3, splits=[SPLIT_NUM, None, SPLIT_CAT],
+        task=(7, 2), worker=3, splits=[SPLIT_HIST, None, SPLIT_CAT],
         stats=STATS_CLS,
     ),
     tasks.SplitConfirmMsg: tasks.SplitConfirmMsg(task=(7, 2), split=SPLIT_CAT),
@@ -236,6 +247,20 @@ def test_pickle_round_trip(cls):
     clone = pickle.loads(pickle.dumps(original))
     assert type(clone) is cls
     assert deep_equal(original, clone), f"{cls.__name__} did not round-trip"
+
+
+def test_column_result_has_one_wire_shape():
+    """A column task answers with ``CandidateSplit`` s in both split modes:
+    four fields, no per-bin summary field, and nothing of numpy in a
+    hist-mode answer — the message's only array is the node's class-count
+    vector in ``stats``, as in exact mode."""
+    names = [f.name for f in dataclasses.fields(tasks.ColumnResultMsg)]
+    assert names == ["task", "worker", "splits", "stats"]
+    msg = MESSAGE_FACTORIES[tasks.ColumnResultMsg]
+    assert type(SPLIT_HIST) is CandidateSplit and msg.splits[0] is SPLIT_HIST
+    assert (SPLIT_HIST.threshold, SPLIT_HIST.n_missing) == (-0.5, 1)
+    assert b"numpy" not in pickle.dumps(msg.splits)
+    assert b"numpy" in pickle.dumps(msg.stats)  # the check is not vacuous
 
 
 def test_deep_equal_detects_numpy_differences():
