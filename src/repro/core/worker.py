@@ -33,6 +33,7 @@ from ..data.table import DataTable
 from .builder import extra_tree_split_rng
 from .config import TreeKind
 from .histogram import (
+    NO_THRESHOLDS,
     best_binned_numeric_split,
     bin_indices,
     book_for_config,
@@ -80,11 +81,6 @@ from .tree import node_to_dict
 
 class ProtocolError(RuntimeError):
     """A message arrived that the protocol forbids in the current state."""
-
-
-#: Empty threshold set — degenerate columns bin into one bucket and offer
-#: no split candidates (the guard the hist scorers honour).
-_NO_THRESHOLDS = np.empty(0)
 
 
 @dataclass
@@ -327,7 +323,7 @@ class WorkerActor:
             elif thresholds is not None and spec.kind is ColumnKind.NUMERIC:
                 # Hist mode: the column lives whole on this worker, so its
                 # node-local histogram is complete — score it right here.
-                col_thresholds = thresholds.get(col, _NO_THRESHOLDS)
+                col_thresholds = thresholds.get(col, NO_THRESHOLDS)
                 split = best_binned_numeric_split(
                     col,
                     bin_indices(values, col_thresholds),
@@ -577,7 +573,7 @@ class WorkerActor:
                     # decode into pseudo-values that rebin and route
                     # exactly like the originals.
                     arr = decode_bin_codes(
-                        arr, thresholds.get(idx, _NO_THRESHOLDS)
+                        arr, thresholds.get(idx, NO_THRESHOLDS)
                     )
                 columns.append(arr)
             elif idx in needed:
@@ -656,7 +652,7 @@ class WorkerActor:
                 values = self.column_values(col)[ids]
                 if self.table.column_spec(col).kind is ColumnKind.NUMERIC:
                     values = encode_bin_codes(
-                        values, thresholds.get(col, _NO_THRESHOLDS)
+                        values, thresholds.get(col, NO_THRESHOLDS)
                     )
                 arrays.append(values)
                 size += int(values.nbytes)

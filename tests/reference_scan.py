@@ -26,8 +26,24 @@ next change to it (bin once per run, ROADMAP item 2(b)) safe.
 and the hist reference recursion (``tests/reference_builder.py``) searches
 with it, so it no longer compares production with itself.
 
+The level-wide numeric and binned scans (``numeric_classification_scan``,
+``numeric_regression_scan`` in :mod:`repro.core.splits`, ``binned_scan`` in
+:mod:`repro.core.histogram`) are now the only implementations of their
+cases, each per-node entry their one-segment call; ``tests/test_splits.py``
+and ``tests/test_histogram_mode.py`` hold them, per segment of generated
+levels, to :func:`reference_numeric_split` and :func:`reference_binned_split`.
+
+:func:`reference_categorical_regression_split` is Appendix B case 2,
+``best_categorical_regression_split`` (:mod:`repro.core.splits`) as it stood
+when the numeric scans became level-wide: one node at a time, float
+``bincount(weights=)`` category sums, categories ordered by a ``lexsort`` on
+``(mean, code)``, prefix cuts scored with this file's own variance
+arithmetic (``variance_rows``, ``weighted_children_rows``).  It is the
+prerequisite of rewriting that scan level-wide: ``tests/test_splits.py``
+holds production to it field for field and bit for bit.
+
 Frozen: do not optimise.  Nothing here may import the production scoring
-functions, with one stated exception: the categorical oracle calls
+functions, with one exception: the case-3 categorical oracle calls
 :func:`repro.core.impurity.classification_children_scores`, as the scan
 it froze did.  PR 20 did not touch scoring — what it changed is counting,
 enumeration and tie-break, and those are what the oracle keeps its own
@@ -322,6 +338,67 @@ def reference_binned_split(
         n_left=nl + (n_missing if nl >= nr else 0),
         n_right=nr + (0 if nl >= nr else n_missing),
         threshold=float(thresholds[best]),
+        n_missing=n_missing,
+        missing_to_left=nl >= nr,
+    )
+
+
+def reference_categorical_regression_split(
+    column: int,
+    codes: np.ndarray,
+    y: np.ndarray,
+    n_categories: int,
+) -> CandidateSplit | None:
+    """Case 2: Breiman's mean-ordering algorithm for regression.
+
+    After sorting the category groups by mean ``Y``, the optimal subset split
+    is a prefix cut of the sorted group list, so only ``|S_i| - 1`` cuts need
+    scoring — no exponential enumeration.
+    """
+    present = codes != MISSING_CODE
+    n_missing = int(codes.size - present.sum())
+    cd = codes[present]
+    ys = y[present]
+    if cd.size < 2:
+        return None
+
+    counts = np.bincount(cd, minlength=n_categories).astype(np.float64)
+    sums = np.bincount(cd, weights=ys, minlength=n_categories)
+    sq_sums = np.bincount(cd, weights=ys * ys, minlength=n_categories)
+    nonempty = np.nonzero(counts > 0)[0]
+    if nonempty.size < 2:
+        return None
+
+    means = sums[nonempty] / counts[nonempty]
+    # Stable order by (mean, code) keeps ties deterministic.
+    order = nonempty[np.lexsort((nonempty, means))]
+    c = counts[order]
+    s = sums[order]
+    q = sq_sums[order]
+
+    cum_c = np.cumsum(c)[:-1]
+    cum_s = np.cumsum(s)[:-1]
+    cum_q = np.cumsum(q)[:-1]
+    tot_c, tot_s, tot_q = c.sum(), s.sum(), q.sum()
+    scores = weighted_children_rows(
+        variance_rows(cum_c, cum_s, cum_q),
+        cum_c,
+        variance_rows(tot_c - cum_c, tot_s - cum_s, tot_q - cum_q),
+        tot_c - cum_c,
+    )
+    best = int(np.argmin(scores))
+
+    left = frozenset(int(code) for code in order[: best + 1])
+    right = frozenset(int(code) for code in order[best + 1 :])
+    nl, nr = int(cum_c[best]), int(tot_c - cum_c[best])
+    return CandidateSplit(
+        column=column,
+        kind=ColumnKind.CATEGORICAL,
+        score=float(scores[best]),
+        n_left=nl + (n_missing if nl >= nr else 0),
+        n_right=nr + (0 if nl >= nr else n_missing),
+        left_categories=left,
+        right_categories=right,
         n_missing=n_missing,
         missing_to_left=nl >= nr,
     )
