@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from ..cluster.network import Message
 from ..cluster.topology import SimulatedCluster
 from ..data.schema import ProblemKind
+from ..data.table import DataTable
 from .config import SystemConfig, TreeKind
 from .jobs import TrainingJob
 from .load_balance import (
@@ -84,6 +85,11 @@ class _TableInfo:
     n_columns: int
     problem: ProblemKind
     n_classes: int
+
+    @classmethod
+    def of(cls, table: DataTable) -> "_TableInfo":
+        """The master's view of ``table``."""
+        return cls(table.n_rows, table.n_columns, table.problem, table.n_classes)
 
 
 @dataclass

@@ -13,6 +13,7 @@ Selected via ``TreeServer(..., backend=...)`` or ``repro train
 from .base import (
     BACKENDS,
     FAULT_POLICIES,
+    FaultPlan,
     MessageTimeoutError,
     Runtime,
     RuntimeBackendError,
@@ -34,6 +35,7 @@ from .socket import (
 __all__ = [
     "BACKENDS",
     "FAULT_POLICIES",
+    "FaultPlan",
     "HandshakeError",
     "MessageTimeoutError",
     "ProcessRuntime",

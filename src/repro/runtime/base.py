@@ -25,6 +25,7 @@ models (pinned by ``tests/test_runtime_mp.py`` and
 from __future__ import annotations
 
 import abc
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
@@ -32,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.cost import CostModel
     from ..core.config import SystemConfig
     from ..core.jobs import TrainingJob
+    from ..core.master import MasterActor
     from ..core.server import RunReport
     from ..data.table import DataTable
 
@@ -43,6 +45,14 @@ BACKENDS = ("sim", "mp", "socket")
 #: the master's replica-reassignment + tree-revocation path and keeps
 #: training on the survivors.
 FAULT_POLICIES = ("fail_fast", "recover")
+
+#: Accepted :attr:`FaultPlan.kind` values.
+FAULT_KINDS = ("crash", "raise")
+
+#: The one fault-injection environment variable: a :class:`FaultPlan` in
+#: its text form.  Only code that starts workers reads it — the mp and
+#: socket self-launch pools, ``repro worker`` and the serving fleet.
+FAULT_ENV = "REPRO_FAULT"
 
 
 @runtime_checkable
@@ -112,6 +122,64 @@ class MessageTimeoutError(RuntimeBackendError):
 
 
 @dataclass(frozen=True)
+class FaultPlan:
+    """One injected worker fault, for tests and CI.
+
+    Worker ``worker`` (ids start at 1) fails right after handling its
+    ``after``-th message: ``kind="crash"`` hard-exits the process with no
+    goodbye, ``kind="raise"`` raises an ordinary exception, which the
+    worker ships home as ``worker_error``.  The text form is
+    ``kind:worker:after``, e.g. ``crash:2:6`` (:meth:`parse`), which is
+    what :data:`FAULT_ENV` holds.
+    """
+
+    kind: str
+    worker: int
+    after: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(
+                f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
+            )
+        for name in ("worker", "after"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"fault {name} must be an integer >= 1, got {value!r}"
+                )
+
+    @classmethod
+    def parse(cls, text: str) -> "FaultPlan":
+        """The plan written as ``kind:worker:after``."""
+        try:
+            kind, worker, after = text.split(":")
+            return cls(kind, int(worker), int(after))
+        except ValueError:
+            raise ValueError(
+                f"invalid fault plan {text!r}; expected 'kind:worker:after' "
+                f"with kind one of {FAULT_KINDS} and integers >= 1, "
+                f"e.g. 'crash:2:6'"
+            ) from None
+
+    @classmethod
+    def from_env(cls) -> "FaultPlan | None":
+        """The plan in :data:`FAULT_ENV`, or ``None`` when it is unset."""
+        text = os.environ.get(FAULT_ENV)
+        if not text:
+            return None
+        try:
+            return cls.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{FAULT_ENV}: {exc}") from None
+
+    def fires(self, worker_id: int, handled: int) -> bool:
+        """Whether the plan fails ``worker_id`` once it has handled
+        ``handled`` messages."""
+        return worker_id == self.worker and handled >= self.after
+
+
+@dataclass(frozen=True)
 class RuntimeOptions:
     """Knobs of the runtime backends.
 
@@ -125,10 +193,11 @@ class RuntimeOptions:
     worker liveness while waiting.  ``start_method`` picks the
     ``multiprocessing`` context (``None`` = ``fork`` where available,
     else ``spawn`` — both are first-class; anything else the platform
-    offers can be named explicitly).  ``crash_worker_after`` is a
-    fault-injection hook for tests: ``(worker_id, n_messages)``
-    hard-kills that worker process after it handles ``n_messages``
-    messages.
+    offers can be named explicitly).  ``fault`` is the
+    :class:`FaultPlan` a test injects into the worker processes the
+    process backends start (when it is ``None`` they read
+    :data:`FAULT_ENV`); the simulator, and a socket master in external
+    mode (``listen`` set), start no worker process and refuse it.
 
     Shared-memory data plane (``docs/RUNTIME.md``): ``use_shm`` places
     the column table in ``multiprocessing.shared_memory`` segments that
@@ -151,11 +220,7 @@ class RuntimeOptions:
     recovery was asked for).  ``max_worker_failures`` caps how many
     crashes a recovering run absorbs before giving up; recovery also
     requires every column of the dead worker to retain a live replica
-    (``k >= 2``).  ``raise_worker_after`` is the soft sibling of
-    ``crash_worker_after``: ``(worker_id, n_messages)`` makes that worker
-    *raise* (a Python exception shipped home as ``worker_error``) instead
-    of hard-dying — the injection hook behind the logic-error recovery
-    tests.
+    (``k >= 2``).
 
     Socket backend (``docs/RUNTIME.md``): ``listen`` is the
     ``host:port`` the master binds for worker rendezvous; ``None`` (the
@@ -172,8 +237,7 @@ class RuntimeOptions:
     message_timeout_seconds: float = 30.0
     poll_interval_seconds: float = 0.05
     start_method: str | None = None
-    crash_worker_after: tuple[int, int] | None = None
-    raise_worker_after: tuple[int, int] | None = None
+    fault: FaultPlan | None = None
     use_shm: bool = True
     shm_threshold_bytes: int = 8192
     coalesce_max_messages: int = 32
@@ -216,22 +280,17 @@ class RuntimeOptions:
                 f"coalesce_max_messages must be >= 1 (1 disables "
                 f"coalescing), got {self.coalesce_max_messages!r}"
             )
-        for name in ("crash_worker_after", "raise_worker_after"):
-            spec = getattr(self, name)
-            if spec is None:
-                continue
-            # Same rule as parse_kill_spec (the REPRO_MP_KILL env form):
-            # worker ids start at 1 and the count is 1-based, so a 0
-            # entry would silently inject nothing.
-            if (
-                len(spec) != 2
-                or not all(isinstance(entry, int) for entry in spec)
-                or spec[0] < 1
-                or spec[1] < 1
-            ):
+        if self.fault is not None:
+            if not isinstance(self.fault, FaultPlan):
                 raise ValueError(
-                    f"{name} must be a (worker_id, n_messages) pair of "
-                    f"integers >= 1, got {spec!r}"
+                    f"fault must be a FaultPlan, got {self.fault!r}"
+                )
+            if self.listen is not None:
+                raise ValueError(
+                    "fault cannot be injected with listen set: an "
+                    "external-mode master starts no worker; set "
+                    f"{FAULT_ENV} for `repro worker` on the worker's "
+                    f"machine instead"
                 )
 
     def resolved_fault_policy(self, backend: str) -> str:
@@ -270,6 +329,36 @@ class Runtime(abc.ABC):
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError("job names must be unique")
+
+
+def finish_run(
+    master: "MasterActor", workers: "dict[int, tuple[dict[str, int], int]]"
+) -> None:
+    """The run-end invariants of every backend, then the plan-deque
+    counters folded into the master's.
+
+    ``workers`` maps each surviving worker to its ``(outstanding task
+    state, task memory bytes)``: no task state may be left, no task byte
+    held, and the load matrix must be back at zero.
+    """
+    for wid in sorted(workers):
+        outstanding, task_bytes = workers[wid]
+        leftovers = {k: v for k, v in outstanding.items() if v}
+        if leftovers:
+            raise RuntimeError(f"worker {wid} leaked task state: {leftovers}")
+        if task_bytes != 0:
+            raise RuntimeError(
+                f"worker {wid} leaked {task_bytes} bytes of task memory"
+            )
+    if not master.matrix.is_zero():
+        raise RuntimeError(
+            f"load matrix did not return to zero: {master.matrix.snapshot()}"
+        )
+    master.counters.head_insertions = master.bplan.head_insertions
+    master.counters.tail_insertions = master.bplan.tail_insertions
+    master.counters.bplan_peak = max(
+        master.counters.bplan_peak, master.bplan.peak_size
+    )
 
 
 def create_runtime(

@@ -26,6 +26,14 @@ default on — see ``docs/RUNTIME.md``):
   per destination, flushed whenever an event loop goes idle, cutting
   per-message pickle + syscall overhead in message-dominated shapes.
 
+The worker pool — spawning, liveness, reaping, the terminate → join →
+kill escalation, the table's shm image and the run-prefix sweep — is
+:class:`WorkerPool`, which the socket backend's transport extends as
+well; :class:`ProcessTransport` adds only the queues.  Faults are
+injected for tests and CI by one :class:`~repro.runtime.base.FaultPlan`
+(``RuntimeOptions.fault``, else the ``REPRO_FAULT`` variable), which the
+pool reads when it starts the workers and hands to each of them.
+
 Failure semantics (the edges the simulator never has):
 
 * **worker death** — the driver polls child liveness whenever its inbox is
@@ -65,14 +73,15 @@ with and without the shared-memory data plane.
 
 from __future__ import annotations
 
-import dataclasses
+import abc
+import contextlib
 import os
 import pickle
 import queue as queue_module
 import time
 import traceback
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import multiprocessing
 
@@ -101,43 +110,18 @@ from ..data.shm import (
 )
 from ..data.table import DataTable
 from .base import (
+    FaultPlan,
     MessageTimeoutError,
     Runtime,
     RuntimeOptions,
     WorkerDiedError,
+    finish_run,
 )
 from .local import LocalCluster
+from .signals import stop_processes
 
-#: Exit code of the fault-injection hook (distinguishable from crashes).
+#: Exit code of an injected ``crash`` fault (distinguishable from crashes).
 CRASH_EXITCODE = 71
-
-#: Environment fault-injection hook: ``REPRO_MP_KILL=worker:after_n_messages``
-#: hard-kills that worker after it handles that many messages, exactly like
-#: ``RuntimeOptions.crash_worker_after`` (which takes precedence when set).
-KILL_ENV = "REPRO_MP_KILL"
-
-#: Soft sibling of :data:`KILL_ENV`: ``REPRO_MP_RAISE=worker:after_n`` makes
-#: that worker *raise* a Python exception (shipped home as ``worker_error``)
-#: instead of hard-dying, exactly like ``RuntimeOptions.raise_worker_after``.
-RAISE_ENV = "REPRO_MP_RAISE"
-
-
-def parse_kill_spec(spec: str, env_name: str = KILL_ENV) -> tuple[int, int]:
-    """Parse a fault-injection spec ``worker:after_n_messages``."""
-    try:
-        worker_text, after_text = spec.split(":")
-        worker, after = int(worker_text), int(after_text)
-    except ValueError:
-        raise ValueError(
-            f"invalid {env_name} spec {spec!r}; expected "
-            f"'worker:after_n_messages', e.g. '2:20'"
-        ) from None
-    if worker < 1 or after < 1:
-        raise ValueError(
-            f"invalid {env_name} spec {spec!r}: worker id and message "
-            f"count must both be >= 1"
-        )
-    return worker, after
 
 
 def resolve_start_method(requested: str | None) -> str:
@@ -233,22 +217,6 @@ class QueueFabric:
             q.cancel_join_thread()
 
 
-def env_fault_hook(env_name: str) -> tuple[int, int] | None:
-    """The ``(worker, after_n_messages)`` spec in ``env_name``, if set.
-
-    The one reader of :data:`KILL_ENV` / :data:`RAISE_ENV`: the drivers
-    fold it into their options, an external ``repro worker`` applies it
-    to itself.
-    """
-    spec = os.environ.get(env_name)
-    return parse_kill_spec(spec, env_name) if spec else None
-
-
-def injected_after(spec: tuple[int, int] | None, worker_id: int) -> int | None:
-    """Message count at which a ``(worker, n)`` hook fires on this worker."""
-    return spec[1] if spec is not None and spec[0] == worker_id else None
-
-
 def worker_error_message(worker_id: int, exc: BaseException) -> Message:
     """The ``worker_error`` a failing worker ships home (call while
     handling ``exc``: the traceback is the current one)."""
@@ -258,6 +226,26 @@ def worker_error_message(worker_id: int, exc: BaseException) -> Message:
         traceback=traceback.format_exc(),
     )
     return Message(worker_id, 0, MSG_WORKER_ERROR, error, 0)
+
+
+@contextlib.contextmanager
+def worker_table(
+    table_ref: "DataTable | SharedTableHandle",
+) -> Iterator[tuple[DataTable, int]]:
+    """A started worker's table and the bytes it maps, for a ``with`` block.
+
+    A :class:`SharedTableHandle` (shm data plane, either start method) is
+    attached, and unmapped when the block ends; a table inherited under
+    ``fork`` or pickled under ``spawn`` is used as is and maps nothing.
+    """
+    if not isinstance(table_ref, SharedTableHandle):
+        yield table_ref, 0
+        return
+    attached = table_ref.attach()
+    try:
+        yield attached.table, attached.nbytes
+    finally:
+        attached.close()
 
 
 def run_worker_loop(
@@ -275,8 +263,7 @@ def run_worker_loop(
     threshold_book: dict | None,
     shm_peers: set[int] | None = None,
     attached_nbytes: int = 0,
-    crash_after: int | None = None,
-    raise_after: int | None = None,
+    fault: FaultPlan | None = None,
 ) -> None:
     """The worker event loop of both process backends.
 
@@ -288,11 +275,11 @@ def run_worker_loop(
     at most one poll interval and returns the next decoded batch, an
     empty one when nothing arrived, or ``None`` when the master is gone
     (we are orphaned: return quietly).  ``crash`` must not return — it
-    is how an injected hard crash leaves after ``crash_after`` handled
-    messages, the fault-injection hook behind the worker-death tests;
-    ``raise_after`` is its soft sibling, raising an ordinary exception so
-    the ``worker_error`` path (and its recovery) can be exercised end to
-    end.  Any exception propagates: shipping it home is the caller's.
+    is how the process leaves when a ``crash`` ``fault`` fires on this
+    worker, the hook behind the worker-death tests; a ``raise`` fault
+    raises an ordinary exception instead, so the ``worker_error`` path
+    (and its recovery) can be exercised end to end.  Any exception
+    propagates: shipping it home is the caller's.
     """
     from ..core.worker import WorkerActor  # import here: cheap under fork
 
@@ -350,11 +337,12 @@ def run_worker_loop(
                 return
             handled += 1
             actor.handle_message(message)
-            if raise_after is not None and handled >= raise_after:
-                raise RuntimeError(
-                    f"injected worker logic error after {handled} messages"
-                )
-            if crash_after is not None and handled >= crash_after:
+            if fault is not None and fault.fires(worker_id, handled):
+                if fault.kind == "raise":
+                    raise RuntimeError(
+                        f"injected worker logic error after {handled} "
+                        f"messages"
+                    )
                 crash()
     finally:
         # Release the shm footprint: drop array references first so the
@@ -372,18 +360,15 @@ def _worker_main(
     queues: list,
     cost: CostModel,
     options_tuple: tuple,
-    crash_after: int | None,
-    raise_after: int | None = None,
+    fault: FaultPlan | None,
 ) -> None:
     """Entry point of one mp worker process.
 
-    ``table_ref`` is either the table itself (inherited cheaply under
-    ``fork``, pickled under ``spawn``) or a :class:`SharedTableHandle` to
-    attach (shm data plane, either start method).  Runs
-    :func:`run_worker_loop` on its inbox queue until the shutdown
-    broadcast (exit 0; a normal exit flushes the queue feeder threads),
-    the parent disappears (exit silently — we are orphaned), or the actor
-    raises (ship the traceback to the driver, exit 1).
+    Runs :func:`run_worker_loop` on its inbox queue, over the table
+    :func:`worker_table` gives it, until the shutdown broadcast (exit 0;
+    a normal exit flushes the queue feeder threads), the parent
+    disappears (exit silently — we are orphaned), or the actor raises
+    (ship the traceback to the driver, exit 1).
     """
     (
         poll_seconds,
@@ -421,114 +406,109 @@ def _worker_main(
             crash_queue.join_thread()
         os._exit(CRASH_EXITCODE)
 
-    attached = None
     try:
-        if isinstance(table_ref, SharedTableHandle):
-            attached = table_ref.attach()
-            table = attached.table
-        else:
-            table = table_ref
-        run_worker_loop(
-            worker_id,
-            n_workers,
-            table,
-            held_columns,
-            cost,
-            QueueFabric(queues, max_batch=coalesce_max),
-            next_messages,
-            crash,
-            shm_prefix=shm_prefix,
-            shm_threshold_bytes=shm_threshold,
-            threshold_book=threshold_book,
-            attached_nbytes=attached.nbytes if attached is not None else 0,
-            crash_after=crash_after,
-            raise_after=raise_after,
-        )
+        with worker_table(table_ref) as (table, mapped_nbytes):
+            run_worker_loop(
+                worker_id,
+                n_workers,
+                table,
+                held_columns,
+                cost,
+                QueueFabric(queues, max_batch=coalesce_max),
+                next_messages,
+                crash,
+                shm_prefix=shm_prefix,
+                shm_threshold_bytes=shm_threshold,
+                threshold_book=threshold_book,
+                attached_nbytes=mapped_nbytes,
+                fault=fault,
+            )
     except BaseException as exc:  # noqa: BLE001 - ship any failure home
         try:
             queues[0].put(worker_error_message(worker_id, exc))
         except Exception:  # the fabric itself may be gone
             pass
         raise SystemExit(1)
-    finally:
-        table = None  # noqa: F841 - drop views before closing segments
-        if attached is not None:
-            attached.close()
 
 
-class ProcessTransport:
-    """Owns the queue fabric, the worker pool and the run's shm segments."""
+class WorkerPool(abc.ABC):
+    """The driver side of both process transports.
+
+    Owns the worker processes and the run's shm segments, and moves the
+    driver's messages through :attr:`fabric` and :attr:`_master_inbox`
+    (anything whose ``get(timeout=...)`` raises ``queue.Empty``), which a
+    subclass builds together with its links to the workers.  A subclass
+    also says how a worker's death shows (:meth:`dead_workers`) and what
+    else retiring one worker (:meth:`_release_worker`) or the whole pool
+    (:meth:`_disconnect`) releases.
+    """
+
+    fabric: QueueFabric
+    _master_inbox: Any
+    #: How long :meth:`reap_worker` waits for a dead worker's process.
+    reap_join_seconds = 5.0
 
     def __init__(
-        self,
-        n_workers: int,
-        table: DataTable,
-        placement: dict[int, list[int]],
-        cost: CostModel,
-        options: RuntimeOptions,
-        threshold_book: dict | None = None,
+        self, n_workers: int, options: RuntimeOptions, start_method: str
     ) -> None:
-        method = resolve_start_method(options.start_method)
-        self._ctx = multiprocessing.get_context(method)
-        self.start_method = method
         self.n_workers = n_workers
-        self.queues = [self._ctx.Queue() for _ in range(n_workers + 1)]
-        self.fabric = QueueFabric(
-            self.queues, max_batch=options.coalesce_max_messages
-        )
-        self._pending_master: list[Message] = []
+        self.options = options
+        self.start_method = start_method
         self.processes: dict[int, Any] = {}
-        # -- shared-memory data plane ----------------------------------
-        self.shm_prefix: str | None = None
-        self.table_handle: SharedTableHandle | None = None
-        table_ref: DataTable | SharedTableHandle = table
-        if options.use_shm:
-            self.shm_prefix = new_run_prefix()
-            self.table_handle = SharedTableHandle.create(
-                table, f"{self.shm_prefix}-t"
-            )
-            table_ref = self.table_handle
-        worker_options = (
-            options.poll_interval_seconds,
-            self.shm_prefix,
-            options.shm_threshold_bytes,
-            options.coalesce_max_messages,
-            threshold_book,
+        self._pending_master: list[Message] = []
+        self.shm_prefix: str | None = (
+            new_run_prefix() if options.use_shm else None
         )
-        try:
-            for wid in range(1, n_workers + 1):
-                held = {c for c, ws in placement.items() if wid in ws}
-                process = self._ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        wid,
-                        n_workers,
-                        table_ref,
-                        held,
-                        self.queues,
-                        cost,
-                        worker_options,
-                        injected_after(options.crash_worker_after, wid),
-                        injected_after(options.raise_worker_after, wid),
-                    ),
-                    name=f"repro-worker-{wid}",
-                    daemon=True,
-                )
-                process.start()
-                self.processes[wid] = process
-        except BaseException:
-            self.shutdown()
-            raise
+        self.table_handle: SharedTableHandle | None = None
+
+    # -- start-up -------------------------------------------------------
+    def _share_table(
+        self, table: DataTable
+    ) -> "DataTable | SharedTableHandle":
+        """What a started worker gets for its table: a handle to the
+        table's shm image (made here, unlinked by :meth:`shutdown`) when
+        the shm data plane is on, else the table itself."""
+        if self.shm_prefix is None:
+            return table
+        self.table_handle = SharedTableHandle.create(
+            table, f"{self.shm_prefix}-t"
+        )
+        return self.table_handle
+
+    def _start_workers(
+        self,
+        target: Callable[..., None],
+        args_of: Callable[[int], tuple],
+        name: str,
+    ) -> None:
+        """Start each worker ``wid`` as a daemon process running
+        ``target(*args_of(wid), fault)``.
+
+        ``fault`` is the run's :class:`~repro.runtime.base.FaultPlan`:
+        ``options.fault``, else the ``REPRO_FAULT`` variable, read here —
+        once per run, and only by code that starts workers.
+        """
+        context = multiprocessing.get_context(self.start_method)
+        fault = self.options.fault or FaultPlan.from_env()
+        for wid in range(1, self.n_workers + 1):
+            process = context.Process(
+                target=target,
+                args=(*args_of(wid), fault),
+                name=f"{name}-{wid}",
+                daemon=True,
+            )
+            process.start()
+            self.processes[wid] = process
 
     # -- driver-side sends / receives -----------------------------------
     def send(
         self, src: int, dst: int, kind: str, payload: Any, size_bytes: int
     ) -> None:
-        """Transport interface: parent-side send into any inbox."""
+        """Transport interface: driver-side send towards any machine."""
         self.fabric.send(src, dst, kind, payload, size_bytes)
 
     def flush(self) -> None:
-        """Transport interface: push buffered parent-side sends out."""
+        """Transport interface: push buffered driver-side sends out."""
         self.fabric.flush()
 
     def recv_master(self, timeout: float) -> Message:
@@ -540,57 +520,49 @@ class ProcessTransport:
         self.fabric.flush()
         if not self._pending_master:
             self._pending_master.extend(
-                _decode(self.queues[0].get(timeout=timeout))
+                _decode(self._master_inbox.get(timeout=timeout))
             )
         return self._pending_master.pop(0)
 
     # -- liveness -------------------------------------------------------
+    @abc.abstractmethod
     def dead_workers(
         self, allow_clean_exit: bool = False
     ) -> list[tuple[int, int]]:
-        """Worker ids (with exit codes) whose processes have exited.
+        """Worker ids (with exit codes) that have died.
 
         ``allow_clean_exit`` tolerates exit code 0 (the shutdown phase,
         where workers legitimately finish after reporting their stats).
         Already-reaped workers (see :meth:`reap_worker`) are not listed.
         """
-        dead = []
-        for wid, process in self.processes.items():
-            code = process.exitcode
-            if code is None:
-                continue
-            if allow_clean_exit and code == 0:
-                continue
-            dead.append((wid, code))
-        return dead
 
     def check_alive(self, allow_clean_exit: bool = False) -> None:
-        """Raise :class:`WorkerDiedError` if any worker process is gone."""
+        """Raise :class:`WorkerDiedError` if any worker is gone."""
         dead = self.dead_workers(allow_clean_exit)
         if dead:
             raise WorkerDiedError(*dead[0])
 
     def reap_worker(self, worker_id: int) -> None:
-        """Retire a crashed worker the run is recovering from.
+        """Retire a dead worker the run is recovering from.
 
-        Joins the process, drains its now-ownerless inbox (anything
-        queued there is a fenced straggler nobody will ever read), and
-        sweeps its shm arena segments immediately — recovery must not
+        Joins its process, releases its link (:meth:`_release_worker`),
+        and sweeps its shm arena segments immediately — recovery must not
         leak the dead worker's parked ``I_x`` slices for the rest of a
         long run.  Any live peer still holding a descriptor into the
         swept arena tolerates the vanished segment (see
-        ``WorkerActor._on_row_response_shm``).
+        ``WorkerActor._on_row_response_shm``).  The sweep reaches this
+        host only; a remote worker's host cleans its own on exit.
         """
         process = self.processes.pop(worker_id, None)
         if process is not None:
-            process.join(timeout=1.0)
-        try:
-            while True:
-                self.queues[worker_id].get_nowait()
-        except queue_module.Empty:
-            pass
+            process.join(timeout=self.reap_join_seconds)
+        self._release_worker(worker_id)
         if self.shm_prefix is not None:
             unlink_segments(list_segments(f"{self.shm_prefix}-w{worker_id}"))
+
+    @abc.abstractmethod
+    def _release_worker(self, worker_id: int) -> None:
+        """Drop the link to a reaped worker."""
 
     def begin_shutdown(self) -> None:
         """Hook: the driver is entering the shutdown phase.
@@ -602,21 +574,22 @@ class ProcessTransport:
         """
 
     # -- teardown -------------------------------------------------------
-    def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Drain and join the pool; escalate terminate → kill. Idempotent.
+    def _disconnect(self, join_timeout: float) -> None:
+        """Close the links to the workers before the pool is stopped
+        (nothing to close first here)."""
 
-        After the pool is gone, every shm segment of the run is removed:
-        the table handle is unlinked and the run prefix is swept, which
-        reclaims arena segments of workers that died without cleaning up.
+    def shutdown(self, join_timeout: float = 5.0) -> None:
+        """Close everything down; escalate terminate → kill. Idempotent.
+
+        The links close first (:meth:`_disconnect`), then the pool is
+        terminated, joined and, where needed, killed, and then every shm
+        segment of the run is removed: the table image is unlinked and the
+        run prefix swept, which reclaims arena segments of workers that
+        died without cleaning up.
         """
-        for process in self.processes.values():
-            if process.is_alive():
-                process.terminate()
-        for process in self.processes.values():
-            process.join(timeout=join_timeout)
-            if process.is_alive():  # pragma: no cover - stuck in C code
-                process.kill()
-                process.join(timeout=join_timeout)
+        self._disconnect(join_timeout)
+        stop_processes(self.processes.values(), join_timeout)
+        self.processes = {}
         self.fabric.close()
         if self.table_handle is not None:
             self.table_handle.unlink()
@@ -629,10 +602,86 @@ class ProcessTransport:
         self.shutdown()
 
 
+class ProcessTransport(WorkerPool):
+    """The mp transport: one ``multiprocessing`` inbox per machine id."""
+
+    # The dead worker's inbox is drained only after the join.
+    reap_join_seconds = 1.0
+
+    def __init__(
+        self,
+        n_workers: int,
+        table: DataTable,
+        placement: dict[int, list[int]],
+        cost: CostModel,
+        options: RuntimeOptions,
+        threshold_book: dict | None = None,
+    ) -> None:
+        super().__init__(
+            n_workers, options, resolve_start_method(options.start_method)
+        )
+        context = multiprocessing.get_context(self.start_method)
+        self.queues = [context.Queue() for _ in range(n_workers + 1)]
+        self.fabric = QueueFabric(
+            self.queues, max_batch=options.coalesce_max_messages
+        )
+        self._master_inbox = self.queues[0]
+        worker_options = (
+            options.poll_interval_seconds,
+            self.shm_prefix,
+            options.shm_threshold_bytes,
+            options.coalesce_max_messages,
+            threshold_book,
+        )
+        try:
+            table_ref = self._share_table(table)
+            self._start_workers(
+                _worker_main,
+                lambda wid: (
+                    wid,
+                    n_workers,
+                    table_ref,
+                    {c for c, ws in placement.items() if wid in ws},
+                    self.queues,
+                    cost,
+                    worker_options,
+                ),
+                "repro-worker",
+            )
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def dead_workers(
+        self, allow_clean_exit: bool = False
+    ) -> list[tuple[int, int]]:
+        """Worker ids (with exit codes) whose processes have exited."""
+        dead = []
+        for wid, process in self.processes.items():
+            code = process.exitcode
+            if code is None:
+                continue
+            if allow_clean_exit and code == 0:
+                continue
+            dead.append((wid, code))
+        return dead
+
+    def _release_worker(self, worker_id: int) -> None:
+        """Drain the reaped worker's now-ownerless inbox: anything queued
+        there is a fenced straggler nobody will ever read."""
+        try:
+            while True:
+                self.queues[worker_id].get_nowait()
+        except queue_module.Empty:
+            pass
+
+
 class ProcessRuntime(Runtime):
     """Training on real cores: one OS process per worker machine."""
 
     name = "mp"
+    #: The transport a run is driven over; the socket runtime swaps it.
+    transport_class: type[WorkerPool] = ProcessTransport
 
     def __init__(
         self,
@@ -644,7 +693,6 @@ class ProcessRuntime(Runtime):
         self.options = options or RuntimeOptions()
         self._fault_policy = self.options.resolved_fault_policy(self.name)
         self._failures = 0
-        self._threshold_book: dict = {}
 
     def fit(self, table: DataTable, jobs: list[TrainingJob], **kwargs: Any):
         """Run the full protocol over real processes; see ``TreeServer.fit``."""
@@ -659,14 +707,6 @@ class ProcessRuntime(Runtime):
                     f"{feature} is only supported on the sim backend"
                 )
         self.validate(table, jobs)
-        self.options = dataclasses.replace(
-            self.options,
-            crash_worker_after=self.options.crash_worker_after
-            or env_fault_hook(KILL_ENV),
-            raise_worker_after=self.options.raise_worker_after
-            or env_fault_hook(RAISE_ENV),
-        )
-        self._fault_policy = self.options.resolved_fault_policy(self.name)
         self._failures = 0
         start = time.perf_counter()
         placement = assign_columns_to_workers(
@@ -676,28 +716,21 @@ class ProcessRuntime(Runtime):
         )
         # Hist-mode equi-depth thresholds: computed once on the driver,
         # before any worker starts, and shipped to every worker (via the
-        # spawn args here; via the rendezvous welcome on the socket
-        # backend).  Empty when every job trains exact.
-        self._threshold_book = build_threshold_book(table, jobs)
-        transport = self._make_transport(table, placement)
-        try:
-            report = self._drive(table, jobs, placement, transport, start)
-        finally:
-            transport.shutdown()
-        return report
-
-    def _make_transport(
-        self, table: DataTable, placement: dict[int, list[int]]
-    ) -> ProcessTransport:
-        """Build the run's transport; the socket runtime overrides this."""
-        return ProcessTransport(
+        # spawn args on mp; via the rendezvous welcome on socket).  Empty
+        # when every job trains exact.
+        transport = self.transport_class(
             self.system.n_workers,
             table,
             placement,
             self.cost,
             self.options,
-            threshold_book=self._threshold_book,
+            threshold_book=build_threshold_book(table, jobs),
         )
+        try:
+            report = self._drive(table, jobs, placement, transport, start)
+        finally:
+            transport.shutdown()
+        return report
 
     # ------------------------------------------------------------------
     def _drive(
@@ -705,7 +738,7 @@ class ProcessRuntime(Runtime):
         table: DataTable,
         jobs: list[TrainingJob],
         placement: dict[int, list[int]],
-        transport: ProcessTransport,
+        transport: WorkerPool,
         start: float,
     ):
         """Master-side event loop: pump plans out, fold results in."""
@@ -713,13 +746,9 @@ class ProcessRuntime(Runtime):
 
         options = self.options
         cluster = LocalCluster(self.system.n_workers, self.cost, transport)
-        info = _TableInfo(
-            n_rows=table.n_rows,
-            n_columns=table.n_columns,
-            problem=table.problem,
-            n_classes=table.n_classes,
+        master = MasterActor(
+            cluster, _TableInfo.of(table), jobs, self.system, placement
         )
-        master = MasterActor(cluster, info, jobs, self.system, placement)
         master.start()
         cluster.engine.drain()
 
@@ -772,14 +801,14 @@ class ProcessRuntime(Runtime):
             cluster.engine.drain()
 
         stats = self._collect_worker_stats(transport, live)
-        self._check_invariants(master, stats)
-        wall = time.perf_counter() - start
-
-        master.counters.head_insertions = master.bplan.head_insertions
-        master.counters.tail_insertions = master.bplan.tail_insertions
-        master.counters.bplan_peak = max(
-            master.counters.bplan_peak, master.bplan.peak_size
+        finish_run(
+            master,
+            {
+                wid: (worker.outstanding, worker.mem_task_bytes)
+                for wid, worker in stats.items()
+            },
         )
+        wall = time.perf_counter() - start
         models = {job.name: master.trained_trees(job.name) for job in jobs}
         return RunReport(
             sim_seconds=wall,
@@ -795,7 +824,7 @@ class ProcessRuntime(Runtime):
     # ------------------------------------------------------------------
     def _check_children(
         self,
-        transport: ProcessTransport,
+        transport: WorkerPool,
         master: MasterActor,
         cluster: LocalCluster,
         live: set[int],
@@ -814,7 +843,7 @@ class ProcessRuntime(Runtime):
 
     def _recover_worker(
         self,
-        transport: ProcessTransport,
+        transport: WorkerPool,
         master: MasterActor,
         cluster: LocalCluster,
         live: set[int],
@@ -862,7 +891,7 @@ class ProcessRuntime(Runtime):
 
     # ------------------------------------------------------------------
     def _collect_worker_stats(
-        self, transport: ProcessTransport, live: set[int]
+        self, transport: WorkerPool, live: set[int]
     ) -> dict[int, WorkerStatsMsg]:
         """Shutdown phase: every surviving worker reports stats, then exits."""
         transport.begin_shutdown()
@@ -902,36 +931,13 @@ class ProcessRuntime(Runtime):
             # the shutdown path); drop it.
         return stats
 
-    @staticmethod
-    def _check_invariants(
-        master: MasterActor, stats: dict[int, WorkerStatsMsg]
-    ) -> None:
-        """The simulator's run-end invariants, from remote stats reports."""
-        for wid in sorted(stats):
-            report = stats[wid]
-            leftovers = {k: v for k, v in report.outstanding.items() if v}
-            if leftovers:
-                raise RuntimeError(
-                    f"worker {wid} leaked task state: {leftovers}"
-                )
-            if report.mem_task_bytes != 0:
-                raise RuntimeError(
-                    f"worker {wid} leaked {report.mem_task_bytes} bytes "
-                    f"of task memory"
-                )
-        if not master.matrix.is_zero():
-            raise RuntimeError(
-                "load matrix did not return to zero: "
-                f"{master.matrix.snapshot()}"
-            )
-
     def _cluster_report(
         self,
         wall: float,
         cluster: LocalCluster,
         stats: dict[int, WorkerStatsMsg],
         messages_handled: int,
-        transport: ProcessTransport,
+        transport: WorkerPool,
         master: MasterActor,
     ) -> ClusterReport:
         """Paper-style summary from real-process counters.

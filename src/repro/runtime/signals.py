@@ -18,20 +18,27 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import signal
-from typing import Iterator
+from typing import Iterable, Iterator
+
+
+def stop_processes(processes: Iterable, join_timeout: float = 5.0) -> None:
+    """Terminate every live process, then join each, killing any that
+    outlives ``join_timeout``."""
+    processes = list(processes)
+    for process in processes:
+        if process.is_alive():
+            process.terminate()
+    for process in processes:
+        process.join(timeout=join_timeout)
+        if process.is_alive():  # pragma: no cover - stuck in C code
+            process.kill()
+            process.join(timeout=join_timeout)
 
 
 def reap_children(join_timeout: float = 5.0) -> int:
     """Terminate and join all live child processes; returns how many."""
     children = multiprocessing.active_children()
-    for child in children:
-        if child.is_alive():
-            child.terminate()
-    for child in children:
-        child.join(timeout=join_timeout)
-        if child.is_alive():  # pragma: no cover - stuck in C code
-            child.kill()
-            child.join(timeout=join_timeout)
+    stop_processes(children, join_timeout)
     return len(children)
 
 

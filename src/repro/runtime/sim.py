@@ -25,7 +25,7 @@ from ..core.master import MasterActor, _TableInfo
 from ..core.secondary import SecondaryMasterActor
 from ..core.worker import WorkerActor
 from ..data.table import DataTable
-from .base import Runtime, RuntimeOptions, WorkerDiedError
+from .base import Runtime, RuntimeOptions, WorkerDiedError, finish_run
 
 
 class SimTransport:
@@ -78,6 +78,11 @@ class SimRuntime(Runtime):
 
         start = time.perf_counter()
         self.validate(table, jobs)
+        if self.options.fault is not None:
+            raise ValueError(
+                "RuntimeOptions.fault needs a process backend (mp or "
+                "socket); the simulator injects crashes with crash_plans"
+            )
         cluster = SimulatedCluster(
             n_workers=self.system.n_workers,
             compers_per_worker=self.system.compers_per_worker,
@@ -101,12 +106,7 @@ class SimRuntime(Runtime):
             cluster.register(wid, worker)
             workers.append(worker)
 
-        info = _TableInfo(
-            n_rows=table.n_rows,
-            n_columns=table.n_columns,
-            problem=table.problem,
-            n_classes=table.n_classes,
-        )
+        info = _TableInfo.of(table)
         secondary: SecondaryMasterActor | None = None
         if secondary_master:
             secondary_id = self.system.n_workers + 1
@@ -178,16 +178,16 @@ class SimRuntime(Runtime):
                 "simulation drained but training is incomplete "
                 f"({master.pool.completed_trees}/{master.pool.total_trees} trees)"
             )
-        check_clean_shutdown(workers)
-        if not master.matrix.is_zero():
-            raise RuntimeError(
-                "load matrix did not return to zero: "
-                f"{master.matrix.snapshot()}"
-            )
-        master.counters.head_insertions = master.bplan.head_insertions
-        master.counters.tail_insertions = master.bplan.tail_insertions
-        master.counters.bplan_peak = max(
-            master.counters.bplan_peak, master.bplan.peak_size
+        finish_run(
+            master,
+            {
+                worker.worker_id: (
+                    worker.outstanding_state(),
+                    worker.machine.stats.mem_task_bytes,
+                )
+                for worker in workers
+                if not worker.machine.halted  # crashed ones keep their state
+            },
         )
 
         models = {job.name: master.trained_trees(job.name) for job in jobs}
@@ -200,22 +200,3 @@ class SimRuntime(Runtime):
             backend=self.name,
             wall_seconds=time.perf_counter() - start,
         )
-
-
-def check_clean_shutdown(workers: list[WorkerActor]) -> None:
-    """Assert no worker leaked task state or task memory."""
-    for worker in workers:
-        if worker.machine.halted:
-            continue  # crashed workers keep whatever they had
-        leftovers = {
-            k: v for k, v in worker.outstanding_state().items() if v
-        }
-        if leftovers:
-            raise RuntimeError(
-                f"worker {worker.worker_id} leaked task state: {leftovers}"
-            )
-        if worker.machine.stats.mem_task_bytes != 0:
-            raise RuntimeError(
-                f"worker {worker.worker_id} leaked "
-                f"{worker.machine.stats.mem_task_bytes} bytes of task memory"
-            )

@@ -50,18 +50,24 @@ no authentication beyond the rendezvous checks (the table fingerprint
 acts as a weak shared secret), must not face a hostile network, and
 warns when told to bind a non-loopback address.
 
-Failure semantics reuse the mp driver verbatim
-(:class:`SocketRuntime` subclasses
+Only TCP is written here.  :class:`SocketRuntime` subclasses
 :class:`~repro.runtime.process.ProcessRuntime` and only swaps the
-transport): half-open or closed sockets surface through the same
-liveness poll into the same ``fault_policy`` path, with
-``WorkerDiedError`` / recover semantics identical to mp.  Over TCP
-there are no exit codes, so a clean EOF (orderly FIN with an empty
-frame buffer) counts as exit 0 only once the driver has entered its
-shutdown phase (:meth:`SocketTransport.begin_shutdown`); any earlier
-EOF is a death.  In self-launch mode the real subprocess exit codes are
-additionally available and take precedence (so the injected
-``CRASH_EXITCODE`` still surfaces).
+transport, and :class:`SocketTransport` extends the mp backend's
+:class:`~repro.runtime.process.WorkerPool`, so the driver loop, the
+failure semantics, spawning, reaping, the terminate → join → kill
+escalation and the shm sweep are the mp code: half-open or closed
+sockets surface through the same liveness poll into the same
+``fault_policy`` path, with ``WorkerDiedError`` / recover semantics
+identical to mp.  Over TCP there are no exit codes, so a clean EOF
+(orderly FIN with an empty frame buffer) counts as exit 0 only once the
+driver has entered its shutdown phase
+(:meth:`SocketTransport.begin_shutdown`); any earlier EOF is a death.
+In self-launch mode the real subprocess exit codes are additionally
+available and take precedence (so the injected ``CRASH_EXITCODE`` still
+surfaces), and the pool hands each worker the run's
+:class:`~repro.runtime.base.FaultPlan` exactly as on mp.  An
+external-mode master starts no worker, so it takes no plan: ``repro
+worker`` reads ``REPRO_FAULT`` on its own machine.
 
 Parity: the loopback self-launch path trains **bit-identical** models
 to ``sim`` and ``mp`` (pinned by ``tests/test_runtime_socket.py``) —
@@ -85,8 +91,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Sequence
 
-import multiprocessing
-
 from ..cluster.cost import CostModel
 from ..cluster.network import Message
 from ..core.histogram import book_from_wire, book_to_wire
@@ -95,26 +99,19 @@ from ..core.tasks import (
     WorkerHelloMsg,
     WorkerWelcomeMsg,
 )
-from ..data.shm import (
-    SharedTableHandle,
-    list_segments,
-    new_run_prefix,
-    unlink_segments,
-)
+from ..data.shm import SharedTableHandle
 from ..data.table import DataTable, table_fingerprint
-from .base import RuntimeBackendError, RuntimeOptions, WorkerDiedError
+from .base import FaultPlan, RuntimeBackendError, RuntimeOptions
 from .process import (
     CRASH_EXITCODE,
-    KILL_ENV,
-    RAISE_ENV,
     ProcessRuntime,
     QueueFabric,
+    WorkerPool,
     _decode,
-    env_fault_hook,
-    injected_after,
     resolve_start_method,
     run_worker_loop,
     worker_error_message,
+    worker_table,
 )
 
 #: Frame header: ``(dst: int32, payload length: uint64)``, network order.
@@ -366,7 +363,19 @@ def _read_ctrl(stream: FrameStream, timeout: float, expected: type) -> Any:
 # ----------------------------------------------------------------------
 # queue shims: what QueueFabric talks to on each side of the wire
 # ----------------------------------------------------------------------
-class _SocketQueue:
+class _QueueShim:
+    """A :class:`QueueFabric` destination that is not a ``multiprocessing``
+    queue: only ``put`` does anything — there is no feeder thread to
+    cancel, and the fabric's teardown closes nothing the shim owns."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+    def cancel_join_thread(self) -> None:
+        """No feeder thread exists."""
+
+
+class _SocketQueue(_QueueShim):
     """Worker-side shim: ``put(blob)`` -> one framed send towards ``dst``.
 
     Every destination rides the single connection to the master hub,
@@ -388,18 +397,14 @@ class _SocketQueue:
         except ConnectionError:
             pass  # master gone; orphan exit follows on the next read
 
-    def close(self) -> None:
-        """Fabric teardown hook; the stream is owned elsewhere."""
 
-    def cancel_join_thread(self) -> None:
-        """No feeder threads exist on a socket shim."""
+class _LocalQueue(_QueueShim):
+    """In-process shim: blobs go straight into a local inbox.
 
-
-class _LocalQueue:
-    """Self-send shim: the worker's messages to itself skip the wire.
-
-    Without this every ``row_request`` a worker answers from its own
-    delegate store would round-trip through the master hub.
+    The master's messages to itself land in the driver inbox this way,
+    and a worker's messages to itself skip the wire — without that every
+    ``row_request`` a worker answers from its own delegate store would
+    round-trip through the master hub.
     """
 
     def __init__(self, inbox: queue_module.SimpleQueue) -> None:
@@ -408,30 +413,8 @@ class _LocalQueue:
     def put(self, blob: bytes) -> None:
         self._inbox.put(blob)
 
-    def close(self) -> None:
-        """Nothing to release."""
 
-    def cancel_join_thread(self) -> None:
-        """No feeder threads exist on a local shim."""
-
-
-class _InboxQueue:
-    """Master-side shim for destination 0: straight into the driver inbox."""
-
-    def __init__(self, inbox: queue_module.SimpleQueue) -> None:
-        self._inbox = inbox
-
-    def put(self, blob: bytes) -> None:
-        self._inbox.put(blob)
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-    def cancel_join_thread(self) -> None:
-        """No feeder threads exist on a local shim."""
-
-
-class _RelaySender:
+class _RelaySender(_QueueShim):
     """Master-side shim for a worker destination: enqueue to its writer.
 
     Looks the writer queue up per put so a send towards a reaped worker
@@ -448,12 +431,6 @@ class _RelaySender:
         if writer is not None:
             writer.put(blob)
 
-    def close(self) -> None:
-        """Writer threads are stopped by the transport's shutdown."""
-
-    def cancel_join_thread(self) -> None:
-        """No feeder threads exist on a relay shim."""
-
 
 # ----------------------------------------------------------------------
 # worker side
@@ -464,8 +441,7 @@ def _run_socket_worker(
     worker_id: int,
     table: DataTable,
     host_id: str,
-    crash_after: int | None,
-    raise_after: int | None,
+    fault: FaultPlan | None,
     attached_nbytes: int = 0,
 ) -> int:
     """Post-handshake worker; returns the process exit code.
@@ -526,8 +502,7 @@ def _run_socket_worker(
                 if wid != 0 and peer_host == host_id
             },
             attached_nbytes=attached_nbytes,
-            crash_after=crash_after,
-            raise_after=raise_after,
+            fault=fault,
         )
         return 0
     except BaseException as exc:  # noqa: BLE001 - ship any failure home
@@ -553,8 +528,7 @@ def _dial_and_run(
     table: DataTable,
     *,
     host_id: str | None = None,
-    crash_after: int | None = None,
-    raise_after: int | None = None,
+    fault: FaultPlan | None = None,
     attached_nbytes: int = 0,
     handshake_timeout: float = 60.0,
 ) -> int:
@@ -597,8 +571,7 @@ def _dial_and_run(
         worker_id,
         table,
         resolved_host,
-        crash_after,
-        raise_after,
+        fault,
         attached_nbytes,
     )
 
@@ -614,11 +587,10 @@ def connect_worker(
     """Join a listening socket master as one worker (``repro worker``).
 
     Dials ``address``, handshakes, runs the worker event loop until the
-    shutdown broadcast, and returns the exit code.  Honours the same
-    fault-injection env hooks as the mp backend (:data:`KILL_ENV`,
-    :data:`RAISE_ENV`) when the spec names this worker id — they are
-    read *here*, on the worker's own machine, because a remote master
-    has no way to inject a local crash.
+    shutdown broadcast, and returns the exit code.  A worker joining this
+    way takes its :class:`~repro.runtime.base.FaultPlan` from the
+    ``REPRO_FAULT`` variable — read *here*, on the worker's own machine,
+    because a remote master has no way to inject a local fault.
     """
     if isinstance(address, str):
         address = parse_address(address)
@@ -627,8 +599,7 @@ def connect_worker(
         worker_id,
         table,
         host_id=host_id,
-        crash_after=injected_after(env_fault_hook(KILL_ENV), worker_id),
-        raise_after=injected_after(env_fault_hook(RAISE_ENV), worker_id),
+        fault=FaultPlan.from_env(),
         handshake_timeout=handshake_timeout,
     )
 
@@ -638,42 +609,27 @@ def _launched_worker_main(
     worker_id: int,
     table_ref: "DataTable | SharedTableHandle",
     host_id: str,
-    crash_after: int | None,
-    raise_after: int | None,
+    fault: FaultPlan | None,
 ) -> None:
     """Subprocess entry of the loopback self-launch mode.
 
     The same dial-in path an external ``repro worker`` takes — the
-    only difference is where the table comes from (a handle to attach
-    for the shm data plane, or the inherited/pickled table itself) and
-    that the master passes its *own* host id explicitly: self-launch
-    workers share the master's host by construction, so shm peering
-    must work even where ``_default_host_id`` would degrade to a
-    process-unique id (no readable machine id).
+    only differences are where the table comes from
+    (:func:`~repro.runtime.process.worker_table`) and that the master
+    passes its *own* host id explicitly: self-launch workers share the
+    master's host by construction, so shm peering must work even where
+    ``_default_host_id`` would degrade to a process-unique id (no
+    readable machine id).
     """
-    attached = None
-    code = 1
-    try:
-        if isinstance(table_ref, SharedTableHandle):
-            attached = table_ref.attach()
-            table = attached.table
-            nbytes = attached.nbytes
-        else:
-            table = table_ref
-            nbytes = 0
+    with worker_table(table_ref) as (table, mapped_nbytes):
         code = _dial_and_run(
             address,
             worker_id,
             table,
             host_id=host_id,
-            crash_after=crash_after,
-            raise_after=raise_after,
-            attached_nbytes=nbytes,
+            fault=fault,
+            attached_nbytes=mapped_nbytes,
         )
-    finally:
-        table = None  # noqa: F841 - drop views before closing segments
-        if attached is not None:
-            attached.close()
     if code:
         raise SystemExit(code)
 
@@ -681,31 +637,34 @@ def _launched_worker_main(
 # ----------------------------------------------------------------------
 # master side
 # ----------------------------------------------------------------------
-class SocketTransport:
+class SocketTransport(WorkerPool):
     """The master hub: listener, rendezvous, relay threads, liveness.
 
-    Driver-facing surface is identical to
-    :class:`~repro.runtime.process.ProcessTransport` (``send`` /
-    ``flush`` / ``recv_master`` / ``dead_workers`` / ``check_alive`` /
-    ``reap_worker`` / ``begin_shutdown`` / ``shutdown`` / ``close`` plus
-    the ``fabric`` / ``shm_prefix`` / ``start_method`` attributes), so
+    The worker pool and the driver-facing surface (``send`` / ``flush`` /
+    ``recv_master`` / ``check_alive`` / ``reap_worker`` / ``shutdown`` /
+    ``close`` plus the ``fabric`` / ``shm_prefix`` / ``start_method``
+    attributes) are :class:`~repro.runtime.process.WorkerPool`'s, so
     :class:`SocketRuntime` reuses the whole mp driver loop unchanged.
+    What is written here is TCP: how a death shows (:meth:`dead_workers`
+    from EOFs, :meth:`begin_shutdown`) and the links a reap or a
+    shutdown closes.
 
     Two modes, chosen by ``RuntimeOptions.listen``:
 
     * ``None`` — **self-launch**: bind a loopback ephemeral port and
       spawn the workers as local subprocesses that dial back in.  CI's
       socket path, pinned bit-identical to sim/mp; the shm data plane
-      works in full (one host by construction) and real subprocess exit
-      codes back the liveness poll.
+      works in full (one host by construction), real subprocess exit
+      codes back the liveness poll, and the run's fault plan reaches the
+      workers as on mp.
     * ``"host:port"`` — **external**: bind the given address and wait
       ``rendezvous_timeout_seconds`` for ``n_workers`` ``repro worker``
-      clients.  Fault injection via ``crash_worker_after`` /
-      ``raise_worker_after`` is ignored in this mode (a remote master
-      cannot reach into a worker it did not start — use the env hooks
-      on the worker's own machine); the arena sweep on ``reap_worker``
-      only reaches same-host segments, remote hosts clean their own on
-      exit.
+      clients.  ``RuntimeOptions`` refuses a fault plan in this mode and
+      the master never reads ``REPRO_FAULT``: a remote master cannot
+      reach into a worker it did not start, so the variable is set for
+      ``repro worker`` on the worker's own machine.  The arena sweep on
+      ``reap_worker`` only reaches same-host segments; remote hosts
+      clean their own on exit.
     """
 
     def __init__(
@@ -717,18 +676,22 @@ class SocketTransport:
         options: RuntimeOptions,
         threshold_book: dict | None = None,
     ) -> None:
-        self.n_workers = n_workers
-        self.options = options
+        launch = options.listen is None
+        super().__init__(
+            n_workers,
+            options,
+            resolve_start_method(options.start_method)
+            if launch
+            else "external",
+        )
         # Hist-mode equi-depth thresholds, shipped to every worker inside
         # the rendezvous welcome (JSON wire form; empty when all exact).
         self.threshold_book = threshold_book or {}
         self.host_id = _default_host_id()
         self.table_hash = table_fingerprint(table)
-        self.shm_prefix: str | None = None
-        self.table_handle: SharedTableHandle | None = None
-        self.processes: dict[int, Any] = {}
-        self._inbox: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        self._pending_master: list[Message] = []
+        self._master_inbox: queue_module.SimpleQueue = (
+            queue_module.SimpleQueue()
+        )
         self._writers: dict[int, queue_module.SimpleQueue] = {}
         self._threads: list[threading.Thread] = []
         self._conns: dict[int, FrameStream] = {}
@@ -738,16 +701,13 @@ class SocketTransport:
         self._shutdown_started = False
         self._listener: socket.socket | None = None
         self.fabric = QueueFabric(
-            [_InboxQueue(self._inbox)]
+            [_LocalQueue(self._master_inbox)]
             + [_RelaySender(self, wid) for wid in range(1, n_workers + 1)],
             max_batch=options.coalesce_max_messages,
         )
-        self._launch = options.listen is None
-        if self._launch:
-            self.start_method = resolve_start_method(options.start_method)
+        if launch:
             bind_address = ("127.0.0.1", 0)
         else:
-            self.start_method = "external"
             bind_address = parse_address(options.listen)
             if bind_address[0] not in ("127.0.0.1", "::1", "localhost"):
                 warnings.warn(
@@ -765,14 +725,13 @@ class SocketTransport:
                 bind_address, backlog=n_workers + 2
             )
             self.address: tuple[str, int] = self._listener.getsockname()[:2]
-            if options.use_shm:
-                self.shm_prefix = new_run_prefix()
-                if self._launch:
-                    self.table_handle = SharedTableHandle.create(
-                        table, f"{self.shm_prefix}-t"
-                    )
-            if self._launch:
-                self._launch_workers(table)
+            if launch:
+                table_ref = self._share_table(table)
+                self._start_workers(
+                    _launched_worker_main,
+                    lambda wid: (self.address, wid, table_ref, self.host_id),
+                    "repro-socket-worker",
+                )
             held = {
                 wid: tuple(
                     sorted(c for c, ws in placement.items() if wid in ws)
@@ -785,29 +744,6 @@ class SocketTransport:
             raise
 
     # -- start-up -------------------------------------------------------
-    def _launch_workers(self, table: DataTable) -> None:
-        """Self-launch mode: spawn local subprocesses that dial back in."""
-        context = multiprocessing.get_context(self.start_method)
-        table_ref: DataTable | SharedTableHandle = (
-            self.table_handle if self.table_handle is not None else table
-        )
-        for wid in range(1, self.n_workers + 1):
-            process = context.Process(
-                target=_launched_worker_main,
-                args=(
-                    self.address,
-                    wid,
-                    table_ref,
-                    self.host_id,
-                    injected_after(self.options.crash_worker_after, wid),
-                    injected_after(self.options.raise_worker_after, wid),
-                ),
-                name=f"repro-socket-worker-{wid}",
-                daemon=True,
-            )
-            process.start()
-            self.processes[wid] = process
-
     def _rendezvous(
         self, held: dict[int, tuple[int, ...]], cost: CostModel
     ) -> None:
@@ -1006,7 +942,7 @@ class SocketTransport:
                     continue
                 dst, payload = frame
                 if dst == 0:
-                    self._inbox.put(payload)
+                    self._master_inbox.put(payload)
                 elif dst > 0:
                     writer = self._writers.get(dst)
                     if writer is not None:
@@ -1018,30 +954,6 @@ class SocketTransport:
             clean = False
         with self._lock:
             self._closed[wid] = clean
-
-    # -- driver-side sends / receives -----------------------------------
-    def send(
-        self, src: int, dst: int, kind: str, payload: Any, size_bytes: int
-    ) -> None:
-        """Transport interface: master-side send towards any machine."""
-        self.fabric.send(src, dst, kind, payload, size_bytes)
-
-    def flush(self) -> None:
-        """Transport interface: push buffered master-side sends out."""
-        self.fabric.flush()
-
-    def recv_master(self, timeout: float) -> Message:
-        """Blocking receive from the driver inbox (raises ``queue.Empty``).
-
-        Receiving means the driver is about to go idle, so buffered
-        sends are flushed first — the flush-on-idle rule.
-        """
-        self.fabric.flush()
-        if not self._pending_master:
-            self._pending_master.extend(
-                _decode(self._inbox.get(timeout=timeout))
-            )
-        return self._pending_master.pop(0)
 
     # -- liveness -------------------------------------------------------
     def _exit_code(self, wid: int, clean: bool) -> int:
@@ -1062,12 +974,7 @@ class SocketTransport:
     def dead_workers(
         self, allow_clean_exit: bool = False
     ) -> list[tuple[int, int]]:
-        """Worker ids (with exit codes) whose connections have closed.
-
-        ``allow_clean_exit`` tolerates exit code 0 (the shutdown phase,
-        where workers legitimately finish after reporting their stats).
-        Already-reaped workers are not listed.
-        """
+        """Worker ids (with exit codes) whose connections have closed."""
         with self._lock:
             closed = [
                 (wid, clean)
@@ -1082,50 +989,26 @@ class SocketTransport:
             dead.append((wid, code))
         return dead
 
-    def check_alive(self, allow_clean_exit: bool = False) -> None:
-        """Raise :class:`WorkerDiedError` if any worker connection died."""
-        dead = self.dead_workers(allow_clean_exit)
-        if dead:
-            raise WorkerDiedError(*dead[0])
-
-    def reap_worker(self, worker_id: int) -> None:
-        """Retire a dead worker the run is recovering from.
-
-        Stops its writer thread, closes its connection (frames towards
-        it become silent drops in :class:`_RelaySender`), joins its
-        subprocess in self-launch mode, and sweeps its shm arena
-        segments — which only reaches segments on this host; a remote
-        worker's host cleans its own on exit.
-        """
+    def _release_worker(self, worker_id: int) -> None:
+        """Stop the reaped worker's writer thread and close its
+        connection; frames towards it become silent drops in
+        :class:`_RelaySender`."""
         self._reaped.add(worker_id)
-        process = self.processes.pop(worker_id, None)
-        if process is not None:
-            process.join(timeout=5.0)
         writer = self._writers.pop(worker_id, None)
         if writer is not None:
             writer.put(_STOP)
         stream = self._conns.pop(worker_id, None)
         if stream is not None:
             stream.close()
-        if self.shm_prefix is not None:
-            unlink_segments(
-                list_segments(f"{self.shm_prefix}-w{worker_id}")
-            )
 
     def begin_shutdown(self) -> None:
         """Driver hook: clean EOFs from here on count as exit code 0."""
         self._shutdown_started = True
 
     # -- teardown -------------------------------------------------------
-    def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Close everything down; escalate terminate → kill. Idempotent.
-
-        Connections close first (workers see EOF and exit as orphans),
-        then self-launch subprocesses are joined and escalated, then
-        every shm segment of the run is removed — the table image is
-        unlinked and the run prefix swept, reclaiming arena segments of
-        workers that died without cleaning up.
-        """
+    def _disconnect(self, join_timeout: float) -> None:
+        """Close the listener and every connection (workers see EOF and
+        exit as orphans), then join the relay threads."""
         self._shutdown_started = True
         if self._listener is not None:
             try:
@@ -1142,25 +1025,6 @@ class SocketTransport:
         for thread in self._threads:
             thread.join(timeout=join_timeout)
         self._threads = []
-        for process in self.processes.values():
-            if process.is_alive():
-                process.terminate()
-        for process in self.processes.values():
-            process.join(timeout=join_timeout)
-            if process.is_alive():  # pragma: no cover - stuck in C code
-                process.kill()
-                process.join(timeout=join_timeout)
-        self.processes = {}
-        self.fabric.close()
-        if self.table_handle is not None:
-            self.table_handle.unlink()
-            self.table_handle = None
-        if self.shm_prefix is not None:
-            unlink_segments(list_segments(self.shm_prefix))
-
-    def close(self) -> None:
-        """Transport interface alias for :meth:`shutdown`."""
-        self.shutdown()
 
 
 class SocketRuntime(ProcessRuntime):
@@ -1173,15 +1037,4 @@ class SocketRuntime(ProcessRuntime):
     """
 
     name = "socket"
-
-    def _make_transport(
-        self, table: DataTable, placement: dict[int, list[int]]
-    ) -> SocketTransport:
-        return SocketTransport(
-            self.system.n_workers,
-            table,
-            placement,
-            self.cost,
-            self.options,
-            threshold_book=self._threshold_book,
-        )
+    transport_class = SocketTransport

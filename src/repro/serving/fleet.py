@@ -22,7 +22,13 @@ papers:
   ``(batch, shard)`` so a retried shard can never be double-counted.  A
   shard that keeps dying takes the structured
   :class:`~repro.runtime.base.WorkerDiedError` path, exactly like the
-  training runtime's fail-fast policy.
+  training runtime's fail-fast policy.  Tests kill a worker with the
+  training runtime's :class:`~repro.runtime.base.FaultPlan`, crash kind
+  only: ``REPRO_FAULT=crash:worker:n`` makes that worker (1-based id) die
+  while serving its n-th shard, *before* the result is sent.  The fleet
+  reads the variable when it starts, and only a worker's first
+  incarnation gets the plan — respawns serve normally, so injected
+  faults converge instead of looping the retry budget dry.
 
 The fleet is an internal engine: most callers reach it through
 ``PredictionServer(model, n_workers=...)`` / ``repro serve --workers N``,
@@ -45,20 +51,12 @@ import numpy as np
 from ..core.tree import DecisionTree
 from ..data.shm import new_run_prefix
 from ..ensemble.forest import ForestModel
-from ..runtime.base import WorkerDiedError
-from ..runtime.process import CRASH_EXITCODE, parse_kill_spec, resolve_start_method
+from ..runtime.base import FAULT_ENV, FaultPlan, WorkerDiedError
+from ..runtime.process import CRASH_EXITCODE, resolve_start_method
 from .batch import BatchPredictor
 from .compiler import FlatForest
 from .registry import ModelRegistry, default_registry
 from .shm_model import SharedCompiledModel, flat_fingerprint
-
-#: Environment fault-injection hook: ``REPRO_FLEET_KILL=worker:after_n``
-#: hard-kills that fleet worker (1-based id) while it serves its n-th
-#: shard, *before* the result is sent — the serving twin of the
-#: runtime's ``REPRO_MP_KILL``, aimed at the lost-shard recovery path.
-#: Only the first incarnation honours it; respawns serve normally, so
-#: injected faults converge instead of looping the retry budget dry.
-FLEET_KILL_ENV = "REPRO_FLEET_KILL"
 
 
 class FleetError(RuntimeError):
@@ -85,7 +83,7 @@ class FleetWorkerError(FleetError):
 # worker process
 # ----------------------------------------------------------------------
 def _fleet_worker_main(
-    worker_id: int, task_queue, result_queue, incarnation: int = 0
+    worker_id: int, task_queue, result_queue, fault: FaultPlan | None = None
 ) -> None:
     """Entry point of one serving worker process.
 
@@ -93,7 +91,8 @@ def _fleet_worker_main(
     Keeps exactly one model attached: a task whose handle hashes
     differently detaches the old mapping and attaches the new one (hot
     swap).  Counters travel with every result, so the parent's view is
-    always as fresh as the last completed shard.
+    always as fresh as the last completed shard.  ``fault`` (a ``crash``
+    plan) kills this worker mid-serve when it fires here.
     """
     import signal
 
@@ -103,13 +102,6 @@ def _fleet_worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # pragma: no cover - non-main thread (tests)
         pass
-
-    kill_after: int | None = None
-    spec = os.environ.get(FLEET_KILL_ENV)
-    if spec and incarnation == 0:
-        target, after = parse_kill_spec(spec, FLEET_KILL_ENV)
-        if target == worker_id:
-            kill_after = after
 
     attached = None
     attached_key: str | None = None
@@ -157,7 +149,7 @@ def _fleet_worker_main(
                 )
                 continue
             served += 1
-            if kill_after is not None and served >= kill_after:
+            if fault is not None and fault.fires(worker_id, served):
                 # Die mid-serve, result unsent: the shard is genuinely
                 # lost and must come back via respawn + re-dispatch.
                 os._exit(CRASH_EXITCODE)
@@ -294,6 +286,7 @@ class ServingFleet:
         #: In-flight shard count per model key (retire gate).
         self._key_outstanding: dict[str, int] = {}
         self._total_respawns = 0
+        self._fault: FaultPlan | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -304,6 +297,13 @@ class ServingFleet:
             return self
         import multiprocessing
 
+        fault = FaultPlan.from_env()
+        if fault is not None and fault.kind != "crash":
+            raise ValueError(
+                f"the serving fleet injects crash faults only, got "
+                f"{fault.kind!r} from {FAULT_ENV}"
+            )
+        self._fault = fault
         method = resolve_start_method(self.start_method)
         self._ctx = multiprocessing.get_context(method)
         self._result_queue = self._ctx.Queue()
@@ -327,7 +327,7 @@ class ServingFleet:
                 slot.worker_id,
                 slot.task_queue,
                 self._result_queue,
-                slot.respawns,
+                self._fault if slot.respawns == 0 else None,
             ),
             name=f"repro-fleet-worker-{slot.worker_id}",
             daemon=True,

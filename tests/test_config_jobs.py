@@ -130,9 +130,9 @@ class TestJobs:
 class TestOptionSurface:
     def test_every_settable_name_is_spelled_out_here(self):
         """One place configures a tree, one the runtime, one a prediction
-        server, and the env vars read under ``src/`` are the
-        fault-injection hooks: the next option, wherever it is added, is
-        a visible diff to this test."""
+        server, and the one env var read under ``src/`` is the fault
+        plan: the next option, wherever it is added, is a visible diff to
+        this test."""
 
         def fields(cls):
             return {field.name for field in dataclasses.fields(cls)}
@@ -144,8 +144,8 @@ class TestOptionSurface:
         }
         assert fields(RuntimeOptions) == {
             "message_timeout_seconds", "poll_interval_seconds",
-            "start_method", "crash_worker_after", "raise_worker_after",
-            "use_shm", "shm_threshold_bytes", "coalesce_max_messages",
+            "start_method", "fault", "use_shm", "shm_threshold_bytes",
+            "coalesce_max_messages",
             "fault_policy", "max_worker_failures", "listen",
             "expected_hosts", "rendezvous_timeout_seconds",
         }
@@ -156,6 +156,4 @@ class TestOptionSurface:
         env_names = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):
             env_names |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
-        assert env_names == {
-            "REPRO_MP_KILL", "REPRO_MP_RAISE", "REPRO_FLEET_KILL",
-        }
+        assert env_names == {"REPRO_FAULT"}

@@ -41,13 +41,18 @@ from repro import (
 )
 from repro.datasets import dataset_spec, generate
 from repro.runtime import (
+    FaultPlan,
     ProcessRuntime,
     RuntimeOptions,
     SimRuntime,
     WorkerDiedError,
     create_runtime,
 )
-from repro.runtime.base import MessageTimeoutError, RuntimeBackendError
+from repro.runtime.base import (
+    FAULT_ENV,
+    MessageTimeoutError,
+    RuntimeBackendError,
+)
 
 from .reference_builder import reference_train_tree
 
@@ -218,7 +223,7 @@ class TestFailures:
         table = _table()
         options = _options(
             message_timeout_seconds=10.0,
-            crash_worker_after=(1, 2),  # worker 1 dies after 2 messages
+            fault=FaultPlan("crash", 1, 2),  # worker 1 dies after 2 messages
         )
         server = TreeServer(
             _system(2, table_rows=table.n_rows),
@@ -281,6 +286,22 @@ class TestFailures:
                 table,
                 [decision_tree_job("dt")],
                 secondary_master=True,
+            )
+
+    def test_fault_plan_refused_where_no_worker_process_starts(self):
+        """The simulator and an external-mode socket master start no
+        worker process, so a fault plan there is an error, not a no-op."""
+        table = _table("covtype")
+        server = TreeServer(
+            _system(2),
+            backend="sim",
+            runtime_options=_options(fault=FaultPlan("crash", 1, 2)),
+        )
+        with pytest.raises(ValueError, match="crash_plans"):
+            server.fit(table, [decision_tree_job("dt")])
+        with pytest.raises(ValueError, match="listen"):
+            RuntimeOptions(
+                listen="127.0.0.1:7733", fault=FaultPlan("raise", 1, 2)
             )
 
     def test_unknown_backend_rejected(self):
@@ -386,7 +407,7 @@ class TestSharedMemoryDataPlane:
         options = _options(
             message_timeout_seconds=10.0,
             use_shm=True,
-            crash_worker_after=(1, 2),
+            fault=FaultPlan("crash", 1, 2),
         )
         with pytest.raises(WorkerDiedError):
             _fit_with(
@@ -470,8 +491,8 @@ class TestCrashRecovery:
         table = _table()
         jobs = self._jobs()
         reference = _fit("sim", table, jobs).trees("rf")
-        # Fault injection through the env hook, as CI uses it.
-        monkeypatch.setenv("REPRO_MP_KILL", "2:6")
+        # Fault injection through the environment, as CI uses it.
+        monkeypatch.setenv(FAULT_ENV, "crash:2:6")
         report = _fit_with(
             table,
             jobs,
@@ -508,7 +529,7 @@ class TestCrashRecovery:
             _options(
                 fault_policy="recover",
                 use_shm=use_shm,
-                crash_worker_after=(2, 6),
+                fault=FaultPlan("crash", 2, 6),
             ),
         )
         assert_bit_identical(serial, report.trees("rf"))
@@ -519,33 +540,73 @@ class TestCrashRecovery:
         assert _repro_segments() == []
 
     def test_explicit_option_beats_env_hook(self, monkeypatch):
-        """RuntimeOptions.crash_worker_after wins over REPRO_MP_KILL."""
+        """RuntimeOptions.fault wins over REPRO_FAULT."""
         table = _table()
-        monkeypatch.setenv("REPRO_MP_KILL", "1:1")
+        monkeypatch.setenv(FAULT_ENV, "crash:1:1")
         report = _fit_with(
             table,
             self._jobs(),
             # An impossible-to-reach crash point: the run finishes first.
             _options(
-                fault_policy="recover", crash_worker_after=(1, 10**9)
+                fault_policy="recover", fault=FaultPlan("crash", 1, 10**9)
             ),
         )
         assert report.counters.recovered_workers == 0
 
-    def test_kill_env_spec_validation(self):
-        from repro.runtime.process import parse_kill_spec
+    def test_env_fault_is_read_per_fit(self, monkeypatch):
+        """REPRO_FAULT is resolved per fit and never stored: a second fit
+        on the same runtime, after the variable is unset, runs
+        undisturbed."""
+        table = _table()
+        system = _system(3, table_rows=table.n_rows)
+        runtime = create_runtime(
+            "mp", system, TreeServer(system).cost,
+            _options(fault_policy="recover"),
+        )
+        monkeypatch.setenv(FAULT_ENV, "crash:2:6")
+        first = runtime.fit(table, self._jobs())
+        monkeypatch.delenv(FAULT_ENV)
+        second = runtime.fit(table, self._jobs())
+        assert first.counters.recovered_workers == 1
+        assert second.counters.recovered_workers == 0
+        assert runtime.options.fault is None
+        assert_bit_identical(first.trees("rf"), second.trees("rf"))
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
 
-        assert parse_kill_spec("2:20") == (2, 20)
-        for bad in ("2", "a:b", "2:0", "0:5", "1:2:3", ""):
-            with pytest.raises(ValueError, match="REPRO_MP_KILL"):
-                parse_kill_spec(bad)
+    def test_kill_env_spec_validation(self):
+        """A crash plan parses from ``crash:worker:after``; malformed
+        specs and non-integer fields are errors."""
+        assert FaultPlan.parse("crash:2:20") == FaultPlan("crash", 2, 20)
+        for bad in (
+            "2", "a:b", "crash:2:0", "crash:0:5", "boom:1:1", "crash:1.0:5",
+            "crash:1:2:3", "",
+        ):
+            with pytest.raises(ValueError, match="kind:worker:after"):
+                FaultPlan.parse(bad)
+        with pytest.raises(ValueError, match="worker"):
+            FaultPlan("crash", 1.0, 5)  # ints only
+
+    def test_raise_env_spec_validation(self, monkeypatch):
+        """A raise plan parses through the same grammar, and REPRO_FAULT
+        is read by ``FaultPlan.from_env``."""
+        assert FaultPlan.parse("raise:3:7") == FaultPlan("raise", 3, 7)
+        with pytest.raises(ValueError, match="kind:worker:after"):
+            FaultPlan.parse("nope")
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        assert FaultPlan.from_env() is None
+        monkeypatch.setenv(FAULT_ENV, "raise:1:4")
+        assert FaultPlan.from_env() == FaultPlan("raise", 1, 4)
+        monkeypatch.setenv(FAULT_ENV, "1:4")
+        with pytest.raises(ValueError, match=f"{FAULT_ENV}: invalid fault"):
+            FaultPlan.from_env()
 
     def test_fail_fast_policy_preserves_structured_error(self):
         table = _table()
         options = _options(
             message_timeout_seconds=10.0,
             fault_policy="fail_fast",
-            crash_worker_after=(2, 6),
+            fault=FaultPlan("crash", 2, 6),
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit_with(table, self._jobs(), options)
@@ -564,7 +625,7 @@ class TestCrashRecovery:
             runtime_options=_options(
                 message_timeout_seconds=10.0,
                 fault_policy="recover",
-                crash_worker_after=(2, 6),
+                fault=FaultPlan("crash", 2, 6),
             ),
         )
         with pytest.raises(WorkerDiedError, match="no surviving replica"):
@@ -578,7 +639,7 @@ class TestCrashRecovery:
             message_timeout_seconds=10.0,
             fault_policy="recover",
             max_worker_failures=0,
-            crash_worker_after=(2, 6),
+            fault=FaultPlan("crash", 2, 6),
         )
         with pytest.raises(WorkerDiedError, match="max_worker_failures"):
             _fit_with(table, self._jobs(), options)
@@ -603,24 +664,13 @@ class TestCrashRecovery:
             RuntimeOptions(poll_interval_seconds=-0.5)
         with pytest.raises(ValueError, match="rendezvous_timeout_seconds"):
             RuntimeOptions(rendezvous_timeout_seconds=0.0)
-        with pytest.raises(ValueError, match="crash_worker_after"):
-            RuntimeOptions(crash_worker_after=(1, -2))
-        with pytest.raises(ValueError, match="raise_worker_after"):
-            RuntimeOptions(raise_worker_after=(-1, 2))
-        # Worker ids start at 1 and counts are 1-based (matching
-        # parse_kill_spec) — a 0 entry would silently inject nothing.
-        with pytest.raises(ValueError, match="crash_worker_after"):
-            RuntimeOptions(crash_worker_after=(0, 5))
-        with pytest.raises(ValueError, match="raise_worker_after"):
-            RuntimeOptions(raise_worker_after=(2, 0))
-        with pytest.raises(ValueError, match="crash_worker_after"):
-            RuntimeOptions(crash_worker_after=(1.0, 5))  # ints only
+        with pytest.raises(ValueError, match="FaultPlan"):
+            RuntimeOptions(fault="crash:1:1")  # parse it first
         # Boundary values stay legal.
         RuntimeOptions(
             coalesce_max_messages=1,
             shm_threshold_bytes=0,
-            crash_worker_after=(1, 1),
-            raise_worker_after=(1, 1),
+            fault=FaultPlan("crash", 1, 1),
         )
 
     @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
@@ -631,13 +681,13 @@ class TestCrashRecovery:
         table = _table()
         jobs = self._jobs()
         reference = _fit("sim", table, jobs).trees("rf")
-        monkeypatch.delenv("REPRO_MP_RAISE", raising=False)
+        monkeypatch.delenv(FAULT_ENV, raising=False)
         if via_env:
-            monkeypatch.setenv("REPRO_MP_RAISE", "2:6")
+            monkeypatch.setenv(FAULT_ENV, "raise:2:6")
             options = _options(fault_policy="recover")
         else:
             options = _options(
-                fault_policy="recover", raise_worker_after=(2, 6)
+                fault_policy="recover", fault=FaultPlan("raise", 2, 6)
             )
         report = _fit_with(table, jobs, options)
         assert_bit_identical(reference, report.trees("rf"))
@@ -654,7 +704,7 @@ class TestCrashRecovery:
         options = _options(
             message_timeout_seconds=10.0,
             fault_policy="fail_fast",
-            raise_worker_after=(2, 6),
+            fault=FaultPlan("raise", 2, 6),
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit_with(table, self._jobs(), options)
@@ -664,16 +714,9 @@ class TestCrashRecovery:
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
-    def test_raise_env_spec_validation(self):
-        from repro.runtime.process import RAISE_ENV, parse_kill_spec
-
-        assert parse_kill_spec("3:7", RAISE_ENV) == (3, 7)
-        with pytest.raises(ValueError, match="REPRO_MP_RAISE"):
-            parse_kill_spec("nope", RAISE_ENV)
-
     def test_cli_recover_trains_same_model_as_sim(self, tmp_path, monkeypatch):
-        """`repro train --backend mp --fault-policy recover` under the
-        REPRO_MP_KILL hook completes and matches the sim model bytes."""
+        """`repro train --backend mp --fault-policy recover` under
+        REPRO_FAULT=crash:2:6 completes and matches the sim model bytes."""
         from repro.cli import main
         from repro.data.io import write_csv
 
@@ -684,13 +727,13 @@ class TestCrashRecovery:
             "train", "--csv", str(csv), "--target", "label",
             "--forest", "2", "--workers", "3", "--max-depth", "6",
         ]
-        monkeypatch.delenv("REPRO_MP_KILL", raising=False)
+        monkeypatch.delenv(FAULT_ENV, raising=False)
         code = main(
             base + ["--model-dir", str(tmp_path / "m_sim"), "--backend", "sim"],
             out=io.StringIO(),
         )
         assert code == 0
-        monkeypatch.setenv("REPRO_MP_KILL", "2:6")
+        monkeypatch.setenv(FAULT_ENV, "crash:2:6")
         out = io.StringIO()
         code = main(
             base + [
@@ -716,7 +759,7 @@ class TestCrashRecovery:
         table = _table("covtype")
         csv = tmp_path / "data.csv"
         write_csv(table, csv)
-        monkeypatch.setenv("REPRO_MP_KILL", "2:6")
+        monkeypatch.setenv(FAULT_ENV, "crash:2:6")
         code = main(
             [
                 "train", "--csv", str(csv), "--target", "label",

@@ -30,12 +30,14 @@ import pytest
 from repro import SystemConfig, TreeConfig, TreeServer, random_forest_job, trees_equal
 from repro.datasets import dataset_spec, generate
 from repro.runtime import (
+    FaultPlan,
     ProcessRuntime,
     RuntimeOptions,
     SocketRuntime,
     WorkerDiedError,
     create_runtime,
 )
+from repro.runtime.base import FAULT_ENV
 from repro.runtime.socket import (
     CTRL_DST,
     SOCKET_PROTOCOL_VERSION,
@@ -359,7 +361,6 @@ class TestRendezvous:
             table,
             "host-dup",
             None,
-            None,
         )
         assert code == 0
         master.join(timeout=120.0)
@@ -628,7 +629,7 @@ class TestRecovery:
             options=_options(
                 fault_policy="recover",
                 use_shm=use_shm,
-                crash_worker_after=(2, 6),
+                fault=FaultPlan("crash", 2, 6),
             ),
         )
         assert_bit_identical(reference, report.trees("rf"))
@@ -639,6 +640,75 @@ class TestRecovery:
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
+    def test_raised_worker_error_recovers_bit_identical(self):
+        """A worker-side exception under ``recover`` takes the crash path:
+        the run finishes on the survivors with the undisturbed model."""
+        table = _table()
+        reference = _fit("sim", table, self.JOBS).trees("rf")
+        report = _fit(
+            "socket",
+            table,
+            self.JOBS,
+            options=_options(
+                fault_policy="recover", fault=FaultPlan("raise", 2, 6)
+            ),
+        )
+        assert_bit_identical(reference, report.trees("rf"))
+        assert report.counters.recovered_workers == 1
+        assert 2 not in report.cluster.transport["per_worker"]
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
+
+    def test_external_workers_read_the_fault_variable(self, monkeypatch):
+        """In external mode the master starts no worker and never reads
+        REPRO_FAULT; each ``connect_worker`` reads it on its own side.
+        Worker 2 raises (a crash would exit this test process), and the
+        recovered run still matches sim."""
+        table = _table()
+        reference = _fit("sim", table, self.JOBS).trees("rf")
+        port = _free_port()
+        options = _options(
+            listen=f"127.0.0.1:{port}",
+            fault_policy="recover",
+            rendezvous_timeout_seconds=30.0,
+        )
+        monkeypatch.setenv(FAULT_ENV, "raise:2:6")
+        result: dict = {}
+
+        def run_master():
+            try:
+                result["report"] = _fit(
+                    "socket", table, self.JOBS, options=options
+                )
+            except BaseException as error:  # pragma: no cover - diagnostics
+                result["error"] = error
+
+        codes: dict[int, int] = {}
+
+        def run_worker(wid):
+            codes[wid] = connect_worker(("127.0.0.1", port), wid, table)
+
+        master = threading.Thread(target=run_master, daemon=True)
+        master.start()
+        _dial(port).close()  # wait until the master listens
+        workers = [
+            threading.Thread(target=run_worker, args=(wid,), daemon=True)
+            for wid in (1, 2, 3)
+        ]
+        for thread in workers:
+            thread.start()
+        master.join(timeout=120.0)
+        for thread in workers:
+            thread.join(timeout=30.0)
+        assert not master.is_alive()
+        if "error" in result:
+            raise result["error"]
+        report = result["report"]
+        assert_bit_identical(reference, report.trees("rf"))
+        assert report.counters.recovered_workers == 1
+        assert codes == {1: 0, 2: 1, 3: 0}
+        assert _repro_segments() == []
+
     def test_fail_fast_surfaces_real_exitcode(self):
         """Self-launch mode keeps subprocess exit codes: the injected
         crash arrives as exitcode 71, not a generic EOF."""
@@ -646,7 +716,7 @@ class TestRecovery:
 
         table = _table()
         options = _options(
-            message_timeout_seconds=10.0, crash_worker_after=(1, 2)
+            message_timeout_seconds=10.0, fault=FaultPlan("crash", 1, 2)
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit("socket", table, self.JOBS, options=options)

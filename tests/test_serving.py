@@ -1362,8 +1362,7 @@ from repro.serving import (
     SharedCompiledModel,
     flat_fingerprint,
 )
-from repro.serving.fleet import FLEET_KILL_ENV
-from repro.runtime.base import WorkerDiedError
+from repro.runtime.base import FAULT_ENV, WorkerDiedError
 
 
 class TestQuantize:
@@ -1664,7 +1663,7 @@ class TestFleet:
     def test_killed_worker_respawns_without_losing_results(self, monkeypatch):
         """A worker hard-killed mid-shard: its batch completes (retried on
         the respawn), later batches are exact, nothing is duplicated."""
-        monkeypatch.setenv(FLEET_KILL_ENV, "2:1")
+        monkeypatch.setenv(FAULT_ENV, "crash:2:1")
         table = make_table(6, missing=0.1)
         forest = make_forest(table, n_trees=2, seed=6)
         mat = _matrix_of(table)
@@ -1689,7 +1688,7 @@ class TestFleet:
         assert set(list_segments()) == before
 
     def test_retry_budget_exhaustion_is_structured(self, monkeypatch):
-        monkeypatch.setenv(FLEET_KILL_ENV, "1:1")
+        monkeypatch.setenv(FAULT_ENV, "crash:1:1")
         table = make_table(7)
         forest = make_forest(table, n_trees=1, seed=7)
         mat = _matrix_of(table)
@@ -1697,6 +1696,15 @@ class TestFleet:
             fleet.publish(forest)
             with pytest.raises(WorkerDiedError, match="giving up"):
                 fleet.predict_batch(mat, proba=True, timeout=30.0)
+
+    def test_raise_fault_plan_is_refused(self, monkeypatch):
+        """The fleet injects crash faults only: a ``raise`` plan fails
+        ``start()`` instead of being ignored."""
+        monkeypatch.setenv(FAULT_ENV, "raise:1:1")
+        fleet = ServingFleet(n_workers=1)
+        with pytest.raises(ValueError, match="crash faults only"):
+            fleet.start()
+        fleet.close()
 
     def test_shared_model_fingerprint_is_content_addressed(self):
         table = make_table(8)
