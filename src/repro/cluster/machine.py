@@ -10,15 +10,23 @@ Memory accounting tracks the bytes a worker holds for task data (gathered
 ``D_x`` tables, stored ``I_x`` row sets) on top of its resident data
 columns; Table III's peak-memory-vs-``n_pool`` experiment reads these
 numbers.
+
+A :class:`Machine` is also the :class:`~repro.runtime.base.Host` an actor
+runs on in the simulator: it sends through the cluster's network and
+paces the master's dispatch pump on its own NIC.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .simulation import SimulationEngine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cost import CostModel
+    from .network import Network
 
 
 @dataclass
@@ -45,8 +53,46 @@ class MachineStats:
     timeline: list[tuple[str, float, float]] = field(default_factory=list)
 
 
-class Machine:
-    """One simulated worker (or master) machine."""
+class MemoryLedger:
+    """Task-memory accounting, the same on every host.
+
+    The clean-shutdown invariant — every worker returns to zero task
+    bytes — is checked on every backend, so the simulated machine and the
+    process host keep these books with this one implementation.
+    """
+
+    def __init__(self, machine_id: int) -> None:
+        self.machine_id = machine_id
+        self.stats = MachineStats()
+
+    def set_base_memory(self, nbytes: int) -> None:
+        """Record the resident bytes of loaded data columns."""
+        self.stats.mem_base_bytes = int(nbytes)
+
+    def alloc(self, nbytes: int) -> None:
+        """Charge task memory (e.g. a stored ``I_x`` or gathered ``D_x``)."""
+        if nbytes < 0:
+            raise ValueError("cannot alloc negative bytes")
+        self.stats.mem_task_bytes += int(nbytes)
+        self.stats.mem_task_peak = max(
+            self.stats.mem_task_peak, self.stats.mem_task_bytes
+        )
+
+    def free(self, nbytes: int) -> None:
+        """Release previously charged task memory."""
+        self.stats.mem_task_bytes -= int(nbytes)
+        if self.stats.mem_task_bytes < 0:
+            raise RuntimeError(
+                f"machine {self.machine_id} freed more task memory than allocated"
+            )
+
+
+class Machine(MemoryLedger):
+    """One simulated worker (or master) machine.
+
+    As a host it sends on ``network`` and hands its actor ``cost``; a
+    machine built without them still computes and accounts memory.
+    """
 
     def __init__(
         self,
@@ -54,19 +100,22 @@ class Machine:
         machine_id: int,
         n_cores: int,
         ops_per_second: float,
+        network: Network | None = None,
+        cost: CostModel | None = None,
     ) -> None:
         if n_cores < 1:
             raise ValueError("machine needs at least one core")
         if ops_per_second <= 0:
             raise ValueError("ops_per_second must be positive")
+        super().__init__(machine_id)
         self._engine = engine
-        self.machine_id = machine_id
+        self._network = network
+        self.cost = cost
         self.n_cores = n_cores
         self.ops_per_second = ops_per_second
         self._free_cores = n_cores
         self._queue: deque[_WorkItem] = deque()
         self._halted = False
-        self.stats = MachineStats()
         #: Record a (label, start, end) trace of every executed item —
         #: utilization-over-time analyses; off by default (memory).
         self.record_timeline = False
@@ -135,28 +184,28 @@ class Machine:
         return self._halted
 
     # ------------------------------------------------------------------
-    # memory accounting
+    # the rest of the host surface
     # ------------------------------------------------------------------
-    def set_base_memory(self, nbytes: int) -> None:
-        """Record the resident bytes of loaded data columns."""
-        self.stats.mem_base_bytes = int(nbytes)
+    @property
+    def now(self) -> float:
+        """Simulated seconds."""
+        return self._engine.now
 
-    def alloc(self, nbytes: int) -> None:
-        """Charge task memory (e.g. a stored ``I_x`` or gathered ``D_x``)."""
-        if nbytes < 0:
-            raise ValueError("cannot alloc negative bytes")
-        self.stats.mem_task_bytes += int(nbytes)
-        self.stats.mem_task_peak = max(
-            self.stats.mem_task_peak, self.stats.mem_task_bytes
-        )
+    def send(self, dst: int, kind: str, payload: Any, size: int) -> None:
+        """Ride the simulated network (FIFO NIC + latency)."""
+        self._network.send(self.machine_id, dst, kind, payload, size)
 
-    def free(self, nbytes: int) -> None:
-        """Release previously charged task memory."""
-        self.stats.mem_task_bytes -= int(nbytes)
-        if self.stats.mem_task_bytes < 0:
-            raise RuntimeError(
-                f"machine {self.machine_id} freed more task memory than allocated"
+    def pace(
+        self, dispatch_seconds: float, sent: bool, fn: Callable[[], None]
+    ) -> None:
+        """Run the next pump turn once the dispatch compute is done and,
+        if it sent anything, once this machine's NIC has serialized it."""
+        ready_at = self._engine.now + dispatch_seconds
+        if sent:
+            ready_at = max(
+                self._network.sender_free_at(self.machine_id), ready_at
             )
+        self._engine.schedule_at(ready_at, fn)
 
     def utilization(self, elapsed: float) -> float:
         """Average core utilization in [0, 1] over ``elapsed`` seconds."""

@@ -4,7 +4,8 @@ A :class:`SimulatedCluster` wires one :class:`SimulationEngine`, ``n``
 :class:`Machine` instances and a :class:`Network` together and routes
 delivered messages to per-machine *actors* (objects with a
 ``handle_message(Message)`` method).  The TreeServer master and workers, and
-the baselines' drivers, are all actors on this substrate.
+the baselines' drivers, are all actors on this substrate; the TreeServer
+actors see only their own :class:`Machine`, as their host.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ class SimulatedCluster:
         self._n_workers = n_workers
         # machines: [master] + workers + extras (e.g. a secondary master).
         n_machines = n_workers + 1 + extra_machines
+        self.network = Network(
+            self.engine,
+            n_machines,
+            self.cost.bandwidth_bytes_per_second,
+            self.cost.latency_seconds,
+        )
         self.machines = [
             Machine(
                 self.engine,
@@ -64,22 +71,13 @@ class SimulatedCluster:
                     else compers_per_worker
                 ),
                 ops_per_second=self.cost.ops_per_second,
+                network=self.network,
+                cost=self.cost,
             )
             for i in range(n_machines)
         ]
-        self.network = Network(
-            self.engine,
-            n_machines,
-            self.cost.bandwidth_bytes_per_second,
-            self.cost.latency_seconds,
-        )
         self._actors: dict[int, Actor] = {}
         self.network.on_deliver(self._dispatch)
-
-    @property
-    def n_workers(self) -> int:
-        """Number of worker machines (excluding master-role machines)."""
-        return self._n_workers
 
     def worker_ids(self) -> list[int]:
         """Machine ids of all workers."""

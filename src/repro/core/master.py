@@ -3,11 +3,12 @@
 The master is dedicated to task management and never computes tasks itself
 (paper Section IV) — in both split modes: a column task answers with
 already-scored splits, so the master holds no numeric state about the data.
-Its two real-system threads map onto the simulator as:
+Its two real-system threads map onto its host as:
 
 * ``theta_main`` — the *dispatch pump*: a self-rescheduling loop that pops
   plans from ``B_plan`` (head first), computes the greedy worker assignment
-  against ``M_work``, and sends the plan messages.  The pump paces itself on
+  against ``M_work``, and sends the plan messages.  The host paces the
+  next turn (:meth:`~repro.runtime.base.Host.pace`): on the simulator, on
   the master's NIC serialization time plus the assignment compute cost, so
   ``B_plan`` genuinely queues up under load and the hybrid BFS/DFS insertion
   order matters — as in the real system.
@@ -30,9 +31,9 @@ never touched keep running undisturbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..cluster.network import Message
-from ..cluster.topology import SimulatedCluster
+from ..cluster import Message
 from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from .config import SystemConfig, TreeKind
@@ -75,6 +76,9 @@ from .builder import (
     split_is_useful,
 )
 from .tree import DecisionTree, TreeNode, node_from_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.base import Host
 
 
 @dataclass
@@ -134,29 +138,31 @@ class _MasterTaskState:
 
 
 class MasterActor:
-    """The TreeServer master on machine 0 of the simulated cluster."""
+    """The TreeServer master, on the host of machine 0 (or of a promoted
+    secondary master).
+
+    Workers are machines ``1..system.n_workers``.
+    """
 
     def __init__(
         self,
-        cluster: SimulatedCluster,
+        host: Host,
         table_info: _TableInfo,
         jobs: list[TrainingJob],
         system: SystemConfig,
         holders: dict[int, list[int]],
-        machine_id: int = SimulatedCluster.MASTER,
         uid_offset: int = 0,
         secondary_id: int | None = None,
         completed: dict[str, dict[int, DecisionTree]] | None = None,
     ) -> None:
-        self.cluster = cluster
-        self.machine_id = machine_id
+        self.host = host
         self.info = table_info
         self.system = system
-        self.cost = cluster.cost
+        self.cost = host.cost
         self.holders = {c: list(ws) for c, ws in holders.items()}
         self.live_workers = sorted(
             {w for ws in holders.values() for w in ws}
-        ) or cluster.worker_ids()
+        ) or list(range(1, system.n_workers + 1))
         self.jobs = jobs
         completed = completed or {}
         name_to_index = {job.name: j for j, job in enumerate(jobs)}
@@ -172,7 +178,7 @@ class MasterActor:
             tau_dfs=system.tau_dfs, policy=system.scheduling_policy
         )
         self.progress = ProgressTable()
-        self.matrix = LoadMatrix(n_workers=cluster.n_workers)
+        self.matrix = LoadMatrix(n_workers=system.n_workers)
         self.ttask: dict[TaskId, _MasterTaskState] = {}
         self.builds: dict[int, _TreeBuild] = {}
         self.counters = TaskCounters()
@@ -236,7 +242,7 @@ class MasterActor:
     @property
     def halted(self) -> bool:
         """Whether this master's machine has crashed."""
-        return self.cluster.machines[self.machine_id].halted
+        return self.host.halted
 
     def _pump(self) -> None:
         if self._pump_busy or self.halted:
@@ -247,19 +253,12 @@ class MasterActor:
         self._pump_busy = True
         n_messages = self._dispatch(entry)
         self.counters.plans_dispatched += 1
-        # Pace the pump: assignment compute + NIC backlog of what we sent.
         dispatch_seconds = self.cost.compute_seconds(
             self.cost.master_dispatch_ops(
                 len(entry.ctx.candidate_columns), len(self.live_workers)
             )
         )
-        ready_at = max(
-            self.cluster.network.sender_free_at(self.machine_id),
-            self.cluster.engine.now + dispatch_seconds,
-        )
-        if n_messages == 0:
-            ready_at = self.cluster.engine.now + dispatch_seconds
-        self.cluster.engine.schedule_at(ready_at, self._pump_unlock)
+        self.host.pace(dispatch_seconds, n_messages > 0, self._pump_unlock)
 
     def _pump_unlock(self) -> None:
         self._pump_busy = False
@@ -267,7 +266,7 @@ class MasterActor:
             self._pump()
 
     def _send(self, dst: int, kind: str, payload, size: int) -> None:
-        self.cluster.send(self.machine_id, dst, kind, payload, size)
+        self.host.send(dst, kind, payload, size)
 
     def _dispatch(self, entry: PlanEntry) -> int:
         """Assign one plan to workers; returns number of messages sent."""
@@ -293,7 +292,7 @@ class MasterActor:
             # When the first CPU-bound subtree-task hits a worker — the
             # quantity the hybrid scheduling ablation measures.
             self.counters.extra["first_subtree_dispatch_us"] = int(
-                self.cluster.engine.now * 1e6
+                self.host.now * 1e6
             )
         columns = self._task_columns(entry)
         parent_worker = entry.parent.worker if entry.parent else None

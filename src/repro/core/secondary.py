@@ -13,7 +13,8 @@ The implementation here:
   metadata is shared at setup);
 * on detected master failure the secondary takes over: it broadcasts a
   failover notice (workers drop all task state and redirect results), then
-  runs a fresh :class:`~repro.core.master.MasterActor` on its own machine,
+  runs a fresh :class:`~repro.core.master.MasterActor` on its own machine
+  (the simulated :class:`~repro.cluster.machine.Machine` is its host),
   pre-seeded with the synced trees — so only trees incomplete at the crash
   are retrained, under a fresh uid generation that fences off stragglers.
 
@@ -122,12 +123,11 @@ class SecondaryMasterActor:
                     f"column {column} lost all replicas before failover"
                 )
         self.promoted = MasterActor(
-            cluster=self.cluster,
+            host=self.cluster.machines[self.machine_id],
             table_info=self.info,
             jobs=self.jobs,
             system=self.system,
             holders=live_holders,
-            machine_id=self.machine_id,
             uid_offset=fence,
             completed=self.completed,
         )

@@ -372,7 +372,13 @@ class RootRows:
 
 @dataclass
 class TaskCounters:
-    """Run-level task statistics the master accumulates."""
+    """Run-level task statistics the master accumulates.
+
+    ``extra["first_subtree_dispatch_us"]`` is when the first subtree-task
+    was dispatched, in µs on the master host's clock: simulated µs on
+    ``sim``, wall-clock µs since the master started on ``mp`` and
+    ``socket``.
+    """
 
     column_tasks: int = 0
     subtree_tasks: int = 0

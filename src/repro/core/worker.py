@@ -16,17 +16,18 @@ plays four roles, often simultaneously:
 
 Task data readiness follows the T-thinker discipline: a task waits in the
 task table until all its data has arrived, then moves to the compute queue
-(a core of the simulated machine), so communication overlaps computation.
+(its host's ``execute``: a core of a simulated machine, or the worker
+process itself), so communication overlaps computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cluster.network import Message
-from ..cluster.topology import SimulatedCluster
+from ..cluster import Message
 from ..data.schema import ColumnKind, ProblemKind
 from ..data.shm import ShmArena, ShmSlice
 from ..data.table import DataTable
@@ -77,6 +78,9 @@ from .tasks import (
     TaskId,
 )
 from .tree import node_to_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.base import Host
 
 
 class ProtocolError(RuntimeError):
@@ -133,22 +137,22 @@ class _DelegateStore:
 
 
 class WorkerActor:
-    """One TreeServer worker on a simulated machine."""
+    """One TreeServer worker; ``host`` is the machine it runs on, whose
+    id is the worker id."""
 
     def __init__(
         self,
-        cluster: SimulatedCluster,
-        worker_id: int,
+        host: Host,
         table: DataTable,
         held_columns: set[int],
-        master_id: int = SimulatedCluster.MASTER,
+        master_id: int = 0,
         arena: ShmArena | None = None,
         shm_threshold_bytes: int = 8192,
         shm_peers: set[int] | None = None,
         threshold_book: dict | None = None,
     ) -> None:
-        self.cluster = cluster
-        self.worker_id = worker_id
+        self.host = host
+        self.worker_id = host.machine_id
         self.table = table
         self.held_columns = set(held_columns)
         self.master_id = master_id
@@ -169,8 +173,7 @@ class WorkerActor:
         #: to anyone else fall back to inline transfer (docs/PROTOCOL.md,
         #: "Descriptor vs inline: the host rule").
         self.shm_peers = shm_peers
-        self.cost = cluster.cost
-        self.machine = cluster.machines[worker_id]
+        self.cost = host.cost
         self._column_tasks: dict[TaskId, _ColumnTaskState] = {}
         self._key_tasks: dict[TaskId, _KeyTaskState] = {}
         self._serve_tasks: dict[TaskId, _ServeTaskState] = {}
@@ -186,7 +189,7 @@ class WorkerActor:
         self.kernel_counters = KernelCounters()
         # Resident memory: held columns + the replicated Y column.
         base = sum(table.column(c).nbytes for c in self.held_columns)
-        self.machine.set_base_memory(base + table.target.nbytes)
+        self.host.set_base_memory(base + table.target.nbytes)
 
     # ------------------------------------------------------------------
     # helpers
@@ -201,7 +204,7 @@ class WorkerActor:
         return self.table.column(column)
 
     def _send(self, dst: int, kind: str, payload, size: int) -> None:
-        self.cluster.send(self.worker_id, dst, kind, payload, size)
+        self.host.send(dst, kind, payload, size)
 
     def _is_revoked(self, task: TaskId) -> bool:
         return task[0] in self._revoked_trees or task[0] < self._min_live_uid
@@ -281,12 +284,12 @@ class WorkerActor:
             return
         state.row_ids = row_ids
         state.alloc_bytes = int(row_ids.nbytes)
-        self.machine.alloc(state.alloc_bytes)
+        self.host.alloc(state.alloc_bytes)
         n = int(row_ids.size)
         ops = self.cost.node_stats_ops(n)
         for _ in state.plan.columns:
             ops += self.cost.split_search_ops(n)
-        self.machine.execute(
+        self.host.execute(
             ops, lambda: self._compute_column_task(task), label="column_task"
         )
 
@@ -367,7 +370,7 @@ class WorkerActor:
             )
         n = int(state.row_ids.size)
         ops = self.cost.partition_ops(n) + 2 * self.cost.node_stats_ops(n)
-        self.machine.execute(
+        self.host.execute(
             ops, lambda: self._partition_rows(msg), label="partition"
         )
 
@@ -387,9 +390,9 @@ class WorkerActor:
             alloc_bytes={0: int(left_ids.nbytes), 1: int(right_ids.nbytes)},
         )
         self._delegate[msg.task] = store
-        self.machine.alloc(store.alloc_bytes[0] + store.alloc_bytes[1])
+        self.host.alloc(store.alloc_bytes[0] + store.alloc_bytes[1])
         # The parent I_x itself is no longer needed.
-        self.machine.free(state.alloc_bytes)
+        self.host.free(state.alloc_bytes)
         del self._column_tasks[msg.task]
         done = SplitDoneMsg(
             task=msg.task,
@@ -403,7 +406,7 @@ class WorkerActor:
     def _on_task_delete(self, msg: TaskDeleteMsg) -> None:
         state = self._column_tasks.pop(msg.task, None)
         if state is not None and state.alloc_bytes:
-            self.machine.free(state.alloc_bytes)
+            self.host.free(state.alloc_bytes)
 
     # ------------------------------------------------------------------
     # delegate (parent-worker) role
@@ -467,7 +470,7 @@ class WorkerActor:
                 f"task {msg.task} side {msg.side}: served "
                 f"{store.served[msg.side]} fetches, master says {msg.count}"
             )
-        self.machine.free(store.alloc_bytes[msg.side])
+        self.host.free(store.alloc_bytes[msg.side])
         ref = store.shm_refs.pop(msg.side, None)
         if ref is not None:
             # All fetchers have consumed their copies by causality (their
@@ -514,7 +517,7 @@ class WorkerActor:
         state.row_ids = row_ids
         nbytes = int(row_ids.nbytes)
         state.alloc_bytes += nbytes
-        self.machine.alloc(nbytes)
+        self.host.alloc(nbytes)
         self._maybe_run_subtree(task)
 
     def _on_column_response(self, msg: ColumnResponseMsg) -> None:
@@ -531,7 +534,7 @@ class WorkerActor:
             state.column_data[col] = arr
             nbytes += int(arr.nbytes)
         state.alloc_bytes += nbytes
-        self.machine.alloc(nbytes)
+        self.host.alloc(nbytes)
         self._maybe_run_subtree(msg.task)
 
     def _maybe_run_subtree(self, task: TaskId) -> None:
@@ -548,7 +551,7 @@ class WorkerActor:
         n = int(state.row_ids.size)
         n_candidates = len(plan.ctx.candidate_columns)
         ops = self.cost.subtree_build_ops(n, max(1, n_candidates))
-        self.machine.execute(
+        self.host.execute(
             ops, lambda: self._build_subtree(task), label="subtree_task"
         )
 
@@ -606,7 +609,7 @@ class WorkerActor:
             result,
             self.cost.subtree_bytes(n_nodes),
         )
-        self.machine.free(state.alloc_bytes)
+        self.host.free(state.alloc_bytes)
 
     # ------------------------------------------------------------------
     # column-server role
@@ -628,7 +631,7 @@ class WorkerActor:
         state.row_ids = row_ids
         msg = state.request
         ops = self.cost.gather_ops(int(row_ids.size), len(msg.columns))
-        self.machine.execute(
+        self.host.execute(
             ops, lambda: self._serve_columns(task), label="serve"
         )
 
@@ -715,16 +718,16 @@ class WorkerActor:
         for task in [t for t in self._column_tasks if t[0] == uid]:
             state = self._column_tasks.pop(task)
             if state.alloc_bytes:
-                self.machine.free(state.alloc_bytes)
+                self.host.free(state.alloc_bytes)
         for task in [t for t in self._key_tasks if t[0] == uid]:
             state = self._key_tasks.pop(task)
             if state.alloc_bytes:
-                self.machine.free(state.alloc_bytes)
+                self.host.free(state.alloc_bytes)
         for task in [t for t in self._serve_tasks if t[0] == uid]:
             self._serve_tasks.pop(task)
         for task in [t for t in self._delegate if t[0] == uid]:
             store = self._delegate.pop(task)
-            self.machine.free(sum(store.alloc_bytes[s] for s in store.sides))
+            self.host.free(sum(store.alloc_bytes[s] for s in store.sides))
             for ref in store.shm_refs.values():
                 self.arena.free(ref)
             store.shm_refs.clear()

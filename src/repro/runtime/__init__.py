@@ -14,6 +14,7 @@ from .base import (
     BACKENDS,
     FAULT_POLICIES,
     FaultPlan,
+    Host,
     MessageTimeoutError,
     Runtime,
     RuntimeBackendError,
@@ -24,7 +25,7 @@ from .base import (
 )
 from .process import ProcessRuntime, ProcessTransport, resolve_start_method
 from .signals import graceful_sigint, reap_children
-from .sim import SimRuntime, SimTransport
+from .sim import SimRuntime
 from .socket import (
     HandshakeError,
     SocketRuntime,
@@ -37,6 +38,7 @@ __all__ = [
     "FAULT_POLICIES",
     "FaultPlan",
     "HandshakeError",
+    "Host",
     "MessageTimeoutError",
     "ProcessRuntime",
     "ProcessTransport",
@@ -44,7 +46,6 @@ __all__ = [
     "RuntimeBackendError",
     "RuntimeOptions",
     "SimRuntime",
-    "SimTransport",
     "SocketRuntime",
     "SocketTransport",
     "Transport",

@@ -4,12 +4,15 @@ The TreeServer protocol (``core/master.py`` / ``core/worker.py``) is a set
 of actors exchanging the typed messages of ``core/tasks.py``.  *Where*
 those actors run and *how* the messages travel is the runtime's concern:
 
-* a :class:`Transport` moves one addressed message between machines —
-  :class:`~repro.runtime.sim.SimTransport` rides the discrete-event
-  ``Network``, :class:`~repro.runtime.process.ProcessTransport` rides
+* a :class:`Host` is everything one actor needs from the machine it runs
+  on — the simulator's :class:`~repro.cluster.machine.Machine`, or the
+  :class:`~repro.runtime.process.ProcessHost` of one OS process;
+* a :class:`Transport` moves one addressed message between the processes
+  of a real run — :class:`~repro.runtime.process.ProcessTransport` rides
   per-process ``multiprocessing`` queues,
   :class:`~repro.runtime.socket.SocketTransport` rides length-prefixed
-  pickled frames over persistent TCP;
+  pickled frames over persistent TCP (the simulator's hosts send through
+  its discrete-event ``Network`` instead);
 * a :class:`Runtime` owns a whole training run on one substrate and
   returns the same :class:`~repro.core.server.RunReport` either way.
 
@@ -27,10 +30,11 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.cost import CostModel
+    from ..cluster.machine import MachineStats
     from ..core.config import SystemConfig
     from ..core.jobs import TrainingJob
     from ..core.master import MasterActor
@@ -56,15 +60,63 @@ FAULT_ENV = "REPRO_FAULT"
 
 
 @runtime_checkable
+class Host(Protocol):
+    """Everything one actor needs from the machine it runs on.
+
+    The simulator's :class:`~repro.cluster.machine.Machine` is a host; on
+    the process backends each OS process builds one
+    :class:`~repro.runtime.process.ProcessHost`.  ``docs/RUNTIME.md``
+    tabulates what each member means on each.
+    """
+
+    machine_id: int
+    cost: "CostModel"
+    stats: "MachineStats"
+
+    @property
+    def halted(self) -> bool:
+        """Whether the machine has crashed (its actor then does nothing)."""
+
+    @property
+    def now(self) -> float:
+        """Seconds on this host's clock: simulated, or wall since start."""
+
+    def send(self, dst: int, kind: str, payload: Any, size: int) -> None:
+        """Send one protocol message from this machine to ``dst``."""
+
+    def execute(
+        self, ops: float, fn: Callable[[], None], label: str = "task"
+    ) -> None:
+        """Run ``fn`` once, after ``ops`` of compute (counted in ``stats``)."""
+
+    def alloc(self, nbytes: int) -> None:
+        """Charge task memory, tracking the peak."""
+
+    def free(self, nbytes: int) -> None:
+        """Release task memory; freeing more than was charged raises."""
+
+    def set_base_memory(self, nbytes: int) -> None:
+        """Record the resident bytes of loaded data columns."""
+
+    def pace(
+        self, dispatch_seconds: float, sent: bool, fn: Callable[[], None]
+    ) -> None:
+        """Queue the master's next pump turn ``fn`` after a dispatch that
+        took ``dispatch_seconds`` and did or did not send; paced callbacks
+        run FIFO, each to completion, so the pump never recurses."""
+
+
+@runtime_checkable
 class Transport(Protocol):
     """Moves one addressed protocol message between machines.
 
     ``send`` must preserve per-sender FIFO order towards each destination
     — the protocol's extra-trees retry path (task_delete immediately
     followed by a fresh column_plan to the same worker) relies on it.
-    Both implementations give this for free: the simulated network
-    serializes each sender's NIC FIFO, and a ``multiprocessing`` queue
-    preserves the put order of any single producer.
+    A ``multiprocessing`` queue preserves the put order of any single
+    producer, and so does one TCP stream; the simulated network, which
+    the simulator's hosts send through, serializes each sender's NIC
+    FIFO.
     """
 
     def send(

@@ -5,10 +5,10 @@ id, every process holding every inbox — so workers exchange row ids and
 column data **peer to peer**, exactly like the simulated data plane
 (Section V: the master never relays row ids).  Machine 0 (the master) is
 the parent process: it runs the unmodified
-:class:`~repro.core.master.MasterActor` state machine over
-:class:`~repro.runtime.local.LocalCluster` shims; machines ``1..n`` are
-child processes each owning their column shards and running the unmodified
-:class:`~repro.core.worker.WorkerActor`.
+:class:`~repro.core.master.MasterActor` state machine; machines ``1..n``
+are child processes each owning their column shards and running the
+unmodified :class:`~repro.core.worker.WorkerActor`.  Every process hosts
+its one actor on a :class:`ProcessHost`.
 
 The data plane is shared-memory first (``RuntimeOptions.use_shm``,
 default on — see ``docs/RUNTIME.md``):
@@ -86,6 +86,7 @@ from typing import Any, Callable, Iterator, Sequence
 import multiprocessing
 
 from ..cluster.cost import CostModel
+from ..cluster.machine import MemoryLedger
 from ..cluster.metrics import ClusterReport, MachineReport
 from ..cluster.network import Message
 from ..core.config import SystemConfig
@@ -114,10 +115,10 @@ from .base import (
     MessageTimeoutError,
     Runtime,
     RuntimeOptions,
+    Transport,
     WorkerDiedError,
     finish_run,
 )
-from .local import LocalCluster
 from .signals import stop_processes
 
 #: Exit code of an injected ``crash`` fault (distinguishable from crashes).
@@ -217,6 +218,60 @@ class QueueFabric:
             q.cancel_join_thread()
 
 
+class ProcessHost(MemoryLedger):
+    """The :class:`~repro.runtime.base.Host` of the one machine id an OS
+    process hosts on the process backends.
+
+    A live process is never halted: the driver detects death.  A real NIC
+    is never artificially busy, so :meth:`pace` ignores the timing and
+    queues the pump turn for the owning event loop's :meth:`drain`.
+    """
+
+    halted = False
+
+    def __init__(
+        self, machine_id: int, cost: CostModel, transport: Transport
+    ) -> None:
+        super().__init__(machine_id)
+        self.cost = cost
+        self._transport = transport
+        self._started = time.monotonic()
+        self._paced: deque[Callable[[], None]] = deque()
+        self.messages_sent = 0
+        self.bytes_by_kind: dict[str, int] = {}
+
+    @property
+    def now(self) -> float:
+        """Wall seconds since this host was built."""
+        return time.monotonic() - self._started
+
+    def send(self, dst: int, kind: str, payload: Any, size: int) -> None:
+        """Count one protocol message and hand it to the transport."""
+        self.messages_sent += 1
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+        self._transport.send(self.machine_id, dst, kind, payload, size)
+
+    def execute(
+        self, ops: float, fn: Callable[[], None], label: str = "task"
+    ) -> None:
+        """Run ``fn`` right now; keep the op estimate for metrics."""
+        if ops < 0:
+            raise ValueError("ops must be non-negative")
+        self.stats.ops_executed += ops
+        fn()
+
+    def pace(
+        self, dispatch_seconds: float, sent: bool, fn: Callable[[], None]
+    ) -> None:
+        """Queue ``fn`` for the next :meth:`drain`, whatever the timing."""
+        self._paced.append(fn)
+
+    def drain(self) -> None:
+        """Run paced callbacks until none remain (they may queue more)."""
+        while self._paced:
+            self._paced.popleft()()
+
+
 def worker_error_message(worker_id: int, exc: BaseException) -> Message:
     """The ``worker_error`` a failing worker ships home (call while
     handling ``exc``: the traceback is the current one)."""
@@ -250,7 +305,6 @@ def worker_table(
 
 def run_worker_loop(
     worker_id: int,
-    n_workers: int,
     table: DataTable,
     held_columns: set[int],
     cost: CostModel,
@@ -267,9 +321,9 @@ def run_worker_loop(
 ) -> None:
     """The worker event loop of both process backends.
 
-    Builds the unmodified :class:`~repro.core.worker.WorkerActor` over
-    :class:`~repro.runtime.local.LocalCluster` shims and pumps messages
-    into it: flush the fabric whenever idle, answer the shutdown
+    Builds the unmodified :class:`~repro.core.worker.WorkerActor` on a
+    :class:`ProcessHost` over ``fabric`` and pumps messages into it:
+    flush the fabric whenever idle, answer the shutdown
     broadcast with a stats report and return.  What the substrates do
     differently comes in as two callables.  ``next_messages`` blocks for
     at most one poll interval and returns the next decoded batch, an
@@ -287,10 +341,9 @@ def run_worker_loop(
     try:
         if shm_prefix is not None:
             arena = ShmArena(f"{shm_prefix}-w{worker_id}")
-        cluster = LocalCluster(n_workers, cost, fabric)
+        host = ProcessHost(worker_id, cost, fabric)
         actor = WorkerActor(
-            cluster,
-            worker_id,
+            host,
             table,
             held_columns,
             arena=arena,
@@ -298,7 +351,6 @@ def run_worker_loop(
             shm_peers=shm_peers,
             threshold_book=threshold_book,
         )
-        machine = cluster.machines[worker_id]
         pending: deque[Message] = deque()
         handled = 0
         while True:
@@ -315,13 +367,13 @@ def run_worker_loop(
                 stats = WorkerStatsMsg(
                     worker=worker_id,
                     outstanding=actor.outstanding_state(),
-                    mem_task_bytes=machine.stats.mem_task_bytes,
-                    mem_task_peak=machine.stats.mem_task_peak,
-                    mem_base_bytes=machine.stats.mem_base_bytes,
+                    mem_task_bytes=host.stats.mem_task_bytes,
+                    mem_task_peak=host.stats.mem_task_peak,
+                    mem_base_bytes=host.stats.mem_base_bytes,
                     messages_handled=handled,
-                    messages_sent=cluster.messages_sent,
-                    ops_executed=machine.stats.ops_executed,
-                    bytes_by_kind=dict(cluster.bytes_by_kind),
+                    messages_sent=host.messages_sent,
+                    ops_executed=host.stats.ops_executed,
+                    bytes_by_kind=dict(host.bytes_by_kind),
                     bytes_pickled=fabric.bytes_pickled,
                     shm_bytes_mapped=attached_nbytes
                     + (arena.bytes_read if arena is not None else 0),
@@ -347,14 +399,13 @@ def run_worker_loop(
     finally:
         # Release the shm footprint: drop array references first so the
         # mmaps can actually unmap, then unlink what this process owns.
-        actor = cluster = machine = None  # noqa: F841
+        actor = host = None  # noqa: F841
         if arena is not None:
             arena.close()
 
 
 def _worker_main(
     worker_id: int,
-    n_workers: int,
     table_ref: "DataTable | SharedTableHandle",
     held_columns: set[int],
     queues: list,
@@ -410,7 +461,6 @@ def _worker_main(
         with worker_table(table_ref) as (table, mapped_nbytes):
             run_worker_loop(
                 worker_id,
-                n_workers,
                 table,
                 held_columns,
                 cost,
@@ -639,7 +689,6 @@ class ProcessTransport(WorkerPool):
                 _worker_main,
                 lambda wid: (
                     wid,
-                    n_workers,
                     table_ref,
                     {c for c, ws in placement.items() if wid in ws},
                     self.queues,
@@ -745,12 +794,12 @@ class ProcessRuntime(Runtime):
         from ..core.server import RunReport
 
         options = self.options
-        cluster = LocalCluster(self.system.n_workers, self.cost, transport)
+        host = ProcessHost(0, self.cost, transport)
         master = MasterActor(
-            cluster, _TableInfo.of(table), jobs, self.system, placement
+            host, _TableInfo.of(table), jobs, self.system, placement
         )
         master.start()
-        cluster.engine.drain()
+        host.drain()
 
         live = set(range(1, self.system.n_workers + 1))
         messages_handled = 0
@@ -759,7 +808,7 @@ class ProcessRuntime(Runtime):
             try:
                 message = transport.recv_master(options.poll_interval_seconds)
             except queue_module.Empty:
-                if self._check_children(transport, master, cluster, live):
+                if self._check_children(transport, master, host, live):
                     # Recovery just generated fresh traffic (revocations,
                     # re-planned tasks): restart the silence clock.
                     last_message = time.monotonic()
@@ -789,7 +838,7 @@ class ProcessRuntime(Runtime):
                     self._recover_worker(
                         transport,
                         master,
-                        cluster,
+                        host,
                         live,
                         payload.worker,
                         1,
@@ -798,7 +847,7 @@ class ProcessRuntime(Runtime):
                 continue
             messages_handled += 1
             master.handle_message(message)
-            cluster.engine.drain()
+            host.drain()
 
         stats = self._collect_worker_stats(transport, live)
         finish_run(
@@ -813,7 +862,7 @@ class ProcessRuntime(Runtime):
         return RunReport(
             sim_seconds=wall,
             cluster=self._cluster_report(
-                wall, cluster, stats, messages_handled, transport, master
+                wall, host, stats, messages_handled, transport, master
             ),
             counters=master.counters,
             models=models,
@@ -826,7 +875,7 @@ class ProcessRuntime(Runtime):
         self,
         transport: WorkerPool,
         master: MasterActor,
-        cluster: LocalCluster,
+        host: ProcessHost,
         live: set[int],
     ) -> bool:
         """Liveness poll: apply the fault policy to any dead worker.
@@ -838,14 +887,14 @@ class ProcessRuntime(Runtime):
         if not dead:
             return False
         for wid, code in dead:
-            self._recover_worker(transport, master, cluster, live, wid, code)
+            self._recover_worker(transport, master, host, live, wid, code)
         return True
 
     def _recover_worker(
         self,
         transport: WorkerPool,
         master: MasterActor,
-        cluster: LocalCluster,
+        host: ProcessHost,
         live: set[int],
         wid: int,
         code: int,
@@ -884,7 +933,7 @@ class ProcessRuntime(Runtime):
                 f"(column_replication too small for this crash)",
             )
         master.on_worker_crashed(wid)
-        cluster.engine.drain()
+        host.drain()
         transport.flush()
         transport.reap_worker(wid)
         live.discard(wid)
@@ -934,7 +983,7 @@ class ProcessRuntime(Runtime):
     def _cluster_report(
         self,
         wall: float,
-        cluster: LocalCluster,
+        host: ProcessHost,
         stats: dict[int, WorkerStatsMsg],
         messages_handled: int,
         transport: WorkerPool,
@@ -948,7 +997,7 @@ class ProcessRuntime(Runtime):
         report = ClusterReport(
             elapsed_seconds=wall, events_processed=messages_handled
         )
-        master_bytes = sum(cluster.bytes_by_kind.values())
+        master_bytes = sum(host.bytes_by_kind.values())
         report.machines.append(
             MachineReport(
                 machine_id=0,
@@ -960,7 +1009,7 @@ class ProcessRuntime(Runtime):
                 items_executed=messages_handled,
             )
         )
-        bytes_by_kind = dict(cluster.bytes_by_kind)
+        bytes_by_kind = dict(host.bytes_by_kind)
         for wid in sorted(stats):
             worker = stats[wid]
             sent = sum(worker.bytes_by_kind.values())

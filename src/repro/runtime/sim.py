@@ -1,13 +1,12 @@
 """The discrete-event backend: the original simulated deployment.
 
 This is the default runtime and the reference for the parity guarantee:
-``ProcessRuntime`` must train bit-identical models.  The simulated path is
-unchanged — :class:`SimTransport` is a thin :class:`~repro.runtime.base.
-Transport` adapter over the per-NIC :class:`~repro.cluster.network.Network`
-so the two substrates present the same seam, and :class:`SimRuntime` hosts
-what used to live inline in ``TreeServer.fit``: cluster assembly, column
-placement, optional fault injection / secondary master, and the run-end
-protocol invariants.
+``ProcessRuntime`` must train bit-identical models.  Each actor's
+:class:`~repro.runtime.base.Host` is its simulated
+:class:`~repro.cluster.machine.Machine`, which sends over the per-NIC
+:class:`~repro.cluster.network.Network`.  :class:`SimRuntime` does cluster
+assembly, column placement, optional fault injection / secondary master,
+and the run-end protocol invariants.
 """
 
 from __future__ import annotations
@@ -26,25 +25,6 @@ from ..core.secondary import SecondaryMasterActor
 from ..core.worker import WorkerActor
 from ..data.table import DataTable
 from .base import Runtime, RuntimeOptions, WorkerDiedError, finish_run
-
-
-class SimTransport:
-    """Transport adapter over the simulated per-NIC network."""
-
-    def __init__(self, cluster: SimulatedCluster) -> None:
-        self.cluster = cluster
-
-    def send(
-        self, src: int, dst: int, kind: str, payload: Any, size_bytes: int
-    ) -> None:
-        """Ride the simulated network (FIFO NIC + latency)."""
-        self.cluster.send(src, dst, kind, payload, size_bytes)
-
-    def flush(self) -> None:
-        """Eager delivery: the simulated NIC never holds messages back."""
-
-    def close(self) -> None:
-        """Nothing to release: the event queue owns all state."""
 
 
 class SimRuntime(Runtime):
@@ -102,7 +82,9 @@ class SimRuntime(Runtime):
         workers: list[WorkerActor] = []
         for wid in worker_ids:
             held = {c for c, ws in placement.items() if wid in ws}
-            worker = WorkerActor(cluster, wid, table, held, threshold_book=book)
+            worker = WorkerActor(
+                cluster.machines[wid], table, held, threshold_book=book
+            )
             cluster.register(wid, worker)
             workers.append(worker)
 
@@ -120,7 +102,7 @@ class SimRuntime(Runtime):
             )
             cluster.register(secondary_id, secondary)
         master = MasterActor(
-            cluster,
+            cluster.machines[cluster.MASTER],
             info,
             jobs,
             self.system,
@@ -183,10 +165,10 @@ class SimRuntime(Runtime):
             {
                 worker.worker_id: (
                     worker.outstanding_state(),
-                    worker.machine.stats.mem_task_bytes,
+                    worker.host.stats.mem_task_bytes,
                 )
                 for worker in workers
-                if not worker.machine.halted  # crashed ones keep their state
+                if not worker.host.halted  # crashed ones keep their state
             },
         )
 

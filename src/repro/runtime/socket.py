@@ -486,7 +486,6 @@ def _run_socket_worker(
         assert isinstance(cost, CostModel)
         run_worker_loop(
             worker_id,
-            welcome.n_workers,
             table,
             set(welcome.held_columns),
             cost,

@@ -18,7 +18,7 @@ from repro.core.tasks import MSG_REVOKE_TREE, ParentRef, PlanEntry, TreeContext
 from repro.core.tree import TreeNode
 from repro.data.schema import ProblemKind
 from repro.datasets import SyntheticSpec, generate
-from repro.runtime.local import LocalCluster
+from repro.runtime.process import ProcessHost
 
 
 def make_build() -> _TreeBuild:
@@ -207,11 +207,11 @@ class RecordingTransport:
 
 
 def make_master(n_workers=3, n_columns=4, n_trees=2):
-    """A live MasterActor over local shims, two trees admitted (uids 1, 2)."""
+    """A live MasterActor on a process host, two trees admitted (uids 1, 2)."""
     system = SystemConfig(n_workers=n_workers, compers_per_worker=2)
     cost = TreeServer(system).cost
     transport = RecordingTransport()
-    cluster = LocalCluster(n_workers, cost, transport)
+    host = ProcessHost(0, cost, transport)
     info = _TableInfo(
         n_rows=4000,
         n_columns=n_columns,
@@ -223,9 +223,9 @@ def make_master(n_workers=3, n_columns=4, n_trees=2):
         for c in range(n_columns)
     }
     jobs = [random_forest_job("rf", n_trees, TreeConfig(max_depth=6), seed=0)]
-    master = MasterActor(cluster, info, jobs, system, holders)
+    master = MasterActor(host, info, jobs, system, holders)
     master.start()
-    cluster.engine.drain()
+    host.drain()
     return master, transport
 
 

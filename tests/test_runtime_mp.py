@@ -198,6 +198,20 @@ class TestReporting:
         assert report.cluster.bytes_by_kind.get("column_plan", 0) > 0
         assert report.sim_seconds == report.wall_seconds
 
+    def test_first_subtree_dispatch_reads_the_wall_clock(self):
+        """The counter reads the master host's clock, which on the
+        process backends is wall time since the master started."""
+        table = _table("covtype")
+        jobs = [random_forest_job("rf", 4, TreeConfig(max_depth=6), seed=1)]
+        server = TreeServer(
+            SystemConfig(n_workers=2, tau_subtree=100),
+            backend="mp",
+            runtime_options=FAST,
+        )
+        report = server.fit(table, jobs)
+        assert report.counters.subtree_tasks > 0
+        assert report.counters.extra["first_subtree_dispatch_us"] > 0
+
     def test_no_orphan_processes_after_fit(self):
         table = _table("covtype")
         _fit("mp", table, [decision_tree_job("dt", TreeConfig(max_depth=5))])

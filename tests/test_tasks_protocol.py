@@ -122,7 +122,7 @@ def _make_worker() -> tuple[SimulatedCluster, WorkerActor]:
         )
     )
     cluster = SimulatedCluster(n_workers=2, compers_per_worker=1)
-    worker = WorkerActor(cluster, 1, table, held_columns={0, 1})
+    worker = WorkerActor(cluster.machines[1], table, held_columns={0, 1})
     cluster.register(1, worker)
     return cluster, worker
 

@@ -107,11 +107,14 @@ class TestEndToEndUtilization:
         )
         for wid in cluster.worker_ids():
             held = {c for c, ws in placement.items() if wid in ws}
-            cluster.register(wid, WorkerActor(cluster, wid, table, held))
+            cluster.register(
+                wid, WorkerActor(cluster.machines[wid], table, held)
+            )
         info = _TableInfo(table.n_rows, table.n_columns, table.problem,
                           table.n_classes)
         master = MasterActor(
-            cluster, info, [decision_tree_job("dt", TreeConfig(max_depth=6))],
+            cluster.machines[0], info,
+            [decision_tree_job("dt", TreeConfig(max_depth=6))],
             system, placement,
         )
         cluster.register(0, master)

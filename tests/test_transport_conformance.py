@@ -1,4 +1,4 @@
-"""Transport-seam conformance: one contract, three substrates.
+"""Substrate conformance: one contract per seam, every substrate.
 
 The :class:`~repro.runtime.base.Transport` protocol makes exactly three
 promises the TreeServer event loops rely on:
@@ -13,10 +13,16 @@ promises the TreeServer event loops rely on:
 * **idempotent close** — teardown paths run ``close`` from both success
   and failure branches, sometimes twice.
 
-This suite runs the same assertions over all three implementations:
-``SimTransport`` (discrete-event network), ``ProcessTransport``
-(multiprocessing queues) and ``SocketTransport`` (framed TCP, loopback
-self-launch).  A new backend earns its seat by passing this file.
+These run over all three substrates: the simulated network (through
+``SimulatedCluster.send``, the path the simulator's hosts send on),
+``ProcessTransport`` (multiprocessing queues) and ``SocketTransport``
+(framed TCP, loopback self-launch).
+
+The :class:`~repro.runtime.base.Host` protocol — what an actor needs
+from its machine — is pinned the same way, over a simulated
+:class:`~repro.cluster.machine.Machine` and a
+:class:`~repro.runtime.process.ProcessHost`.  A new backend earns its
+seat by passing this file.
 """
 
 from __future__ import annotations
@@ -28,103 +34,105 @@ import time
 import pytest
 
 from repro import SystemConfig, TreeServer
+from repro.cluster.machine import Machine
 from repro.cluster.network import Message
 from repro.cluster.topology import SimulatedCluster
 from repro.core.load_balance import assign_columns_to_workers
 from repro.datasets import dataset_spec, generate
-from repro.runtime import RuntimeOptions
-from repro.runtime.sim import SimTransport
+from repro.runtime import Host, RuntimeOptions
+from repro.runtime.process import ProcessHost
 
 #: Kind tag of the probe messages; never a real protocol kind.
 PROBE = "conformance_probe"
 
 
-class _Harness:
-    """Uniform view of one transport for the contract assertions."""
+def _cost():
+    return TreeServer(SystemConfig(n_workers=2, compers_per_worker=1)).cost
 
-    def __init__(self, transport, deliver, close):
-        self.transport = transport
-        self._deliver = deliver
+
+class _Harness:
+    """Uniform view of one substrate for the transport contract.
+
+    ``send`` puts one probe on the wire, ``flush`` pushes buffered sends
+    out, ``delivered(count)`` returns the payloads observed at the
+    destination in arrival order, and ``close`` releases the substrate.
+    """
+
+    def __init__(self, send, flush, delivered, close):
+        self.send = send
+        self.flush = flush
+        self.delivered = delivered
         self.close = close
 
-    def send(self, payload) -> None:
-        self.transport.send(0, self.destination, PROBE, payload, 8)
 
-    def delivered(self, count: int) -> list:
-        """Payloads observed at the destination, in arrival order."""
-        return self._deliver(count)
+def _sim_harness() -> _Harness:
+    cluster = SimulatedCluster(n_workers=2, compers_per_worker=1, cost=_cost())
+    received: list[Message] = []
 
-    destination = 0
+    class _Recorder:
+        def handle_message(self, message: Message) -> None:
+            received.append(message)
 
+    cluster.register(1, _Recorder())
 
-class _SimHarness(_Harness):
-    destination = 1
+    def delivered(count: int) -> list:
+        cluster.run()  # drain the event queue
+        return [m.payload for m in received]
 
-    def __init__(self):
-        system = SystemConfig(n_workers=2, compers_per_worker=1)
-        cluster = SimulatedCluster(
-            n_workers=2, compers_per_worker=1, cost=TreeServer(system).cost
-        )
-        self.received: list[Message] = []
-        recorder = self
-
-        class _Recorder:
-            def handle_message(self, message: Message) -> None:
-                recorder.received.append(message)
-
-        cluster.register(1, _Recorder())
-        transport = SimTransport(cluster)
-
-        def deliver(count: int) -> list:
-            cluster.run()  # drain the event queue
-            return [m.payload for m in self.received]
-
-        super().__init__(transport, deliver, transport.close)
+    return _Harness(
+        send=lambda payload: cluster.send(0, 1, PROBE, payload, 8),
+        flush=lambda: None,  # the simulated NIC holds nothing back
+        delivered=delivered,
+        close=lambda: None,  # the event queue owns all state
+    )
 
 
-class _QueueHarness(_Harness):
+def _queue_harness(transport) -> _Harness:
     """mp / socket: probes addressed to the master land in recv_master.
 
     ``recv_master`` flushes the fabric before blocking — the flush-on-idle
     rule — so no explicit ``flush`` call is needed for delivery.
     """
 
-    def __init__(self, transport):
-        def deliver(count: int) -> list:
-            got = []
-            deadline = time.monotonic() + 15.0
-            while len(got) < count and time.monotonic() < deadline:
-                try:
-                    message = transport.recv_master(0.1)
-                except queue_module.Empty:
-                    continue
-                assert message.kind == PROBE
-                got.append(message.payload)
-            return got
+    def delivered(count: int) -> list:
+        got = []
+        deadline = time.monotonic() + 15.0
+        while len(got) < count and time.monotonic() < deadline:
+            try:
+                message = transport.recv_master(0.1)
+            except queue_module.Empty:
+                continue
+            assert message.kind == PROBE
+            got.append(message.payload)
+        return got
 
-        super().__init__(transport, deliver, transport.close)
+    return _Harness(
+        send=lambda payload: transport.send(0, 0, PROBE, payload, 8),
+        flush=transport.flush,
+        delivered=delivered,
+        close=transport.close,
+    )
 
 
 def _real_transport(cls):
     table = generate(dataset_spec("covtype", small=True))
     placement = assign_columns_to_workers(table.n_columns, [1], 1)
-    system = SystemConfig(n_workers=1, compers_per_worker=1)
     options = RuntimeOptions(
         message_timeout_seconds=15.0, poll_interval_seconds=0.02, use_shm=False
     )
-    return cls(1, table, placement, TreeServer(system).cost, options)
+    return cls(1, table, placement, _cost(), options)
 
 
 def _make_harness(backend: str) -> _Harness:
     if backend == "sim":
-        return _SimHarness()
+        return _sim_harness()
     if backend == "mp":
         from repro.runtime.process import ProcessTransport
 
-        return _QueueHarness(_real_transport(ProcessTransport))
+        return _queue_harness(_real_transport(ProcessTransport))
     from repro.runtime.socket import SocketTransport
 
-    return _QueueHarness(_real_transport(SocketTransport))
+    return _queue_harness(_real_transport(SocketTransport))
 
 
 @pytest.fixture(params=["sim", "mp", "socket"])
@@ -144,7 +152,7 @@ class TestTransportContract:
         count = 64
         for i in range(count):
             harness.send(i)
-        harness.transport.flush()
+        harness.flush()
         assert harness.delivered(count) == list(range(count))
 
     def test_flush_on_idle_delivers_buffered_sends(self, harness):
@@ -155,6 +163,98 @@ class TestTransportContract:
 
     def test_close_is_idempotent(self, harness):
         harness.send("pre-close")
-        harness.transport.flush()
+        harness.flush()
         harness.close()
         harness.close()  # second close must be a no-op, not an error
+
+
+# ----------------------------------------------------------------------
+# the Host contract
+# ----------------------------------------------------------------------
+class _NullTransport:
+    """Where a lone process host's sends go; these tests send nothing."""
+
+    def send(self, src, dst, kind, payload, size_bytes) -> None:
+        raise AssertionError("the host contract tests send nothing")
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def _sim_host() -> tuple[Machine, SimulatedCluster]:
+    cluster = SimulatedCluster(n_workers=2, compers_per_worker=1, cost=_cost())
+    return cluster.machines[1], cluster
+
+
+@pytest.fixture(params=["sim", "process"])
+def host_and_run(request):
+    """Machine 1 as a host, and how its owner runs what the host queued:
+    the simulation engine, or the process host's run-to-completion drain."""
+    if request.param == "sim":
+        host, cluster = _sim_host()
+        return host, cluster.engine.run
+    host = ProcessHost(1, _cost(), _NullTransport())
+    return host, host.drain
+
+
+class TestHostContract:
+    def test_execute_runs_fn_once_and_counts_ops(self, host_and_run):
+        host, run = host_and_run
+        assert isinstance(host, Host)
+        calls = []
+        host.execute(5.0, lambda: calls.append("ran"), label="probe")
+        if isinstance(host, Machine):
+            assert calls == []  # simulated compute takes simulated time
+        run()
+        assert calls == ["ran"]
+        assert host.stats.ops_executed == 5.0
+
+    def test_memory_accounting(self, host_and_run):
+        host, _ = host_and_run
+        host.set_base_memory(1000)
+        host.alloc(100)
+        host.alloc(50)
+        host.free(120)
+        host.alloc(10)
+        assert host.stats.mem_base_bytes == 1000
+        assert host.stats.mem_task_bytes == 40
+        assert host.stats.mem_task_peak == 150
+        with pytest.raises(ValueError):
+            host.alloc(-1)
+        with pytest.raises(RuntimeError, match="machine 1 freed more"):
+            host.free(41)
+
+    def test_paced_callbacks_run_in_fifo_order(self, host_and_run):
+        host, run = host_and_run
+        order = []
+        for i in range(8):
+            host.pace(0.001, i % 2 == 0, lambda i=i: order.append(i))
+        run()
+        assert order == list(range(8))
+
+    def test_deep_self_rescheduling_chain_does_not_recurse(self, host_and_run):
+        """The dispatch pump re-queues itself once per plan; 10 000 turns
+        must run as a loop, not as nested calls."""
+        host, run = host_and_run
+        remaining = [10_000]
+
+        def turn() -> None:
+            remaining[0] -= 1
+            if remaining[0]:
+                host.pace(0.0, False, turn)
+
+        host.pace(0.0, False, turn)
+        run()
+        assert remaining[0] == 0
+
+    def test_halted_sim_host_drops_execute(self):
+        host, cluster = _sim_host()
+        host.halt()
+        calls = []
+        host.execute(1.0, lambda: calls.append("ran"))
+        cluster.engine.run()
+        assert host.halted
+        assert calls == []
