@@ -18,14 +18,12 @@ and reports p50/p99 request latency — first in-process, then through the
 multi-process serving fleet at 1, 2 and 4 workers (``fleet`` section:
 rows/sec and p99 per worker count), then over real sockets through the
 asyncio HTTP/JSON gateway (``gateway`` section: HTTP rows/sec and p99 vs
-in-process, plus the hedging win-rate against an injected slow replica).
+in-process).
 Besides the rendered table under ``benchmarks/results/``, it writes
 machine-readable numbers to ``BENCH_serving.json`` at the repo root.
 
 The asserted contracts: the flat kernel is >= 10x per-row descent; fleet
-and HTTP predictions are bit-identical to in-process; hedged dispatch
-against a deliberately slowed replica must cut p99 and win hedges; and —
-hardware-aware — the fleet must *scale* only when this host actually has
+and HTTP predictions are bit-identical to in-process; and — hardware-aware — the fleet must *scale* only when this host actually has
 the cores for it, while on a starved host (1 core) a 1-worker fleet must
 stay within a bounded IPC overhead of the in-process server.
 """
@@ -91,30 +89,8 @@ GATEWAY_CLIENTS = 4
 #: (20 k -> 31-45 k rows/s), the in-process denominator grew 4x and then
 #: another ~1.8x.
 GATEWAY_MIN_HTTP_RATIO = 0.0125
-#: Injected straggler for the hedging sub-benchmark.
-HEDGE_SLOW_SECONDS = 0.25
-HEDGE_AFTER_MS = 25.0
-HEDGE_REQUESTS = 12
-#: Hedging must cut p99 to at most this fraction of the unhedged run.
-HEDGE_MAX_P99_RATIO = 0.8
 
 REPO_ROOT = Path(__file__).parents[1]
-
-
-class _SlowPredictor(BatchPredictor):
-    """A replica whose kernel straggles — the hedging target."""
-
-    def __init__(self, flat, delay_seconds):
-        super().__init__(flat)
-        self.delay_seconds = delay_seconds
-
-    def predict_matrix(self, matrix, max_depth=None):
-        time.sleep(self.delay_seconds)
-        return super().predict_matrix(matrix, max_depth)
-
-    def predict_proba_matrix(self, matrix, max_depth=None):
-        time.sleep(self.delay_seconds)
-        return super().predict_proba_matrix(matrix, max_depth)
 
 
 def _http_predict(port, rows):
@@ -127,13 +103,6 @@ def _http_predict(port, rows):
     with urllib.request.urlopen(request, timeout=120) as response:
         payload = json.loads(response.read())
     return payload["predictions"], time.perf_counter() - start
-
-
-def _http_stats(port):
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}/stats", timeout=60
-    ) as response:
-        return json.loads(response.read())
 
 
 def _cores() -> int:
@@ -285,7 +254,7 @@ def test_serving_throughput(run_once):
             for start in range(0, len(http_matrix), GATEWAY_REQUEST_ROWS)
         ]
         gateway = Gateway(
-            [PredictionServer(BatchPredictor(flat), config)],
+            PredictionServer(BatchPredictor(flat), config),
             GatewayConfig(port=0),
         )
         runner = GatewayThread(gateway).start()
@@ -319,38 +288,6 @@ def test_serving_throughput(run_once):
         http_rps = len(http_matrix) / http_seconds
         http_latencies_ms = np.asarray(latencies) * 1e3
 
-        # Hedging sub-benchmark: two replicas, one deliberately slowed;
-        # the hedged gateway must beat the unhedged control on p99.
-        hedge_rows = matrix[:GATEWAY_REQUEST_ROWS].tolist()
-
-        def hedge_run(hedge_enabled):
-            gw = Gateway(
-                [
-                    PredictionServer(BatchPredictor(flat), config),
-                    PredictionServer(
-                        _SlowPredictor(flat, HEDGE_SLOW_SECONDS), config
-                    ),
-                ],
-                GatewayConfig(
-                    port=0, hedge=hedge_enabled, hedge_after_ms=HEDGE_AFTER_MS
-                ),
-            )
-            run = GatewayThread(gw).start()
-            try:
-                samples = [
-                    _http_predict(run.port, hedge_rows)[1]
-                    for _ in range(HEDGE_REQUESTS)
-                ]
-                counters = _http_stats(run.port)["gateway"]
-            finally:
-                run.stop()
-            return float(np.percentile(samples, 99) * 1e3), counters
-
-        unhedged_p99_ms, _ = hedge_run(False)
-        hedged_p99_ms, hedged_counters = hedge_run(True)
-        hedges_fired = hedged_counters["hedges_fired"]
-        hedge_wins = hedged_counters["hedge_wins"]
-
         return {
             "n_rows": table.n_rows,
             "n_trees": N_TREES,
@@ -372,19 +309,6 @@ def test_serving_throughput(run_once):
                 "http_p50_ms": float(np.percentile(http_latencies_ms, 50)),
                 "http_p99_ms": float(np.percentile(http_latencies_ms, 99)),
                 "in_process_ratio": http_rps / in_process_rps,
-                "hedge": {
-                    "slow_replica_seconds": HEDGE_SLOW_SECONDS,
-                    "hedge_after_ms": HEDGE_AFTER_MS,
-                    "requests": HEDGE_REQUESTS,
-                    "unhedged_p99_ms": unhedged_p99_ms,
-                    "hedged_p99_ms": hedged_p99_ms,
-                    "p99_speedup": unhedged_p99_ms / hedged_p99_ms,
-                    "hedges_fired": hedges_fired,
-                    "hedge_wins": hedge_wins,
-                    "win_rate": hedge_wins / hedges_fired
-                    if hedges_fired
-                    else 0.0,
-                },
             },
         }
 
@@ -428,7 +352,6 @@ def test_serving_throughput(run_once):
             f"{entry['p99_latency_ms']:>10.2f}"
         )
     gw = result["gateway"]
-    hedge = gw["hedge"]
     lines += [
         "",
         f"gateway (HTTP/JSON, {gw['clients']} clients, "
@@ -436,12 +359,6 @@ def test_serving_throughput(run_once):
         f"{gw['http_rows_per_second']:,.0f} rows/s "
         f"({gw['in_process_ratio']:.2f}x in-process), "
         f"p50 {gw['http_p50_ms']:.2f} ms, p99 {gw['http_p99_ms']:.2f} ms",
-        f"hedging (slow replica {hedge['slow_replica_seconds'] * 1e3:.0f} ms, "
-        f"hedge after {hedge['hedge_after_ms']:.0f} ms): "
-        f"p99 {hedge['unhedged_p99_ms']:.0f} -> {hedge['hedged_p99_ms']:.0f} "
-        f"ms ({hedge['p99_speedup']:.1f}x), "
-        f"wins {hedge['hedge_wins']}/{hedge['hedges_fired']} "
-        f"(win rate {hedge['win_rate']:.2f})",
     ]
     save_result("serving_throughput", "\n".join(lines))
     (REPO_ROOT / "BENCH_serving.json").write_text(
@@ -455,16 +372,11 @@ def test_serving_throughput(run_once):
         assert entry["respawns"] == 0
         assert entry["shm_bytes_mapped"] > 0
 
-    # Gateway contracts: the HTTP path serves exact predictions at a
-    # bounded serialization overhead, and hedging measurably cuts p99
-    # against the injected straggler.
+    # Gateway contract: the HTTP path serves exact predictions at a
+    # bounded serialization overhead.
     assert (
         result["gateway"]["in_process_ratio"] >= GATEWAY_MIN_HTTP_RATIO
     )
-    hedge = result["gateway"]["hedge"]
-    assert hedge["hedges_fired"] > 0
-    assert hedge["hedge_wins"] > 0
-    assert hedge["hedged_p99_ms"] < hedge["unhedged_p99_ms"] * HEDGE_MAX_P99_RATIO
 
     # Hardware-aware contracts: scaling only where the cores exist.
     in_process_rps = result["server"]["rows_per_second"]

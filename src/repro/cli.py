@@ -12,8 +12,7 @@ TreeServer's demo workflow:
 * ``serve`` — replay a CSV through the micro-batching
   :class:`~repro.serving.server.PredictionServer` and report latency and
   throughput counters; with ``--http``, run the asyncio HTTP/JSON
-  gateway (admission control, hedged replicas, hot swap/rollback)
-  instead.
+  gateway (admission control, hot swap/rollback) instead.
 * ``worker`` — dial into a ``train --backend socket --listen`` master and
   serve as one remote worker for the duration of the run.
 * ``evaluate`` — score a saved model against a labelled CSV.
@@ -198,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=None,
         help="serve through a fleet of this many OS worker processes "
-        "mapping the compiled model from shared memory (default: "
+        "mapping the compiled model from shared memory; with >= 2 a "
+        "straggling shard is hedged on another worker (default: "
         "in-process)",
     )
     serve.add_argument(
@@ -221,11 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gateway port (0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--replicas", type=int, default=1, metavar="R",
-        help="prediction-server replicas behind the gateway; >= 2 "
-        "enables hedged dispatch of straggling requests",
-    )
-    serve.add_argument(
         "--client-rate", type=float, default=None, metavar="RPS",
         help="per-client token-bucket quota, requests/second keyed by "
         "the X-Client header (default: unlimited)",
@@ -237,11 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-waiters", type=int, default=64,
         help="bounded waiting-room seats before 429 + Retry-After",
-    )
-    serve.add_argument(
-        "--hedge-ms", type=float, default=None, metavar="MS",
-        help="fixed hedge delay in milliseconds (default: derived from "
-        "the observed p99 gateway latency)",
     )
 
     worker = sub.add_parser(
@@ -487,9 +477,6 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
     from .serving.admission import QuotaConfig
     from .serving.gateway import Gateway, GatewayConfig, GatewayThread
 
-    if args.replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        return 2
     entry, _ = load_compiled_local(args.model_dir)
     config = ServerConfig(
         max_batch_size=args.batch_size,
@@ -497,17 +484,11 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
         queue_capacity=args.queue_capacity,
         max_depth=args.max_depth,
     )
-    replicas = [
-        PredictionServer(
-            entry.predictor,
-            config,
-            n_workers=args.workers,
-            quantize=args.quantize,
-        )
-        for _ in range(args.replicas)
-    ]
+    server = PredictionServer(
+        entry.predictor, config, n_workers=args.workers, quantize=args.quantize
+    )
     gateway = Gateway(
-        replicas,
+        server,
         GatewayConfig(
             host=args.host,
             port=args.port,
@@ -516,18 +497,17 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
                 burst=args.client_burst,
                 max_waiters=args.max_waiters,
             ),
-            hedge_after_ms=args.hedge_ms,
         ),
     )
     runner = GatewayThread(gateway).start()
     print(
         f"gateway listening on http://{args.host}:{runner.port} "
-        f"(replicas={args.replicas} workers={args.workers or 'in-process'} "
+        f"(workers={args.workers or 'in-process'} "
         f"model={gateway.model_key[:12]})",
         file=out, flush=True,
     )
     # A supervisor's SIGTERM should drain exactly like Ctrl-C: convert it
-    # so replicas/fleet workers are reaped, not orphaned.
+    # so fleet workers are drained and reaped, not orphaned.
     def _sigterm(signum: int, frame: object) -> None:
         raise KeyboardInterrupt
 
@@ -537,18 +517,19 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
         pass
     try:
         with graceful_sigint():
-            while True:
-                time_module.sleep(0.5)
+            try:
+                while True:
+                    time_module.sleep(0.5)
+            finally:
+                # Drain before graceful_sigint's reap, so the reap only
+                # sweeps what the drain left, never a live fleet worker.
+                runner.stop()
     except KeyboardInterrupt:
         pass
-    finally:
-        runner.stop()
     counters = gateway.gateway_counters()
     print(
         f"gateway: requests={counters['http_requests']} "
         f"admitted={counters['admitted']} throttled={counters['throttled']} "
-        f"hedges_fired={counters['hedges_fired']} "
-        f"hedge_wins={counters['hedge_wins']} "
         f"swaps={counters['swaps']} rollbacks={counters['rollbacks']}",
         file=out,
     )

@@ -23,12 +23,13 @@ of work identify as the key to hardware-speed traversal) and serves them:
   (:class:`SharedCompiledModel`): publish once, map everywhere;
 * :mod:`fleet` — :class:`ServingFleet`, N OS worker processes serving
   contiguous shards of every micro-batch from the shared image, with hot
-  model swap and respawn-on-death (``PredictionServer(n_workers=N)``);
+  model swap, respawn-on-death and hedged re-dispatch of straggling shards
+  (``PredictionServer(n_workers=N)``);
 * :mod:`admission` — per-client token-bucket quotas with a bounded async
   waiting room (backpressure before rejection);
-* :mod:`gateway` — the asyncio HTTP/JSON :class:`Gateway` over one or
-  more server replicas: admission control, hedged dispatch of straggling
-  requests, hot swap/rollback endpoints (``repro serve --http``).
+* :mod:`gateway` — the asyncio HTTP/JSON :class:`Gateway` over one
+  server: admission control, hot swap/rollback endpoints
+  (``repro serve --http``).
 """
 
 from .admission import (
@@ -60,7 +61,6 @@ from .gateway import (
     GatewayConfig,
     GatewayStats,
     GatewayThread,
-    combine_reports,
 )
 from .registry import (
     ModelRegistry,
@@ -105,7 +105,6 @@ __all__ = [
     "ServingReport",
     "ServingStats",
     "SharedCompiledModel",
-    "combine_reports",
     "compile_cascade",
     "compile_forest",
     "compile_tree",

@@ -29,7 +29,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from .server import LatencyWindow
+from .fleet import LatencyWindow
 
 
 class ThrottledError(Exception):

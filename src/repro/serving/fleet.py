@@ -29,6 +29,11 @@ papers:
   reads the variable when it starts, and only a worker's first
   incarnation gets the plan — respawns serve normally, so injected
   faults converge instead of looping the retry budget dry.
+* **a straggler is hedged, not waited for** — with two or more workers, a
+  batch not done after the hedge delay (the p99 of recent batch service
+  times) re-sends each unanswered shard, same handle, to the next worker;
+  the first result wins and the ``(batch, shard)`` dedup drops the other.
+  Shards are idempotent, so this needs no claim or cancel state.
 
 The fleet is an internal engine: most callers reach it through
 ``PredictionServer(model, n_workers=...)`` / ``repro serve --workers N``,
@@ -42,7 +47,9 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty
 
@@ -57,6 +64,35 @@ from .batch import BatchPredictor
 from .compiler import FlatForest
 from .registry import ModelRegistry, default_registry
 from .shm_model import SharedCompiledModel, flat_fingerprint
+
+
+#: How long the collector waits for a result before checking liveness.
+_POLL_SECONDS = 0.05
+#: Hedge delay until ``_HEDGE_REFRESH_BATCHES`` batches have been served;
+#: after that it is the p99 of recent batch service seconds, clamped to
+#: ``[_HEDGE_MIN_SECONDS, _HEDGE_MAX_SECONDS]`` and re-derived every
+#: ``_HEDGE_REFRESH_BATCHES`` batches.
+_HEDGE_FIRST_SECONDS = 0.05
+_HEDGE_MIN_SECONDS = 0.001
+_HEDGE_MAX_SECONDS = 1.0
+_HEDGE_REFRESH_BATCHES = 20
+
+
+class LatencyWindow(deque):
+    """The most recent ``maxlen`` durations (seconds), read in milliseconds:
+    the one bounded window behind the fleet, server, gateway and admission
+    stats."""
+
+    def __init__(self, iterable=(), maxlen: int = 65536) -> None:
+        super().__init__(iterable, maxlen)
+
+    def percentile_ms(self, q: float) -> float:
+        """Percentile ``q`` of the window in milliseconds (0 when empty)."""
+        return float(np.percentile(self, q) * 1e3) if self else 0.0
+
+    def max_ms(self) -> float:
+        """Largest duration of the window in milliseconds (0 when empty)."""
+        return float(max(self) * 1e3) if self else 0.0
 
 
 class FleetError(RuntimeError):
@@ -90,27 +126,25 @@ def _fleet_worker_main(
     Pulls ``("predict", ...)`` tasks until a ``("stop",)`` sentinel.
     Keeps exactly one model attached: a task whose handle hashes
     differently detaches the old mapping and attaches the new one (hot
-    swap).  Counters travel with every result, so the parent's view is
-    always as fresh as the last completed shard.  ``fault`` (a ``crash``
+    swap).  The model counters travel with every result, so the parent's
+    view is as fresh as the last completed shard.  ``fault`` (a ``crash``
     plan) kills this worker mid-serve when it fires here.
     """
     import signal
 
     # The parent coordinates shutdown; a Ctrl-C must not kill workers
-    # mid-batch (mirrors the training runtime's signal discipline).
+    # mid-batch (mirrors the training runtime's signal discipline), and a
+    # SIGTERM handler inherited from the parent must not turn
+    # ``terminate()`` into a traceback.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:  # pragma: no cover - non-main thread (tests)
         pass
 
     attached = None
     attached_key: str | None = None
-    counters = {
-        "rows": 0,
-        "batches": 0,
-        "shm_bytes_mapped": 0,
-        "model_attaches": 0,
-    }
+    counters = {"shm_bytes_mapped": 0, "model_attaches": 0}
     served = 0
     try:
         while True:
@@ -153,8 +187,6 @@ def _fleet_worker_main(
                 # Die mid-serve, result unsent: the shard is genuinely
                 # lost and must come back via respawn + re-dispatch.
                 os._exit(CRASH_EXITCODE)
-            counters["rows"] += len(rows)
-            counters["batches"] += 1
             result_queue.put(
                 (
                     "done",
@@ -219,25 +251,26 @@ class _WorkerSlot:
         self.respawns = 0
         #: Dispatched-but-unresolved shards, keyed ``(batch, shard)``.
         self.outstanding: dict[tuple[int, int], _ShardTask] = {}
-        #: Latest cumulative counters of the live incarnation.
+        #: Rows and shards whose result this seat delivered first; a
+        #: duplicate (hedge or retry) that lost the race is not counted.
+        self.rows = 0
+        self.batches = 0
+        #: Latest model counters of the live incarnation.
         self.counters: dict[str, int] = {}
-        #: Counter totals of dead incarnations (gauges excluded).
-        self.retired_counters: dict[str, int] = {}
+        #: Model attaches of dead incarnations.
+        self.retired_attaches = 0
 
     def merged_counters(self) -> dict[str, int]:
-        """Counters across incarnations; gauges come from the live one."""
-        merged = {
-            "rows": 0,
-            "batches": 0,
-            "model_attaches": 0,
-            "shm_bytes_mapped": 0,
+        """Counters across incarnations; the mapped-bytes gauge comes from
+        the live one."""
+        return {
+            "rows": self.rows,
+            "batches": self.batches,
+            "model_attaches": (
+                self.retired_attaches + self.counters.get("model_attaches", 0)
+            ),
+            "shm_bytes_mapped": self.counters.get("shm_bytes_mapped", 0),
         }
-        for source in (self.retired_counters, self.counters):
-            for key in ("rows", "batches", "model_attaches"):
-                merged[key] += source.get(key, 0)
-        # A gauge, not a counter: mapped bytes of the current mapping.
-        merged["shm_bytes_mapped"] = self.counters.get("shm_bytes_mapped", 0)
-        return merged
 
 
 class ServingFleet:
@@ -251,7 +284,8 @@ class ServingFleet:
 
     ``publish`` of content already live is a no-op; publishing different
     content hot-swaps every worker on its next shard.  ``close`` (or the
-    context exit) reaps workers and unlinks every model segment.
+    context exit) reaps workers and unlinks every model segment.  With two
+    or more workers a straggling batch is hedged (see the module notes).
     """
 
     def __init__(
@@ -260,7 +294,6 @@ class ServingFleet:
         registry: ModelRegistry | None = None,
         start_method: str | None = None,
         max_shard_retries: int = 2,
-        poll_seconds: float = 0.05,
     ) -> None:
         if n_workers < 1:
             raise ValueError("a serving fleet needs at least 1 worker")
@@ -270,7 +303,6 @@ class ServingFleet:
         self.registry = default_registry() if registry is None else registry
         self.start_method = start_method
         self.max_shard_retries = max_shard_retries
-        self.poll_seconds = poll_seconds
         self._prefix = new_run_prefix()
         self._ctx = None
         self._result_queue = None
@@ -287,6 +319,11 @@ class ServingFleet:
         self._key_outstanding: dict[str, int] = {}
         self._total_respawns = 0
         self._fault: FaultPlan | None = None
+        #: Seconds from dispatch to the last shard of recent batches.
+        self._service_seconds = LatencyWindow(maxlen=1024)
+        self._hedge_delay = _HEDGE_FIRST_SECONDS
+        self._hedges = 0
+        self._hedge_wins = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -461,7 +498,9 @@ class ServingFleet:
         The matrix is cut into up to ``n_workers`` contiguous row shards
         (one per worker); the reassembled output is ordered exactly like
         the input rows, so exact-mode results are bit-identical to a
-        single-process kernel call over the whole matrix.
+        single-process kernel call over the whole matrix.  With two or
+        more workers, shards still unanswered after the hedge delay are
+        re-sent to the next worker (:meth:`_hedge`).
         """
         if self._collector is None:
             raise FleetError("fleet is not running (call start())")
@@ -496,9 +535,13 @@ class ServingFleet:
                     self._key_outstanding.get(current.key, 0) + 1
                 )
                 tasks.append(task)
+        started = time.monotonic()
         for task in tasks:
             self._slots[task.worker_index].task_queue.put(task.message())
-        if not batch.event.wait(timeout):
+        if self.n_workers > 1 and not batch.event.wait(self._hedge_delay):
+            self._hedge(batch, tasks)
+        left = None if timeout is None else started + timeout - time.monotonic()
+        if not batch.event.wait(left):
             with self._lock:
                 self._batches.pop(batch_id, None)
             raise TimeoutError(
@@ -506,11 +549,47 @@ class ServingFleet:
             )
         with self._lock:
             self._batches.pop(batch_id, None)
+            if batch.error is None:
+                self._service_seconds.append(time.monotonic() - started)
         if batch.error is not None:
             raise batch.error
+        if self.n_workers > 1 and batch_id % _HEDGE_REFRESH_BATCHES == 0:
+            self._hedge_delay = self.hedge_delay_seconds()
         return np.concatenate(
             [batch.results[shard] for shard in range(n_shards)]
         )
+
+    def _hedge(self, batch: _Batch, tasks: list[_ShardTask]) -> None:
+        """Re-send every shard of ``batch`` without a result to the next
+        worker: the same task and model handle, registered like any
+        dispatch, so the first result wins and the other is dropped."""
+        copies = []
+        with self._lock:
+            if batch.error is not None:
+                return
+            for task in tasks:
+                if task.shard_id in batch.results:
+                    continue
+                slot = self._slots[(task.worker_index + 1) % self.n_workers]
+                slot.outstanding[(task.batch_id, task.shard_id)] = task
+                key = task.handle.key
+                self._key_outstanding[key] = (
+                    self._key_outstanding.get(key, 0) + 1
+                )
+                copies.append((slot, task))
+            self._hedges += len(copies)
+        for slot, task in copies:
+            slot.task_queue.put(task.message())
+
+    def hedge_delay_seconds(self) -> float:
+        """The hedge delay the recent batch service times give: their p99,
+        clamped to [1 ms, 1 s]; 50 ms until 20 batches have been seen."""
+        with self._lock:
+            window = self._service_seconds
+            if len(window) < _HEDGE_REFRESH_BATCHES:
+                return _HEDGE_FIRST_SECONDS
+            p99 = window.percentile_ms(99) / 1e3
+        return min(max(p99, _HEDGE_MIN_SECONDS), _HEDGE_MAX_SECONDS)
 
     # ------------------------------------------------------------------
     # collector: results, liveness, respawn
@@ -518,7 +597,7 @@ class ServingFleet:
     def _collect(self) -> None:
         while True:
             try:
-                result = self._result_queue.get(timeout=self.poll_seconds)
+                result = self._result_queue.get(timeout=_POLL_SECONDS)
             except Empty:
                 result = None
             except (OSError, ValueError):  # pragma: no cover - queue gone
@@ -538,9 +617,8 @@ class ServingFleet:
             slot.counters = counters
             task = slot.outstanding.pop((batch_id, shard_id), None)
             if task is None:
-                # A shard served twice (respawn re-dispatch raced a live
-                # result) or a batch abandoned on timeout: drop the
-                # duplicate — dedup is what makes retries safe.
+                # A shard served twice by one seat (respawn re-dispatch
+                # raced a live result): drop the duplicate.
                 return
             key = task.handle.key
             left = self._key_outstanding.get(key, 0) - 1
@@ -549,13 +627,24 @@ class ServingFleet:
                 retired_handle = self._retired.pop(key, None)
             else:
                 self._key_outstanding[key] = left
+            # First result wins; a hedge or retry copy arriving later, or
+            # a batch already answered or abandoned, is dropped — the
+            # (batch, shard) dedup is what makes re-sending safe.
             batch = self._batches.get(batch_id)
-            if batch is not None and batch.error is None:
+            if (
+                batch is not None
+                and batch.error is None
+                and shard_id not in batch.results
+            ):
                 if kind == "error":
                     batch.error = FleetWorkerError(worker_id, payload)
                     batch.event.set()
                 else:
                     batch.results[shard_id] = payload
+                    slot.rows += len(payload)
+                    slot.batches += 1
+                    if slot is not self._slots[task.worker_index]:
+                        self._hedge_wins += 1
                     if len(batch.results) == batch.n_shards:
                         batch.event.set()
         if retired_handle is not None:
@@ -575,10 +664,7 @@ class ServingFleet:
         with self._lock:
             slot.respawns += 1
             self._total_respawns += 1
-            for key in ("rows", "batches", "model_attaches"):
-                slot.retired_counters[key] = slot.retired_counters.get(
-                    key, 0
-                ) + slot.counters.get(key, 0)
+            slot.retired_attaches += slot.counters.get("model_attaches", 0)
             slot.counters = {}
             retry, abandoned = [], []
             for task in slot.outstanding.values():
@@ -588,15 +674,23 @@ class ServingFleet:
                 else:
                     retry.append(task)
             for task in abandoned:
-                del slot.outstanding[(task.batch_id, task.shard_id)]
+                shard = (task.batch_id, task.shard_id)
+                del slot.outstanding[shard]
                 key = task.handle.key
                 left = self._key_outstanding.get(key, 0) - 1
                 if left <= 0:
                     self._key_outstanding.pop(key, None)
                 else:
                     self._key_outstanding[key] = left
+                # Giving up on one copy fails the batch only if the shard
+                # has no result and no other copy (a hedge) is in flight.
                 batch = self._batches.get(task.batch_id)
-                if batch is not None and batch.error is None:
+                if (
+                    batch is not None
+                    and batch.error is None
+                    and task.shard_id not in batch.results
+                    and not any(shard in s.outstanding for s in self._slots)
+                ):
                     batch.error = WorkerDiedError(
                         slot.worker_id,
                         exitcode,
@@ -633,6 +727,8 @@ class ServingFleet:
         return {
             "n_workers": self.n_workers,
             "respawns": self._total_respawns,
+            "hedges": self._hedges,
+            "hedge_wins": self._hedge_wins,
             "model_key": current.key if current is not None else None,
             "model_nbytes": current.nbytes if current is not None else 0,
             "model_quantized": (

@@ -3,26 +3,20 @@
 Everything below ``serving/`` so far is a *library* — a caller must hold a
 :class:`~repro.serving.server.PredictionServer` in-process.  The gateway
 turns it into a *service*: a stdlib-only ``asyncio.start_server`` HTTP
-endpoint (``repro serve --http``) fronting one or more server replicas,
-with the three behaviours a multi-tenant deployment needs:
+endpoint (``repro serve --http``) fronting one server — in-process, or a
+multi-process fleet, which hedges its own stragglers — with the two
+behaviours a multi-tenant deployment needs:
 
 * **admission control** (:mod:`~repro.serving.admission`) — per-client
   token-bucket quotas keyed by the ``X-Client`` header (or the request's
   ``client`` field), a bounded async waiting room for backpressure, and
   ``429 + Retry-After`` derived from queue depth — never a hang, never a
   blind bounce;
-* **request hedging** — with >= 2 replicas, a micro-batch that straggles
-  past a p99-derived hedge delay is re-issued to a second replica and the
-  first result wins; the loser is cancelled through its tracked
-  ``asyncio.Task`` (the Runbook-executor idiom: every in-flight request
-  is registered in a task table so shutdown and hedging can cancel by
-  handle, not by hope);
 * **operability endpoints** — ``POST /models/swap`` / ``POST
   /models/rollback`` ride the content-hash registry for zero-downtime
   model changes, ``GET /healthz`` answers liveness probes, and ``GET
-  /stats`` serves the merged :class:`ServingReport` JSON extended with
-  gateway counters (admitted, throttled, hedges fired/won, queue-wait
-  percentiles).
+  /stats`` serves the server's :class:`ServingReport` JSON extended with
+  gateway counters (admitted, throttled, queue-wait percentiles).
 
 The HTTP surface is deliberately minimal — request line, headers,
 ``Content-Length`` bodies, keep-alive — because its clients are curl,
@@ -51,19 +45,17 @@ import numpy as np
 
 from .admission import AdmissionController, QuotaConfig, ThrottledError
 from .compiler import FlatForest
+from .fleet import LatencyWindow
 from .registry import ModelRegistry, default_registry, load_compiled_local
-from .server import (
-    LatencyWindow,
-    PredictionServer,
-    QueueFullError,
-    ServingReport,
-)
+from .server import PredictionServer, QueueFullError, ServerStoppedError
 from .shm_model import flat_fingerprint
 
 #: Hard ceiling on request-line/header line length (bytes).
 _MAX_LINE = 16 * 1024
 #: Maximum number of header lines per request.
 _MAX_HEADERS = 100
+#: Threads that block on server futures; each predict holds one.
+_EXECUTOR_THREADS = 8
 
 
 class GatewayError(RuntimeError):
@@ -72,37 +64,17 @@ class GatewayError(RuntimeError):
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway knobs: bind address, quotas, hedging, limits."""
+    """Gateway knobs: bind address, quotas, limits."""
 
     host: str = "127.0.0.1"
     port: int = 0
     quota: QuotaConfig = field(default_factory=QuotaConfig)
-    #: Master switch for hedged dispatch (needs >= 2 replicas to matter).
-    hedge: bool = True
-    #: Fixed hedge delay in ms; ``None`` derives it from observed p99.
-    hedge_after_ms: float | None = None
-    #: Adaptive mode: delay = ``hedge_p99_factor`` x observed p99, clamped
-    #: to ``[hedge_min_ms, hedge_max_ms]``; before ``hedge_min_samples``
-    #: observations it uses ``hedge_initial_ms``.
-    hedge_initial_ms: float = 50.0
-    hedge_min_ms: float = 1.0
-    hedge_max_ms: float = 1000.0
-    hedge_p99_factor: float = 1.0
-    hedge_min_samples: int = 20
     #: Reject request bodies larger than this (413).
     max_body_bytes: int = 64 * 1024 * 1024
-    #: Upper bound on one replica predict (submit + result).
+    #: Upper bound on one predict (submit + result).
     request_timeout_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.hedge_after_ms is not None and self.hedge_after_ms < 0:
-            raise ValueError("hedge_after_ms must be >= 0")
-        if self.hedge_min_ms < 0 or self.hedge_max_ms < self.hedge_min_ms:
-            raise ValueError("need 0 <= hedge_min_ms <= hedge_max_ms")
-        if self.hedge_p99_factor <= 0:
-            raise ValueError("hedge_p99_factor must be > 0")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
         if self.max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         if self.request_timeout_seconds <= 0:
@@ -120,42 +92,11 @@ class GatewayStats:
     #: Throttles split by cause (``throttled`` is their roll-up).
     throttled_quota: int = 0
     throttled_queue_full: int = 0
-    hedges_fired: int = 0
-    hedge_wins: int = 0
     swaps: int = 0
     rollbacks: int = 0
-    #: Recent end-to-end predict latencies through the gateway (seconds);
-    #: feeds the p99-derived hedge delay.
+    #: Recent end-to-end predict latencies through the gateway (seconds).
     latencies: LatencyWindow = field(
         default_factory=lambda: LatencyWindow(maxlen=4096)
-    )
-
-
-def combine_reports(reports: list[ServingReport]) -> ServingReport:
-    """Merge per-replica reports into one fleet-wide ``ServingReport``.
-
-    Counters add; rates add (replicas serve concurrently); latency
-    percentiles take the worst replica (a conservative roll-up — exact
-    cross-replica percentiles would need the raw samples).
-    """
-    if not reports:
-        raise ValueError("need at least one report to combine")
-    n_batches = sum(r.n_batches for r in reports)
-    n_rows = sum(r.n_rows for r in reports)
-    return ServingReport(
-        n_requests=sum(r.n_requests for r in reports),
-        n_rows=n_rows,
-        n_batches=n_batches,
-        rejected=sum(r.rejected for r in reports),
-        avg_batch_rows=(n_rows / n_batches) if n_batches else 0.0,
-        rows_per_second=sum(r.rows_per_second for r in reports),
-        p50_latency_ms=max(r.p50_latency_ms for r in reports),
-        p99_latency_ms=max(r.p99_latency_ms for r in reports),
-        max_latency_ms=max(r.max_latency_ms for r in reports),
-        kernel_seconds=sum(r.kernel_seconds for r in reports),
-        rejected_queue_full=sum(r.rejected_queue_full for r in reports),
-        rejected_shutdown=sum(r.rejected_shutdown for r in reports),
-        fleet=next((r.fleet for r in reports if r.fleet is not None), None),
     )
 
 
@@ -185,42 +126,30 @@ _REASONS = {
 
 
 class Gateway:
-    """Asyncio HTTP gateway over one or more ``PredictionServer`` replicas.
+    """Asyncio HTTP gateway over one ``PredictionServer``.
 
-    The gateway owns replica lifecycle: :meth:`start` starts every replica
-    (fleet replicas fork their workers and publish the model) and binds
-    the listening socket; :meth:`stop` cancels tracked in-flight tasks,
-    closes the socket and stops the replicas.  Use
+    The gateway owns the server's lifecycle: :meth:`start` starts it (a
+    fleet server forks its workers and publishes the model) and binds the
+    listening socket; :meth:`stop` closes the socket, then stops the
+    server, which serves every request already admitted.  Use
     :class:`GatewayThread` to run it from synchronous code.
     """
 
     def __init__(
         self,
-        replicas: list[PredictionServer],
+        server: PredictionServer,
         config: GatewayConfig | None = None,
         registry: ModelRegistry | None = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("a gateway needs at least one replica")
-        problems = {r.predictor.problem for r in replicas}
-        if len(problems) > 1:
-            raise ValueError("replicas must serve the same problem kind")
-        self.replicas = list(replicas)
+        self.server = server
         self.config = config or GatewayConfig()
         self.stats = GatewayStats()
         self.admission = AdmissionController(self.config.quota)
         self._registry = default_registry() if registry is None else registry
-        self._server: asyncio.base_events.Server | None = None
+        self._listener: asyncio.base_events.Server | None = None
         self._started_monotonic: float | None = None
-        #: Tracked in-flight replica dispatches, keyed by a sequence id —
-        #: the cancellation ledger (snippet-1 idiom): hedging cancels the
-        #: losing entry, shutdown cancels them all.
-        self._inflight: dict[int, asyncio.Task] = {}
-        self._next_task_id = 0
-        self._rr = 0  # round-robin replica cursor
-        # Replica waits block a thread (PredictionFuture is threading-
-        # based); a dedicated executor keeps them off the loop's default
-        # pool so hedges can't be starved by our own waiting requests.
+        # Predicts block a thread (PredictionFuture is threading-based); a
+        # dedicated executor keeps them off the loop's default pool.
         self._executor: ThreadPoolExecutor | None = None
         #: Model history for rollback: (content key, compiled arrays).
         self._models: list[tuple[str, FlatForest]] = []
@@ -231,14 +160,14 @@ class Gateway:
     @property
     def port(self) -> int:
         """Bound port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
+        if self._listener is None:
             raise GatewayError("gateway is not running (call start())")
-        return self._server.sockets[0].getsockname()[1]
+        return self._listener.sockets[0].getsockname()[1]
 
     @property
     def running(self) -> bool:
         """Whether the listening socket is open."""
-        return self._server is not None
+        return self._listener is not None
 
     @property
     def model_key(self) -> str:
@@ -248,166 +177,40 @@ class Gateway:
         return self._models[-1][0]
 
     def _fingerprint_current(self) -> tuple[str, FlatForest]:
-        flat = self.replicas[0].predictor.forest
+        flat = self.server.predictor.forest
         return flat_fingerprint(flat), flat
 
     async def start(self) -> "Gateway":
-        """Start every replica and open the listening socket."""
-        if self._server is not None:
+        """Start the server and open the listening socket."""
+        if self._listener is not None:
             return self
         self._executor = ThreadPoolExecutor(
-            max_workers=max(8, 4 * len(self.replicas)),
-            thread_name_prefix="repro-gateway",
+            max_workers=_EXECUTOR_THREADS, thread_name_prefix="repro-gateway"
         )
-        for replica in self.replicas:
-            replica.start()
+        self.server.start()
         if not self._models:
             self._models.append(self._fingerprint_current())
-        self._server = await asyncio.start_server(
+        self._listener = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self._started_monotonic = time.monotonic()
         return self
 
     async def stop(self) -> None:
-        """Close the socket, cancel tracked tasks, stop the replicas."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        # Cancel the whole in-flight ledger; each dispatch task is
-        # tracked, so none can leak past shutdown.
-        pending = list(self._inflight.values())
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._inflight.clear()
-        for replica in self.replicas:
-            await asyncio.to_thread(replica.stop)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Close the socket, then drain: the server serves everything
+        already admitted and each waiting predict gets its result."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
+        await asyncio.to_thread(self.server.stop)
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            await asyncio.to_thread(executor.shutdown)
 
-    # ------------------------------------------------------------------
-    # replica dispatch + hedging
-    # ------------------------------------------------------------------
-    def _next_replica(self) -> int:
-        index = self._rr % len(self.replicas)
-        self._rr += 1
-        return index
-
-    def _blocking_predict(
-        self,
-        index: int,
-        matrix: np.ndarray,
-        proba: bool,
-        cancelled: threading.Event,
-    ) -> np.ndarray:
-        """One replica attempt on an executor thread.
-
-        Polls the replica future in short slices so a cancelled attempt
-        (hedge lost, shutdown) releases its executor slot within one
-        slice — the replica still finishes the abandoned micro-batch,
-        but no thread sits on it.
-        """
-        replica = self.replicas[index]
-        future = replica.submit(matrix, proba=proba)
-        deadline = time.monotonic() + self.config.request_timeout_seconds
-        while True:
-            try:
-                return future.result(timeout=0.05)
-            except TimeoutError:
-                if cancelled.is_set():
-                    raise
-                if time.monotonic() >= deadline:
-                    raise
-
-    def _spawn(self, index: int, matrix: np.ndarray, proba: bool):
-        """Dispatch one replica attempt as a tracked ``asyncio.Task``."""
-        loop = asyncio.get_running_loop()
-        cancelled = threading.Event()
-
-        async def attempt() -> np.ndarray:
-            return await loop.run_in_executor(
-                self._executor,
-                self._blocking_predict,
-                index,
-                matrix,
-                proba,
-                cancelled,
-            )
-
-        task_id = self._next_task_id
-        self._next_task_id += 1
-        task = loop.create_task(attempt(), name=f"predict-{task_id}-r{index}")
-        self._inflight[task_id] = task
-
-        def _finalize(done_task: asyncio.Task) -> None:
-            if done_task.cancelled():
-                cancelled.set()
-            self._inflight.pop(task_id, None)
-
-        task.add_done_callback(_finalize)
-        return task
-
-    def hedge_delay_seconds(self) -> float:
-        """Current hedge delay: fixed, or p99-derived with clamping."""
-        cfg = self.config
-        if cfg.hedge_after_ms is not None:
-            return cfg.hedge_after_ms / 1e3
-        if len(self.stats.latencies) < cfg.hedge_min_samples:
-            return cfg.hedge_initial_ms / 1e3
-        p99_ms = self.stats.latencies.percentile_ms(99)
-        return (
-            min(max(p99_ms * cfg.hedge_p99_factor, cfg.hedge_min_ms),
-                cfg.hedge_max_ms)
-            / 1e3
-        )
-
-    async def _predict(
-        self, matrix: np.ndarray, proba: bool
-    ) -> tuple[np.ndarray, int, bool]:
-        """Serve one request, hedging stragglers across replicas.
-
-        Returns ``(result, winning replica index, hedge won)``.
-        """
-        primary_index = self._next_replica()
-        primary = self._spawn(primary_index, matrix, proba)
-        attempts: dict[asyncio.Task, int] = {primary: primary_index}
-        hedge = None
-        if self.config.hedge and len(self.replicas) > 1:
-            done, _ = await asyncio.wait(
-                {primary}, timeout=self.hedge_delay_seconds()
-            )
-            if not done:
-                # The neighbour replica, without consuming the primary
-                # rotation — hedges must not skew which replica the next
-                # request primaries on.
-                hedge_index = (primary_index + 1) % len(self.replicas)
-                hedge = self._spawn(hedge_index, matrix, proba)
-                attempts[hedge] = hedge_index
-                self.stats.hedges_fired += 1
-        pending = set(attempts)
-        first_error: BaseException | None = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                error = task.exception()
-                if error is None:
-                    # Winner: cancel the straggler through its tracked
-                    # task — its thread-side result, if any, is dropped.
-                    for loser in pending:
-                        loser.cancel()
-                    if hedge is not None and task is hedge:
-                        self.stats.hedge_wins += 1
-                    return task.result(), attempts[task], task is hedge
-                if first_error is None:
-                    first_error = error
-        assert first_error is not None
-        raise first_error
+    def _blocking_predict(self, matrix: np.ndarray, proba: bool) -> np.ndarray:
+        """One predict on an executor thread: submit, wait, bounded."""
+        future = self.server.submit(matrix, proba=proba)
+        return future.result(timeout=self.config.request_timeout_seconds)
 
     # ------------------------------------------------------------------
     # endpoint handlers
@@ -424,7 +227,7 @@ class Gateway:
             ) from None
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise _HttpReply(400, {"error": "need at least one row"})
-        expected = self.replicas[0].predictor.n_columns
+        expected = self.server.predictor.n_columns
         if matrix.shape[1] < expected:
             raise _HttpReply(
                 400,
@@ -458,14 +261,18 @@ class Gateway:
         self.stats.admitted += 1
         started = time.monotonic()
         try:
-            result, replica_index, hedged = await self._predict(matrix, proba)
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._blocking_predict, matrix, proba
+            )
+        except ServerStoppedError:
+            raise _HttpReply(503, {"error": "server is stopping"}) from None
         except QueueFullError as error:
-            # The replica's bounded queue pushed back: translate depth
+            # The server's bounded queue pushed back: translate depth
             # into a drain-time hint (one micro-batch flushes at least
             # every max_delay window).
             self.stats.throttled += 1
             self.stats.throttled_queue_full += 1
-            delay = self.replicas[0].config.max_delay_seconds
+            delay = self.server.config.max_delay_seconds
             retry_after = max(0.05, error.queue_depth * delay)
             raise _HttpReply(
                 429,
@@ -482,8 +289,6 @@ class Gateway:
             "predictions": result.tolist(),
             "n_rows": int(matrix.shape[0]),
             "proba": proba,
-            "replica": replica_index,
-            "hedged": hedged,
             "queue_wait_ms": queue_wait * 1e3,
         }
 
@@ -508,7 +313,7 @@ class Gateway:
                 "cache_hit": cache_hit,
             }
         try:
-            await self._swap_all(entry.compiled)
+            await asyncio.to_thread(self.server.swap_model, entry.compiled)
         except ValueError as error:
             raise _HttpReply(400, {"error": str(error)}) from None
         self._models.append((entry.key, entry.compiled))
@@ -518,7 +323,6 @@ class Gateway:
             "previous_key": previous_key,
             "swapped": True,
             "cache_hit": cache_hit,
-            "replicas": len(self.replicas),
         }
 
     async def _handle_rollback(self) -> dict:
@@ -529,18 +333,9 @@ class Gateway:
             )
         rolled_from_key, _ = self._models.pop()
         target_key, target_flat = self._models[-1]
-        await self._swap_all(target_flat)
+        await asyncio.to_thread(self.server.swap_model, target_flat)
         self.stats.rollbacks += 1
-        return {
-            "model_key": target_key,
-            "rolled_back_from": rolled_from_key,
-            "replicas": len(self.replicas),
-        }
-
-    async def _swap_all(self, flat: FlatForest) -> None:
-        """Hot-swap every replica (fleet publishes ride the content hash)."""
-        for replica in self.replicas:
-            await asyncio.to_thread(replica.swap_model, flat)
+        return {"model_key": target_key, "rolled_back_from": rolled_from_key}
 
     def _handle_healthz(self) -> dict:
         uptime = (
@@ -550,37 +345,30 @@ class Gateway:
         )
         return {
             "status": "ok",
-            "replicas": len(self.replicas),
             "model_key": self.model_key,
             "uptime_seconds": uptime,
             "waiting": self.admission.waiting,
-            "inflight": len(self._inflight),
         }
 
     def stats_payload(self) -> dict:
-        """The ``/stats`` body: merged ServingReport + gateway counters."""
-        merged = combine_reports([r.report() for r in self.replicas])
-        merged.gateway = self.gateway_counters()
-        payload = merged.to_dict()
-        payload["replicas"] = [r.report().to_dict() for r in self.replicas]
-        return payload
+        """The ``/stats`` body: the server's ServingReport + gateway
+        counters."""
+        report = self.server.report()
+        report.gateway = self.gateway_counters()
+        return report.to_dict()
 
     def gateway_counters(self) -> dict:
         """The ``gateway`` section of ``/stats`` (all plain JSON types)."""
         s = self.stats
         return {
-            "replicas": len(self.replicas),
             "http_requests": s.http_requests,
             "http_errors": s.http_errors,
             "admitted": s.admitted,
             "throttled": s.throttled,
             "throttled_quota": s.throttled_quota,
             "throttled_queue_full": s.throttled_queue_full,
-            "hedges_fired": s.hedges_fired,
-            "hedge_wins": s.hedge_wins,
             "swaps": s.swaps,
             "rollbacks": s.rollbacks,
-            "hedge_delay_ms": self.hedge_delay_seconds() * 1e3,
             "queue_wait_ms_p50":
                 self.admission.stats.queue_waits.percentile_ms(50),
             "queue_wait_ms_p99":
@@ -717,6 +505,7 @@ class Gateway:
                     extra = reply.headers
                     if status >= 500:
                         self.stats.http_errors += 1
+                        keep_alive = False
                 except asyncio.CancelledError:
                     raise
                 except Exception as error:  # noqa: BLE001 - boundary
@@ -751,7 +540,7 @@ class GatewayThread:
         ... HTTP traffic against runner.port ...
         runner.stop()                             # drains and joins
 
-    Startup errors (port in use, replica failure) re-raise in
+    Startup errors (port in use, server failure) re-raise in
     :meth:`start` on the calling thread.
     """
 

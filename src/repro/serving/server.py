@@ -38,8 +38,7 @@ the flag, or it is already inside ``wait()`` when the notify is sent.
 closed loop that is all but the first wait of every batch).  A
 ``notify_all`` wakes every thread blocked in ``result()``, whichever batch
 it waits for; that is bounded by the caller's thread count (the gateway
-blocks at most ``max(8, 4 x replicas)`` executor threads), and each
-re-tests its own flag.
+blocks at most 8 executor threads), and each re-tests its own flag.
 
 A micro-batch holds requests of one column count only (a width change ends
 the batch), and a request narrower than the model needs is refused at
@@ -74,7 +73,7 @@ from ..data.schema import ProblemKind
 from ..ensemble.forest import ForestModel
 from .batch import BatchPredictor
 from .compiler import FlatForest
-from .fleet import ServingFleet
+from .fleet import LatencyWindow, ServingFleet
 from .registry import ModelRegistry, default_registry
 
 
@@ -93,6 +92,11 @@ class QueueFullError(RuntimeError):
         super().__init__(
             f"queue full ({queue_depth}/{capacity} requests)"
         )
+
+
+class ServerStoppedError(RuntimeError):
+    """Raised by ``submit`` when the server is not accepting requests
+    (not started yet, or stopping); the gateway answers it with 503."""
 
 
 @dataclass(frozen=True)
@@ -116,22 +120,6 @@ class ServerConfig:
             raise ValueError("max_delay_seconds must be >= 0")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-
-
-class LatencyWindow(deque):
-    """The most recent ``maxlen`` durations (seconds), read in milliseconds:
-    the one bounded window behind the server, gateway and admission stats."""
-
-    def __init__(self, iterable=(), maxlen: int = 65536) -> None:
-        super().__init__(iterable, maxlen)
-
-    def percentile_ms(self, q: float) -> float:
-        """Percentile ``q`` of the window in milliseconds (0 when empty)."""
-        return float(np.percentile(self, q) * 1e3) if self else 0.0
-
-    def max_ms(self) -> float:
-        """Largest duration of the window in milliseconds (0 when empty)."""
-        return float(max(self) * 1e3) if self else 0.0
 
 
 @dataclass
@@ -414,7 +402,7 @@ class PredictionServer:
         with self._arrived:
             if not self._accepting:
                 self.stats.rejected_shutdown += 1
-                raise RuntimeError("server is not running (call start())")
+                raise ServerStoppedError("server is not running (call start())")
             depth = len(pending)
             if depth >= self.config.queue_capacity:
                 self.stats.rejected_queue_full += 1

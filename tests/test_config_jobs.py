@@ -16,7 +16,7 @@ from repro.core.jobs import (
     staged_job,
 )
 from repro.runtime import RuntimeOptions
-from repro.serving import ServerConfig
+from repro.serving import GatewayConfig, ServerConfig
 
 
 class TestTreeConfig:
@@ -130,9 +130,9 @@ class TestJobs:
 class TestOptionSurface:
     def test_every_settable_name_is_spelled_out_here(self):
         """One place configures a tree, one the runtime, one a prediction
-        server, and the one env var read under ``src/`` is the fault
-        plan: the next option, wherever it is added, is a visible diff to
-        this test."""
+        server, one its HTTP gateway, and the one env var read under
+        ``src/`` is the fault plan: the next option, wherever it is added,
+        is a visible diff to this test."""
 
         def fields(cls):
             return {field.name for field in dataclasses.fields(cls)}
@@ -152,6 +152,10 @@ class TestOptionSurface:
         assert fields(ServerConfig) == {
             "max_batch_size", "max_delay_seconds", "queue_capacity",
             "max_depth",
+        }
+        assert fields(GatewayConfig) == {
+            "host", "port", "quota", "max_body_bytes",
+            "request_timeout_seconds",
         }
         env_names = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):

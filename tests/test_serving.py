@@ -1363,6 +1363,7 @@ from repro.serving import (
     flat_fingerprint,
 )
 from repro.runtime.base import FAULT_ENV, WorkerDiedError
+from repro.serving import fleet as fleet_module
 
 
 class TestQuantize:
@@ -1724,6 +1725,109 @@ class TestFleet:
                 fleet.predict_batch(np.zeros((1, 1)), proba=False)
         with pytest.raises(ValueError):
             ServingFleet(n_workers=0)
+
+
+def _slowed_worker_main(slow_worker_id, seconds):
+    """A ``_fleet_worker_main`` whose worker ``slow_worker_id`` delivers
+    every shard result ``seconds`` late (the straggler of the hedging
+    tests; the fleet forks, so the wrapper needs no pickling)."""
+    real_main = fleet_module._fleet_worker_main
+
+    class LatePuts:
+        def __init__(self, queue):
+            self.queue = queue
+
+        def put(self, item):
+            time.sleep(seconds)
+            self.queue.put(item)
+
+    def worker_main(worker_id, task_queue, result_queue, fault=None):
+        if worker_id == slow_worker_id:
+            result_queue = LatePuts(result_queue)
+        real_main(worker_id, task_queue, result_queue, fault)
+
+    return worker_main
+
+
+class TestFleetHedging:
+    def _serve(self, monkeypatch, n_workers, n_batches):
+        """Serve ``n_batches`` batches with worker 2 (or the only worker)
+        250 ms late; returns (per-batch seconds, stats, outputs, expected)."""
+        monkeypatch.setattr(
+            fleet_module,
+            "_fleet_worker_main",
+            _slowed_worker_main(min(2, n_workers), 0.25),
+        )
+        table = make_table(11)
+        flat = compile_forest(make_forest(table, n_trees=2, seed=11))
+        mat = _matrix_of(table)
+        before = set(list_segments())
+        seconds, outputs = [], []
+        with ServingFleet(n_workers=n_workers, start_method="fork") as fleet:
+            fleet.publish(flat)
+            for _ in range(n_batches):
+                started = time.monotonic()
+                outputs.append(fleet.predict_batch(mat, proba=False))
+                seconds.append(time.monotonic() - started)
+            stats = fleet.stats()
+        assert set(list_segments()) == before
+        return seconds, stats, outputs, BatchPredictor(flat).predict_matrix(mat)
+
+    def test_hedging_beats_a_slow_worker(self, monkeypatch):
+        """Worker 2 answers every shard 250 ms late: each batch re-sends
+        its shard to worker 1 after the hedge delay, so p99 stays far
+        below the straggle, and every output is exact."""
+        seconds, stats, outputs, expected = self._serve(monkeypatch, 2, 12)
+        assert np.percentile(seconds, 99) < 0.2
+        assert stats["hedge_wins"] >= 1
+        assert stats["hedges"] >= stats["hedge_wins"]
+        for out in outputs:
+            assert np.array_equal(out, expected)
+        # Rows count once, at the worker whose result was used.
+        total = sum(w["rows"] for w in stats["workers"])
+        assert total == 12 * len(expected)
+
+    def test_one_worker_fleet_fires_no_hedge(self, monkeypatch):
+        seconds, stats, outputs, expected = self._serve(monkeypatch, 1, 2)
+        assert stats["hedges"] == stats["hedge_wins"] == 0
+        assert min(seconds) >= 0.25  # nobody to hedge on: it waits
+        for out in outputs:
+            assert np.array_equal(out, expected)
+
+    def test_giving_up_on_a_copy_fails_only_an_unanswered_shard(self):
+        """Worker death past the retry budget abandons its copies.  An
+        abandoned copy of a shard that already has a result, or that
+        still has a copy in flight elsewhere, must not fail the batch;
+        the last copy of an unanswered shard must."""
+        import queue as queue_module
+        from types import SimpleNamespace
+
+        fleet = ServingFleet(n_workers=2, max_shard_retries=0)
+        fleet._slots = [
+            fleet_module._WorkerSlot(i, queue_module.Queue()) for i in (1, 2)
+        ]
+        fleet._spawn = lambda slot: None
+        handle = SimpleNamespace(key="model")
+        tasks = [
+            fleet_module._ShardTask(
+                0, shard, handle, np.zeros((1, 1)), False, None, shard
+            )
+            for shard in (0, 1)
+        ]
+        batch = fleet_module._Batch(batch_id=0, n_shards=2)
+        batch.results[1] = np.zeros(1)  # shard 1: answered by worker 2
+        fleet._batches[0] = batch
+        first, second = fleet._slots
+        # Worker 1 holds shard 0 and the hedge copy of shard 1; worker 2
+        # holds the hedge copy of shard 0.
+        first.outstanding = {(0, 0): tasks[0], (0, 1): tasks[1]}
+        second.outstanding = {(0, 0): tasks[0]}
+        fleet._key_outstanding["model"] = 3
+        fleet._respawn(first, -9)
+        assert batch.error is None
+        fleet._respawn(second, -9)
+        assert isinstance(batch.error, WorkerDiedError)
+        assert fleet._key_outstanding == {}
 
 
 class TestCliFleetServing(TestCliServing):

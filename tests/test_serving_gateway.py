@@ -1,4 +1,4 @@
-"""Tests for the HTTP/JSON serving gateway: admission, hedging, swap.
+"""Tests for the HTTP/JSON serving gateway: admission, drain, swap.
 
 Three layers are pinned here:
 
@@ -6,16 +6,18 @@ Three layers are pinned here:
   in isolation, on a private event loop;
 * the gateway's HTTP surface end to end over real sockets — predict
   parity bit-for-bit with the in-process server, 429 + ``Retry-After``
-  under saturation (never a hang), hedged dispatch winning against a
-  slow replica, hot swap/rollback riding the content-hash registry;
+  under saturation (never a hang), 503 from a stopping server, hot
+  swap/rollback riding the content-hash registry;
 * the ``/stats`` JSON schema (key set + types, including the gateway
   counters) so external consumers and ``BENCH_serving.json`` cannot
   drift silently.
 """
 
+import _thread
 import asyncio
 import io
 import json
+import multiprocessing
 import os
 import select
 import signal
@@ -46,9 +48,9 @@ from repro.serving import (
     PredictionServer,
     QuotaConfig,
     ServerConfig,
+    ServingFleet,
     ThrottledError,
     TokenBucket,
-    combine_reports,
     compile_forest,
 )
 from repro.serving.server import QueueFullError
@@ -102,22 +104,6 @@ def http_call(port, method, path, body=None, headers=None, timeout=30.0):
     except urllib.error.HTTPError as error:
         payload = json.loads(error.read())
         return error.code, payload, error
-
-
-class SlowPredictor(BatchPredictor):
-    """A predictor whose kernel straggles — the hedging target."""
-
-    def __init__(self, flat, delay_seconds):
-        super().__init__(flat)
-        self.delay_seconds = delay_seconds
-
-    def predict_proba_matrix(self, matrix, max_depth=None):
-        time.sleep(self.delay_seconds)
-        return super().predict_proba_matrix(matrix, max_depth)
-
-    def predict_matrix(self, matrix, max_depth=None):
-        time.sleep(self.delay_seconds)
-        return super().predict_matrix(matrix, max_depth)
 
 
 class GatedPredictor(BatchPredictor):
@@ -304,8 +290,8 @@ def classification_setup():
     return table, forest, _matrix_of(table)
 
 
-def run_gateway(replicas, **config_kwargs):
-    gateway = Gateway(replicas, GatewayConfig(port=0, **config_kwargs))
+def run_gateway(server, **config_kwargs):
+    gateway = Gateway(server, GatewayConfig(port=0, **config_kwargs))
     runner = GatewayThread(gateway).start()
     return gateway, runner
 
@@ -316,7 +302,7 @@ class TestGatewayHttp:
         with PredictionServer(forest) as reference:
             ref_labels = reference.predict(mat)
             ref_proba = reference.predict_proba(mat)
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             status, payload, _ = http_call(
                 runner.port, "POST", "/predict", {"rows": mat.tolist()}
@@ -344,7 +330,7 @@ class TestGatewayHttp:
         mat = _matrix_of(table)
         with PredictionServer(forest) as reference:
             ref = reference.predict(mat)
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             status, payload, _ = http_call(
                 runner.port, "POST", "/predict", {"rows": mat.tolist()}
@@ -360,9 +346,7 @@ class TestGatewayHttp:
         with PredictionServer(forest) as reference:
             ref = reference.predict(mat)
         before = set(list_segments())
-        gateway, runner = run_gateway(
-            [PredictionServer(forest, n_workers=2)]
-        )
+        gateway, runner = run_gateway(PredictionServer(forest, n_workers=2))
         try:
             status, payload, _ = http_call(
                 runner.port, "POST", "/predict", {"rows": mat.tolist()}
@@ -377,7 +361,7 @@ class TestGatewayHttp:
 
     def test_malformed_requests(self, classification_setup):
         _table, forest, mat = classification_setup
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             port = runner.port
             status, payload, _ = http_call(port, "POST", "/predict", {})
@@ -419,7 +403,7 @@ class TestGatewayHttp:
         replica = PredictionServer(
             forest, ServerConfig(max_delay_seconds=0.05)
         )
-        gateway, runner = run_gateway([replica])
+        gateway, runner = run_gateway(replica)
         try:
             port = runner.port
             bodies = [mat[:2], np.hstack([mat[2:4], np.zeros((2, 3))])]
@@ -463,12 +447,11 @@ class TestGatewayHttp:
 
     def test_healthz_shape(self, classification_setup):
         _table, forest, _mat = classification_setup
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             status, payload, _ = http_call(runner.port, "GET", "/healthz")
             assert status == 200
             assert payload["status"] == "ok"
-            assert payload["replicas"] == 1
             assert payload["model_key"] == gateway.model_key
             assert payload["uptime_seconds"] >= 0.0
         finally:
@@ -480,7 +463,7 @@ class TestGatewayHttp:
         """A client far over quota gets 429 + Retry-After, not a hang."""
         _table, forest, mat = classification_setup
         gateway, runner = run_gateway(
-            [PredictionServer(forest)],
+            PredictionServer(forest),
             quota=QuotaConfig(
                 rate=2.0, burst=2, max_waiters=2, max_wait_seconds=0.05
             ),
@@ -525,7 +508,7 @@ class TestGatewayHttp:
         server = PredictionServer(
             predictor, ServerConfig(queue_capacity=1, max_delay_seconds=0.0)
         )
-        gateway, runner = run_gateway([server])
+        gateway, runner = run_gateway(server)
         try:
             row = _matrix_of(table)[:1]
             # Build real queue depth: one request blocked in the kernel,
@@ -550,46 +533,22 @@ class TestGatewayHttp:
             gate.set()
             runner.stop()
 
-    def test_hedging_beats_a_slow_replica(self, classification_setup):
-        table, forest, mat = classification_setup
-        flat = compile_forest(forest)
-        with PredictionServer(forest) as reference:
-            ref = reference.predict(mat[:8])
-        fast = PredictionServer(BatchPredictor(flat))
-        slow = PredictionServer(SlowPredictor(flat, delay_seconds=0.4))
-        gateway, runner = run_gateway([fast, slow], hedge_after_ms=20.0)
-        try:
-            started = time.monotonic()
-            for _ in range(6):  # round-robin: half land on the straggler
-                status, payload, _ = http_call(
-                    runner.port, "POST", "/predict",
-                    {"rows": mat[:8].tolist()},
-                )
-                assert status == 200
-                assert np.array_equal(np.asarray(payload["predictions"]), ref)
-            elapsed = time.monotonic() - started
-            status, stats, _ = http_call(runner.port, "GET", "/stats")
-            gw = stats["gateway"]
-            assert gw["hedges_fired"] >= 3
-            assert gw["hedge_wins"] >= 3
-            # 3 requests landed on the 400ms replica; hedging cut each to
-            # ~20ms + fast-path time.  Without hedging this loop needs
-            # >= 1.2s in the slow kernels alone.
-            assert elapsed < 1.2
-        finally:
-            runner.stop()
-
-    def test_hedging_disabled_with_single_replica(self, classification_setup):
+    def test_stopping_server_answers_503_and_closes(
+        self, classification_setup
+    ):
+        """A request that reaches a server which stopped accepting is
+        refused with 503 + ``Connection: close``, not a generic 500."""
         _table, forest, mat = classification_setup
-        gateway, runner = run_gateway(
-            [PredictionServer(forest)], hedge_after_ms=0.0
-        )
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
-            status, payload, _ = http_call(
-                runner.port, "POST", "/predict", {"rows": mat[:4].tolist()}
+            gateway.server.stop()
+            status, payload, response = http_call(
+                runner.port, "POST", "/predict", {"rows": mat[:2].tolist()}
             )
-            assert status == 200 and payload["hedged"] is False
-            assert gateway.stats.hedges_fired == 0
+            assert status == 503
+            assert payload["error"] == "server is stopping"
+            assert response.headers["Connection"] == "close"
+            assert gateway.stats.http_errors == 1
         finally:
             runner.stop()
 
@@ -604,7 +563,7 @@ class TestGatewayHttp:
         with PredictionServer(forest_b) as ref:
             ref_b = ref.predict(mat)
 
-        gateway, runner = run_gateway([PredictionServer(forest_a)])
+        gateway, runner = run_gateway(PredictionServer(forest_a))
         try:
             port = runner.port
             initial_key = gateway.model_key
@@ -659,7 +618,7 @@ class TestGatewayHttp:
         regression = make_forest(make_table(6, problem=ProblemKind.REGRESSION))
         reg_dir = tmp_path / "reg-model"
         save_model_local(reg_dir, "model", regression.trees)
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             status, payload, _ = http_call(
                 runner.port, "POST", "/models/swap",
@@ -669,71 +628,34 @@ class TestGatewayHttp:
         finally:
             runner.stop()
 
-    def test_gateway_validation(self, classification_setup):
-        _table, forest, _mat = classification_setup
-        with pytest.raises(ValueError, match="at least one replica"):
-            Gateway([])
-        regression = make_forest(make_table(7, problem=ProblemKind.REGRESSION))
-        with pytest.raises(ValueError, match="same problem kind"):
-            Gateway(
-                [PredictionServer(forest), PredictionServer(regression)]
-            )
+    def test_gateway_validation(self):
         with pytest.raises(ValueError):
-            GatewayConfig(hedge_after_ms=-1.0)
-        with pytest.raises(ValueError):
-            GatewayConfig(hedge_min_ms=5.0, hedge_max_ms=1.0)
+            GatewayConfig(max_body_bytes=0)
         with pytest.raises(ValueError):
             GatewayConfig(request_timeout_seconds=0.0)
 
 
-# ----------------------------------------------------------------------
-# hedge-delay derivation and report merging
-# ----------------------------------------------------------------------
 class TestHedgeDelay:
-    def _gateway(self, forest, **kwargs):
-        return Gateway([PredictionServer(forest)], GatewayConfig(**kwargs))
+    """The hedge delay is the fleet's (the gateway fronts one server and
+    hedges nothing): the p99 of recent batch service seconds, clamped to
+    [1 ms, 1 s], and 50 ms until 20 batches have been seen."""
 
-    def test_fixed_delay_wins(self, classification_setup):
-        _table, forest, _mat = classification_setup
-        gateway = self._gateway(forest, hedge_after_ms=7.5)
-        assert gateway.hedge_delay_seconds() == pytest.approx(0.0075)
+    def test_adaptive_uses_initial_before_samples(self):
+        fleet = ServingFleet(n_workers=2)
+        assert fleet.hedge_delay_seconds() == pytest.approx(0.050)
+        fleet._service_seconds.extend([0.010] * 19)
+        assert fleet.hedge_delay_seconds() == pytest.approx(0.050)
 
-    def test_adaptive_uses_initial_before_samples(self, classification_setup):
-        _table, forest, _mat = classification_setup
-        gateway = self._gateway(forest, hedge_initial_ms=33.0)
-        assert gateway.hedge_delay_seconds() == pytest.approx(0.033)
-
-    def test_adaptive_tracks_p99_with_clamps(self, classification_setup):
-        _table, forest, _mat = classification_setup
-        gateway = self._gateway(
-            forest, hedge_min_ms=5.0, hedge_max_ms=100.0, hedge_min_samples=10
-        )
-        gateway.stats.latencies.extend([0.010] * 50)  # p99 = 10ms
-        assert gateway.hedge_delay_seconds() == pytest.approx(0.010, rel=0.01)
-        gateway.stats.latencies.extend([10.0] * 50)  # p99 explodes
-        assert gateway.hedge_delay_seconds() == pytest.approx(0.100)  # clamp
-        gateway.stats.latencies.clear()
-        gateway.stats.latencies.extend([0.0001] * 50)  # sub-clamp p99
-        assert gateway.hedge_delay_seconds() == pytest.approx(0.005)
-
-
-class TestCombineReports:
-    def test_counters_add_percentiles_take_worst(self, classification_setup):
-        table, forest, mat = classification_setup
-        reports = []
-        for _ in range(2):
-            with PredictionServer(forest) as server:
-                server.predict(mat)
-                reports.append(server.report())
-        merged = combine_reports(reports)
-        assert merged.n_requests == sum(r.n_requests for r in reports)
-        assert merged.n_rows == 2 * len(mat)
-        assert merged.p99_latency_ms == max(r.p99_latency_ms for r in reports)
-        assert merged.rows_per_second == pytest.approx(
-            sum(r.rows_per_second for r in reports)
-        )
-        with pytest.raises(ValueError):
-            combine_reports([])
+    def test_adaptive_tracks_p99_with_clamps(self):
+        fleet = ServingFleet(n_workers=2)
+        window = fleet._service_seconds
+        window.extend([0.010] * 20)  # p99 = 10 ms
+        assert fleet.hedge_delay_seconds() == pytest.approx(0.010)
+        window.extend([10.0] * 50)  # p99 explodes
+        assert fleet.hedge_delay_seconds() == pytest.approx(1.0)  # clamp
+        window.clear()
+        window.extend([0.0001] * 50)  # sub-clamp p99
+        assert fleet.hedge_delay_seconds() == pytest.approx(0.001)
 
 
 # ----------------------------------------------------------------------
@@ -758,18 +680,14 @@ SERVING_REPORT_SCHEMA = {
 }
 
 GATEWAY_COUNTERS_SCHEMA = {
-    "replicas": int,
     "http_requests": int,
     "http_errors": int,
     "admitted": int,
     "throttled": int,
     "throttled_quota": int,
     "throttled_queue_full": int,
-    "hedges_fired": int,
-    "hedge_wins": int,
     "swaps": int,
     "rollbacks": int,
-    "hedge_delay_ms": (int, float),
     "queue_wait_ms_p50": (int, float),
     "queue_wait_ms_p99": (int, float),
     "gateway_p50_latency_ms": (int, float),
@@ -779,6 +697,8 @@ GATEWAY_COUNTERS_SCHEMA = {
 FLEET_SCHEMA = {
     "n_workers": int,
     "respawns": int,
+    "hedges": int,
+    "hedge_wins": int,
     "model_key": str,
     "model_nbytes": int,
     "model_quantized": bool,
@@ -820,7 +740,7 @@ class TestStatsSchema:
         self, classification_setup
     ):
         _table, forest, mat = classification_setup
-        gateway, runner = run_gateway([PredictionServer(forest)])
+        gateway, runner = run_gateway(PredictionServer(forest))
         try:
             status, _payload, _ = http_call(
                 runner.port, "POST", "/predict", {"rows": mat[:4].tolist()}
@@ -830,15 +750,11 @@ class TestStatsSchema:
             assert status == 200
         finally:
             runner.stop()
-        schema = dict(SERVING_REPORT_SCHEMA, gateway=dict, replicas=list)
+        schema = dict(SERVING_REPORT_SCHEMA, gateway=dict)
         _assert_schema(payload, schema, "/stats")
         _assert_schema(
             payload["gateway"], GATEWAY_COUNTERS_SCHEMA, "/stats.gateway"
         )
-        for replica_report in payload["replicas"]:
-            _assert_schema(
-                replica_report, SERVING_REPORT_SCHEMA, "/stats.replicas[]"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -883,47 +799,98 @@ class TestCliGateway:
         raise AssertionError("gateway never reported its port")
 
     def test_http_serve_predict_and_shutdown(self, trained):
+        """In-process + SIGINT, and a 2-worker fleet + SIGTERM: both
+        drain and exit 0 with the summary and no traceback."""
         table, model_dir = trained
         mat = _matrix_of(table)
         env = dict(
             os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
         )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve", "--http",
-                "--port", "0", "--model-dir", str(model_dir),
-                "--client-rate", "1000",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            port = self._read_port(process)
-            status, payload, _ = http_call(port, "GET", "/healthz")
-            assert status == 200 and payload["status"] == "ok"
-            status, payload, _ = http_call(
-                port, "POST", "/predict", {"rows": mat[:16].tolist()},
-                headers={"X-Client": "cli-test"},
-            )
-            assert status == 200
-            from repro.serving import load_compiled_local
+        from repro.serving import load_compiled_local
 
-            entry, _hit = load_compiled_local(model_dir)
-            with PredictionServer(entry.predictor) as reference:
-                expected = reference.predict(mat[:16])
-            assert np.array_equal(
-                np.asarray(payload["predictions"]), expected
+        entry, _hit = load_compiled_local(model_dir)
+        with PredictionServer(entry.predictor) as reference:
+            expected = reference.predict(mat[:16])
+        for extra, stop_signal in (
+            ([], signal.SIGINT),
+            (["--workers", "2"], signal.SIGTERM),
+        ):
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve", "--http",
+                    "--port", "0", "--model-dir", str(model_dir),
+                    "--client-rate", "1000", *extra,
+                ],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
             )
-            status, stats, _ = http_call(port, "GET", "/stats")
-            assert stats["gateway"]["admitted"] >= 1
-        finally:
-            process.send_signal(signal.SIGINT)
             try:
-                output = process.communicate(timeout=60.0)[0]
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                process.kill()
-                raise
-        assert process.returncode == 0
-        assert "gateway: requests=" in output
+                port = self._read_port(process)
+                status, payload, _ = http_call(port, "GET", "/healthz")
+                assert status == 200 and payload["status"] == "ok"
+                status, payload, _ = http_call(
+                    port, "POST", "/predict", {"rows": mat[:16].tolist()},
+                    headers={"X-Client": "cli-test"},
+                )
+                assert status == 200
+                assert np.array_equal(
+                    np.asarray(payload["predictions"]), expected
+                )
+                status, stats, _ = http_call(port, "GET", "/stats")
+                assert stats["gateway"]["admitted"] >= 1
+            finally:
+                process.send_signal(stop_signal)
+                try:
+                    output = process.communicate(timeout=60.0)[0]
+                except subprocess.TimeoutExpired:  # pragma: no cover
+                    process.kill()
+                    raise
+            assert process.returncode == 0, output
+            assert "gateway: requests=" in output
+            assert "Traceback" not in output
+
+    def test_interrupt_drains_the_fleet_before_the_reap(
+        self, trained, monkeypatch
+    ):
+        """Ctrl-C on ``serve --http --workers 1``: the gateway, and the
+        fleet behind it, is stopped before graceful_sigint's last-resort
+        reap runs, so the reap finds no live fleet worker to terminate."""
+        import repro.runtime.signals as signals
+
+        _table, model_dir = trained
+        baseline = {child.pid for child in multiprocessing.active_children()}
+        live_at_reap = []
+        real_reap = signals.reap_children
+
+        def spy(*args, **kwargs):
+            live_at_reap.append(
+                {child.pid for child in multiprocessing.active_children()}
+                - baseline
+            )
+            return real_reap(*args, **kwargs)
+
+        monkeypatch.setattr(signals, "reap_children", spy)
+
+        class InterruptOnceListening(io.StringIO):
+            def write(self, text):
+                if "listening on" in text:
+                    threading.Timer(0.2, _thread.interrupt_main).start()
+                return super().write(text)
+
+        out = InterruptOnceListening()
+        previous_sigterm = signal.getsignal(signal.SIGTERM)
+        try:
+            code = main(
+                [
+                    "serve", "--http", "--port", "0",
+                    "--model-dir", str(model_dir), "--workers", "1",
+                ],
+                out=out,
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous_sigterm)
+        assert code == 0
+        assert "gateway: requests=" in out.getvalue()
+        assert live_at_reap == [set()]
