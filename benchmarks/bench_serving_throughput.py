@@ -1,15 +1,15 @@
-"""Serving throughput: flat-array kernel vs node-based descent (wall-clock).
+"""Serving throughput: flat-array kernel vs per-row descent (wall-clock).
 
-Measures real prediction speed on a 100k-row batch through three engines:
+Measures real prediction speed on a 100k-row batch through two engines:
 
-* **per-row descent** — ``DecisionTree.predict_row`` in a Python loop, the
-  textbook implementation (timed on a subsample, reported as rows/sec);
-* **node batch** — the training-side ``_fill`` recursion, which batches
-  rows per node but still walks Python tree objects;
-* **flat kernel** — the serving compiler + the forest-wide
-  level-synchronous NumPy kernel, the engine the registry/server/CLI
-  deploy; also timed per call at 16 / 1 024 / 4 096 rows and on the whole
-  matrix (``flat_kernel_by_batch_rows``), because the server calls it on
+* **per-row descent** — the frozen per-row oracle of
+  ``tests/reference_predict.py`` in a Python loop, the textbook
+  implementation (timed on a subsample, reported as rows/sec);
+* **flat kernel** — ``repro.core.flat``: the compiled arrays + the
+  forest-wide level-synchronous NumPy kernel, the one prediction path of
+  every model class and of the registry/server/CLI; also timed per call at
+  16 / 1 024 / 4 096 rows and on the whole matrix
+  (``flat_kernel_by_batch_rows``), because the server calls it on
   micro-batches, not on 100k rows.
 
 It also replays the batch through the micro-batching
@@ -30,6 +30,7 @@ stay within a bounded IPC overhead of the in-process server.
 
 import json
 import os
+import sys
 import threading
 import time
 import urllib.request
@@ -120,6 +121,9 @@ def _timed(fn):
 
 
 def test_serving_throughput(run_once):
+    sys.path.insert(0, str(REPO_ROOT))
+    from tests.reference_predict import reference_forest
+
     spec = SyntheticSpec(
         name="serving",
         n_rows=N_ROWS,
@@ -146,29 +150,18 @@ def test_serving_throughput(run_once):
         flat_preds, flat_seconds = _timed(lambda: predictor.predict(table))
         flat_rps = table.n_rows / flat_seconds
 
-        # Node-based batch recursion (_fill) over the full batch.
-        node_preds, node_seconds = _timed(lambda: forest.predict(table))
-        node_rps = table.n_rows / node_seconds
-        np.testing.assert_array_equal(flat_preds, node_preds)
-
-        # Per-row Python descent, timed on a subsample.
+        # Per-row Python descent (the frozen oracle), timed on a subsample.
         sample = table.take(np.arange(N_PER_ROW, dtype=np.int64))
-        rows = [
-            [col[i] for col in sample.columns] for i in range(sample.n_rows)
-        ]
-
-        def per_row():
-            out = np.empty((sample.n_rows, forest.n_classes))
-            for i, row in enumerate(rows):
-                acc = np.zeros(forest.n_classes)
-                for tree in forest.trees:
-                    acc += tree.predict_row(row)
-                out[i] = acc / forest.n_trees
-            return np.argmax(out, axis=1)
-
-        row_preds, row_seconds = _timed(per_row)
+        row_proba, row_seconds = _timed(
+            lambda: reference_forest(forest, sample)
+        )
         row_rps = sample.n_rows / row_seconds
-        np.testing.assert_array_equal(row_preds, flat_preds[:N_PER_ROW])
+        np.testing.assert_array_equal(
+            predictor.predict_proba(sample), row_proba
+        )
+        np.testing.assert_array_equal(
+            np.argmax(row_proba, axis=1), flat_preds[:N_PER_ROW]
+        )
 
         matrix = np.column_stack(
             [np.asarray(col, dtype=np.float64) for col in table.columns]
@@ -294,11 +287,9 @@ def test_serving_throughput(run_once):
             "max_depth": MAX_DEPTH,
             "cores": _cores(),
             "per_row_rows_per_second": row_rps,
-            "node_batch_rows_per_second": node_rps,
             "flat_kernel_rows_per_second": flat_rps,
             "flat_kernel_by_batch_rows": kernel_by_rows,
             "flat_vs_per_row_speedup": flat_rps / row_rps,
-            "flat_vs_node_batch_speedup": node_rps and flat_rps / node_rps,
             "server": report.to_dict(),
             "fleet": fleet,
             "gateway": {
@@ -320,9 +311,6 @@ def test_serving_throughput(run_once):
         f"{'engine':24s}{'rows/sec':>14s}{'speedup':>10s}",
         f"{'per-row descent':24s}"
         f"{result['per_row_rows_per_second']:>14,.0f}{'1.0x':>10s}",
-        f"{'node batch (_fill)':24s}"
-        f"{result['node_batch_rows_per_second']:>14,.0f}"
-        f"{result['node_batch_rows_per_second'] / result['per_row_rows_per_second']:>9.1f}x",
         f"{'flat kernel':24s}"
         f"{result['flat_kernel_rows_per_second']:>14,.0f}"
         f"{result['flat_vs_per_row_speedup']:>9.1f}x",

@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from repro import TreeConfig, train_tree
-from repro.data import read_csv
+from repro.data import DataTable, read_csv
 
 FIG1_CSV = """age,education,home_owner,income,default
 24,Bachelor,No,5000,No
@@ -54,6 +54,12 @@ def print_tree(node, table, indent: str = "") -> None:
     print_tree(node.right, table, indent + "  no:  ")
 
 
+def applicant_pmf(tree, table, applicant, max_depth=None):
+    """The tree's PMF for one applicant: a one-row table through the model."""
+    row = DataTable(table.schema, [[value] for value in applicant], [0])
+    return tree.predict_proba(row, max_depth)[0]
+
+
 def main() -> None:
     table = read_csv(io.StringIO(FIG1_CSV), target="default")
     print(f"loaded {table.n_rows} customers, {table.n_columns} attributes\n")
@@ -66,7 +72,7 @@ def main() -> None:
     edu = table.column_spec(1)
     home = table.column_spec(2)
     applicant = [30.0, edu.code_of("Bachelor"), home.code_of("No"), 5500.0]
-    pmf = tree.predict_row(applicant)
+    pmf = applicant_pmf(tree, table, applicant)
     classes = table.schema.target.categories
     print(f"\napplicant prediction: {classes[int(np.argmax(pmf))]} "
           f"(PMF: {dict(zip(classes, np.round(pmf, 2)))})")
@@ -75,7 +81,7 @@ def main() -> None:
     # income and reports that node's PMF instead of guessing a branch.
     applicant_missing = [30.0, edu.code_of("Bachelor"), home.code_of("No"),
                          float("nan")]
-    pmf_missing = tree.predict_row(applicant_missing)
+    pmf_missing = applicant_pmf(tree, table, applicant_missing)
     print(f"with missing income:  {classes[int(np.argmax(pmf_missing))]} "
           f"(PMF: {dict(zip(classes, np.round(pmf_missing, 2)))})")
 
@@ -83,13 +89,13 @@ def main() -> None:
     # schema but not in any training row of some node's D_x) behaves the
     # same way: the descent stops where the value is unseen.
     applicant_unseen = [30.0, -1, home.code_of("No"), 5500.0]
-    pmf_unseen = tree.predict_row(applicant_unseen)
+    pmf_unseen = applicant_pmf(tree, table, applicant_unseen)
     print(f"with unknown school:  {classes[int(np.argmax(pmf_unseen))]} "
           f"(PMF: {dict(zip(classes, np.round(pmf_unseen, 2)))})")
 
     # Depth-truncated prediction (train once, predict at any depth).
     for depth in (1, 2):
-        pmf_d = tree.predict_row(applicant, max_depth=depth)
+        pmf_d = applicant_pmf(tree, table, applicant, max_depth=depth)
         print(f"prediction at depth <= {depth}: "
               f"{classes[int(np.argmax(pmf_d))]}")
 

@@ -7,8 +7,7 @@ TreeServer's demo workflow:
   extra-trees model on the simulated TreeServer deployment, report run
   metrics, and save the model as JSON files.
 * ``predict`` — apply a saved model to a CSV and write predictions
-  (compiled flat-array engine by default; ``--engine node`` for the
-  node-based reference descent).
+  (through the model registry's compiled flat-array kernel).
 * ``serve`` — replay a CSV through the micro-batching
   :class:`~repro.serving.server.PredictionServer` and report latency and
   throughput counters; with ``--http``, run the asyncio HTTP/JSON
@@ -152,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--max-depth", type=int, default=None,
         help="truncate prediction at this depth (Appendix D)",
-    )
-    predict.add_argument(
-        "--engine", choices=("flat", "node"), default="flat",
-        help="flat: compiled array kernel via the registry (default); "
-        "node: reference node-based descent",
     )
 
     serve = sub.add_parser(
@@ -448,22 +442,14 @@ def _write_predictions(path: str, predictions) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace, out) -> int:
-    if args.engine == "flat":
-        entry, cache_hit = load_compiled_local(args.model_dir)
-        engine = entry.predictor
-        note = (
-            f"engine=flat ({entry.n_trees} tree(s), "
-            f"{entry.compiled.total_nodes()} nodes, "
-            f"{'cache hit' if cache_hit else 'compiled'})"
-        )
-    else:
-        engine = load_model_local(args.model_dir)
-        note = "engine=node"
-    table = _read_feature_csv(args.csv, args.target, engine.problem)
-    predictions = engine.predict(table, max_depth=args.max_depth)
+    entry, cache_hit = load_compiled_local(args.model_dir)
+    table = _read_feature_csv(args.csv, args.target, entry.predictor.problem)
+    predictions = entry.predictor.predict(table, max_depth=args.max_depth)
     _write_predictions(args.out, predictions)
     print(
-        f"wrote {len(predictions)} predictions to {args.out} [{note}]",
+        f"wrote {len(predictions)} predictions to {args.out} "
+        f"[{entry.n_trees} tree(s), {entry.compiled.total_nodes()} nodes, "
+        f"{'cache hit' if cache_hit else 'compiled'}]",
         file=out,
     )
     return 0

@@ -14,9 +14,9 @@ implements that job over the simulated substrate:
 * results are gathered (byte cost to the collecting machine).
 
 The returned predictions are exactly the model's predictions — computed for
-real through the serving subsystem's flat-array kernel, which the parity
-suite pins to node-based descent; the report carries the simulated
-per-phase seconds.
+real through the model's flat-array kernel (:mod:`repro.core.flat`, the one
+the registry entry holds); the report carries the simulated per-phase
+seconds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.cost import CostModel
-from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from ..ensemble.forest import ForestModel
 from ..hdfs.filesystem import SimHdfs
@@ -59,14 +58,12 @@ def distributed_predict(
     table: DataTable,
     system: SystemConfig | None = None,
     cost: CostModel | None = None,
-    compiled=None,
     charge_model_load: bool = True,
 ) -> PredictReport:
     """Predict a table on the simulated cluster (row-parallel).
 
-    The real predictions come from the model — via the pre-compiled flat
-    kernel when ``compiled`` (a serving ``BatchPredictor``) is supplied;
-    the simulated time follows the paper's workflow: broadcast-style model
+    The real predictions come from the model's own flat kernel; the
+    simulated time follows the paper's workflow: broadcast-style model
     load to every worker from the DFS (serialized at the DFS-side NIC,
     skipped when ``charge_model_load`` is False because the pool already
     holds the model), parallel traversal of each worker's row partition,
@@ -79,12 +76,7 @@ def distributed_predict(
         latency_seconds=system.network_latency_seconds,
     )
 
-    # Real computation (flat kernel and node descent are parity-tested).
-    engine = compiled if compiled is not None else model
-    if model.problem is ProblemKind.CLASSIFICATION:
-        predictions = engine.predict(table)
-    else:
-        predictions = engine.predict_values(table)
+    predictions = model.predict(table)
 
     # Simulated time.
     m_bytes = model_size_bytes(model, cost)
@@ -143,7 +135,6 @@ def predict_from_hdfs(
         entry.model,
         table,
         system,
-        compiled=entry.predictor,
         charge_model_load=not cache_hit,
     )
 

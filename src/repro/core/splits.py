@@ -957,23 +957,3 @@ def route_training_rows(values: np.ndarray, split: CandidateSplit) -> np.ndarray
     go_left = np.where(missing, split.missing_to_left, go_left)
     return go_left.astype(bool)
 
-
-def route_test_value(value: float | int, split: CandidateSplit) -> bool | None:
-    """Route a single prediction-time value; ``None`` means stop here.
-
-    ``None`` is returned for missing values and for categorical values never
-    seen in the node's ``D_x`` during training — in both cases the paper's
-    Appendix D stops the descent and reports the current node's prediction.
-    """
-    if split.kind is ColumnKind.NUMERIC:
-        if np.isnan(value):
-            return None
-        return bool(value <= split.threshold)
-    code = int(value)
-    if code == MISSING_CODE:
-        return None
-    if split.left_categories and code in split.left_categories:
-        return True
-    if split.right_categories and code in split.right_categories:
-        return False
-    return None

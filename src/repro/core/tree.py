@@ -25,7 +25,8 @@ import numpy as np
 
 from ..data.schema import ColumnKind, ProblemKind
 from ..data.table import DataTable
-from .splits import CandidateSplit, route_test_value
+from .flat import compiled_predictor
+from .splits import CandidateSplit
 
 
 @dataclass(slots=True)
@@ -71,9 +72,9 @@ class TreeNode:
     def breadth_first(self) -> Iterator["TreeNode"]:
         """Level-order traversal of the subtree rooted here.
 
-        The serving compiler lays nodes out in this order so that during
-        level-synchronous batch traversal every active row reads from one
-        contiguous band of the flat arrays.
+        :func:`~repro.core.flat.compile_tree` lays nodes out in this order
+        so that during level-synchronous batch traversal every active row
+        reads from one contiguous band of the flat arrays.
         """
         queue: deque[TreeNode] = deque([self])
         while queue:
@@ -115,103 +116,27 @@ class DecisionTree:
     tree_id: int = 0
 
     # ------------------------------------------------------------------
-    # prediction
+    # prediction (the flat kernel of ``core.flat``, compiled on first use)
     # ------------------------------------------------------------------
-    def predict_row(
-        self, values: list[float | int], max_depth: int | None = None
-    ) -> np.ndarray | float:
-        """Predict one row, optionally truncating the descent at a depth.
-
-        Returns the PMF vector (classification) or mean (regression) of the
-        node where the descent stops — a leaf, the depth cutoff, or the first
-        node whose split attribute is missing/unseen for this row.
-        """
-        node = self.root
-        while not node.is_leaf:
-            if max_depth is not None and node.depth >= max_depth:
-                break
-            assert node.split is not None
-            direction = route_test_value(values[node.split.column], node.split)
-            if direction is None:
-                break
-            node = node.left if direction else node.right
-            assert node is not None
-        return node.prediction
-
     def predict_proba(
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
-        """Vectorized per-row class PMFs of shape ``(n_rows, n_classes)``."""
-        if self.problem is not ProblemKind.CLASSIFICATION:
-            raise ValueError("predict_proba requires a classification tree")
-        out = np.zeros((table.n_rows, self.n_classes), dtype=np.float64)
-        ids = np.arange(table.n_rows, dtype=np.int64)
-        self._fill(self.root, table, ids, out, max_depth)
-        return out
+        """Per-row class PMFs of shape ``(n_rows, n_classes)``: each row's
+        descent stops at a leaf, at ``max_depth``, or at the first node
+        whose split value is missing or unseen (Appendix D)."""
+        return compiled_predictor(self).predict_proba(table, max_depth)
 
     def predict_values(
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
-        """Vectorized regression predictions of shape ``(n_rows,)``."""
-        if self.problem is not ProblemKind.REGRESSION:
-            raise ValueError("predict_values requires a regression tree")
-        out = np.zeros(table.n_rows, dtype=np.float64)
-        ids = np.arange(table.n_rows, dtype=np.int64)
-        self._fill(self.root, table, ids, out, max_depth)
-        return out
+        """Regression predictions of shape ``(n_rows,)``."""
+        return compiled_predictor(self).predict_values(table, max_depth)
 
     def predict(
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
         """Predicted labels (classification) or values (regression)."""
-        if self.problem is ProblemKind.CLASSIFICATION:
-            return np.argmax(self.predict_proba(table, max_depth), axis=1)
-        return self.predict_values(table, max_depth)
-
-    def _fill(
-        self,
-        node: TreeNode,
-        table: DataTable,
-        row_ids: np.ndarray,
-        out: np.ndarray,
-        max_depth: int | None,
-    ) -> None:
-        """Route row batches through the tree iteratively, writing outputs."""
-        stack: list[tuple[TreeNode, np.ndarray]] = [(node, row_ids)]
-        while stack:
-            node, row_ids = stack.pop()
-            if row_ids.size == 0:
-                continue
-            stop_all = node.is_leaf or (
-                max_depth is not None and node.depth >= max_depth
-            )
-            if stop_all:
-                out[row_ids] = node.prediction
-                continue
-            split = node.split
-            assert split is not None and node.left and node.right
-            values = table.column(split.column)[row_ids]
-            if split.kind is ColumnKind.NUMERIC:
-                missing = np.isnan(values)
-                go_left = values <= split.threshold
-                stop_here = missing
-            else:
-                left = split.left_categories or frozenset()
-                right = split.right_categories or frozenset()
-                go_left = np.isin(
-                    values,
-                    np.fromiter(left, dtype=values.dtype, count=len(left)),
-                )
-                seen_right = np.isin(
-                    values,
-                    np.fromiter(right, dtype=values.dtype, count=len(right)),
-                )
-                stop_here = ~(go_left | seen_right)  # missing or unseen
-            if stop_here.any():
-                out[row_ids[stop_here]] = node.prediction
-            keep = ~stop_here
-            stack.append((node.left, row_ids[keep & go_left]))
-            stack.append((node.right, row_ids[keep & ~go_left]))
+        return compiled_predictor(self).predict(table, max_depth)
 
     # ------------------------------------------------------------------
     # introspection

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import TreeConfig, TreeKind
+from ..core.flat import compiled_predictor
 from ..data.schema import ColumnKind, ColumnSpec, ProblemKind, TableSchema
 from ..data.table import DataTable
 from .backend import TrainedForest
@@ -76,20 +77,15 @@ class CascadeLayer:
         """Total (simulated) training seconds of this layer."""
         return sum(f.train_seconds for f in self.forests)
 
-    def output(self, features: np.ndarray, n_classes: int) -> np.ndarray:
+    def output(self, features: np.ndarray) -> np.ndarray:
         """Layer output: concatenated per-forest PMFs, ``(n, F * k)``."""
-        table = features_to_table(
-            features, np.zeros(len(features), dtype=np.int64), n_classes
-        )
         return np.concatenate(
-            [t.forest.predict_proba(table) for t in self.forests], axis=1
+            [
+                compiled_predictor(t.forest).predict_proba_matrix(features)
+                for t in self.forests
+            ],
+            axis=1,
         )
-
-    def predict_proba(self, features: np.ndarray, n_classes: int) -> np.ndarray:
-        """Layer prediction: the *average* of the forests' PMFs."""
-        out = self.output(features, n_classes)
-        k = n_classes
-        return out.reshape(len(features), len(self.forests), k).mean(axis=1)
 
 
 class CascadeForest:
@@ -147,20 +143,25 @@ class CascadeForest:
                 )
             )
         self.layers.append(layer)
-        return layer, layer.output(features, n_classes)
+        return layer, layer.output(features)
 
     def predict_proba_per_layer(
         self, grain_features: dict[int, np.ndarray]
     ) -> list[np.ndarray]:
-        """PMF predictions after each layer (Table VII accuracy column)."""
+        """PMF predictions after each layer (Table VII accuracy column):
+        the average of the layer's forests' PMFs."""
         outputs: list[np.ndarray] = []
         previous: np.ndarray | None = None
         for layer in self.layers:
             features, _ = self.layer_input(
                 layer.index, grain_features, previous
             )
-            outputs.append(layer.predict_proba(features, self.n_classes))
-            previous = layer.output(features, self.n_classes)
+            previous = layer.output(features)
+            outputs.append(
+                previous.reshape(
+                    len(features), len(layer.forests), self.n_classes
+                ).mean(axis=1)
+            )
         return outputs
 
     def predict(self, grain_features: dict[int, np.ndarray]) -> np.ndarray:
@@ -168,16 +169,3 @@ class CascadeForest:
         if not self.layers:
             raise RuntimeError("cascade not fitted")
         return np.argmax(self.predict_proba_per_layer(grain_features)[-1], axis=1)
-
-    def compiled(self):
-        """Freeze the fitted cascade into flat-array serving form.
-
-        Returns a :class:`~repro.serving.compiler.CompiledCascade` whose
-        prediction is parity-tested identical to this object's, with every
-        forest traversed by the vectorized kernel — the form the serving
-        layer deploys (deep-forest inference is the paper's Section VII
-        row-parallel workload).
-        """
-        from ..serving.compiler import compile_cascade
-
-        return compile_cascade(self)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import ColumnSampling, SystemConfig, TreeConfig
+from ..core.flat import compiled_predictor
 from ..core.jobs import decision_tree_job
 from ..core.server import TreeServer
 from ..core.tree import DecisionTree
@@ -58,11 +59,14 @@ class GBDTModel:
     trees: list[DecisionTree] = field(default_factory=list)
 
     def raw_scores(self, table: DataTable) -> np.ndarray:
-        """Additive raw margins for every row."""
-        scores = np.full(table.n_rows, self.base_prediction, dtype=np.float64)
-        for tree in self.trees:
-            scores += self.learning_rate * tree.predict_values(table)
-        return scores
+        """Additive raw margins for every row: ``base + lr * tree``, trees
+        added in order on the flat kernel (compiled once per model, again
+        only after the model grows)."""
+        if not self.trees:
+            return np.full(table.n_rows, self.base_prediction)
+        return compiled_predictor(self).raw_scores(
+            table, self.base_prediction, self.learning_rate
+        )
 
     def predict(self, table: DataTable) -> np.ndarray:
         """Predicted values (regression) or class labels (binary)."""

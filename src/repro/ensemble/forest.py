@@ -4,7 +4,8 @@ A forest for ``k``-class classification returns, per row, the average of
 the class PMF vectors returned by all its trees (the deep-forest convention
 of Section VII); the predicted label is the argmax.  Regression forests
 average per-tree predictions.  The same averaging honours depth truncation
-and the missing/unseen early-stop of each member tree.
+and the missing/unseen early-stop of each member tree.  Prediction runs on
+the flat kernel (:mod:`repro.core.flat`), compiled once per forest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.flat import compiled_predictor
 from ..core.tree import DecisionTree
 from ..data.schema import ProblemKind
 from ..data.table import DataTable
@@ -50,48 +52,20 @@ class ForestModel:
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
         """Average class PMFs over all trees, shape ``(n_rows, n_classes)``."""
-        if self.problem is not ProblemKind.CLASSIFICATION:
-            raise ValueError("predict_proba requires classification trees")
-        acc = np.zeros((table.n_rows, self.n_classes), dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict_proba(table, max_depth)
-        acc /= len(self.trees)
-        return acc
+        return compiled_predictor(self).predict_proba(table, max_depth)
 
     def predict_values(
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
         """Average regression predictions over all trees."""
-        if self.problem is not ProblemKind.REGRESSION:
-            raise ValueError("predict_values requires regression trees")
-        acc = np.zeros(table.n_rows, dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict_values(table, max_depth)
-        acc /= len(self.trees)
-        return acc
+        return compiled_predictor(self).predict_values(table, max_depth)
 
     def predict(
         self, table: DataTable, max_depth: int | None = None
     ) -> np.ndarray:
         """Predicted labels (classification) or values (regression)."""
-        if self.problem is ProblemKind.CLASSIFICATION:
-            return np.argmax(self.predict_proba(table, max_depth), axis=1)
-        return self.predict_values(table, max_depth)
+        return compiled_predictor(self).predict(table, max_depth)
 
     def total_nodes(self) -> int:
         """Total node count across all trees (model-size diagnostics)."""
         return sum(tree.n_nodes for tree in self.trees)
-
-    def compiled(self, quantize: bool = False):
-        """Freeze this forest into its flat-array serving form.
-
-        Returns a :class:`~repro.serving.batch.BatchPredictor` over the
-        compiled arrays — the engine the serving layer deploys, with
-        parity-tested bit-identical predictions (``quantize=True`` opts
-        into compact float32/int16 arrays within the documented
-        tolerance).
-        """
-        from ..serving.batch import BatchPredictor
-        from ..serving.compiler import compile_forest
-
-        return BatchPredictor(compile_forest(self, quantize=quantize))

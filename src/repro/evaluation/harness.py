@@ -17,12 +17,10 @@ from ..cluster.cost import CostModel
 from ..core.config import ColumnSampling, SystemConfig, TreeConfig
 from ..core.jobs import decision_tree_job, random_forest_job
 from ..core.server import TreeServer
-from ..core.tree import DecisionTree
 from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from ..datasets.registry import dataset_spec
 from ..datasets.synthetic import train_test
-from ..ensemble.forest import ForestModel
 from .metrics import accuracy, rmse
 
 
@@ -60,23 +58,6 @@ def _score(table: DataTable, y_pred) -> tuple[float, str]:
     return rmse(table.target, y_pred), "rmse"
 
 
-def cached_predict(model, table: DataTable):
-    """Score through the serving registry's compiled kernel when possible.
-
-    Tree/forest models are compiled once per content hash and every repeat
-    evaluation of the same model (parameter sweeps re-score constantly)
-    reuses the flat arrays — output is parity-tested identical to
-    ``model.predict``.  Other model shapes (e.g. GBDT, whose prediction is
-    a weighted sum, not a PMF average) fall back to their own ``predict``.
-    """
-    if isinstance(model, (DecisionTree, ForestModel)):
-        from ..serving.registry import default_registry
-
-        entry, _ = default_registry().get_or_compile(model)
-        return entry.predictor.predict(table)
-    return model.predict(table)
-
-
 def run_treeserver(
     dataset: str,
     train: DataTable,
@@ -96,7 +77,7 @@ def run_treeserver(
         job = random_forest_job("model", n_trees, cfg, seed=seed)
     report = TreeServer(sys_cfg).fit(train, [job])
     model = report.forest("model") if n_trees > 1 else report.tree("model")
-    quality, metric = _score(test, cached_predict(model, test))
+    quality, metric = _score(test, model.predict(test))
     return ExperimentRow(
         system="TreeServer",
         dataset=dataset,
@@ -134,7 +115,7 @@ def run_mllib(
         planet = planet.single_thread()
     report = PlanetTrainer(planet).fit(train, cfg, n_trees=n_trees, seed=seed)
     model = report.forest() if n_trees > 1 else report.tree()
-    quality, metric = _score(test, cached_predict(model, test))
+    quality, metric = _score(test, model.predict(test))
     name = "MLlib (Single Thread)" if single_thread else "MLlib (Parallel)"
     return ExperimentRow(
         system=name,
@@ -155,7 +136,7 @@ def run_xgboost(
     """Train with the XGBoost-style boosting baseline."""
     cfg = xgb_config or XGBoostConfig()
     report = XGBoostTrainer(cfg).fit(train)
-    quality, metric = _score(test, cached_predict(report.model, test))
+    quality, metric = _score(test, report.model.predict(test))
     return ExperimentRow(
         system="XGBoost",
         dataset=dataset,

@@ -1,20 +1,14 @@
-"""Inference serving: flat-array tree kernels, registry, server, fleet.
+"""Inference serving: registry, server, fleet, gateway.
 
 Training-side modules keep the paper's node-centric ``TreeNode`` objects —
-they are what the master grafts subtree-task results onto.  Serving has the
-opposite access pattern: millions of rows descend a *frozen* tree, so this
-package compiles trained models into contiguous structure-of-arrays form
-(the layout step that "Breadth-first, Depth-next" and the GPU-boosting line
-of work identify as the key to hardware-speed traversal) and serves them:
+they are what the master grafts subtree-task results onto.  Every model
+predicts through one flat-array kernel, :mod:`repro.core.flat`
+(:class:`FlatTree` / :class:`FlatForest` / :class:`BatchPredictor`; the
+layout step that "Breadth-first, Depth-next" and the GPU-boosting line of
+work identify as the key to hardware-speed traversal; opt-in
+``quantize=True`` compacts arrays to float32/int16 within
+:data:`QUANTIZE_ATOL`).  This package serves that kernel:
 
-* :mod:`compiler` — flatten ``DecisionTree`` / ``ForestModel`` / cascade
-  forests into :class:`FlatTree` / :class:`FlatForest` /
-  :class:`CompiledCascade` arrays, exact parity with node-based descent;
-  opt-in ``quantize=True`` compacts arrays to float32/int16 within the
-  :data:`~repro.serving.compiler.QUANTIZE_ATOL` tolerance;
-* :mod:`batch` — one level-synchronous kernel descending all rows through
-  all trees of a forest together (``predict`` / ``predict_proba`` /
-  truncated-depth prediction);
 * :mod:`registry` — content-hash keyed, thread-safe cache of compiled
   models, so repeated prediction jobs stop reloading and recompiling;
 * :mod:`server` — an in-process micro-batching :class:`PredictionServer`
@@ -32,23 +26,20 @@ of work identify as the key to hardware-speed traversal) and serves them:
   (``repro serve --http``).
 """
 
+from ..core.flat import (
+    QUANTIZE_ATOL,
+    QUANTIZE_MIN_AGREEMENT,
+    BatchPredictor,
+    FlatForest,
+    FlatTree,
+    compile_forest,
+    compile_tree,
+)
 from .admission import (
     AdmissionController,
     QuotaConfig,
     ThrottledError,
     TokenBucket,
-)
-
-from .batch import BatchPredictor
-from .compiler import (
-    QUANTIZE_ATOL,
-    QUANTIZE_MIN_AGREEMENT,
-    CompiledCascade,
-    FlatForest,
-    FlatTree,
-    compile_cascade,
-    compile_forest,
-    compile_tree,
 )
 from .fleet import (
     FleetClosedError,
@@ -82,7 +73,6 @@ __all__ = [
     "AdmissionController",
     "AttachedModel",
     "BatchPredictor",
-    "CompiledCascade",
     "FlatForest",
     "FlatTree",
     "FleetClosedError",
@@ -105,7 +95,6 @@ __all__ = [
     "ServingReport",
     "ServingStats",
     "SharedCompiledModel",
-    "compile_cascade",
     "compile_forest",
     "compile_tree",
     "default_registry",

@@ -55,13 +55,12 @@ from queue import Empty
 
 import numpy as np
 
+from ..core.flat import BatchPredictor, FlatForest
 from ..core.tree import DecisionTree
 from ..data.shm import new_run_prefix
 from ..ensemble.forest import ForestModel
 from ..runtime.base import FAULT_ENV, FaultPlan, WorkerDiedError
 from ..runtime.process import CRASH_EXITCODE, resolve_start_method
-from .batch import BatchPredictor
-from .compiler import FlatForest
 from .registry import ModelRegistry, default_registry
 from .shm_model import SharedCompiledModel, flat_fingerprint
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.flat import FlatForest
 from .admission import AdmissionController, QuotaConfig, ThrottledError
-from .compiler import FlatForest
 from .fleet import LatencyWindow
 from .registry import ModelRegistry, default_registry, load_compiled_local
 from .server import PredictionServer, QueueFullError, ServerStoppedError

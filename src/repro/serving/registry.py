@@ -11,8 +11,8 @@ cached under a SHA-256 **content hash of the persisted form** (see
   same cache line;
 * the simulated DFS byte/connection costs of a model load are charged only
   the first time a worker pool sees that content (``core/predictor.py``);
-* the evaluation harness and CLI score every model through the flat-array
-  kernel without recompiling per call.
+* ``repro predict`` / ``repro serve`` and the distributed predictor score
+  a stored model without reloading or recompiling it per call.
 
 Eviction is LRU under two independent bounds: a compiled-**byte** budget
 (``max_bytes`` — the bound that matters operationally, since entries can
@@ -37,9 +37,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.flat import (
+    BatchPredictor,
+    FlatForest,
+    compile_forest,
+    compiled_predictor,
+)
 from ..core.persistence import (
     fingerprint_trees,
     load_model_hdfs,
@@ -50,8 +56,6 @@ from ..core.persistence import (
 from ..core.tree import DecisionTree
 from ..ensemble.forest import ForestModel
 from ..hdfs.filesystem import SimHdfs
-from .batch import BatchPredictor
-from .compiler import FlatForest, compile_forest
 
 #: Default number of compiled models an in-process registry pins.
 DEFAULT_CAPACITY = 8
@@ -59,12 +63,21 @@ DEFAULT_CAPACITY = 8
 
 @dataclass
 class RegistryEntry:
-    """One cached model: source trees plus their compiled form."""
+    """One cached model: source trees plus their compiled form.
+
+    On the exact line ``predictor`` is the model's own
+    (:func:`~repro.core.flat.compiled_predictor`), so a model predicted
+    directly and through the registry is compiled once.
+    """
 
     key: str
-    model: ForestModel
-    compiled: FlatForest
+    model: ForestModel | DecisionTree
     predictor: BatchPredictor
+
+    @property
+    def compiled(self) -> FlatForest:
+        """The compiled arrays behind :attr:`predictor`."""
+        return self.predictor.forest
 
     @property
     def n_trees(self) -> int:
@@ -182,7 +195,10 @@ class ModelRegistry:
             return entry
 
     def put(
-        self, key: str, model: ForestModel, quantize: bool = False
+        self,
+        key: str,
+        model: ForestModel | DecisionTree,
+        quantize: bool = False,
     ) -> RegistryEntry:
         """Compile and cache a model under ``key``, evicting LRU overflow.
 
@@ -193,19 +209,18 @@ class ModelRegistry:
         then replaces — same arrays, no corruption).
         """
         with self._lock:
-            compiled = compile_forest(model, quantize=quantize)
-            entry = RegistryEntry(
-                key=key,
-                model=model,
-                compiled=compiled,
-                predictor=BatchPredictor(compiled),
+            predictor = (
+                BatchPredictor(compile_forest(model, quantize=True))
+                if quantize
+                else compiled_predictor(model)
             )
+            entry = RegistryEntry(key=key, model=model, predictor=predictor)
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self._total_bytes -= previous.nbytes()
             self._entries[key] = entry
             self._total_bytes += entry.nbytes()
-            self.stats.compiled_nodes += compiled.total_nodes()
+            self.stats.compiled_nodes += entry.compiled.total_nodes()
             self.stats.peak_bytes = max(
                 self.stats.peak_bytes, self._total_bytes
             )
@@ -239,10 +254,8 @@ class ModelRegistry:
         Atomic under the registry lock — concurrent callers with the same
         content get the same entry and exactly one compilation happens.
         """
-        if isinstance(model, DecisionTree):
-            model = ForestModel([model])
         if key is None:
-            key = fingerprint_trees(model.trees)
+            key = fingerprint_trees(getattr(model, "trees", [model]))
         key = quantized_key(key, quantize)
         with self._lock:
             entry = self.get(key)

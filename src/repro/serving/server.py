@@ -68,11 +68,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.flat import BatchPredictor, FlatForest
 from ..core.tree import DecisionTree
 from ..data.schema import ProblemKind
 from ..ensemble.forest import ForestModel
-from .batch import BatchPredictor
-from .compiler import FlatForest
 from .fleet import LatencyWindow, ServingFleet
 from .registry import ModelRegistry, default_registry
 
@@ -266,7 +265,7 @@ class PredictionServer:
     :class:`~repro.serving.fleet.ServingFleet` of N OS processes mapping
     the model from shared memory; ``None`` (default) serves in-process.
     ``quantize=True`` serves the compact float32/int16 compiled form
-    (see ``compiler.QUANTIZE_ATOL`` for the accuracy contract).
+    (see ``core.flat.QUANTIZE_ATOL`` for the accuracy contract).
     """
 
     def __init__(

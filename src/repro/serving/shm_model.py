@@ -15,7 +15,7 @@ seam:
   (:class:`~repro.data.shm.SharedArrayPack`).  The publisher creates it
   once; every fleet worker :meth:`~SharedCompiledModel.attach`\\ es and
   gets a read-only zero-copy :class:`FlatForest` plus a ready
-  :class:`~repro.serving.batch.BatchPredictor`.
+  :class:`~repro.core.flat.BatchPredictor`.
 
 Lifecycle matches the rest of the shm layer: the creator (the fleet
 parent) owns the segment and is the only side that ``unlink``\\ s;
@@ -30,10 +30,9 @@ import hashlib
 
 import numpy as np
 
+from ..core.flat import TREE_ARRAYS, BatchPredictor, FlatForest, unstack_trees
 from ..data.schema import ProblemKind
 from ..data.shm import AttachedPack, SharedArrayPack, new_run_prefix
-from .batch import BatchPredictor
-from .compiler import TREE_ARRAYS, FlatForest, unstack_trees
 
 
 def flat_fingerprint(flat: FlatForest) -> str:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import SystemConfig
+from repro.core.flat import compiled_predictor
 from repro.data.schema import ProblemKind
 from repro.datasets import SyntheticSpec, generate, train_test
 from repro.ensemble import GBDTConfig, TreeServerGBDT
 from repro.evaluation import accuracy, rmse
+
+from .reference_predict import reference_raw_scores
 
 
 def small_system() -> SystemConfig:
@@ -112,3 +115,57 @@ class TestBinaryBoosting:
             a.model.predict(train), b.model.predict(train)
         )
         assert a.sim_seconds == b.sim_seconds
+
+
+class TestPredictionPath:
+    """Boosting predicts on the flat kernel: ``base + lr * tree`` in tree
+    order, bit for bit the frozen per-row oracle's margins."""
+
+    @pytest.fixture(scope="class")
+    def binary_with_missing(self):
+        spec = SyntheticSpec(
+            name="gbm", n_rows=400, n_numeric=4, n_categorical=2,
+            n_classes=2, planted_depth=4, noise=0.1, missing_rate=0.1,
+            seed=67,
+        )
+        return train_test(spec)
+
+    def test_raw_scores_match_oracle(self, binary_with_missing):
+        train, test = binary_with_missing
+        model = TreeServerGBDT(
+            GBDTConfig(n_rounds=5, max_depth=4), small_system()
+        ).fit(train).model
+        np.testing.assert_array_equal(
+            model.raw_scores(test), reference_raw_scores(model, test)
+        )
+
+    def test_regression_raw_scores_match_oracle(self, small_regression):
+        model = TreeServerGBDT(
+            GBDTConfig(n_rounds=4, max_depth=3), small_system()
+        ).fit(small_regression).model
+        np.testing.assert_array_equal(
+            model.predict(small_regression),
+            reference_raw_scores(model, small_regression),
+        )
+
+    def test_grown_model_is_not_served_from_a_stale_compile(
+        self, binary_with_missing
+    ):
+        """Fitting appends a tree per round; a model predicted before it
+        grew must not answer from the compile of fewer trees."""
+        train, test = binary_with_missing
+        model = TreeServerGBDT(
+            GBDTConfig(n_rounds=2, max_depth=3), small_system()
+        ).fit(train).model
+        before = model.raw_scores(test)
+        assert compiled_predictor(model) is compiled_predictor(model)
+        extra = TreeServerGBDT(
+            GBDTConfig(n_rounds=1, max_depth=2, seed=3), small_system()
+        ).fit(train).model.trees[0]
+        model.trees.append(extra)
+        grown = model.raw_scores(test)
+        assert compiled_predictor(model).forest.n_trees == 3
+        np.testing.assert_array_equal(
+            grown, reference_raw_scores(model, test)
+        )
+        assert not np.array_equal(grown, before)

@@ -1,5 +1,6 @@
 """Tests for configuration objects and job specifications."""
 
+import argparse
 import dataclasses
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import _build_parser
 from repro.core import ColumnSampling, SystemConfig, TreeConfig, TreeKind
 from repro.core.impurity import Impurity
 from repro.core.jobs import (
@@ -161,3 +163,45 @@ class TestOptionSurface:
         for path in Path(repro.__file__).parent.rglob("*.py"):
             env_names |= set(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
         assert env_names == {"REPRO_FAULT"}
+
+    def test_every_cli_flag_is_spelled_out_here(self):
+        """Each ``repro`` subcommand's flags, read from the parser itself:
+        adding or removing a flag is a visible diff to this test."""
+        (subcommands,) = (
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            }
+            for name, parser in subcommands.choices.items()
+        }
+        assert flags == {
+            "train": {
+                "--backend", "--compers", "--csv", "--extra-trees",
+                "--fault-policy", "--forest", "--hosts", "--listen",
+                "--max-bins", "--max-depth", "--max-worker-failures",
+                "--model-dir", "--mp-timeout", "--no-shm", "--seed", "--shm",
+                "--split-mode", "--target", "--tau-leaf", "--workers",
+            },
+            "predict": {
+                "--csv", "--max-depth", "--model-dir", "--out", "--target",
+            },
+            "serve": {
+                "--batch-size", "--client-burst", "--client-rate", "--csv",
+                "--host", "--http", "--max-delay-ms", "--max-depth",
+                "--max-waiters", "--model-dir", "--out", "--port",
+                "--quantize", "--queue-capacity", "--request-rows",
+                "--target", "--workers",
+            },
+            "worker": {
+                "--connect", "--csv", "--host-id", "--target", "--worker-id",
+            },
+            "evaluate": {"--csv", "--model-dir", "--target"},
+            "datasets": {"--materialize", "--out", "--small"},
+        }

@@ -17,7 +17,10 @@ from repro.core import (
 from repro.core.impurity import Impurity, classification_impurity
 from repro.core.splits import best_numeric_split, route_training_rows
 from repro.data.schema import ColumnKind
+from repro.data.table import DataTable
 from repro.datasets import SyntheticSpec, generate
+
+from .reference_predict import predict_row
 
 
 @pytest.fixture(scope="module")
@@ -121,9 +124,18 @@ class TestInvariantNinePredictionStops:
     """Appendix D: missing/unseen values stop descent with a sane PMF."""
 
     def test_all_missing_row(self, table):
+        """An all-missing row stops at the root, in the oracle and in the
+        model's batch prediction, at every truncation depth."""
         tree = train_tree(table, TreeConfig(max_depth=6))
         row = []
         for spec in table.schema.columns:
             row.append(np.nan if spec.kind is ColumnKind.NUMERIC else -1)
-        pmf = tree.predict_row(row)
-        np.testing.assert_allclose(pmf, tree.root.prediction)
+        np.testing.assert_array_equal(
+            predict_row(tree, row), tree.root.prediction
+        )
+        missing = DataTable(table.schema, [[value] for value in row], [0])
+        for max_depth in (None, 0, 3):
+            np.testing.assert_array_equal(
+                tree.predict_proba(missing, max_depth)[0],
+                tree.root.prediction,
+            )

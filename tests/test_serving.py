@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.core import SystemConfig, TreeConfig, train_tree
 from repro.core.persistence import (
     fingerprint_trees,
+    load_model_local,
     model_fingerprint_hdfs,
     model_fingerprint_local,
     save_model_hdfs,
@@ -35,6 +36,7 @@ from repro.data import (
     DataTable,
     ProblemKind,
     TableSchema,
+    read_csv,
     write_csv,
 )
 from repro.datasets import SyntheticSpec, generate
@@ -52,9 +54,14 @@ from repro.serving import (
     load_compiled_hdfs,
     load_compiled_local,
 )
-from repro.serving.batch import TILE_ROWS
-from repro.serving.compiler import CAT_LEFT, CAT_STOP
+from repro.core.flat import TILE_ROWS, compiled_predictor
 from repro.serving.server import QueueFullError
+
+from .reference_predict import (
+    reference_cascade_per_layer,
+    reference_flat_forest,
+    reference_forest,
+)
 
 
 def make_table(seed, problem=ProblemKind.CLASSIFICATION, missing=0.0, rows=200):
@@ -147,18 +154,18 @@ class TestCompiler:
 
 
 class TestParity:
-    """Flat kernel == node descent, bit for bit, everywhere."""
+    """Model and kernel == the frozen per-row oracle, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_classification_proba(self, seed):
         table = make_table(seed, missing=0.1 if seed % 2 else 0.0)
         forest = make_forest(table, n_trees=3, seed=seed)
+        expected = reference_forest(forest, table)
         predictor = BatchPredictor(compile_forest(forest))
+        np.testing.assert_array_equal(predictor.predict_proba(table), expected)
+        np.testing.assert_array_equal(forest.predict_proba(table), expected)
         np.testing.assert_array_equal(
-            predictor.predict_proba(table), forest.predict_proba(table)
-        )
-        np.testing.assert_array_equal(
-            predictor.predict(table), forest.predict(table)
+            forest.predict(table), np.argmax(expected, axis=1)
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -169,38 +176,43 @@ class TestParity:
             missing=0.1 if seed % 2 else 0.0,
         )
         forest = make_forest(table, n_trees=3, seed=seed)
-        predictor = BatchPredictor(compile_forest(forest))
+        expected = reference_forest(forest, table)[:, 0]
         np.testing.assert_array_equal(
-            predictor.predict_values(table), forest.predict_values(table)
+            BatchPredictor(compile_forest(forest)).predict_values(table),
+            expected,
         )
+        np.testing.assert_array_equal(forest.predict_values(table), expected)
+        np.testing.assert_array_equal(forest.predict(table), expected)
 
     def test_every_truncation_depth(self, small_mixed_classification):
         table = small_mixed_classification
         forest = make_forest(table, n_trees=2, max_depth=8)
         flat = compile_forest(forest)
         predictor = BatchPredictor(flat)
-        for d in range(1, flat.max_depth() + 1):
+        for d in range(0, flat.max_depth() + 2):
+            expected = reference_forest(forest, table, d)
             np.testing.assert_array_equal(
-                predictor.predict_proba(table, max_depth=d),
-                forest.predict_proba(table, max_depth=d),
+                predictor.predict_proba(table, max_depth=d), expected
+            )
+            np.testing.assert_array_equal(
+                forest.predict_proba(table, max_depth=d), expected
             )
             # Compile-time slicing == run-time truncation.
             np.testing.assert_array_equal(
                 BatchPredictor(flat.truncated(d)).predict_proba(table),
-                predictor.predict_proba(table, max_depth=d),
+                expected,
             )
 
     def test_truncation_depth_regression(self, small_regression):
         forest = make_forest(small_regression, n_trees=2, max_depth=6)
-        predictor = BatchPredictor(compile_forest(forest))
-        for d in range(1, 7):
+        for d in range(0, 8):
             np.testing.assert_array_equal(
-                predictor.predict_values(small_regression, max_depth=d),
                 forest.predict_values(small_regression, max_depth=d),
+                reference_forest(forest, small_regression, d)[:, 0],
             )
 
     def test_unseen_categories_stop_at_node(self):
-        """Codes absent from training data route like the node engine."""
+        """Codes absent from training data stop the descent at the node."""
         full = make_table(7, rows=400)
         cat_col = full.columns[3]  # first categorical column
         held_out = int(cat_col.max())
@@ -208,9 +220,8 @@ class TestParity:
         train = full.take(train_rows)
         assert len(train_rows) < full.n_rows  # the code really is held out
         forest = make_forest(train, n_trees=3, seed=7)
-        predictor = BatchPredictor(compile_forest(forest))
         np.testing.assert_array_equal(
-            predictor.predict_proba(full), forest.predict_proba(full)
+            forest.predict_proba(full), reference_forest(forest, full)
         )
 
     def test_missing_codes_stop_at_node(self):
@@ -219,24 +230,15 @@ class TestParity:
             np.any(col == -1) for col in table.columns[3:]
         ) or any(np.any(np.isnan(col)) for col in table.columns[:3])
         forest = make_forest(table, n_trees=2, seed=11)
-        predictor = BatchPredictor(compile_forest(forest))
         np.testing.assert_array_equal(
-            predictor.predict_proba(table), forest.predict_proba(table)
+            forest.predict_proba(table), reference_forest(forest, table)
         )
 
     def test_single_tree_matches_per_row_descent(self, tiny_classification):
         table = tiny_classification
         tree = train_tree(table, TreeConfig(max_depth=4))
-        predictor = BatchPredictor(compile_forest(tree))
         np.testing.assert_array_equal(
-            predictor.predict_proba(table), tree.predict_proba(table)
-        )
-
-    def test_forest_compiled_convenience(self, small_mixed_classification):
-        forest = make_forest(small_mixed_classification, n_trees=2)
-        np.testing.assert_array_equal(
-            forest.compiled().predict_proba(small_mixed_classification),
-            forest.predict_proba(small_mixed_classification),
+            tree.predict_proba(table), reference_forest(tree, table)
         )
 
     def test_matrix_entry_point(self, small_mixed_classification):
@@ -244,25 +246,52 @@ class TestParity:
         table = small_mixed_classification
         forest = make_forest(table, n_trees=2)
         predictor = BatchPredictor(compile_forest(forest))
-        matrix = np.column_stack(
-            [np.asarray(col, dtype=np.float64) for col in table.columns]
+        matrix = _matrix_of(table)
+        expected = reference_forest(forest, table)
+        np.testing.assert_array_equal(
+            predictor.predict_matrix(matrix), np.argmax(expected, axis=1)
         )
         np.testing.assert_array_equal(
-            predictor.predict_matrix(matrix), forest.predict(table)
+            predictor.predict_proba_matrix(matrix), expected
         )
-        np.testing.assert_array_equal(
-            predictor.predict_proba_matrix(matrix), forest.predict_proba(table)
+
+    def test_table_tiles_copy_only_split_columns(self):
+        """A table tile holds only the columns some node splits on, with
+        every node's column remapped into it: a wide table whose split
+        columns sit far from column 0 predicts like the oracle."""
+        table = make_table(5, missing=0.1)
+        noise = [np.full(table.n_rows, 1.5)] * 30  # constant: never split
+        specs = tuple(
+            ColumnSpec(f"const{i}", ColumnKind.NUMERIC)
+            for i in range(len(noise))
+        ) + table.schema.columns
+        wide = DataTable(
+            TableSchema(specs, table.schema.target, table.problem),
+            noise + list(table.columns),
+            table.target,
         )
+        forest = ForestModel(
+            [
+                train_tree(wide, TreeConfig(max_depth=depth, seed=depth))
+                for depth in (6, 0, 3)  # a single-leaf tree among them
+            ]
+        )
+        predictor = compiled_predictor(forest)
+        assert 0 < predictor._split_columns.size <= table.n_columns
+        assert predictor._split_columns.min() >= len(noise)
+        for max_depth in (None, 0, 2):
+            np.testing.assert_array_equal(
+                forest.predict_proba(wide, max_depth),
+                reference_forest(forest, wide, max_depth),
+            )
 
     def test_proba_on_regression_rejected(self, small_regression):
         forest = make_forest(small_regression, n_trees=1)
-        predictor = BatchPredictor(compile_forest(forest))
         with pytest.raises(ValueError):
-            predictor.predict_proba(small_regression)
+            forest.predict_proba(small_regression)
         with pytest.raises(ValueError):
-            BatchPredictor(
-                compile_forest(make_forest(make_table(0)))
-            ).predict_values(make_table(0))
+            make_forest(make_table(0)).predict_values(make_table(0))
+
 
 # ----------------------------------------------------------------------
 # the level-synchronous kernel: generated and pinned parity cases
@@ -271,43 +300,6 @@ def _matrix_of(table):
     return np.column_stack(
         [np.asarray(col, dtype=np.float64) for col in table.columns]
     )
-
-
-def _reference_node(tree, row, max_depth):
-    """Per-row descent over one FlatTree's own arrays (test-side oracle).
-
-    Independent of the kernel: one row, one tree, one node at a time.  It
-    is what pins *quantized* compiles, which node descent cannot (their
-    thresholds are the float32 ceilings, their predictions float32).
-    """
-    i = 0
-    while tree.feature[i] >= 0 and (
-        max_depth is None or tree.depth[i] < max_depth
-    ):
-        value = row[tree.feature[i]]
-        if np.isnan(value):
-            break
-        if tree.numeric[i]:
-            go_left = value <= tree.threshold[i]
-        else:
-            code = int(value)
-            if not 0 <= code < tree.cat_len[i]:
-                break
-            direction = tree.cat_dir[tree.cat_offset[i] + code]
-            if direction == CAT_STOP:
-                break
-            go_left = direction == CAT_LEFT
-        i = tree.left[i] if go_left else tree.right[i]
-    return i
-
-
-def _reference_average(flat, matrix, max_depth):
-    acc = np.zeros((len(matrix), flat.output_width), dtype=np.float64)
-    for tree in flat.trees:
-        nodes = [_reference_node(tree, row, max_depth) for row in matrix]
-        acc += tree.predictions[nodes]
-    acc /= flat.n_trees
-    return acc
 
 
 _NUMERIC_SHAPES = ("continuous", "ties", "constant", "all_nan", "nan_heavy")
@@ -369,7 +361,7 @@ def _generated_tables(seed, problem, numeric_shapes, n_categories, n_rows):
 
 
 class TestLevelKernel:
-    """One kernel for the whole forest == node descent, bit for bit."""
+    """One kernel for the whole forest == the per-row oracle, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -404,27 +396,27 @@ class TestLevelKernel:
             if classify:
                 from_table = predictor.predict_proba(serve, max_depth)
                 from_matrix = predictor.predict_proba_matrix(matrix, max_depth)
-                descent = forest.predict_proba(serve, max_depth)
+                from_model = forest.predict_proba(serve, max_depth)
             else:
                 from_table = predictor.predict_values(serve, max_depth)
                 from_matrix = predictor.predict_matrix(matrix, max_depth)
-                descent = forest.predict_values(serve, max_depth)
+                from_model = forest.predict_values(serve, max_depth)
             np.testing.assert_array_equal(from_table, from_matrix)
-            if quantize:
-                expected = _reference_average(flat, matrix, max_depth)
-                descent_tolerance = QUANTIZE_ATOL
-            else:
-                expected = descent.reshape(len(matrix), -1)
-                descent_tolerance = 0.0
+            oracle = reference_forest(forest, serve, max_depth)
             np.testing.assert_array_equal(
-                from_matrix.reshape(len(matrix), -1), expected
+                from_model.reshape(len(matrix), -1), oracle
             )
-            # The float32 ceilings move no row of these tables across a
-            # threshold, so quantized output is also within the contract.
-            assert (
-                np.abs(from_table - descent).max(initial=0.0)
-                <= descent_tolerance
+            from_table = from_table.reshape(len(matrix), -1)
+            if not quantize:
+                np.testing.assert_array_equal(from_table, oracle)
+                continue
+            # Quantized: exactly the per-row descent over its own float32
+            # arrays; the ceilings move no row of these tables across a
+            # threshold, so it is also within the contract of the oracle.
+            np.testing.assert_array_equal(
+                from_table, reference_flat_forest(flat, matrix, max_depth)
             )
+            assert np.abs(from_table - oracle).max(initial=0.0) <= QUANTIZE_ATOL
 
     @pytest.mark.parametrize(
         "n_rows",
@@ -437,10 +429,9 @@ class TestLevelKernel:
         rows = table.take(np.arange(n_rows))
         proba = predictor.predict_proba_matrix(_matrix_of(table)[:n_rows])
         assert proba.shape == (n_rows, forest.n_classes)
-        np.testing.assert_array_equal(proba, forest.predict_proba(rows))
-        np.testing.assert_array_equal(
-            predictor.predict_proba(rows), forest.predict_proba(rows)
-        )
+        expected = reference_forest(forest, rows)
+        np.testing.assert_array_equal(proba, expected)
+        np.testing.assert_array_equal(predictor.predict_proba(rows), expected)
 
     def test_non_contiguous_matrix(self, small_mixed_classification):
         table = small_mixed_classification
@@ -449,7 +440,7 @@ class TestLevelKernel:
         wide = np.asfortranarray(_matrix_of(table))
         np.testing.assert_array_equal(
             predictor.predict_proba_matrix(wide[::2]),
-            forest.predict_proba(table.take(np.arange(0, table.n_rows, 2))),
+            reference_forest(forest, table.take(np.arange(0, table.n_rows, 2))),
         )
 
     def _skewed_regression(self, n=64):
@@ -474,13 +465,13 @@ class TestLevelKernel:
         forest = ForestModel([tree, train_tree(train, TreeConfig(max_depth=4))])
         predictor = BatchPredictor(compile_forest(forest))
         np.testing.assert_array_equal(
-            predictor.predict_values(serve), forest.predict_values(serve)
+            predictor.predict_values(serve), reference_forest(forest, serve)[:, 0]
         )
         assert predictor.compactions > 0  # the halving rule really fired
         for max_depth in (0, 1, 5, tree.depth - 1, tree.depth + 3):
             np.testing.assert_array_equal(
                 predictor.predict_values(serve, max_depth),
-                forest.predict_values(serve, max_depth),
+                reference_forest(forest, serve, max_depth)[:, 0],
             )
 
     def test_single_leaf_tree_and_mixed_depths(self, small_mixed_classification):
@@ -489,7 +480,7 @@ class TestLevelKernel:
         assert stump.n_nodes == 1
         alone = BatchPredictor(compile_forest(stump))
         np.testing.assert_array_equal(
-            alone.predict_proba(table), stump.predict_proba(table)
+            alone.predict_proba(table), reference_forest(stump, table)
         )
         forest = ForestModel(
             [
@@ -501,7 +492,7 @@ class TestLevelKernel:
         for max_depth in (None, 0, 1, 2, 3, 9):
             np.testing.assert_array_equal(
                 mixed.predict_proba(table, max_depth),
-                forest.predict_proba(table, max_depth),
+                reference_forest(forest, table, max_depth),
             )
 
     def test_nan_in_categorical_column_is_missing(self):
@@ -539,7 +530,7 @@ class TestLevelKernel:
     def test_fleet_serves_multi_tile_batches_like_descent(self):
         table = make_table(17, missing=0.05, rows=2 * TILE_ROWS + 3)
         forest = make_forest(table.take(np.arange(300)), n_trees=3, seed=17)
-        expected = forest.predict_proba(table)
+        expected = reference_forest(forest, table)
         matrix = _matrix_of(table)
         config = ServerConfig(max_batch_size=len(matrix))
         with PredictionServer(forest, config) as solo:
@@ -1261,24 +1252,24 @@ class TestCascadeCompile:
         return cascade, grain_features
 
     def test_compiled_cascade_parity(self):
+        """Every layer's forests predict on the flat kernel; the cascade
+        equals the per-row oracle composed with its layer wiring."""
         cascade, grain_features = self._fit_cascade()
-        compiled = cascade.compiled()
-        node_layers = cascade.predict_proba_per_layer(grain_features)
-        flat_layers = compiled.predict_proba_per_layer(grain_features)
-        assert len(flat_layers) == len(node_layers)
-        for node_pmf, flat_pmf in zip(node_layers, flat_layers):
-            np.testing.assert_array_equal(flat_pmf, node_pmf)
+        layers = cascade.predict_proba_per_layer(grain_features)
+        expected = reference_cascade_per_layer(cascade, grain_features)
+        assert len(layers) == len(expected) == 2
+        for pmf, oracle in zip(layers, expected):
+            np.testing.assert_array_equal(pmf, oracle)
         np.testing.assert_array_equal(
-            compiled.predict(grain_features), cascade.predict(grain_features)
+            cascade.predict(grain_features), np.argmax(expected[-1], axis=1)
         )
-        assert compiled.total_nodes() > 0
 
     def test_unfitted_cascade_rejected(self):
         from repro.deepforest import CascadeConfig, CascadeForest, LocalBackend
-        from repro.serving.compiler import compile_cascade
 
-        with pytest.raises(ValueError, match="not fitted"):
-            compile_cascade(CascadeForest(CascadeConfig(), LocalBackend()))
+        cascade = CascadeForest(CascadeConfig(), LocalBackend())
+        with pytest.raises(RuntimeError, match="not fitted"):
+            cascade.predict({3: np.zeros((2, 6))})
 
 
 class TestCliServing:
@@ -1303,28 +1294,26 @@ class TestCliServing:
         code = main(argv, out=out)
         return code, out.getvalue()
 
-    def test_predict_engines_agree(self, trained):
+    def test_predict_matches_frozen_oracle(
+        self, trained, small_mixed_classification
+    ):
         csv_path, model_dir, tmp_path = trained
-        flat_out = tmp_path / "flat.csv"
-        node_out = tmp_path / "node.csv"
-        code, output = self._run(
-            [
-                "predict", "--csv", str(csv_path), "--target", "label",
-                "--model-dir", str(model_dir), "--out", str(flat_out),
-            ]
-        )
+        out_path = tmp_path / "preds.csv"
+        argv = [
+            "predict", "--csv", str(csv_path), "--target", "label",
+            "--model-dir", str(model_dir), "--out", str(out_path),
+        ]
+        code, output = self._run(argv)
         assert code == 0
-        assert "engine=flat" in output
-        code, output = self._run(
-            [
-                "predict", "--csv", str(csv_path), "--target", "label",
-                "--model-dir", str(model_dir), "--out", str(node_out),
-                "--engine", "node",
-            ]
+        assert "2 tree(s)" in output
+        model = load_model_local(model_dir)
+        table = read_csv(csv_path, target="label")
+        expected = np.argmax(reference_forest(model, table), axis=1)
+        assert out_path.read_text() == "prediction\n" + "".join(
+            f"{label}\n" for label in expected
         )
-        assert code == 0
-        assert "engine=node" in output
-        assert flat_out.read_text() == node_out.read_text()
+        code, output = self._run(argv)
+        assert "cache hit" in output
 
     def test_serve_matches_predict(self, trained):
         csv_path, model_dir, tmp_path = trained
@@ -1453,6 +1442,50 @@ class TestRegistryConcurrency:
         assert len(registry) == 1
         assert registry.stats.misses == 1
         assert registry.stats.hits == 7
+
+    def test_racing_first_predictions_compile_once(
+        self, small_mixed_classification, monkeypatch
+    ):
+        """Threads predicting on a fresh model share one complete
+        predictor: one compile, and none sees it half built."""
+        import repro.core.flat as flat_module
+
+        compiles = []
+        real_compile = flat_module.compile_forest
+
+        def slow_compile(model, quantize=False):
+            compiles.append(model)
+            time.sleep(0.05)  # widen the window a racing reader could use
+            return real_compile(model, quantize)
+
+        monkeypatch.setattr(flat_module, "compile_forest", slow_compile)
+        table = small_mixed_classification
+        forest = make_forest(table, n_trees=2)
+        expected = reference_forest(forest, table)
+        gate = threading.Barrier(6)
+        results, errors = [], []
+
+        def predict():
+            try:
+                gate.wait(timeout=10.0)
+                results.append(forest.predict_proba(table))
+            except BaseException as err:  # noqa: BLE001 - surfaced below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([threading.Thread(target=predict) for _ in range(6)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert compiles == [forest]
+        for proba in results:
+            np.testing.assert_array_equal(proba, expected)
+        # The registry's exact line is that same compile, not a second.
+        entry, _ = ModelRegistry().get_or_compile(forest)
+        assert entry.predictor is compiled_predictor(forest)
+        assert compiles == [forest]
 
     def test_concurrent_put_and_read_keep_accounting_consistent(self):
         registry = ModelRegistry(capacity=2)

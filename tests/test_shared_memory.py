@@ -362,8 +362,11 @@ class TestSharedCompiledModel:
         return compile_forest(forest), table
 
     def test_attach_detach_round_trip(self):
-        from repro.serving import SharedCompiledModel, flat_fingerprint
-        from repro.serving.batch import BatchPredictor
+        from repro.serving import (
+            BatchPredictor,
+            SharedCompiledModel,
+            flat_fingerprint,
+        )
 
         flat, table = self._compiled()
         key = flat_fingerprint(flat)

@@ -31,11 +31,11 @@ from repro.core.splits import (
     numeric_classification_scan,
     numeric_regression_scan,
     random_split_for_column,
-    route_test_value,
     route_training_rows,
 )
 from repro.data.schema import ColumnKind
 
+from .reference_predict import route_test_value
 from .reference_scan import (
     reference_categorical_classification_split,
     reference_categorical_regression_split,

@@ -13,7 +13,15 @@ from repro.core.tree import (
     node_to_dict,
     trees_equal,
 )
-from repro.data import ColumnKind, DataTable, ProblemKind
+from repro.data import (
+    ColumnKind,
+    ColumnSpec,
+    DataTable,
+    ProblemKind,
+    TableSchema,
+)
+
+from .reference_predict import predict_row, reference_forest
 
 
 def build_manual_tree() -> DecisionTree:
@@ -57,37 +65,61 @@ class TestNodeBasics:
         assert ids == [1, 2, 3]
 
 
+def one_row(tree, values):
+    """A one-row table over the manual tree's single numeric column."""
+    schema = TableSchema(
+        (ColumnSpec("x", ColumnKind.NUMERIC),),
+        ColumnSpec("y", ColumnKind.CATEGORICAL, ("a", "b")),
+        ProblemKind.CLASSIFICATION,
+    )
+    return DataTable(schema, [[value] for value in values], [0])
+
+
 class TestPrediction:
+    """The model's batch prediction against the frozen per-row oracle."""
+
     def test_predict_row_routes(self):
         tree = build_manual_tree()
-        assert np.argmax(tree.predict_row([5.0])) == 0
-        assert np.argmax(tree.predict_row([15.0])) == 1
+        for value, label in ((5.0, 0), (15.0, 1)):
+            assert np.argmax(predict_row(tree, [value])) == label
+            assert tree.predict(one_row(tree, [value]))[0] == label
 
     def test_predict_row_missing_stops_at_node(self):
         tree = build_manual_tree()
-        pred = tree.predict_row([np.nan])
-        np.testing.assert_allclose(pred, [0.5, 0.5])
+        np.testing.assert_array_equal(
+            predict_row(tree, [np.nan]), [0.5, 0.5]
+        )
+        np.testing.assert_array_equal(
+            tree.predict_proba(one_row(tree, [np.nan]))[0], [0.5, 0.5]
+        )
 
     def test_predict_row_depth_cutoff(self):
         tree = build_manual_tree()
-        pred = tree.predict_row([5.0], max_depth=0)
-        np.testing.assert_allclose(pred, [0.5, 0.5])
+        np.testing.assert_array_equal(
+            predict_row(tree, [5.0], max_depth=0), [0.5, 0.5]
+        )
+        np.testing.assert_array_equal(
+            tree.predict_proba(one_row(tree, [5.0]), max_depth=0)[0],
+            [0.5, 0.5],
+        )
 
     def test_vectorized_matches_rowwise(self, small_mixed_classification):
         table = small_mixed_classification
         tree = train_tree(table, TreeConfig(max_depth=6))
-        proba = tree.predict_proba(table)
-        for i in range(0, table.n_rows, 17):
-            np.testing.assert_allclose(
-                proba[i], tree.predict_row(table.row(i)), atol=1e-12
+        for max_depth in (None, 0, 1, 3, 6):
+            np.testing.assert_array_equal(
+                tree.predict_proba(table, max_depth),
+                reference_forest(tree, table, max_depth),
             )
 
     def test_vectorized_regression_matches_rowwise(self, small_regression):
         table = small_regression
         tree = train_tree(table, TreeConfig(max_depth=5))
-        values = tree.predict_values(table)
-        for i in range(0, table.n_rows, 13):
-            assert values[i] == pytest.approx(tree.predict_row(table.row(i)))
+        for max_depth in (None, 0, 2, 5):
+            np.testing.assert_array_equal(
+                tree.predict_values(table, max_depth),
+                reference_forest(tree, table, max_depth)[:, 0],
+            )
 
     def test_depth_truncation_equals_shallower_tree(
         self, small_mixed_classification
@@ -110,12 +142,22 @@ class TestPrediction:
             tree.predict_values(small_mixed_classification)
 
     def test_unseen_category_stops(self, tiny_classification):
+        """'Primary' (code 0) is in the schema but in no training row, so
+        a row carrying it stops at the first node testing education."""
         table = tiny_classification
         tree = train_tree(table, TreeConfig(max_depth=4))
-        # Craft a row with an unseen education code (beyond training data).
-        row = table.row(0)
-        proba_normal = tree.predict_row(row)
-        assert proba_normal is not None  # sanity: prediction works
+        assert any(
+            node.split is not None and node.split.column == 1
+            for node in tree.nodes()
+        )
+        unseen = table.take(np.arange(table.n_rows))
+        unseen.columns[1] = np.zeros(table.n_rows, dtype=np.int32)
+        np.testing.assert_array_equal(
+            tree.predict_proba(unseen), reference_forest(tree, unseen)
+        )
+        assert not np.array_equal(
+            tree.predict_proba(unseen), tree.predict_proba(table)
+        )
 
     def test_predict_labels_shape(self, small_mixed_classification):
         table = small_mixed_classification
