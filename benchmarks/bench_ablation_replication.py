@@ -8,10 +8,10 @@ faster on skewed load), (b) fault recovery requires k >= 2.
 
 import pytest
 
-from repro.cluster import CrashPlan
 from repro.core import SystemConfig, TreeConfig, TreeServer, random_forest_job
 from repro.evaluation import load_dataset
 from repro.evaluation.tables import format_table
+from repro.runtime import FaultPlan, RuntimeOptions
 
 from conftest import save_result
 
@@ -30,22 +30,23 @@ def test_ablation_replication(run_once):
             results[k] = report.sim_seconds
 
         # Crash tolerance: k=1 dies, k=2 survives.
+        crash = RuntimeOptions(
+            faults=(FaultPlan("crash", 2, at=0.01),), fault_policy="recover"
+        )
         system1 = SystemConfig(
             n_workers=6, compers_per_worker=2, column_replication=1
         ).scaled_to(train.n_rows)
         with pytest.raises(RuntimeError, match="replica"):
-            TreeServer(system1).fit(
+            TreeServer(system1, runtime_options=crash).fit(
                 train,
                 [random_forest_job("rf", 4, TreeConfig(max_depth=8), seed=1)],
-                crash_plans=[CrashPlan(machine_id=2, at_time=0.01)],
             )
         system2 = SystemConfig(
             n_workers=6, compers_per_worker=2, column_replication=2
         ).scaled_to(train.n_rows)
-        crashed = TreeServer(system2).fit(
+        crashed = TreeServer(system2, runtime_options=crash).fit(
             train,
             [random_forest_job("rf", 4, TreeConfig(max_depth=8), seed=1)],
-            crash_plans=[CrashPlan(machine_id=2, at_time=0.01)],
         )
         results["crash_k2_recovered"] = crashed.counters.revoked_trees
 

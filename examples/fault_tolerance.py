@@ -11,9 +11,9 @@ Run:  python examples/fault_tolerance.py
 """
 
 from repro import SystemConfig, TreeConfig, TreeServer, random_forest_job, trees_equal
-from repro.cluster import CrashPlan
 from repro.datasets import dataset_spec, train_test
 from repro.evaluation import accuracy
+from repro.runtime import FaultPlan, RuntimeOptions
 
 
 def main() -> None:
@@ -28,10 +28,15 @@ def main() -> None:
     clean = TreeServer(system).fit(train, [job])
     print(f"crash-free run:   {clean.sim_seconds:.3f}s simulated")
 
-    crashed = TreeServer(system).fit(
+    # Worker 4 dies a third of the way in; the recover policy retrains on
+    # the survivors (the default, fail_fast, would raise WorkerDiedError).
+    worker_crash = RuntimeOptions(
+        faults=(FaultPlan("crash", 4, at=clean.sim_seconds / 3),),
+        fault_policy="recover",
+    )
+    crashed = TreeServer(system, runtime_options=worker_crash).fit(
         train,
         [random_forest_job("rf", n_trees=8, config=TreeConfig(max_depth=8), seed=5)],
-        crash_plans=[CrashPlan(machine_id=4, at_time=clean.sim_seconds / 3)],
     )
     print(f"with worker crash: {crashed.sim_seconds:.3f}s simulated "
           f"({crashed.counters.revoked_trees} trees revoked and re-run)")
@@ -48,10 +53,12 @@ def main() -> None:
     # The master itself can die too, if a secondary master stands by
     # (paper Appendix E): completed trees were checkpointed to the standby,
     # the rest retrain under the new master.
-    master_crash = TreeServer(system).fit(
+    master_plan = RuntimeOptions(
+        faults=(FaultPlan("crash", 0, at=clean.sim_seconds / 2),)
+    )
+    master_crash = TreeServer(system, runtime_options=master_plan).fit(
         train,
         [random_forest_job("rf", n_trees=8, config=TreeConfig(max_depth=8), seed=5)],
-        crash_plans=[CrashPlan(machine_id=0, at_time=clean.sim_seconds / 2)],
         secondary_master=True,
     )
     identical = all(

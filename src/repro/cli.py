@@ -117,10 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: on; --no-shm pickles everything through the queues)",
     )
     train.add_argument(
-        "--fault-policy", choices=FAULT_POLICIES, default=None,
-        help="worker-crash handling: fail_fast (structured error; mp "
-        "default) or recover (reassign the dead worker's columns to "
-        "surviving replicas and retrain affected trees; sim default)",
+        "--fault-policy", choices=FAULT_POLICIES, default="fail_fast",
+        help="worker-crash handling on every backend: fail_fast "
+        "(structured error; default) or recover (reassign the dead "
+        "worker's columns to surviving replicas and retrain affected "
+        "trees)",
     )
     train.add_argument(
         "--max-worker-failures", type=int, default=1, metavar="N",
@@ -316,7 +317,7 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
         with graceful_sigint():
             report = server.fit(table, [job])
     except WorkerDiedError as error:
-        policy = options.resolved_fault_policy(args.backend)
+        policy = options.fault_policy
         exitcode = (
             error.exitcode if error.exitcode is not None else "unknown"
         )

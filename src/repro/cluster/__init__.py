@@ -1,4 +1,4 @@
-"""Discrete-event cluster simulator: machines, cores, network, faults.
+"""Discrete-event cluster simulator: machines, cores, network.
 
 This substrate replaces the paper's physical 15-machine / 1 GigE testbed
 (see DESIGN.md, substitutions).  All protocol logic executes for real; only
@@ -6,7 +6,6 @@ the clock is virtual.
 """
 
 from .cost import CostModel, log2_ceil
-from .faults import CrashPlan, FaultInjector
 from .machine import Machine, MachineStats
 from .metrics import ClusterReport, MachineReport, collect_metrics, utilization_curve
 from .network import DeadMachineError, Message, Network
@@ -17,10 +16,8 @@ __all__ = [
     "Actor",
     "ClusterReport",
     "CostModel",
-    "CrashPlan",
     "DeadMachineError",
     "EventHandle",
-    "FaultInjector",
     "Machine",
     "MachineReport",
     "MachineStats",

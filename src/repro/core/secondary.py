@@ -13,10 +13,12 @@ The implementation here:
   metadata is shared at setup);
 * on detected master failure the secondary takes over: it broadcasts a
   failover notice (workers drop all task state and redirect results), then
-  runs a fresh :class:`~repro.core.master.MasterActor` on its own machine
-  (the simulated :class:`~repro.cluster.machine.Machine` is its host),
-  pre-seeded with the synced trees — so only trees incomplete at the crash
-  are retrained, under a fresh uid generation that fences off stragglers.
+  runs a fresh :class:`~repro.core.master.MasterActor` on its own
+  :class:`~repro.runtime.base.Host`, pre-seeded with the synced trees — so
+  only trees incomplete at the crash are retrained, under a fresh uid
+  generation that fences off stragglers.  The runtime detects the crash
+  and names the machines dead by then; the standby sees nothing else of
+  its substrate.
 
 Trained models are unaffected by a failover (exact training is
 deterministic), which the fault-tolerance tests assert.
@@ -24,13 +26,17 @@ deterministic), which the fault-tolerance tests assert.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..cluster.network import Message
-from ..cluster.topology import SimulatedCluster
 from .config import SystemConfig
 from .jobs import TrainingJob
 from .master import MasterActor, _TableInfo
 from .tasks import MasterFailoverMsg, TreeCompletedSync
 from .tree import DecisionTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.base import Host
 
 #: uid namespace width per master generation: fresh generations allocate
 #: uids above every uid the previous generation could have issued.
@@ -42,15 +48,14 @@ class SecondaryMasterActor:
 
     def __init__(
         self,
-        cluster: SimulatedCluster,
-        machine_id: int,
+        host: "Host",
         table_info: _TableInfo,
         jobs: list[TrainingJob],
         system: SystemConfig,
         holders: dict[int, list[int]],
     ) -> None:
-        self.cluster = cluster
-        self.machine_id = machine_id
+        self.host = host
+        self.machine_id = host.machine_id
         self.info = table_info
         self.jobs = jobs
         self.system = system
@@ -89,8 +94,9 @@ class SecondaryMasterActor:
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def on_master_failure(self) -> None:
-        """Take over as the master (called by the failure detector)."""
+    def on_master_failure(self, dead: set[int]) -> None:
+        """Take over as the master, with the machines in ``dead`` gone
+        (called by the failure detector)."""
         if self.promoted is not None:
             return
         fence = UID_GENERATION_SPAN
@@ -98,23 +104,14 @@ class SecondaryMasterActor:
             new_master_id=self.machine_id, min_live_uid=fence
         )
         live_workers = sorted(
-            {
-                w
-                for ws in self.holders.values()
-                for w in ws
-                if not self.cluster.network.is_dead(w)
-            }
+            {w for ws in self.holders.values() for w in ws if w not in dead}
         )
         for worker in live_workers:
-            self.cluster.send(
-                self.machine_id,
-                worker,
-                "master_failover",
-                notice,
-                self.cluster.cost.control_bytes,
+            self.host.send(
+                worker, "master_failover", notice, self.host.cost.control_bytes
             )
         live_holders = {
-            c: [w for w in ws if not self.cluster.network.is_dead(w)]
+            c: [w for w in ws if w not in dead]
             for c, ws in self.holders.items()
         }
         for column, holders in live_holders.items():
@@ -123,7 +120,7 @@ class SecondaryMasterActor:
                     f"column {column} lost all replicas before failover"
                 )
         self.promoted = MasterActor(
-            host=self.cluster.machines[self.machine_id],
+            host=self.host,
             table_info=self.info,
             jobs=self.jobs,
             system=self.system,

@@ -8,8 +8,8 @@ with paper-style run metrics.
 Three backends (see ``repro.runtime`` and ``docs/RUNTIME.md``):
 
 * ``"sim"`` (default) — the deterministic discrete-event simulator; time
-  is simulated seconds, fault injection and the secondary master are
-  available.
+  is simulated seconds, faults can strike at a simulated instant and
+  the secondary master is available.
 * ``"mp"`` — real OS processes exchanging the same typed messages over
   ``multiprocessing`` queues; time is wall-clock.  Bit-identical models
   to ``"sim"`` on the same inputs.
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cluster.cost import CostModel
-from ..cluster.faults import CrashPlan
 from ..cluster.metrics import ClusterReport
 from .config import SystemConfig
 from .jobs import TrainingJob
@@ -97,8 +96,8 @@ class TreeServer:
     discrete-event simulator), ``"mp"`` (real worker processes) or
     ``"socket"`` (worker processes over TCP, possibly on other hosts).
     ``runtime_options`` tunes the process backends' timeouts, start
-    method and socket rendezvous, and the fault policy on any backend
-    (the simulator ignores the process-only knobs).
+    method and socket rendezvous, and the fault plans and fault policy on
+    any backend (the simulator ignores the process-only knobs).
     """
 
     def __init__(
@@ -127,19 +126,18 @@ class TreeServer:
         self,
         table,
         jobs: list[TrainingJob],
-        crash_plans: list[CrashPlan] | None = None,
         max_events: int | None = None,
         secondary_master: bool = False,
         record_timeline: bool = False,
     ) -> RunReport:
         """Train all jobs on the table; returns models plus run metrics.
 
-        ``crash_plans`` optionally injects failures (fault-tolerance tests);
         ``secondary_master`` enables the Appendix-E hot standby, making a
-        master crash survivable; ``record_timeline`` traces every executed
-        work item so :meth:`RunReport.utilization_curve` can be used;
-        ``max_events`` is a runaway guard.  All four are simulator-only
-        features — the process backends reject them.
+        master crash (a ``FaultPlan`` on machine 0 in
+        ``RuntimeOptions.faults``) survivable; ``record_timeline`` traces
+        every executed work item so :meth:`RunReport.utilization_curve`
+        can be used; ``max_events`` is a runaway guard.  All three are
+        simulator-only features — the process backends reject them.
         """
         from ..runtime import create_runtime
 
@@ -149,7 +147,6 @@ class TreeServer:
         return runtime.fit(
             table,
             jobs,
-            crash_plans=crash_plans,
             max_events=max_events,
             secondary_master=secondary_master,
             record_timeline=record_timeline,

@@ -36,24 +36,27 @@ not; ``spawn`` attaches by name):
   confirms a child side resolved, by which time causality guarantees
   every reader has consumed its copy).
 
-CPython's ``resource_tracker`` is deliberately kept out of the loop: on
-3.12 and earlier it registers segments on *attach* as well as create, and
-its registry is a name set shared by every process of the program, so any
-multi-process create/attach/unlink choreography leaves it either
-double-counting or complaining about names it no longer knows.  Every
-constructor here immediately balances the tracker's implicit register,
-and :func:`unlink_segments` re-balances before unlinking — ownership is
-explicit and the parent's post-join sweep (see
-``runtime/process.py``) covers crash paths instead.
+CPython's ``resource_tracker`` is kept out of the loop entirely: before
+3.13 ``SharedMemory`` sends it a REGISTER on create *and* attach and an
+UNREGISTER on unlink, and the forked processes of a run share one
+tracker whose registry is a set of names, so two processes interleaving
+their register/unregister pairs make the second UNREGISTER miss (a
+``KeyError`` traceback at exit).  Segments here are opened and unlinked
+with ``shm_open`` / ``shm_unlink`` directly (:class:`_Segment`), so the
+tracker never hears of them; ownership is explicit and the parent's
+post-join sweep (see ``runtime/process.py``) covers crash paths instead.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import secrets
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from pathlib import Path
 
+import _posixshmem
 import numpy as np
 
 from .schema import TableSchema
@@ -63,33 +66,30 @@ from .table import DataTable
 #: crash sweeps can identify ours in ``/dev/shm`` without false positives.
 SHM_NAME_PREFIX = "repro-shm-"
 
-#: Whether this Python exposes ``SharedMemory(..., track=...)`` (3.13+);
-#: if so the tracker never learns about our segments in the first place.
-#: Resolved lazily by :func:`_supports_track`.
-_HAS_TRACK_PARAM: bool | None = None
 
+class _Segment(shared_memory.SharedMemory):
+    """A POSIX shared-memory segment the resource tracker never hears of.
 
-def _supports_track() -> bool:
-    import inspect
+    ``size`` > 0 creates the segment (exclusively), 0 attaches to it;
+    everything else — ``buf``, ``name``, ``size``, ``close`` — is the
+    stdlib's.
+    """
 
-    global _HAS_TRACK_PARAM
-    if _HAS_TRACK_PARAM is None:
+    def __init__(self, name: str, size: int = 0) -> None:
+        self._name = "/" + name
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+        self._fd = _posixshmem.shm_open(self._name, flags, mode=0o600)
         try:
-            params = inspect.signature(
-                shared_memory.SharedMemory.__init__
-            ).parameters
-            _HAS_TRACK_PARAM = "track" in params
-        except (TypeError, ValueError):  # pragma: no cover - C signature
-            _HAS_TRACK_PARAM = False
-    return _HAS_TRACK_PARAM
-
-
-def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Balance the implicit ``resource_tracker.register`` (pre-3.13)."""
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker already gone
-        pass
+            if size:
+                os.ftruncate(self._fd, size)
+            self._size = os.fstat(self._fd).st_size
+            self._mmap = mmap.mmap(self._fd, self._size)
+        except OSError:
+            self.close()
+            if size:
+                _posixshmem.shm_unlink(self._name)
+            raise
+        self._buf = memoryview(self._mmap)
 
 
 def new_run_prefix() -> str:
@@ -104,59 +104,17 @@ def new_run_prefix() -> str:
 
 def create_segment(name: str, size: int) -> shared_memory.SharedMemory:
     """Create an untracked shared-memory segment of at least ``size`` bytes."""
-    if _supports_track():
-        return shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, size), track=False
-        )
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(1, size)
-    )
-    _untrack(segment)
-    return segment
+    return _Segment(name, max(1, size))
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach an existing segment by name, untracked."""
-    if _supports_track():
-        return shared_memory.SharedMemory(name=name, track=False)
-    segment = shared_memory.SharedMemory(name=name)
-    _untrack(segment)
-    return segment
+    return _Segment(name)
 
 
 def unlink_segment(segment: shared_memory.SharedMemory) -> None:
-    """Unlink without involving the resource tracker, tolerating races.
-
-    On Linux the segment is a plain tmpfs file, so removing it directly
-    keeps the tracker entirely out of the exchange — important because
-    the pre-3.13 ``SharedMemory.unlink`` path (register to balance its
-    unconditional UNREGISTER, then unlink) leaks a tracker entry if the
-    process is terminated between the two calls, which a parent's
-    ``terminate → join`` shutdown can do to a worker mid-teardown.
-    """
-    name = segment._name.lstrip("/")
-    root = Path("/dev/shm")
-    if root.is_dir():
-        try:
-            (root / name).unlink()
-        except FileNotFoundError:
-            pass  # someone else (a sweep) beat us to it
-        return
-    if not _supports_track():  # pragma: no cover - non-Linux
-        try:
-            resource_tracker.register(segment._name, "shared_memory")
-        except Exception:
-            pass
-    try:  # pragma: no cover - non-Linux
-        segment.unlink()
-    except FileNotFoundError:
-        # ``shm_unlink`` raised before the stdlib's own UNREGISTER ran;
-        # rebalance the register above so the tracker forgets the name.
-        if not _supports_track():
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
+    """Unlink without involving the resource tracker, tolerating races."""
+    unlink_segments([segment.name])
 
 
 def list_segments(prefix: str = SHM_NAME_PREFIX) -> list[str]:
@@ -177,11 +135,9 @@ def unlink_segments(names: list[str]) -> list[str]:
     removed = []
     for name in names:
         try:
-            segment = attach_segment(name)
+            _posixshmem.shm_unlink("/" + name)
         except FileNotFoundError:
-            continue
-        unlink_segment(segment)
-        segment.close()
+            continue  # someone else (a sweep) beat us to it
         removed.append(name)
     return removed
 

@@ -175,31 +175,39 @@ class MessageTimeoutError(RuntimeBackendError):
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One injected worker fault, for tests and CI.
+    """One injected machine fault, for tests and CI.
 
-    Worker ``worker`` (ids start at 1) fails right after handling its
-    ``after``-th message: ``kind="crash"`` hard-exits the process with no
-    goodbye, ``kind="raise"`` raises an ordinary exception, which the
-    worker ships home as ``worker_error``.  The text form is
-    ``kind:worker:after``, e.g. ``crash:2:6`` (:meth:`parse`), which is
-    what :data:`FAULT_ENV` holds.
+    Machine ``worker`` (0 is the master, workers count from 1) fails
+    either right after handling its ``after``-th message, on every
+    backend, or at simulated instant ``at`` seconds, on ``sim`` only.
+    ``kind="crash"`` hard-exits the process with no goodbye,
+    ``kind="raise"`` raises an ordinary exception, which the worker ships
+    home as ``worker_error``; on ``sim`` both halt the machine.  A master
+    plan needs ``sim`` with ``secondary_master=True``.  The text form is
+    ``kind:worker:after``, e.g. ``crash:2:6`` (:meth:`parse`);
+    :data:`FAULT_ENV` holds a comma-separated list of them.
     """
 
     kind: str
     worker: int
-    after: int
+    after: int | None = None
+    at: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
-        for name in ("worker", "after"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"fault {name} must be an integer >= 1, got {value!r}"
-                )
+        if not isinstance(self.worker, int) or self.worker < 0:
+            raise ValueError(f"fault worker must be >= 0, got {self.worker!r}")
+        if (self.after is None) == (self.at is None):
+            raise ValueError("a fault plan takes exactly one of after, at")
+        if self.after is not None and not (
+            isinstance(self.after, int) and self.after >= 1
+        ):
+            raise ValueError(f"fault after must be >= 1, got {self.after!r}")
+        if self.at is not None and not self.at >= 0:
+            raise ValueError(f"fault at must be >= 0 seconds, got {self.at!r}")
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
@@ -210,25 +218,41 @@ class FaultPlan:
         except ValueError:
             raise ValueError(
                 f"invalid fault plan {text!r}; expected 'kind:worker:after' "
-                f"with kind one of {FAULT_KINDS} and integers >= 1, "
-                f"e.g. 'crash:2:6'"
+                f"with kind one of {FAULT_KINDS}, worker >= 0 and after "
+                f">= 1, e.g. 'crash:2:6'"
             ) from None
 
     @classmethod
-    def from_env(cls) -> "FaultPlan | None":
-        """The plan in :data:`FAULT_ENV`, or ``None`` when it is unset."""
+    def from_env(cls) -> "tuple[FaultPlan, ...]":
+        """The plans listed in :data:`FAULT_ENV` (none when it is unset)."""
         text = os.environ.get(FAULT_ENV)
         if not text:
-            return None
+            return ()
         try:
-            return cls.parse(text)
+            return tuple(cls.parse(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"{FAULT_ENV}: {exc}") from None
 
     def fires(self, worker_id: int, handled: int) -> bool:
         """Whether the plan fails ``worker_id`` once it has handled
         ``handled`` messages."""
-        return worker_id == self.worker and handled >= self.after
+        return (
+            worker_id == self.worker
+            and self.after is not None
+            and handled >= self.after
+        )
+
+
+def message_faults(plans: "tuple[FaultPlan, ...]") -> "tuple[FaultPlan, ...]":
+    """``plans``, checked for code that can only count the messages of
+    the worker processes it starts (mp, socket, the serving fleet)."""
+    for plan in plans:
+        if plan.at is not None or plan.worker == 0:
+            raise ValueError(
+                f"only the sim backend takes a master plan or an 'at' "
+                f"plan, got {plan}"
+            )
+    return plans
 
 
 @dataclass(frozen=True)
@@ -236,8 +260,8 @@ class RuntimeOptions:
     """Knobs of the runtime backends.
 
     Most fields concern only the multiprocess backend; the simulator
-    honours ``fault_policy`` (its injected ``crash_plans`` respect the
-    same fail-fast vs recover choice) and ignores the rest.
+    honours ``faults``, ``fault_policy`` and ``max_worker_failures`` and
+    ignores the rest.
 
     ``message_timeout_seconds`` bounds the silence the master-side driver
     tolerates between protocol messages before declaring the transport
@@ -245,11 +269,10 @@ class RuntimeOptions:
     worker liveness while waiting.  ``start_method`` picks the
     ``multiprocessing`` context (``None`` = ``fork`` where available,
     else ``spawn`` — both are first-class; anything else the platform
-    offers can be named explicitly).  ``fault`` is the
-    :class:`FaultPlan` a test injects into the worker processes the
-    process backends start (when it is ``None`` they read
-    :data:`FAULT_ENV`); the simulator, and a socket master in external
-    mode (``listen`` set), start no worker process and refuse it.
+    offers can be named explicitly).  ``faults`` are the
+    :class:`FaultPlan` s a test injects, on any backend (when empty, the
+    run reads :data:`FAULT_ENV`); a socket master in external mode
+    (``listen`` set) starts no worker process and refuses them.
 
     Shared-memory data plane (``docs/RUNTIME.md``): ``use_shm`` places
     the column table in ``multiprocessing.shared_memory`` segments that
@@ -262,17 +285,14 @@ class RuntimeOptions:
     early flush (flushing otherwise happens whenever an event loop goes
     idle); ``1`` disables coalescing.
 
-    Fault policy: ``fault_policy`` is ``"fail_fast"`` (a worker crash
-    raises :class:`WorkerDiedError`), ``"recover"`` (the master reassigns
-    the dead worker's columns to surviving replica holders, revokes the
-    trees it was involved in, and retrains them on the survivors), or
-    ``None`` to take the backend default — ``recover`` on the simulator
-    (crash plans are explicit fault experiments), ``fail_fast`` on the
-    multiprocess and socket backends (a real crash is surfaced unless
-    recovery was asked for).  ``max_worker_failures`` caps how many
-    crashes a recovering run absorbs before giving up; recovery also
-    requires every column of the dead worker to retain a live replica
-    (``k >= 2``).
+    Fault policy, the same on every backend (:func:`apply_fault_policy`):
+    ``fault_policy`` is ``"fail_fast"`` (the default: a worker failure
+    raises :class:`WorkerDiedError`) or ``"recover"`` (the master
+    reassigns the dead worker's columns to surviving replica holders,
+    revokes the trees it was involved in, and retrains them on the
+    survivors).  ``max_worker_failures`` caps how many worker failures a
+    recovering run absorbs before giving up; recovery also requires every
+    column of the dead worker to retain a live replica (``k >= 2``).
 
     Socket backend (``docs/RUNTIME.md``): ``listen`` is the
     ``host:port`` the master binds for worker rendezvous; ``None`` (the
@@ -289,21 +309,21 @@ class RuntimeOptions:
     message_timeout_seconds: float = 30.0
     poll_interval_seconds: float = 0.05
     start_method: str | None = None
-    fault: FaultPlan | None = None
+    faults: tuple[FaultPlan, ...] = ()
     use_shm: bool = True
     shm_threshold_bytes: int = 8192
     coalesce_max_messages: int = 32
-    fault_policy: str | None = None
+    fault_policy: str = "fail_fast"
     max_worker_failures: int = 1
     listen: str | None = None
     expected_hosts: tuple[str, ...] | None = None
     rendezvous_timeout_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.fault_policy is not None and self.fault_policy not in FAULT_POLICIES:
+        if self.fault_policy not in FAULT_POLICIES:
             raise ValueError(
                 f"unknown fault_policy {self.fault_policy!r}; expected one "
-                f"of {FAULT_POLICIES} (or None for the backend default)"
+                f"of {FAULT_POLICIES}"
             )
         if self.max_worker_failures < 0:
             raise ValueError("max_worker_failures must be >= 0")
@@ -332,24 +352,19 @@ class RuntimeOptions:
                 f"coalesce_max_messages must be >= 1 (1 disables "
                 f"coalescing), got {self.coalesce_max_messages!r}"
             )
-        if self.fault is not None:
-            if not isinstance(self.fault, FaultPlan):
-                raise ValueError(
-                    f"fault must be a FaultPlan, got {self.fault!r}"
-                )
-            if self.listen is not None:
-                raise ValueError(
-                    "fault cannot be injected with listen set: an "
-                    "external-mode master starts no worker; set "
-                    f"{FAULT_ENV} for `repro worker` on the worker's "
-                    f"machine instead"
-                )
-
-    def resolved_fault_policy(self, backend: str) -> str:
-        """The effective policy for a backend (``None`` -> its default)."""
-        if self.fault_policy is not None:
-            return self.fault_policy
-        return "recover" if backend == "sim" else "fail_fast"
+        if not isinstance(self.faults, tuple) or not all(
+            isinstance(plan, FaultPlan) for plan in self.faults
+        ):
+            raise ValueError(
+                f"faults must be a tuple of FaultPlan, got {self.faults!r}"
+            )
+        if self.faults and self.listen is not None:
+            raise ValueError(
+                "faults cannot be injected with listen set: an "
+                "external-mode master starts no worker; set "
+                f"{FAULT_ENV} for `repro worker` on the worker's "
+                f"machine instead"
+            )
 
 
 class Runtime(abc.ABC):
@@ -358,18 +373,44 @@ class Runtime(abc.ABC):
     #: Backend name as accepted by ``TreeServer(..., backend=...)``.
     name: str = ""
 
-    def __init__(self, system: "SystemConfig", cost: "CostModel") -> None:
+    def __init__(
+        self,
+        system: "SystemConfig",
+        cost: "CostModel",
+        options: RuntimeOptions | None = None,
+    ) -> None:
         self.system = system
         self.cost = cost
+        self.options = options or RuntimeOptions()
 
-    @abc.abstractmethod
     def fit(
         self,
         table: "DataTable",
         jobs: "list[TrainingJob]",
-        **kwargs: Any,
+        *,
+        max_events: int | None = None,
+        secondary_master: bool = False,
+        record_timeline: bool = False,
     ) -> "RunReport":
-        """Train all jobs on the table; returns models plus run metrics."""
+        """Train all jobs on the table; returns models plus run metrics.
+
+        The keywords are simulator features (see ``TreeServer.fit``); the
+        process backends reject them.
+        """
+        self.validate(table, jobs)
+        return self._fit(
+            table,
+            jobs,
+            max_events=max_events,
+            secondary_master=secondary_master,
+            record_timeline=record_timeline,
+        )
+
+    @abc.abstractmethod
+    def _fit(
+        self, table: "DataTable", jobs: "list[TrainingJob]", **features: Any
+    ) -> "RunReport":
+        """Run the protocol on validated inputs, given ``fit``'s keywords."""
 
     @staticmethod
     def validate(table: "DataTable", jobs: "list[TrainingJob]") -> None:
@@ -413,6 +454,46 @@ def finish_run(
     )
 
 
+def apply_fault_policy(
+    options: RuntimeOptions,
+    master: "MasterActor",
+    worker: int,
+    failures: int,
+    exitcode: int | None = None,
+    detail: str = "",
+) -> None:
+    """Apply the fault policy to the run's ``failures``-th worker failure.
+
+    ``fail_fast`` — and any failure recovery cannot survive: more than
+    ``max_worker_failures`` failures, or a column losing its last live
+    replica — raises :class:`WorkerDiedError`.  Otherwise the dead worker
+    goes through ``master.on_worker_crashed`` (replica reassignment + tree
+    revocation) and training continues on the survivors.
+    """
+    if options.fault_policy == "fail_fast":
+        raise WorkerDiedError(worker, exitcode, detail)
+    if failures > options.max_worker_failures:
+        raise WorkerDiedError(
+            worker,
+            exitcode,
+            f"fault_policy='recover' exhausted: failure number {failures} "
+            f"exceeds max_worker_failures={options.max_worker_failures}",
+        )
+    lost = sorted(
+        col
+        for col, holders in master.holders.items()
+        if set(holders) == {worker}
+    )
+    if lost:
+        raise WorkerDiedError(
+            worker,
+            exitcode,
+            f"columns {lost} have no surviving replica "
+            f"(column_replication too small for this crash)",
+        )
+    master.on_worker_crashed(worker)
+
+
 def create_runtime(
     backend: str,
     system: "SystemConfig",
@@ -423,15 +504,15 @@ def create_runtime(
     if backend == "sim":
         from .sim import SimRuntime
 
-        return SimRuntime(system, cost, options or RuntimeOptions())
+        return SimRuntime(system, cost, options)
     if backend == "mp":
         from .process import ProcessRuntime
 
-        return ProcessRuntime(system, cost, options or RuntimeOptions())
+        return ProcessRuntime(system, cost, options)
     if backend == "socket":
         from .socket import SocketRuntime
 
-        return SocketRuntime(system, cost, options or RuntimeOptions())
+        return SocketRuntime(system, cost, options)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {BACKENDS}"
     )

@@ -30,20 +30,21 @@ The worker pool — spawning, liveness, reaping, the terminate → join →
 kill escalation, the table's shm image and the run-prefix sweep — is
 :class:`WorkerPool`, which the socket backend's transport extends as
 well; :class:`ProcessTransport` adds only the queues.  Faults are
-injected for tests and CI by one :class:`~repro.runtime.base.FaultPlan`
-(``RuntimeOptions.fault``, else the ``REPRO_FAULT`` variable), which the
+injected for tests and CI by :class:`~repro.runtime.base.FaultPlan` s
+(``RuntimeOptions.faults``, else the ``REPRO_FAULT`` variable), which the
 pool reads when it starts the workers and hands to each of them.
 
 Failure semantics (the edges the simulator never has):
 
 * **worker death** — the driver polls child liveness whenever its inbox is
-  quiet.  Under ``fault_policy="fail_fast"`` (the mp default) a dead
-  process (and a worker-side exception, which ships its traceback home
-  first) surfaces as a structured
-  :class:`~repro.runtime.base.WorkerDiedError`, never a hang.  Under
-  ``fault_policy="recover"`` the driver instead feeds
-  ``MasterActor.on_worker_crashed`` — the same replica-reassignment +
-  tree-revocation path the simulator exercises — then reaps the dead
+  quiet, and feeds a dead process (or a worker-side exception, which
+  ships its traceback home first) to
+  :func:`~repro.runtime.base.apply_fault_policy`, as the simulator does.
+  Under ``fault_policy="fail_fast"`` (the default) it surfaces as a
+  structured :class:`~repro.runtime.base.WorkerDiedError`, never a hang.
+  Under ``fault_policy="recover"`` the policy instead feeds
+  ``MasterActor.on_worker_crashed`` — replica reassignment + tree
+  revocation — and the driver reaps the dead
   process, drains its now-ownerless inbox, and sweeps its shm arena
   segments so mid-run ``I_x`` slices are not leaked.  Stragglers the dead
   worker produced (or peers produced towards it) are fenced by the
@@ -89,7 +90,6 @@ from ..cluster.cost import CostModel
 from ..cluster.machine import MemoryLedger
 from ..cluster.metrics import ClusterReport, MachineReport
 from ..cluster.network import Message
-from ..core.config import SystemConfig
 from ..core.histogram import build_threshold_book
 from ..core.jobs import TrainingJob
 from ..core.load_balance import assign_columns_to_workers
@@ -116,8 +116,9 @@ from .base import (
     Runtime,
     RuntimeOptions,
     Transport,
-    WorkerDiedError,
+    apply_fault_policy,
     finish_run,
+    message_faults,
 )
 from .signals import stop_processes
 
@@ -317,7 +318,7 @@ def run_worker_loop(
     threshold_book: dict | None,
     shm_peers: set[int] | None = None,
     attached_nbytes: int = 0,
-    fault: FaultPlan | None = None,
+    faults: tuple[FaultPlan, ...] = (),
 ) -> None:
     """The worker event loop of both process backends.
 
@@ -329,8 +330,8 @@ def run_worker_loop(
     at most one poll interval and returns the next decoded batch, an
     empty one when nothing arrived, or ``None`` when the master is gone
     (we are orphaned: return quietly).  ``crash`` must not return — it
-    is how the process leaves when a ``crash`` ``fault`` fires on this
-    worker, the hook behind the worker-death tests; a ``raise`` fault
+    is how the process leaves when a ``crash`` plan of ``faults`` fires on
+    this worker, the hook behind the worker-death tests; a ``raise`` plan
     raises an ordinary exception instead, so the ``worker_error`` path
     (and its recovery) can be exercised end to end.  Any exception
     propagates: shipping it home is the caller's.
@@ -389,13 +390,14 @@ def run_worker_loop(
                 return
             handled += 1
             actor.handle_message(message)
-            if fault is not None and fault.fires(worker_id, handled):
-                if fault.kind == "raise":
-                    raise RuntimeError(
-                        f"injected worker logic error after {handled} "
-                        f"messages"
-                    )
-                crash()
+            for plan in faults:
+                if plan.fires(worker_id, handled):
+                    if plan.kind == "raise":
+                        raise RuntimeError(
+                            f"injected worker logic error after {handled} "
+                            f"messages"
+                        )
+                    crash()
     finally:
         # Release the shm footprint: drop array references first so the
         # mmaps can actually unmap, then unlink what this process owns.
@@ -411,7 +413,7 @@ def _worker_main(
     queues: list,
     cost: CostModel,
     options_tuple: tuple,
-    fault: FaultPlan | None,
+    faults: tuple[FaultPlan, ...],
 ) -> None:
     """Entry point of one mp worker process.
 
@@ -471,7 +473,7 @@ def _worker_main(
                 shm_threshold_bytes=shm_threshold,
                 threshold_book=threshold_book,
                 attached_nbytes=mapped_nbytes,
-                fault=fault,
+                faults=faults,
             )
     except BaseException as exc:  # noqa: BLE001 - ship any failure home
         try:
@@ -532,18 +534,18 @@ class WorkerPool(abc.ABC):
         name: str,
     ) -> None:
         """Start each worker ``wid`` as a daemon process running
-        ``target(*args_of(wid), fault)``.
+        ``target(*args_of(wid), faults)``.
 
-        ``fault`` is the run's :class:`~repro.runtime.base.FaultPlan`:
-        ``options.fault``, else the ``REPRO_FAULT`` variable, read here —
+        ``faults`` are the run's :class:`~repro.runtime.base.FaultPlan` s:
+        ``options.faults``, else the ``REPRO_FAULT`` variable, read here —
         once per run, and only by code that starts workers.
         """
         context = multiprocessing.get_context(self.start_method)
-        fault = self.options.fault or FaultPlan.from_env()
+        faults = message_faults(self.options.faults or FaultPlan.from_env())
         for wid in range(1, self.n_workers + 1):
             process = context.Process(
                 target=target,
-                args=(*args_of(wid), fault),
+                args=(*args_of(wid), faults),
                 name=f"{name}-{wid}",
                 daemon=True,
             )
@@ -732,30 +734,13 @@ class ProcessRuntime(Runtime):
     #: The transport a run is driven over; the socket runtime swaps it.
     transport_class: type[WorkerPool] = ProcessTransport
 
-    def __init__(
-        self,
-        system: SystemConfig,
-        cost: CostModel,
-        options: RuntimeOptions | None = None,
-    ) -> None:
-        super().__init__(system, cost)
-        self.options = options or RuntimeOptions()
-        self._fault_policy = self.options.resolved_fault_policy(self.name)
-        self._failures = 0
-
-    def fit(self, table: DataTable, jobs: list[TrainingJob], **kwargs: Any):
+    def _fit(self, table: DataTable, jobs: list[TrainingJob], **features):
         """Run the full protocol over real processes; see ``TreeServer.fit``."""
-        for feature in (
-            "crash_plans",
-            "secondary_master",
-            "record_timeline",
-            "max_events",
-        ):
-            if kwargs.get(feature):
+        for feature, value in features.items():
+            if value:
                 raise ValueError(
                     f"{feature} is only supported on the sim backend"
                 )
-        self.validate(table, jobs)
         self._failures = 0
         start = time.perf_counter()
         placement = assign_columns_to_workers(
@@ -900,39 +885,12 @@ class ProcessRuntime(Runtime):
         code: int,
         detail: str = "",
     ) -> None:
-        """Apply the fault policy to one failed worker (crash or error).
-
-        ``fail_fast`` — and any failure recovery cannot survive: a column
-        losing its last replica, or more than ``max_worker_failures``
-        failures — raises :class:`WorkerDiedError`.  Otherwise the dead
-        worker is fed through ``MasterActor.on_worker_crashed`` (replica
-        reassignment + tree revocation), reaped and removed from the live
-        set; training continues on the survivors.
-        """
-        if self._fault_policy != "recover":
-            raise WorkerDiedError(wid, code, detail)
+        """Apply the fault policy to one failed worker (crash or error);
+        once it recovered, reap the worker and drop it from the live set."""
         self._failures += 1
-        if self._failures > self.options.max_worker_failures:
-            raise WorkerDiedError(
-                wid,
-                code,
-                f"fault_policy='recover' exhausted: failure number "
-                f"{self._failures} exceeds max_worker_failures="
-                f"{self.options.max_worker_failures}",
-            )
-        lost = sorted(
-            col
-            for col, holders in master.holders.items()
-            if set(holders) == {wid}
+        apply_fault_policy(
+            self.options, master, wid, self._failures, code, detail
         )
-        if lost:
-            raise WorkerDiedError(
-                wid,
-                code,
-                f"columns {lost} have no surviving replica "
-                f"(column_replication too small for this crash)",
-            )
-        master.on_worker_crashed(wid)
         host.drain()
         transport.flush()
         transport.reap_worker(wid)
@@ -1065,7 +1023,7 @@ class ProcessRuntime(Runtime):
         report.transport = {
             "shm": transport.shm_prefix is not None,
             "start_method": transport.start_method,
-            "fault_policy": self._fault_policy,
+            "fault_policy": self.options.fault_policy,
             "recovered_workers": master.counters.recovered_workers,
             "revoked_trees": master.counters.revoked_trees,
             "stale_shm_drops": sum(

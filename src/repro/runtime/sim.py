@@ -5,18 +5,17 @@ This is the default runtime and the reference for the parity guarantee:
 :class:`~repro.runtime.base.Host` is its simulated
 :class:`~repro.cluster.machine.Machine`, which sends over the per-NIC
 :class:`~repro.cluster.network.Network`.  :class:`SimRuntime` does cluster
-assembly, column placement, optional fault injection / secondary master,
-and the run-end protocol invariants.
+assembly, column placement, fault plans / secondary master, and the
+run-end protocol invariants.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import time
+from typing import Callable
 
-from ..cluster.cost import CostModel
-from ..cluster.faults import CrashPlan, FaultInjector
-from ..cluster.topology import SimulatedCluster
-from ..core.config import SystemConfig
+from ..cluster.network import Message
+from ..cluster.topology import Actor, SimulatedCluster
 from ..core.histogram import build_threshold_book
 from ..core.jobs import TrainingJob
 from ..core.load_balance import assign_columns_to_workers
@@ -24,7 +23,34 @@ from ..core.master import MasterActor, _TableInfo
 from ..core.secondary import SecondaryMasterActor
 from ..core.worker import WorkerActor
 from ..data.table import DataTable
-from .base import Runtime, RuntimeOptions, WorkerDiedError, finish_run
+from .base import FaultPlan, Runtime, apply_fault_policy, finish_run
+
+#: Simulated seconds between a machine's crash and its detection, standing
+#: in for the heartbeat a real deployment would use.
+DETECTION_DELAY_SECONDS = 0.05
+
+
+class _MessageCounter:
+    """An actor whose machine fails once it has handled the ``after``-th
+    message of one of its fault plans."""
+
+    def __init__(
+        self,
+        actor: Actor,
+        plans: list[FaultPlan],
+        fail: Callable[[FaultPlan, str], None],
+    ) -> None:
+        self.actor = actor
+        self.plans = plans
+        self.fail = fail
+        self.handled = 0
+
+    def handle_message(self, message: Message) -> None:
+        self.actor.handle_message(message)
+        self.handled += 1
+        for plan in self.plans:
+            if plan.fires(plan.worker, self.handled):
+                self.fail(plan, f"after {self.handled} messages")
 
 
 class SimRuntime(Runtime):
@@ -32,46 +58,85 @@ class SimRuntime(Runtime):
 
     name = "sim"
 
-    def __init__(
-        self,
-        system: SystemConfig,
-        cost: CostModel,
-        options: RuntimeOptions | None = None,
-    ) -> None:
-        super().__init__(system, cost)
-        self.options = options or RuntimeOptions()
-
-    def fit(
+    def _fit(
         self,
         table: DataTable,
         jobs: list[TrainingJob],
-        crash_plans: list[CrashPlan] | None = None,
-        max_events: int | None = None,
-        secondary_master: bool = False,
-        record_timeline: bool = False,
-        **_: Any,
+        *,
+        max_events: int | None,
+        secondary_master: bool,
+        record_timeline: bool,
     ):
-        """Run the full protocol on the simulator (see ``TreeServer.fit``)."""
-        import time
+        """Run the full protocol on the simulator (see ``TreeServer.fit``).
 
+        Fault plans (``options.faults``, else ``REPRO_FAULT``) halt their
+        machine and mark it dead on the network; the failure is detected
+        :data:`DETECTION_DELAY_SECONDS` later.  A dead master hands over
+        to the standby, a dead worker goes through the fault policy.
+        """
         from ..core.server import RunReport
 
         start = time.perf_counter()
-        self.validate(table, jobs)
-        if self.options.fault is not None:
-            raise ValueError(
-                "RuntimeOptions.fault needs a process backend (mp or "
-                "socket); the simulator injects crashes with crash_plans"
-            )
+        plans = self.options.faults or FaultPlan.from_env()
         cluster = SimulatedCluster(
             n_workers=self.system.n_workers,
             compers_per_worker=self.system.compers_per_worker,
             cost=self.cost,
             extra_machines=1 if secondary_master else 0,
         )
+        for plan in plans:
+            if plan.worker == cluster.MASTER and not secondary_master:
+                raise ValueError("master failure needs secondary_master=True")
+            if plan.worker > self.system.n_workers:
+                raise ValueError(
+                    f"fault plan {plan} names no machine of "
+                    f"{self.system.n_workers} workers"
+                )
         if record_timeline:
             for machine in cluster.machines:
                 machine.record_timeline = True
+        dead: list[int] = []
+        failures = 0
+
+        def register(machine_id: int, actor: Actor) -> None:
+            counted = [
+                plan
+                for plan in plans
+                if plan.worker == machine_id and plan.after is not None
+            ]
+            if counted:
+                actor = _MessageCounter(actor, counted, fail)
+            cluster.register(machine_id, actor)
+
+        def fail(plan: FaultPlan, when: str) -> None:
+            machine = cluster.machines[plan.worker]
+            if machine.halted:
+                return
+            machine.halt()
+            cluster.network.mark_dead(plan.worker)
+            dead.append(plan.worker)
+            what = "crash" if plan.kind == "crash" else "worker logic error"
+            cluster.engine.schedule(
+                DETECTION_DELAY_SECONDS,
+                lambda: detect(plan.worker, f"injected {what} {when}"),
+            )
+
+        def detect(machine_id: int, detail: str) -> None:
+            nonlocal failures
+            if machine_id == cluster.MASTER:
+                assert secondary is not None
+                secondary.on_master_failure(set(dead))
+                return
+            failures += 1
+            active = (
+                secondary.promoted
+                if secondary is not None and secondary.promoted
+                else master
+            )
+            apply_fault_policy(
+                self.options, active, machine_id, failures, detail=detail
+            )
+
         worker_ids = cluster.worker_ids()
         placement = assign_columns_to_workers(
             table.n_columns, worker_ids, self.system.column_replication
@@ -85,7 +150,7 @@ class SimRuntime(Runtime):
             worker = WorkerActor(
                 cluster.machines[wid], table, held, threshold_book=book
             )
-            cluster.register(wid, worker)
+            register(wid, worker)
             workers.append(worker)
 
         info = _TableInfo.of(table)
@@ -93,8 +158,7 @@ class SimRuntime(Runtime):
         if secondary_master:
             secondary_id = self.system.n_workers + 1
             secondary = SecondaryMasterActor(
-                cluster,
-                secondary_id,
+                cluster.machines[secondary_id],
                 info,
                 jobs,
                 self.system,
@@ -109,46 +173,13 @@ class SimRuntime(Runtime):
             placement,
             secondary_id=(secondary.machine_id if secondary else None),
         )
-        cluster.register(cluster.MASTER, master)
-
-        if crash_plans:
-            injector = FaultInjector(
-                cluster.engine, cluster.machines, cluster.network
-            )
-            fault_policy = self.options.resolved_fault_policy(self.name)
-
-            def on_failure(machine_id: int) -> None:
-                if machine_id == cluster.MASTER:
-                    assert secondary is not None
-                    secondary.on_master_failure()
-                    return
-                if fault_policy == "fail_fast":
-                    raise WorkerDiedError(
-                        machine_id,
-                        None,
-                        "fault_policy='fail_fast' treats the injected crash "
-                        "as fatal (pass fault_policy='recover' to retrain "
-                        "on survivors)",
-                    )
-                active = (
-                    secondary.promoted
-                    if secondary is not None and secondary.promoted
-                    else master
+        register(cluster.MASTER, master)
+        for plan in plans:
+            if plan.at is not None:
+                cluster.engine.schedule_at(
+                    plan.at,
+                    lambda plan=plan: fail(plan, f"at {plan.at} s"),
                 )
-                if active.halted:
-                    # The master died before this worker-crash was
-                    # detected; the upcoming failover rebuilds its state
-                    # from live workers only, so nothing to do here.
-                    return
-                active.on_worker_crashed(machine_id)
-
-            injector.on_failure_detected(on_failure)
-            for plan in crash_plans:
-                if plan.machine_id == cluster.MASTER and not secondary_master:
-                    raise ValueError(
-                        "master failure needs secondary_master=True"
-                    )
-                injector.schedule_crash(plan)
 
         master.start()
         report = cluster.run(max_events=max_events)

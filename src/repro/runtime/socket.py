@@ -65,7 +65,7 @@ driver has entered its shutdown phase
 In self-launch mode the real subprocess exit codes are additionally
 available and take precedence (so the injected ``CRASH_EXITCODE`` still
 surfaces), and the pool hands each worker the run's
-:class:`~repro.runtime.base.FaultPlan` exactly as on mp.  An
+:class:`~repro.runtime.base.FaultPlan` s exactly as on mp.  An
 external-mode master starts no worker, so it takes no plan: ``repro
 worker`` reads ``REPRO_FAULT`` on its own machine.
 
@@ -101,7 +101,7 @@ from ..core.tasks import (
 )
 from ..data.shm import SharedTableHandle
 from ..data.table import DataTable, table_fingerprint
-from .base import FaultPlan, RuntimeBackendError, RuntimeOptions
+from .base import FaultPlan, RuntimeBackendError, RuntimeOptions, message_faults
 from .process import (
     CRASH_EXITCODE,
     ProcessRuntime,
@@ -441,7 +441,7 @@ def _run_socket_worker(
     worker_id: int,
     table: DataTable,
     host_id: str,
-    fault: FaultPlan | None,
+    faults: tuple[FaultPlan, ...],
     attached_nbytes: int = 0,
 ) -> int:
     """Post-handshake worker; returns the process exit code.
@@ -501,7 +501,7 @@ def _run_socket_worker(
                 if wid != 0 and peer_host == host_id
             },
             attached_nbytes=attached_nbytes,
-            fault=fault,
+            faults=faults,
         )
         return 0
     except BaseException as exc:  # noqa: BLE001 - ship any failure home
@@ -527,7 +527,7 @@ def _dial_and_run(
     table: DataTable,
     *,
     host_id: str | None = None,
-    fault: FaultPlan | None = None,
+    faults: tuple[FaultPlan, ...] = (),
     attached_nbytes: int = 0,
     handshake_timeout: float = 60.0,
 ) -> int:
@@ -570,7 +570,7 @@ def _dial_and_run(
         worker_id,
         table,
         resolved_host,
-        fault,
+        faults,
         attached_nbytes,
     )
 
@@ -587,7 +587,7 @@ def connect_worker(
 
     Dials ``address``, handshakes, runs the worker event loop until the
     shutdown broadcast, and returns the exit code.  A worker joining this
-    way takes its :class:`~repro.runtime.base.FaultPlan` from the
+    way takes its :class:`~repro.runtime.base.FaultPlan` s from the
     ``REPRO_FAULT`` variable — read *here*, on the worker's own machine,
     because a remote master has no way to inject a local fault.
     """
@@ -598,7 +598,7 @@ def connect_worker(
         worker_id,
         table,
         host_id=host_id,
-        fault=FaultPlan.from_env(),
+        faults=message_faults(FaultPlan.from_env()),
         handshake_timeout=handshake_timeout,
     )
 
@@ -608,7 +608,7 @@ def _launched_worker_main(
     worker_id: int,
     table_ref: "DataTable | SharedTableHandle",
     host_id: str,
-    fault: FaultPlan | None,
+    faults: tuple[FaultPlan, ...],
 ) -> None:
     """Subprocess entry of the loopback self-launch mode.
 
@@ -626,7 +626,7 @@ def _launched_worker_main(
             worker_id,
             table,
             host_id=host_id,
-            fault=fault,
+            faults=faults,
             attached_nbytes=mapped_nbytes,
         )
     if code:
@@ -654,11 +654,11 @@ class SocketTransport(WorkerPool):
       spawn the workers as local subprocesses that dial back in.  CI's
       socket path, pinned bit-identical to sim/mp; the shm data plane
       works in full (one host by construction), real subprocess exit
-      codes back the liveness poll, and the run's fault plan reaches the
+      codes back the liveness poll, and the run's fault plans reach the
       workers as on mp.
     * ``"host:port"`` — **external**: bind the given address and wait
       ``rendezvous_timeout_seconds`` for ``n_workers`` ``repro worker``
-      clients.  ``RuntimeOptions`` refuses a fault plan in this mode and
+      clients.  ``RuntimeOptions`` refuses fault plans in this mode and
       the master never reads ``REPRO_FAULT``: a remote master cannot
       reach into a worker it did not start, so the variable is set for
       ``repro worker`` on the worker's own machine.  The arena sweep on

@@ -24,10 +24,10 @@ papers:
   :class:`~repro.runtime.base.WorkerDiedError` path, exactly like the
   training runtime's fail-fast policy.  Tests kill a worker with the
   training runtime's :class:`~repro.runtime.base.FaultPlan`, crash kind
-  only: ``REPRO_FAULT=crash:worker:n`` makes that worker (1-based id) die
-  while serving its n-th shard, *before* the result is sent.  The fleet
-  reads the variable when it starts, and only a worker's first
-  incarnation gets the plan — respawns serve normally, so injected
+  after n messages only: ``REPRO_FAULT=crash:worker:n`` makes that worker
+  (1-based id) die while serving its n-th shard, *before* the result is
+  sent.  The fleet reads the variable when it starts, and only a worker's
+  first incarnation gets the plans — respawns serve normally, so injected
   faults converge instead of looping the retry budget dry.
 * **a straggler is hedged, not waited for** — with two or more workers, a
   batch not done after the hedge delay (the p99 of recent batch service
@@ -59,7 +59,12 @@ from ..core.flat import BatchPredictor, FlatForest
 from ..core.tree import DecisionTree
 from ..data.shm import new_run_prefix
 from ..ensemble.forest import ForestModel
-from ..runtime.base import FAULT_ENV, FaultPlan, WorkerDiedError
+from ..runtime.base import (
+    FAULT_ENV,
+    FaultPlan,
+    WorkerDiedError,
+    message_faults,
+)
 from ..runtime.process import CRASH_EXITCODE, resolve_start_method
 from .registry import ModelRegistry, default_registry
 from .shm_model import SharedCompiledModel, flat_fingerprint
@@ -118,7 +123,7 @@ class FleetWorkerError(FleetError):
 # worker process
 # ----------------------------------------------------------------------
 def _fleet_worker_main(
-    worker_id: int, task_queue, result_queue, fault: FaultPlan | None = None
+    worker_id: int, task_queue, result_queue, faults: tuple = ()
 ) -> None:
     """Entry point of one serving worker process.
 
@@ -126,8 +131,8 @@ def _fleet_worker_main(
     Keeps exactly one model attached: a task whose handle hashes
     differently detaches the old mapping and attaches the new one (hot
     swap).  The model counters travel with every result, so the parent's
-    view is as fresh as the last completed shard.  ``fault`` (a ``crash``
-    plan) kills this worker mid-serve when it fires here.
+    view is as fresh as the last completed shard.  ``faults`` (``crash``
+    plans) kill this worker mid-serve when one fires here.
     """
     import signal
 
@@ -182,7 +187,7 @@ def _fleet_worker_main(
                 )
                 continue
             served += 1
-            if fault is not None and fault.fires(worker_id, served):
+            if any(plan.fires(worker_id, served) for plan in faults):
                 # Die mid-serve, result unsent: the shard is genuinely
                 # lost and must come back via respawn + re-dispatch.
                 os._exit(CRASH_EXITCODE)
@@ -317,7 +322,7 @@ class ServingFleet:
         #: In-flight shard count per model key (retire gate).
         self._key_outstanding: dict[str, int] = {}
         self._total_respawns = 0
-        self._fault: FaultPlan | None = None
+        self._faults: tuple[FaultPlan, ...] = ()
         #: Seconds from dispatch to the last shard of recent batches.
         self._service_seconds = LatencyWindow(maxlen=1024)
         self._hedge_delay = _HEDGE_FIRST_SECONDS
@@ -333,13 +338,14 @@ class ServingFleet:
             return self
         import multiprocessing
 
-        fault = FaultPlan.from_env()
-        if fault is not None and fault.kind != "crash":
-            raise ValueError(
-                f"the serving fleet injects crash faults only, got "
-                f"{fault.kind!r} from {FAULT_ENV}"
-            )
-        self._fault = fault
+        faults = message_faults(FaultPlan.from_env())
+        for plan in faults:
+            if plan.kind != "crash":
+                raise ValueError(
+                    f"the serving fleet injects crash faults only, got "
+                    f"{plan.kind!r} from {FAULT_ENV}"
+                )
+        self._faults = faults
         method = resolve_start_method(self.start_method)
         self._ctx = multiprocessing.get_context(method)
         self._result_queue = self._ctx.Queue()
@@ -363,7 +369,7 @@ class ServingFleet:
                 slot.worker_id,
                 slot.task_queue,
                 self._result_queue,
-                self._fault if slot.respawns == 0 else None,
+                self._faults if slot.respawns == 0 else (),
             ),
             name=f"repro-fleet-worker-{slot.worker_id}",
             daemon=True,

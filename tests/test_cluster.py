@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     CostModel,
-    CrashPlan,
-    FaultInjector,
     Machine,
     Network,
     SimulatedCluster,
@@ -268,25 +266,3 @@ class TestSimulatedCluster:
         cluster = SimulatedCluster(n_workers=3, compers_per_worker=8)
         assert cluster.machines[0].n_cores == 1
         assert all(m.n_cores == 8 for m in cluster.machines[1:])
-
-
-class TestFaultInjector:
-    def test_crash_halts_and_notifies(self):
-        cluster = SimulatedCluster(n_workers=2, compers_per_worker=1)
-        detected = []
-        injector = FaultInjector(
-            cluster.engine, cluster.machines, cluster.network, detection_delay=0.1
-        )
-        injector.on_failure_detected(detected.append)
-
-        class Sink:
-            def handle_message(self, message):
-                pass
-
-        cluster.register(1, Sink())
-        cluster.register(2, Sink())
-        injector.schedule_crash(CrashPlan(machine_id=1, at_time=1.0))
-        cluster.run()
-        assert detected == [1]
-        assert cluster.machines[1].halted
-        assert cluster.network.is_dead(1)

@@ -146,7 +146,7 @@ class TestOptionSurface:
         }
         assert fields(RuntimeOptions) == {
             "message_timeout_seconds", "poll_interval_seconds",
-            "start_method", "fault", "use_shm", "shm_threshold_bytes",
+            "start_method", "faults", "use_shm", "shm_threshold_bytes",
             "coalesce_max_messages",
             "fault_policy", "max_worker_failures", "listen",
             "expected_hosts", "rendezvous_timeout_seconds",

@@ -11,7 +11,6 @@ carrying row ids through the master, and fault recovery.
 import numpy as np
 import pytest
 
-from repro.cluster import CrashPlan
 from repro.core import (
     SystemConfig,
     TreeConfig,
@@ -26,6 +25,7 @@ from repro.core import (
 from repro.core.builder import bootstrap_row_ids
 from repro.core.jobs import TrainingJob
 from repro.datasets import SyntheticSpec, generate
+from repro.runtime import FaultPlan, RuntimeOptions
 
 
 def small_system(n_rows: int, workers: int = 4, compers: int = 2, **kw) -> SystemConfig:
@@ -292,6 +292,12 @@ class TestSchedulingBehaviour:
         assert parallel_pool.sim_seconds < serial_pool.sim_seconds
 
 
+def crashing(system, *plans):
+    """A sim server that injects ``plans`` and recovers from them."""
+    options = RuntimeOptions(faults=plans, fault_policy="recover")
+    return TreeServer(system, runtime_options=options)
+
+
 class TestFaultTolerance:
     def test_worker_crash_recovers_with_replicas(self, small_mixed_classification):
         table = small_mixed_classification
@@ -299,10 +305,8 @@ class TestFaultTolerance:
         system = SystemConfig(
             n_workers=5, compers_per_worker=2, column_replication=2
         ).scaled_to(table.n_rows)
-        report = TreeServer(system).fit(
-            table,
-            [decision_tree_job("dt", cfg)],
-            crash_plans=[CrashPlan(machine_id=3, at_time=0.004)],
+        report = crashing(system, FaultPlan("crash", 3, at=0.004)).fit(
+            table, [decision_tree_job("dt", cfg)]
         )
         assert report.counters.revoked_trees >= 1
         # The model is still the exact one.
@@ -314,10 +318,8 @@ class TestFaultTolerance:
         system = SystemConfig(
             n_workers=4, compers_per_worker=2, column_replication=2
         ).scaled_to(table.n_rows)
-        report = TreeServer(system).fit(
-            table,
-            [decision_tree_job("dt", cfg)],
-            crash_plans=[CrashPlan(machine_id=2, at_time=0.0)],
+        report = crashing(system, FaultPlan("crash", 2, at=0.0)).fit(
+            table, [decision_tree_job("dt", cfg)]
         )
         assert trees_equal(train_tree(table, cfg), report.tree("dt"))
 
@@ -327,20 +329,16 @@ class TestFaultTolerance:
             n_workers=4, compers_per_worker=2, column_replication=1
         ).scaled_to(table.n_rows)
         with pytest.raises(RuntimeError, match="replica"):
-            TreeServer(system).fit(
-                table,
-                [decision_tree_job("dt", TreeConfig(max_depth=5))],
-                crash_plans=[CrashPlan(machine_id=1, at_time=0.004)],
+            crashing(system, FaultPlan("crash", 1, at=0.004)).fit(
+                table, [decision_tree_job("dt", TreeConfig(max_depth=5))]
             )
 
     def test_master_crash_not_modelled(self, small_mixed_classification):
         table = small_mixed_classification
         with pytest.raises(ValueError, match="master"):
-            TreeServer(small_system(table.n_rows)).fit(
-                table,
-                [decision_tree_job("dt")],
-                crash_plans=[CrashPlan(machine_id=0, at_time=1.0)],
-            )
+            crashing(
+                small_system(table.n_rows), FaultPlan("crash", 0, at=1.0)
+            ).fit(table, [decision_tree_job("dt")])
 
     def test_forest_survives_crash(self, small_mixed_classification):
         table = small_mixed_classification
@@ -348,8 +346,8 @@ class TestFaultTolerance:
         system = SystemConfig(
             n_workers=5, compers_per_worker=2, column_replication=2
         ).scaled_to(table.n_rows)
-        report = TreeServer(system).fit(
-            table, [job], crash_plans=[CrashPlan(machine_id=2, at_time=0.005)]
+        report = crashing(system, FaultPlan("crash", 2, at=0.005)).fit(
+            table, [job]
         )
         for i, request in enumerate(job.stages[0].trees):
             assert trees_equal(

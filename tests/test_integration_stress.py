@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster import CrashPlan
 from repro.core import (
     SystemConfig,
     TreeConfig,
@@ -17,6 +16,7 @@ from repro.core import (
 )
 from repro.core.builder import bootstrap_row_ids
 from repro.datasets import SyntheticSpec, generate
+from repro.runtime import FaultPlan, RuntimeOptions
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +81,18 @@ class TestMixedWorkloads:
             random_forest_job("rf", 4, TreeConfig(max_depth=5), seed=9),
         ]
         clean = TreeServer(system).fit(table, jobs)
-        crashed = TreeServer(system).fit(
+        options = RuntimeOptions(
+            faults=(
+                FaultPlan("crash", 2, at=clean.sim_seconds / 4),
+                FaultPlan("crash", 0, at=clean.sim_seconds / 2),
+            ),
+            fault_policy="recover",
+        )
+        crashed = TreeServer(system, runtime_options=options).fit(
             table,
             [
                 decision_tree_job("dt", TreeConfig(max_depth=6)),
                 random_forest_job("rf", 4, TreeConfig(max_depth=5), seed=9),
-            ],
-            crash_plans=[
-                CrashPlan(machine_id=2, at_time=clean.sim_seconds / 4),
-                CrashPlan(machine_id=0, at_time=clean.sim_seconds / 2),
             ],
             secondary_master=True,
         )

@@ -152,15 +152,17 @@ class TestRunConsistency:
 
     def test_crash_revocation_scope_is_pinned(self, medium_table):
         """End-to-end: revoked_trees stays well below trees trained."""
-        from repro.cluster.faults import CrashPlan
+        from repro.runtime import FaultPlan, RuntimeOptions
 
         system = SystemConfig(n_workers=5, compers_per_worker=2).scaled_to(
             medium_table.n_rows
         )
-        report = TreeServer(system).fit(
+        options = RuntimeOptions(
+            faults=(FaultPlan("crash", 3, at=0.004),), fault_policy="recover"
+        )
+        report = TreeServer(system, runtime_options=options).fit(
             medium_table,
             [random_forest_job("rf", 6, TreeConfig(max_depth=5), seed=2)],
-            crash_plans=[CrashPlan(machine_id=3, at_time=0.004)],
         )
         assert report.counters.recovered_workers == 1
         # The crash happens while the first pool of trees is in flight;

@@ -237,7 +237,7 @@ class TestFailures:
         table = _table()
         options = _options(
             message_timeout_seconds=10.0,
-            fault=FaultPlan("crash", 1, 2),  # worker 1 dies after 2 messages
+            faults=(FaultPlan("crash", 1, 2),),  # worker 1 dies after 2 messages
         )
         server = TreeServer(
             _system(2, table_rows=table.n_rows),
@@ -302,21 +302,36 @@ class TestFailures:
                 secondary_master=True,
             )
 
+    @pytest.mark.parametrize("backend", ["sim", "mp", "socket"])
+    def test_misspelled_fit_keyword_is_a_type_error(self, backend):
+        """Every runtime's ``fit`` takes one explicit keyword list: a typo
+        fails before anything runs instead of being ignored."""
+        table = _table("covtype")
+        system = _system(2)
+        runtime = create_runtime(backend, system, TreeServer(system).cost, FAST)
+        with pytest.raises(TypeError, match="secondry_master"):
+            runtime.fit(
+                table, [decision_tree_job("dt")], secondry_master=True
+            )
+        assert multiprocessing.active_children() == []
+
     def test_fault_plan_refused_where_no_worker_process_starts(self):
-        """The simulator and an external-mode socket master start no
-        worker process, so a fault plan there is an error, not a no-op."""
+        """An external-mode socket master starts no worker process, so a
+        fault plan there is an error, not a no-op.  Every other backend
+        runs the plan: the simulator fails the worker it names."""
+        with pytest.raises(ValueError, match="listen"):
+            RuntimeOptions(
+                listen="127.0.0.1:7733", faults=(FaultPlan("raise", 1, 2),)
+            )
         table = _table("covtype")
         server = TreeServer(
             _system(2),
             backend="sim",
-            runtime_options=_options(fault=FaultPlan("crash", 1, 2)),
+            runtime_options=_options(faults=(FaultPlan("crash", 1, 2),)),
         )
-        with pytest.raises(ValueError, match="crash_plans"):
+        with pytest.raises(WorkerDiedError) as info:
             server.fit(table, [decision_tree_job("dt")])
-        with pytest.raises(ValueError, match="listen"):
-            RuntimeOptions(
-                listen="127.0.0.1:7733", fault=FaultPlan("raise", 1, 2)
-            )
+        assert info.value.worker_id == 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -421,7 +436,7 @@ class TestSharedMemoryDataPlane:
         options = _options(
             message_timeout_seconds=10.0,
             use_shm=True,
-            fault=FaultPlan("crash", 1, 2),
+            faults=(FaultPlan("crash", 1, 2),),
         )
         with pytest.raises(WorkerDiedError):
             _fit_with(
@@ -543,7 +558,7 @@ class TestCrashRecovery:
             _options(
                 fault_policy="recover",
                 use_shm=use_shm,
-                fault=FaultPlan("crash", 2, 6),
+                faults=(FaultPlan("crash", 2, 6),),
             ),
         )
         assert_bit_identical(serial, report.trees("rf"))
@@ -554,7 +569,7 @@ class TestCrashRecovery:
         assert _repro_segments() == []
 
     def test_explicit_option_beats_env_hook(self, monkeypatch):
-        """RuntimeOptions.fault wins over REPRO_FAULT."""
+        """RuntimeOptions.faults wins over REPRO_FAULT."""
         table = _table()
         monkeypatch.setenv(FAULT_ENV, "crash:1:1")
         report = _fit_with(
@@ -562,7 +577,7 @@ class TestCrashRecovery:
             self._jobs(),
             # An impossible-to-reach crash point: the run finishes first.
             _options(
-                fault_policy="recover", fault=FaultPlan("crash", 1, 10**9)
+                fault_policy="recover", faults=(FaultPlan("crash", 1, 10**9),)
             ),
         )
         assert report.counters.recovered_workers == 0
@@ -583,17 +598,19 @@ class TestCrashRecovery:
         second = runtime.fit(table, self._jobs())
         assert first.counters.recovered_workers == 1
         assert second.counters.recovered_workers == 0
-        assert runtime.options.fault is None
+        assert runtime.options.faults == ()
         assert_bit_identical(first.trees("rf"), second.trees("rf"))
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
     def test_kill_env_spec_validation(self):
         """A crash plan parses from ``crash:worker:after``; malformed
-        specs and non-integer fields are errors."""
+        specs and non-integer fields are errors.  Worker 0 is the master:
+        it parses, and a process backend refuses it."""
         assert FaultPlan.parse("crash:2:20") == FaultPlan("crash", 2, 20)
+        assert FaultPlan.parse("crash:0:5") == FaultPlan("crash", 0, 5)
         for bad in (
-            "2", "a:b", "crash:2:0", "crash:0:5", "boom:1:1", "crash:1.0:5",
+            "2", "a:b", "crash:2:0", "crash:-1:5", "boom:1:1", "crash:1.0:5",
             "crash:1:2:3", "",
         ):
             with pytest.raises(ValueError, match="kind:worker:after"):
@@ -608,9 +625,14 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="kind:worker:after"):
             FaultPlan.parse("nope")
         monkeypatch.delenv(FAULT_ENV, raising=False)
-        assert FaultPlan.from_env() is None
+        assert FaultPlan.from_env() == ()
         monkeypatch.setenv(FAULT_ENV, "raise:1:4")
-        assert FaultPlan.from_env() == FaultPlan("raise", 1, 4)
+        assert FaultPlan.from_env() == (FaultPlan("raise", 1, 4),)
+        monkeypatch.setenv(FAULT_ENV, "raise:1:4,crash:0:9")
+        assert FaultPlan.from_env() == (
+            FaultPlan("raise", 1, 4),
+            FaultPlan("crash", 0, 9),
+        )
         monkeypatch.setenv(FAULT_ENV, "1:4")
         with pytest.raises(ValueError, match=f"{FAULT_ENV}: invalid fault"):
             FaultPlan.from_env()
@@ -620,7 +642,7 @@ class TestCrashRecovery:
         options = _options(
             message_timeout_seconds=10.0,
             fault_policy="fail_fast",
-            fault=FaultPlan("crash", 2, 6),
+            faults=(FaultPlan("crash", 2, 6),),
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit_with(table, self._jobs(), options)
@@ -639,7 +661,7 @@ class TestCrashRecovery:
             runtime_options=_options(
                 message_timeout_seconds=10.0,
                 fault_policy="recover",
-                fault=FaultPlan("crash", 2, 6),
+                faults=(FaultPlan("crash", 2, 6),),
             ),
         )
         with pytest.raises(WorkerDiedError, match="no surviving replica"):
@@ -653,7 +675,7 @@ class TestCrashRecovery:
             message_timeout_seconds=10.0,
             fault_policy="recover",
             max_worker_failures=0,
-            fault=FaultPlan("crash", 2, 6),
+            faults=(FaultPlan("crash", 2, 6),),
         )
         with pytest.raises(WorkerDiedError, match="max_worker_failures"):
             _fit_with(table, self._jobs(), options)
@@ -679,12 +701,14 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="rendezvous_timeout_seconds"):
             RuntimeOptions(rendezvous_timeout_seconds=0.0)
         with pytest.raises(ValueError, match="FaultPlan"):
-            RuntimeOptions(fault="crash:1:1")  # parse it first
+            RuntimeOptions(faults="crash:1:1")  # parse it first
+        with pytest.raises(ValueError, match="FaultPlan"):
+            RuntimeOptions(faults=FaultPlan("crash", 1, 1))  # a tuple
         # Boundary values stay legal.
         RuntimeOptions(
             coalesce_max_messages=1,
             shm_threshold_bytes=0,
-            fault=FaultPlan("crash", 1, 1),
+            faults=(FaultPlan("crash", 1, 1),),
         )
 
     @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
@@ -701,7 +725,7 @@ class TestCrashRecovery:
             options = _options(fault_policy="recover")
         else:
             options = _options(
-                fault_policy="recover", fault=FaultPlan("raise", 2, 6)
+                fault_policy="recover", faults=(FaultPlan("raise", 2, 6),)
             )
         report = _fit_with(table, jobs, options)
         assert_bit_identical(reference, report.trees("rf"))
@@ -718,7 +742,7 @@ class TestCrashRecovery:
         options = _options(
             message_timeout_seconds=10.0,
             fault_policy="fail_fast",
-            fault=FaultPlan("raise", 2, 6),
+            faults=(FaultPlan("raise", 2, 6),),
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit_with(table, self._jobs(), options)

@@ -360,7 +360,7 @@ class TestRendezvous:
             1,
             table,
             "host-dup",
-            None,
+            (),
         )
         assert code == 0
         master.join(timeout=120.0)
@@ -629,7 +629,7 @@ class TestRecovery:
             options=_options(
                 fault_policy="recover",
                 use_shm=use_shm,
-                fault=FaultPlan("crash", 2, 6),
+                faults=(FaultPlan("crash", 2, 6),),
             ),
         )
         assert_bit_identical(reference, report.trees("rf"))
@@ -650,7 +650,7 @@ class TestRecovery:
             table,
             self.JOBS,
             options=_options(
-                fault_policy="recover", fault=FaultPlan("raise", 2, 6)
+                fault_policy="recover", faults=(FaultPlan("raise", 2, 6),)
             ),
         )
         assert_bit_identical(reference, report.trees("rf"))
@@ -716,7 +716,7 @@ class TestRecovery:
 
         table = _table()
         options = _options(
-            message_timeout_seconds=10.0, fault=FaultPlan("crash", 1, 2)
+            message_timeout_seconds=10.0, faults=(FaultPlan("crash", 1, 2),)
         )
         with pytest.raises(WorkerDiedError) as info:
             _fit("socket", table, self.JOBS, options=options)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster import CrashPlan
 from repro.core import (
     SystemConfig,
     TreeConfig,
@@ -13,6 +12,7 @@ from repro.core import (
     trees_equal,
 )
 from repro.datasets import SyntheticSpec, generate
+from repro.runtime import FaultPlan, RuntimeOptions
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,16 @@ def system_for(table) -> SystemConfig:
     )
 
 
+def crashing(system, *crashes):
+    """A sim server that crashes each ``(machine, at)`` of ``crashes``
+    and recovers from worker crashes."""
+    options = RuntimeOptions(
+        faults=tuple(FaultPlan("crash", m, at=t) for m, t in crashes),
+        fault_policy="recover",
+    )
+    return TreeServer(system, runtime_options=options)
+
+
 def forest_job(seed=9, n=6):
     return random_forest_job("rf", n, TreeConfig(max_depth=6), seed=seed)
 
@@ -39,10 +49,9 @@ class TestMasterFailover:
     def test_crash_midway_preserves_models(self, table):
         system = system_for(table)
         clean = TreeServer(system).fit(table, [forest_job()])
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, clean.sim_seconds / 2)).fit(
             table,
             [forest_job()],
-            crash_plans=[CrashPlan(machine_id=0, at_time=clean.sim_seconds / 2)],
             secondary_master=True,
         )
         assert all(
@@ -55,10 +64,9 @@ class TestMasterFailover:
     def test_crash_at_start_retrains_everything(self, table):
         system = system_for(table)
         clean = TreeServer(system).fit(table, [forest_job(seed=3)])
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, 0.0)).fit(
             table,
             [forest_job(seed=3)],
-            crash_plans=[CrashPlan(machine_id=0, at_time=0.0)],
             secondary_master=True,
         )
         assert all(
@@ -71,10 +79,9 @@ class TestMasterFailover:
         system = system_for(table)
         clean = TreeServer(system).fit(table, [forest_job(seed=5)])
         late = clean.sim_seconds * 0.95
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, late)).fit(
             table,
             [forest_job(seed=5)],
-            crash_plans=[CrashPlan(machine_id=0, at_time=late)],
             secondary_master=True,
         )
         # The second generation only dispatched plans for the remainder.
@@ -87,10 +94,9 @@ class TestMasterFailover:
 
     def test_master_crash_without_secondary_rejected(self, table):
         with pytest.raises(ValueError, match="secondary"):
-            TreeServer(system_for(table)).fit(
+            crashing(system_for(table), (0, 0.001)).fit(
                 table,
                 [decision_tree_job("dt")],
-                crash_plans=[CrashPlan(machine_id=0, at_time=0.001)],
             )
 
     def test_secondary_enabled_without_crash_is_harmless(self, table):
@@ -114,7 +120,7 @@ class TestMasterFailover:
             ],
         )
         clean = TreeServer(system).fit(table, [job])
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, clean.sim_seconds / 3)).fit(
             table,
             [staged_job(
                 "boost",
@@ -124,7 +130,6 @@ class TestMasterFailover:
                     [TreeConfig(max_depth=4, seed=3)],
                 ],
             )],
-            crash_plans=[CrashPlan(machine_id=0, at_time=clean.sim_seconds / 3)],
             secondary_master=True,
         )
         assert len(crashed.trees("boost")) == 3
@@ -143,13 +148,9 @@ class TestMasterFailover:
         ).scaled_to(table.n_rows)
         clean = TreeServer(system).fit(table, [forest_job(seed=13)])
         t = clean.sim_seconds
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (3, t / 4), (0, t)).fit(
             table,
             [forest_job(seed=13)],
-            crash_plans=[
-                CrashPlan(machine_id=3, at_time=t / 4),
-                CrashPlan(machine_id=0, at_time=t),
-            ],
             secondary_master=True,
         )
         # Note: report counters come from the promoted (post-failover)
@@ -187,10 +188,9 @@ class TestMasterFailover:
             for i, req in enumerate(job().stages[0].trees)
         ]
         clean = TreeServer(system).fit(table, [job()])
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, clean.sim_seconds / 2)).fit(
             table,
             [job()],
-            crash_plans=[CrashPlan(machine_id=0, at_time=clean.sim_seconds / 2)],
             secondary_master=True,
         )
         # The promoted master resolved hist column tasks of its own.
@@ -207,13 +207,12 @@ class TestMasterFailover:
         from repro.core.secondary import SecondaryMasterActor
         from repro.data.schema import ProblemKind
 
-        class _StubCluster:
-            pass
+        class _StubHost:
+            machine_id = 6
 
         placement = {0: [1, 2], 1: [2, 3]}
         standby = SecondaryMasterActor(
-            _StubCluster(),
-            6,
+            _StubHost(),
             _TableInfo(100, 2, ProblemKind.CLASSIFICATION, 2),
             [forest_job(seed=1)],
             SystemConfig(n_workers=3),
@@ -222,6 +221,7 @@ class TestMasterFailover:
         placement[0].remove(1)  # what a crash-handling primary does
         placement[1].clear()
         assert standby.holders == {0: [1, 2], 1: [2, 3]}
+        assert standby.machine_id == 6
 
     def test_master_then_worker_crash(self, table):
         """A worker crash after failover routes to the promoted master."""
@@ -230,13 +230,9 @@ class TestMasterFailover:
         ).scaled_to(table.n_rows)
         clean = TreeServer(system).fit(table, [forest_job(seed=11)])
         t = clean.sim_seconds
-        crashed = TreeServer(system).fit(
+        crashed = crashing(system, (0, t / 4), (3, t * 2)).fit(
             table,
             [forest_job(seed=11)],
-            crash_plans=[
-                CrashPlan(machine_id=0, at_time=t / 4),
-                CrashPlan(machine_id=3, at_time=t * 2),
-            ],
             secondary_master=True,
         )
         assert all(

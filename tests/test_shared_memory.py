@@ -24,9 +24,11 @@ from repro.data.shm import (
     SharedTableHandle,
     ShmArena,
     ShmSlice,
+    attach_segment,
     create_segment,
     list_segments,
     new_run_prefix,
+    unlink_segment,
     unlink_segments,
 )
 from repro.datasets import dataset_spec, generate
@@ -251,6 +253,33 @@ class TestSweep:
         assert removed == names
         assert list_segments(prefix) == []
         assert unlink_segments(names) == []  # idempotent on gone names
+
+
+    def test_the_resource_tracker_never_hears_of_a_segment(self, monkeypatch):
+        """Create, attach, unlink and sweep send the tracker nothing: a
+        REGISTER/UNREGISTER pair from each of two processes sharing one
+        tracker can interleave, and the second UNREGISTER then misses
+        (a ``KeyError`` traceback at exit)."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        for name in ("register", "unregister"):
+            monkeypatch.setattr(
+                resource_tracker,
+                name,
+                lambda *args, name=name: calls.append((name, args)),
+            )
+        prefix = new_run_prefix()
+        owner = create_segment(f"{prefix}-a", 64)
+        owner.buf[:3] = b"abc"
+        reader = attach_segment(f"{prefix}-a")
+        assert bytes(reader.buf[:3]) == b"abc"
+        reader.close()
+        unlink_segment(owner)
+        owner.close()
+        create_segment(f"{prefix}-b", 64).close()
+        assert unlink_segments(list_segments(prefix)) == [f"{prefix}-b"]
+        assert calls == []
 
 
 # ----------------------------------------------------------------------
