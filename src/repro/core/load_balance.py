@@ -11,9 +11,13 @@ workloads — and assigns each new plan greedily:
   of ``I_x``, the parent worker's Send of ``I_x`` — only on the worker's
   first column of this task — plus the server's Send and key worker's Recv
   of the column data).
-* **Column-task**: each candidate column goes to a holding worker chosen to
-  minimize ``max(Recv_j, Send_parent)`` after the updates; the worker's Comp
-  is charged the one-pass scan cost.
+* **Column-task**: when some live worker holds every candidate column, the
+  whole task is one plan on the holder that minimizes
+  ``max(Comp_j, Recv_j, Send_parent)`` after the updates, so Comp spreads
+  tasks over workers that hold the same columns.  Otherwise each column
+  goes to a holding worker chosen to minimize ``max(Recv_j, Send_parent)``
+  after the updates.  Either way the chosen worker's Comp is charged the
+  one-pass scan cost per column.
 
 Workloads added on assignment are remembered per task and reverted when the
 task's result arrives, exactly as the paper describes (``theta_recv``
@@ -51,7 +55,6 @@ class LoadMatrix:
         # Indexed by worker machine id (ids start at 1; slot 0 unused when
         # the master is machine 0 — callers pass machine ids directly).
         self._values: dict[int, list[float]] = {}
-        self._n_workers = n_workers
 
     def ensure(self, worker: int) -> list[float]:
         """Row for a worker, created on first touch."""
@@ -188,10 +191,45 @@ def assign_column_task(
     n_rows: int,
     cost: CostModel,
 ) -> ColumnAssignment:
-    """Greedy per-column worker selection for a column-task (Section VI)."""
+    """Greedy worker selection for a column-task (Section VI).
+
+    If some live worker holds every column of the task, the task is one
+    plan on the holder with the least updated
+    ``max(Comp_j + |C| * scan, Recv_j + I_x, Send_parent + I_x)`` (the
+    ``I_x`` terms only when the holder is not the parent worker), ties to
+    the lowest id.  Otherwise each column goes, in order, to the holder
+    with the least updated ``max(Recv_j, Send_parent)``.
+    """
     charge = TaskCharge()
     ix_units = float(n_rows)
     scan_ops = cost.split_search_ops(n_rows)
+    common = set(holders.get(columns[0], ())) if columns else set()
+    for col in columns[1:]:
+        common.intersection_update(holders.get(col, ()))
+    if common:
+
+        def updated_load(j: int) -> float:
+            fresh = ix_units if parent_worker not in (None, j) else 0.0
+            send_pa = (
+                matrix.get(parent_worker, SEND) + fresh
+                if parent_worker is not None
+                else 0.0
+            )
+            return max(
+                matrix.get(j, COMP) + len(columns) * scan_ops,
+                matrix.get(j, RECV) + fresh,
+                send_pa,
+            )
+
+        j = min(sorted(common), key=updated_load)
+        if parent_worker is not None and parent_worker != j:
+            matrix.add(j, RECV, ix_units, charge)
+            matrix.add(parent_worker, SEND, ix_units, charge)
+        for _ in columns:  # one Comp entry per column, as the loop below
+            matrix.add(j, COMP, scan_ops, charge)
+        return ColumnAssignment(
+            worker_columns={j: tuple(sorted(columns))}, charge=charge
+        )
     worker_columns: dict[int, list[int]] = {}
     first_touch: set[int] = set()
     for col in sorted(columns):

@@ -164,6 +164,28 @@ class TestParity:
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
+    def test_column_tasks_use_both_full_replica_workers(self):
+        """Both workers hold every column, so column tasks spread over
+        them instead of all answering from worker 1."""
+        table = _table()
+        system = SystemConfig(
+            n_workers=2,
+            compers_per_worker=2,
+            column_replication=2,
+            tau_subtree=1,
+            tau_dfs=1,
+        )
+        jobs = [random_forest_job("rf", 2, TreeConfig(max_depth=6), seed=1)]
+        reference = TreeServer(system).fit(table, jobs).trees("rf")
+        report = TreeServer(
+            system, backend="socket", runtime_options=_options()
+        ).fit(table, jobs)
+        assert_bit_identical(reference, report.trees("rf"))
+        per_worker = report.cluster.transport["per_worker"]
+        assert per_worker[1]["messages_sent"] > 0
+        assert per_worker[2]["messages_sent"] > 0
+        assert multiprocessing.active_children() == []
+
 
 # ----------------------------------------------------------------------
 # rendezvous: external mode, admission checks, timeout

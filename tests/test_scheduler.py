@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import SystemConfig, TreeServer, train_tree, trees_equal
 from repro.cluster import CostModel
 from repro.core.config import TreeConfig
 from repro.core.jobs import random_forest_job, staged_job
@@ -17,6 +18,7 @@ from repro.core.load_balance import (
 )
 from repro.core.scheduler import PlanDeque, ProgressTable, TreePool
 from repro.core.tasks import PlanEntry, TreeContext
+from repro.datasets import dataset_spec, generate
 
 
 def make_entry(path: int, n_rows: int, uid: int = 1) -> PlanEntry:
@@ -265,6 +267,83 @@ class TestLoadMatrix:
         matrix.add(1, COMP, 5.0, charge)
         matrix.drop_worker(1)
         assert matrix.get(1, COMP) == 0.0
+
+
+class TestColumnTaskPlacement:
+    """A column task whose columns one worker holds in full is one plan,
+    placed by the least updated ``max(Comp, Recv, Send_parent)``."""
+
+    def test_successive_tasks_on_full_replicas_alternate(self):
+        matrix = LoadMatrix(2)
+        holders = {0: [1, 2], 1: [1, 2]}
+        cost = CostModel()
+        first = assign_column_task(matrix, holders, (0, 1), None, 100, cost)
+        assert set(first.worker_columns) == {1}
+        # The child's parent is worker 1, so staying there skips the I_x
+        # transfer; worker 1's pending scans still outweigh it.
+        second = assign_column_task(matrix, holders, (0, 1), 1, 100, cost)
+        assert set(second.worker_columns) == {2}
+
+    def test_comp_decides_between_full_holders(self):
+        matrix = LoadMatrix(3)
+        busy = TaskCharge()
+        matrix.add(1, COMP, 1e9, busy)
+        holders = {0: [1, 2, 3], 1: [1, 2, 3]}
+        assignment = assign_column_task(
+            matrix, holders, (0, 1), None, 100, CostModel()
+        )
+        assert assignment.worker_columns == {2: (0, 1)}
+
+    def test_one_common_holder_among_several_is_one_plan(self):
+        matrix = LoadMatrix(3)
+        holders = {0: [1, 2], 1: [2, 3], 2: [2]}
+        assignment = assign_column_task(
+            matrix, holders, (0, 1, 2), None, 100, CostModel()
+        )
+        assert assignment.worker_columns == {2: (0, 1, 2)}
+
+    def test_charges_revert_to_zero(self):
+        matrix = LoadMatrix(3)
+        holders = {0: [1, 2], 1: [1, 2]}
+        cost = CostModel()
+        charges = [
+            assign_column_task(matrix, holders, (0, 1), parent, 100, cost).charge
+            for parent in (None, 1, 2, 3)
+        ]
+        assert not matrix.is_zero()
+        assert matrix.get(3, SEND) == 100.0  # parent 3 holds no column
+        for charge in charges:
+            matrix.revert(charge)
+        assert matrix.is_zero()
+
+
+class TestColumnTaskBalance:
+    """A column-only fit on two full-replica workers uses both of them."""
+
+    def test_sim_workers_share_the_scans_and_trees_match_serial(self):
+        table = generate(dataset_spec("higgs_boson", small=True))
+        system = SystemConfig(
+            n_workers=2,
+            compers_per_worker=2,
+            column_replication=2,
+            tau_subtree=1,
+            tau_dfs=1,
+        )
+        job = random_forest_job("rf", 2, TreeConfig(max_depth=6), seed=1)
+        report = TreeServer(system).fit(table, [job])
+        cpu = {
+            m.machine_id: m.cpu_percent
+            for m in report.cluster.machines
+            if m.machine_id != 0
+        }
+        assert set(cpu) == {1, 2}
+        assert min(cpu.values()) > 0
+        assert max(cpu.values()) <= 1.5 * min(cpu.values())
+        requests = [t for s in job.stages for t in s.trees]
+        trees = report.trees("rf")
+        assert len(trees) == len(requests)
+        for i, (request, tree) in enumerate(zip(requests, trees)):
+            assert trees_equal(train_tree(table, request.config, tree_id=i), tree)
 
 
 class TestColumnPlacement:
