@@ -163,16 +163,6 @@ class Machine(MemoryLedger):
         while self._free_cores > 0 and self._queue and not self._halted:
             self._start(self._queue.popleft())
 
-    @property
-    def busy_cores(self) -> int:
-        """Cores currently executing work."""
-        return self.n_cores - self._free_cores
-
-    @property
-    def queued_items(self) -> int:
-        """Items waiting for a core."""
-        return len(self._queue)
-
     def halt(self) -> None:
         """Crash the machine: queued and future work is discarded."""
         self._halted = True

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .impurity import Impurity
 
@@ -195,14 +195,3 @@ class SystemConfig:
         tau_subtree = max(32, int(round(self.tau_subtree * scale)))
         tau_dfs = max(tau_subtree, int(round(self.tau_dfs * scale)))
         return replace(self, tau_subtree=tau_subtree, tau_dfs=tau_dfs)
-
-
-@dataclass
-class JobOptions:
-    """Per-job knobs that are neither model nor deployment parameters."""
-
-    #: Train each tree on a bootstrap sample of the rows (off by default —
-    #: the paper's random forests randomize over attribute subsets only).
-    bootstrap_rows: bool = False
-    #: Extra metadata propagated into reports.
-    tags: dict[str, str] = field(default_factory=dict)

@@ -86,11 +86,6 @@ class SecondaryMasterActor:
             f"{type(payload).__name__} while on standby"
         )
 
-    @property
-    def synced_trees(self) -> int:
-        """Checkpointed trees received so far."""
-        return sum(len(trees) for trees in self.completed.values())
-
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------

@@ -63,7 +63,9 @@ MSG_WORKER_WELCOME = "worker_welcome"
 #: peer would fail to unpickle.  v4 took the per-bin summaries of v2/v3
 #: off ``ColumnResultMsg``: a ``None`` in ``splits`` now always means "no
 #: split", so a v3 worker's placeholders would train a different forest.
-SOCKET_PROTOCOL_VERSION = 4
+#: v5 took the three transport knobs off the welcome, whose strict JSON
+#: decoding a v4 peer would fail.
+SOCKET_PROTOCOL_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -292,8 +294,8 @@ class RowResponseShmMsg:
     the slice out on arrival; the sender frees the slot when the master
     confirms the child side resolved (``expect_fetches``), by which time
     causality guarantees every fetcher has consumed its copy.  Never sent
-    on the simulator, and only for row sets at or above
-    ``RuntimeOptions.shm_threshold_bytes`` — small sets stay inline.
+    on the simulator, and only for row sets of at least
+    ``core.worker.SHM_THRESHOLD_BYTES`` — small sets stay inline.
     """
 
     tag: tuple[str, TaskId]
@@ -500,20 +502,20 @@ class WorkerHelloMsg:
 
 @dataclass
 class WorkerWelcomeMsg:
-    """Master -> socket worker: rendezvous reply.
+    """Master -> worker: the start-up record of one worker process.
 
-    ``ok=False`` carries a human-readable rejection in ``error`` and the
-    worker exits without joining.  On acceptance the welcome ships
-    everything the worker needs to run its actor: the cluster size, its
-    held columns, the host map of every peer (for the shm-peer rule),
-    the run's shm prefix (``None`` when the data plane is disabled or
-    the worker is on a different host than the master's table image),
-    the transport knobs, and the cost model.  ``threshold_book`` is the
-    run's equi-depth threshold book (``{max_bins: {column:
-    thresholds}}``, see :mod:`repro.core.histogram`) when any submitted
-    job trains with ``split_mode="hist"`` — computed once by the master
-    so every machine bins against identical global thresholds; ``None``
-    when all jobs are exact.
+    One record on both process backends: the ``socket`` rendezvous sends
+    it as the reply to a hello, and ``mp`` passes it to each worker as a
+    spawn arg.  ``ok=False`` carries a human-readable rejection in
+    ``error`` and the worker exits without joining.  On acceptance it
+    ships everything the worker needs to run its actor: the cluster size,
+    its held columns, the host map of every machine (the shm-peer rule;
+    on ``mp`` every id maps to one host), the run's shm prefix (``None``
+    when the data plane is off) and the cost model.  ``threshold_book``
+    is the run's equi-depth threshold book (``{max_bins: {column:
+    thresholds}}``, see :mod:`repro.core.histogram`), computed once by
+    the master so every machine bins against identical global thresholds;
+    empty when every job trains exact.
     """
 
     ok: bool
@@ -522,9 +524,6 @@ class WorkerWelcomeMsg:
     held_columns: tuple[int, ...] = ()
     host_map: dict[int, str] = field(default_factory=dict)
     shm_prefix: str | None = None
-    shm_threshold_bytes: int = 8192
-    coalesce_max_messages: int = 32
-    poll_interval_seconds: float = 0.05
     cost: object | None = None
     threshold_book: dict | None = None
 

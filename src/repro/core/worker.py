@@ -82,6 +82,11 @@ from .tree import node_to_dict
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.base import Host
 
+#: Row-id sets of at least this many bytes (1 024 int64 ids) travel as
+#: arena descriptors on the shm data plane; smaller ones stay inline.  A
+#: constant, not an option: nothing runs with another value.
+SHM_THRESHOLD_BYTES = 8192
+
 
 class ProtocolError(RuntimeError):
     """A message arrived that the protocol forbids in the current state."""
@@ -147,8 +152,7 @@ class WorkerActor:
         held_columns: set[int],
         master_id: int = 0,
         arena: ShmArena | None = None,
-        shm_threshold_bytes: int = 8192,
-        shm_peers: set[int] | None = None,
+        shm_peers: frozenset[int] = frozenset(),
         threshold_book: dict | None = None,
     ) -> None:
         self.host = host
@@ -161,17 +165,15 @@ class WorkerActor:
         #: full table so every machine bins identically; ``None``/empty
         #: when every submitted job trains exact.
         self.threshold_book = threshold_book
-        #: Shared-memory row-id arena (multiprocess backend only).  When
-        #: set, row-id sets of at least ``shm_threshold_bytes`` travel as
+        #: Shared-memory row-id arena (process backends only).  When set,
+        #: row-id sets of at least :data:`SHM_THRESHOLD_BYTES` travel as
         #: :class:`ShmSlice` descriptors instead of pickled arrays.
         self.arena = arena
-        self.shm_threshold_bytes = shm_threshold_bytes
         #: Which peers may receive :class:`ShmSlice` descriptors from this
-        #: worker.  ``None`` means everyone (mp backend: all workers share
-        #: one host by construction); the socket backend narrows it to the
-        #: workers whose handshake host id matches ours, and row responses
-        #: to anyone else fall back to inline transfer (docs/PROTOCOL.md,
-        #: "Descriptor vs inline: the host rule").
+        #: worker: those on our host in the start-up record's host map
+        #: (every worker on ``mp``).  Row responses to anyone else fall
+        #: back to inline transfer (docs/PROTOCOL.md, "Descriptor vs
+        #: inline: the host rule").
         self.shm_peers = shm_peers
         self.cost = host.cost
         self._column_tasks: dict[TaskId, _ColumnTaskState] = {}
@@ -424,8 +426,8 @@ class WorkerActor:
         store.served[msg.side] += 1
         if (
             self.arena is not None
-            and int(row_ids.nbytes) >= self.shm_threshold_bytes
-            and (self.shm_peers is None or msg.requester in self.shm_peers)
+            and int(row_ids.nbytes) >= SHM_THRESHOLD_BYTES
+            and msg.requester in self.shm_peers
         ):
             # Zero-copy wire path: park the side in the arena once (every
             # replica fetch of the same side reuses the slot) and ship

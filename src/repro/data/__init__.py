@@ -11,10 +11,8 @@ from .schema import (
 )
 from .shm import (
     AttachedPack,
-    AttachedTable,
     PackedArraySpec,
     SharedArrayPack,
-    SharedArraySpec,
     SharedTableHandle,
     ShmArena,
     ShmSlice,
@@ -23,7 +21,6 @@ from .table import MISSING_CODE, DataTable
 
 __all__ = [
     "AttachedPack",
-    "AttachedTable",
     "ColumnKind",
     "ColumnSpec",
     "DataTable",
@@ -32,7 +29,6 @@ __all__ = [
     "ProblemKind",
     "SchemaBuilder",
     "SharedArrayPack",
-    "SharedArraySpec",
     "SharedTableHandle",
     "ShmArena",
     "ShmSlice",

@@ -149,12 +149,6 @@ class SchemaBuilder:
         )
         return self
 
-    def set_target_numeric(self, name: str) -> "SchemaBuilder":
-        """Declare a numeric (regression) target column."""
-        self._target = ColumnSpec(name, ColumnKind.NUMERIC)
-        self.problem = ProblemKind.REGRESSION
-        return self
-
     def set_target_classes(self, name: str, classes: Sequence[str]) -> "SchemaBuilder":
         """Declare a categorical (classification) target column."""
         self._target = ColumnSpec(name, ColumnKind.CATEGORICAL, tuple(classes))

@@ -17,15 +17,14 @@ not; ``spawn`` attaches by name):
 * :class:`SharedArrayPack` — N named arrays packed into **one** named
   segment.  The picklable pack carries only per-array
   ``(name, offset, dtype, shape)`` records; :meth:`SharedArrayPack.attach`
-  rebuilds every array as a read-only zero-copy view in any process.
-  This is what serving's ``SharedCompiledModel`` rides: one segment per
-  published model, one ``mmap`` per worker, zero copies.
-* :class:`SharedTableHandle` — a per-column shared-memory image of a
-  :class:`~repro.data.table.DataTable`.  The creating process copies each
-  column array (and the target ``Y``) into its own named segment; the
-  picklable handle carries only ``(segment name, dtype, shape)`` per
-  array, and :meth:`SharedTableHandle.attach` rebuilds the table as
-  read-only zero-copy NumPy views in any other process.
+  rebuilds every array as a read-only zero-copy view in any process, at
+  the cost of one ``shm_open`` + ``mmap`` however many arrays travel;
+* :class:`SharedTableHandle` — a training table's shm image: its schema
+  plus one pack holding the columns ``c0..c{n-1}`` and the target ``y``.
+  :meth:`SharedTableHandle.attach` rebuilds the
+  :class:`~repro.data.table.DataTable` over the pack's views.  Serving's
+  ``SharedCompiledModel`` rides a pack the same way, one segment per
+  published model;
 * :class:`ShmArena` — a pooled bump allocator for shipping large row-id
   sets (``I_xl`` / ``I_xr``) between workers.  The owner writes an array
   once and sends only a tiny :class:`ShmSlice` descriptor on the wire;
@@ -146,163 +145,50 @@ def unlink_segments(names: list[str]) -> list[str]:
 # shared table
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SharedArraySpec:
-    """Everything needed to re-materialize one array from shared memory."""
-
-    segment: str
-    dtype: str
-    shape: tuple[int, ...]
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes of the described array."""
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * np.dtype(self.dtype).itemsize
-
-
-class AttachedTable:
-    """A :class:`DataTable` of read-only views over attached segments.
-
-    Owns the attachments (not the segments): :meth:`close` unmaps them,
-    it never unlinks — that is the creator's job.
-    """
-
-    def __init__(
-        self,
-        table: DataTable,
-        segments: list[shared_memory.SharedMemory],
-        nbytes: int,
-    ) -> None:
-        self.table = table
-        self.nbytes = nbytes
-        self._segments = segments
-
-    def close(self) -> None:
-        """Unmap all attached segments (idempotent).
-
-        The table's arrays become invalid after this; callers drop both
-        together.
-        """
-        for segment in self._segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
-        self._segments = []
-
-
 class SharedTableHandle:
-    """A picklable description of a :class:`DataTable` living in shm.
+    """A :class:`DataTable` living in one :class:`SharedArrayPack` segment.
 
-    Create once in the driver (:meth:`create` copies each column and the
-    target into its own named segment), ship the handle to workers under
-    any start method, :meth:`attach` there.  The creator — and only the
-    creator — calls :meth:`unlink` after the run; attachers only
-    :meth:`AttachedTable.close` their views.
+    Create once in the driver (:meth:`create` packs the columns as
+    ``c0..c{n-1}`` and the target as ``y``), ship the handle to workers
+    under any start method — it pickles as the schema plus the pack's
+    metadata — and :meth:`attach` there.  The creator, and only the
+    creator, calls :meth:`unlink` after the run; attachers only
+    :meth:`AttachedPack.close` their views.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        columns: list[SharedArraySpec],
-        target: SharedArraySpec,
-    ) -> None:
-        self.schema = schema
-        self.columns = columns
-        self.target = target
-        self._owned: list[shared_memory.SharedMemory] = []
+    schema: TableSchema
+    pack: "SharedArrayPack"
 
-    # -- lifecycle ------------------------------------------------------
     @classmethod
-    def create(cls, table: DataTable, prefix: str) -> "SharedTableHandle":
-        """Copy every array of ``table`` into named shm segments."""
-        owned: list[shared_memory.SharedMemory] = []
+    def create(
+        cls, table: DataTable, segment_name: str
+    ) -> "SharedTableHandle":
+        """Copy every array of ``table`` into one named shm segment."""
+        arrays = [(f"c{i}", column) for i, column in enumerate(table.columns)]
+        arrays.append(("y", table.target))
+        return cls(table.schema, SharedArrayPack.create(arrays, segment_name))
 
-        def place(array: np.ndarray, name: str) -> SharedArraySpec:
-            segment = create_segment(name, array.nbytes)
-            owned.append(segment)
-            view = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=segment.buf
-            )
-            view[...] = array
-            return SharedArraySpec(name, str(array.dtype), tuple(array.shape))
-
+    def attach(self) -> "tuple[DataTable, AttachedPack]":
+        """The table as read-only zero-copy views in this process, and
+        the attachment to close once the table is dropped."""
+        attached = self.pack.attach()
         try:
-            specs = [
-                place(column, f"{prefix}-c{i}")
-                for i, column in enumerate(table.columns)
-            ]
-            target = place(table.target, f"{prefix}-y")
+            arrays = attached.arrays
+            columns = [arrays[f"c{i}"] for i in range(self.schema.n_columns)]
+            table = DataTable(self.schema, columns, arrays["y"])
         except BaseException:
-            for segment in owned:
-                unlink_segment(segment)
-                segment.close()
+            attached.close()
             raise
-        handle = cls(table.schema, specs, target)
-        handle._owned = owned
-        return handle
-
-    def attach(self) -> AttachedTable:
-        """Rebuild the table as read-only zero-copy views in this process."""
-        segments: list[shared_memory.SharedMemory] = []
-
-        def view_of(spec: SharedArraySpec) -> np.ndarray:
-            segment = attach_segment(spec.segment)
-            segments.append(segment)
-            array = np.ndarray(
-                spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf
-            )
-            array.flags.writeable = False
-            return array
-
-        try:
-            columns = [view_of(spec) for spec in self.columns]
-            target = view_of(self.target)
-            table = DataTable(self.schema, columns, target)
-        except BaseException:
-            for segment in segments:
-                segment.close()
-            raise
-        return AttachedTable(table, segments, self.nbytes)
+        return table, attached
 
     def unlink(self) -> None:
-        """Destroy the segments (creator only; idempotent)."""
-        for segment in self._owned:
-            unlink_segment(segment)
-            segment.close()
-        self._owned = []
+        """Destroy the segment (creator only; idempotent)."""
+        self.pack.unlink()
 
-    # -- introspection --------------------------------------------------
     @property
     def nbytes(self) -> int:
         """Total shared payload bytes (columns + target)."""
-        return sum(spec.nbytes for spec in self.columns) + self.target.nbytes
-
-    def segment_names(self) -> list[str]:
-        """All segment names this handle describes."""
-        return [spec.segment for spec in self.columns] + [self.target.segment]
-
-    # -- pickling (metadata only; live mappings never travel) -----------
-    def __getstate__(self) -> dict:
-        return {
-            "schema": self.schema,
-            "columns": self.columns,
-            "target": self.target,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.schema = state["schema"]
-        self.columns = state["columns"]
-        self.target = state["target"]
-        self._owned = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedTableHandle(columns={len(self.columns)}, "
-            f"nbytes={self.nbytes})"
-        )
+        return self.pack.nbytes
 
 
 # ----------------------------------------------------------------------
@@ -359,13 +245,11 @@ class AttachedPack:
 class SharedArrayPack:
     """N named immutable arrays packed into **one** shared-memory segment.
 
-    Where :class:`SharedTableHandle` spends one segment per column (the
-    training table is huge and column-partitioned), a pack trades
-    granularity for attach cost: everything lands 8-byte-aligned in a
-    single segment, so an attacher performs exactly one ``shm_open`` +
-    ``mmap`` no matter how many arrays travel.  That is the right shape
-    for compiled serving models — dozens of small arrays per tree, all
-    consumed together by every fleet worker.
+    Everything lands 8-byte-aligned in a single segment, so an attacher
+    performs exactly one ``shm_open`` + ``mmap`` no matter how many arrays
+    travel: a training table's columns and target
+    (:class:`SharedTableHandle`), or a compiled serving model's dozens of
+    small arrays per tree.
 
     The pack itself is picklable metadata only: ``(segment name,
     [(name, offset, dtype, shape), ...])``.  The creator — and only the

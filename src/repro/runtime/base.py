@@ -265,25 +265,24 @@ class RuntimeOptions:
 
     ``message_timeout_seconds`` bounds the silence the master-side driver
     tolerates between protocol messages before declaring the transport
-    wedged; ``poll_interval_seconds`` is how often it additionally checks
-    worker liveness while waiting.  ``start_method`` picks the
-    ``multiprocessing`` context (``None`` = ``fork`` where available,
-    else ``spawn`` — both are first-class; anything else the platform
-    offers can be named explicitly).  ``faults`` are the
-    :class:`FaultPlan` s a test injects, on any backend (when empty, the
-    run reads :data:`FAULT_ENV`); a socket master in external mode
-    (``listen`` set) starts no worker process and refuses them.
+    wedged.  ``start_method`` picks the ``multiprocessing`` context
+    (``None`` = ``fork`` where available, else ``spawn`` — both are
+    first-class; anything else the platform offers can be named
+    explicitly).  ``faults`` are the :class:`FaultPlan` s a test injects,
+    on any backend (when empty, the run reads :data:`FAULT_ENV`); a socket
+    master in external mode (``listen`` set) starts no worker process and
+    refuses them.
 
     Shared-memory data plane (``docs/RUNTIME.md``): ``use_shm`` places
-    the column table in ``multiprocessing.shared_memory`` segments that
+    the table in one ``multiprocessing.shared_memory`` segment that
     workers map read-only instead of inheriting fork copies (and that
     ``spawn`` workers would otherwise receive as pickles), and routes
-    row-id sets of at least ``shm_threshold_bytes`` through a pooled shm
-    arena as tiny descriptors instead of pickled arrays; smaller sets
-    stay inline.  ``coalesce_max_messages`` caps how many protocol
-    messages the transport may batch into one queue put before an
-    early flush (flushing otherwise happens whenever an event loop goes
-    idle); ``1`` disables coalescing.
+    large row-id sets through a pooled shm arena as tiny descriptors
+    instead of pickled arrays.  How large is large, how many messages
+    one queue put may coalesce and how often an idle loop polls are
+    module constants, not options: ``SHM_THRESHOLD_BYTES`` in
+    ``core/worker.py``, ``COALESCE_MAX_MESSAGES`` and
+    ``POLL_INTERVAL_SECONDS`` in ``runtime/process.py``.
 
     Fault policy, the same on every backend (:func:`apply_fault_policy`):
     ``fault_policy`` is ``"fail_fast"`` (the default: a worker failure
@@ -307,12 +306,9 @@ class RuntimeOptions:
     """
 
     message_timeout_seconds: float = 30.0
-    poll_interval_seconds: float = 0.05
     start_method: str | None = None
     faults: tuple[FaultPlan, ...] = ()
     use_shm: bool = True
-    shm_threshold_bytes: int = 8192
-    coalesce_max_messages: int = 32
     fault_policy: str = "fail_fast"
     max_worker_failures: int = 1
     listen: str | None = None
@@ -332,25 +328,10 @@ class RuntimeOptions:
                 f"message_timeout_seconds must be > 0, got "
                 f"{self.message_timeout_seconds!r}"
             )
-        if self.poll_interval_seconds <= 0:
-            raise ValueError(
-                f"poll_interval_seconds must be > 0, got "
-                f"{self.poll_interval_seconds!r}"
-            )
         if self.rendezvous_timeout_seconds <= 0:
             raise ValueError(
                 f"rendezvous_timeout_seconds must be > 0, got "
                 f"{self.rendezvous_timeout_seconds!r}"
-            )
-        if self.shm_threshold_bytes < 0:
-            raise ValueError(
-                f"shm_threshold_bytes must be >= 0, got "
-                f"{self.shm_threshold_bytes!r}"
-            )
-        if self.coalesce_max_messages < 1:
-            raise ValueError(
-                f"coalesce_max_messages must be >= 1 (1 disables "
-                f"coalescing), got {self.coalesce_max_messages!r}"
             )
         if not isinstance(self.faults, tuple) or not all(
             isinstance(plan, FaultPlan) for plan in self.faults

@@ -13,8 +13,8 @@ its one actor on a :class:`ProcessHost`.
 The data plane is shared-memory first (``RuntimeOptions.use_shm``,
 default on — see ``docs/RUNTIME.md``):
 
-* the column table and ``Y`` live in named shm segments
-  (:class:`~repro.data.shm.SharedTableHandle`); workers map them as
+* the column table and ``Y`` live in one named shm segment
+  (:class:`~repro.data.shm.SharedTableHandle`); workers map it as
   read-only views instead of inheriting fork copies, which also makes
   the ``spawn`` start method a first-class citizen — only a small handle
   is pickled to each child;
@@ -25,6 +25,14 @@ default on — see ``docs/RUNTIME.md``):
 * the :class:`QueueFabric` coalesces queued sends into one pickled blob
   per destination, flushed whenever an event loop goes idle, cutting
   per-message pickle + syscall overhead in message-dominated shapes.
+
+Each worker starts from one :class:`~repro.core.tasks.WorkerWelcomeMsg`,
+the record the socket rendezvous sends: here it is a spawn arg, and its
+host map puts every machine on one host.  :func:`run_worker_loop` reads
+held columns, cost model, threshold book, shm prefix and shm peers from
+it on both backends.  Three transport settings are module constants,
+because nothing runs with another value: :data:`POLL_INTERVAL_SECONDS`,
+:data:`COALESCE_MAX_MESSAGES` and ``core.worker.SHM_THRESHOLD_BYTES``.
 
 The worker pool — spawning, liveness, reaping, the terminate → join →
 kill escalation, the table's shm image and the run-prefix sweep — is
@@ -101,6 +109,7 @@ from ..core.tasks import (
     ShutdownMsg,
     WorkerErrorMsg,
     WorkerStatsMsg,
+    WorkerWelcomeMsg,
 )
 from ..data.shm import (
     SharedTableHandle,
@@ -116,6 +125,7 @@ from .base import (
     Runtime,
     RuntimeOptions,
     Transport,
+    WorkerDiedError,
     apply_fault_policy,
     finish_run,
     message_faults,
@@ -124,6 +134,18 @@ from .signals import stop_processes
 
 #: Exit code of an injected ``crash`` fault (distinguishable from crashes).
 CRASH_EXITCODE = 71
+
+#: How long an idle event loop — driver or worker — blocks on its inbox
+#: before it checks liveness (driver) or an orphaned parent (worker).
+POLL_INTERVAL_SECONDS = 0.05
+
+#: Most protocol messages one queue put (or one socket frame) carries
+#: before the fabric flushes early; it flushes anyway whenever its event
+#: loop goes idle.
+COALESCE_MAX_MESSAGES = 32
+
+#: The host-map name of the one host every mp machine runs on.
+MP_HOST = "localhost"
 
 
 def resolve_start_method(requested: str | None) -> str:
@@ -169,7 +191,7 @@ class QueueFabric:
     Implements :class:`~repro.runtime.base.Transport` for whichever
     process holds it.  Sends are buffered per destination and flushed as
     one pickled blob per queue put — either when the buffer reaches
-    ``max_batch`` messages or when the owning event loop goes idle
+    :data:`COALESCE_MAX_MESSAGES` or when the owning event loop goes idle
     (:meth:`flush`).  A single producer's blobs into one queue stay
     FIFO, and each blob preserves append order, which together give the
     per-sender FIFO the protocol requires.  Doing the pickling here (the
@@ -177,9 +199,8 @@ class QueueFabric:
     byte count an exact, free metric.
     """
 
-    def __init__(self, queues: list, max_batch: int = 32) -> None:
+    def __init__(self, queues: list) -> None:
         self.queues = queues
-        self.max_batch = max(1, int(max_batch))
         self._buffers: list[list[Message]] = [[] for _ in queues]
         # -- data-plane counters (per hosting process) ------------------
         self.messages_sent = 0
@@ -192,7 +213,7 @@ class QueueFabric:
     ) -> None:
         """Buffer one message towards ``dst``; flush on a full batch."""
         self._buffers[dst].append(Message(src, dst, kind, payload, size_bytes))
-        if len(self._buffers[dst]) >= self.max_batch:
+        if len(self._buffers[dst]) >= COALESCE_MAX_MESSAGES:
             self._flush_dst(dst)
 
     def flush(self) -> None:
@@ -297,9 +318,9 @@ def worker_table(
     if not isinstance(table_ref, SharedTableHandle):
         yield table_ref, 0
         return
-    attached = table_ref.attach()
+    table, attached = table_ref.attach()
     try:
-        yield attached.table, attached.nbytes
+        yield table, attached.nbytes
     finally:
         attached.close()
 
@@ -307,24 +328,22 @@ def worker_table(
 def run_worker_loop(
     worker_id: int,
     table: DataTable,
-    held_columns: set[int],
-    cost: CostModel,
+    welcome: WorkerWelcomeMsg,
     fabric: QueueFabric,
     next_messages: Callable[[], "Sequence[Message] | None"],
     crash: Callable[[], None],
     *,
-    shm_prefix: str | None,
-    shm_threshold_bytes: int,
-    threshold_book: dict | None,
-    shm_peers: set[int] | None = None,
-    attached_nbytes: int = 0,
-    faults: tuple[FaultPlan, ...] = (),
+    attached_nbytes: int,
+    faults: tuple[FaultPlan, ...],
 ) -> None:
     """The worker event loop of both process backends.
 
     Builds the unmodified :class:`~repro.core.worker.WorkerActor` on a
-    :class:`ProcessHost` over ``fabric`` and pumps messages into it:
-    flush the fabric whenever idle, answer the shutdown
+    :class:`ProcessHost` over ``fabric``, configured by the start-up
+    record ``welcome`` alone: held columns, cost model, threshold book,
+    the shm prefix its arena is named under, and its shm peers — the
+    workers the host map puts on its own host.  Then it pumps messages
+    into the actor: flush the fabric whenever idle, answer the shutdown
     broadcast with a stats report and return.  What the substrates do
     differently comes in as two callables.  ``next_messages`` blocks for
     at most one poll interval and returns the next decoded batch, an
@@ -338,19 +357,23 @@ def run_worker_loop(
     """
     from ..core.worker import WorkerActor  # import here: cheap under fork
 
+    own_host = welcome.host_map[worker_id]
     arena = None
     try:
-        if shm_prefix is not None:
-            arena = ShmArena(f"{shm_prefix}-w{worker_id}")
-        host = ProcessHost(worker_id, cost, fabric)
+        if welcome.shm_prefix is not None:
+            arena = ShmArena(f"{welcome.shm_prefix}-w{worker_id}")
+        host = ProcessHost(worker_id, welcome.cost, fabric)
         actor = WorkerActor(
             host,
             table,
-            held_columns,
+            set(welcome.held_columns),
             arena=arena,
-            shm_threshold_bytes=shm_threshold_bytes,
-            shm_peers=shm_peers,
-            threshold_book=threshold_book,
+            shm_peers=frozenset(
+                wid
+                for wid, peer_host in welcome.host_map.items()
+                if wid != 0 and peer_host == own_host
+            ),
+            threshold_book=welcome.threshold_book,
         )
         pending: deque[Message] = deque()
         handled = 0
@@ -409,10 +432,8 @@ def run_worker_loop(
 def _worker_main(
     worker_id: int,
     table_ref: "DataTable | SharedTableHandle",
-    held_columns: set[int],
     queues: list,
-    cost: CostModel,
-    options_tuple: tuple,
+    welcome: WorkerWelcomeMsg,
     faults: tuple[FaultPlan, ...],
 ) -> None:
     """Entry point of one mp worker process.
@@ -423,18 +444,11 @@ def _worker_main(
     disappears (exit silently — we are orphaned), or the actor raises
     (ship the traceback to the driver, exit 1).
     """
-    (
-        poll_seconds,
-        shm_prefix,
-        shm_threshold,
-        coalesce_max,
-        threshold_book,
-    ) = options_tuple
     inbox = queues[worker_id]
 
     def next_messages() -> "Sequence[Message] | None":
         try:
-            return _decode(inbox.get(timeout=poll_seconds))
+            return _decode(inbox.get(timeout=POLL_INTERVAL_SECONDS))
         except queue_module.Empty:
             parent = multiprocessing.parent_process()
             if parent is not None and not parent.is_alive():
@@ -464,14 +478,10 @@ def _worker_main(
             run_worker_loop(
                 worker_id,
                 table,
-                held_columns,
-                cost,
-                QueueFabric(queues, max_batch=coalesce_max),
+                welcome,
+                QueueFabric(queues),
                 next_messages,
                 crash,
-                shm_prefix=shm_prefix,
-                shm_threshold_bytes=shm_threshold,
-                threshold_book=threshold_book,
                 attached_nbytes=mapped_nbytes,
                 faults=faults,
             )
@@ -501,10 +511,19 @@ class WorkerPool(abc.ABC):
     reap_join_seconds = 5.0
 
     def __init__(
-        self, n_workers: int, options: RuntimeOptions, start_method: str
+        self,
+        n_workers: int,
+        placement: dict[int, list[int]],
+        cost: CostModel,
+        options: RuntimeOptions,
+        threshold_book: dict | None,
+        start_method: str,
     ) -> None:
         self.n_workers = n_workers
+        self.placement = placement
+        self.cost = cost
         self.options = options
+        self.threshold_book = threshold_book or {}
         self.start_method = start_method
         self.processes: dict[int, Any] = {}
         self._pending_master: list[Message] = []
@@ -514,6 +533,25 @@ class WorkerPool(abc.ABC):
         self.table_handle: SharedTableHandle | None = None
 
     # -- start-up -------------------------------------------------------
+    def _welcome(
+        self, worker_id: int, host_map: dict[int, str]
+    ) -> WorkerWelcomeMsg:
+        """The start-up record of worker ``worker_id``, the same on both
+        transports; ``host_map`` names every machine's host."""
+        return WorkerWelcomeMsg(
+            ok=True,
+            n_workers=self.n_workers,
+            held_columns=tuple(
+                sorted(
+                    c for c, ws in self.placement.items() if worker_id in ws
+                )
+            ),
+            host_map=host_map,
+            shm_prefix=self.shm_prefix,
+            cost=self.cost,
+            threshold_book=self.threshold_book,
+        )
+
     def _share_table(
         self, table: DataTable
     ) -> "DataTable | SharedTableHandle":
@@ -670,21 +708,18 @@ class ProcessTransport(WorkerPool):
         threshold_book: dict | None = None,
     ) -> None:
         super().__init__(
-            n_workers, options, resolve_start_method(options.start_method)
+            n_workers,
+            placement,
+            cost,
+            options,
+            threshold_book,
+            resolve_start_method(options.start_method),
         )
         context = multiprocessing.get_context(self.start_method)
         self.queues = [context.Queue() for _ in range(n_workers + 1)]
-        self.fabric = QueueFabric(
-            self.queues, max_batch=options.coalesce_max_messages
-        )
+        self.fabric = QueueFabric(self.queues)
         self._master_inbox = self.queues[0]
-        worker_options = (
-            options.poll_interval_seconds,
-            self.shm_prefix,
-            options.shm_threshold_bytes,
-            options.coalesce_max_messages,
-            threshold_book,
-        )
+        host_map = dict.fromkeys(range(n_workers + 1), MP_HOST)
         try:
             table_ref = self._share_table(table)
             self._start_workers(
@@ -692,10 +727,8 @@ class ProcessTransport(WorkerPool):
                 lambda wid: (
                     wid,
                     table_ref,
-                    {c for c, ws in placement.items() if wid in ws},
                     self.queues,
-                    cost,
-                    worker_options,
+                    self._welcome(wid, host_map),
                 ),
                 "repro-worker",
             )
@@ -749,9 +782,8 @@ class ProcessRuntime(Runtime):
             self.system.column_replication,
         )
         # Hist-mode equi-depth thresholds: computed once on the driver,
-        # before any worker starts, and shipped to every worker (via the
-        # spawn args on mp; via the rendezvous welcome on socket).  Empty
-        # when every job trains exact.
+        # before any worker starts, and shipped to every worker in its
+        # start-up record.  Empty when every job trains exact.
         transport = self.transport_class(
             self.system.n_workers,
             table,
@@ -791,7 +823,7 @@ class ProcessRuntime(Runtime):
         last_message = time.monotonic()
         while not master.is_done():
             try:
-                message = transport.recv_master(options.poll_interval_seconds)
+                message = transport.recv_master(POLL_INTERVAL_SECONDS)
             except queue_module.Empty:
                 if self._check_children(transport, master, host, live):
                     # Recovery just generated fresh traffic (revocations,
@@ -917,7 +949,7 @@ class ProcessRuntime(Runtime):
                 )
             try:
                 message = transport.recv_master(
-                    min(remaining, self.options.poll_interval_seconds)
+                    min(remaining, POLL_INTERVAL_SECONDS)
                 )
             except queue_module.Empty:
                 transport.check_alive(allow_clean_exit=True)

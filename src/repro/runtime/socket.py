@@ -35,11 +35,12 @@ control frame (``dst == -1``) carrying a
 version, table fingerprint, host id.  The master collects all ``n``
 valid hellos (rejecting version/table/roster/duplicate mismatches with
 an explanatory unwelcome), then answers every connection with a
-:class:`~repro.core.tasks.WorkerWelcomeMsg` carrying the cluster
-shape, the worker's held columns, the host map and the transport knobs.
-The host map drives the ``ShmSlice`` rule: descriptors are only sent to
-peers whose host id matches the sender's (``WorkerActor.shm_peers``);
-everyone else gets inline row ids.
+:class:`~repro.core.tasks.WorkerWelcomeMsg` — the same start-up record
+an mp worker gets as a spawn arg — carrying the cluster shape, the
+worker's held columns, the host map, the shm prefix, the cost model and
+the threshold book.  The host map drives the ``ShmSlice`` rule:
+descriptors are only sent to peers whose host id matches the sender's
+(``WorkerActor.shm_peers``); everyone else gets inline row ids.
 
 Trust boundary: the rendezvous control frames are **JSON** (never
 pickle — they arrive from peers that have proven nothing yet, and
@@ -104,6 +105,7 @@ from ..data.table import DataTable, table_fingerprint
 from .base import FaultPlan, RuntimeBackendError, RuntimeOptions, message_faults
 from .process import (
     CRASH_EXITCODE,
+    POLL_INTERVAL_SECONDS,
     ProcessRuntime,
     QueueFabric,
     WorkerPool,
@@ -289,10 +291,11 @@ class FrameStream:
 #: Control frames are **JSON, not pickle**: they are decoded before any
 #: rendezvous validation has run, i.e. from a peer that has proven
 #: nothing yet, and unpickling attacker-supplied bytes is arbitrary
-#: code execution.  Every field of both messages is a JSON scalar (the
-#: welcome's :class:`~repro.cluster.cost.CostModel` is a dataclass of
-#: floats/ints), so nothing is lost — and JSON round-trips Python
-#: floats exactly, keeping the cost model bit-identical across hosts.
+#: code execution.  Every field of both messages is JSON (the welcome's
+#: :class:`~repro.cluster.cost.CostModel` is a dataclass of floats/ints,
+#: its threshold book travels as :func:`~repro.core.histogram.book_to_wire`
+#: lists), so nothing is lost — and JSON round-trips Python floats
+#: exactly, keeping cost model and thresholds bit-identical across hosts.
 _CTRL_TYPES: dict[str, type] = {
     "WorkerHelloMsg": WorkerHelloMsg,
     "WorkerWelcomeMsg": WorkerWelcomeMsg,
@@ -311,8 +314,11 @@ _HELLO_FIELD_TYPES: dict[str, type] = {
 
 def _send_ctrl(stream: FrameStream, message: Any) -> None:
     """Ship one handshake dataclass as a JSON control frame."""
+    body = dataclasses.asdict(message)
+    if body.get("threshold_book") is not None:
+        body["threshold_book"] = book_to_wire(body["threshold_book"])
     blob = json.dumps(
-        {"kind": type(message).__name__, "body": dataclasses.asdict(message)}
+        {"kind": type(message).__name__, "body": body}
     ).encode("utf-8")
     stream.send_frame(CTRL_DST, blob)
 
@@ -440,7 +446,6 @@ def _run_socket_worker(
     welcome: WorkerWelcomeMsg,
     worker_id: int,
     table: DataTable,
-    host_id: str,
     faults: tuple[FaultPlan, ...],
     attached_nbytes: int = 0,
 ) -> int:
@@ -463,9 +468,7 @@ def _run_socket_worker(
             blob: Any = local.get_nowait()
         except queue_module.Empty:
             try:
-                frame = stream.read_frame(
-                    timeout=welcome.poll_interval_seconds
-                )
+                frame = stream.read_frame(timeout=POLL_INTERVAL_SECONDS)
             except (ConnectionClosed, OSError):
                 return None  # master gone; we are orphaned
             if frame is None:
@@ -482,24 +485,13 @@ def _run_socket_worker(
         os._exit(CRASH_EXITCODE)
 
     try:
-        cost = welcome.cost
-        assert isinstance(cost, CostModel)
         run_worker_loop(
             worker_id,
             table,
-            set(welcome.held_columns),
-            cost,
-            QueueFabric(queues, max_batch=welcome.coalesce_max_messages),
+            welcome,
+            QueueFabric(queues),
             next_messages,
             crash,
-            shm_prefix=welcome.shm_prefix,
-            shm_threshold_bytes=welcome.shm_threshold_bytes,
-            threshold_book=welcome.threshold_book,
-            shm_peers={
-                wid
-                for wid, peer_host in welcome.host_map.items()
-                if wid != 0 and peer_host == host_id
-            },
             attached_nbytes=attached_nbytes,
             faults=faults,
         )
@@ -565,13 +557,7 @@ def _dial_and_run(
         stream.close()
         raise
     return _run_socket_worker(
-        stream,
-        welcome,
-        worker_id,
-        table,
-        resolved_host,
-        faults,
-        attached_nbytes,
+        stream, welcome, worker_id, table, faults, attached_nbytes
     )
 
 
@@ -678,14 +664,14 @@ class SocketTransport(WorkerPool):
         launch = options.listen is None
         super().__init__(
             n_workers,
+            placement,
+            cost,
             options,
+            threshold_book,
             resolve_start_method(options.start_method)
             if launch
             else "external",
         )
-        # Hist-mode equi-depth thresholds, shipped to every worker inside
-        # the rendezvous welcome (JSON wire form; empty when all exact).
-        self.threshold_book = threshold_book or {}
         self.host_id = _default_host_id()
         self.table_hash = table_fingerprint(table)
         self._master_inbox: queue_module.SimpleQueue = (
@@ -701,8 +687,7 @@ class SocketTransport(WorkerPool):
         self._listener: socket.socket | None = None
         self.fabric = QueueFabric(
             [_LocalQueue(self._master_inbox)]
-            + [_RelaySender(self, wid) for wid in range(1, n_workers + 1)],
-            max_batch=options.coalesce_max_messages,
+            + [_RelaySender(self, wid) for wid in range(1, n_workers + 1)]
         )
         if launch:
             bind_address = ("127.0.0.1", 0)
@@ -731,21 +716,13 @@ class SocketTransport(WorkerPool):
                     lambda wid: (self.address, wid, table_ref, self.host_id),
                     "repro-socket-worker",
                 )
-            held = {
-                wid: tuple(
-                    sorted(c for c, ws in placement.items() if wid in ws)
-                )
-                for wid in range(1, n_workers + 1)
-            }
-            self._rendezvous(held, cost)
+            self._rendezvous()
         except BaseException:
             self.shutdown()
             raise
 
     # -- start-up -------------------------------------------------------
-    def _rendezvous(
-        self, held: dict[int, tuple[int, ...]], cost: CostModel
-    ) -> None:
+    def _rendezvous(self) -> None:
         """Collect ``n_workers`` valid hellos, then welcome all at once.
 
         The welcome is a barrier on purpose: no worker computes anything
@@ -847,21 +824,7 @@ class SocketTransport(WorkerPool):
             self._writers[wid] = queue_module.SimpleQueue()
         for wid in sorted(hellos):
             hello, stream = hellos[wid]
-            _send_ctrl(
-                stream,
-                WorkerWelcomeMsg(
-                    ok=True,
-                    n_workers=self.n_workers,
-                    held_columns=held[wid],
-                    host_map=host_map,
-                    shm_prefix=self.shm_prefix,
-                    shm_threshold_bytes=self.options.shm_threshold_bytes,
-                    coalesce_max_messages=self.options.coalesce_max_messages,
-                    poll_interval_seconds=self.options.poll_interval_seconds,
-                    cost=cost,
-                    threshold_book=book_to_wire(self.threshold_book),
-                ),
-            )
+            _send_ctrl(stream, self._welcome(wid, host_map))
             self._conns[wid] = stream
             writer = threading.Thread(
                 target=self._writer_loop,

@@ -112,11 +112,6 @@ class RegistryStats:
         """Total number of cache lookups."""
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 #: Cache-key suffix separating a model's quantized compiled form from its
 #: exact one — same source trees, different arrays, so they must never

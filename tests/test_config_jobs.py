@@ -145,9 +145,8 @@ class TestOptionSurface:
             "split_mode", "max_bins",
         }
         assert fields(RuntimeOptions) == {
-            "message_timeout_seconds", "poll_interval_seconds",
-            "start_method", "faults", "use_shm", "shm_threshold_bytes",
-            "coalesce_max_messages",
+            "message_timeout_seconds",
+            "start_method", "faults", "use_shm",
             "fault_policy", "max_worker_failures", "listen",
             "expected_hosts", "rendezvous_timeout_seconds",
         }

@@ -37,7 +37,6 @@ def _jobs():
 
 def _fit(backend, table, **options):
     options.setdefault("message_timeout_seconds", 15.0)
-    options.setdefault("poll_interval_seconds", 0.02)
     server = TreeServer(
         SystemConfig(n_workers=3, compers_per_worker=2).scaled_to(
             table.n_rows

@@ -526,7 +526,6 @@ class TestDistributedHist:
         options = RuntimeOptions(
             use_shm=use_shm,
             message_timeout_seconds=15.0,
-            poll_interval_seconds=0.02,
         )
         report = TreeServer(
             SystemConfig(n_workers=3, compers_per_worker=2).scaled_to(
@@ -629,7 +628,6 @@ class TestDistributedHist:
         options = RuntimeOptions(
             use_shm=False,
             message_timeout_seconds=15.0,
-            poll_interval_seconds=0.02,
         )
         cfg = TreeConfig(seed=6, max_depth=6)
 

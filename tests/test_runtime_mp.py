@@ -17,6 +17,7 @@ is always drained and joined — on success and on failure.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -66,7 +67,6 @@ SHM_DEFAULT = os.environ.get("REPRO_MP_SHM", "1").lower() not in (
 
 def _options(**kw) -> RuntimeOptions:
     kw.setdefault("message_timeout_seconds", 15.0)
-    kw.setdefault("poll_interval_seconds", 0.02)
     kw.setdefault("use_shm", SHM_DEFAULT)
     return RuntimeOptions(**kw)
 
@@ -292,6 +292,33 @@ class TestFailures:
             transport.shutdown()
         assert multiprocessing.active_children() == []
 
+    def test_liveness_check_raises_structured_error(self):
+        """The pool's liveness check turns a dead worker into a
+        WorkerDiedError carrying its exit code (it is what the shutdown
+        phase calls while it waits for the stats replies)."""
+        from repro.core.load_balance import assign_columns_to_workers
+        from repro.runtime.process import ProcessTransport
+
+        table = _table("covtype")
+        system = _system(1, table_rows=table.n_rows)
+        placement = assign_columns_to_workers(table.n_columns, [1], 1)
+        transport = ProcessTransport(
+            1, table, placement, TreeServer(system).cost, FAST
+        )
+        try:
+            process = transport.processes[1]
+            process.kill()
+            process.join(timeout=10.0)
+            assert not process.is_alive()
+            with pytest.raises(WorkerDiedError) as info:
+                transport.check_alive()
+            assert info.value.worker_id == 1
+            assert info.value.exitcode == -signal.SIGKILL
+        finally:
+            transport.shutdown()
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
+
     def test_sim_only_features_rejected(self):
         table = _table("covtype")
         server = TreeServer(_system(2), backend="mp", runtime_options=FAST)
@@ -372,6 +399,29 @@ class TestSharedMemoryDataPlane:
         for use_shm in (True, False):
             got = _fit_with(table, jobs, _options(use_shm=use_shm)).trees("rf")
             assert_bit_identical(reference, got)
+        assert _repro_segments() == []
+
+    def test_arena_carries_large_row_id_sets(self):
+        """Row-id sets past the 8 KB arena threshold (1 024 ids) ride the
+        arena in a real fit: the workers read more shared memory than
+        their two mapped table images, and the forest stays bit-identical
+        to sim.  With the data plane off (REPRO_MP_SHM=0) nothing is
+        mapped at all."""
+        table = generate(
+            dataclasses.replace(
+                dataset_spec("higgs_boson", small=True), n_rows=6000
+            )
+        )
+        jobs = [random_forest_job("rf", 2, TreeConfig(max_depth=5), seed=4)]
+        reference = _fit("sim", table, jobs).trees("rf")
+        report = _fit_with(table, jobs, _options(), n_workers=2)
+        assert_bit_identical(reference, report.trees("rf"))
+        mapped = report.cluster.transport["shm_bytes_mapped"]
+        if SHM_DEFAULT:
+            image = sum(c.nbytes for c in table.columns) + table.target.nbytes
+            assert mapped > 2 * image
+        else:
+            assert mapped == 0
         assert _repro_segments() == []
 
     def test_parity_under_spawn(self):
@@ -690,14 +740,8 @@ class TestCrashRecovery:
 
     def test_runtime_options_reject_nonsense_values(self):
         """Bad knob values fail at construction, not as a mid-run hang."""
-        with pytest.raises(ValueError, match="coalesce_max_messages"):
-            RuntimeOptions(coalesce_max_messages=0)
-        with pytest.raises(ValueError, match="shm_threshold_bytes"):
-            RuntimeOptions(shm_threshold_bytes=-1)
         with pytest.raises(ValueError, match="message_timeout_seconds"):
             RuntimeOptions(message_timeout_seconds=0.0)
-        with pytest.raises(ValueError, match="poll_interval_seconds"):
-            RuntimeOptions(poll_interval_seconds=-0.5)
         with pytest.raises(ValueError, match="rendezvous_timeout_seconds"):
             RuntimeOptions(rendezvous_timeout_seconds=0.0)
         with pytest.raises(ValueError, match="FaultPlan"):
@@ -705,11 +749,7 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="FaultPlan"):
             RuntimeOptions(faults=FaultPlan("crash", 1, 1))  # a tuple
         # Boundary values stay legal.
-        RuntimeOptions(
-            coalesce_max_messages=1,
-            shm_threshold_bytes=0,
-            faults=(FaultPlan("crash", 1, 1),),
-        )
+        RuntimeOptions(faults=(FaultPlan("crash", 1, 1),))
 
     @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
     def test_worker_exception_recovers_like_a_crash(self, via_env, monkeypatch):

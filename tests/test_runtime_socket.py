@@ -19,6 +19,7 @@ finished run leaks neither subprocesses, shm segments, nor sockets.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -57,7 +58,6 @@ SHM_DEFAULT = os.environ.get("REPRO_MP_SHM", "1").lower() not in (
 
 def _options(**kw) -> RuntimeOptions:
     kw.setdefault("message_timeout_seconds", 15.0)
-    kw.setdefault("poll_interval_seconds", 0.02)
     kw.setdefault("use_shm", SHM_DEFAULT)
     return RuntimeOptions(**kw)
 
@@ -164,6 +164,30 @@ class TestParity:
         assert multiprocessing.active_children() == []
         assert _repro_segments() == []
 
+    def test_arena_carries_large_row_id_sets(self):
+        """Row-id sets past the 8 KB arena threshold (1 024 ids) ride the
+        arena in a real fit: the workers read more shared memory than
+        their two mapped table images, and the forest stays bit-identical
+        to sim.  With the data plane off (REPRO_MP_SHM=0) nothing is
+        mapped at all."""
+        table = generate(
+            dataclasses.replace(
+                dataset_spec("higgs_boson", small=True), n_rows=6000
+            )
+        )
+        jobs = [random_forest_job("rf", 2, TreeConfig(max_depth=5), seed=4)]
+        reference = _fit("sim", table, jobs).trees("rf")
+        report = _fit("socket", table, jobs, n_workers=2)
+        assert_bit_identical(reference, report.trees("rf"))
+        mapped = report.cluster.transport["shm_bytes_mapped"]
+        if SHM_DEFAULT:
+            image = sum(c.nbytes for c in table.columns) + table.target.nbytes
+            assert mapped > 2 * image
+        else:
+            assert mapped == 0
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
+
     def test_column_tasks_use_both_full_replica_workers(self):
         """Both workers hold every column, so column tasks spread over
         them instead of all answering from worker 1."""
@@ -233,9 +257,12 @@ class TestRendezvous:
             kw.setdefault("host_id", "host-a")
             return WorkerHelloMsg(**kw)
 
-        assert SOCKET_PROTOCOL_VERSION == 4
+        assert SOCKET_PROTOCOL_VERSION == 5
         rejected = [
             (hello(worker_id=1, protocol_version=999), "protocol version"),
+            # v4 welcomed with three transport knobs that v5 dropped; its
+            # hello still decodes, so it gets a clear version rejection.
+            (hello(worker_id=1, protocol_version=4), "protocol version"),
             # v3 answered hist column tasks with per-bin summaries and
             # ``None`` placeholders, which v4 reads as "no split".
             (hello(worker_id=1, protocol_version=3), "protocol version"),
@@ -381,7 +408,6 @@ class TestRendezvous:
             replies[winners[0]],
             1,
             table,
-            "host-dup",
             (),
         )
         assert code == 0
@@ -527,9 +553,6 @@ class TestRendezvous:
                 held_columns=(2, 5, 7),
                 host_map={0: "m", 1: "h-a", 2: "h-a", 3: "h-b"},
                 shm_prefix="repro-x",
-                shm_threshold_bytes=4096,
-                coalesce_max_messages=16,
-                poll_interval_seconds=0.02,
                 cost=CostModel(ops_per_second=31.7e6, latency_seconds=3e-4),
             )
             _send_ctrl(a, sent)

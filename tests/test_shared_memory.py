@@ -53,11 +53,10 @@ def no_segment_leaks():
 class TestSharedTableHandle:
     def test_attach_rebuilds_identical_readonly_table(self):
         table = _table()
-        handle = SharedTableHandle.create(table, new_run_prefix())
+        handle = SharedTableHandle.create(table, f"{new_run_prefix()}-t")
         try:
-            attached = handle.attach()
+            clone, attached = handle.attach()
             try:
-                clone = attached.table
                 assert clone.n_rows == table.n_rows
                 assert clone.n_columns == table.n_columns
                 assert clone.schema == table.schema
@@ -70,7 +69,10 @@ class TestSharedTableHandle:
                     assert not theirs.flags.writeable
                     with pytest.raises((ValueError, RuntimeError)):
                         theirs[0] = theirs[0]
-                assert attached.nbytes == handle.nbytes > 0
+                # The pack's payload is exactly the table's bytes.
+                payload = sum(c.nbytes for c in table.columns)
+                assert attached.nbytes == handle.nbytes
+                assert handle.nbytes == payload + table.target.nbytes
             finally:
                 attached.close()
         finally:
@@ -79,10 +81,12 @@ class TestSharedTableHandle:
     def test_segments_exist_only_between_create_and_unlink(self):
         table = _table()
         prefix = new_run_prefix()
-        handle = SharedTableHandle.create(table, prefix)
-        names = handle.segment_names()
-        assert len(names) == table.n_columns + 1  # columns + target
-        assert list_segments(prefix) == sorted(names)
+        handle = SharedTableHandle.create(table, f"{prefix}-t")
+        # Columns and target share one segment: c0..c{n-1} and y.
+        assert list_segments(prefix) == [handle.pack.segment]
+        assert [spec.name for spec in handle.pack.specs] == [
+            f"c{i}" for i in range(table.n_columns)
+        ] + ["y"]
         handle.unlink()
         assert list_segments(prefix) == []
         handle.unlink()  # idempotent
@@ -90,18 +94,18 @@ class TestSharedTableHandle:
     def test_pickled_handle_is_metadata_only(self):
         """The handle ships to workers by value; ownership must not."""
         table = _table()
-        handle = SharedTableHandle.create(table, new_run_prefix())
+        handle = SharedTableHandle.create(table, f"{new_run_prefix()}-t")
         try:
             clone = pickle.loads(pickle.dumps(handle))
-            assert clone.segment_names() == handle.segment_names()
+            assert clone.pack.segment == handle.pack.segment
             assert clone.nbytes == handle.nbytes
             assert len(pickle.dumps(handle)) < 8192  # no array payloads
             # An attacher calling unlink by mistake must be a no-op: the
-            # segments stay alive for the real owner.
+            # segment stays alive for the real owner.
             clone.unlink()
-            assert list_segments(handle.segment_names()[0]) != []
-            attached = clone.attach()
-            np.testing.assert_array_equal(attached.table.target, table.target)
+            assert list_segments(handle.pack.segment) != []
+            attached_table, attached = clone.attach()
+            np.testing.assert_array_equal(attached_table.target, table.target)
             attached.close()
         finally:
             handle.unlink()
@@ -111,7 +115,7 @@ class TestSharedTableHandle:
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method not available")
         table = _table()
-        handle = SharedTableHandle.create(table, new_run_prefix())
+        handle = SharedTableHandle.create(table, f"{new_run_prefix()}-t")
         try:
             ctx = multiprocessing.get_context("spawn")
             queue = ctx.Queue()
@@ -132,9 +136,8 @@ class TestSharedTableHandle:
 
 def _spawn_child_checksums(handle, queue) -> None:
     """Spawn target: attach the shared table and report per-array sums."""
-    attached = handle.attach()
+    table, attached = handle.attach()
     try:
-        table = attached.table
         sums = [float(np.nansum(c)) for c in table.columns] + [
             float(np.nansum(table.target))
         ]

@@ -188,9 +188,6 @@ MESSAGE_FACTORIES: dict[type, object] = {
         held_columns=(0, 2),
         host_map={0: "host-a/0123abcd", 1: "host-a/0123abcd", 2: "host-b/ffee"},
         shm_prefix="repro-shm-cafe01",
-        shm_threshold_bytes=8192,
-        coalesce_max_messages=32,
-        poll_interval_seconds=0.05,
         cost=None,
     ),
 }

@@ -117,9 +117,7 @@ def _queue_harness(transport) -> _Harness:
 def _real_transport(cls):
     table = generate(dataset_spec("covtype", small=True))
     placement = assign_columns_to_workers(table.n_columns, [1], 1)
-    options = RuntimeOptions(
-        message_timeout_seconds=15.0, poll_interval_seconds=0.02, use_shm=False
-    )
+    options = RuntimeOptions(message_timeout_seconds=15.0, use_shm=False)
     return cls(1, table, placement, _cost(), options)
 
 
