@@ -351,8 +351,8 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
         f"({table.n_columns} columns) {timing}",
         file=out,
     )
-    transport = report.cluster.transport
-    if transport:
+    if report.backend in ("mp", "socket"):
+        transport = report.cluster.transport
         print(
             f"data plane: shm={'on' if transport['shm'] else 'off'} "
             f"start={transport['start_method']} "
@@ -362,14 +362,13 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
             f"coalesced-batches={transport['coalesced_batches']}",
             file=out,
         )
-        if transport.get("subtree_nodes_built"):
-            print(
-                f"training kernel: build={transport['subtree_kernel_s']:.3f}s "
-                f"gather={transport['subtree_gather_s']:.3f}s "
-                f"nodes={transport['subtree_nodes_built']}",
-                file=out,
-            )
-        if transport.get("recovered_workers"):
+        print(
+            f"training kernel: build={transport['subtree_kernel_s']:.3f}s "
+            f"gather={transport['subtree_gather_s']:.3f}s "
+            f"nodes={transport['subtree_nodes_built']}",
+            file=out,
+        )
+        if transport["recovered_workers"]:
             print(
                 f"fault recovery: policy={transport['fault_policy']} "
                 f"recovered-workers={transport['recovered_workers']} "

@@ -7,7 +7,7 @@ the clock is virtual.
 
 from .cost import CostModel, log2_ceil
 from .machine import Machine, MachineStats
-from .metrics import ClusterReport, MachineReport, collect_metrics, utilization_curve
+from .metrics import ClusterReport, MachineReport, cluster_report, utilization_curve
 from .network import DeadMachineError, Message, Network
 from .simulation import EventHandle, SimulationEngine, SimulationError
 from .topology import Actor, SimulatedCluster
@@ -26,7 +26,7 @@ __all__ = [
     "SimulatedCluster",
     "SimulationEngine",
     "SimulationError",
-    "collect_metrics",
+    "cluster_report",
     "utilization_curve",
     "log2_ceil",
 ]

@@ -13,7 +13,9 @@ numbers.
 
 A :class:`Machine` is also the :class:`~repro.runtime.base.Host` an actor
 runs on in the simulator: it sends through the cluster's network and
-paces the master's dispatch pump on its own NIC.
+paces the master's dispatch pump on its own NIC.  Its counters are one
+:class:`MachineStats` record, the one its network counts its sends and
+receipts into.
 """
 
 from __future__ import annotations
@@ -38,8 +40,20 @@ class _WorkItem:
 
 @dataclass
 class MachineStats:
-    """Counters a machine accumulates over a run."""
+    """Every counter one machine keeps over a run, on every backend.
 
+    The simulator's :class:`Machine` and each process backend's
+    ``ProcessHost`` keep one; its actor and its send path increment it
+    where the thing happens, a process worker ships it home whole in its
+    ``WorkerStatsMsg``, and :func:`~repro.cluster.metrics.cluster_report`
+    reduces a run's records to its :class:`ClusterReport`.  Each numeric
+    field is a report key: it appears under that name in a process run's
+    ``transport["per_worker"]`` entries and sums into ``transport``
+    (``docs/RUNTIME.md`` tabulates units and increment sites).
+    """
+
+    #: Cores the machine computes on: the ceiling of its CPU rate.
+    n_cores: int = 1
     busy_core_seconds: float = 0.0
     items_executed: int = 0
     ops_executed: float = 0.0
@@ -47,10 +61,46 @@ class MachineStats:
     mem_task_bytes: int = 0
     mem_task_peak: int = 0
     mem_base_bytes: int = 0
+    messages_handled: int = 0
+    messages_sent: int = 0
+    bytes_sent: int = 0
+    bytes_received: int = 0
+    #: Shared bytes consumed without pickling: the attached table image
+    #: plus every arena slice copied out (process backends).
+    shm_bytes_mapped: int = 0
+    #: ``revoke_tree`` broadcasts the worker processed.
+    revoked_trees_seen: int = 0
+    #: ``row_response_shm`` descriptors dropped because the owning
+    #: (crashed) worker's arena segment was already swept.
+    stale_shm_drops: int = 0
+    #: Wall seconds inside subtree builds, the slice of them spent
+    #: gathering ``y`` / column values, and the nodes they built.
+    subtree_kernel_s: float = 0.0
+    subtree_gather_s: float = 0.0
+    subtree_nodes_built: int = 0
+    bytes_by_kind: dict[str, int] = field(default_factory=dict)
     ops_by_label: dict[str, float] = field(default_factory=dict)
     #: Optional per-item execution trace: (label, start, end).  Populated
     #: only when the machine's ``record_timeline`` flag is set.
     timeline: list[tuple[str, float, float]] = field(default_factory=list)
+
+    def charge(self, ops: float, seconds: float, label: str) -> None:
+        """Count one work item of ``ops`` taking ``seconds`` of a core."""
+        self.busy_core_seconds += seconds
+        self.ops_executed += ops
+        self.ops_by_label[label] = self.ops_by_label.get(label, 0.0) + ops
+
+    def count_send(self, kind: str, size: int) -> None:
+        """Count one sent protocol message of ``size`` modelled bytes."""
+        self.messages_sent += 1
+        self.bytes_sent += size
+        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+
+    def utilization(self, elapsed: float) -> float:
+        """Average core utilization in [0, 1] over ``elapsed`` seconds."""
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.busy_core_seconds / (self.n_cores * elapsed))
 
 
 class MemoryLedger:
@@ -58,12 +108,15 @@ class MemoryLedger:
 
     The clean-shutdown invariant — every worker returns to zero task
     bytes — is checked on every backend, so the simulated machine and the
-    process host keep these books with this one implementation.
+    process host keep these books with this one implementation, in the
+    host's :class:`MachineStats` (``stats``, a fresh one by default).
     """
 
-    def __init__(self, machine_id: int) -> None:
+    def __init__(
+        self, machine_id: int, stats: MachineStats | None = None
+    ) -> None:
         self.machine_id = machine_id
-        self.stats = MachineStats()
+        self.stats = MachineStats() if stats is None else stats
 
     def set_base_memory(self, nbytes: int) -> None:
         """Record the resident bytes of loaded data columns."""
@@ -107,11 +160,14 @@ class Machine(MemoryLedger):
             raise ValueError("machine needs at least one core")
         if ops_per_second <= 0:
             raise ValueError("ops_per_second must be positive")
-        super().__init__(machine_id)
+        super().__init__(
+            machine_id,
+            None if network is None else network.stats[machine_id],
+        )
+        self.stats.n_cores = n_cores
         self._engine = engine
         self._network = network
         self.cost = cost
-        self.n_cores = n_cores
         self.ops_per_second = ops_per_second
         self._free_cores = n_cores
         self._queue: deque[_WorkItem] = deque()
@@ -145,11 +201,7 @@ class Machine(MemoryLedger):
     def _start(self, item: _WorkItem) -> None:
         self._free_cores -= 1
         duration = item.ops / self.ops_per_second
-        self.stats.busy_core_seconds += duration
-        self.stats.ops_executed += item.ops
-        self.stats.ops_by_label[item.label] = (
-            self.stats.ops_by_label.get(item.label, 0.0) + item.ops
-        )
+        self.stats.charge(item.ops, duration, item.label)
         if self.record_timeline:
             start = self._engine.now
             self.stats.timeline.append((item.label, start, start + duration))
@@ -172,6 +224,11 @@ class Machine(MemoryLedger):
     def halted(self) -> bool:
         """Whether the machine has crashed."""
         return self._halted
+
+    @property
+    def n_cores(self) -> int:
+        """Cores this machine computes on."""
+        return self.stats.n_cores
 
     # ------------------------------------------------------------------
     # the rest of the host surface
@@ -196,9 +253,3 @@ class Machine(MemoryLedger):
                 self._network.sender_free_at(self.machine_id), ready_at
             )
         self._engine.schedule_at(ready_at, fn)
-
-    def utilization(self, elapsed: float) -> float:
-        """Average core utilization in [0, 1] over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_core_seconds / (self.n_cores * elapsed))

@@ -4,16 +4,19 @@ Table VI reports, per configuration: running time (seconds), average CPU
 rate (e.g. ``837%`` meaning ~8.4 cores busy on a 12-thread machine) and
 average sending throughput (Mbps, saturating near 941 Mbps on 1 GigE).
 Table III additionally reports peak memory per machine (GB) averaged over
-machines.  :func:`collect_metrics` derives all of these from the simulator's
-raw counters.
+machines.  :func:`cluster_report` derives all of these from the machines'
+:class:`~repro.cluster.machine.MachineStats` records, the same reduction on
+every backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
-from .machine import Machine
-from .network import Network
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.process import FabricStats
+    from .machine import Machine, MachineStats
 
 
 @dataclass
@@ -44,9 +47,10 @@ class ClusterReport:
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
     avg_peak_memory_bytes: float = 0.0
     events_processed: int = 0
-    #: Real data-plane accounting (mp backend only): pickled bytes, shm
-    #: bytes mapped, coalesced batches — overall and per worker.  Empty
-    #: on the simulator, where no bytes physically move.
+    #: Real data-plane accounting (the process backends, ``mp`` and
+    #: ``socket``): every numeric counter of the machines' records summed
+    #: over the run, and per worker under ``per_worker``.  Empty on the
+    #: simulator, where no bytes physically move.
     transport: dict = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -84,36 +88,58 @@ def utilization_curve(
     return busy
 
 
-def collect_metrics(
-    elapsed: float,
-    machines: list[Machine],
-    network: Network,
-    master_id: int = 0,
-    events_processed: int = 0,
-) -> ClusterReport:
-    """Summarize a finished run.
+def _counters(*records) -> dict[str, int | float]:
+    """The numeric fields of ``records`` (dataclass instances), by name."""
+    return {
+        f.name: getattr(record, f.name)
+        for record in records
+        for f in fields(record)
+        if isinstance(getattr(record, f.name), (int, float))
+    }
 
-    ``machines[master_id]`` is excluded from worker CPU/memory averages —
-    the paper's master is dedicated to task management and its CPU rate is
-    not part of the reported utilization.
+
+def cluster_report(
+    elapsed: float,
+    machines: dict[int, MachineStats],
+    events_processed: int = 0,
+    fabrics: dict[int, FabricStats] | None = None,
+    master_id: int = 0,
+) -> ClusterReport:
+    """Reduce one run's per-machine records to its report.
+
+    ``machines`` maps every machine id to its record.  ``fabrics`` —
+    the process backends' per-machine send-fabric records, keyed alike —
+    turns on the ``transport`` section: each machine's numeric counters
+    (record and fabric together) are summed over all machines, and the
+    workers' are kept under ``per_worker``.  ``machines[master_id]`` is
+    excluded from the worker averages — the paper's master is dedicated
+    to task management and its CPU rate is not part of the reported
+    utilization.
     """
-    report = ClusterReport(elapsed_seconds=elapsed, events_processed=events_processed)
-    for machine in machines:
-        mid = machine.machine_id
-        sent = network.bytes_sent[mid]
-        mbps = (sent * 8 / elapsed / 1e6) if elapsed > 0 else 0.0
+    report = ClusterReport(
+        elapsed_seconds=elapsed, events_processed=events_processed
+    )
+    for mid in sorted(machines):
+        stats = machines[mid]
         report.machines.append(
             MachineReport(
                 machine_id=mid,
-                cpu_percent=machine.utilization(elapsed) * machine.n_cores * 100,
-                bytes_sent=sent,
-                bytes_received=network.bytes_received[mid],
-                send_mbps=mbps,
-                peak_memory_bytes=machine.stats.mem_base_bytes
-                + machine.stats.mem_task_peak,
-                items_executed=machine.stats.items_executed,
+                cpu_percent=stats.utilization(elapsed) * stats.n_cores * 100,
+                bytes_sent=stats.bytes_sent,
+                bytes_received=stats.bytes_received,
+                send_mbps=(
+                    (stats.bytes_sent * 8 / elapsed / 1e6)
+                    if elapsed > 0
+                    else 0.0
+                ),
+                peak_memory_bytes=stats.mem_base_bytes + stats.mem_task_peak,
+                items_executed=stats.items_executed,
             )
         )
+        for kind, nbytes in stats.bytes_by_kind.items():
+            report.bytes_by_kind[kind] = (
+                report.bytes_by_kind.get(kind, 0) + nbytes
+            )
     workers = [m for m in report.machines if m.machine_id != master_id]
     if workers:
         report.avg_worker_cpu_percent = sum(w.cpu_percent for w in workers) / len(
@@ -132,6 +158,17 @@ def collect_metrics(
     )
     if master is not None:
         report.master_send_mbps = master.send_mbps
-    report.total_bytes = sum(network.bytes_sent)
-    report.bytes_by_kind = dict(network.bytes_by_kind)
+    report.total_bytes = sum(m.bytes_sent for m in report.machines)
+    if fabrics is not None:
+        per_machine = {
+            mid: _counters(machines[mid], fabrics[mid])
+            for mid in sorted(machines)
+        }
+        report.transport = {
+            key: sum(c[key] for c in per_machine.values())
+            for key in per_machine[master_id]
+        }
+        report.transport["per_worker"] = {
+            mid: c for mid, c in per_machine.items() if mid != master_id
+        }
     return report

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .machine import MachineStats
 from .simulation import SimulationEngine
 
 
@@ -53,18 +54,10 @@ class Network:
         self._sender_free_at = [0.0] * n_nodes
         self._deliver: Callable[[Message], None] | None = None
         self._dead = [False] * n_nodes
-        # --- metrics ----------------------------------------------------
-        self.bytes_sent = [0] * n_nodes
-        self.bytes_received = [0] * n_nodes
-        self.send_busy_seconds = [0.0] * n_nodes
-        self.messages_sent = [0] * n_nodes
-        self.bytes_by_kind: dict[str, int] = {}
+        #: Each node's counter record (its :class:`Machine` keeps it): the
+        #: wire counts sends and receipts into it.
+        self.stats = [MachineStats() for _ in range(n_nodes)]
         self.messages_dropped = 0
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of attached machines."""
-        return len(self._sender_free_at)
 
     def on_deliver(self, handler: Callable[[Message], None]) -> None:
         """Install the delivery callback (the cluster's actor dispatch)."""
@@ -112,19 +105,14 @@ class Network:
             start = max(now, self._sender_free_at[src])
             serialize = size_bytes / self._bandwidth
             self._sender_free_at[src] = start + serialize
-            self.send_busy_seconds[src] += serialize
-            self.bytes_sent[src] += size_bytes
-            self.messages_sent[src] += 1
-            self.bytes_by_kind[kind] = (
-                self.bytes_by_kind.get(kind, 0) + size_bytes
-            )
+            self.stats[src].count_send(kind, size_bytes)
             deliver_at = start + serialize + self._latency
 
         if self._dead[dst]:
             self.messages_dropped += 1
             return deliver_at
         if src != dst:
-            self.bytes_received[dst] += size_bytes
+            self.stats[dst].bytes_received += size_bytes
 
         def fire() -> None:
             if self._dead[dst]:

@@ -14,7 +14,7 @@ from typing import Protocol
 
 from .cost import CostModel
 from .machine import Machine
-from .metrics import ClusterReport, collect_metrics
+from .metrics import ClusterReport, cluster_report
 from .network import Message, Network
 from .simulation import SimulationEngine
 
@@ -94,6 +94,7 @@ class SimulatedCluster:
                 f"message {message.kind!r} delivered to machine "
                 f"{message.dst} which has no actor"
             )
+        self.machines[message.dst].stats.messages_handled += 1
         actor.handle_message(message)
 
     def send(
@@ -105,10 +106,9 @@ class SimulatedCluster:
     def run(self, max_events: int | None = None) -> ClusterReport:
         """Drain the event queue and summarize metrics."""
         self.engine.run(max_events=max_events)
-        return collect_metrics(
-            elapsed=self.engine.now,
-            machines=self.machines,
-            network=self.network,
-            master_id=self.MASTER,
+        return cluster_report(
+            self.engine.now,
+            {m.machine_id: m.stats for m in self.machines},
             events_processed=self.engine.events_processed,
+            master_id=self.MASTER,
         )

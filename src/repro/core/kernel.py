@@ -41,7 +41,7 @@ pins the kernel against the per-node recursion kept as the oracle in
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -71,19 +71,8 @@ from .splits import (
 )
 from .tree import TreeNode
 
-
-@dataclass
-class KernelCounters:
-    """Per-worker training-kernel observability counters.
-
-    ``build_s`` is total wall-clock inside :func:`build_subtree`,
-    ``gather_s`` the slice of it spent fancy-indexing ``y``/column values
-    out of the table, and ``nodes_built`` the tree nodes constructed.
-    """
-
-    build_s: float = 0.0
-    gather_s: float = 0.0
-    nodes_built: int = 0
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.machine import MachineStats
 
 
 class _ObjectEntry:
@@ -109,7 +98,7 @@ def build_subtree(
     row_ids: np.ndarray,
     candidate_columns: tuple[int, ...] | None = None,
     root_path: int = 1,
-    counters: KernelCounters | None = None,
+    host_stats: MachineStats | None = None,
     thresholds: dict[int, np.ndarray] | None = None,
 ) -> TreeNode:
     """Build the subtree ``Delta_x`` rooted at heap path ``root_path``.
@@ -117,7 +106,10 @@ def build_subtree(
     Exactly the computation a subtree-task performs on its key worker,
     one whole frontier per iteration.  ``thresholds`` (hist mode)
     restricts numeric split search to the global equi-depth candidate
-    cuts; ``counters``, when given, accumulates build and gather seconds.
+    cuts; ``host_stats``, a host's record when given, accumulates the build's
+    wall seconds (``subtree_kernel_s``) and the slice of them spent
+    fancy-indexing ``y`` / column values out of the table
+    (``subtree_gather_s``).
     """
     start = time.perf_counter()
     if candidate_columns is None:
@@ -343,7 +335,7 @@ def build_subtree(
             )
         frontier = next_frontier
 
-    if counters is not None:
-        counters.gather_s += gather_s
-        counters.build_s += time.perf_counter() - start
+    if host_stats is not None:
+        host_stats.subtree_gather_s += gather_s
+        host_stats.subtree_kernel_s += time.perf_counter() - start
     return root_holder[0]

@@ -175,11 +175,6 @@ class TreePool:
         """Trees fully constructed so far."""
         return self._completed
 
-    @property
-    def active_trees(self) -> int:
-        """Trees currently admitted and incomplete."""
-        return self._active
-
     def all_done(self) -> bool:
         """Whether every tree of every job has been trained."""
         return self._completed == self._total

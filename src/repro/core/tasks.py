@@ -20,6 +20,7 @@ network messages, with sizes charged per :class:`repro.cluster.CostModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,6 +28,10 @@ from ..data.schema import ProblemKind
 from ..data.shm import ShmSlice
 from .config import TreeConfig
 from .splits import CandidateSplit, label_codes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.machine import MachineStats
+    from ..runtime.process import FabricStats
 
 #: Task identity: (tree_uid, heap path).
 TaskId = tuple[int, int]
@@ -64,8 +69,10 @@ MSG_WORKER_WELCOME = "worker_welcome"
 #: off ``ColumnResultMsg``: a ``None`` in ``splits`` now always means "no
 #: split", so a v3 worker's placeholders would train a different forest.
 #: v5 took the three transport knobs off the welcome, whose strict JSON
-#: decoding a v4 peer would fail.
-SOCKET_PROTOCOL_VERSION = 5
+#: decoding a v4 peer would fail.  v6 made the shutdown reply
+#: (``WorkerStatsMsg``) carry the worker's counter records whole instead
+#: of one field per counter.
+SOCKET_PROTOCOL_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,6 @@ class NodeStatsPayload:
             y_sq_sum=float((y * y).sum()),
             pure=pure,
         )
-
-    @property
-    def is_classification(self) -> bool:
-        """Whether these are classification stats."""
-        return self.counts is not None
 
     @property
     def is_pure(self) -> bool:
@@ -429,9 +431,9 @@ class ShutdownMsg:
     """Runtime driver -> worker process: training is done, exit cleanly.
 
     The worker replies with a :class:`WorkerStatsMsg` (its run-end
-    invariant report) before its event loop returns.  Only the
-    multiprocess backend sends this; the simulator ends when its event
-    queue drains.
+    invariant report) before its event loop returns.  Both process
+    backends (``mp`` and ``socket``) send this; the simulator ends when
+    its event queue drains.
     """
 
     reason: str = "done"
@@ -439,44 +441,22 @@ class ShutdownMsg:
 
 @dataclass
 class WorkerStatsMsg:
-    """Worker process -> runtime driver: end-of-run invariant report.
+    """Worker -> runtime driver: end-of-run invariant report.
 
-    ``outstanding`` mirrors :meth:`WorkerActor.outstanding_state` and
-    ``mem_task_bytes`` the machine's live task allocation — both must be
-    zero after a clean run, giving the multiprocess backend the same
-    leak checks the simulator asserts in-process.
+    ``outstanding`` mirrors :meth:`WorkerActor.outstanding_state` and must
+    be all zeros after a clean run, as must ``stats.mem_task_bytes``.
+    ``stats`` is the worker's
+    :class:`~repro.cluster.machine.MachineStats` record and ``fabric``
+    its send fabric's :class:`~repro.runtime.process.FabricStats` (``None``
+    on the simulator, which builds this report in-process), both shipped
+    whole: the driver reduces them with
+    :func:`~repro.cluster.metrics.cluster_report`.
     """
 
     worker: int
     outstanding: dict[str, int]
-    mem_task_bytes: int
-    mem_task_peak: int = 0
-    mem_base_bytes: int = 0
-    messages_handled: int = 0
-    messages_sent: int = 0
-    ops_executed: float = 0.0
-    bytes_by_kind: dict[str, int] = field(default_factory=dict)
-    # -- transport data-plane counters (mp backend) --------------------
-    #: Actual serialized bytes this worker put on its queues.
-    bytes_pickled: int = 0
-    #: Shared bytes this worker consumed without pickling: its attached
-    #: table image plus every arena slice it copied out.
-    shm_bytes_mapped: int = 0
-    #: Queue puts that carried more than one coalesced message.
-    coalesced_batches: int = 0
-    # -- crash-recovery counters (mp backend fault recovery) -----------
-    #: ``revoke_tree`` broadcasts this worker processed.
-    revoked_trees_seen: int = 0
-    #: ``row_response_shm`` descriptors dropped because the owning
-    #: (crashed) worker's arena segment was already swept.
-    stale_shm_drops: int = 0
-    # -- training-kernel counters (see repro.core.kernel) ---------------
-    #: Wall-clock seconds spent inside subtree builds.
-    subtree_kernel_s: float = 0.0
-    #: Slice of the above spent gathering ``y``/column values.
-    subtree_gather_s: float = 0.0
-    #: Tree nodes constructed by subtree-tasks on this worker.
-    subtree_nodes_built: int = 0
+    stats: MachineStats
+    fabric: FabricStats | None = None
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .histogram import (
     decode_bin_codes,
     encode_bin_codes,
 )
-from .kernel import KernelCounters, build_subtree
+from .kernel import build_subtree
 from .splits import (
     CandidateSplit,
     best_split_for_column,
@@ -184,11 +184,6 @@ class WorkerActor:
         #: Messages referencing trees below this uid belong to a dead
         #: master generation and are ignored (secondary-master failover).
         self._min_live_uid = 0
-        # -- crash-recovery counters (reported in worker_stats) ---------
-        self.revoked_trees_seen = 0
-        self.stale_shm_drops = 0
-        # -- training-kernel counters (reported in worker_stats) --------
-        self.kernel_counters = KernelCounters()
         # Resident memory: held columns + the replicated Y column.
         base = sum(table.column(c).nbytes for c in self.held_columns)
         self.host.set_base_memory(base + table.target.nbytes)
@@ -594,11 +589,11 @@ class WorkerActor:
             row_ids=np.arange(n, dtype=np.int64),
             candidate_columns=plan.ctx.candidate_columns,
             root_path=plan.task[1],
-            counters=self.kernel_counters,
+            host_stats=self.host.stats,
             thresholds=thresholds,
         )
         n_nodes = root.count_nodes()
-        self.kernel_counters.nodes_built += n_nodes
+        self.host.stats.subtree_nodes_built += n_nodes
         result = SubtreeResultMsg(
             task=task,
             worker=self.worker_id,
@@ -692,8 +687,9 @@ class WorkerActor:
             # proves the sender is dead, so the tagged tree is being
             # revoked — drop the response; the revocation cleans up the
             # waiting task state.
-            self.stale_shm_drops += 1
+            self.host.stats.stale_shm_drops += 1
             return
+        self.host.stats.shm_bytes_mapped += row_ids.nbytes
         self._route_rows(msg.tag, row_ids)
 
     def _route_rows(self, tag: tuple[str, TaskId], row_ids: np.ndarray) -> None:
@@ -715,7 +711,7 @@ class WorkerActor:
     def _on_revoke_tree(self, msg: RevokeTreeMsg) -> None:
         """Drop all state of a revoked tree, releasing its memory."""
         uid = msg.tree_uid
-        self.revoked_trees_seen += 1
+        self.host.stats.revoked_trees_seen += 1
         self._revoked_trees.add(uid)
         for task in [t for t in self._column_tasks if t[0] == uid]:
             state = self._column_tasks.pop(task)

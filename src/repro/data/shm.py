@@ -415,8 +415,6 @@ class ShmArena:
         self._attached: dict[str, shared_memory.SharedMemory] = {}
         #: Live (written, not yet freed) slice count — a leak detector.
         self.live_slices = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     # -- owner side -----------------------------------------------------
     def write(self, array: np.ndarray) -> ShmSlice:
@@ -434,7 +432,6 @@ class ShmArena:
         segment.cursor += -(-array.nbytes // 8) * 8  # keep 8-byte alignment
         segment.live += 1
         self.live_slices += 1
-        self.bytes_written += array.nbytes
         return ShmSlice(segment.name, offset, int(array.size), str(array.dtype))
 
     def free(self, ref: ShmSlice) -> None:
@@ -484,7 +481,6 @@ class ShmArena:
             buffer=buffer,
             offset=ref.offset,
         )
-        self.bytes_read += view.nbytes
         return view.copy()
 
     # -- teardown -------------------------------------------------------

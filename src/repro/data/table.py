@@ -142,19 +142,6 @@ class DataTable:
         schema = TableSchema(specs, self.schema.target, self.schema.problem)
         return DataTable(schema, [self.columns[i] for i in indices], self.target)
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(
-        cls,
-        schema: TableSchema,
-        columns: Sequence[np.ndarray],
-        target: np.ndarray,
-    ) -> "DataTable":
-        """Build a table from pre-encoded arrays (validating shapes/dtypes)."""
-        return cls(schema, list(columns), np.asarray(target))
-
     def split_train_test(
         self, test_fraction: float, seed: int = 0
     ) -> tuple["DataTable", "DataTable"]:

@@ -6,7 +6,6 @@ from .harness import (
     run_mllib,
     run_treeserver,
     run_xgboost,
-    serial_treeserver_seconds,
 )
 from .model_selection import (
     Candidate,
@@ -35,6 +34,5 @@ __all__ = [
     "run_treeserver",
     "run_xgboost",
     "score",
-    "serial_treeserver_seconds",
     "sweep_table",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from ..baselines.planet import PlanetConfig, PlanetTrainer
 from ..baselines.xgboost_like import XGBoostConfig, XGBoostTrainer
-from ..cluster.cost import CostModel
 from ..core.config import ColumnSampling, SystemConfig, TreeConfig
 from ..core.jobs import decision_tree_job, random_forest_job
 from ..core.server import TreeServer
@@ -144,22 +143,4 @@ def run_xgboost(
         quality=quality,
         quality_metric=metric,
         params={"n_rounds": cfg.n_rounds, "max_depth": cfg.max_depth},
-    )
-
-
-def serial_treeserver_seconds(
-    train: DataTable, tree_config: TreeConfig | None = None,
-    cost: CostModel | None = None,
-) -> float:
-    """Analytic single-thread single-tree TreeServer time (fairness exp.).
-
-    The whole tree is one subtree-task on one core: the cost model's
-    ``n * |C| * log n`` build charge — the quantity the paper's fairness
-    experiment compares against single-thread MLlib.
-    """
-    cfg = tree_config or TreeConfig()
-    cost = cost or CostModel()
-    n_cols = cfg.n_candidate_columns(train.n_columns)
-    return cost.compute_seconds(
-        cost.subtree_build_ops(train.n_rows, n_cols)
     )

@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.jobs import TrainingJob
     from ..core.master import MasterActor
     from ..core.server import RunReport
+    from ..core.tasks import WorkerStatsMsg
     from ..data.table import DataTable
 
 #: Names accepted by ``TreeServer(..., backend=...)`` / ``repro train --backend``.
@@ -406,20 +407,20 @@ class Runtime(abc.ABC):
 
 
 def finish_run(
-    master: "MasterActor", workers: "dict[int, tuple[dict[str, int], int]]"
+    master: "MasterActor", workers: "dict[int, WorkerStatsMsg]"
 ) -> None:
     """The run-end invariants of every backend, then the plan-deque
     counters folded into the master's.
 
-    ``workers`` maps each surviving worker to its ``(outstanding task
-    state, task memory bytes)``: no task state may be left, no task byte
-    held, and the load matrix must be back at zero.
+    ``workers`` maps each surviving worker to its end-of-run report: no
+    task state may be left, no task byte held, and the load matrix must
+    be back at zero.
     """
     for wid in sorted(workers):
-        outstanding, task_bytes = workers[wid]
-        leftovers = {k: v for k, v in outstanding.items() if v}
+        leftovers = {k: v for k, v in workers[wid].outstanding.items() if v}
         if leftovers:
             raise RuntimeError(f"worker {wid} leaked task state: {leftovers}")
+        task_bytes = workers[wid].stats.mem_task_bytes
         if task_bytes != 0:
             raise RuntimeError(
                 f"worker {wid} leaked {task_bytes} bytes of task memory"

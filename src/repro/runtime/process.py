@@ -90,13 +90,14 @@ import queue as queue_module
 import time
 import traceback
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import multiprocessing
 
 from ..cluster.cost import CostModel
 from ..cluster.machine import MemoryLedger
-from ..cluster.metrics import ClusterReport, MachineReport
+from ..cluster.metrics import cluster_report
 from ..cluster.network import Message
 from ..core.histogram import build_threshold_book
 from ..core.jobs import TrainingJob
@@ -185,6 +186,16 @@ def _decode(obj: Any) -> list[Message]:
     return [obj]
 
 
+@dataclass
+class FabricStats:
+    """What one process's :class:`QueueFabric` put on the wire."""
+
+    #: Serialized bytes of every flushed batch.
+    bytes_pickled: int = 0
+    #: Flushes that carried more than one coalesced message.
+    coalesced_batches: int = 0
+
+
 class QueueFabric:
     """The shared send fabric: one inbox queue per machine id.
 
@@ -196,17 +207,13 @@ class QueueFabric:
     FIFO, and each blob preserves append order, which together give the
     per-sender FIFO the protocol requires.  Doing the pickling here (the
     queue then only copies a ``bytes`` blob) also makes the serialized
-    byte count an exact, free metric.
+    byte count an exact, free metric, kept in :attr:`stats`.
     """
 
     def __init__(self, queues: list) -> None:
         self.queues = queues
         self._buffers: list[list[Message]] = [[] for _ in queues]
-        # -- data-plane counters (per hosting process) ------------------
-        self.messages_sent = 0
-        self.batches_sent = 0
-        self.coalesced_batches = 0
-        self.bytes_pickled = 0
+        self.stats = FabricStats()
 
     def send(
         self, src: int, dst: int, kind: str, payload: Any, size_bytes: int
@@ -226,11 +233,9 @@ class QueueFabric:
         batch = self._buffers[dst]
         self._buffers[dst] = []
         blob = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-        self.bytes_pickled += len(blob)
-        self.messages_sent += len(batch)
-        self.batches_sent += 1
+        self.stats.bytes_pickled += len(blob)
         if len(batch) > 1:
-            self.coalesced_batches += 1
+            self.stats.coalesced_batches += 1
         self.queues[dst].put(blob)
 
     def close(self) -> None:
@@ -246,7 +251,9 @@ class ProcessHost(MemoryLedger):
 
     A live process is never halted: the driver detects death.  A real NIC
     is never artificially busy, so :meth:`pace` ignores the timing and
-    queues the pump turn for the owning event loop's :meth:`drain`.
+    queues the pump turn for the owning event loop's :meth:`drain`.  Its
+    counters are one :class:`~repro.cluster.machine.MachineStats` record,
+    like a simulated machine's, with one core: an OS process.
     """
 
     halted = False
@@ -259,8 +266,6 @@ class ProcessHost(MemoryLedger):
         self._transport = transport
         self._started = time.monotonic()
         self._paced: deque[Callable[[], None]] = deque()
-        self.messages_sent = 0
-        self.bytes_by_kind: dict[str, int] = {}
 
     @property
     def now(self) -> float:
@@ -269,18 +274,18 @@ class ProcessHost(MemoryLedger):
 
     def send(self, dst: int, kind: str, payload: Any, size: int) -> None:
         """Count one protocol message and hand it to the transport."""
-        self.messages_sent += 1
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0) + size
+        self.stats.count_send(kind, size)
         self._transport.send(self.machine_id, dst, kind, payload, size)
 
     def execute(
         self, ops: float, fn: Callable[[], None], label: str = "task"
     ) -> None:
-        """Run ``fn`` right now; keep the op estimate for metrics."""
+        """Run ``fn`` right now; count it at the cost model's estimate."""
         if ops < 0:
             raise ValueError("ops must be non-negative")
-        self.stats.ops_executed += ops
+        self.stats.charge(ops, ops / self.cost.ops_per_second, label)
         fn()
+        self.stats.items_executed += 1
 
     def pace(
         self, dispatch_seconds: float, sent: bool, fn: Callable[[], None]
@@ -363,6 +368,7 @@ def run_worker_loop(
         if welcome.shm_prefix is not None:
             arena = ShmArena(f"{welcome.shm_prefix}-w{worker_id}")
         host = ProcessHost(worker_id, welcome.cost, fabric)
+        host.stats.shm_bytes_mapped = attached_nbytes
         actor = WorkerActor(
             host,
             table,
@@ -376,7 +382,6 @@ def run_worker_loop(
             threshold_book=welcome.threshold_book,
         )
         pending: deque[Message] = deque()
-        handled = 0
         while True:
             if not pending:
                 fabric.flush()  # idle: everything buffered goes out now
@@ -387,32 +392,20 @@ def run_worker_loop(
                 continue
             message = pending.popleft()
             if isinstance(message.payload, ShutdownMsg):
-                # Built before it is sent: the counters do not include it.
+                # Pickled when flushed, before the fabric counts the
+                # flush: the records do not include their own trip home.
                 stats = WorkerStatsMsg(
-                    worker=worker_id,
-                    outstanding=actor.outstanding_state(),
-                    mem_task_bytes=host.stats.mem_task_bytes,
-                    mem_task_peak=host.stats.mem_task_peak,
-                    mem_base_bytes=host.stats.mem_base_bytes,
-                    messages_handled=handled,
-                    messages_sent=host.messages_sent,
-                    ops_executed=host.stats.ops_executed,
-                    bytes_by_kind=dict(host.bytes_by_kind),
-                    bytes_pickled=fabric.bytes_pickled,
-                    shm_bytes_mapped=attached_nbytes
-                    + (arena.bytes_read if arena is not None else 0),
-                    coalesced_batches=fabric.coalesced_batches,
-                    revoked_trees_seen=actor.revoked_trees_seen,
-                    stale_shm_drops=actor.stale_shm_drops,
-                    subtree_kernel_s=actor.kernel_counters.build_s,
-                    subtree_gather_s=actor.kernel_counters.gather_s,
-                    subtree_nodes_built=actor.kernel_counters.nodes_built,
+                    worker_id,
+                    actor.outstanding_state(),
+                    host.stats,
+                    fabric.stats,
                 )
                 fabric.send(worker_id, 0, MSG_WORKER_STATS, stats, 0)
                 fabric.flush()
                 return
-            handled += 1
+            host.stats.messages_handled += 1
             actor.handle_message(message)
+            handled = host.stats.messages_handled
             for plan in faults:
                 if plan.fires(worker_id, handled):
                     if plan.kind == "raise":
@@ -819,7 +812,6 @@ class ProcessRuntime(Runtime):
         host.drain()
 
         live = set(range(1, self.system.n_workers + 1))
-        messages_handled = 0
         last_message = time.monotonic()
         while not master.is_done():
             try:
@@ -862,25 +854,31 @@ class ProcessRuntime(Runtime):
                         detail=f"{payload.error}\n{payload.traceback}",
                     )
                 continue
-            messages_handled += 1
+            host.stats.messages_handled += 1
             master.handle_message(message)
             host.drain()
 
-        stats = self._collect_worker_stats(transport, live)
-        finish_run(
-            master,
-            {
-                wid: (worker.outstanding, worker.mem_task_bytes)
-                for wid, worker in stats.items()
-            },
-        )
+        workers = self._collect_worker_stats(transport, host, live)
+        finish_run(master, workers)
         wall = time.perf_counter() - start
+        report = cluster_report(
+            wall,
+            {0: host.stats} | {wid: w.stats for wid, w in workers.items()},
+            events_processed=host.stats.messages_handled,
+            fabrics={0: transport.fabric.stats}
+            | {wid: w.fabric for wid, w in workers.items()},
+        )
+        report.transport.update(
+            shm=transport.shm_prefix is not None,
+            start_method=transport.start_method,
+            fault_policy=options.fault_policy,
+            recovered_workers=master.counters.recovered_workers,
+            revoked_trees=master.counters.revoked_trees,
+        )
         models = {job.name: master.trained_trees(job.name) for job in jobs}
         return RunReport(
             sim_seconds=wall,
-            cluster=self._cluster_report(
-                wall, host, stats, messages_handled, transport, master
-            ),
+            cluster=report,
             counters=master.counters,
             models=models,
             backend=self.name,
@@ -930,12 +928,16 @@ class ProcessRuntime(Runtime):
 
     # ------------------------------------------------------------------
     def _collect_worker_stats(
-        self, transport: WorkerPool, live: set[int]
+        self, transport: WorkerPool, host: ProcessHost, live: set[int]
     ) -> dict[int, WorkerStatsMsg]:
-        """Shutdown phase: every surviving worker reports stats, then exits."""
+        """Shutdown phase: every surviving worker reports stats, then exits.
+
+        The broadcast goes out through the driver's ``host``, so its
+        record counts every message the driver's fabric sends.
+        """
         transport.begin_shutdown()
         for wid in sorted(live):
-            transport.send(0, wid, MSG_SHUTDOWN, ShutdownMsg(), 0)
+            host.send(wid, MSG_SHUTDOWN, ShutdownMsg(), 0)
         transport.flush()
         stats: dict[int, WorkerStatsMsg] = {}
         deadline = time.monotonic() + self.options.message_timeout_seconds
@@ -969,116 +971,3 @@ class ProcessRuntime(Runtime):
             # (cannot happen with a correct protocol, but must not wedge
             # the shutdown path); drop it.
         return stats
-
-    def _cluster_report(
-        self,
-        wall: float,
-        host: ProcessHost,
-        stats: dict[int, WorkerStatsMsg],
-        messages_handled: int,
-        transport: WorkerPool,
-        master: MasterActor,
-    ) -> ClusterReport:
-        """Paper-style summary from real-process counters.
-
-        CPU percent is the cost model's op estimate re-expressed over
-        wall-clock — an indicative utilization figure, not a measured one.
-        """
-        report = ClusterReport(
-            elapsed_seconds=wall, events_processed=messages_handled
-        )
-        master_bytes = sum(host.bytes_by_kind.values())
-        report.machines.append(
-            MachineReport(
-                machine_id=0,
-                cpu_percent=0.0,
-                bytes_sent=master_bytes,
-                bytes_received=0,
-                send_mbps=(master_bytes * 8 / wall / 1e6) if wall > 0 else 0.0,
-                peak_memory_bytes=0,
-                items_executed=messages_handled,
-            )
-        )
-        bytes_by_kind = dict(host.bytes_by_kind)
-        for wid in sorted(stats):
-            worker = stats[wid]
-            sent = sum(worker.bytes_by_kind.values())
-            for kind, nbytes in worker.bytes_by_kind.items():
-                bytes_by_kind[kind] = bytes_by_kind.get(kind, 0) + nbytes
-            seconds_of_ops = worker.ops_executed / self.cost.ops_per_second
-            report.machines.append(
-                MachineReport(
-                    machine_id=wid,
-                    cpu_percent=(
-                        100.0 * seconds_of_ops / wall if wall > 0 else 0.0
-                    ),
-                    bytes_sent=sent,
-                    bytes_received=0,
-                    send_mbps=(sent * 8 / wall / 1e6) if wall > 0 else 0.0,
-                    peak_memory_bytes=worker.mem_base_bytes
-                    + worker.mem_task_peak,
-                    items_executed=worker.messages_handled,
-                )
-            )
-        workers = [m for m in report.machines if m.machine_id != 0]
-        if workers:
-            report.avg_worker_cpu_percent = sum(
-                w.cpu_percent for w in workers
-            ) / len(workers)
-            report.max_worker_cpu_percent = max(w.cpu_percent for w in workers)
-            report.avg_worker_send_mbps = sum(
-                w.send_mbps for w in workers
-            ) / len(workers)
-            report.max_worker_send_mbps = max(w.send_mbps for w in workers)
-            report.avg_peak_memory_bytes = sum(
-                w.peak_memory_bytes for w in workers
-            ) / len(workers)
-        report.master_send_mbps = report.machines[0].send_mbps
-        report.total_bytes = sum(m.bytes_sent for m in report.machines)
-        report.bytes_by_kind = bytes_by_kind
-        # -- real data-plane accounting (what actually crossed queues) --
-        fabric = transport.fabric
-        per_worker = {
-            wid: {
-                "messages_sent": stats[wid].messages_sent,
-                "bytes_pickled": stats[wid].bytes_pickled,
-                "shm_bytes_mapped": stats[wid].shm_bytes_mapped,
-                "coalesced_batches": stats[wid].coalesced_batches,
-                "revoked_trees_seen": stats[wid].revoked_trees_seen,
-                "stale_shm_drops": stats[wid].stale_shm_drops,
-                "subtree_kernel_s": stats[wid].subtree_kernel_s,
-                "subtree_gather_s": stats[wid].subtree_gather_s,
-                "subtree_nodes_built": stats[wid].subtree_nodes_built,
-            }
-            for wid in sorted(stats)
-        }
-        report.transport = {
-            "shm": transport.shm_prefix is not None,
-            "start_method": transport.start_method,
-            "fault_policy": self.options.fault_policy,
-            "recovered_workers": master.counters.recovered_workers,
-            "revoked_trees": master.counters.revoked_trees,
-            "stale_shm_drops": sum(
-                w["stale_shm_drops"] for w in per_worker.values()
-            ),
-            "messages_sent": fabric.messages_sent
-            + sum(w["messages_sent"] for w in per_worker.values()),
-            "bytes_pickled": fabric.bytes_pickled
-            + sum(w["bytes_pickled"] for w in per_worker.values()),
-            "shm_bytes_mapped": sum(
-                w["shm_bytes_mapped"] for w in per_worker.values()
-            ),
-            "coalesced_batches": fabric.coalesced_batches
-            + sum(w["coalesced_batches"] for w in per_worker.values()),
-            "subtree_kernel_s": sum(
-                w["subtree_kernel_s"] for w in per_worker.values()
-            ),
-            "subtree_gather_s": sum(
-                w["subtree_gather_s"] for w in per_worker.values()
-            ),
-            "subtree_nodes_built": sum(
-                w["subtree_nodes_built"] for w in per_worker.values()
-            ),
-            "per_worker": per_worker,
-        }
-        return report

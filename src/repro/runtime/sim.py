@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
+from ..cluster.machine import MachineStats
 from ..cluster.network import Message
 from ..cluster.topology import Actor, SimulatedCluster
 from ..core.histogram import build_threshold_book
@@ -21,6 +22,7 @@ from ..core.jobs import TrainingJob
 from ..core.load_balance import assign_columns_to_workers
 from ..core.master import MasterActor, _TableInfo
 from ..core.secondary import SecondaryMasterActor
+from ..core.tasks import WorkerStatsMsg
 from ..core.worker import WorkerActor
 from ..data.table import DataTable
 from .base import FaultPlan, Runtime, apply_fault_policy, finish_run
@@ -32,25 +34,26 @@ DETECTION_DELAY_SECONDS = 0.05
 
 class _MessageCounter:
     """An actor whose machine fails once it has handled the ``after``-th
-    message of one of its fault plans."""
+    message of one of its fault plans, as its record counts them."""
 
     def __init__(
         self,
         actor: Actor,
+        stats: MachineStats,
         plans: list[FaultPlan],
         fail: Callable[[FaultPlan, str], None],
     ) -> None:
         self.actor = actor
+        self.stats = stats
         self.plans = plans
         self.fail = fail
-        self.handled = 0
 
     def handle_message(self, message: Message) -> None:
         self.actor.handle_message(message)
-        self.handled += 1
+        handled = self.stats.messages_handled
         for plan in self.plans:
-            if plan.fires(plan.worker, self.handled):
-                self.fail(plan, f"after {self.handled} messages")
+            if plan.fires(plan.worker, handled):
+                self.fail(plan, f"after {handled} messages")
 
 
 class SimRuntime(Runtime):
@@ -105,7 +108,9 @@ class SimRuntime(Runtime):
                 if plan.worker == machine_id and plan.after is not None
             ]
             if counted:
-                actor = _MessageCounter(actor, counted, fail)
+                actor = _MessageCounter(
+                    actor, cluster.machines[machine_id].stats, counted, fail
+                )
             cluster.register(machine_id, actor)
 
         def fail(plan: FaultPlan, when: str) -> None:
@@ -194,9 +199,10 @@ class SimRuntime(Runtime):
         finish_run(
             master,
             {
-                worker.worker_id: (
+                worker.worker_id: WorkerStatsMsg(
+                    worker.worker_id,
                     worker.outstanding_state(),
-                    worker.host.stats.mem_task_bytes,
+                    worker.host.stats,
                 )
                 for worker in workers
                 if not worker.host.halted  # crashed ones keep their state

@@ -165,11 +165,6 @@ class Gateway:
         return self._listener.sockets[0].getsockname()[1]
 
     @property
-    def running(self) -> bool:
-        """Whether the listening socket is open."""
-        return self._listener is not None
-
-    @property
     def model_key(self) -> str:
         """Content hash of the currently served model."""
         if not self._models:

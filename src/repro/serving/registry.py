@@ -107,11 +107,6 @@ class RegistryStats:
     #: High-water mark of resident compiled bytes.
     peak_bytes: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total number of cache lookups."""
-        return self.hits + self.misses
-
 
 #: Cache-key suffix separating a model's quantized compiled form from its
 #: exact one — same source trees, different arrays, so they must never

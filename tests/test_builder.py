@@ -15,7 +15,8 @@ from repro.core.builder import (
 )
 from repro.core.config import ColumnSampling, TreeConfig, TreeKind
 from repro.core.impurity import Impurity
-from repro.core.kernel import KernelCounters, build_subtree
+from repro.cluster.machine import MachineStats
+from repro.core.kernel import build_subtree
 from repro.core.tree import node_to_dict, trees_equal
 from repro.data import ProblemKind
 from repro.datasets import SyntheticSpec, generate
@@ -591,9 +592,9 @@ class TestKernelParity:
     def test_counters_accumulate(self):
         table = _parity_table()
         rows = np.arange(table.n_rows, dtype=np.int64)
-        counters = KernelCounters()
+        stats = MachineStats()
         build_subtree(
-            table, TreeConfig(max_depth=None), rows, counters=counters
+            table, TreeConfig(max_depth=None), rows, host_stats=stats
         )
-        assert counters.build_s > 0
-        assert 0 <= counters.gather_s <= counters.build_s
+        assert stats.subtree_kernel_s > 0
+        assert 0 <= stats.subtree_gather_s <= stats.subtree_kernel_s

@@ -116,7 +116,7 @@ class TestNetwork:
         engine, net, inbox = self._make(bw=1.0, lat=10.0)
         t = net.send(1, 1, "k", "x", size_bytes=10**9)
         assert t == 0.0
-        assert net.bytes_sent[1] == 0
+        assert net.stats[1].bytes_sent == 0
         engine.run()
         assert len(inbox) == 1
 
@@ -124,9 +124,9 @@ class TestNetwork:
         engine, net, _ = self._make()
         net.send(0, 1, "a", None, 100)
         net.send(0, 2, "b", None, 50)
-        assert net.bytes_sent[0] == 150
-        assert net.bytes_received[1] == 100
-        assert net.bytes_by_kind == {"a": 100, "b": 50}
+        assert net.stats[0].bytes_sent == 150
+        assert net.stats[1].bytes_received == 100
+        assert net.stats[0].bytes_by_kind == {"a": 100, "b": 50}
 
     def test_dead_destination_drops(self):
         engine, net, inbox = self._make()
@@ -184,7 +184,7 @@ class TestMachine:
         machine.execute(20, lambda: None)
         engine.run()
         assert machine.stats.busy_core_seconds == pytest.approx(2.0)
-        assert machine.utilization(2.0) == pytest.approx(0.5)
+        assert machine.stats.utilization(2.0) == pytest.approx(0.5)
 
     def test_memory_accounting(self):
         engine = SimulationEngine()

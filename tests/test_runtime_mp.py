@@ -869,6 +869,33 @@ class TestFactory:
         assert isinstance(create_runtime("sim", system, cost), SimRuntime)
         assert isinstance(create_runtime("mp", system, cost), ProcessRuntime)
 
+    def test_cli_train_mp_prints_data_plane_and_kernel_lines(self, tmp_path):
+        """The process-backend summary reads its transport keys strictly:
+        a renamed key fails here instead of silently dropping a line."""
+        from repro.cli import main
+        from repro.data.io import write_csv
+
+        table = _table("covtype")
+        csv = tmp_path / "data.csv"
+        write_csv(table, csv)
+        out = io.StringIO()
+        code = main(
+            [
+                "train", "--csv", str(csv), "--target", "label",
+                "--model-dir", str(tmp_path / "m"), "--forest", "2",
+                "--workers", "2", "--max-depth", "6", "--backend", "mp",
+            ],
+            out=out,
+        )
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert sum(line.startswith("data plane: ") for line in lines) == 1
+        kernel = [
+            line for line in lines if line.startswith("training kernel: ")
+        ]
+        assert len(kernel) == 1 and "nodes=" in kernel[0]
+        assert not any(line.startswith("fault recovery:") for line in lines)
+
     def test_cli_train_mp_backend(self, tmp_path):
         """`repro train --backend mp` end to end, identical to sim."""
         from repro.cli import main

@@ -257,9 +257,12 @@ class TestRendezvous:
             kw.setdefault("host_id", "host-a")
             return WorkerHelloMsg(**kw)
 
-        assert SOCKET_PROTOCOL_VERSION == 5
+        assert SOCKET_PROTOCOL_VERSION == 6
         rejected = [
             (hello(worker_id=1, protocol_version=999), "protocol version"),
+            # v5 replied to shutdown with one field per counter; v6 ships
+            # the counter records whole.
+            (hello(worker_id=1, protocol_version=5), "protocol version"),
             # v4 welcomed with three transport knobs that v5 dropped; its
             # hello still decodes, so it gets a clear version rejection.
             (hello(worker_id=1, protocol_version=4), "protocol version"),

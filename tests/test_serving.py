@@ -1347,6 +1347,7 @@ from repro.data.shm import list_segments
 from repro.serving import (
     QUANTIZE_ATOL,
     QUANTIZE_MIN_AGREEMENT,
+    FleetWorkerError,
     ServingFleet,
     SharedCompiledModel,
     flat_fingerprint,
@@ -1730,6 +1731,26 @@ class TestFleet:
             fleet.publish(forest)
             with pytest.raises(WorkerDiedError, match="giving up"):
                 fleet.predict_batch(mat, proba=True, timeout=30.0)
+
+    def test_worker_kernel_error_is_structured_and_fleet_serves_on(self):
+        """A shard the worker's kernel rejects fails its batch with a
+        ``FleetWorkerError`` carrying the remote traceback; the worker
+        stays up and serves the next well-formed batch."""
+        table = make_table(7)
+        forest = make_forest(table, n_trees=2, seed=7)
+        mat = _matrix_of(table)
+        width = compiled_predictor(forest).n_columns
+        with ServingFleet(n_workers=1) as fleet:
+            fleet.publish(forest)
+            with pytest.raises(FleetWorkerError) as info:
+                fleet.predict_batch(mat[:, : width - 1], proba=True)
+            assert info.value.worker_id == 1
+            assert "Traceback" in info.value.remote_traceback
+            assert "IndexError" in info.value.remote_traceback
+            out = fleet.predict_batch(mat, proba=True, timeout=30.0)
+            expected = compiled_predictor(forest).predict_proba_matrix(mat)
+            assert np.array_equal(out, expected)
+            assert fleet.stats()["respawns"] == 0
 
     def test_raise_fault_plan_is_refused(self, monkeypatch):
         """The fleet injects crash faults only: a ``raise`` plan fails

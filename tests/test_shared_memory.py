@@ -210,7 +210,6 @@ class TestShmArena:
             rows = np.arange(5000, dtype=np.int64) + 7
             ref = pickle.loads(pickle.dumps(writer.write(rows)))
             np.testing.assert_array_equal(reader.read(ref), rows)
-            assert reader.bytes_read == rows.nbytes
             writer.free(ref)
         finally:
             reader.close()

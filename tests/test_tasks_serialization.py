@@ -21,6 +21,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.cluster.machine import MachineStats
 from repro.core import tasks
 from repro.core.config import TreeConfig, TreeKind
 from repro.core.histogram import best_binned_numeric_split
@@ -28,6 +29,7 @@ from repro.core.splits import CandidateSplit
 from repro.core.tasks import MESSAGE_DATACLASSES
 from repro.data.schema import ColumnKind, ProblemKind
 from repro.data.shm import ShmSlice
+from repro.runtime.process import FabricStats
 
 
 def deep_equal(a, b) -> bool:
@@ -161,16 +163,16 @@ MESSAGE_FACTORIES: dict[type, object] = {
     tasks.WorkerStatsMsg: tasks.WorkerStatsMsg(
         worker=3,
         outstanding={"column_tasks": 0, "delegate_stores": 0},
-        mem_task_bytes=0,
-        mem_task_peak=4096,
-        mem_base_bytes=1 << 20,
-        messages_handled=17,
-        messages_sent=21,
-        ops_executed=1e6,
-        bytes_by_kind={"column_result": 2048},
-        bytes_pickled=1 << 16,
-        shm_bytes_mapped=3 << 20,
-        coalesced_batches=9,
+        stats=MachineStats(
+            mem_task_peak=4096,
+            mem_base_bytes=1 << 20,
+            messages_handled=17,
+            messages_sent=21,
+            ops_executed=1e6,
+            bytes_by_kind={"column_result": 2048},
+            shm_bytes_mapped=3 << 20,
+        ),
+        fabric=FabricStats(bytes_pickled=1 << 16, coalesced_batches=9),
     ),
     tasks.WorkerErrorMsg: tasks.WorkerErrorMsg(
         worker=2, error="ValueError: boom", traceback="Traceback ..."

@@ -21,26 +21,28 @@ These run over all three substrates: the simulated network (through
 The :class:`~repro.runtime.base.Host` protocol — what an actor needs
 from its machine — is pinned the same way, over a simulated
 :class:`~repro.cluster.machine.Machine` and a
-:class:`~repro.runtime.process.ProcessHost`.  A new backend earns its
-seat by passing this file.
+:class:`~repro.runtime.process.ProcessHost`, and so is the run report
+the process backends build from their hosts' counter records.  A new
+backend earns its seat by passing this file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import queue as queue_module
 import time
 
 import pytest
 
-from repro import SystemConfig, TreeServer
-from repro.cluster.machine import Machine
+from repro import SystemConfig, TreeConfig, TreeServer, random_forest_job
+from repro.cluster.machine import Machine, MachineStats
 from repro.cluster.network import Message
 from repro.cluster.topology import SimulatedCluster
 from repro.core.load_balance import assign_columns_to_workers
 from repro.datasets import dataset_spec, generate
 from repro.runtime import Host, RuntimeOptions
-from repro.runtime.process import ProcessHost
+from repro.runtime.process import FabricStats, ProcessHost
 
 #: Kind tag of the probe messages; never a real protocol kind.
 PROBE = "conformance_probe"
@@ -209,6 +211,11 @@ class TestHostContract:
         run()
         assert calls == ["ran"]
         assert host.stats.ops_executed == 5.0
+        assert host.stats.items_executed == 1
+        assert host.stats.ops_by_label == {"probe": 5.0}
+        assert host.stats.busy_core_seconds == pytest.approx(
+            5.0 / host.cost.ops_per_second
+        )
 
     def test_memory_accounting(self, host_and_run):
         host, _ = host_and_run
@@ -256,3 +263,65 @@ class TestHostContract:
         cluster.engine.run()
         assert host.halted
         assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the run report
+# ----------------------------------------------------------------------
+#: Send-fabric counters the driver's record adds to the workers'; of the
+#: rest, the driver keeps only the ones the test reads off the report —
+#: it never computes, holds task memory, maps shared memory or builds a
+#: subtree.
+_DRIVER_SENDS = ("messages_sent", "bytes_pickled", "coalesced_batches")
+
+
+@pytest.mark.parametrize("backend", ["mp", "socket"])
+def test_every_record_counter_reaches_the_report(backend):
+    """Each numeric field of a worker's records appears in its
+    ``per_worker`` entry and sums into ``transport``, which adds the
+    driver's own record: adding a counter is one field and its
+    increment."""
+    table = generate(dataset_spec("covtype", small=True))
+    system = SystemConfig(n_workers=2, compers_per_worker=1).scaled_to(
+        table.n_rows
+    )
+    report = TreeServer(
+        system,
+        backend=backend,
+        runtime_options=RuntimeOptions(message_timeout_seconds=30.0),
+    ).fit(table, [random_forest_job("rf", 2, TreeConfig(max_depth=6))])
+    cluster = report.cluster
+    transport = cluster.transport
+    per_worker = transport["per_worker"]
+    assert sorted(per_worker) == [1, 2]
+    names = [
+        f.name
+        for record in (MachineStats, FabricStats)
+        for f in dataclasses.fields(record)
+        if f.default_factory is dataclasses.MISSING
+    ]
+    driver = {
+        "n_cores": 1,
+        "messages_handled": cluster.events_processed,
+        "bytes_sent": cluster.machines[0].bytes_sent,
+    }
+    for name in names:
+        worker_sum = sum(entry[name] for entry in per_worker.values())
+        if name in _DRIVER_SENDS:
+            assert transport[name] >= worker_sum, name
+        else:
+            assert transport[name] == pytest.approx(
+                worker_sum + driver.get(name, 0)
+            ), name
+    for wid, entry in per_worker.items():
+        for name in (
+            "messages_handled", "messages_sent", "items_executed",
+            "busy_core_seconds", "bytes_pickled", "mem_base_bytes",
+        ):
+            assert entry[name] > 0, (wid, name)
+        assert entry["mem_task_bytes"] == 0
+    assert transport["messages_sent"] > sum(
+        entry["messages_sent"] for entry in per_worker.values()
+    )
+    assert transport["subtree_nodes_built"] > 0
+    assert sum(cluster.bytes_by_kind.values()) == cluster.total_bytes
