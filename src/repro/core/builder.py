@@ -25,7 +25,7 @@ import numpy as np
 from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from .config import TreeConfig, TreeKind
-from .histogram import column_thresholds, hist_active
+from .histogram import column_thresholds, encode_bin_codes, hist_active
 from .impurity import classification_impurity, variance
 from .splits import CandidateSplit
 from .tree import DecisionTree
@@ -188,19 +188,21 @@ def train_tree(
     In hist mode (``config.split_mode="hist"``) the equi-depth thresholds
     are computed here from the **full** table — even when ``row_ids``
     restricts training to a subset — matching the distributed engine,
-    whose threshold book is built once per run before any task runs.
+    whose threshold book is built once per run before any task runs — and
+    the table is binned against them once.
     """
     # Imported here, not at module level: kernel.py builds on this module.
     from .kernel import build_subtree
 
     if row_ids is None:
         row_ids = np.arange(table.n_rows, dtype=np.int64)
-    thresholds = (
-        column_thresholds(table, config.max_bins)
-        if hist_active(config)
-        else None
-    )
-    root = build_subtree(table, config, row_ids, thresholds=thresholds)
+    binned = None
+    if hist_active(config):
+        binned = {
+            col: (t, encode_bin_codes(table.column(col), t))
+            for col, t in column_thresholds(table, config.max_bins).items()
+        }
+    root = build_subtree(table, config, row_ids, binned=binned)
     return DecisionTree(
         root=root,
         problem=table.problem,

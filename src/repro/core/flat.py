@@ -17,8 +17,8 @@ NumPy arrays indexed by node id:
   (paper Appendix D) and descents may stop anywhere.
 
 Nodes are laid out in **breadth-first order**, so node ids are sorted by
-depth and truncating a tree at depth ``d`` is literally slicing a prefix of
-every array (:meth:`FlatTree.truncated`).
+depth; the kernel's ``max_depth`` argument stops every descent at depth
+``d`` (paper Appendix D: one ``d_max`` tree contains every shallower one).
 
 A :class:`FlatForest` owns each of those arrays **once for the whole
 forest** (``stacked``: the member trees' arrays end to end, ids still
@@ -147,43 +147,6 @@ class FlatTree:
     def nbytes(self) -> int:
         """Total bytes of all arrays (serving memory accounting)."""
         return int(sum(getattr(self, attr).nbytes for attr in TREE_ARRAYS))
-
-    def truncated(self, max_depth: int) -> "FlatTree":
-        """Slice the tree at ``max_depth`` — the BFS layout makes this a
-        prefix cut of every array, with the cut level's nodes made leaves.
-
-        Prediction on the sliced tree equals prediction on the full tree
-        with the same ``max_depth`` argument, but the sliced model is
-        smaller — the serving answer to the paper's observation that one
-        ``d_max`` tree contains every shallower tree (Appendix D).
-        """
-        if max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        keep = int(np.searchsorted(self.depth, max_depth, side="right"))
-        keep = max(keep, 1)
-        cut = self.depth[:keep] >= max_depth
-        feature = self.feature[:keep].copy()
-        left = self.left[:keep].copy()
-        right = self.right[:keep].copy()
-        feature[cut] = -1
-        left[cut] = -1
-        right[cut] = -1
-        return FlatTree(
-            feature=feature,
-            numeric=self.numeric[:keep].copy(),
-            threshold=self.threshold[:keep].copy(),
-            left=left,
-            right=right,
-            depth=self.depth[:keep].copy(),
-            predictions=self.predictions[:keep].copy(),
-            cat_offset=self.cat_offset[:keep].copy(),
-            cat_len=self.cat_len[:keep].copy(),
-            cat_dir=self.cat_dir.copy(),
-            problem=self.problem,
-            n_classes=self.n_classes,
-            tree_id=self.tree_id,
-            quantized=self.quantized,
-        )
 
     def quantized_copy(self) -> "FlatTree":
         """This tree with compact array dtypes (opt-in ``quantize=True``).
@@ -341,14 +304,6 @@ class FlatForest:
     def nbytes(self) -> int:
         """Total bytes of all member trees' arrays."""
         return sum(t.nbytes() for t in self.trees)
-
-    def truncated(self, max_depth: int) -> "FlatForest":
-        """Depth-slice every member tree (see :meth:`FlatTree.truncated`)."""
-        return FlatForest(
-            trees=[t.truncated(max_depth) for t in self.trees],
-            problem=self.problem,
-            n_classes=self.n_classes,
-        )
 
     def quantized_copy(self) -> "FlatForest":
         """This forest with every member tree quantized (no-op if already)."""

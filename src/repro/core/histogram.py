@@ -12,6 +12,10 @@ that machinery, behind the existing task seam (the PLANET baseline in
 * :func:`equi_depth_thresholds` / :func:`bin_indices` — candidate
   thresholds per column (computed **once over the full table** at training
   start and shipped to every machine) and the per-row bucket codes.
+* :func:`encode_bin_codes` — a column's int8/int16 bucket codes, made
+  **once per run** (per worker for its held columns, per tree serially).
+  Below the book a numeric column *is* its codes: column tasks scan them,
+  column servers ship them and the level kernel scans and routes them.
 * :func:`binned_scan` — the split search on bucket codes for every node
   of a level at once (the level kernel's), whose one-segment call is the
   per-node search of a column task and of the PLANET baseline:
@@ -22,11 +26,9 @@ that machinery, behind the existing task seam (the PLANET baseline in
   :func:`best_binned_numeric_split` composes the two.  Nothing is shipped:
   a column lives whole on one worker, so its histogram over ``I_x`` is
   complete there.
-* :func:`encode_bin_codes` / :func:`decode_bin_codes` — the subtree-task
-  data plane: column servers ship int8/int16 bucket codes instead of
-  float64 values, and the key worker decodes them into *pseudo-values*
-  (the bucket's threshold) that rebin and route exactly like the
-  originals.
+* :func:`route_bin_codes` — :func:`~repro.core.splits.route_training_rows`
+  on codes.  Thresholds strictly increase, so ``v <= t[b]`` holds exactly
+  when ``code <= b``, and code ``-1`` follows ``missing_to_left``.
 
 **Exact-collapse guarantee.**  When a column has at most ``max_bins``
 distinct present values, the thresholds are exactly the distinct values
@@ -72,9 +74,6 @@ from .splits import (
     level_cells,
     scan_in_runs,
 )
-
-#: Empty threshold set: a degenerate column offers no candidates.
-NO_THRESHOLDS = np.empty(0)
 
 #: A threshold book: ``{max_bins: {column: thresholds array}}``, covering
 #: every numeric column of the table for every distinct ``max_bins`` any
@@ -153,27 +152,22 @@ def bin_code_dtype(n_thresholds: int) -> np.dtype:
 
 
 def encode_bin_codes(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Compact bucket codes of a column slice for the wire (1–2 bytes/row)."""
+    """Compact bucket codes of a column (1–2 bytes/row), made once per run."""
     return bin_indices(values, thresholds).astype(bin_code_dtype(thresholds.size))
 
 
-def decode_bin_codes(codes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Pseudo-values for received bucket codes.
+def route_bin_codes(
+    codes: np.ndarray, thresholds: np.ndarray, split: CandidateSplit
+) -> np.ndarray:
+    """Which of a node's rows go left, from their bucket codes: the
+    :func:`~repro.core.splits.route_training_rows` of the raw values.
 
-    Code ``b < len(thresholds)`` maps to ``thresholds[b]``, the overflow
-    bucket to ``+inf``, missing (``-1``) to NaN.  Because thresholds
-    strictly increase, ``pseudo <= t`` holds exactly when the original
-    value satisfied ``v <= t`` for every candidate threshold ``t`` — so
-    rebinning and routing pseudo-values is identical to routing the
-    originals, which is what lets a key worker run a whole hist-mode
-    subtree on decoded columns.
+    ``split.threshold`` is ``thresholds[b]`` for some cut ``b``, and
+    ``v <= thresholds[b]`` exactly when ``code <= b``; missing rows (code
+    ``-1``) follow ``split.missing_to_left``.
     """
-    ext = np.empty(thresholds.size + 1, dtype=np.float64)
-    ext[: thresholds.size] = thresholds
-    ext[thresholds.size] = np.inf
-    out = ext[np.maximum(codes, 0).astype(np.int64)]
-    out[codes < 0] = np.nan
-    return out
+    cut = np.searchsorted(thresholds, split.threshold)
+    return np.where(codes < 0, split.missing_to_left, codes <= cut)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ task runs — one implementation, one set of bits:
 
 * case 1, numeric: :func:`~repro.core.splits.numeric_classification_scan`
   and :func:`~repro.core.splits.numeric_regression_scan`, or in hist mode
-  :func:`~repro.core.histogram.binned_scan` on the column's bucket codes;
+  :func:`~repro.core.histogram.binned_scan` on the column's bucket codes,
+  which the caller made once and which the kernel also routes on
+  (:func:`~repro.core.histogram.route_bin_codes`): hist mode reads no raw
+  numeric value and bins nothing;
 * case 3, categorical attribute and target:
   :func:`~repro.core.splits.categorical_classification_scan`;
 * case 2, categorical attribute and numeric target, still runs per node
@@ -58,7 +61,7 @@ from .builder import (
     split_is_useful,
 )
 from .config import TreeConfig, TreeKind
-from .histogram import NO_THRESHOLDS, bin_indices, binned_scan
+from .histogram import binned_scan, route_bin_codes
 from .splits import (
     CandidateSplit,
     CountScratch,
@@ -99,14 +102,16 @@ def build_subtree(
     candidate_columns: tuple[int, ...] | None = None,
     root_path: int = 1,
     host_stats: MachineStats | None = None,
-    thresholds: dict[int, np.ndarray] | None = None,
+    binned: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> TreeNode:
     """Build the subtree ``Delta_x`` rooted at heap path ``root_path``.
 
     Exactly the computation a subtree-task performs on its key worker,
-    one whole frontier per iteration.  ``thresholds`` (hist mode)
-    restricts numeric split search to the global equi-depth candidate
-    cuts; ``host_stats``, a host's record when given, accumulates the build's
+    one whole frontier per iteration.  ``binned`` (hist mode) maps every
+    numeric column to its ``(thresholds, codes)``: the global equi-depth
+    candidate cuts and the bucket code of each of ``table``'s rows, which
+    the numeric split search and routing read instead of the column's
+    values; ``host_stats``, a host's record when given, accumulates the build's
     wall seconds (``subtree_kernel_s``) and the slice of them spent
     fancy-indexing ``y`` / column values out of the table
     (``subtree_gather_s``).
@@ -258,15 +263,15 @@ def build_subtree(
             y_scan = y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
         for col in candidate_columns:
             spec = table.column_spec(col)
+            coded = spec.kind is ColumnKind.NUMERIC and binned is not None
             tick = time.perf_counter()
-            v = table.column(col)[act_rows]
+            v = (binned[col][1] if coded else table.column(col))[act_rows]
             gather_s += time.perf_counter() - tick
             column_cache[col] = v
-            if spec.kind is ColumnKind.NUMERIC and thresholds is not None:
-                t = thresholds.get(col, NO_THRESHOLDS)
+            if coded:
                 entries.append(
                     binned_scan(
-                        col, bin_indices(v, t), y_scan, act_starts, t,
+                        col, v, y_scan, act_starts, binned[col][0],
                         criterion, n_classes, scratch,
                     )
                 )
@@ -325,9 +330,11 @@ def build_subtree(
                 continue
             node = nodes[i]
             node.split = split
-            go_left = route_training_rows(
-                column_cache[split.column][s0:s1], split
-            )
+            v = column_cache[split.column][s0:s1]
+            if split.kind is ColumnKind.NUMERIC and binned is not None:
+                go_left = route_bin_codes(v, binned[split.column][0], split)
+            else:
+                go_left = route_training_rows(v, split)
             ids_seg = act_rows[s0:s1]
             next_frontier.append((ids_seg[go_left], 2 * path, (node, "left")))
             next_frontier.append(

@@ -5,7 +5,7 @@ feature columns (whole columns — TreeServer's column partitioning).  It
 plays four roles, often simultaneously:
 
 * **column-task executor** — fetch ``I_x`` from the parent worker, compute
-  the exact best split of each assigned column, report to the master;
+  the best split of each assigned column, report to the master;
 * **delegate worker** — after the master confirms this worker's column won,
   partition ``I_x`` into ``I_xl`` / ``I_xr`` and serve them to child tasks
   directly (the master never relays row ids — Section V);
@@ -13,6 +13,10 @@ plays four roles, often simultaneously:
   and build the whole ``Delta_x`` locally with the level kernel;
 * **column server** — fetch ``I_x`` itself and ship the requested column
   values of ``D_x`` to a key worker.
+
+In hist mode a held numeric column is binned once, at set-up, and is its
+bucket codes from then on: every role above reads, ships and hands the
+level kernel ``codes[I_x]``, and nothing bins again.
 
 Task data readiness follows the T-thinker discipline: a task waits in the
 task table until all its data has arrived, then moves to the compute queue
@@ -34,12 +38,10 @@ from ..data.table import DataTable
 from .builder import extra_tree_split_rng
 from .config import TreeKind
 from .histogram import (
-    NO_THRESHOLDS,
     best_binned_numeric_split,
-    bin_indices,
     book_for_config,
-    decode_bin_codes,
     encode_bin_codes,
+    hist_active,
 )
 from .kernel import build_subtree
 from .splits import (
@@ -165,6 +167,16 @@ class WorkerActor:
         #: full table so every machine bins identically; ``None``/empty
         #: when every submitted job trains exact.
         self.threshold_book = threshold_book
+        #: The bucket codes of every held numeric column, made once per
+        #: ``max_bins`` of the book: ``{max_bins: {column: codes}}``.
+        self.bin_codes = {
+            mb: {
+                c: encode_bin_codes(table.column(c), thresholds[c])
+                for c in self.held_columns
+                if table.column_spec(c).kind is ColumnKind.NUMERIC
+            }
+            for mb, thresholds in (threshold_book or {}).items()
+        }
         #: Shared-memory row-id arena (process backends only).  When set,
         #: row-id sets of at least :data:`SHM_THRESHOLD_BYTES` travel as
         #: :class:`ShmSlice` descriptors instead of pickled arrays.
@@ -184,8 +196,9 @@ class WorkerActor:
         #: Messages referencing trees below this uid belong to a dead
         #: master generation and are ignored (secondary-master failover).
         self._min_live_uid = 0
-        # Resident memory: held columns + the replicated Y column.
+        # Resident memory: held columns, their codes + the replicated Y.
         base = sum(table.column(c).nbytes for c in self.held_columns)
+        base += sum(c.nbytes for b in self.bin_codes.values() for c in b.values())
         self.host.set_base_memory(base + table.target.nbytes)
 
     # ------------------------------------------------------------------
@@ -199,6 +212,12 @@ class WorkerActor:
                 f"it does not hold"
             )
         return self.table.column(column)
+
+    def held_column(self, column: int, config) -> np.ndarray:
+        """A held column as ``config``'s split search reads it: its stored
+        bucket codes in hist mode when numeric, its values otherwise."""
+        codes = book_for_config(self.bin_codes, config) or {}
+        return codes[column] if column in codes else self.column_values(column)
 
     def _send(self, dst: int, kind: str, payload, size: int) -> None:
         self.host.send(dst, kind, payload, size)
@@ -308,7 +327,7 @@ class WorkerActor:
         splits: list[CandidateSplit | None] = []
         for col in plan.columns:
             spec = self.table.column_spec(col)
-            values = self.column_values(col)[ids]
+            values = self.held_column(col, plan.ctx.config)[ids]
             if plan.ctx.config.tree_kind is TreeKind.EXTRA:
                 split = random_split_for_column(
                     col,
@@ -323,11 +342,10 @@ class WorkerActor:
             elif thresholds is not None and spec.kind is ColumnKind.NUMERIC:
                 # Hist mode: the column lives whole on this worker, so its
                 # node-local histogram is complete — score it right here.
-                col_thresholds = thresholds.get(col, NO_THRESHOLDS)
                 split = best_binned_numeric_split(
                     col,
-                    bin_indices(values, col_thresholds),
-                    col_thresholds,
+                    values,
+                    thresholds[col],
                     y,
                     criterion,
                     self.table.n_classes,
@@ -558,26 +576,25 @@ class WorkerActor:
             return  # revoked while queued
         plan = state.plan
         ids = state.row_ids
-        # Assemble the local D_x: fetched columns plus locally-held ones;
-        # columns outside the candidate set are filled with missing values
-        # and are never consulted by the builder.
+        # Assemble the local D_x: fetched columns plus locally-held ones.
+        # In hist mode a numeric column is its codes, fetched or our own,
+        # which go to the kernel beside D_x.  Columns outside the candidate
+        # set and coded ones are filled with missing values and are never
+        # consulted by the builder.
         n = int(ids.size)
         thresholds = book_for_config(self.threshold_book, plan.ctx.config)
+        binned = None if thresholds is None else {}
         columns: list[np.ndarray] = []
-        needed = set(plan.local_columns) | set(state.column_data)
         for idx, spec in enumerate(self.table.schema.columns):
-            if idx in state.column_data:
-                arr = state.column_data[idx]
-                if thresholds is not None and spec.kind is ColumnKind.NUMERIC:
-                    # Fetched hist-mode columns arrived as bucket codes;
-                    # decode into pseudo-values that rebin and route
-                    # exactly like the originals.
-                    arr = decode_bin_codes(
-                        arr, thresholds.get(idx, NO_THRESHOLDS)
-                    )
+            coded = binned is not None and spec.kind is ColumnKind.NUMERIC
+            arr = state.column_data.get(idx)
+            if arr is None and idx in plan.local_columns:
+                arr = self.held_column(idx, plan.ctx.config)[ids]
+            if coded and arr is not None:
+                binned[idx] = (thresholds[idx], arr)
+                arr = None
+            if arr is not None:
                 columns.append(arr)
-            elif idx in needed:
-                columns.append(self.column_values(idx)[ids])
             elif spec.kind is ColumnKind.NUMERIC:
                 columns.append(np.full(n, np.nan))
             else:
@@ -590,7 +607,7 @@ class WorkerActor:
             candidate_columns=plan.ctx.candidate_columns,
             root_path=plan.task[1],
             host_stats=self.host.stats,
-            thresholds=thresholds,
+            binned=binned,
         )
         n_nodes = root.count_nodes()
         self.host.stats.subtree_nodes_built += n_nodes
@@ -638,24 +655,13 @@ class WorkerActor:
             return
         msg = state.request
         ids = state.row_ids
-        thresholds = book_for_config(self.threshold_book, msg.ctx.config)
-        if thresholds is None:
-            arrays = [self.column_values(col)[ids] for col in msg.columns]
-            size = self.cost.column_data_bytes(int(ids.size), len(msg.columns))
+        # Hist mode: numeric columns ship as their stored int8/int16
+        # bucket codes; categorical columns still ship raw values.
+        arrays = [self.held_column(c, msg.ctx.config)[ids] for c in msg.columns]
+        if hist_active(msg.ctx.config):
+            size = self.cost.control_bytes + sum(a.nbytes for a in arrays)
         else:
-            # Hist mode: numeric columns ship as compact int8/int16 bucket
-            # codes (the key worker decodes them against the same book);
-            # categorical columns still ship raw values.
-            arrays = []
-            size = self.cost.control_bytes
-            for col in msg.columns:
-                values = self.column_values(col)[ids]
-                if self.table.column_spec(col).kind is ColumnKind.NUMERIC:
-                    values = encode_bin_codes(
-                        values, thresholds.get(col, NO_THRESHOLDS)
-                    )
-                arrays.append(values)
-                size += int(values.nbytes)
+            size = self.cost.column_data_bytes(int(ids.size), len(msg.columns))
         response = ColumnResponseMsg(
             task=task,
             server=self.worker_id,

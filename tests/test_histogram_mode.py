@@ -25,6 +25,8 @@ pickled bytes per worker than exact mode on the same job.
 
 from __future__ import annotations
 
+import traceback
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,14 +38,14 @@ from repro import SystemConfig, TreeConfig, TreeServer, trees_equal
 from repro.core.builder import train_tree
 from repro.core.config import SPLIT_MODES
 from repro.core.impurity import Impurity
-from repro.core import histogram, splits
+from repro.core import histogram, kernel, splits, worker
 from repro.core.histogram import (
     best_binned_numeric_split,
     bin_indices,
     binned_scan,
-    decode_bin_codes,
     encode_bin_codes,
     equi_depth_thresholds,
+    route_bin_codes,
 )
 from repro.core.jobs import decision_tree_job, random_forest_job
 from repro.core.splits import CandidateSplit
@@ -171,28 +173,54 @@ class TestThresholds:
 
 
 # ----------------------------------------------------------------------
-# bucket codes: the subtree-task data plane
+# bucket codes: what a numeric column is below the threshold book
 # ----------------------------------------------------------------------
+@st.composite
+def _coded_columns(draw):
+    """A numeric column and its ``max_bins``: an int8 book (2-32 bins over
+    a few tied atoms or distinct values) or an int16 one (300-1 000 bins
+    over 1 000 distinct values); NaN, +inf and -inf each at rate 0, 2 %
+    or 10 %.  Thresholds are data values, so rows equal to a threshold
+    are always among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = draw(st.booleans())
+    if wide:
+        n, n_atoms = 1000, 1000
+        max_bins = draw(st.sampled_from([300, 1000]))
+    else:
+        n = draw(st.sampled_from([1, 5, 40, 200]))
+        n_atoms = draw(st.sampled_from([1, 2, 5, n]))
+        max_bins = draw(st.sampled_from([2, 3, 8, 32]))
+    values = rng.choice(np.round(rng.normal(size=n_atoms) * 10.0, 2), size=n)
+    for special in (np.nan, np.inf, -np.inf):
+        rate = draw(st.sampled_from([0.0, 0.02, 0.1]))
+        values[rng.random(n) < rate] = special
+    return values, max_bins, wide
+
+
 class TestBinCodes:
-    def test_codes_are_compact_and_route_identically(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=500)
-        values[rng.random(500) < 0.1] = np.nan
-        t = equi_depth_thresholds(values, max_bins=16)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_coded_columns())
+    def test_codes_are_compact_and_route_identically(self, case):
+        """Routing a node on its codes is routing it on its values: for
+        every cut of the book and either side for missing rows,
+        ``route_bin_codes`` equals ``route_training_rows`` on the raw
+        column — ties, NaN, +-inf and rows equal to a threshold alike."""
+        values, max_bins, wide = case
+        t = equi_depth_thresholds(values, max_bins)
         codes = encode_bin_codes(values, t)
-        assert codes.dtype == np.int8  # <= 127 thresholds
-        pseudo = decode_bin_codes(codes, t)
-        # Pseudo-values rebin identically...
-        np.testing.assert_array_equal(
-            bin_indices(pseudo, t), bin_indices(values, t)
-        )
-        # ...and answer every candidate-threshold comparison identically.
-        present = ~np.isnan(values)
+        assert codes.dtype == (np.int16 if wide else np.int8)
+        assert (t.size > np.iinfo(np.int8).max) == wide
         for cut in t:
-            np.testing.assert_array_equal(
-                pseudo[present] <= cut, values[present] <= cut
-            )
-        assert np.all(np.isnan(pseudo[~present]))
+            for missing_to_left in (True, False):
+                split = CandidateSplit(
+                    0, ColumnKind.NUMERIC, 0.0, 0, 0,
+                    threshold=float(cut), missing_to_left=missing_to_left,
+                )
+                np.testing.assert_array_equal(
+                    route_bin_codes(codes, t, split),
+                    splits.route_training_rows(values, split),
+                )
 
     def test_wide_books_use_wider_dtypes(self):
         values = np.arange(500.0)
@@ -598,6 +626,44 @@ class TestDistributedHist:
         assert hist_messages == exact_messages == 665
         for report in (exact, hist):
             assert report.cluster.bytes_by_kind[MSG_COLUMN_RESULT] == 34_592
+
+    def test_a_fit_bins_each_held_column_once(self, monkeypatch):
+        """Codes are made once per (worker, held numeric column,
+        ``max_bins``), when the worker starts with the threshold book: 2
+        workers holding all 12 numeric columns is 24 on the e2e hist job's
+        shape.  Column tasks, column servers and the level kernel bin
+        nothing; they read the stored codes."""
+        table = generate(
+            SyntheticSpec(
+                "T", 3000, 12, 4, n_classes=5, planted_depth=6,
+                missing_rate=0.02, seed=3,
+            )
+        )
+        callers: list[set[tuple[str, str]]] = []
+        real = histogram.bin_indices
+
+        def counting(values, thresholds):
+            stack = traceback.extract_stack()
+            callers.append({(Path(f.filename).name, f.name) for f in stack})
+            return real(values, thresholds)
+
+        for module in (histogram, kernel, worker):
+            monkeypatch.setattr(module, "bin_indices", counting, raising=False)
+        system = SystemConfig(
+            n_workers=2, compers_per_worker=2, column_replication=2
+        ).scaled_to(table.n_rows)
+        cfg = _hist(TreeConfig(seed=1, max_depth=10), 32)
+        report = TreeServer(system).fit(
+            table, [random_forest_job("rf", 4, cfg, seed=1)]
+        )
+        assert report.counters.column_tasks > 0
+        assert report.counters.subtree_tasks > 0
+        assert len(callers) == 2 * 12
+        for frames in callers:
+            assert ("worker.py", "__init__") in frames
+            assert not {name for _, name in frames} & {
+                "_compute_column_task", "_serve_columns", "build_subtree"
+            }
 
     def test_hist_moves_fewer_bytes_than_exact_on_socket(self):
         """The headline data-plane win: identical jobs, identical wide

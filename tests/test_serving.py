@@ -108,25 +108,6 @@ class TestCompiler:
         np.testing.assert_allclose(flat.predictions.sum(axis=1), 1.0)
         assert flat.nbytes() > 0
 
-    def test_truncated_is_prefix_slice(self, small_mixed_classification):
-        tree = train_tree(small_mixed_classification, TreeConfig(max_depth=7))
-        flat = compile_tree(tree)
-        for d in range(flat.max_depth + 1):
-            cut = flat.truncated(d)
-            assert cut.n_nodes <= flat.n_nodes
-            assert cut.max_depth <= d
-            # Prefix cut: surviving arrays match the full tree's prefix.
-            np.testing.assert_array_equal(
-                cut.predictions, flat.predictions[: cut.n_nodes]
-            )
-            # Cut-level nodes became leaves.
-            assert np.all(cut.feature[cut.depth >= d] == -1)
-
-    def test_truncated_rejects_negative(self, small_mixed_classification):
-        tree = train_tree(small_mixed_classification, TreeConfig(max_depth=3))
-        with pytest.raises(ValueError):
-            compile_tree(tree).truncated(-1)
-
     def test_forest_accounting(self, small_mixed_classification):
         forest = make_forest(small_mixed_classification, n_trees=4)
         flat = compile_forest(forest)
@@ -196,11 +177,6 @@ class TestParity:
             )
             np.testing.assert_array_equal(
                 forest.predict_proba(table, max_depth=d), expected
-            )
-            # Compile-time slicing == run-time truncation.
-            np.testing.assert_array_equal(
-                BatchPredictor(flat.truncated(d)).predict_proba(table),
-                expected,
             )
 
     def test_truncation_depth_regression(self, small_regression):
