@@ -265,8 +265,8 @@ def test_split_scan_sweep(run_once):
             one_level(
                 f"binned level {LEVEL_ROWS} rows, {n_seg} nodes",
                 lambda: binned_scan(
-                    0, bins, codes, bounds, thresholds, Impurity.GINI, k,
-                    scratch,
+                    (0,), (bins,), codes, bounds, (thresholds,),
+                    Impurity.GINI, k, scratch,
                 ),
                 lambda lo, hi: reference_binned_split(
                     0, bins[lo:hi], thresholds, labels[lo:hi], Impurity.GINI, k

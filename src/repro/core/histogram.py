@@ -16,16 +16,17 @@ that machinery, behind the existing task seam (the PLANET baseline in
   **once per run** (per worker for its held columns, per tree serially).
   Below the book a numeric column *is* its codes: column tasks scan them,
   column servers ship them and the level kernel scans and routes them.
-* :func:`binned_scan` — the split search on bucket codes for every node
-  of a level at once (the level kernel's), whose one-segment call is the
-  per-node search of a column task and of the PLANET baseline:
-  :func:`column_histogram` builds one node's per-bin statistics (class
-  counts, or ``(count, sum, sum-of-squares)``, missing rows in a slot of
-  their own), :func:`score_histogram` scores its O(bins) prefix cuts into
-  a :class:`~repro.core.splits.CandidateSplit`, and
-  :func:`best_binned_numeric_split` composes the two.  Nothing is shipped:
-  a column lives whole on one worker, so its histogram over ``I_x`` is
-  complete there.
+* :func:`binned_scan` — the split search on bucket codes for all the
+  coded columns of a task or a level at once: one call per level of the
+  level kernel and one per column task, whose segments are (column,
+  node) pairs; a one-column call is its per-column case.  PLANET keeps
+  the per-node search: :func:`column_histogram` builds one node's per-bin
+  statistics (class counts, or ``(count, sum, sum-of-squares)``, missing
+  rows in a slot of their own), :func:`score_histogram` scores its
+  O(bins) prefix cuts into a :class:`~repro.core.splits.CandidateSplit`,
+  and :func:`best_binned_numeric_split` composes the two.  Nothing is
+  shipped: a column lives whole on one worker, so its histogram over
+  ``I_x`` is complete there.
 * :func:`route_bin_codes` — :func:`~repro.core.splits.route_training_rows`
   on codes.  Thresholds strictly increase, so ``v <= t[b]`` holds exactly
   when ``code <= b``, and code ``-1`` follows ``missing_to_left``.
@@ -45,7 +46,14 @@ integers; a regression bin's sums are ``bincount(weights=)`` sums, which
 add each bin's rows in row order whether the rows are one node's or a
 level's; and the prefix sums and impurities run along the bin axis, the
 same additions in the same order per segment, scored by the elementwise
-functions of :mod:`repro.core.impurity`.
+functions of :mod:`repro.core.impurity`.  A column is just more
+segments: stacking a task's or a level's columns column-major adds
+(column, node) segments, each still counting only its own rows.  What
+must not change is a segment's row of the table — a regression row's
+float sums and cumulative sums along the bin axis repeat one node's
+additions only over a row of the same length — so columns are stacked
+only with columns of equally many thresholds, one group per threshold
+count, never padded to a common width.
 
 **Node-local accounting.**  Every statistic here — including
 ``n_missing`` and the derived ``missing_to_left`` — is computed from the
@@ -56,11 +64,13 @@ node (the master asserts it on every ``split_done``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data.schema import ColumnKind
+from . import splits
 from .impurity import (
     Impurity,
     classification_children_scores,
@@ -171,44 +181,91 @@ def route_bin_codes(
 
 
 # ----------------------------------------------------------------------
-# the binned split scan: per level, and per node as its one-segment call
+# the binned split scan: per task or level, per node as its one-segment call
 # ----------------------------------------------------------------------
 def binned_scan(
-    column: int,
-    codes: np.ndarray,
+    columns: Sequence[int],
+    codes: Sequence[np.ndarray],
     y: np.ndarray,
     starts: np.ndarray,
-    thresholds: np.ndarray,
+    thresholds: Sequence[np.ndarray],
     criterion: Impurity,
     n_classes: int,
     scratch: CountScratch | None = None,
-) -> NumericLevelScan:
-    """Histogram split search (ordinal attribute) over a level.
+) -> list[NumericLevelScan]:
+    """Histogram split search (ordinal attributes) over the coded columns
+    of a task or a level: one :class:`NumericLevelScan` per column, in
+    ``columns`` order.
 
-    Segment ``i`` — one node — is rows ``starts[i]:starts[i + 1]`` of the
-    bucket codes ``codes`` (``-1`` missing) and of ``y`` (``int64`` class
-    codes under a classification criterion, targets otherwise).  One
-    ``bincount`` per run of segments builds every segment's per-bin
-    statistics, missing rows in a slot of their own; then every cut of
-    every segment of the run is scored at once
-    (:func:`_score_bin_table`).  Runs hold at most
-    :data:`~repro.core.splits.LEVEL_TABLE_BINS` cells, so memory is
-    bounded however large ``max_bins`` is; their children's class counts
-    go to ``scratch``, if given.
+    Node ``i`` is rows ``starts[i]:starts[i + 1]`` of ``y`` (``int64``
+    class codes under a classification criterion, targets otherwise) and
+    of every column's bucket codes ``codes[k]`` (``-1`` missing), scored
+    against ``thresholds[k]``.  Columns with equally many thresholds form
+    a group, whose segments are its (column, node) pairs, column-major.
+    One ``bincount`` per run of a group's segments builds every segment's
+    per-bin statistics, missing rows in a slot of their own; then every
+    cut of every segment of the run is scored at once
+    (:func:`_score_bin_table`), and each column's threshold is read from
+    its own ``thresholds[k]`` at the winning cut.  Runs hold at most
+    :data:`~repro.core.splits.LEVEL_TABLE_BINS` cells, and a group stacks
+    at most that many rows at once (one column at least), so memory is
+    bounded however large ``max_bins`` or the level is; their children's
+    class counts go to ``scratch``, if given.
     """
-    if thresholds.size == 0:
-        return NumericLevelScan.nothing(column, starts.size - 1)
-    slots = thresholds.size + 2  # missing, then one per bin
+    n_nodes = starts.size - 1
+    n_rows = int(starts[-1])
+    scans: list = [None] * len(columns)
+    groups: dict[int, list[int]] = {}
+    for k, cuts in enumerate(thresholds):
+        if cuts.size == 0:
+            scans[k] = NumericLevelScan.nothing(columns[k], n_nodes)
+        else:
+            groups.setdefault(cuts.size, []).append(k)
+    per_stack = max(1, splits.LEVEL_TABLE_BINS // max(1, n_rows))
+    for n_cuts, group in groups.items():
+        for first in range(0, len(group), per_stack):
+            stack = group[first : first + per_stack]
+            fields = _scan_stack(
+                [codes[k] for k in stack], y, starts, n_cuts + 2,
+                criterion, n_classes, scratch,
+            )
+            for j, k in enumerate(stack):
+                part = slice(j * n_nodes, (j + 1) * n_nodes)
+                scans[k] = _column_scan(
+                    columns[k], [f[part] for f in fields], thresholds[k]
+                )
+    return scans
+
+
+def _scan_stack(codes, y, starts, slots, criterion, n_classes, scratch):
+    """The scan fields of the (column, node) segments of columns with
+    ``slots - 2`` thresholds each: column ``j``'s rows follow column
+    ``j - 1``'s, and with them a copy of ``y`` and of the node bounds."""
+    if len(codes) > 1:
+        n_rows = int(starts[-1])
+        shifted = starts[:-1] + n_rows * np.arange(len(codes))[:, None]
+        starts = np.append(shifted.ravel(), n_rows * len(codes))
+        y = np.tile(y, len(codes))
+        codes = np.concatenate(codes)
+    else:
+        codes = codes[0]
 
     def scan_run(first: int, m: int) -> tuple:
         table = _bin_table(
             codes, y, starts, first, m, slots, criterion, n_classes
         )
-        return _score_bin_table(table, thresholds, criterion, scratch)
+        return _score_bin_table(table, criterion, scratch)
 
     per_segment = n_classes if criterion.is_classification else 3
+    return scan_in_runs(starts, per_segment * slots, scan_run)
+
+
+def _column_scan(column: int, fields, thresholds: np.ndarray):
+    """One column's :class:`NumericLevelScan` from its segments' fields
+    (:func:`_score_bin_table`'s), the winning cut read as its threshold."""
+    winner, score, n_left, n_right, cut, n_missing = fields
     return NumericLevelScan(
-        column, *scan_in_runs(starts, per_segment * slots, scan_run)
+        column, winner, score, n_left, n_right, thresholds[cut], n_missing
     )
 
 
@@ -236,11 +293,12 @@ def _bin_table(codes, y, starts, first, m, slots, criterion, n_classes):
 
 def _score_bin_table(
     table,
-    thresholds: np.ndarray,
     criterion: Impurity,
     scratch: CountScratch | None = None,
 ) -> tuple:
-    """The fields of a :class:`NumericLevelScan` from a run's bin table.
+    """Per-segment winner, score, children, cut and missing rows of a
+    run's bin table: the fields of a :class:`NumericLevelScan` with the
+    winning cut's index where its threshold goes (:func:`_column_scan`).
 
     Prefix sums over bins in ascending-threshold order give each cut
     ``bin <= t``.  Cuts with an empty child are masked to ``inf`` and the
@@ -284,13 +342,13 @@ def _score_bin_table(
     valid = (n_left > 0) & (n_right > 0)
     scores = np.where(valid, scores, np.inf)
     best = scores.argmin(axis=1)
-    pick = np.arange(0, scores.size, thresholds.size) + best
+    pick = np.arange(0, scores.size, scores.shape[-1]) + best
     return (
         np.where(valid.ravel()[pick], best, -1),
         scores.ravel()[pick],
         n_left.ravel()[pick],
         n_right.ravel()[pick],
-        thresholds[best],
+        best,
         n_missing,
     )
 
@@ -337,8 +395,8 @@ def score_histogram(
     column offers no split".  Missing rows join the larger child."""
     if thresholds.size == 0:
         return None
-    fields = _score_bin_table(hist.table, thresholds, criterion)
-    return NumericLevelScan(hist.column, *fields).split_for(0)
+    fields = _score_bin_table(hist.table, criterion)
+    return _column_scan(hist.column, fields, thresholds).split_for(0)
 
 
 def best_binned_numeric_split(

@@ -18,10 +18,11 @@ task runs — one implementation, one set of bits:
 
 * case 1, numeric: :func:`~repro.core.splits.numeric_classification_scan`
   and :func:`~repro.core.splits.numeric_regression_scan`, or in hist mode
-  :func:`~repro.core.histogram.binned_scan` on the column's bucket codes,
-  which the caller made once and which the kernel also routes on
-  (:func:`~repro.core.histogram.route_bin_codes`): hist mode reads no raw
-  numeric value and bins nothing;
+  one :func:`~repro.core.histogram.binned_scan` per level over every
+  candidate column's bucket codes at once (a column task's call is the
+  one-node case), codes which the caller made once and which the kernel
+  also routes on (:func:`~repro.core.histogram.route_bin_codes`): hist
+  mode reads no raw numeric value and bins nothing;
 * case 3, categorical attribute and target:
   :func:`~repro.core.splits.categorical_classification_scan`;
 * case 2, categorical attribute and numeric target, still runs per node
@@ -256,6 +257,7 @@ def build_subtree(
 
         column_cache: dict[int, np.ndarray] = {}
         entries: list = []
+        coded: dict[int, int] = {}  # hist-mode column -> its entry's index
         # What a scan reads as labels: class codes (cast once per level)
         # under a classification criterion, the targets otherwise.
         y_scan = y_act
@@ -263,18 +265,14 @@ def build_subtree(
             y_scan = y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
         for col in candidate_columns:
             spec = table.column_spec(col)
-            coded = spec.kind is ColumnKind.NUMERIC and binned is not None
+            is_coded = spec.kind is ColumnKind.NUMERIC and binned is not None
             tick = time.perf_counter()
-            v = (binned[col][1] if coded else table.column(col))[act_rows]
+            v = (binned[col][1] if is_coded else table.column(col))[act_rows]
             gather_s += time.perf_counter() - tick
             column_cache[col] = v
-            if coded:
-                entries.append(
-                    binned_scan(
-                        col, v, y_scan, act_starts, binned[col][0],
-                        criterion, n_classes, scratch,
-                    )
-                )
+            if is_coded:
+                coded[col] = len(entries)
+                entries.append(None)  # scanned with the level's others
             elif spec.kind is ColumnKind.NUMERIC and criterion.is_classification:
                 entries.append(
                     numeric_classification_scan(
@@ -308,6 +306,19 @@ def build_subtree(
                     for j in range(a)
                 ]
                 entries.append(_ObjectEntry(col, splits))
+        if coded:
+            scans = binned_scan(
+                tuple(coded),
+                [column_cache[col] for col in coded],
+                y_scan,
+                act_starts,
+                [binned[col][0] for col in coded],
+                criterion,
+                n_classes,
+                scratch,
+            )
+            for index, scan in zip(coded.values(), scans):
+                entries[index] = scan
 
         for j in range(a):
             i = int(act_idx[j])

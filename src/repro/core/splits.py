@@ -98,8 +98,9 @@ EXHAUSTIVE_SUBSET_LIMIT = 8
 #: of :func:`categorical_classification_scan`, ``(class, segment, bin)`` of
 #: :func:`~repro.core.histogram.binned_scan` — built at once (``int64``:
 #: 8 MiB); a level with more is walked in runs of segments
-#: (:func:`scan_in_runs`).  A constant, like serving's ``TILE_ROWS``, not an
-#: option.
+#: (:func:`scan_in_runs`).  Also the most rows ``binned_scan`` stacks at
+#: once when it scans several columns together.  A constant, like
+#: serving's ``TILE_ROWS``, not an option.
 LEVEL_TABLE_BINS = 1 << 20
 
 

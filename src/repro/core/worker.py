@@ -38,7 +38,7 @@ from ..data.table import DataTable
 from .builder import extra_tree_split_rng
 from .config import TreeKind
 from .histogram import (
-    best_binned_numeric_split,
+    binned_scan,
     book_for_config,
     encode_bin_codes,
     hist_active,
@@ -324,8 +324,29 @@ class WorkerActor:
         if self.table.problem is ProblemKind.CLASSIFICATION:
             y = label_codes(y)
         thresholds = book_for_config(self.threshold_book, plan.ctx.config)
-        splits: list[CandidateSplit | None] = []
+        splits: dict[int, CandidateSplit | None] = {}
+        if thresholds is not None:
+            # Hist mode: each numeric column lives whole on this worker, so
+            # its node-local histogram is complete — one scan scores them
+            # all right here.
+            coded = [
+                col
+                for col in plan.columns
+                if self.table.column_spec(col).kind is ColumnKind.NUMERIC
+            ]
+            scans = binned_scan(
+                coded,
+                [self.held_column(col, plan.ctx.config)[ids] for col in coded],
+                y,
+                np.array([0, ids.size]),
+                [thresholds[col] for col in coded],
+                criterion,
+                self.table.n_classes,
+            )
+            splits = {scan.column: scan.split_for(0) for scan in scans}
         for col in plan.columns:
+            if col in splits:
+                continue
             spec = self.table.column_spec(col)
             values = self.held_column(col, plan.ctx.config)[ids]
             if plan.ctx.config.tree_kind is TreeKind.EXTRA:
@@ -339,17 +360,6 @@ class WorkerActor:
                     extra_tree_split_rng(plan.ctx.config.seed, plan.task[1], col),
                     spec.n_categories,
                 )
-            elif thresholds is not None and spec.kind is ColumnKind.NUMERIC:
-                # Hist mode: the column lives whole on this worker, so its
-                # node-local histogram is complete — score it right here.
-                split = best_binned_numeric_split(
-                    col,
-                    values,
-                    thresholds[col],
-                    y,
-                    criterion,
-                    self.table.n_classes,
-                )
             else:
                 split = best_split_for_column(
                     col,
@@ -360,11 +370,11 @@ class WorkerActor:
                     self.table.n_classes,
                     spec.n_categories,
                 )
-            splits.append(split)
+            splits[col] = split
         result = ColumnResultMsg(
             task=task,
             worker=self.worker_id,
-            splits=splits,
+            splits=[splits[col] for col in plan.columns],
             stats=NodeStatsPayload.from_labels(
                 y, self.table.problem, self.table.n_classes
             ),
@@ -579,12 +589,14 @@ class WorkerActor:
         # Assemble the local D_x: fetched columns plus locally-held ones.
         # In hist mode a numeric column is its codes, fetched or our own,
         # which go to the kernel beside D_x.  Columns outside the candidate
-        # set and coded ones are filled with missing values and are never
-        # consulted by the builder.
+        # set and coded ones are one blank per column kind, all missing
+        # values: DataTable keeps a contiguous array as it is and the
+        # builder never consults, let alone writes, them.
         n = int(ids.size)
         thresholds = book_for_config(self.threshold_book, plan.ctx.config)
         binned = None if thresholds is None else {}
         columns: list[np.ndarray] = []
+        blanks: dict[ColumnKind, np.ndarray] = {}
         for idx, spec in enumerate(self.table.schema.columns):
             coded = binned is not None and spec.kind is ColumnKind.NUMERIC
             arr = state.column_data.get(idx)
@@ -593,12 +605,15 @@ class WorkerActor:
             if coded and arr is not None:
                 binned[idx] = (thresholds[idx], arr)
                 arr = None
-            if arr is not None:
-                columns.append(arr)
-            elif spec.kind is ColumnKind.NUMERIC:
-                columns.append(np.full(n, np.nan))
-            else:
-                columns.append(np.full(n, -1, dtype=np.int32))
+            if arr is None:
+                if spec.kind not in blanks:
+                    blanks[spec.kind] = (
+                        np.full(n, np.nan)
+                        if spec.kind is ColumnKind.NUMERIC
+                        else np.full(n, -1, dtype=np.int32)
+                    )
+                arr = blanks[spec.kind]
+            columns.append(arr)
         d_x = DataTable(self.table.schema, columns, self.table.target[ids])
         root = build_subtree(
             d_x,

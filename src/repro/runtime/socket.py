@@ -127,6 +127,11 @@ CTRL_DST = -1
 #: as stream corruption (a garbage client, not a real peer).
 MAX_FRAME_BYTES = 1 << 40
 
+#: Longest the rendezvous accept loop blocks in ``accept()`` before it
+#: looks at its stop flag again.  Only a fallback: the listener is shut
+#: down the moment the rendezvous ends, which wakes the loop at once.
+ACCEPT_POLL_SECONDS = 0.1
+
 #: Writer-thread stop sentinel.
 _STOP = object()
 
@@ -736,9 +741,13 @@ class SocketTransport(WorkerPool):
         Hellos are read **concurrently** — an accept thread hands every
         new connection to its own hello-reader thread — so one slow or
         stalled client only occupies its own thread and cannot burn the
-        roster-wide rendezvous deadline for everyone else.  Streams
-        still waiting on a hello when the rendezvous ends (either way)
-        are closed, which unblocks their readers.
+        roster-wide rendezvous deadline for everyone else.  When the
+        rendezvous ends (either way) the listener is shut down and
+        closed, which wakes the accept thread at once; streams still
+        waiting on a hello are closed, which unblocks their readers; and
+        a hello that arrives too late — queued behind the one that
+        completed the roster, or read after it — gets an explanatory
+        unwelcome ("already joined", say) and its connection closed.
         """
         deadline = time.monotonic() + self.options.rendezvous_timeout_seconds
         hellos: dict[int, tuple[WorkerHelloMsg, FrameStream]] = {}
@@ -747,6 +756,22 @@ class SocketTransport(WorkerPool):
         pending_lock = threading.Lock()
         pending: set[FrameStream] = set()
         stop_accepting = threading.Event()
+        listener = self._listener
+
+        def refuse(stream: FrameStream, error: str) -> None:
+            try:
+                _send_ctrl(stream, WorkerWelcomeMsg(ok=False, error=error))
+            except OSError:
+                pass
+            stream.close()
+
+        def turn_away(hello: WorkerHelloMsg | None, stream: FrameStream):
+            """Answer a hello read after the rendezvous ended."""
+            refuse(
+                stream,
+                self._validate_hello(hello, hellos)
+                or "the rendezvous ended before this hello was admitted",
+            )
 
         def read_hello(stream: FrameStream) -> None:
             hello = _read_ctrl(
@@ -754,16 +779,19 @@ class SocketTransport(WorkerPool):
             )
             with pending_lock:
                 pending.discard(stream)
-            results.put((hello, stream))
+                if not stop_accepting.is_set():
+                    results.put((hello, stream))
+                    return
+            turn_away(hello, stream)
 
         def accept_loop() -> None:
             while not stop_accepting.is_set():
                 try:
-                    sock, _peer = self._listener.accept()
+                    sock, _peer = listener.accept()
                 except TimeoutError:
                     continue
                 except OSError:
-                    return  # listener closed under us (shutdown path)
+                    return  # listener shut down or closed under us
                 _configure_socket(sock)
                 stream = FrameStream(sock)
                 with pending_lock:
@@ -775,7 +803,7 @@ class SocketTransport(WorkerPool):
                     daemon=True,
                 ).start()
 
-        self._listener.settimeout(0.1)
+        listener.settimeout(ACCEPT_POLL_SECONDS)
         acceptor = threading.Thread(
             target=accept_loop, name="repro-socket-accept", daemon=True
         )
@@ -795,13 +823,7 @@ class SocketTransport(WorkerPool):
                     continue
                 error = self._validate_hello(hello, hellos)
                 if error is not None:
-                    try:
-                        _send_ctrl(
-                            stream, WorkerWelcomeMsg(ok=False, error=error)
-                        )
-                    except OSError:
-                        pass
-                    stream.close()
+                    refuse(stream, error)
                     continue
                 hellos[hello.worker_id] = (hello, stream)
         except BaseException:
@@ -809,12 +831,21 @@ class SocketTransport(WorkerPool):
                 stream.close()
             raise
         finally:
-            stop_accepting.set()
+            with pending_lock:
+                stop_accepting.set()  # readers turn their hellos away
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:  # pragma: no cover - not every OS allows it
+                pass
             acceptor.join(timeout=5.0)
+            listener.close()
+            self._listener = None
             with pending_lock:
                 still_pending = list(pending)
             for stream in still_pending:
                 stream.close()  # wakes its hello reader with EOF
+            while not results.empty():
+                turn_away(*results.get())
         host_map = {0: self.host_id} | {
             wid: hello.host_id for wid, (hello, _) in hellos.items()
         }

@@ -439,6 +439,66 @@ def _binned_levels(draw):
     return codes, y, starts, thresholds, criterion, n_classes
 
 
+@st.composite
+def _binned_multi_levels(draw):
+    """A task's or a level's coded columns: ``(columns, codes, y, starts,
+    thresholds, criterion, n_classes)``.  2-5 columns whose threshold
+    counts are all equal, or not (1-12, or 200: int16 codes among int8
+    ones); 1-12 segments — empty, 1-row and larger — each column's rows
+    spread over all bins, crowded into one, or all missing per segment;
+    2-12 classes or a regression target."""
+    sizes = draw(
+        st.lists(
+            st.sampled_from([0, 0, 1, 1, 2, 3, 7, 20, 45]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    n_columns = draw(st.integers(min_value=2, max_value=5))
+    counts = st.sampled_from([1, 2, 3, 5, 12, 200])
+    if draw(st.booleans()):
+        n_thresholds = [draw(counts)] * n_columns
+    else:
+        n_thresholds = draw(
+            st.lists(counts, min_size=n_columns, max_size=n_columns)
+        )
+    columns = draw(
+        st.lists(
+            st.integers(0, 30),
+            min_size=n_columns,
+            max_size=n_columns,
+            unique=True,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thresholds, codes = [], []
+    for n_cuts in n_thresholds:
+        cuts = np.cumsum(rng.random(n_cuts) + 0.01) - 3.0
+        col = rng.integers(0, n_cuts + 1, size=starts[-1])
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            kind = rng.integers(5)
+            if kind == 0:
+                col[lo:hi] = rng.integers(0, n_cuts + 1)
+            elif kind == 1:
+                col[lo:hi] = -1
+        col[rng.random(col.size) < 0.05] = -1
+        thresholds.append(cuts)
+        codes.append(col.astype(histogram.bin_code_dtype(n_cuts)))
+    if draw(st.booleans()):
+        n_classes = draw(st.integers(min_value=2, max_value=12))
+        y = rng.integers(0, n_classes, size=starts[-1])
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            if rng.integers(4) == 0:
+                y[lo:hi] = rng.integers(n_classes)  # a pure node
+        criterion = draw(st.sampled_from([Impurity.GINI, Impurity.ENTROPY]))
+    else:
+        n_classes = 0
+        y = rng.choice(rng.normal(size=3) * 10.0, size=starts[-1])
+        criterion = Impurity.VARIANCE
+    return columns, codes, y, starts, thresholds, criterion, n_classes
+
+
 class TestBinnedScanAgainstFrozenOracle:
     """Production ``best_binned_numeric_split`` vs ``reference_binned_split``
     (the scan as PR 24 found it, kept in ``tests/reference_scan.py``): the
@@ -463,8 +523,9 @@ class TestBinnedScanAgainstFrozenOracle:
         for i in (0, 1):
             scratch.array(i, (n_classes, starts.size, thresholds.size)).fill(7)
         with mock.patch.object(splits, "LEVEL_TABLE_BINS", table_bins):
-            scan = binned_scan(
-                3, codes, y, starts, thresholds, criterion, n_classes, scratch
+            [scan] = binned_scan(
+                (3,), (codes,), y, starts, (thresholds,), criterion,
+                n_classes, scratch,
             )
         for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
             args = (
@@ -479,6 +540,57 @@ class TestBinnedScanAgainstFrozenOracle:
             assert scan.key_for(i) == (
                 None if want is None else want.sort_key()
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=_binned_multi_levels(),
+        table_bins=st.sampled_from([1, 40, 300, splits.LEVEL_TABLE_BINS]),
+    )
+    def test_multi_column_level_matches_oracle_per_segment(
+        self, level, table_bins
+    ):
+        """Several coded columns scanned at once equal the oracle called
+        once per (column, segment): equal and unequal threshold counts,
+        int8 and int16 codes, 2-12 classes and regression, empty, 1-row
+        and all-missing segments, runs cut inside a column and across
+        columns by a tiny bin constant, and stale counts in a reused
+        scratch.  Unsplit, a level scores each threshold-count group
+        once."""
+        columns, codes, y, starts, thresholds, criterion, n_classes = level
+        scratch = splits.CountScratch()
+        for i in (0, 1):
+            scratch.array(i, (n_classes, 4 * starts.size, 202)).fill(7)
+        calls = []
+        score_bin_table = histogram._score_bin_table
+
+        def recording(*args):
+            calls.append(args)
+            return score_bin_table(*args)
+
+        with mock.patch.object(splits, "LEVEL_TABLE_BINS", table_bins):
+            with mock.patch.object(histogram, "_score_bin_table", recording):
+                scans = binned_scan(
+                    columns, codes, y, starts, thresholds, criterion,
+                    n_classes, scratch,
+                )
+        if table_bins == splits.LEVEL_TABLE_BINS:
+            assert len(calls) == len({t.size for t in thresholds})
+        assert [scan.column for scan in scans] == columns
+        for col, col_codes, cuts, scan in zip(
+            columns, codes, thresholds, scans
+        ):
+            for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+                want = reference_binned_split(
+                    col, col_codes[lo:hi], cuts, y[lo:hi], criterion,
+                    n_classes,
+                )
+                got = scan.split_for(i)
+                assert got == want
+                if want is not None:
+                    assert np.signbit(got.score) == np.signbit(want.score)
+                assert scan.key_for(i) == (
+                    None if want is None else want.sort_key()
+                )
 
     def test_level_bin_table_stays_within_the_bin_constant(self):
         """1 024 bins at a 512-node level of 8 classes: more cells than
@@ -503,8 +615,9 @@ class TestBinnedScanAgainstFrozenOracle:
             return score_bin_table(table, *args)
 
         with mock.patch.object(histogram, "_score_bin_table", recording):
-            scan = binned_scan(
-                0, codes, y, starts, thresholds, Impurity.GINI, n_classes
+            [scan] = binned_scan(
+                (0,), (codes,), y, starts, (thresholds,), Impurity.GINI,
+                n_classes,
             )
         assert len(table_sizes) > 1
         assert max(table_sizes) <= splits.LEVEL_TABLE_BINS
@@ -664,6 +777,61 @@ class TestDistributedHist:
             assert not {name for _, name in frames} & {
                 "_compute_column_task", "_serve_columns", "build_subtree"
             }
+
+    def test_a_fit_scores_each_task_and_level_once(self, monkeypatch):
+        """One ``_score_bin_table`` call per column task and one per
+        kernel level that scans a coded column, on the e2e hist job's
+        shape, where every numeric column has 31 thresholds: one
+        threshold-count group, so a task's or a level's coded columns
+        are scored together, not one call per (task or level, column)."""
+        table = generate(
+            SyntheticSpec(
+                "T", 3000, 12, 4, n_classes=5, planted_depth=6,
+                missing_rate=0.02, seed=3,
+            )
+        )
+        book = histogram.column_thresholds(table, 32)
+        assert {cuts.size for cuts in book.values()} == {31}
+        scored: list[int] = []
+        real_score = histogram._score_bin_table
+
+        def score_counting(*args):
+            scored.append(1)
+            return real_score(*args)
+
+        levels: list[np.ndarray] = []  # each level's node bounds, once
+        real_scan = kernel.binned_scan
+
+        def scan_recording(*args):
+            if not any(starts is args[3] for starts in levels):
+                levels.append(args[3])
+            return real_scan(*args)
+
+        tasks: list[int] = []
+        real_task = worker.WorkerActor._compute_column_task
+
+        def task_counting(self, task):
+            state = self._column_tasks.get(task)
+            if state is not None and state.row_ids is not None:
+                kinds = {table.column_spec(c).kind for c in state.plan.columns}
+                tasks.append(int(ColumnKind.NUMERIC in kinds))
+            return real_task(self, task)
+
+        monkeypatch.setattr(histogram, "_score_bin_table", score_counting)
+        monkeypatch.setattr(kernel, "binned_scan", scan_recording)
+        monkeypatch.setattr(
+            worker.WorkerActor, "_compute_column_task", task_counting
+        )
+        system = SystemConfig(
+            n_workers=2, compers_per_worker=2, column_replication=2
+        ).scaled_to(table.n_rows)
+        cfg = _hist(TreeConfig(seed=1, max_depth=10), 32)
+        report = TreeServer(system).fit(
+            table, [random_forest_job("rf", 4, cfg, seed=1)]
+        )
+        assert report.counters.column_tasks == len(tasks) > 0
+        assert report.counters.subtree_tasks > 0 and levels
+        assert len(scored) == sum(tasks) + len(levels)
 
     def test_hist_moves_fewer_bytes_than_exact_on_socket(self):
         """The headline data-plane win: identical jobs, identical wide

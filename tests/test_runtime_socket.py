@@ -421,6 +421,106 @@ class TestRendezvous:
             raise result["error"]
         assert result["report"].counters.trees_completed == 1
 
+    def test_hello_queued_behind_the_full_roster_is_turned_away(
+        self, monkeypatch
+    ):
+        """A hello still queued when the roster completes gets its
+        unwelcome at once and its connection closed, instead of silence
+        until the client's own handshake timeout.  One seat, two
+        claimants: the first hello's admission check is held for a
+        second, so the second hello is read and queued behind it before
+        the roster closes."""
+        import time
+
+        from repro.core.tasks import WorkerHelloMsg, WorkerWelcomeMsg
+        from repro.data.table import table_fingerprint
+        from repro.runtime.socket import (
+            SocketTransport,
+            _read_ctrl,
+            _run_socket_worker,
+            _send_ctrl,
+        )
+
+        checking = threading.Event()
+        real_validate = SocketTransport._validate_hello
+
+        def slow_first_check(self, hello, hellos):
+            if not checking.is_set():
+                checking.set()
+                time.sleep(1.0)
+            return real_validate(self, hello, hellos)
+
+        monkeypatch.setattr(
+            SocketTransport, "_validate_hello", slow_first_check
+        )
+        table = _table("covtype")
+        jobs = [random_forest_job("rf", 1, TreeConfig(max_depth=3), seed=2)]
+        port = _free_port()
+        options = _options(
+            listen=f"127.0.0.1:{port}", rendezvous_timeout_seconds=30.0
+        )
+        result: dict = {}
+
+        def run_master():
+            try:
+                result["report"] = _fit(
+                    "socket", table, jobs, n_workers=1, options=options
+                )
+            except BaseException as error:  # pragma: no cover - diagnostics
+                result["error"] = error
+
+        master = threading.Thread(target=run_master, daemon=True)
+        master.start()
+        hello = WorkerHelloMsg(
+            worker_id=1,
+            protocol_version=SOCKET_PROTOCOL_VERSION,
+            table_hash=table_fingerprint(table),
+            host_id="host-late",
+        )
+        first = _dial(port)
+        _send_ctrl(first, hello)
+        assert checking.wait(timeout=30.0)
+        late = _dial(port)
+        _send_ctrl(late, hello)
+        started = time.monotonic()
+        unwelcome = _read_ctrl(late, 10.0, WorkerWelcomeMsg)
+        assert unwelcome is not None and not unwelcome.ok
+        assert "already joined" in unwelcome.error
+        assert time.monotonic() - started < 10.0
+        assert _read_ctrl(late, 10.0, WorkerWelcomeMsg) is None  # EOF
+        late.close()
+        welcome = _read_ctrl(first, 30.0, WorkerWelcomeMsg)
+        assert welcome is not None and welcome.ok
+        assert _run_socket_worker(first, welcome, 1, table, ()) == 0
+        master.join(timeout=120.0)
+        assert not master.is_alive()
+        if "error" in result:
+            raise result["error"]
+        assert result["report"].counters.trees_completed == 1
+
+    def test_rendezvous_does_not_wait_out_the_accept_poll(self, monkeypatch):
+        """The listener is shut down when the roster completes, which
+        wakes the accept thread at once: with its poll stretched to 30 s
+        a loopback fit still ends well inside it, and leaves no accept
+        thread behind.  (Without the wake the rendezvous gives up on
+        the thread after its 5 s join and the fit still ends, but the
+        thread sits in ``accept()`` for the rest of the 30 s.)"""
+        import time
+
+        from repro.runtime import socket as socket_backend
+
+        monkeypatch.setattr(socket_backend, "ACCEPT_POLL_SECONDS", 30.0)
+        table = _table("covtype")
+        jobs = [random_forest_job("rf", 1, TreeConfig(max_depth=1), seed=3)]
+        started = time.monotonic()
+        report = _fit("socket", table, jobs, n_workers=2)
+        assert time.monotonic() - started < 10.0
+        assert report.counters.trees_completed == 1
+        assert "repro-socket-accept" not in {
+            thread.name for thread in threading.enumerate()
+        }
+        assert multiprocessing.active_children() == []
+
     def test_host_id_fallback_refuses_shm_peering(self, monkeypatch):
         """Without a readable machine id (common in containers, which
         also share baked-in hostnames) the default host id must be
