@@ -22,11 +22,28 @@ from repro.core.histogram import (
 )
 from repro.core.impurity import Impurity
 from repro.core.splits import (
-    best_categorical_classification_split,
     best_categorical_regression_split,
-    best_numeric_split,
+    best_split_for_column,
 )
+from repro.data.schema import ColumnKind
 from repro.datasets import SyntheticSpec, generate
+
+
+def best_numeric_split(column, values, y, criterion, n_classes):
+    """One numeric column at one node, as a column task scans it."""
+    return best_split_for_column(
+        column, ColumnKind.NUMERIC, values, y, criterion, n_classes
+    )
+
+
+def best_categorical_classification_split(
+    column, codes, y, n_categories, criterion, n_classes
+):
+    """One categorical column at one node, as a column task scans it."""
+    return best_split_for_column(
+        column, ColumnKind.CATEGORICAL, codes, y, criterion, n_classes,
+        n_categories,
+    )
 
 N_ROWS = 50_000
 
@@ -267,7 +284,7 @@ def test_split_scan_sweep(run_once):
                 lambda: binned_scan(
                     (0,), (bins,), codes, bounds, (thresholds,),
                     Impurity.GINI, k, scratch,
-                ),
+                )[0],
                 lambda lo, hi: reference_binned_split(
                     0, bins[lo:hi], thresholds, labels[lo:hi], Impurity.GINI, k
                 ),
@@ -291,8 +308,8 @@ def test_split_scan_sweep(run_once):
             one_level(
                 f"categorical level {LEVEL_ROWS} rows, {n_seg} nodes",
                 lambda: categorical_classification_scan(
-                    0, codes, y, bounds, n_cat, Impurity.GINI, k
-                ),
+                    (0,), (codes,), y, bounds, (n_cat,), Impurity.GINI, k
+                )[0],
                 lambda lo, hi: reference_categorical_classification_split(
                     0, codes[lo:hi], y[lo:hi], n_cat, Impurity.GINI, k
                 ),
@@ -377,7 +394,13 @@ def test_subtree_kernel_speedup(run_once):
             trees = {}
             for kernel, build in (
                 ("scalar", reference_build_subtree),
-                ("vectorized", build_subtree),
+                (
+                    "vectorized",
+                    lambda table, config, rows: build_subtree(
+                        table.schema, table.columns, table.target, config,
+                        rows,
+                    ),
+                ),
             ):
                 best = float("inf")
                 for _ in range(KERNEL_REPEATS):

@@ -196,13 +196,17 @@ def train_tree(
 
     if row_ids is None:
         row_ids = np.arange(table.n_rows, dtype=np.int64)
-    binned = None
+    columns, thresholds = table.columns, None
     if hist_active(config):
-        binned = {
-            col: (t, encode_bin_codes(table.column(col), t))
-            for col, t in column_thresholds(table, config.max_bins).items()
-        }
-    root = build_subtree(table, config, row_ids, binned=binned)
+        thresholds = column_thresholds(table, config.max_bins)
+        columns = [
+            encode_bin_codes(v, thresholds[c]) if c in thresholds else v
+            for c, v in enumerate(columns)
+        ]
+    root = build_subtree(
+        table.schema, columns, table.target, config, row_ids,
+        thresholds=thresholds,
+    )
     return DecisionTree(
         root=root,
         problem=table.problem,

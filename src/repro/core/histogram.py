@@ -17,9 +17,11 @@ that machinery, behind the existing task seam (the PLANET baseline in
   Below the book a numeric column *is* its codes: column tasks scan them,
   column servers ship them and the level kernel scans and routes them.
 * :func:`binned_scan` — the split search on bucket codes for all the
-  coded columns of a task or a level at once: one call per level of the
-  level kernel and one per column task, whose segments are (column,
-  node) pairs; a one-column call is its per-column case.  PLANET keeps
+  coded columns of a task or a level at once, whose segments are
+  (column, node) pairs (:func:`~repro.core.splits.stacked_scan`); a
+  one-column call is its per-column case.  It is called from one place,
+  :func:`repro.core.kernel.scan_columns`, once per level of the level
+  kernel and once per column task.  PLANET keeps
   the per-node search: :func:`column_histogram` builds one node's per-bin
   statistics (class counts, or ``(count, sum, sum-of-squares)``, missing
   rows in a slot of their own), :func:`score_histogram` scores its
@@ -70,7 +72,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.schema import ColumnKind
-from . import splits
 from .impurity import (
     Impurity,
     classification_children_scores,
@@ -80,9 +81,9 @@ from .splits import (
     CandidateSplit,
     CountScratch,
     NumericLevelScan,
+    count_table,
     label_codes,
-    level_cells,
-    scan_in_runs,
+    stacked_scan,
 )
 
 #: A threshold book: ``{max_bins: {column: thresholds array}}``, covering
@@ -201,19 +202,16 @@ def binned_scan(
     class codes under a classification criterion, targets otherwise) and
     of every column's bucket codes ``codes[k]`` (``-1`` missing), scored
     against ``thresholds[k]``.  Columns with equally many thresholds form
-    a group, whose segments are its (column, node) pairs, column-major.
-    One ``bincount`` per run of a group's segments builds every segment's
-    per-bin statistics, missing rows in a slot of their own; then every
-    cut of every segment of the run is scored at once
-    (:func:`_score_bin_table`), and each column's threshold is read from
-    its own ``thresholds[k]`` at the winning cut.  Runs hold at most
-    :data:`~repro.core.splits.LEVEL_TABLE_BINS` cells, and a group stacks
-    at most that many rows at once (one column at least), so memory is
-    bounded however large ``max_bins`` or the level is; their children's
-    class counts go to ``scratch``, if given.
+    a group, whose segments are its (column, node) pairs
+    (:func:`~repro.core.splits.stacked_scan`): one ``bincount`` per run
+    of a group's segments builds every segment's per-bin statistics,
+    missing rows in a slot of their own; then every cut of every segment
+    of the run is scored at once (:func:`_score_bin_table`), and each
+    column's threshold is read from its own ``thresholds[k]`` at the
+    winning cut.  Their children's class counts go to ``scratch``, if
+    given.
     """
     n_nodes = starts.size - 1
-    n_rows = int(starts[-1])
     scans: list = [None] * len(columns)
     groups: dict[int, list[int]] = {}
     for k, cuts in enumerate(thresholds):
@@ -221,43 +219,15 @@ def binned_scan(
             scans[k] = NumericLevelScan.nothing(columns[k], n_nodes)
         else:
             groups.setdefault(cuts.size, []).append(k)
-    per_stack = max(1, splits.LEVEL_TABLE_BINS // max(1, n_rows))
     for n_cuts, group in groups.items():
-        for first in range(0, len(group), per_stack):
-            stack = group[first : first + per_stack]
-            fields = _scan_stack(
-                [codes[k] for k in stack], y, starts, n_cuts + 2,
-                criterion, n_classes, scratch,
-            )
-            for j, k in enumerate(stack):
-                part = slice(j * n_nodes, (j + 1) * n_nodes)
-                scans[k] = _column_scan(
-                    columns[k], [f[part] for f in fields], thresholds[k]
-                )
-    return scans
-
-
-def _scan_stack(codes, y, starts, slots, criterion, n_classes, scratch):
-    """The scan fields of the (column, node) segments of columns with
-    ``slots - 2`` thresholds each: column ``j``'s rows follow column
-    ``j - 1``'s, and with them a copy of ``y`` and of the node bounds."""
-    if len(codes) > 1:
-        n_rows = int(starts[-1])
-        shifted = starts[:-1] + n_rows * np.arange(len(codes))[:, None]
-        starts = np.append(shifted.ravel(), n_rows * len(codes))
-        y = np.tile(y, len(codes))
-        codes = np.concatenate(codes)
-    else:
-        codes = codes[0]
-
-    def scan_run(first: int, m: int) -> tuple:
-        table = _bin_table(
-            codes, y, starts, first, m, slots, criterion, n_classes
+        fields = stacked_scan(
+            [codes[k] for k in group], y, starts, n_cuts + 2, criterion,
+            n_classes,
+            lambda table: _score_bin_table(table, criterion, scratch),
         )
-        return _score_bin_table(table, criterion, scratch)
-
-    per_segment = n_classes if criterion.is_classification else 3
-    return scan_in_runs(starts, per_segment * slots, scan_run)
+        for k, column_fields in zip(group, fields):
+            scans[k] = _column_scan(columns[k], column_fields, thresholds[k])
+    return scans
 
 
 def _column_scan(column: int, fields, thresholds: np.ndarray):
@@ -266,28 +236,6 @@ def _column_scan(column: int, fields, thresholds: np.ndarray):
     winner, score, n_left, n_right, cut, n_missing = fields
     return NumericLevelScan(
         column, winner, score, n_left, n_right, thresholds[cut], n_missing
-    )
-
-
-def _bin_table(codes, y, starts, first, m, slots, criterion, n_classes):
-    """Per-(segment, slot) statistics of segments ``first..first+m``.
-
-    Classification: the class-major ``(class, segment, slot)`` counts.
-    Regression: ``(segment, slot)`` row counts, sums of ``y`` and of
-    ``y * y`` — float ``bincount(weights=)`` sums, each bin's rows added
-    in row order, as a one-node histogram adds them.
-    """
-    if criterion.is_classification:
-        cells = level_cells(codes, starts, first, m, slots, y)
-        table = np.bincount(cells, minlength=n_classes * m * slots)
-        return table.reshape(n_classes, m, slots)
-    cells = level_cells(codes, starts, first, m, slots)
-    ys = y[int(starts[first]) : int(starts[first + m])]
-    size = m * slots
-    return (
-        np.bincount(cells, minlength=size).reshape(m, slots),
-        np.bincount(cells, weights=ys, minlength=size).reshape(m, slots),
-        np.bincount(cells, weights=ys * ys, minlength=size).reshape(m, slots),
     )
 
 
@@ -380,8 +328,8 @@ def column_histogram(
     if criterion.is_classification:
         y = label_codes(y)
     starts = np.array([0, codes.size])
-    table = _bin_table(
-        codes, y, starts, 0, 1, n_bins + 1, criterion, n_classes
+    table = count_table(
+        (codes,), y, starts, 0, 1, n_bins + 1, criterion, n_classes
     )
     return ColumnHistogram(column, table)
 

@@ -12,19 +12,23 @@ cross-column ``(score, column)`` arbitration, routing, the per-node
 draws of extra-trees, and the :class:`~repro.core.splits.CountScratch`
 its scans reuse.
 
-The split search is one function per Appendix-B case, called once per
-column per level, whose one-segment call is the per-node scan a column
-task runs — one implementation, one set of bits:
+The split search is :func:`scan_columns`, the one place that maps
+(column kind, target kind, split mode) to an Appendix-B scan.  The
+kernel calls it once per level, a column task once on its one node
+(``starts = [0, |I_x|]``), and
+:func:`~repro.core.splits.best_split_for_column` once on one column and
+one node — one implementation, one set of bits:
 
 * case 1, numeric: :func:`~repro.core.splits.numeric_classification_scan`
-  and :func:`~repro.core.splits.numeric_regression_scan`, or in hist mode
-  one :func:`~repro.core.histogram.binned_scan` per level over every
-  candidate column's bucket codes at once (a column task's call is the
-  one-node case), codes which the caller made once and which the kernel
-  also routes on (:func:`~repro.core.histogram.route_bin_codes`): hist
-  mode reads no raw numeric value and bins nothing;
-* case 3, categorical attribute and target:
-  :func:`~repro.core.splits.categorical_classification_scan`;
+  and :func:`~repro.core.splits.numeric_regression_scan`, one call per
+  column, or in hist mode one :func:`~repro.core.histogram.binned_scan`
+  over every coded column at once, codes which the caller made once and
+  which the kernel also routes on
+  (:func:`~repro.core.histogram.route_bin_codes`): hist mode reads no raw
+  numeric value and bins nothing;
+* case 3, categorical attribute and target: one
+  :func:`~repro.core.splits.categorical_classification_scan` over every
+  such column at once, one count table per number of categories;
 * case 2, categorical attribute and numeric target, still runs per node
   (:func:`~repro.core.splits.best_categorical_regression_split`) on the
   node's slice of the level gather, which is exactly the arrays a column
@@ -45,12 +49,12 @@ pins the kernel against the per-node recursion kept as the oracle in
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..data.schema import ColumnKind, ProblemKind
-from ..data.table import DataTable
+from ..data.schema import ColumnKind, ColumnSpec, ProblemKind, TableSchema
 from .builder import (
     NodeStats,
     extra_tree_column_order,
@@ -63,6 +67,7 @@ from .builder import (
 )
 from .config import TreeConfig, TreeKind
 from .histogram import binned_scan, route_bin_codes
+from .impurity import Impurity
 from .splits import (
     CandidateSplit,
     CountScratch,
@@ -96,35 +101,111 @@ class _ObjectEntry:
         return self.splits[segment]
 
 
+def scan_columns(
+    columns: Sequence[int],
+    values: Sequence[np.ndarray],
+    y: np.ndarray,
+    starts: np.ndarray,
+    specs: Sequence[ColumnSpec],
+    criterion: Impurity,
+    n_classes: int,
+    thresholds: dict[int, np.ndarray] | None = None,
+    scratch: CountScratch | None = None,
+) -> list:
+    """The best split of each column at each node: the one map from
+    (column kind, target kind, split mode) to an Appendix-B scan.
+
+    Node ``i`` is rows ``starts[i]:starts[i + 1]`` of ``y`` (``int64``
+    class codes under a classification criterion, targets otherwise) and
+    of ``values[k]``, what column ``columns[k]`` (``specs[k]``) is scanned
+    on: its bucket codes against ``thresholds[column]`` when
+    ``thresholds`` is given and it is numeric, its values otherwise.
+    Returns one entry per column, in order, whose ``key_for(i)`` /
+    ``split_for(i)`` give node ``i``'s ``(score, column)`` key and split,
+    ``None`` for none.  ``scratch`` holds the numeric and binned
+    classification scans' class counts.
+    """
+    entries: list = [None] * len(columns)
+    coded: dict[int, np.ndarray] = {}  # position -> its thresholds
+    tabled: dict[int, int] = {}  # position -> its category count
+    for k, (col, spec, v) in enumerate(zip(columns, specs, values)):
+        if spec.kind is ColumnKind.NUMERIC and thresholds is not None:
+            coded[k] = thresholds[col]
+        elif spec.kind is ColumnKind.NUMERIC and criterion.is_classification:
+            entries[k] = numeric_classification_scan(
+                col, v, y, starts, criterion, n_classes, scratch
+            )
+        elif spec.kind is ColumnKind.NUMERIC:
+            entries[k] = numeric_regression_scan(col, v, y, starts)
+        elif criterion.is_classification:
+            tabled[k] = spec.n_categories
+        else:
+            # Categorical regression stays per node: its category sums
+            # are float ``bincount(weights=)`` accumulations in row order
+            # and its candidate order a sort by category mean, neither of
+            # which survives pooling a level.
+            entries[k] = _ObjectEntry(
+                col,
+                [
+                    best_categorical_regression_split(
+                        col, v[lo:hi], y[lo:hi], spec.n_categories
+                    )
+                    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
+                ],
+            )
+    # Columns of one family are scanned together, as one stack each.
+    for scan, group in (
+        (lambda *args: binned_scan(*args, scratch), coded),
+        (categorical_classification_scan, tabled),
+    ):
+        if group:
+            found = scan(
+                [columns[k] for k in group],
+                [values[k] for k in group],
+                y,
+                starts,
+                list(group.values()),
+                criterion,
+                n_classes,
+            )
+            for k, entry in zip(group, found):
+                entries[k] = entry
+    return entries
+
+
 def build_subtree(
-    table: DataTable,
+    schema: TableSchema,
+    columns: Mapping[int, np.ndarray] | Sequence[np.ndarray],
+    y: np.ndarray,
     config: TreeConfig,
     row_ids: np.ndarray,
+    *,
     candidate_columns: tuple[int, ...] | None = None,
     root_path: int = 1,
     host_stats: MachineStats | None = None,
-    binned: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+    thresholds: dict[int, np.ndarray] | None = None,
 ) -> TreeNode:
     """Build the subtree ``Delta_x`` rooted at heap path ``root_path``.
 
     Exactly the computation a subtree-task performs on its key worker,
-    one whole frontier per iteration.  ``binned`` (hist mode) maps every
-    numeric column to its ``(thresholds, codes)``: the global equi-depth
-    candidate cuts and the bucket code of each of ``table``'s rows, which
-    the numeric split search and routing read instead of the column's
-    values; ``host_stats``, a host's record when given, accumulates the build's
-    wall seconds (``subtree_kernel_s``) and the slice of them spent
-    fancy-indexing ``y`` / column values out of the table
-    (``subtree_gather_s``).
+    one whole frontier per iteration, on the rows ``row_ids`` of ``y``
+    and of ``columns``, which maps each candidate column to the array its
+    scan reads (:func:`scan_columns`): its bucket codes when
+    ``thresholds`` (hist mode: each numeric column's global equi-depth
+    candidate cuts) is given and the column is numeric, which routing
+    then reads too, its values otherwise.  ``host_stats``, a host's
+    record when given, accumulates the build's wall seconds
+    (``subtree_kernel_s``) and the slice of them spent fancy-indexing
+    ``y`` and the columns (``subtree_gather_s``).
     """
     start = time.perf_counter()
     if candidate_columns is None:
-        candidate_columns = sample_candidate_columns(config, table.n_columns)
-    is_clf = table.problem is ProblemKind.CLASSIFICATION
+        candidate_columns = sample_candidate_columns(config, schema.n_columns)
+    is_clf = schema.problem is ProblemKind.CLASSIFICATION
     criterion = config.resolved_criterion(is_clf)
-    n_classes = table.n_classes
+    n_classes = schema.n_classes
     is_extra = config.tree_kind is TreeKind.EXTRA
-    target = table.target
+    specs = [schema.columns[col] for col in candidate_columns]
     gather_s = 0.0
     scratch = CountScratch()  # reused by every numeric scan of the subtree
 
@@ -150,7 +231,7 @@ def build_subtree(
         seg_all = np.repeat(np.arange(m, dtype=np.int64), sizes)
 
         tick = time.perf_counter()
-        y_lvl = target[level_rows]
+        y_lvl = y[level_rows]
         gather_s += time.perf_counter() - tick
 
         # -- per-node label statistics, one pass for the level ----------
@@ -224,9 +305,9 @@ def build_subtree(
                 for col in extra_tree_column_order(
                     config.seed, path, candidate_columns
                 ):
-                    spec = table.column_spec(col)
+                    spec = schema.columns[col]
                     tick = time.perf_counter()
-                    vals = table.column(col)[ids_seg]
+                    vals = columns[col][ids_seg]
                     gather_s += time.perf_counter() - tick
                     cand = random_split_for_column(
                         col,
@@ -255,70 +336,25 @@ def build_subtree(
             frontier = next_frontier
             continue
 
-        column_cache: dict[int, np.ndarray] = {}
-        entries: list = []
-        coded: dict[int, int] = {}  # hist-mode column -> its entry's index
         # What a scan reads as labels: class codes (cast once per level)
         # under a classification criterion, the targets otherwise.
         y_scan = y_act
         if criterion.is_classification:
             y_scan = y_codes_lvl[keep] if is_clf else y_act.astype(np.int64)
-        for col in candidate_columns:
-            spec = table.column_spec(col)
-            is_coded = spec.kind is ColumnKind.NUMERIC and binned is not None
-            tick = time.perf_counter()
-            v = (binned[col][1] if is_coded else table.column(col))[act_rows]
-            gather_s += time.perf_counter() - tick
-            column_cache[col] = v
-            if is_coded:
-                coded[col] = len(entries)
-                entries.append(None)  # scanned with the level's others
-            elif spec.kind is ColumnKind.NUMERIC and criterion.is_classification:
-                entries.append(
-                    numeric_classification_scan(
-                        col, v, y_scan, act_starts, criterion, n_classes,
-                        scratch,
-                    )
-                )
-            elif spec.kind is ColumnKind.NUMERIC:
-                entries.append(
-                    numeric_regression_scan(col, v, y_act, act_starts)
-                )
-            elif criterion.is_classification:
-                entries.append(
-                    categorical_classification_scan(
-                        col, v, y_scan, act_starts, spec.n_categories,
-                        criterion, n_classes,
-                    )
-                )
-            else:
-                # Categorical regression stays per node: its category
-                # sums are float ``bincount(weights=)`` accumulations in
-                # row order and its candidate order a sort by category
-                # mean, neither of which survives pooling a level.
-                splits = [
-                    best_categorical_regression_split(
-                        col,
-                        v[act_starts[j] : act_starts[j + 1]],
-                        y_act[act_starts[j] : act_starts[j + 1]],
-                        spec.n_categories,
-                    )
-                    for j in range(a)
-                ]
-                entries.append(_ObjectEntry(col, splits))
-        if coded:
-            scans = binned_scan(
-                tuple(coded),
-                [column_cache[col] for col in coded],
-                y_scan,
-                act_starts,
-                [binned[col][0] for col in coded],
-                criterion,
-                n_classes,
-                scratch,
-            )
-            for index, scan in zip(coded.values(), scans):
-                entries[index] = scan
+        tick = time.perf_counter()
+        level = {col: columns[col][act_rows] for col in candidate_columns}
+        gather_s += time.perf_counter() - tick
+        entries = scan_columns(
+            candidate_columns,
+            list(level.values()),
+            y_scan,
+            act_starts,
+            specs,
+            criterion,
+            n_classes,
+            thresholds,
+            scratch,
+        )
 
         for j in range(a):
             i = int(act_idx[j])
@@ -341,9 +377,9 @@ def build_subtree(
                 continue
             node = nodes[i]
             node.split = split
-            v = column_cache[split.column][s0:s1]
-            if split.kind is ColumnKind.NUMERIC and binned is not None:
-                go_left = route_bin_codes(v, binned[split.column][0], split)
+            v = level[split.column][s0:s1]
+            if split.kind is ColumnKind.NUMERIC and thresholds is not None:
+                go_left = route_bin_codes(v, thresholds[split.column], split)
             else:
                 go_left = route_training_rows(v, split)
             ids_seg = act_rows[s0:s1]

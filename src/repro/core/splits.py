@@ -24,12 +24,16 @@ implements the three cases the paper describes:
 Cases 1 and 3 are each one function over all the nodes of a level at once
 (:func:`numeric_classification_scan`, :func:`numeric_regression_scan`,
 :func:`categorical_classification_scan`): node ``i`` is segment
-``starts[i]:starts[i + 1]`` of node-contiguous arrays, and the per-node scan
-of a column task is the one-segment call.  A count table of a level is built
-:data:`LEVEL_TABLE_BINS` cells (``int64``: 8 MiB) at a time.  Case 2 runs
-per node: its float sums and its order by category mean are not yet
-computed level-wide.  :mod:`repro.core.histogram` holds the binned twin of
-case 1.
+``starts[i]:starts[i + 1]`` of node-contiguous arrays, and a one-node call
+is the one-segment case.  Case 3 also takes all the categorical columns of
+a task or a level at once, whose (column, node) pairs are the segments of
+one count table per number of categories (:func:`stacked_scan`, which the
+binned twin of case 1 in :mod:`repro.core.histogram` shares).  A count
+table is built :data:`LEVEL_TABLE_BINS` cells (``int64``: 8 MiB) at a time.
+Case 2 runs per node: its float sums and its order by category mean are
+not yet computed level-wide.  Which scan serves which column is decided in
+one place, :func:`repro.core.kernel.scan_columns`, for the level kernel, a
+column task and :func:`best_split_for_column` alike.
 
 Missing values are excluded from split scoring; during training they are
 routed to the larger child, and at prediction time a missing or unseen value
@@ -57,7 +61,9 @@ gives it, by construction:
   ``v + 0.0``;
 * class counts are integers, exact under "level-wide cumulative count minus
   its value at the segment start" (:func:`left_class_counts`) and, for
-  case 3, out of one table for the whole level; every candidate is scored
+  case 3, out of one table for the whole level and all its columns with
+  equally many categories, each (column, node) segment counting only its
+  own rows; every candidate is scored
   by :func:`~repro.core.impurity.classification_children_scores`, whose
   arithmetic is elementwise per candidate and whose sum over classes runs
   in one fixed order — a candidate gets the same bits alone, with its node
@@ -78,11 +84,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.schema import ColumnKind
+from ..data.schema import ColumnKind, ColumnSpec
 from ..data.table import MISSING_CODE
 from .impurity import (
     Impurity,
@@ -98,8 +105,8 @@ EXHAUSTIVE_SUBSET_LIMIT = 8
 #: of :func:`categorical_classification_scan`, ``(class, segment, bin)`` of
 #: :func:`~repro.core.histogram.binned_scan` — built at once (``int64``:
 #: 8 MiB); a level with more is walked in runs of segments
-#: (:func:`scan_in_runs`).  Also the most rows ``binned_scan`` stacks at
-#: once when it scans several columns together.  A constant, like
+#: (:func:`scan_in_runs`).  Also the most rows :func:`stacked_scan` stacks
+#: at once when it scans several columns together.  A constant, like
 #: serving's ``TILE_ROWS``, not an option.
 LEVEL_TABLE_BINS = 1 << 20
 
@@ -468,29 +475,6 @@ def numeric_regression_scan(
     )
 
 
-def best_numeric_split(
-    column: int,
-    values: np.ndarray,
-    y: np.ndarray,
-    criterion: Impurity,
-    n_classes: int,
-) -> CandidateSplit | None:
-    """Case 1 for one node: the one-segment call of its target's scan.
-
-    ``y`` holds the labels (as floats or as integer codes) or targets.
-    The threshold is the left boundary value itself (the paper's
-    ``A_i <= v`` uses data values for ``v``).
-    """
-    starts = np.array([0, values.size])
-    if criterion.is_classification:
-        scan = numeric_classification_scan(
-            column, values, label_codes(y), starts, criterion, n_classes
-        )
-    else:
-        scan = numeric_regression_scan(column, values, y, starts)
-    return scan.split_for(0)
-
-
 def best_categorical_regression_split(
     column: int,
     codes: np.ndarray,
@@ -640,24 +624,27 @@ class CategoricalLevelScan:
 
 
 def categorical_classification_scan(
-    column: int,
-    codes: np.ndarray,
+    columns: Sequence[int],
+    codes: Sequence[np.ndarray],
     y_codes: np.ndarray,
     starts: np.ndarray,
-    n_categories: int,
+    n_categories: Sequence[int],
     criterion: Impurity,
     n_classes: int,
-) -> CategoricalLevelScan:
-    """Case 3 (categorical attribute, categorical target) over a level.
+) -> list[CategoricalLevelScan]:
+    """Case 3 (categorical attribute, categorical target) over the
+    categorical columns of a task or a level: one
+    :class:`CategoricalLevelScan` per column, in ``columns`` order.
 
-    Segment ``i`` — one node — is rows ``starts[i]:starts[i + 1]`` of
-    ``codes`` and of the ``int64`` class codes ``y_codes``; there is at
-    least one segment.  One ``bincount`` gives the class-major ``(class,
-    segment, category)`` count table of every segment, missing codes in
-    a slot of their own.  Segments that see the same number ``g`` of
-    categories are scored together: exhaustive subset enumeration when
-    ``g`` is at most :data:`EXHAUSTIVE_SUBSET_LIMIT` — the non-empty
-    categories' counts times the membership table of
+    Node ``i`` is rows ``starts[i]:starts[i + 1]`` of the ``int64`` class
+    codes ``y_codes`` and of each column's codes ``codes[k]``, of which
+    there are ``n_categories[k]``.  Columns with equally many categories
+    share one class-major ``(class, segment, category)`` count table
+    whose segments are their (column, node) pairs (:func:`stacked_scan`),
+    missing codes in a slot of their own.  Segments that see the same
+    number ``g`` of categories are scored together: exhaustive subset
+    enumeration when ``g`` is at most :data:`EXHAUSTIVE_SUBSET_LIMIT` —
+    the non-empty categories' counts times the membership table of
     :func:`_subset_table` — and otherwise the paper's ``|S_l| = 1``
     restriction, one candidate per category with the empty ones masked
     out.  The first minimum along the candidate axis wins: the
@@ -665,21 +652,92 @@ def categorical_classification_scan(
     integers below ``2^53`` through the matrix product (as ``float64``),
     so no sum depends on its order (module docstring, "Exactness").
     """
-    slots = n_categories + 1
-
-    def scan_run(first: int, m: int) -> tuple:
-        table = np.bincount(
-            level_cells(codes, starts, first, m, slots, y_codes),
-            minlength=n_classes * m * slots,
+    scans: list = [None] * len(columns)
+    groups: dict[int, list[int]] = {}
+    for k, count in enumerate(n_categories):
+        groups.setdefault(count, []).append(k)
+    for count, group in groups.items():
+        fields = stacked_scan(
+            [codes[k] for k in group], y_codes, starts, count + 1,
+            criterion, n_classes,
+            lambda table: _scan_count_table(table, criterion),
         )
-        return _scan_count_table(table.reshape(n_classes, m, slots), criterion)
+        for k, column_fields in zip(group, fields):
+            scans[k] = CategoricalLevelScan(columns[k], *column_fields)
+    return scans
 
-    fields = scan_in_runs(starts, n_classes * slots, scan_run)
-    return CategoricalLevelScan(column, *fields)
+
+def stacked_scan(
+    codes: Sequence[np.ndarray],
+    y: np.ndarray,
+    starts: np.ndarray,
+    slots: int,
+    criterion: Impurity,
+    n_classes: int,
+    score,
+) -> list[tuple]:
+    """Per column of ``codes``, the per-node fields ``score`` reads off
+    its count table: the columns of a task or a level scanned as one.
+
+    Node ``i`` is rows ``starts[i]:starts[i + 1]`` of ``y`` (``int64``
+    class codes under a classification criterion, targets otherwise) and
+    of every column's integer codes (``-1`` missing, at most ``slots -
+    2``).  Stacked column-major, the (column, node) pairs are the
+    segments of one :func:`count_table`, each counting only its own rows,
+    built in runs (:func:`scan_in_runs`); a stack holds at most
+    :data:`LEVEL_TABLE_BINS` rows (one column at least).
+    """
+    n_nodes = starts.size - 1
+    n_rows = int(starts[-1])
+    per_segment = n_classes if criterion.is_classification else 3
+    per_stack = max(1, LEVEL_TABLE_BINS // max(1, n_rows))
+    out = []
+    for first in range(0, len(codes), per_stack):
+        stack = codes[first : first + per_stack]
+        shifted = starts[:-1] + n_rows * np.arange(len(stack))[:, None]
+        bounds = np.append(shifted.ravel(), n_rows * len(stack))
+        fields = scan_in_runs(
+            bounds,
+            per_segment * slots,
+            lambda run, m: score(
+                count_table(
+                    stack, y, bounds, run, m, slots, criterion, n_classes
+                )
+            ),
+        )
+        out += [
+            tuple(f[j * n_nodes : (j + 1) * n_nodes] for f in fields)
+            for j in range(len(stack))
+        ]
+    return out
+
+
+def count_table(codes, y, starts, first, m, slots, criterion, n_classes):
+    """Per-(segment, slot) statistics of segments ``first..first+m`` of
+    stacked columns (:func:`level_cells`).
+
+    Classification: the class-major ``(class, segment, slot)`` counts.
+    Regression: ``(segment, slot)`` row counts, sums of ``y`` and of
+    ``y * y`` — float ``bincount(weights=)`` sums, each slot's rows added
+    in row order, as a one-node table adds them.
+    """
+    if criterion.is_classification:
+        cells = level_cells(codes, starts, first, m, slots, y)
+        table = np.bincount(cells, minlength=n_classes * m * slots)
+        return table.reshape(n_classes, m, slots)
+    cells = level_cells(codes, starts, first, m, slots)
+    # Stacked row ``j * n + r`` is labelled ``y[r]``.
+    ys = y[np.arange(starts[first], starts[first + m]) % y.size]
+    size = m * slots
+    return (
+        np.bincount(cells, minlength=size).reshape(m, slots),
+        np.bincount(cells, weights=ys, minlength=size).reshape(m, slots),
+        np.bincount(cells, weights=ys * ys, minlength=size).reshape(m, slots),
+    )
 
 
 def level_cells(
-    codes: np.ndarray,
+    codes: Sequence[np.ndarray],
     starts: np.ndarray,
     first: int,
     m: int,
@@ -688,17 +746,25 @@ def level_cells(
 ) -> np.ndarray:
     """Each row's cell of a count table over segments ``first..first+m``.
 
-    The table is ``(class, segment, slot)``, class-major, or ``(segment,
-    slot)`` without ``y_codes``; a code's slot is ``code - MISSING_CODE``,
-    so slot 0 counts the missing codes.  The rows are a slice of the
-    level: no copy of the inputs, one ``int64`` array out.
+    ``codes`` are columns of equally many rows, stacked column-major:
+    stacked row ``j * n + r`` is row ``r`` of ``codes[j]``, labelled
+    ``y_codes[r]``.  The table is ``(class, segment, slot)``, class-major,
+    or ``(segment, slot)`` without ``y_codes``; a code's slot is ``code -
+    MISSING_CODE``, so slot 0 counts the missing codes.  Each column's
+    rows and the labels are read where they lie, with no stacked copy of
+    either: one ``int64`` array out.
     """
     lo, hi = int(starts[first]), int(starts[first + m])
-    if y_codes is None:
-        cells = codes[lo:hi].astype(np.int64)
-    else:
-        cells = y_codes[lo:hi] * (m * slots)
-        cells += codes[lo:hi]
+    n = codes[0].size
+    cells = np.empty(hi - lo, dtype=np.int64)
+    for j in range(lo // n, -(-hi // n)) if hi > lo else ():
+        a, b = max(lo - j * n, 0), min(hi - j * n, n)  # column j's rows
+        piece = cells[j * n + a - lo : j * n + b - lo]
+        if y_codes is None:
+            piece[:] = codes[j][a:b]
+        else:
+            np.multiply(y_codes[a:b], m * slots, out=piece)
+            piece += codes[j][a:b]
     if m == 1:  # one segment: no per-row segment offset to build
         cells -= MISSING_CODE
     else:
@@ -802,26 +868,6 @@ def _scan_count_table(table: np.ndarray, criterion: Impurity) -> tuple:
     return best, seg_scores, seg_n_left, n_present, n_missing, nonempty
 
 
-def best_categorical_classification_split(
-    column: int,
-    codes: np.ndarray,
-    y: np.ndarray,
-    n_categories: int,
-    criterion: Impurity,
-    n_classes: int,
-) -> CandidateSplit | None:
-    """Case 3 for one node: the one-segment call of the level scan."""
-    return categorical_classification_scan(
-        column,
-        codes,
-        label_codes(y),
-        np.array([0, codes.size]),
-        n_categories,
-        criterion,
-        n_classes,
-    ).split_for(0)
-
-
 def best_split_for_column(
     column: int,
     kind: ColumnKind,
@@ -831,20 +877,23 @@ def best_split_for_column(
     n_classes: int,
     n_categories: int = 0,
 ) -> CandidateSplit | None:
-    """Dispatch to the right Appendix-B case for one attribute.
-
-    The entry point of a column task and of the reference recursion in
-    ``tests/``.  Each case is the one-segment call of the scan the level
-    kernel runs (categorical regression: this module's function, node by
-    node), which is what guarantees all of them pick identical splits.
+    """The best split of one attribute at one node: the one-column,
+    one-node call of :func:`~repro.core.kernel.scan_columns`, so it picks
+    what a column task and the level kernel pick.  ``y`` holds the labels
+    (as floats or as integer codes) or targets.  The split search of the
+    reference recursion in ``tests/`` and of PLANET's categorical columns.
     """
-    if kind is ColumnKind.NUMERIC:
-        return best_numeric_split(column, values, y, criterion, n_classes)
+    # Imported here, not at module level: kernel.py builds on this module.
+    from .kernel import scan_columns
+
     if criterion.is_classification:
-        return best_categorical_classification_split(
-            column, values, y, n_categories, criterion, n_classes
-        )
-    return best_categorical_regression_split(column, values, y, n_categories)
+        y = label_codes(y)
+    spec = ColumnSpec(str(column), kind, ("",) * n_categories)
+    [scan] = scan_columns(
+        (column,), (values,), y, np.array([0, values.size]), (spec,),
+        criterion, n_classes,
+    )
+    return scan.split_for(0)
 
 
 def random_split_for_column(

@@ -37,20 +37,9 @@ from ..data.shm import ShmArena, ShmSlice
 from ..data.table import DataTable
 from .builder import extra_tree_split_rng
 from .config import TreeKind
-from .histogram import (
-    binned_scan,
-    book_for_config,
-    encode_bin_codes,
-    hist_active,
-)
-from .kernel import build_subtree
-from .splits import (
-    CandidateSplit,
-    best_split_for_column,
-    label_codes,
-    random_split_for_column,
-    route_training_rows,
-)
+from .histogram import book_for_config, encode_bin_codes, hist_active
+from .kernel import build_subtree, scan_columns
+from .splits import label_codes, random_split_for_column, route_training_rows
 from .tasks import (
     MasterFailoverMsg,
     MSG_COLUMN_REQUEST,
@@ -323,58 +312,41 @@ class WorkerActor:
         y = self.table.target[ids]
         if self.table.problem is ProblemKind.CLASSIFICATION:
             y = label_codes(y)
-        thresholds = book_for_config(self.threshold_book, plan.ctx.config)
-        splits: dict[int, CandidateSplit | None] = {}
-        if thresholds is not None:
-            # Hist mode: each numeric column lives whole on this worker, so
-            # its node-local histogram is complete — one scan scores them
-            # all right here.
-            coded = [
-                col
-                for col in plan.columns
-                if self.table.column_spec(col).kind is ColumnKind.NUMERIC
+        config = plan.ctx.config
+        values = [self.held_column(col, config)[ids] for col in plan.columns]
+        specs = [self.table.column_spec(col) for col in plan.columns]
+        if config.tree_kind is TreeKind.EXTRA:
+            splits = [
+                random_split_for_column(
+                    col,
+                    spec.kind,
+                    v,
+                    y,
+                    criterion,
+                    self.table.n_classes,
+                    extra_tree_split_rng(config.seed, plan.task[1], col),
+                    spec.n_categories,
+                )
+                for col, spec, v in zip(plan.columns, specs, values)
             ]
-            scans = binned_scan(
-                coded,
-                [self.held_column(col, plan.ctx.config)[ids] for col in coded],
+        else:
+            # Each column lives whole on this worker, so its scan over
+            # I_x is complete right here: the one-node call of the kernel's.
+            scans = scan_columns(
+                plan.columns,
+                values,
                 y,
                 np.array([0, ids.size]),
-                [thresholds[col] for col in coded],
+                specs,
                 criterion,
                 self.table.n_classes,
+                book_for_config(self.threshold_book, config),
             )
-            splits = {scan.column: scan.split_for(0) for scan in scans}
-        for col in plan.columns:
-            if col in splits:
-                continue
-            spec = self.table.column_spec(col)
-            values = self.held_column(col, plan.ctx.config)[ids]
-            if plan.ctx.config.tree_kind is TreeKind.EXTRA:
-                split = random_split_for_column(
-                    col,
-                    spec.kind,
-                    values,
-                    y,
-                    criterion,
-                    self.table.n_classes,
-                    extra_tree_split_rng(plan.ctx.config.seed, plan.task[1], col),
-                    spec.n_categories,
-                )
-            else:
-                split = best_split_for_column(
-                    col,
-                    spec.kind,
-                    values,
-                    y,
-                    criterion,
-                    self.table.n_classes,
-                    spec.n_categories,
-                )
-            splits[col] = split
+            splits = [scan.split_for(0) for scan in scans]
         result = ColumnResultMsg(
             task=task,
             worker=self.worker_id,
-            splits=[splits[col] for col in plan.columns],
+            splits=splits,
             stats=NodeStatsPayload.from_labels(
                 y, self.table.problem, self.table.n_classes
             ),
@@ -586,43 +558,22 @@ class WorkerActor:
             return  # revoked while queued
         plan = state.plan
         ids = state.row_ids
-        # Assemble the local D_x: fetched columns plus locally-held ones.
-        # In hist mode a numeric column is its codes, fetched or our own,
-        # which go to the kernel beside D_x.  Columns outside the candidate
-        # set and coded ones are one blank per column kind, all missing
-        # values: DataTable keeps a contiguous array as it is and the
-        # builder never consults, let alone writes, them.
-        n = int(ids.size)
-        thresholds = book_for_config(self.threshold_book, plan.ctx.config)
-        binned = None if thresholds is None else {}
-        columns: list[np.ndarray] = []
-        blanks: dict[ColumnKind, np.ndarray] = {}
-        for idx, spec in enumerate(self.table.schema.columns):
-            coded = binned is not None and spec.kind is ColumnKind.NUMERIC
-            arr = state.column_data.get(idx)
-            if arr is None and idx in plan.local_columns:
-                arr = self.held_column(idx, plan.ctx.config)[ids]
-            if coded and arr is not None:
-                binned[idx] = (thresholds[idx], arr)
-                arr = None
-            if arr is None:
-                if spec.kind not in blanks:
-                    blanks[spec.kind] = (
-                        np.full(n, np.nan)
-                        if spec.kind is ColumnKind.NUMERIC
-                        else np.full(n, -1, dtype=np.int32)
-                    )
-                arr = blanks[spec.kind]
-            columns.append(arr)
-        d_x = DataTable(self.table.schema, columns, self.table.target[ids])
+        config = plan.ctx.config
+        # D_x: the fetched candidate columns and the gathered local ones —
+        # in hist mode a numeric column is its codes either way.
+        columns = dict(state.column_data)
+        for col in plan.local_columns:
+            columns[col] = self.held_column(col, config)[ids]
         root = build_subtree(
-            d_x,
-            plan.ctx.config,
-            row_ids=np.arange(n, dtype=np.int64),
+            self.table.schema,
+            columns,
+            self.table.target[ids],
+            config,
+            np.arange(ids.size, dtype=np.int64),
             candidate_columns=plan.ctx.candidate_columns,
             root_path=plan.task[1],
             host_stats=self.host.stats,
-            binned=binned,
+            thresholds=book_for_config(self.threshold_book, config),
         )
         n_nodes = root.count_nodes()
         self.host.stats.subtree_nodes_built += n_nodes

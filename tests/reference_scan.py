@@ -3,8 +3,9 @@
 :func:`reference_numeric_split` is the numeric scan before PR 15: stable
 sort, row-major ``(m, n_classes)`` class counts reduced with
 ``sum(axis=1)``, impurities weighted in a separate pass.  The production
-scan (:func:`repro.core.splits.best_numeric_split`) sorts unstably and scores
-class-major; ``tests/test_splits.py`` holds it to this function's outputs.
+scan (:func:`repro.core.splits.best_split_for_column` on a numeric column)
+sorts unstably and scores class-major; ``tests/test_splits.py`` holds it
+to this function's outputs.
 
 :func:`reference_categorical_classification_split` is the Appendix B
 case 3 scan before PR 20: one node at a time, float64 class counts, the

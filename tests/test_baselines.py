@@ -19,8 +19,8 @@ from repro.core.histogram import (
     equi_depth_thresholds,
 )
 from repro.core.impurity import Impurity
-from repro.core.splits import best_numeric_split
-from repro.data.schema import ProblemKind
+from repro.core.splits import best_split_for_column
+from repro.data.schema import ColumnKind, ProblemKind
 from repro.datasets import SyntheticSpec, generate, train_test
 from repro.evaluation import accuracy, rmse
 
@@ -68,7 +68,9 @@ class TestBinnedSplit:
         approx = best_binned_numeric_split(
             0, bins, thresholds, y, Impurity.GINI, 2
         )
-        exact = best_numeric_split(0, values, y, Impurity.GINI, 2)
+        exact = best_split_for_column(
+            0, ColumnKind.NUMERIC, values, y, Impurity.GINI, 2
+        )
         assert approx is not None and exact is not None
         assert approx.score == pytest.approx(exact.score, abs=1e-9)
 
@@ -81,7 +83,9 @@ class TestBinnedSplit:
         approx = best_binned_numeric_split(
             0, bin_indices(values, t4), t4, y, Impurity.GINI, 2
         )
-        exact = best_numeric_split(0, values, y, Impurity.GINI, 2)
+        exact = best_split_for_column(
+            0, ColumnKind.NUMERIC, values, y, Impurity.GINI, 2
+        )
         assert exact is not None and approx is not None
         assert exact.score <= approx.score + 1e-12
         assert exact.score == pytest.approx(0.0, abs=1e-12)

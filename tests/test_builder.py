@@ -24,6 +24,14 @@ from repro.datasets import SyntheticSpec, generate
 from .reference_builder import reference_build_subtree, reference_train_tree
 
 
+def kernel_build_subtree(table, config, row_ids, **kwargs):
+    """The kernel on a table's columns, called as the reference
+    recursion is."""
+    return build_subtree(
+        table.schema, table.columns, table.target, config, row_ids, **kwargs
+    )
+
+
 class TestPathHelpers:
     def test_path_depth(self):
         assert path_depth(1) == 0
@@ -169,7 +177,9 @@ class TestSubtreeBuilding:
     def test_subtree_on_row_subset(self, small_mixed_classification):
         table = small_mixed_classification
         ids = np.arange(0, table.n_rows, 2, dtype=np.int64)
-        root = build_subtree(table, TreeConfig(max_depth=4), ids, root_path=5)
+        root = kernel_build_subtree(
+            table, TreeConfig(max_depth=4), ids, root_path=5
+        )
         assert root.node_id == 5
         assert root.depth == path_depth(5)
         assert root.n_rows == len(ids)
@@ -178,13 +188,15 @@ class TestSubtreeBuilding:
         table = small_mixed_classification
         ids = np.arange(table.n_rows, dtype=np.int64)
         # Root at path 4 has depth 2; dmax 4 leaves two more levels.
-        root = build_subtree(table, TreeConfig(max_depth=4), ids, root_path=4)
+        root = kernel_build_subtree(
+            table, TreeConfig(max_depth=4), ids, root_path=4
+        )
         assert root.subtree_depth() <= 4
 
     def test_candidate_columns_restrict_splits(self, small_mixed_classification):
         table = small_mixed_classification
         ids = np.arange(table.n_rows, dtype=np.int64)
-        root = build_subtree(
+        root = kernel_build_subtree(
             table, TreeConfig(max_depth=6), ids, candidate_columns=(0, 2)
         )
         for node in root.walk():
@@ -437,9 +449,10 @@ class TestKernelParity:
     def test_categorical_classification_leaves_the_per_node_path(
         self, monkeypatch
     ):
-        """Under a classification criterion the kernel calls the level
-        scan once per categorical column per level and no per-node split
-        function; categorical regression still scans node by node."""
+        """Under a classification criterion the kernel scores a level's
+        categorical columns in one count table (both have 6 categories)
+        and calls no per-node split function; categorical regression
+        still scans node by node."""
         from repro.core import kernel, splits
 
         calls = {"level": 0, "node": 0}
@@ -452,17 +465,15 @@ class TestKernelParity:
             return wrapper
 
         monkeypatch.setattr(
-            kernel,
-            "categorical_classification_scan",
-            counting("level", kernel.categorical_classification_scan),
+            splits,
+            "_scan_count_table",
+            counting("level", splits._scan_count_table),
         )
-        for name in (
+        monkeypatch.setattr(
+            splits,
             "best_split_for_column",
-            "best_categorical_classification_split",
-        ):
-            monkeypatch.setattr(
-                splits, name, counting("node", getattr(splits, name))
-            )
+            counting("node", splits.best_split_for_column),
+        )
         monkeypatch.setattr(
             kernel,
             "best_categorical_regression_split",
@@ -470,7 +481,7 @@ class TestKernelParity:
         )
         tree = train_tree(_parity_table(), TreeConfig(max_depth=3, seed=3))
         assert tree.depth == 3
-        assert calls == {"level": 2 * 3, "node": 0}  # 2 columns, 3 levels
+        assert calls == {"level": 3, "node": 0}  # one table a level
 
         calls.update(level=0, node=0)
         tree = train_tree(
@@ -566,7 +577,7 @@ class TestKernelParity:
         rows = np.arange(0, table.n_rows, 3, dtype=np.int64)
         reference, root = (
             build(table, cfg, rows, candidate_columns=(0, 2, 4), root_path=5)
-            for build in (reference_build_subtree, build_subtree)
+            for build in (reference_build_subtree, kernel_build_subtree)
         )
         assert root.node_id == 5 and not root.is_leaf
         assert node_to_dict(reference) == node_to_dict(root)
@@ -579,7 +590,7 @@ class TestKernelParity:
         none = np.empty(0, dtype=np.int64)
         reference, root = (
             build(table, TreeConfig(), none)
-            for build in (reference_build_subtree, build_subtree)
+            for build in (reference_build_subtree, kernel_build_subtree)
         )
         assert root.is_leaf and root.n_rows == 0
         assert node_to_dict(reference) == node_to_dict(root)
@@ -593,7 +604,7 @@ class TestKernelParity:
         table = _parity_table()
         rows = np.arange(table.n_rows, dtype=np.int64)
         stats = MachineStats()
-        build_subtree(
+        kernel_build_subtree(
             table, TreeConfig(max_depth=None), rows, host_stats=stats
         )
         assert stats.subtree_kernel_s > 0

@@ -779,11 +779,15 @@ class TestDistributedHist:
             }
 
     def test_a_fit_scores_each_task_and_level_once(self, monkeypatch):
-        """One ``_score_bin_table`` call per column task and one per
-        kernel level that scans a coded column, on the e2e hist job's
-        shape, where every numeric column has 31 thresholds: one
-        threshold-count group, so a task's or a level's coded columns
-        are scored together, not one call per (task or level, column)."""
+        """One ``_score_bin_table`` call per column task that holds a
+        numeric column and one per kernel level that scans one, on the e2e
+        hist job's shape, where every numeric column has 31 thresholds:
+        one threshold-count group, so a task's or a level's coded columns
+        are scored together, not one call per (task or level, column).
+        Likewise one ``_scan_count_table`` call per column task or kernel
+        level that holds a categorical column: every one has 6
+        categories, so they share one count table: the decision tree's
+        tasks and levels hold all four, the forest's at most one."""
         table = generate(
             SyntheticSpec(
                 "T", 3000, 12, 4, n_classes=5, planted_depth=6,
@@ -792,33 +796,49 @@ class TestDistributedHist:
         )
         book = histogram.column_thresholds(table, 32)
         assert {cuts.size for cuts in book.values()} == {31}
-        scored: list[int] = []
-        real_score = histogram._score_bin_table
+        assert {
+            spec.n_categories
+            for spec in table.schema.columns
+            if spec.kind is ColumnKind.CATEGORICAL
+        } == {6}
+        scored = {"bins": 0, "counts": 0}
 
-        def score_counting(*args):
-            scored.append(1)
-            return real_score(*args)
+        def counting(name, fn):
+            def wrapper(*args):
+                scored[name] += 1
+                return fn(*args)
 
-        levels: list[np.ndarray] = []  # each level's node bounds, once
-        real_scan = kernel.binned_scan
+            return wrapper
 
-        def scan_recording(*args):
-            if not any(starts is args[3] for starts in levels):
-                levels.append(args[3])
-            return real_scan(*args)
+        levels: list[set] = []  # the column kinds each kernel level scans
+        real_scan = kernel.scan_columns
 
-        tasks: list[int] = []
+        def scan_recording(columns, values, y, starts, specs, *args):
+            levels.append({spec.kind for spec in specs})
+            return real_scan(columns, values, y, starts, specs, *args)
+
+        tasks: list[set] = []  # the column kinds each column task holds
         real_task = worker.WorkerActor._compute_column_task
 
         def task_counting(self, task):
             state = self._column_tasks.get(task)
             if state is not None and state.row_ids is not None:
-                kinds = {table.column_spec(c).kind for c in state.plan.columns}
-                tasks.append(int(ColumnKind.NUMERIC in kinds))
+                tasks.append(
+                    {table.column_spec(c).kind for c in state.plan.columns}
+                )
             return real_task(self, task)
 
-        monkeypatch.setattr(histogram, "_score_bin_table", score_counting)
-        monkeypatch.setattr(kernel, "binned_scan", scan_recording)
+        monkeypatch.setattr(
+            histogram,
+            "_score_bin_table",
+            counting("bins", histogram._score_bin_table),
+        )
+        monkeypatch.setattr(
+            splits,
+            "_scan_count_table",
+            counting("counts", splits._scan_count_table),
+        )
+        monkeypatch.setattr(kernel, "scan_columns", scan_recording)
         monkeypatch.setattr(
             worker.WorkerActor, "_compute_column_task", task_counting
         )
@@ -827,11 +847,19 @@ class TestDistributedHist:
         ).scaled_to(table.n_rows)
         cfg = _hist(TreeConfig(seed=1, max_depth=10), 32)
         report = TreeServer(system).fit(
-            table, [random_forest_job("rf", 4, cfg, seed=1)]
+            table,
+            [
+                random_forest_job("rf", 4, cfg, seed=1),
+                decision_tree_job("dt", cfg),  # all 4 categorical columns
+            ],
         )
         assert report.counters.column_tasks == len(tasks) > 0
         assert report.counters.subtree_tasks > 0 and levels
-        assert len(scored) == sum(tasks) + len(levels)
+        for name, kind in (
+            ("bins", ColumnKind.NUMERIC), ("counts", ColumnKind.CATEGORICAL)
+        ):
+            holding = [kinds for kinds in tasks + levels if kind in kinds]
+            assert holding and scored[name] == len(holding)
 
     def test_hist_moves_fewer_bytes_than_exact_on_socket(self):
         """The headline data-plane win: identical jobs, identical wide

@@ -15,7 +15,7 @@ from repro.core import (
     train_tree,
 )
 from repro.core.impurity import Impurity, classification_impurity
-from repro.core.splits import best_numeric_split, route_training_rows
+from repro.core.splits import best_split_for_column, route_training_rows
 from repro.data.schema import ColumnKind
 from repro.data.table import DataTable
 from repro.datasets import SyntheticSpec, generate
@@ -70,7 +70,9 @@ class TestInvariantThree:
     def test_property_split_never_increases_impurity(self, pairs):
         values = np.array([float(v) for v, _ in pairs])
         y = np.array([c for _, c in pairs])
-        split = best_numeric_split(0, values, y, Impurity.GINI, 3)
+        split = best_split_for_column(
+            0, ColumnKind.NUMERIC, values, y, Impurity.GINI, 3
+        )
         if split is None:
             return
         counts = np.bincount(y, minlength=3).astype(float)

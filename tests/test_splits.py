@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import splits
+from repro.core import histogram, splits
 from repro.core.impurity import (
     Impurity,
     classification_impurity,
@@ -23,9 +23,7 @@ from repro.core.splits import (
     EXHAUSTIVE_SUBSET_LIMIT,
     CandidateSplit,
     CountScratch,
-    best_categorical_classification_split,
     best_categorical_regression_split,
-    best_numeric_split,
     best_split_for_column,
     categorical_classification_scan,
     numeric_classification_scan,
@@ -33,14 +31,33 @@ from repro.core.splits import (
     random_split_for_column,
     route_training_rows,
 )
-from repro.data.schema import ColumnKind
+from repro.core.kernel import scan_columns
+from repro.data.schema import ColumnKind, ColumnSpec
 
 from .reference_predict import route_test_value
 from .reference_scan import (
+    reference_binned_split,
     reference_categorical_classification_split,
     reference_categorical_regression_split,
     reference_numeric_split,
 )
+
+
+def best_numeric_split(column, values, y, criterion, n_classes):
+    """Case 1 at one node, through the one split dispatch."""
+    return best_split_for_column(
+        column, ColumnKind.NUMERIC, values, y, criterion, n_classes
+    )
+
+
+def best_categorical_classification_split(
+    column, codes, y, n_categories, criterion, n_classes
+):
+    """Case 3 at one node, through the one split dispatch."""
+    return best_split_for_column(
+        column, ColumnKind.CATEGORICAL, codes, y, criterion, n_classes,
+        n_categories,
+    )
 
 
 def brute_force_numeric(values, y, criterion, n_classes):
@@ -408,8 +425,9 @@ class TestScanAgainstFrozenOracle:
                 codes[lo:hi] = -1
         y = rng.integers(0, n_classes, size=codes.size)
         with mock.patch.object(splits, "LEVEL_TABLE_BINS", table_bins):
-            scan = categorical_classification_scan(
-                4, codes, y, starts, n_categories, criterion, n_classes
+            [scan] = categorical_classification_scan(
+                (4,), (codes,), y, starts, (n_categories,), criterion,
+                n_classes,
             )
         for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
             want = reference_categorical_classification_split(
@@ -457,8 +475,9 @@ class TestScanAgainstFrozenOracle:
             return scan_count_table(table, criterion)
 
         with mock.patch.object(splits, "_scan_count_table", recording):
-            scan = categorical_classification_scan(
-                0, codes, y, starts, n_categories, Impurity.GINI, n_classes
+            [scan] = categorical_classification_scan(
+                (0,), (codes,), y, starts, (n_categories,), Impurity.GINI,
+                n_classes,
             )
         assert len(table_sizes) > 1
         assert max(table_sizes) <= splits.LEVEL_TABLE_BINS
@@ -583,6 +602,160 @@ class TestScanAgainstFrozenOracle:
             best_categorical_regression_split(*args),
             reference_categorical_regression_split(*args),
         )
+
+
+@st.composite
+def _mixed_levels(draw):
+    """A task's or a level's mixed columns for :func:`scan_columns`:
+    ``(columns, values, specs, thresholds, y, starts, criterion,
+    n_classes)``.  1-8 segments — empty, 1-row and larger; 1-6 columns,
+    exact numeric (tie-heavy, constant, all-NaN segments) or, in hist
+    mode, coded with equal or unequal threshold counts (int8, and int16
+    at 200 thresholds), and categorical with equal or unequal category
+    counts, segments that see a few categories or none; 2-7 classes,
+    one-class segments among them, or a regression target."""
+    sizes = draw(
+        st.lists(
+            st.sampled_from([0, 0, 1, 1, 2, 3, 7, 20, 45]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    n_rows = int(starts[-1])
+    hist = draw(st.booleans())
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["numeric", "categorical"]), min_size=1, max_size=6
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns, values, specs, thresholds = [], [], [], {}
+    for k, kind in enumerate(kinds):
+        col = 3 * k + int(rng.integers(3))
+        columns.append(col)
+        if kind == "numeric" and hist:
+            n_cuts = draw(st.sampled_from([1, 3, 3, 12, 200]))
+            thresholds[col] = np.cumsum(rng.random(n_cuts) + 0.01) - 3.0
+            v = rng.integers(-1, n_cuts + 1, size=n_rows)
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                if rng.integers(5) == 0:
+                    v[lo:hi] = rng.integers(-1, n_cuts + 1)
+            v = v.astype(histogram.bin_code_dtype(n_cuts))
+            specs.append(ColumnSpec(f"n{col}", ColumnKind.NUMERIC))
+        elif kind == "numeric":
+            v = rng.normal(size=n_rows) * 1e3
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                pick = rng.integers(6)
+                if pick < 2:
+                    v[lo:hi] = rng.choice(_TIE_VALUES, size=hi - lo)
+                elif pick == 2:
+                    v[lo:hi] = 3.0
+                elif pick == 3:
+                    v[lo:hi] = np.nan
+            v[rng.random(n_rows) < 0.05] = np.nan
+            specs.append(ColumnSpec(f"n{col}", ColumnKind.NUMERIC))
+        else:
+            n_categories = draw(st.sampled_from([2, 6, 6, 12]))
+            v = rng.integers(0, n_categories, size=n_rows).astype(np.int32)
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                pick = rng.integers(6)
+                if pick < 2:  # sees a few of the categories only
+                    few = rng.choice(n_categories, size=rng.integers(1, 4))
+                    v[lo:hi] = rng.choice(few, size=hi - lo)
+                elif pick == 2:  # sees none: every code missing
+                    v[lo:hi] = -1
+            v[rng.random(n_rows) < 0.05] = -1
+            specs.append(
+                ColumnSpec(
+                    f"c{col}",
+                    ColumnKind.CATEGORICAL,
+                    tuple(map(str, range(n_categories))),
+                )
+            )
+        values.append(v)
+    if draw(st.booleans()):
+        n_classes = draw(st.integers(min_value=2, max_value=7))
+        y = rng.integers(0, n_classes, size=n_rows)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            if rng.integers(4) == 0:
+                y[lo:hi] = rng.integers(n_classes)  # a pure node
+        criterion = draw(st.sampled_from([Impurity.GINI, Impurity.ENTROPY]))
+    else:
+        n_classes = 0
+        levels = rng.normal(size=draw(st.sampled_from([1, 3, 1000]))) * 10
+        y = rng.choice(levels, size=n_rows)
+        criterion = Impurity.VARIANCE
+    return (
+        columns, values, specs, thresholds if hist else None, y, starts,
+        criterion, n_classes,
+    )
+
+
+def _oracle_split(col, v, spec, thresholds, y, criterion, n_classes):
+    """One (column, node) of :func:`scan_columns` by its frozen oracle."""
+    if spec.kind is ColumnKind.NUMERIC and thresholds is not None:
+        return reference_binned_split(
+            col, v, thresholds[col], y, criterion, n_classes
+        )
+    if spec.kind is ColumnKind.NUMERIC:
+        return reference_numeric_split(col, v, y, criterion, n_classes)
+    if criterion.is_classification:
+        return reference_categorical_classification_split(
+            col, v, y, spec.n_categories, criterion, n_classes
+        )
+    return reference_categorical_regression_split(
+        col, v, y, spec.n_categories
+    )
+
+
+class TestScanColumnsAgainstFrozenOracle:
+    """:func:`repro.core.kernel.scan_columns`, the one dispatch of the
+    level kernel and of a column task, vs the frozen scans of
+    ``tests/reference_scan.py``: every (column, node) of a mixed level
+    equals its oracle field for field and its score bit for bit (up to 7
+    classes, where the numeric oracle's class sum is sequential)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=_mixed_levels(),
+        table_bins=st.sampled_from([1, 40, 300]),
+    )
+    def test_every_column_and_node_matches_its_oracle(
+        self, level, table_bins
+    ):
+        """Once as the kernel runs it, once with the count tables cut
+        into runs (down to one segment a run, one column a stack) by a
+        tiny bin constant and stale counts in a reused scratch."""
+        columns, values, specs, thresholds, y, starts, criterion, n_classes = (
+            level
+        )
+        stale = CountScratch()
+        for i in (0, 1):
+            stale.array(i, (8, 4 * int(starts[-1]) + 1024)).fill(7)
+        runs = []
+        for bins, scratch in (
+            (splits.LEVEL_TABLE_BINS, None), (table_bins, stale)
+        ):
+            with mock.patch.object(splits, "LEVEL_TABLE_BINS", bins):
+                runs.append(
+                    scan_columns(
+                        columns, values, y, starts, specs, criterion,
+                        n_classes, thresholds, scratch,
+                    )
+                )
+        for scans in runs:
+            assert [scan.column for scan in scans] == columns
+            for col, v, spec, scan in zip(columns, values, specs, scans):
+                for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+                    want = _oracle_split(
+                        col, v[lo:hi], spec, thresholds, y[lo:hi],
+                        criterion, n_classes,
+                    )
+                    _same_split_same_bits(scan.split_for(i), want)
+                    assert scan.key_for(i) == (
+                        None if want is None else want.sort_key()
+                    )
 
 
 class TestSignedZeroThreshold:
