@@ -512,7 +512,7 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
                 runner.stop()
     except KeyboardInterrupt:
         pass
-    counters = gateway.gateway_counters()
+    counters = gateway.report().gateway
     print(
         f"gateway: requests={counters['http_requests']} "
         f"admitted={counters['admitted']} throttled={counters['throttled']} "

@@ -12,7 +12,9 @@ work identify as the key to hardware-speed traversal; opt-in
 * :mod:`registry` — content-hash keyed, thread-safe cache of compiled
   models, so repeated prediction jobs stop reloading and recompiling;
 * :mod:`server` — an in-process micro-batching :class:`PredictionServer`
-  with a bounded queue and latency/throughput counters;
+  with a bounded queue;
+* :mod:`stats` — each layer's counter record and the one reduction,
+  :func:`serving_report`, that turns them into a :class:`ServingReport`;
 * :mod:`shm_model` — compiled models as shared-memory images
   (:class:`SharedCompiledModel`): publish once, map everywhere;
 * :mod:`fleet` — :class:`ServingFleet`, N OS worker processes serving
@@ -47,12 +49,7 @@ from .fleet import (
     FleetWorkerError,
     ServingFleet,
 )
-from .gateway import (
-    Gateway,
-    GatewayConfig,
-    GatewayStats,
-    GatewayThread,
-)
+from .gateway import Gateway, GatewayConfig, GatewayThread
 from .registry import (
     ModelRegistry,
     RegistryEntry,
@@ -61,13 +58,9 @@ from .registry import (
     load_compiled_local,
     quantized_key,
 )
-from .server import (
-    PredictionServer,
-    ServerConfig,
-    ServingReport,
-    ServingStats,
-)
+from .server import PredictionServer, ServerConfig
 from .shm_model import AttachedModel, SharedCompiledModel, flat_fingerprint
+from .stats import GatewayStats, ServingReport, ServingStats, serving_report
 
 __all__ = [
     "AdmissionController",
@@ -102,4 +95,5 @@ __all__ = [
     "load_compiled_hdfs",
     "load_compiled_local",
     "quantized_key",
+    "serving_report",
 ]

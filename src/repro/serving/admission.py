@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
-
-from .fleet import LatencyWindow
+from dataclasses import dataclass
 
 
 class ThrottledError(Exception):
@@ -112,28 +110,18 @@ class TokenBucket:
         return max(0.0, (tokens - self.tokens) / self.rate)
 
 
-@dataclass
-class AdmissionStats:
-    """Counters the gateway folds into its ``/stats`` payload."""
-
-    admitted: int = 0
-    throttled: int = 0
-    #: Most recent queue waits of admitted requests (seconds).
-    queue_waits: LatencyWindow = field(default_factory=LatencyWindow)
-
-
 class AdmissionController:
     """Token-bucket quotas with a bounded asynchronous waiting room.
 
     ``await admit(client)`` either returns the seconds the request spent
     parked (0.0 on the fast path) or raises :class:`ThrottledError` with
-    a queue-depth-derived ``retry_after``.  All state is event-loop
-    confined; no locks are needed.
+    a queue-depth-derived ``retry_after``.  It keeps no counters: the
+    gateway counts what ``admit`` returns or raises.  All state is
+    event-loop confined; no locks are needed.
     """
 
     def __init__(self, config: QuotaConfig | None = None) -> None:
         self.config = config or QuotaConfig()
-        self.stats = AdmissionStats()
         self._buckets: dict[str, TokenBucket] = {}
         self._waiting = 0
 
@@ -157,23 +145,18 @@ class AdmissionController:
         cfg = self.config
         bucket = self.bucket_for(client)
         if bucket is None:
-            self.stats.admitted += 1
             return 0.0
         # Fast path only when nobody from this client is already parked —
         # a late arrival must not jump its own client's queue.
         if bucket.waiters == 0 and bucket.try_take():
-            self.stats.admitted += 1
-            self.stats.queue_waits.append(0.0)
             return 0.0
         # Projected wait for this request: every request parked ahead on
         # the same bucket needs a token first.
         eta = bucket.eta_seconds(tokens=bucket.waiters + 1.0)
         if self._waiting >= cfg.max_waiters:
-            self.stats.throttled += 1
             raise ThrottledError(max(eta, 1.0 / bucket.rate),
                                  "waiting room full")
         if eta > cfg.max_wait_seconds:
-            self.stats.throttled += 1
             raise ThrottledError(eta, "projected wait too long")
         bucket.waiters += 1
         self._waiting += 1
@@ -185,7 +168,6 @@ class AdmissionController:
             while not bucket.try_take():
                 now = time.monotonic()
                 if now >= deadline:
-                    self.stats.throttled += 1
                     raise ThrottledError(
                         bucket.eta_seconds(tokens=bucket.waiters),
                         "projected wait too long",
@@ -196,7 +178,4 @@ class AdmissionController:
         finally:
             bucket.waiters -= 1
             self._waiting -= 1
-        waited = time.monotonic() - started
-        self.stats.admitted += 1
-        self.stats.queue_waits.append(waited)
-        return waited
+        return time.monotonic() - started

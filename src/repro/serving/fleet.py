@@ -49,8 +49,7 @@ import os
 import threading
 import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from queue import Empty
 
 import numpy as np
@@ -68,6 +67,7 @@ from ..runtime.base import (
 from ..runtime.process import CRASH_EXITCODE, resolve_start_method
 from .registry import ModelRegistry, default_registry
 from .shm_model import SharedCompiledModel, flat_fingerprint
+from .stats import FLEET_WINDOW, FleetStats, LatencyWindow, WorkerStats
 
 
 #: How long the collector waits for a result before checking liveness.
@@ -80,23 +80,6 @@ _HEDGE_FIRST_SECONDS = 0.05
 _HEDGE_MIN_SECONDS = 0.001
 _HEDGE_MAX_SECONDS = 1.0
 _HEDGE_REFRESH_BATCHES = 20
-
-
-class LatencyWindow(deque):
-    """The most recent ``maxlen`` durations (seconds), read in milliseconds:
-    the one bounded window behind the fleet, server, gateway and admission
-    stats."""
-
-    def __init__(self, iterable=(), maxlen: int = 65536) -> None:
-        super().__init__(iterable, maxlen)
-
-    def percentile_ms(self, q: float) -> float:
-        """Percentile ``q`` of the window in milliseconds (0 when empty)."""
-        return float(np.percentile(self, q) * 1e3) if self else 0.0
-
-    def max_ms(self) -> float:
-        """Largest duration of the window in milliseconds (0 when empty)."""
-        return float(max(self) * 1e3) if self else 0.0
 
 
 class FleetError(RuntimeError):
@@ -248,33 +231,15 @@ class _Batch:
 class _WorkerSlot:
     """Parent-side state of one worker seat (survives respawns)."""
 
-    def __init__(self, worker_id: int, task_queue) -> None:
-        self.worker_id = worker_id
+    def __init__(self, stats: WorkerStats, task_queue) -> None:
+        self.worker_id = stats.worker_id
+        self.stats = stats
         self.task_queue = task_queue
         self.process = None
-        self.respawns = 0
         #: Dispatched-but-unresolved shards, keyed ``(batch, shard)``.
         self.outstanding: dict[tuple[int, int], _ShardTask] = {}
-        #: Rows and shards whose result this seat delivered first; a
-        #: duplicate (hedge or retry) that lost the race is not counted.
-        self.rows = 0
-        self.batches = 0
-        #: Latest model counters of the live incarnation.
-        self.counters: dict[str, int] = {}
-        #: Model attaches of dead incarnations.
-        self.retired_attaches = 0
-
-    def merged_counters(self) -> dict[str, int]:
-        """Counters across incarnations; the mapped-bytes gauge comes from
-        the live one."""
-        return {
-            "rows": self.rows,
-            "batches": self.batches,
-            "model_attaches": (
-                self.retired_attaches + self.counters.get("model_attaches", 0)
-            ),
-            "shm_bytes_mapped": self.counters.get("shm_bytes_mapped", 0),
-        }
+        #: Model attaches the live incarnation has reported so far.
+        self.attaches = 0
 
 
 class ServingFleet:
@@ -321,13 +286,13 @@ class ServingFleet:
         self._retired: dict[str, SharedCompiledModel] = {}
         #: In-flight shard count per model key (retire gate).
         self._key_outstanding: dict[str, int] = {}
-        self._total_respawns = 0
         self._faults: tuple[FaultPlan, ...] = ()
         #: Seconds from dispatch to the last shard of recent batches.
-        self._service_seconds = LatencyWindow(maxlen=1024)
+        self._service_seconds = LatencyWindow(FLEET_WINDOW)
         self._hedge_delay = _HEDGE_FIRST_SECONDS
-        self._hedges = 0
-        self._hedge_wins = 0
+        self.stats = FleetStats(
+            [WorkerStats(worker_id) for worker_id in range(1, n_workers + 1)]
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -351,8 +316,7 @@ class ServingFleet:
         self._result_queue = self._ctx.Queue()
         self._stopping.clear()
         self._slots = [
-            _WorkerSlot(worker_id, self._ctx.Queue())
-            for worker_id in range(1, self.n_workers + 1)
+            _WorkerSlot(seat, self._ctx.Queue()) for seat in self.stats.workers
         ]
         for slot in self._slots:
             self._spawn(slot)
@@ -369,7 +333,7 @@ class ServingFleet:
                 slot.worker_id,
                 slot.task_queue,
                 self._result_queue,
-                self._faults if slot.respawns == 0 else (),
+                self._faults if slot.process is None else (),
             ),
             name=f"repro-fleet-worker-{slot.worker_id}",
             daemon=True,
@@ -488,6 +452,13 @@ class ServingFleet:
         current = self._current
         return current.key if current is not None else None
 
+    def snapshot(self) -> tuple[dict, SharedCompiledModel | None]:
+        """A consistent copy of the fleet's counters (``asdict`` of its
+        :class:`FleetStats`) and the published model image, read under
+        the lock the collector and respawns write them under."""
+        with self._lock:
+            return asdict(self.stats), self._current
+
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
@@ -582,7 +553,7 @@ class ServingFleet:
                     self._key_outstanding.get(key, 0) + 1
                 )
                 copies.append((slot, task))
-            self._hedges += len(copies)
+            self.stats.hedges += len(copies)
         for slot, task in copies:
             slot.task_queue.put(task.message())
 
@@ -619,7 +590,10 @@ class ServingFleet:
         retired_handle = None
         with self._lock:
             slot = self._slots[worker_id - 1]
-            slot.counters = counters
+            seat = slot.stats
+            seat.model_attaches += counters["model_attaches"] - slot.attaches
+            slot.attaches = counters["model_attaches"]
+            seat.shm_bytes_mapped = counters["shm_bytes_mapped"]
             task = slot.outstanding.pop((batch_id, shard_id), None)
             if task is None:
                 # A shard served twice by one seat (respawn re-dispatch
@@ -646,10 +620,10 @@ class ServingFleet:
                     batch.event.set()
                 else:
                     batch.results[shard_id] = payload
-                    slot.rows += len(payload)
-                    slot.batches += 1
+                    seat.rows += len(payload)
+                    seat.batches += 1
                     if slot is not self._slots[task.worker_index]:
-                        self._hedge_wins += 1
+                        self.stats.hedge_wins += 1
                     if len(batch.results) == batch.n_shards:
                         batch.event.set()
         if retired_handle is not None:
@@ -667,10 +641,9 @@ class ServingFleet:
     def _respawn(self, slot: _WorkerSlot, exitcode: int | None) -> None:
         """Replace a dead worker and re-dispatch its in-flight shards."""
         with self._lock:
-            slot.respawns += 1
-            self._total_respawns += 1
-            slot.retired_attaches += slot.counters.get("model_attaches", 0)
-            slot.counters = {}
+            slot.stats.respawns += 1
+            slot.stats.shm_bytes_mapped = 0
+            slot.attaches = 0
             retry, abandoned = [], []
             for task in slot.outstanding.values():
                 task.retries += 1
@@ -713,31 +686,3 @@ class ServingFleet:
         # result is dropped by the (batch, shard) dedup above.
         for task in retry:
             slot.task_queue.put(task.message())
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Per-worker counters plus fleet-level model/respawn state."""
-        with self._lock:
-            current = self._current
-            workers = [
-                {
-                    "worker_id": slot.worker_id,
-                    "respawns": slot.respawns,
-                    **slot.merged_counters(),
-                }
-                for slot in self._slots
-            ]
-        return {
-            "n_workers": self.n_workers,
-            "respawns": self._total_respawns,
-            "hedges": self._hedges,
-            "hedge_wins": self._hedge_wins,
-            "model_key": current.key if current is not None else None,
-            "model_nbytes": current.nbytes if current is not None else 0,
-            "model_quantized": (
-                current.quantized if current is not None else False
-            ),
-            "workers": workers,
-        }

@@ -45,10 +45,10 @@ import numpy as np
 
 from ..core.flat import FlatForest
 from .admission import AdmissionController, QuotaConfig, ThrottledError
-from .fleet import LatencyWindow
 from .registry import ModelRegistry, default_registry, load_compiled_local
 from .server import PredictionServer, QueueFullError, ServerStoppedError
 from .shm_model import flat_fingerprint
+from .stats import GatewayStats, ServingReport
 
 #: Hard ceiling on request-line/header line length (bytes).
 _MAX_LINE = 16 * 1024
@@ -79,25 +79,6 @@ class GatewayConfig:
             raise ValueError("max_body_bytes must be >= 1")
         if self.request_timeout_seconds <= 0:
             raise ValueError("request_timeout_seconds must be > 0")
-
-
-@dataclass
-class GatewayStats:
-    """Gateway-level counters exposed under ``/stats``'s ``gateway`` key."""
-
-    http_requests: int = 0
-    http_errors: int = 0
-    admitted: int = 0
-    throttled: int = 0
-    #: Throttles split by cause (``throttled`` is their roll-up).
-    throttled_quota: int = 0
-    throttled_queue_full: int = 0
-    swaps: int = 0
-    rollbacks: int = 0
-    #: Recent end-to-end predict latencies through the gateway (seconds).
-    latencies: LatencyWindow = field(
-        default_factory=lambda: LatencyWindow(maxlen=4096)
-    )
 
 
 class _HttpReply(Exception):
@@ -152,7 +133,10 @@ class Gateway:
         # dedicated executor keeps them off the loop's default pool.
         self._executor: ThreadPoolExecutor | None = None
         #: Model history for rollback: (content key, compiled arrays).
-        self._models: list[tuple[str, FlatForest]] = []
+        flat = server.predictor.forest
+        self._models: list[tuple[str, FlatForest]] = [
+            (flat_fingerprint(flat), flat)
+        ]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -167,13 +151,7 @@ class Gateway:
     @property
     def model_key(self) -> str:
         """Content hash of the currently served model."""
-        if not self._models:
-            self._models.append(self._fingerprint_current())
         return self._models[-1][0]
-
-    def _fingerprint_current(self) -> tuple[str, FlatForest]:
-        flat = self.server.predictor.forest
-        return flat_fingerprint(flat), flat
 
     async def start(self) -> "Gateway":
         """Start the server and open the listening socket."""
@@ -183,8 +161,6 @@ class Gateway:
             max_workers=_EXECUTOR_THREADS, thread_name_prefix="repro-gateway"
         )
         self.server.start()
-        if not self._models:
-            self._models.append(self._fingerprint_current())
         self._listener = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -239,7 +215,6 @@ class Gateway:
         try:
             queue_wait = await self.admission.admit(client)
         except ThrottledError as error:
-            self.stats.throttled += 1
             self.stats.throttled_quota += 1
             raise _HttpReply(
                 429,
@@ -254,6 +229,7 @@ class Gateway:
                 },
             ) from None
         self.stats.admitted += 1
+        self.stats.queue_waits.append(queue_wait)
         started = time.monotonic()
         try:
             result = await asyncio.get_running_loop().run_in_executor(
@@ -262,11 +238,9 @@ class Gateway:
         except ServerStoppedError:
             raise _HttpReply(503, {"error": "server is stopping"}) from None
         except QueueFullError as error:
-            # The server's bounded queue pushed back: translate depth
-            # into a drain-time hint (one micro-batch flushes at least
-            # every max_delay window).
-            self.stats.throttled += 1
-            self.stats.throttled_queue_full += 1
+            # The server's bounded queue pushed back (and counted it):
+            # translate depth into a drain-time hint (one micro-batch
+            # flushes at least every max_delay window).
             delay = self.server.config.max_delay_seconds
             retry_after = max(0.05, error.queue_depth * delay)
             raise _HttpReply(
@@ -300,23 +274,23 @@ class Gateway:
                 400, {"error": f"cannot load model: {error}"}
             ) from None
         previous_key = self.model_key
-        if entry.key == previous_key:
-            return {
-                "model_key": entry.key,
-                "previous_key": previous_key,
-                "swapped": False,
-                "cache_hit": cache_hit,
-            }
         try:
-            await asyncio.to_thread(self.server.swap_model, entry.compiled)
+            # Keyed like the history's first entry and the fleet's
+            # publish (the installed arrays' hash), so identical content
+            # is a no-op.
+            key = await asyncio.to_thread(
+                self.server.swap_model, entry.compiled
+            )
         except ValueError as error:
             raise _HttpReply(400, {"error": str(error)}) from None
-        self._models.append((entry.key, entry.compiled))
-        self.stats.swaps += 1
+        swapped = key != previous_key
+        if swapped:
+            self._models.append((key, entry.compiled))
+            self.stats.swaps += 1
         return {
-            "model_key": entry.key,
+            "model_key": key,
             "previous_key": previous_key,
-            "swapped": True,
+            "swapped": swapped,
             "cache_hit": cache_hit,
         }
 
@@ -345,32 +319,10 @@ class Gateway:
             "waiting": self.admission.waiting,
         }
 
-    def stats_payload(self) -> dict:
-        """The ``/stats`` body: the server's ServingReport + gateway
-        counters."""
-        report = self.server.report()
-        report.gateway = self.gateway_counters()
-        return report.to_dict()
-
-    def gateway_counters(self) -> dict:
-        """The ``gateway`` section of ``/stats`` (all plain JSON types)."""
-        s = self.stats
-        return {
-            "http_requests": s.http_requests,
-            "http_errors": s.http_errors,
-            "admitted": s.admitted,
-            "throttled": s.throttled,
-            "throttled_quota": s.throttled_quota,
-            "throttled_queue_full": s.throttled_queue_full,
-            "swaps": s.swaps,
-            "rollbacks": s.rollbacks,
-            "queue_wait_ms_p50":
-                self.admission.stats.queue_waits.percentile_ms(50),
-            "queue_wait_ms_p99":
-                self.admission.stats.queue_waits.percentile_ms(99),
-            "gateway_p50_latency_ms": s.latencies.percentile_ms(50),
-            "gateway_p99_latency_ms": s.latencies.percentile_ms(99),
-        }
+    def report(self) -> ServingReport:
+        """The ``/stats`` body: the server's report with the gateway
+        section."""
+        return self.server.report(self.stats)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -397,7 +349,7 @@ class Gateway:
         if path == "/stats":
             if method != "GET":
                 raise _HttpReply(405, {"error": "GET only"})
-            return self.stats_payload()
+            return self.report().to_dict()
         raise _HttpReply(404, {"error": f"no such endpoint: {path}"})
 
     async def _read_request(self, reader: asyncio.StreamReader):
@@ -498,17 +450,15 @@ class Gateway:
                 except _HttpReply as reply:
                     status, payload = reply.status, reply.payload
                     extra = reply.headers
-                    if status >= 500:
-                        self.stats.http_errors += 1
-                        keep_alive = False
                 except asyncio.CancelledError:
                     raise
                 except Exception as error:  # noqa: BLE001 - boundary
-                    self.stats.http_errors += 1
                     status = 500
                     payload = {
                         "error": f"{type(error).__name__}: {error}"
                     }
+                if status >= 500:
+                    self.stats.http_errors += 1
                     keep_alive = False
                 writer.write(
                     self._encode_response(status, payload, extra, keep_alive)

@@ -52,11 +52,13 @@ contiguous shard of every micro-batch.  The front door (submit / futures
 the in-process path.  ``swap_model`` hot-swaps the served model in both
 modes.
 
-Per-request latency and throughput counters are kept in the same spirit as
-``cluster/metrics.py``: a :class:`ServingReport` dataclass with paper-style
-units (rows/sec, p50/p99 milliseconds) and a one-line ``summary()``.
-Unlike the cluster simulator these are *wall-clock* numbers — serving runs
-for real.
+The server counts its events in one
+:class:`~repro.serving.stats.ServingStats` record, and ``report()``
+reduces it (with the fleet's record in fleet mode) through
+:func:`~repro.serving.stats.serving_report`, in the same spirit as
+``cluster/metrics.py``: a :class:`ServingReport` with paper-style units
+(rows/sec, p50/p99 milliseconds) and a one-line ``summary()``.  Unlike the
+cluster simulator these are *wall-clock* numbers — serving runs for real.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,8 +75,12 @@ from ..core.flat import BatchPredictor, FlatForest
 from ..core.tree import DecisionTree
 from ..data.schema import ProblemKind
 from ..ensemble.forest import ForestModel
-from .fleet import LatencyWindow, ServingFleet
 from .registry import ModelRegistry, default_registry
+from .shm_model import flat_fingerprint
+from .stats import GatewayStats, ServingReport, ServingStats, serving_report
+
+if TYPE_CHECKING:
+    from .fleet import ServingFleet
 
 
 class QueueFullError(RuntimeError):
@@ -119,96 +126,6 @@ class ServerConfig:
             raise ValueError("max_delay_seconds must be >= 0")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-
-
-@dataclass
-class ServingStats:
-    """Raw counters accumulated by the dispatcher thread."""
-
-    n_requests: int = 0
-    n_rows: int = 0
-    n_batches: int = 0
-    #: Submits shed because the bounded queue was full (backpressure).
-    rejected_queue_full: int = 0
-    #: Submits refused because the server was stopping or stopped.
-    rejected_shutdown: int = 0
-    kernel_seconds: float = 0.0
-    first_enqueue: float | None = None
-    last_complete: float | None = None
-    #: Most recent per-request latencies (seconds); bounded window.
-    latencies: LatencyWindow = field(default_factory=LatencyWindow)
-
-    @property
-    def rejected(self) -> int:
-        """Total rejected submits, all causes (compat roll-up)."""
-        return self.rejected_queue_full + self.rejected_shutdown
-
-
-@dataclass
-class ServingReport:
-    """Point-in-time summary of a server's counters (metrics-style)."""
-
-    n_requests: int
-    n_rows: int
-    n_batches: int
-    rejected: int
-    avg_batch_rows: float
-    rows_per_second: float
-    p50_latency_ms: float
-    p99_latency_ms: float
-    max_latency_ms: float
-    kernel_seconds: float
-    #: Structured rejection causes (``rejected`` is their roll-up).
-    rejected_queue_full: int = 0
-    rejected_shutdown: int = 0
-    #: Fleet-mode counters (``ServingFleet.stats()``); ``None`` in-process.
-    fleet: dict | None = None
-    #: Gateway counters (``Gateway.stats.to_dict()``) when this report is
-    #: served through the HTTP gateway's ``/stats``; ``None`` otherwise.
-    gateway: dict | None = None
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        line = (
-            f"req={self.n_requests} rows={self.n_rows} "
-            f"batches={self.n_batches} (avg {self.avg_batch_rows:.1f} rows) "
-            f"{self.rows_per_second:.0f} rows/s "
-            f"p50={self.p50_latency_ms:.2f}ms p99={self.p99_latency_ms:.2f}ms "
-            f"rejected={self.rejected}"
-        )
-        if self.rejected:
-            line += (
-                f" (queue_full={self.rejected_queue_full}"
-                f" shutdown={self.rejected_shutdown})"
-            )
-        if self.fleet is not None:
-            line += (
-                f" workers={self.fleet['n_workers']}"
-                f" respawns={self.fleet['respawns']}"
-            )
-        return line
-
-    def to_dict(self) -> dict:
-        """Plain-dict form for JSON emission."""
-        out = {
-            "n_requests": self.n_requests,
-            "n_rows": self.n_rows,
-            "n_batches": self.n_batches,
-            "rejected": self.rejected,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_shutdown": self.rejected_shutdown,
-            "avg_batch_rows": self.avg_batch_rows,
-            "rows_per_second": self.rows_per_second,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "max_latency_ms": self.max_latency_ms,
-            "kernel_seconds": self.kernel_seconds,
-        }
-        if self.fleet is not None:
-            out["fleet"] = self.fleet
-        if self.gateway is not None:
-            out["gateway"] = self.gateway
-        return out
 
 
 class PredictionFuture:
@@ -290,11 +207,12 @@ class PredictionServer:
             self.predictor = model
         else:
             self.predictor = BatchPredictor(self._resolve_flat(model))
-        self._fleet: ServingFleet | None = (
-            ServingFleet(n_workers, registry=self._registry)
-            if n_workers is not None
-            else None
-        )
+        self._fleet: ServingFleet | None = None
+        if n_workers is not None:
+            # Imported here: an in-process server never loads the fleet.
+            from .fleet import ServingFleet
+
+            self._fleet = ServingFleet(n_workers, registry=self._registry)
         self.stats = ServingStats()
         #: Admitted requests the dispatcher has not taken yet, oldest first.
         self._pending: deque[PredictionFuture] = deque()
@@ -425,17 +343,18 @@ class PredictionServer:
     def swap_model(
         self,
         model: BatchPredictor | FlatForest | ForestModel | DecisionTree,
-    ) -> str | None:
-        """Hot-swap the served model without dropping a request.
+    ) -> str:
+        """Hot-swap the served model without dropping a request; returns
+        the content key (:func:`flat_fingerprint`) of the installed model.
 
         The replacement compiles (honouring the server's ``quantize``
         flag) and becomes visible atomically: in-flight micro-batches
         finish on whichever model they started with.  Fleet mode
-        publishes the new image to shared memory and returns its content
-        key — workers re-attach on their next shard, and the retired
-        segment is unlinked once its last in-flight shard drains.
-        Swapping identical content is a no-op (same hash, same key), so
-        rollback is just swapping the previous model back in.
+        publishes the new image to shared memory under that key —
+        workers re-attach on their next shard, and the retired segment
+        is unlinked once its last in-flight shard drains.  Swapping
+        identical content is a no-op (same hash, same key), so rollback
+        is just swapping the previous model back in.
         """
         flat = self._resolve_flat(model)
         if flat.problem is not self.predictor.problem:
@@ -446,7 +365,7 @@ class PredictionServer:
         self.predictor = BatchPredictor(flat)
         if self._fleet is not None and self._fleet.running:
             return self._fleet.publish(flat)
-        return None
+        return flat_fingerprint(flat)
 
     @property
     def model_key(self) -> str | None:
@@ -456,29 +375,10 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
-    def report(self) -> ServingReport:
-        """Current counters as a :class:`ServingReport`."""
-        s = self.stats
-        if s.first_enqueue is not None and s.last_complete is not None:
-            elapsed = max(s.last_complete - s.first_enqueue, 1e-9)
-            rows_per_second = s.n_rows / elapsed
-        else:
-            rows_per_second = 0.0
-        return ServingReport(
-            n_requests=s.n_requests,
-            n_rows=s.n_rows,
-            n_batches=s.n_batches,
-            rejected=s.rejected,
-            avg_batch_rows=(s.n_rows / s.n_batches) if s.n_batches else 0.0,
-            rows_per_second=rows_per_second,
-            p50_latency_ms=s.latencies.percentile_ms(50),
-            p99_latency_ms=s.latencies.percentile_ms(99),
-            max_latency_ms=s.latencies.max_ms(),
-            kernel_seconds=s.kernel_seconds,
-            rejected_queue_full=s.rejected_queue_full,
-            rejected_shutdown=s.rejected_shutdown,
-            fleet=self._fleet.stats() if self._fleet is not None else None,
-        )
+    def report(self, gateway: GatewayStats | None = None) -> ServingReport:
+        """Current counters as a :class:`ServingReport`; ``gateway`` (the
+        fronting gateway's record) adds the ``gateway`` section."""
+        return serving_report(self.stats, self._fleet, gateway)
 
     # ------------------------------------------------------------------
     # dispatcher

@@ -807,7 +807,7 @@ class TestServer:
             server.submit(row, proba=True)  # queue now full (capacity 2)
             with pytest.raises(QueueFullError):
                 server.submit(row, proba=True)
-            assert server.stats.rejected == 1
+            assert server.report().rejected == 1
             predictor.release.set()
             first.result(timeout=5.0)
         assert server.report().rejected == 1
@@ -1325,8 +1325,10 @@ from repro.serving import (
     QUANTIZE_MIN_AGREEMENT,
     FleetWorkerError,
     ServingFleet,
+    ServingStats,
     SharedCompiledModel,
     flat_fingerprint,
+    serving_report,
 )
 from repro.runtime.base import FAULT_ENV, WorkerDiedError
 from repro.serving import fleet as fleet_module
@@ -1510,7 +1512,7 @@ class TestRejectionCounters:
             server.submit(row)  # not started yet: a shutdown rejection
         assert server.stats.rejected_shutdown == 1
         assert server.stats.rejected_queue_full == 0
-        assert server.stats.rejected == 1
+        assert server.report().rejected == 1
         with server:
             server.predict(row, timeout=10.0)
         with pytest.raises(RuntimeError):
@@ -1614,6 +1616,10 @@ class TestFleet:
                     )
                 )
         assert set(list_segments()) == before
+        # In-process, swap_model returns the same content keys.
+        with PredictionServer(forest_a) as solo:
+            assert solo.swap_model(forest_b) == key_b
+            assert solo.swap_model(forest_a) == key_a
 
     def test_swap_races_concurrent_submits(self):
         """Hot swap under fire: client threads hammer ``predict_proba``
@@ -1726,7 +1732,7 @@ class TestFleet:
             out = fleet.predict_batch(mat, proba=True, timeout=30.0)
             expected = compiled_predictor(forest).predict_proba_matrix(mat)
             assert np.array_equal(out, expected)
-            assert fleet.stats()["respawns"] == 0
+            assert serving_report(ServingStats(), fleet).fleet["respawns"] == 0
 
     def test_raise_fault_plan_is_refused(self, monkeypatch):
         """The fleet injects crash faults only: a ``raise`` plan fails
@@ -1799,7 +1805,7 @@ class TestFleetHedging:
                 started = time.monotonic()
                 outputs.append(fleet.predict_batch(mat, proba=False))
                 seconds.append(time.monotonic() - started)
-            stats = fleet.stats()
+            stats = serving_report(ServingStats(), fleet).fleet
         assert set(list_segments()) == before
         return seconds, stats, outputs, BatchPredictor(flat).predict_matrix(mat)
 
@@ -1834,7 +1840,8 @@ class TestFleetHedging:
 
         fleet = ServingFleet(n_workers=2, max_shard_retries=0)
         fleet._slots = [
-            fleet_module._WorkerSlot(i, queue_module.Queue()) for i in (1, 2)
+            fleet_module._WorkerSlot(seat, queue_module.Queue())
+            for seat in fleet.stats.workers
         ]
         fleet._spawn = lambda slot: None
         handle = SimpleNamespace(key="model")

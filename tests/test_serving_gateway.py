@@ -10,7 +10,8 @@ Three layers are pinned here:
   swap/rollback riding the content-hash registry;
 * the ``/stats`` JSON schema (key set + types, including the gateway
   counters) so external consumers and ``BENCH_serving.json`` cannot
-  drift silently.
+  drift silently, each roll-up in it equal to its parts, and each
+  latency window's bound.
 """
 
 import _thread
@@ -53,7 +54,9 @@ from repro.serving import (
     TokenBucket,
     compile_forest,
 )
+from repro.runtime.base import FAULT_ENV
 from repro.serving.server import QueueFullError
+from repro.serving.stats import FLEET_WINDOW, GATEWAY_WINDOW, SERVER_WINDOW
 
 REPO_ROOT = Path(__file__).parents[1]
 
@@ -167,12 +170,9 @@ class TestAdmissionController:
         controller = AdmissionController(QuotaConfig(rate=None))
 
         async def drive():
-            for _ in range(50):
-                assert await controller.admit("anyone") == 0.0
+            return [await controller.admit("anyone") for _ in range(50)]
 
-        self._run(drive())
-        assert controller.stats.admitted == 50
-        assert controller.stats.throttled == 0
+        assert self._run(drive()) == [0.0] * 50  # none throttled or parked
 
     def test_burst_admits_then_parks(self):
         controller = AdmissionController(
@@ -184,12 +184,9 @@ class TestAdmissionController:
             waits = [await controller.admit("a") for _ in range(4)]
             return waits
 
-        waits = self._run(drive())
+        waits = self._run(drive())  # all four admitted, none throttled
         assert waits[0] == 0.0 and waits[1] == 0.0  # burst
         assert waits[2] > 0.0 and waits[3] > 0.0  # parked, not bounced
-        assert controller.stats.admitted == 4
-        assert controller.stats.throttled == 0
-        assert controller.stats.queue_waits.percentile_ms(99) > 0.0
 
     def test_waiting_room_bound_throttles_with_retry_after(self):
         controller = AdmissionController(
@@ -208,13 +205,18 @@ class TestAdmissionController:
                 await controller.admit("a")
             for task in parked:
                 task.cancel()
-            await asyncio.gather(*parked, return_exceptions=True)
-            return excinfo.value
+            outcomes = await asyncio.gather(*parked, return_exceptions=True)
+            return excinfo.value, outcomes
 
-        error = self._run(drive())
+        error, outcomes = self._run(drive())
         assert error.retry_after > 0.0
         assert "waiting room full" in error.reason
-        assert controller.stats.throttled == 1
+        # Only the third request was throttled: the parked two waited
+        # until they were cancelled.
+        assert all(
+            isinstance(outcome, asyncio.CancelledError)
+            for outcome in outcomes
+        )
 
     def test_projected_wait_bound_throttles(self):
         controller = AdmissionController(
@@ -568,6 +570,18 @@ class TestGatewayHttp:
             port = runner.port
             initial_key = gateway.model_key
 
+            # The initial model's own directory is the content already
+            # served: no swap, the same key, and nothing to roll back.
+            status, payload, _ = http_call(
+                port, "POST", "/models/swap", {"model_dir": str(dir_a)}
+            )
+            assert status == 200 and payload["swapped"] is False
+            assert payload["model_key"] == initial_key
+            status, _payload, _ = http_call(
+                port, "POST", "/models/rollback", {}
+            )
+            assert status == 409
+
             status, payload, _ = http_call(
                 port, "POST", "/models/swap", {"model_dir": str(dir_b)}
             )
@@ -755,6 +769,132 @@ class TestStatsSchema:
         _assert_schema(
             payload["gateway"], GATEWAY_COUNTERS_SCHEMA, "/stats.gateway"
         )
+
+
+class TestRollups:
+    """Each roll-up in ``/stats`` is derived from the counts it sums, so
+    it equals its parts whatever the traffic."""
+
+    def test_throttles_and_admits_add_up(self):
+        table = make_table(4)
+        gate = threading.Event()
+        server = PredictionServer(
+            GatedPredictor(compile_forest(make_forest(table)), gate),
+            ServerConfig(queue_capacity=1, max_delay_seconds=0.0),
+        )
+        gateway, runner = run_gateway(
+            server, quota=QuotaConfig(rate=0.5, burst=3, max_waiters=0)
+        )
+        row = _matrix_of(table)[:1]
+        body = {"rows": row.tolist()}
+        try:
+            # One request blocked in the kernel and one in the queue: the
+            # burst's three admits are refused as queue full, and the
+            # next three find no token and no waiting room.
+            blocked = server.submit(row)
+            time.sleep(0.05)
+            queued = server.submit(row)
+            errors = [
+                http_call(
+                    runner.port, "POST", "/predict", body,
+                    headers={"X-Client": "a"},
+                )[1]["error"]
+                for _ in range(6)
+            ]
+            gate.set()
+            blocked.result(timeout=30.0)
+            queued.result(timeout=30.0)
+            status, _payload, _ = http_call(
+                runner.port, "POST", "/predict", body,
+                headers={"X-Client": "b"},
+            )
+            assert status == 200
+            _status, stats, _ = http_call(runner.port, "GET", "/stats")
+        finally:
+            gate.set()
+            runner.stop()
+        assert errors == ["queue full"] * 3 + ["throttled"] * 3
+        gw = stats["gateway"]
+        assert gw["throttled_quota"] == 3
+        assert gw["throttled_queue_full"] == stats["rejected_queue_full"] == 3
+        assert gw["throttled"] == (
+            gw["throttled_quota"] + gw["throttled_queue_full"]
+        )
+        assert gw["admitted"] == 3 + 1  # the queue-full three, then "b"
+
+    def test_parked_predicts_reach_the_queue_wait_window(self):
+        table = make_table(4)
+        gateway, runner = run_gateway(
+            PredictionServer(compile_forest(make_forest(table))),
+            quota=QuotaConfig(rate=20.0, burst=1, max_waiters=4,
+                              max_wait_seconds=2.0),
+        )
+        body = {"rows": _matrix_of(table)[:1].tolist()}
+        try:
+            # The burst token admits the first at once; the next two
+            # park for a refill (~50 ms each) and are then admitted.
+            waits = []
+            for _ in range(3):
+                status, payload, _ = http_call(
+                    runner.port, "POST", "/predict", body,
+                    headers={"X-Client": "a"},
+                )
+                assert status == 200
+                waits.append(payload["queue_wait_ms"])
+            _status, stats, _ = http_call(runner.port, "GET", "/stats")
+        finally:
+            runner.stop()
+        assert waits[0] == 0.0 and waits[1] > 0.0 and waits[2] > 0.0
+        gw = stats["gateway"]
+        assert gw["admitted"] == 3 and gw["throttled"] == 0
+        assert gw["queue_wait_ms_p50"] >= 0.0
+        assert gw["queue_wait_ms_p99"] > 0.0
+        assert gw["queue_wait_ms_p99"] <= max(waits) + 1e-9
+
+    def test_fleet_respawns_are_the_sum_over_workers(
+        self, monkeypatch, classification_setup
+    ):
+        monkeypatch.setenv(FAULT_ENV, "crash:2:1")
+        _table, forest, mat = classification_setup
+        gateway, runner = run_gateway(PredictionServer(forest, n_workers=2))
+        try:
+            for _ in range(3):
+                status, _payload, _ = http_call(
+                    runner.port, "POST", "/predict", {"rows": mat.tolist()}
+                )
+                assert status == 200
+            # A hedge may answer the dead worker's shard before the
+            # collector's liveness poll respawns it: wait for the respawn.
+            deadline = time.monotonic() + 30.0
+            while True:
+                _status, stats, _ = http_call(runner.port, "GET", "/stats")
+                if stats["fleet"]["respawns"] or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        finally:
+            runner.stop()
+        fleet = stats["fleet"]
+        assert fleet["respawns"] == 1
+        assert fleet["respawns"] == sum(
+            worker["respawns"] for worker in fleet["workers"]
+        )
+
+
+class TestWindowBounds:
+    def test_each_window_keeps_its_bound(self, classification_setup):
+        _table, forest, _mat = classification_setup
+        server = PredictionServer(forest)
+        gateway = Gateway(server)
+        fleet = ServingFleet(n_workers=1)
+        for window, bound in (
+            (server.stats.latencies, SERVER_WINDOW),
+            (gateway.stats.latencies, GATEWAY_WINDOW),
+            (gateway.stats.queue_waits, GATEWAY_WINDOW),
+            (fleet._service_seconds, FLEET_WINDOW),
+        ):
+            window.extend(float(i) for i in range(bound + 10))
+            assert len(window) == bound
+            assert window[0] == 10.0  # the oldest ten went
 
 
 # ----------------------------------------------------------------------
