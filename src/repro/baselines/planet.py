@@ -30,11 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..cluster.cost import CostModel
-from ..core.builder import (
-    node_statistics,
-    parent_impurity_of,
-    sample_candidate_columns,
-)
+from ..core.builder import NodeStats, sample_candidate_columns, should_stop
 from ..core.config import ColumnSampling, TreeConfig
 from ..core.histogram import (
     best_binned_numeric_split,
@@ -209,13 +205,14 @@ class PlanetTrainer:
             next_frontier: list[tuple[int, np.ndarray, TreeNode | None, str]] = []
             for path, ids, parent, side in frontier:
                 depth = path.bit_length() - 1
-                y = table.target[ids]
-                stats = node_statistics(y, table.problem, table.n_classes)
+                stats = NodeStats.of_labels(
+                    table.target[ids], table.problem, table.n_classes
+                )
                 node = TreeNode(
                     node_id=path,
                     depth=depth,
                     n_rows=stats.n_rows,
-                    prediction=stats.prediction,
+                    prediction=stats.prediction(),
                 )
                 if parent is None:
                     root_holder.append(node)
@@ -226,20 +223,12 @@ class PlanetTrainer:
                         level=depth, n_rows=stats.n_rows, n_columns=len(candidates)
                     )
                 )
-                stop = (
-                    stats.is_pure
-                    or stats.n_rows <= config.tau_leaf
-                    or (
-                        config.max_depth is not None
-                        and depth >= config.max_depth
-                    )
-                )
-                if stop:
+                if should_stop(stats, depth, config):
                     continue
                 split = self._best_approx_split(
                     table, ids, candidates, criterion, thresholds, bins
                 )
-                parent_imp = parent_impurity_of(y, criterion, table.n_classes)
+                parent_imp = stats.impurity(criterion)
                 if (
                     split is None
                     or split.n_left == 0

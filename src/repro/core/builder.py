@@ -26,8 +26,8 @@ from ..data.schema import ProblemKind
 from ..data.table import DataTable
 from .config import TreeConfig, TreeKind
 from .histogram import column_thresholds, encode_bin_codes, hist_active
-from .impurity import classification_impurity, variance
-from .splits import CandidateSplit
+from .impurity import Impurity, classification_impurity, variance
+from .splits import CandidateSplit, label_codes
 from .tree import DecisionTree
 
 
@@ -100,30 +100,52 @@ def bootstrap_row_ids(seed: int, n_rows: int) -> np.ndarray:
 class NodeStats:
     """Sufficient statistics of ``Y`` over a node's rows ``D_x``.
 
-    ``counts`` is the integer class-count vector (classification only;
-    ``None`` for regression).  It is kept so the parent-impurity
-    computation can reuse it instead of re-counting the same rows.
+    Classification keeps the integer class-count vector ``counts``;
+    regression keeps the ``(n_rows, y_sum, y_sq_sum)`` triple.  Either
+    gives the node's prediction (Appendix D) and its own impurity, the
+    baseline of the gain check.  ``is_pure`` is exact — every label equal
+    — because a float variance test could disagree with it and break the
+    exactness invariant.  One record serves every builder: the kernel
+    makes it from its level-wide class counts, a worker ships it in
+    ``ColumnResultMsg`` and ``SplitDoneMsg``, and the master and PLANET
+    read it.
     """
 
     n_rows: int
-    prediction: np.ndarray | float
     is_pure: bool
     counts: np.ndarray | None = None
+    y_sum: float = 0.0
+    y_sq_sum: float = 0.0
 
+    @classmethod
+    def of_labels(
+        cls, y: np.ndarray, problem: ProblemKind, n_classes: int
+    ) -> "NodeStats":
+        """The statistics of one node's labels (class codes or targets)."""
+        n = int(y.size)
+        if problem is ProblemKind.CLASSIFICATION:
+            counts = np.bincount(label_codes(y), minlength=n_classes)
+            return cls(n, bool(n > 0 and counts.max() == n), counts=counts)
+        return cls(
+            n,
+            bool(n > 0 and np.all(y == y[0])),
+            y_sum=float(y.sum()),
+            y_sq_sum=float((y * y).sum()),
+        )
 
-def node_statistics(
-    y: np.ndarray, problem: ProblemKind, n_classes: int
-) -> NodeStats:
-    """Prediction (PMF or mean) and purity flag for one node's labels."""
-    n = int(y.size)
-    if problem is ProblemKind.CLASSIFICATION:
-        counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-        pmf = counts / max(n, 1)
-        pure = bool(n > 0 and counts.max() == n)
-        return NodeStats(n, pmf.astype(np.float64), pure, counts=counts)
-    mean = float(y.mean()) if n else 0.0
-    pure = bool(n > 0 and np.all(y == y[0]))
-    return NodeStats(n, mean, pure)
+    def prediction(self) -> np.ndarray | float:
+        """PMF vector (classification) or mean (regression)."""
+        if self.counts is not None:
+            return self.counts / max(1, self.n_rows)
+        return self.y_sum / self.n_rows if self.n_rows else 0.0
+
+    def impurity(self, criterion: Impurity) -> float:
+        """The node's own impurity under ``criterion``."""
+        if self.counts is not None:
+            return classification_impurity(
+                self.counts.astype(np.float64), criterion
+            )
+        return variance(float(self.n_rows), self.y_sum, self.y_sq_sum)
 
 
 def should_stop(
@@ -156,22 +178,6 @@ def split_is_useful(
     if config.tree_kind is TreeKind.EXTRA:
         return True
     return split.score < parent_impurity - config.min_impurity_decrease
-
-
-def parent_impurity_of(
-    y: np.ndarray, criterion, n_classes: int, counts: np.ndarray | None = None
-) -> float:
-    """Impurity of a node's own label distribution.
-
-    ``counts`` optionally supplies the class-count vector that
-    :func:`node_statistics` already computed for the same rows, skipping
-    a second O(rows + classes) counting pass per node.
-    """
-    if criterion.is_classification:
-        if counts is None:
-            counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-        return classification_impurity(counts.astype(np.float64), criterion)
-    return variance(float(y.size), float(y.sum()), float((y * y).sum()))
 
 
 def train_tree(

@@ -59,7 +59,6 @@ from .builder import (
     NodeStats,
     extra_tree_column_order,
     extra_tree_split_rng,
-    parent_impurity_of,
     path_depth,
     sample_candidate_columns,
     should_stop,
@@ -235,7 +234,6 @@ def build_subtree(
         gather_s += time.perf_counter() - tick
 
         # -- per-node label statistics, one pass for the level ----------
-        stats_list: list[NodeStats] = []
         if is_clf:
             y_codes_lvl = y_lvl.astype(np.int64)
             counts = np.bincount(
@@ -243,24 +241,15 @@ def build_subtree(
                 minlength=m * n_classes,
             ).reshape(m, n_classes)
             maxes = counts.max(axis=1)
-            for i in range(m):
-                n = int(sizes[i])
-                row = counts[i]
-                stats_list.append(
-                    NodeStats(
-                        n,
-                        (row / max(n, 1)).astype(np.float64),
-                        bool(n > 0 and maxes[i] == n),
-                        counts=row,
-                    )
-                )
+            stats_list = [
+                NodeStats(int(n), bool(n > 0 and top == n), counts=row)
+                for n, top, row in zip(sizes, maxes, counts)
+            ]
         else:
-            for i in range(m):
-                n = int(sizes[i])
-                y_seg = y_lvl[starts[i] : starts[i + 1]]
-                mean = float(y_seg.mean()) if n else 0.0
-                pure = bool(n > 0 and np.all(y_seg == y_seg[0]))
-                stats_list.append(NodeStats(n, mean, pure))
+            stats_list = [
+                NodeStats.of_labels(y_lvl[s0:s1], schema.problem, n_classes)
+                for s0, s1 in zip(starts[:-1], starts[1:])
+            ]
 
         nodes: list[TreeNode] = []
         stopped = np.zeros(m, dtype=bool)
@@ -270,7 +259,7 @@ def build_subtree(
                 node_id=path,
                 depth=path_depth(path),
                 n_rows=stats.n_rows,
-                prediction=stats.prediction,
+                prediction=stats.prediction(),
             )
             attach_node(node, attach)
             nodes.append(node)
@@ -368,15 +357,13 @@ def build_subtree(
                 if best_key is None or key < best_key:
                     best_key, best_entry = key, entry
             split = None if best_entry is None else best_entry.split_for(j)
-            s0, s1 = int(act_starts[j]), int(act_starts[j + 1])
-            stats = stats_list[i]
-            parent_imp = parent_impurity_of(
-                y_act[s0:s1], criterion, n_classes, counts=stats.counts
-            )
-            if not split_is_useful(split, parent_imp, config):
+            if not split_is_useful(
+                split, stats_list[i].impurity(criterion), config
+            ):
                 continue
             node = nodes[i]
             node.split = split
+            s0, s1 = int(act_starts[j]), int(act_starts[j + 1])
             v = level[split.column][s0:s1]
             if split.kind is ColumnKind.NUMERIC and thresholds is not None:
                 go_left = route_bin_codes(v, thresholds[split.column], split)

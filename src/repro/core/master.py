@@ -56,7 +56,6 @@ from .tasks import (
     ColumnPlanMsg,
     ColumnResultMsg,
     ExpectFetchesMsg,
-    NodeStatsPayload,
     ParentRef,
     PlanEntry,
     RevokeTreeMsg,
@@ -73,6 +72,7 @@ from .tasks import TreeCompletedSync
 from .builder import (
     extra_tree_column_order,
     sample_candidate_columns,
+    should_stop,
     split_is_useful,
 )
 from .tree import DecisionTree, TreeNode, node_from_dict
@@ -276,16 +276,6 @@ class MasterActor:
             return self._dispatch_subtree(entry)
         return self._dispatch_column(entry)
 
-    def _task_columns(self, entry: PlanEntry) -> tuple[int, ...]:
-        """Columns a task must consider: the tree's candidate set ``C``.
-
-        For extra-trees jobs ``C`` is all attributes (Appendix F: every node
-        resamples from all columns), so a subtree-task fetches every column;
-        extra column-tasks try one random column at a time from the node's
-        deterministic try order.
-        """
-        return entry.ctx.candidate_columns
-
     def _dispatch_subtree(self, entry: PlanEntry) -> int:
         self.counters.subtree_tasks += 1
         if "first_subtree_dispatch_us" not in self.counters.extra:
@@ -294,7 +284,7 @@ class MasterActor:
             self.counters.extra["first_subtree_dispatch_us"] = int(
                 self.host.now * 1e6
             )
-        columns = self._task_columns(entry)
+        columns = entry.ctx.candidate_columns
         parent_worker = entry.parent.worker if entry.parent else None
         assignment = assign_subtree_task(
             self.matrix,
@@ -341,7 +331,7 @@ class MasterActor:
             self.ttask[entry.task] = state
         if entry.ctx.config.tree_kind is TreeKind.EXTRA:
             order = extra_tree_column_order(
-                entry.ctx.config.seed, entry.path, self._task_columns(entry)
+                entry.ctx.config.seed, entry.path, entry.ctx.candidate_columns
             )
             if state.extra_try_index >= len(order):
                 # No column yields a valid random split: the node is a leaf.
@@ -442,7 +432,7 @@ class MasterActor:
                     best = split
                     best_worker = worker
         useful = (
-            not stats.is_pure
+            not should_stop(stats, entry.depth, config)
             and split_is_useful(best, stats.impurity(criterion), config)
         )
         if not useful and config.tree_kind is TreeKind.EXTRA:
@@ -540,14 +530,10 @@ class MasterActor:
                 prediction=child_stats.prediction(),
             )
             build.attach(child_path, child_node)
-            if self._child_is_leaf(child_stats, entry.depth + 1, entry.ctx):
+            if should_stop(child_stats, entry.depth + 1, entry.ctx.config):
+                # The delegate applied the same rule and kept no rows for
+                # this side, so there is nothing to free.
                 self.counters.leaves_finalized += 1
-                self._send(
-                    state.delegate,
-                    MSG_EXPECT_FETCHES,
-                    ExpectFetchesMsg(task=entry.task, side=side, count=0),
-                    self.cost.control_bytes,
-                )
                 continue
             children += 1
             child_entry = PlanEntry(
@@ -564,18 +550,6 @@ class MasterActor:
         self.counters.bplan_peak = max(self.counters.bplan_peak, len(self.bplan))
         self._complete_task(state, net_children=children)
         self._pump()
-
-    def _child_is_leaf(
-        self, stats: NodeStatsPayload, depth: int, ctx: TreeContext
-    ) -> bool:
-        config = ctx.config
-        if stats.is_pure:
-            return True
-        if stats.n_rows <= config.tau_leaf:
-            return True
-        if config.max_depth is not None and depth >= config.max_depth:
-            return True
-        return False
 
     # -- subtree results ---------------------------------------------------
     def _on_subtree_result(self, msg: SubtreeResultMsg) -> None:

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..data.schema import ProblemKind
 from ..data.shm import ShmSlice
+from .builder import NodeStats
 from .config import TreeConfig
-from .splits import CandidateSplit, label_codes
+from .splits import CandidateSplit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.machine import MachineStats
@@ -71,8 +71,12 @@ MSG_WORKER_WELCOME = "worker_welcome"
 #: v5 took the three transport knobs off the welcome, whose strict JSON
 #: decoding a v4 peer would fail.  v6 made the shutdown reply
 #: (``WorkerStatsMsg``) carry the worker's counter records whole instead
-#: of one field per counter.
-SOCKET_PROTOCOL_VERSION = 6
+#: of one field per counter.  v7 merged the wire's node statistics into
+#: ``builder.NodeStats`` (``pure`` became ``is_pure``) and dropped the
+#: ``expect_fetches(count=0)`` for a leaf child: a delegate never stores a
+#: side no task will fetch, so a v6 master's zero-count frees would name
+#: sides a v7 worker never kept.
+SOCKET_PROTOCOL_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -105,62 +109,6 @@ class TreeContext:
     candidate_columns: tuple[int, ...]
     bootstrap: bool
     n_table_rows: int
-
-
-@dataclass
-class NodeStatsPayload:
-    """Sufficient label statistics of one node, as shipped in messages.
-
-    Classification: ``counts`` is the class histogram.  Regression:
-    ``(n, y_sum, y_sq_sum)``.  Both support the leaf checks (purity) and the
-    per-node prediction of Appendix D.
-    """
-
-    n_rows: int
-    counts: np.ndarray | None = None
-    y_sum: float = 0.0
-    y_sq_sum: float = 0.0
-    #: Exact purity flag computed from the labels themselves (a float
-    #: variance test could disagree with the serial builder's exact
-    #: ``all(y == y[0])`` check and break the exactness invariant).
-    pure: bool = False
-
-    @classmethod
-    def from_labels(
-        cls, y: np.ndarray, problem: ProblemKind, n_classes: int
-    ) -> "NodeStatsPayload":
-        """Compute stats from a node's labels (floats or integer codes)."""
-        pure = bool(y.size > 0 and np.all(y == y[0]))
-        if problem is ProblemKind.CLASSIFICATION:
-            counts = np.bincount(label_codes(y), minlength=n_classes)
-            return cls(n_rows=int(y.size), counts=counts, pure=pure)
-        return cls(
-            n_rows=int(y.size),
-            y_sum=float(y.sum()),
-            y_sq_sum=float((y * y).sum()),
-            pure=pure,
-        )
-
-    @property
-    def is_pure(self) -> bool:
-        """All labels identical (leaf condition 1)."""
-        return self.pure
-
-    def prediction(self) -> np.ndarray | float:
-        """PMF vector (classification) or mean (regression)."""
-        if self.counts is not None:
-            return self.counts / max(1, self.n_rows)
-        return self.y_sum / self.n_rows if self.n_rows else 0.0
-
-    def impurity(self, criterion) -> float:
-        """Node impurity from these stats (for the gain check)."""
-        from .impurity import classification_impurity, variance
-
-        if self.counts is not None:
-            return classification_impurity(
-                self.counts.astype(np.float64), criterion
-            )
-        return variance(float(self.n_rows), self.y_sum, self.y_sq_sum)
 
 
 @dataclass
@@ -230,7 +178,7 @@ class ColumnResultMsg:
     task: TaskId
     worker: int
     splits: list[CandidateSplit | None]
-    stats: NodeStatsPayload
+    stats: NodeStats
 
 
 @dataclass
@@ -246,16 +194,17 @@ class SplitDoneMsg:
     """Delegate -> master: children's label stats after partitioning."""
 
     task: TaskId
-    left_stats: NodeStatsPayload
-    right_stats: NodeStatsPayload
+    left_stats: NodeStats
+    right_stats: NodeStats
 
 
 @dataclass
 class ExpectFetchesMsg:
-    """Master -> delegate: how many fetches child ``side`` will receive.
+    """Master -> delegate: child ``side`` resolved after ``count`` fetches.
 
-    Count 0 means the child became a leaf and its stored row set can be
-    freed immediately.
+    Sent once per non-leaf child, so ``count >= 1``: the delegate never
+    stores a leaf child's side (it applies ``should_stop`` itself when it
+    partitions).
     """
 
     task: TaskId

@@ -35,7 +35,7 @@ from ..cluster import Message
 from ..data.schema import ColumnKind, ProblemKind
 from ..data.shm import ShmArena, ShmSlice
 from ..data.table import DataTable
-from .builder import extra_tree_split_rng
+from .builder import NodeStats, extra_tree_split_rng, should_stop
 from .config import TreeKind
 from .histogram import book_for_config, encode_bin_codes, hist_active
 from .kernel import build_subtree, scan_columns
@@ -55,7 +55,6 @@ from .tasks import (
     ColumnResponseMsg,
     ColumnResultMsg,
     ExpectFetchesMsg,
-    NodeStatsPayload,
     RevokeTreeMsg,
     RootRows,
     RowRequestMsg,
@@ -116,19 +115,19 @@ class _ServeTaskState:
 class _DelegateStore:
     """Row ids this worker holds as the delegate of a completed split.
 
-    ``sides[0]`` / ``sides[1]`` are ``I_xl`` / ``I_xr``; each side is freed
-    when the master reports the child task resolved (with the count of row
-    fetches this store must have served — a sanity check on the protocol).
-    On the shm data plane, ``shm_refs`` caches the arena slice a side was
-    parked in: written once on the first fetch, every further fetch of the
-    same side re-sends the same descriptor, and the slot is freed together
-    with the side.
+    ``sides`` maps 0 / 1 to ``I_xl`` / ``I_xr``, and holds only the sides
+    of non-leaf children: a leaf child's side is never stored, because no
+    task will fetch it.  Each stored side is freed when the master reports
+    its child task resolved, with the number of row fetches the side must
+    have served (a sanity check on the protocol).  On the shm data plane,
+    ``shm_refs`` caches the arena slice a side was parked in: written once
+    on the first fetch, every further fetch of the same side re-sends the
+    same descriptor, and the slot is freed together with the side.
     """
 
     sides: dict[int, np.ndarray]
     served: dict[int, int]
     alloc_bytes: dict[int, int]
-    resolved: set[int] = field(default_factory=set)
     shm_refs: dict[int, ShmSlice] = field(default_factory=dict)
 
 
@@ -214,8 +213,8 @@ class WorkerActor:
     def _is_revoked(self, task: TaskId) -> bool:
         return task[0] in self._revoked_trees or task[0] < self._min_live_uid
 
-    def _stats_of(self, row_ids: np.ndarray) -> NodeStatsPayload:
-        return NodeStatsPayload.from_labels(
+    def _stats_of(self, row_ids: np.ndarray) -> NodeStats:
+        return NodeStats.of_labels(
             self.table.target[row_ids], self.table.problem, self.table.n_classes
         )
 
@@ -347,7 +346,7 @@ class WorkerActor:
             task=task,
             worker=self.worker_id,
             splits=splits,
-            stats=NodeStatsPayload.from_labels(
+            stats=NodeStats.of_labels(
                 y, self.table.problem, self.table.n_classes
             ),
         )
@@ -379,22 +378,29 @@ class WorkerActor:
         split = msg.split
         values = self.column_values(split.column)[ids]
         go_left = route_training_rows(values, split)
-        left_ids = ids[go_left]
-        right_ids = ids[~go_left]
-        store = _DelegateStore(
-            sides={0: left_ids, 1: right_ids},
-            served={0: 0, 1: 0},
-            alloc_bytes={0: int(left_ids.nbytes), 1: int(right_ids.nbytes)},
-        )
-        self._delegate[msg.task] = store
-        self.host.alloc(store.alloc_bytes[0] + store.alloc_bytes[1])
+        sides = {0: ids[go_left], 1: ids[~go_left]}
+        stats = {side: self._stats_of(rows) for side, rows in sides.items()}
+        # Keep only the sides a child task will fetch: the master applies
+        # the same leaf rule to the same stats and plans no task for a leaf.
+        plan = state.plan
+        kept = {
+            side: rows
+            for side, rows in sides.items()
+            if not should_stop(stats[side], plan.depth + 1, plan.ctx.config)
+        }
+        if kept:
+            store = _DelegateStore(
+                sides=kept,
+                served=dict.fromkeys(kept, 0),
+                alloc_bytes={side: int(r.nbytes) for side, r in kept.items()},
+            )
+            self._delegate[msg.task] = store
+            self.host.alloc(sum(store.alloc_bytes.values()))
         # The parent I_x itself is no longer needed.
         self.host.free(state.alloc_bytes)
         del self._column_tasks[msg.task]
         done = SplitDoneMsg(
-            task=msg.task,
-            left_stats=self._stats_of(left_ids),
-            right_stats=self._stats_of(right_ids),
+            task=msg.task, left_stats=stats[0], right_stats=stats[1]
         )
         self._send(
             self.master_id, MSG_SPLIT_DONE, done, 2 * self.cost.control_bytes
@@ -474,7 +480,6 @@ class WorkerActor:
             # results already reached the master); the slot can recycle.
             self.arena.free(ref)
         del store.sides[msg.side]
-        store.resolved.add(msg.side)
         if not store.sides:
             del self._delegate[msg.task]
 

@@ -12,8 +12,10 @@ bit for bit; ``benchmarks/bench_micro_kernels.py`` times the two.
 Frozen: do not optimise, do not vectorise, do not route through
 ``repro.core.kernel``.  The two functions are verbatim but for the name
 ``reference_build_subtree`` (it was ``build_subtree``, which now names
-the kernel).  The leaf rules, RNG keys and per-column scans they call
-are the production ones — ``best_split_for_column``, one node at a time,
+the kernel) and for reading a node's prediction and impurity off
+``NodeStats``, the one node record, where they called the helpers it
+replaced.  The node statistics, leaf rules, RNG keys and per-column
+scans they call are the production ones — ``best_split_for_column``, one node at a time,
 which for a categorical column under a classification criterion is the
 one-segment call of the kernel's level scan; the numeric scan
 (``reference_numeric_split``) and that categorical scan
@@ -29,10 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.builder import (
+    NodeStats,
     extra_tree_column_order,
     extra_tree_split_rng,
-    node_statistics,
-    parent_impurity_of,
     path_depth,
     sample_candidate_columns,
     should_stop,
@@ -159,12 +160,12 @@ def reference_build_subtree(
     while stack:
         ids, path, attach = stack.pop()
         y = table.target[ids]
-        stats = node_statistics(y, table.problem, table.n_classes)
+        stats = NodeStats.of_labels(y, table.problem, table.n_classes)
         node = TreeNode(
             node_id=path,
             depth=path_depth(path),
             n_rows=stats.n_rows,
-            prediction=stats.prediction,
+            prediction=stats.prediction(),
         )
         if attach is None:
             root_holder.append(node)
@@ -177,10 +178,7 @@ def reference_build_subtree(
         split = find_best_split(
             table, ids, candidate_columns, config, path, thresholds
         )
-        parent_imp = parent_impurity_of(
-            y, criterion, table.n_classes, counts=stats.counts
-        )
-        if not split_is_useful(split, parent_imp, config):
+        if not split_is_useful(split, stats.impurity(criterion), config):
             continue
         assert split is not None
         node.split = split

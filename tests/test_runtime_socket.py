@@ -257,9 +257,12 @@ class TestRendezvous:
             kw.setdefault("host_id", "host-a")
             return WorkerHelloMsg(**kw)
 
-        assert SOCKET_PROTOCOL_VERSION == 6
+        assert SOCKET_PROTOCOL_VERSION == 7
         rejected = [
             (hello(worker_id=1, protocol_version=999), "protocol version"),
+            # v6 masters freed every leaf child's side with a zero-count
+            # expect_fetches; a v7 delegate never stores those sides.
+            (hello(worker_id=1, protocol_version=6), "protocol version"),
             # v5 replied to shutdown with one field per counter; v6 ships
             # the counter records whole.
             (hello(worker_id=1, protocol_version=5), "protocol version"),

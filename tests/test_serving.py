@@ -1532,6 +1532,22 @@ class TestRejectionCounters:
 # ----------------------------------------------------------------------
 # the serving fleet
 # ----------------------------------------------------------------------
+def _report_once(server, ready, timeout: float = 30.0):
+    """``server.report()`` once ``ready(report)`` holds, or at ``timeout``.
+
+    A fleet worker's counters ride on its results, and a hedge can answer
+    a shard first; the collector notices a dead worker, and respawns it,
+    only after a quiet poll.  So a counter can land just after the batch
+    that caused it returns: wait for it rather than read it at once.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        report = server.report()
+        if ready(report) or time.monotonic() > deadline:
+            return report
+        time.sleep(0.05)
+
+
 class TestFleet:
     def test_exact_mode_bit_identical_to_single_process(self):
         table = make_table(3, missing=0.1)
@@ -1579,7 +1595,13 @@ class TestFleet:
         mat = _matrix_of(table)
         with PredictionServer(forest, n_workers=3) as server:
             server.predict(mat)
-            report = server.report()
+            report = _report_once(
+                server,
+                lambda r: all(
+                    w["shm_bytes_mapped"] and w["model_attaches"]
+                    for w in r.fleet["workers"]
+                ),
+            )
             model_nbytes = report.fleet["model_nbytes"]
             assert model_nbytes > 0
             for worker in report.fleet["workers"]:
@@ -1692,7 +1714,7 @@ class TestFleet:
                 out = server.predict_proba(mat)
                 assert out.shape == ref.shape
                 assert np.array_equal(out, ref)
-            report = server.report()
+            report = _report_once(server, lambda r: r.fleet["respawns"])
             assert report.fleet["respawns"] == 1
             per_worker = {
                 w["worker_id"]: w for w in report.fleet["workers"]

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import SimulatedCluster
 from repro.core import SystemConfig, TreeConfig, TreeServer, decision_tree_job
+from repro.core.builder import NodeStats
 from repro.core.impurity import Impurity
 from repro.core.tasks import (
     MSG_EXPECT_FETCHES,
     MSG_ROW_REQUEST,
     ExpectFetchesMsg,
-    NodeStatsPayload,
     PlanEntry,
     RootRows,
     RowRequestMsg,
@@ -24,9 +24,12 @@ from repro.datasets import SyntheticSpec, generate
 
 
 class TestNodeStatsPayload:
+    """``NodeStats`` as the wire carries it in column results and split
+    completions."""
+
     def test_classification_stats(self):
         y = np.array([0, 1, 1, 2, 1])
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.CLASSIFICATION, 3)
+        stats = NodeStats.of_labels(y, ProblemKind.CLASSIFICATION, 3)
         assert stats.n_rows == 5
         assert stats.counts.tolist() == [1, 3, 1]
         assert not stats.is_pure
@@ -34,30 +37,30 @@ class TestNodeStatsPayload:
 
     def test_pure_classification(self):
         y = np.array([2, 2, 2])
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.CLASSIFICATION, 4)
+        stats = NodeStats.of_labels(y, ProblemKind.CLASSIFICATION, 4)
         assert stats.is_pure
 
     def test_regression_stats(self):
         y = np.array([1.0, 3.0])
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.REGRESSION, 0)
+        stats = NodeStats.of_labels(y, ProblemKind.REGRESSION, 0)
         assert stats.prediction() == pytest.approx(2.0)
         assert not stats.is_pure
 
     def test_pure_regression_exact(self):
         y = np.full(4, 1.2345)
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.REGRESSION, 0)
+        stats = NodeStats.of_labels(y, ProblemKind.REGRESSION, 0)
         assert stats.is_pure
 
     def test_near_pure_regression_not_pure(self):
         """Purity must be exact equality, not a variance threshold — the
         serial builder and the distributed master must agree bit-for-bit."""
         y = np.array([1.0, 1.0 + 1e-15])
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.REGRESSION, 0)
+        stats = NodeStats.of_labels(y, ProblemKind.REGRESSION, 0)
         assert not stats.is_pure
 
     def test_impurity_matches_direct_computation(self):
         y = np.array([0, 0, 1, 1, 1, 2])
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.CLASSIFICATION, 3)
+        stats = NodeStats.of_labels(y, ProblemKind.CLASSIFICATION, 3)
         from repro.core.impurity import classification_impurity
 
         expected = classification_impurity(
@@ -71,7 +74,7 @@ class TestNodeStatsPayload:
     )
     def test_property_prediction_sums_to_one(self, labels):
         y = np.array(labels)
-        stats = NodeStatsPayload.from_labels(y, ProblemKind.CLASSIFICATION, 5)
+        stats = NodeStats.of_labels(y, ProblemKind.CLASSIFICATION, 5)
         assert float(np.sum(stats.prediction())) == pytest.approx(1.0)
         assert stats.is_pure == (len(set(labels)) == 1)
 
@@ -144,7 +147,7 @@ class TestWorkerProtocolErrors:
 
     def test_expect_fetches_for_missing_store_rejected(self):
         cluster, worker = _make_worker()
-        msg = ExpectFetchesMsg(task=(1, 1), side=0, count=0)
+        msg = ExpectFetchesMsg(task=(1, 1), side=0, count=1)
         cluster.send(0, 1, MSG_EXPECT_FETCHES, msg, 10)
         with pytest.raises(ProtocolError, match="missing store"):
             cluster.run()

@@ -23,6 +23,7 @@ import pytest
 
 from repro.cluster.machine import MachineStats
 from repro.core import tasks
+from repro.core.builder import NodeStats
 from repro.core.config import TreeConfig, TreeKind
 from repro.core.histogram import best_binned_numeric_split
 from repro.core.splits import CandidateSplit
@@ -95,10 +96,10 @@ SPLIT_HIST = best_binned_numeric_split(
     TreeConfig().resolved_criterion(True),
     3,
 )
-STATS_CLS = tasks.NodeStatsPayload.from_labels(
+STATS_CLS = NodeStats.of_labels(
     np.array([0, 1, 1, 2, 2, 2]), ProblemKind.CLASSIFICATION, 3
 )
-STATS_REG = tasks.NodeStatsPayload.from_labels(
+STATS_REG = NodeStats.of_labels(
     np.array([0.5, 1.25, -2.0]), ProblemKind.REGRESSION, 0
 )
 
@@ -198,7 +199,7 @@ MESSAGE_FACTORIES: dict[type, object] = {
 SUPPORT_FACTORIES: dict[type, object] = {
     tasks.ParentRef: PARENT,
     tasks.TreeContext: CTX,
-    tasks.NodeStatsPayload: STATS_CLS,
+    NodeStats: STATS_CLS,
     CandidateSplit: SPLIT_NUM,
     tasks.RootRows: tasks.RootRows(ctx=CTX),
     tasks.PlanEntry: tasks.PlanEntry(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import SimulatedCluster, network
 from repro.core import (
     SystemConfig,
     TreeConfig,
@@ -12,6 +13,18 @@ from repro.core import (
     trees_equal,
     train_tree,
 )
+from repro.core.splits import CandidateSplit
+from repro.core.tasks import (
+    MSG_COLUMN_PLAN,
+    MSG_EXPECT_FETCHES,
+    MSG_SPLIT_CONFIRM,
+    ColumnPlanMsg,
+    SplitConfirmMsg,
+    SplitDoneMsg,
+    TreeContext,
+)
+from repro.core.worker import WorkerActor
+from repro.data import ColumnKind
 from repro.datasets import SyntheticSpec, generate
 
 
@@ -131,3 +144,91 @@ class TestByteAccounting:
         a = TreeServer(system).fit(table, [job])
         b = TreeServer(system).fit(table, [job])
         assert a.cluster.bytes_by_kind == b.cluster.bytes_by_kind
+
+
+class _Inbox:
+    """Stands in for the master: keeps every payload a worker sends it."""
+
+    def __init__(self) -> None:
+        self.payloads: list = []
+
+    def handle_message(self, message) -> None:
+        self.payloads.append(message.payload)
+
+
+class TestDelegateStore:
+    def test_leaf_side_is_never_stored(self, tiny_classification):
+        """A delegate applies the master's leaf rule to both children of
+        the split it partitions and stores only the side a child task
+        will fetch: here ``age <= 30`` sends two rows that all say "No"
+        left, a pure child the master plans no task for."""
+        table = tiny_classification
+        cluster = SimulatedCluster(n_workers=1, compers_per_worker=1)
+        inbox = _Inbox()
+        cluster.register(0, inbox)
+        worker = WorkerActor(cluster.machines[1], table, held_columns={0})
+        cluster.register(1, worker)
+        ctx = TreeContext(1, TreeConfig(max_depth=5), (0,), False, 10)
+        task = (1, 1)
+        plan = ColumnPlanMsg(task, (0,), None, ctx, n_rows=10, depth=0)
+        cluster.send(0, 1, MSG_COLUMN_PLAN, plan, 10)
+        cluster.run()
+        split = CandidateSplit(
+            column=0, kind=ColumnKind.NUMERIC, score=0.0, n_left=2,
+            n_right=8, threshold=30.0,
+        )
+        cluster.send(0, 1, MSG_SPLIT_CONFIRM, SplitConfirmMsg(task, split), 10)
+        cluster.run()
+
+        done = inbox.payloads[-1]
+        assert isinstance(done, SplitDoneMsg)
+        assert done.left_stats.is_pure and not done.right_stats.is_pure
+        store = worker._delegate[task]
+        assert list(store.sides) == [1]
+        np.testing.assert_array_equal(
+            store.sides[1], np.flatnonzero(table.column(0) > 30.0)
+        )
+        assert cluster.machines[1].stats.mem_task_bytes == store.sides[1].nbytes
+
+    def test_expect_fetches_only_for_non_leaf_children(
+        self, table, monkeypatch
+    ):
+        """Every ``expect_fetches`` frees a side some task fetched: none
+        carries count 0, and there is one per non-leaf child, i.e. per
+        task that is not a tree root."""
+        counts: list[int] = []
+        send = network.Network.send
+
+        def census(self, src, dst, kind, payload, size_bytes):
+            if kind == MSG_EXPECT_FETCHES:
+                counts.append(payload.count)
+            return send(self, src, dst, kind, payload, size_bytes)
+
+        monkeypatch.setattr(network.Network, "send", census)
+        system = SystemConfig(
+            n_workers=3, compers_per_worker=2, tau_subtree=100, tau_dfs=200
+        )
+        job = decision_tree_job("dt", TreeConfig(max_depth=6))
+        report = TreeServer(system).fit(table, [job])
+        c = report.counters
+        assert c.leaves_finalized > 0  # leaf children exist to be skipped
+        assert counts and min(counts) >= 1
+        assert len(counts) == c.column_tasks + c.subtree_tasks - 1
+
+
+class TestRootLeafRule:
+    @pytest.mark.parametrize(
+        "config",
+        [TreeConfig(max_depth=0), TreeConfig(max_depth=3, tau_leaf=600)],
+        ids=["max_depth_0", "tau_leaf_covers_root"],
+    )
+    def test_root_column_task_obeys_every_leaf_condition(self, table, config):
+        """The master leaf-checks a root column task with the serial
+        builder's ``should_stop``, not purity alone: a root at ``max_depth``
+        or with at most ``tau_leaf`` rows stays a leaf, as in ``train_tree``."""
+        system = SystemConfig(
+            n_workers=2, compers_per_worker=1, tau_subtree=1, tau_dfs=1
+        )
+        report = TreeServer(system).fit(table, [decision_tree_job("dt", config)])
+        assert report.tree("dt").n_nodes == 1
+        assert trees_equal(train_tree(table, config), report.tree("dt"))
