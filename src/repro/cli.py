@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shm", action=argparse.BooleanOptionalAction, default=True,
         help="mp backend: shared-memory data plane — column table in shm "
         "segments, large row-id sets shipped as descriptors "
-        "(default: on; --no-shm pickles everything through the queues)",
+        "(default: on; --no-shm pickles everything through the frames)",
     )
     train.add_argument(
         "--fault-policy", choices=FAULT_POLICIES, default="fail_fast",

@@ -119,10 +119,21 @@ class TreeConfig:
             )
 
     def resolved_criterion(self, is_classification: bool) -> Impurity:
-        """The criterion to use, applying the paper's defaults."""
-        if self.criterion is not None:
-            return self.criterion
-        return Impurity.GINI if is_classification else Impurity.VARIANCE
+        """The criterion to use, applying the paper's defaults.
+
+        A configured criterion that does not fit the problem kind (Gini
+        or entropy on a regression table, variance on a classification
+        one) raises ``ValueError``.
+        """
+        if self.criterion is None:
+            return Impurity.GINI if is_classification else Impurity.VARIANCE
+        if self.criterion.is_classification != is_classification:
+            kind = "classification" if is_classification else "regression"
+            raise ValueError(
+                f"criterion {self.criterion.value!r} does not fit a {kind} "
+                f"problem (criterion=None picks the {kind} default)"
+            )
+        return self.criterion
 
     def n_candidate_columns(self, n_columns: int) -> int:
         """Size of ``C`` under the configured sampling strategy."""

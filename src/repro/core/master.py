@@ -431,13 +431,14 @@ class MasterActor:
                 if best is None or split.sort_key() < best.sort_key():
                     best = split
                     best_worker = worker
-        useful = (
-            not should_stop(stats, entry.depth, config)
-            and split_is_useful(best, stats.impurity(criterion), config)
+        stopped = should_stop(stats, entry.depth, config)
+        useful = not stopped and split_is_useful(
+            best, stats.impurity(criterion), config
         )
-        if not useful and config.tree_kind is TreeKind.EXTRA:
+        if not useful and not stopped and config.tree_kind is TreeKind.EXTRA:
             # Try the next column in the node's random order (or give up
-            # and leaf the node inside _dispatch_column).
+            # and leaf the node inside _dispatch_column).  A stopped node
+            # is a leaf whatever the column, so it is not retried.
             for worker in state.results:
                 self._send(
                     worker,

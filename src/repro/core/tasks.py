@@ -433,14 +433,14 @@ class WorkerHelloMsg:
 class WorkerWelcomeMsg:
     """Master -> worker: the start-up record of one worker process.
 
-    One record on both process backends: the ``socket`` rendezvous sends
-    it as the reply to a hello, and ``mp`` passes it to each worker as a
-    spawn arg.  ``ok=False`` carries a human-readable rejection in
-    ``error`` and the worker exits without joining.  On acceptance it
-    ships everything the worker needs to run its actor: the cluster size,
-    its held columns, the host map of every machine (the shm-peer rule;
-    on ``mp`` every id maps to one host), the run's shm prefix (``None``
-    when the data plane is off) and the cost model.  ``threshold_book``
+    The rendezvous sends it as the reply to a hello, to self-launched
+    and external workers alike.  ``ok=False`` carries a human-readable
+    rejection in ``error`` and the worker exits without joining.  On
+    acceptance it ships everything the worker needs to run its actor:
+    the cluster size, its held columns, the host map of every machine
+    (the shm-peer rule; self-launched workers all map to the master's
+    host), the run's shm prefix (``None`` when the data plane is off)
+    and the cost model.  ``threshold_book``
     is the run's equi-depth threshold book (``{max_bins: {column:
     thresholds}}``, see :mod:`repro.core.histogram`), computed once by
     the master so every machine bins against identical global thresholds;

@@ -43,7 +43,8 @@ their register/unregister pairs make the second UNREGISTER miss (a
 ``KeyError`` traceback at exit).  Segments here are opened and unlinked
 with ``shm_open`` / ``shm_unlink`` directly (:class:`_Segment`), so the
 tracker never hears of them; ownership is explicit and the parent's
-post-join sweep (see ``runtime/process.py``) covers crash paths instead.
+post-join sweep (``SocketTransport.shutdown`` in ``runtime/socket.py``)
+covers crash paths instead.
 """
 
 from __future__ import annotations

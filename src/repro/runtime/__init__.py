@@ -2,10 +2,11 @@
 
 Three backends behind one seam: the deterministic discrete-event
 simulator (``"sim"``, the default — every paper experiment runs on it),
-the real multiprocess runtime (``"mp"`` — one OS process per worker,
-peer-to-peer queues, wall-clock time), and the socket runtime
-(``"socket"`` — length-prefixed pickled frames over persistent TCP for
-true multi-host runs, with a loopback self-launch mode for one machine).
+the real multiprocess runtime (``"mp"`` — one OS process per worker on
+this host, wall-clock time), and the socket runtime (``"socket"`` — the
+same, with workers that may dial in from other hosts).  Both real
+backends ride one transport: length-prefixed pickled frames over
+persistent TCP, with ``"mp"`` its loopback self-launch mode.
 Selected via ``TreeServer(..., backend=...)`` or ``repro train
 --backend``; all train bit-identical models.  See ``docs/RUNTIME.md``.
 """
@@ -23,7 +24,7 @@ from .base import (
     WorkerDiedError,
     create_runtime,
 )
-from .process import ProcessRuntime, ProcessTransport, resolve_start_method
+from .process import ProcessRuntime, resolve_start_method
 from .signals import graceful_sigint, reap_children
 from .sim import SimRuntime
 from .socket import (
@@ -41,7 +42,6 @@ __all__ = [
     "Host",
     "MessageTimeoutError",
     "ProcessRuntime",
-    "ProcessTransport",
     "Runtime",
     "RuntimeBackendError",
     "RuntimeOptions",

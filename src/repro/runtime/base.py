@@ -8,11 +8,11 @@ those actors run and *how* the messages travel is the runtime's concern:
   on — the simulator's :class:`~repro.cluster.machine.Machine`, or the
   :class:`~repro.runtime.process.ProcessHost` of one OS process;
 * a :class:`Transport` moves one addressed message between the processes
-  of a real run — :class:`~repro.runtime.process.ProcessTransport` rides
-  per-process ``multiprocessing`` queues,
-  :class:`~repro.runtime.socket.SocketTransport` rides length-prefixed
-  pickled frames over persistent TCP (the simulator's hosts send through
-  its discrete-event ``Network`` instead);
+  of a real run — one implementation,
+  :class:`~repro.runtime.socket.SocketTransport`, rides length-prefixed
+  pickled frames over persistent TCP for both ``mp`` (workers
+  self-launched on this host) and ``socket`` (workers on any host); the
+  simulator's hosts send through its discrete-event ``Network`` instead;
 * a :class:`Runtime` owns a whole training run on one substrate and
   returns the same :class:`~repro.core.server.RunReport` either way.
 
@@ -31,6 +31,8 @@ import abc
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+
+from ..data.schema import ProblemKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.cost import CostModel
@@ -55,8 +57,9 @@ FAULT_POLICIES = ("fail_fast", "recover")
 FAULT_KINDS = ("crash", "raise")
 
 #: The one fault-injection environment variable: a :class:`FaultPlan` in
-#: its text form.  Only code that starts workers reads it — the mp and
-#: socket self-launch pools, ``repro worker`` and the serving fleet.
+#: its text form.  Only code that starts workers reads it — the
+#: self-launching transport of ``mp`` and ``socket``, ``repro worker``
+#: and the serving fleet.
 FAULT_ENV = "REPRO_FAULT"
 
 
@@ -114,10 +117,10 @@ class Transport(Protocol):
     ``send`` must preserve per-sender FIFO order towards each destination
     — the protocol's extra-trees retry path (task_delete immediately
     followed by a fresh column_plan to the same worker) relies on it.
-    A ``multiprocessing`` queue preserves the put order of any single
-    producer, and so does one TCP stream; the simulated network, which
-    the simulator's hosts send through, serializes each sender's NIC
-    FIFO.
+    One TCP stream preserves its sender's order, and the master hub's
+    relay keeps it (one reader thread per source, one writer queue per
+    destination); the simulated network, which the simulator's hosts
+    send through, serializes each sender's NIC FIFO.
     """
 
     def send(
@@ -260,16 +263,16 @@ def message_faults(plans: "tuple[FaultPlan, ...]") -> "tuple[FaultPlan, ...]":
 class RuntimeOptions:
     """Knobs of the runtime backends.
 
-    Most fields concern only the multiprocess backend; the simulator
-    honours ``faults``, ``fault_policy`` and ``max_worker_failures`` and
-    ignores the rest.
+    Most fields concern only the process backends (``mp`` and
+    ``socket``); the simulator honours ``faults``, ``fault_policy`` and
+    ``max_worker_failures`` and ignores the rest.
 
     ``message_timeout_seconds`` bounds the silence the master-side driver
     tolerates between protocol messages before declaring the transport
-    wedged.  ``start_method`` picks the ``multiprocessing`` context
-    (``None`` = ``fork`` where available, else ``spawn`` — both are
-    first-class; anything else the platform offers can be named
-    explicitly).  ``faults`` are the :class:`FaultPlan` s a test injects,
+    wedged.  ``start_method`` picks the ``multiprocessing`` context the
+    workers are started with (``None`` = ``fork`` where available, else
+    ``spawn`` — both are first-class; anything else the platform offers
+    can be named explicitly).  ``faults`` are the :class:`FaultPlan` s a test injects,
     on any backend (when empty, the run reads :data:`FAULT_ENV`); a socket
     master in external mode (``listen`` set) starts no worker process and
     refuses them.
@@ -280,7 +283,7 @@ class RuntimeOptions:
     ``spawn`` workers would otherwise receive as pickles), and routes
     large row-id sets through a pooled shm arena as tiny descriptors
     instead of pickled arrays.  How large is large, how many messages
-    one queue put may coalesce and how often an idle loop polls are
+    one frame may coalesce and how often an idle loop polls are
     module constants, not options: ``SHM_THRESHOLD_BYTES`` in
     ``core/worker.py``, ``COALESCE_MAX_MESSAGES`` and
     ``POLL_INTERVAL_SECONDS`` in ``runtime/process.py``.
@@ -296,8 +299,8 @@ class RuntimeOptions:
 
     Socket backend (``docs/RUNTIME.md``): ``listen`` is the
     ``host:port`` the master binds for worker rendezvous; ``None`` (the
-    default) self-launches the workers as local subprocesses dialing in
-    over loopback.  ``expected_hosts`` optionally pins the rendezvous
+    default, and the only value ``mp`` takes) self-launches the workers
+    as local processes dialing in over loopback.  ``expected_hosts`` optionally pins the rendezvous
     roster — a worker whose handshake host id is not in the list is
     rejected.  ``rendezvous_timeout_seconds`` bounds how long the master
     waits for all workers to dial in.
@@ -404,6 +407,13 @@ class Runtime(abc.ABC):
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError("job names must be unique")
+        # A criterion that does not fit the table fails here, before any
+        # worker starts, not deep inside a scan.
+        is_classification = table.problem is ProblemKind.CLASSIFICATION
+        for job in jobs:
+            for stage in job.stages:
+                for request in stage.trees:
+                    request.config.resolved_criterion(is_classification)
 
 
 def finish_run(

@@ -1,12 +1,12 @@
-"""Socket backend: the TreeServer protocol over persistent TCP.
+"""Socket transport: the TreeServer protocol over persistent TCP.
 
-The third substrate behind the :class:`~repro.runtime.base.Transport`
-seam — and the first that can leave one host.  The wire format is
+The one transport of the process backends, behind the
+:class:`~repro.runtime.base.Transport` seam.  The wire format is
 deliberately minimal: **length-prefixed pickled frames** over persistent
 TCP connections, one connection per worker, with the master as a frame
 hub.
 
-Topology — a hub, not a star of queues:
+Topology — a hub:
 
 * the master binds ``RuntimeOptions.listen`` (or a loopback ephemeral
   port in self-launch mode) and every worker dials in once;
@@ -16,10 +16,11 @@ Topology — a hub, not a star of queues:
   unpickles worker-to-worker traffic, so the protocol's rule that the
   master stays out of the row-id *data* path survives (Section V): it
   forwards opaque bytes, it never touches content;
-* the payload of a protocol frame is exactly a :class:`QueueFabric`
-  blob (one pickled ``list[Message]``), so the mp backend's pickle-once
-  coalescing is reused unchanged — the socket shims just swap a queue
-  put for one framed send.
+* the payload of a protocol frame is exactly one
+  :class:`~repro.runtime.process.QueueFabric` blob (one pickled
+  ``list[Message]``): each process's fabric hands a blob for ``dst`` to
+  one ``put``, which is a local inbox for the process itself and a
+  framed send otherwise.
 
 Deadlock safety: the master runs one **reader thread** per connection
 which never sends — it routes frames either into the driver inbox or
@@ -35,10 +36,9 @@ control frame (``dst == -1``) carrying a
 version, table fingerprint, host id.  The master collects all ``n``
 valid hellos (rejecting version/table/roster/duplicate mismatches with
 an explanatory unwelcome), then answers every connection with a
-:class:`~repro.core.tasks.WorkerWelcomeMsg` — the same start-up record
-an mp worker gets as a spawn arg — carrying the cluster shape, the
-worker's held columns, the host map, the shm prefix, the cost model and
-the threshold book.  The host map drives the ``ShmSlice`` rule:
+:class:`~repro.core.tasks.WorkerWelcomeMsg` carrying the cluster shape,
+the worker's held columns, the host map, the shm prefix, the cost model
+and the threshold book.  The host map drives the ``ShmSlice`` rule:
 descriptors are only sent to peers whose host id matches the sender's
 (``WorkerActor.shm_peers``); everyone else gets inline row ids.
 
@@ -51,27 +51,23 @@ no authentication beyond the rendezvous checks (the table fingerprint
 acts as a weak shared secret), must not face a hostile network, and
 warns when told to bind a non-loopback address.
 
-Only TCP is written here.  :class:`SocketRuntime` subclasses
-:class:`~repro.runtime.process.ProcessRuntime` and only swaps the
-transport, and :class:`SocketTransport` extends the mp backend's
-:class:`~repro.runtime.process.WorkerPool`, so the driver loop, the
-failure semantics, spawning, reaping, the terminate → join → kill
-escalation and the shm sweep are the mp code: half-open or closed
-sockets surface through the same liveness poll into the same
-``fault_policy`` path, with ``WorkerDiedError`` / recover semantics
-identical to mp.  Over TCP there are no exit codes, so a clean EOF
-(orderly FIN with an empty frame buffer) counts as exit 0 only once the
-driver has entered its shutdown phase
-(:meth:`SocketTransport.begin_shutdown`); any earlier EOF is a death.
-In self-launch mode the real subprocess exit codes are additionally
-available and take precedence (so the injected ``CRASH_EXITCODE`` still
-surfaces), and the pool hands each worker the run's
-:class:`~repro.runtime.base.FaultPlan` s exactly as on mp.  An
-external-mode master starts no worker, so it takes no plan: ``repro
-worker`` reads ``REPRO_FAULT`` on its own machine.
+Two modes, one code path (:class:`SocketTransport`): **self-launch**
+(``listen=None``; ``backend="mp"``, and ``backend="socket"`` without an
+address) starts the workers as local processes, and **external**
+(``listen="host:port"``, ``backend="socket"`` only) waits for ``repro
+worker`` clients.  :class:`SocketRuntime` is
+:class:`~repro.runtime.process.ProcessRuntime` under its own name, so
+the driver loop and the failure semantics are one code.  A worker the
+transport started is seen dead by its process exit code (so the
+injected ``CRASH_EXITCODE`` surfaces as is); an external worker only by
+its connection's EOF, which counts as exit 0 only when clean (orderly
+FIN with an empty frame buffer) and once the driver has entered its
+shutdown phase (:meth:`SocketTransport.begin_shutdown`).  An
+external-mode master starts no worker, so it takes no fault plan:
+``repro worker`` reads ``REPRO_FAULT`` on its own machine.
 
-Parity: the loopback self-launch path trains **bit-identical** models
-to ``sim`` and ``mp`` (pinned by ``tests/test_runtime_socket.py``) —
+Parity: every mode trains **bit-identical** models to ``sim`` (pinned
+by ``tests/test_runtime_mp.py`` and ``tests/test_runtime_socket.py``) —
 same master state machine, same ``min (score, column)`` arbitration,
 same seed-derived randomness.
 """
@@ -80,6 +76,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import queue as queue_module
@@ -100,21 +97,31 @@ from ..core.tasks import (
     WorkerHelloMsg,
     WorkerWelcomeMsg,
 )
-from ..data.shm import SharedTableHandle
+from ..data.shm import (
+    SharedTableHandle,
+    list_segments,
+    new_run_prefix,
+    unlink_segments,
+)
 from ..data.table import DataTable, table_fingerprint
-from .base import FaultPlan, RuntimeBackendError, RuntimeOptions, message_faults
+from .base import (
+    FaultPlan,
+    RuntimeBackendError,
+    RuntimeOptions,
+    WorkerDiedError,
+    message_faults,
+)
 from .process import (
     CRASH_EXITCODE,
     POLL_INTERVAL_SECONDS,
     ProcessRuntime,
     QueueFabric,
-    WorkerPool,
-    _decode,
     resolve_start_method,
     run_worker_loop,
     worker_error_message,
     worker_table,
 )
+from .signals import stop_processes
 
 #: Frame header: ``(dst: int32, payload length: uint64)``, network order.
 FRAME_HEADER = struct.Struct("!iQ")
@@ -239,41 +246,50 @@ class FrameStream:
         """Read one frame; ``None`` on poll timeout.
 
         Raises :class:`ConnectionClosed` on EOF — ``clean`` iff the
-        buffer held no partial frame.
+        buffer held no partial frame — and, not clean, when the socket
+        fails or is closed under the read.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while len(self._buffer) < FRAME_HEADER.size:
-            if not self._wait_readable(deadline):
+            if not self._fill(deadline):
                 return None
-            self._recv_more()
         dst, length = FRAME_HEADER.unpack_from(self._buffer)
         if length > MAX_FRAME_BYTES:
             raise ConnectionClosed(clean=False)
         total = FRAME_HEADER.size + length
         while len(self._buffer) < total:
-            if not self._wait_readable(deadline):
+            if not self._fill(deadline):
                 return None
-            self._recv_more()
         payload = bytes(self._buffer[FRAME_HEADER.size : total])
         del self._buffer[:total]
         return dst, payload
 
-    def _wait_readable(self, deadline: float | None) -> bool:
-        """Block until the socket is readable; ``False`` past the deadline."""
-        if deadline is None:
-            select.select([self.sock], [], [])
-            return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        readable, _, _ = select.select([self.sock], [], [], remaining)
-        return bool(readable)
+    def _fill(self, deadline: float | None) -> bool:
+        """Wait until the socket is readable and append what it holds;
+        ``False`` past the deadline.
 
-    def _recv_more(self) -> None:
-        chunk = self.sock.recv(1 << 16)
+        The one place a read meets a broken socket: ``recv`` failing
+        raises ``OSError``, and ``select`` on a socket another thread has
+        closed raises ``ValueError`` (its descriptor is -1).  Both are a
+        connection closed mid-stream.
+        """
+        try:
+            if deadline is None:
+                select.select([self.sock], [], [])
+            else:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                readable, _, _ = select.select([self.sock], [], [], remaining)
+                if not readable:
+                    return False
+            chunk = self.sock.recv(1 << 16)
+        except (OSError, ValueError):
+            raise ConnectionClosed(clean=False) from None
         if not chunk:
             raise ConnectionClosed(clean=not self._buffer)
         self._buffer += chunk
+        return True
 
     def close(self) -> None:
         """Close the underlying socket (idempotent).
@@ -364,83 +380,11 @@ def _read_ctrl(stream: FrameStream, timeout: float, expected: type) -> Any:
     """Read one control frame of the expected handshake type, or ``None``."""
     try:
         frame = stream.read_frame(timeout=timeout)
-    except (ConnectionClosed, OSError):
+    except ConnectionClosed:
         return None
     if frame is None or frame[0] != CTRL_DST:
         return None
     return _decode_ctrl(frame[1], expected)
-
-
-# ----------------------------------------------------------------------
-# queue shims: what QueueFabric talks to on each side of the wire
-# ----------------------------------------------------------------------
-class _QueueShim:
-    """A :class:`QueueFabric` destination that is not a ``multiprocessing``
-    queue: only ``put`` does anything — there is no feeder thread to
-    cancel, and the fabric's teardown closes nothing the shim owns."""
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-    def cancel_join_thread(self) -> None:
-        """No feeder thread exists."""
-
-
-class _SocketQueue(_QueueShim):
-    """Worker-side shim: ``put(blob)`` -> one framed send towards ``dst``.
-
-    Every destination rides the single connection to the master hub,
-    which relays by header.  A send failing because the master vanished
-    (a disconnect — never a timeout; sends are blocking) is dropped —
-    the worker's event loop notices the EOF next time it reads and
-    exits as orphaned, mirroring a dead mp queue.  Any other failure
-    propagates: silently dropping protocol messages on a live
-    connection would wedge the run.
-    """
-
-    def __init__(self, stream: FrameStream, dst: int) -> None:
-        self._stream = stream
-        self._dst = dst
-
-    def put(self, blob: bytes) -> None:
-        try:
-            self._stream.send_frame(self._dst, blob)
-        except ConnectionError:
-            pass  # master gone; orphan exit follows on the next read
-
-
-class _LocalQueue(_QueueShim):
-    """In-process shim: blobs go straight into a local inbox.
-
-    The master's messages to itself land in the driver inbox this way,
-    and a worker's messages to itself skip the wire — without that every
-    ``row_request`` a worker answers from its own delegate store would
-    round-trip through the master hub.
-    """
-
-    def __init__(self, inbox: queue_module.SimpleQueue) -> None:
-        self._inbox = inbox
-
-    def put(self, blob: bytes) -> None:
-        self._inbox.put(blob)
-
-
-class _RelaySender(_QueueShim):
-    """Master-side shim for a worker destination: enqueue to its writer.
-
-    Looks the writer queue up per put so a send towards a reaped worker
-    is silently dropped — the socket equivalent of mp's drained dead
-    inbox.
-    """
-
-    def __init__(self, transport: "SocketTransport", dst: int) -> None:
-        self._transport = transport
-        self._dst = dst
-
-    def put(self, blob: bytes) -> None:
-        writer = self._transport._writers.get(self._dst)
-        if writer is not None:
-            writer.put(blob)
 
 
 # ----------------------------------------------------------------------
@@ -457,36 +401,46 @@ def _run_socket_worker(
     """Post-handshake worker; returns the process exit code.
 
     Runs :func:`~repro.runtime.process.run_worker_loop` on frames from
-    the master hub plus the local self-send queue, and ships any
+    the master hub plus the local self-send inbox, and ships any
     exception home as a ``worker_error`` frame.  A master-side EOF means
-    the run is over without us (driver died or reaped us) — exit quietly
-    like an orphaned mp worker.
+    the run is over without us (the driver died or reaped us): exit
+    quietly.
     """
     local: queue_module.SimpleQueue = queue_module.SimpleQueue()
-    queues: list[Any] = [
-        _LocalQueue(local) if dst == worker_id else _SocketQueue(stream, dst)
-        for dst in range(welcome.n_workers + 1)
-    ]
+
+    def put(dst: int, blob: bytes) -> None:
+        # A worker's messages to itself skip the wire — without that
+        # every ``row_request`` it answers from its own delegate store
+        # would round-trip through the master hub.  Every other
+        # destination rides the one connection to the hub.  A send that
+        # fails because the master vanished (a disconnect, never a
+        # timeout: sends block) is dropped; the next read sees the EOF.
+        if dst == worker_id:
+            local.put(blob)
+            return
+        try:
+            stream.send_frame(dst, blob)
+        except ConnectionError:
+            pass
 
     def next_messages() -> "Sequence[Message] | None":
         try:
-            blob: Any = local.get_nowait()
+            blob: bytes = local.get_nowait()
         except queue_module.Empty:
             try:
                 frame = stream.read_frame(timeout=POLL_INTERVAL_SECONDS)
-            except (ConnectionClosed, OSError):
+            except ConnectionClosed:
                 return None  # master gone; we are orphaned
             if frame is None:
                 return ()
             blob = frame[1]
-        return _decode(blob)
+        return pickle.loads(blob)
 
     def crash() -> None:
-        # Simulated hard crash.  Unlike mp queues, a socket shares no
-        # cross-process locks or byte streams — bytes already handed to
-        # the kernel are delivered, buffered fabric sends die with us —
-        # so no draining is needed; ``os._exit`` is already clean at the
-        # transport layer.
+        # Simulated hard crash: no goodbye, no shm teardown — the
+        # driver's sweep covers the arena.  A socket shares no locks or
+        # byte streams with other processes: bytes already handed to the
+        # kernel are delivered, buffered fabric sends die with us.
         os._exit(CRASH_EXITCODE)
 
     try:
@@ -494,7 +448,7 @@ def _run_socket_worker(
             worker_id,
             table,
             welcome,
-            QueueFabric(queues),
+            QueueFabric(welcome.n_workers + 1, put),
             next_messages,
             crash,
             attached_nbytes=attached_nbytes,
@@ -594,14 +548,15 @@ def connect_worker(
     )
 
 
-def _launched_worker_main(
+def _run_launched_worker(
     address: tuple[str, int],
     worker_id: int,
     table_ref: "DataTable | SharedTableHandle",
     host_id: str,
     faults: tuple[FaultPlan, ...],
 ) -> None:
-    """Subprocess entry of the loopback self-launch mode.
+    """Process entry of a self-launched worker (``backend="mp"``, and
+    ``backend="socket"`` without ``listen``).
 
     The same dial-in path an external ``repro worker`` takes — the
     only differences are where the table comes from
@@ -627,26 +582,24 @@ def _launched_worker_main(
 # ----------------------------------------------------------------------
 # master side
 # ----------------------------------------------------------------------
-class SocketTransport(WorkerPool):
-    """The master hub: listener, rendezvous, relay threads, liveness.
+class SocketTransport:
+    """The driver side of the process backends: the worker processes,
+    the run's shm segments, and the master hub — listener, rendezvous,
+    relay threads, liveness.
 
-    The worker pool and the driver-facing surface (``send`` / ``flush`` /
-    ``recv_master`` / ``check_alive`` / ``reap_worker`` / ``shutdown`` /
-    ``close`` plus the ``fabric`` / ``shm_prefix`` / ``start_method``
-    attributes) are :class:`~repro.runtime.process.WorkerPool`'s, so
-    :class:`SocketRuntime` reuses the whole mp driver loop unchanged.
-    What is written here is TCP: how a death shows (:meth:`dead_workers`
-    from EOFs, :meth:`begin_shutdown`) and the links a reap or a
-    shutdown closes.
+    The driver-facing surface is ``send`` / ``flush`` / ``recv_master``
+    (which raises ``queue.Empty`` on a quiet poll) / ``check_alive`` /
+    ``reap_worker`` / ``begin_shutdown`` / ``shutdown`` / ``close``, plus
+    the ``fabric`` / ``shm_prefix`` / ``start_method`` attributes the run
+    report reads.
 
     Two modes, chosen by ``RuntimeOptions.listen``:
 
     * ``None`` — **self-launch**: bind a loopback ephemeral port and
-      spawn the workers as local subprocesses that dial back in.  CI's
-      socket path, pinned bit-identical to sim/mp; the shm data plane
-      works in full (one host by construction), real subprocess exit
+      start the workers as local processes that dial back in.  The shm
+      data plane works in full (one host by construction), process exit
       codes back the liveness poll, and the run's fault plans reach the
-      workers as on mp.
+      workers.
     * ``"host:port"`` — **external**: bind the given address and wait
       ``rendezvous_timeout_seconds`` for ``n_workers`` ``repro worker``
       clients.  ``RuntimeOptions`` refuses fault plans in this mode and
@@ -667,21 +620,27 @@ class SocketTransport(WorkerPool):
         threshold_book: dict | None = None,
     ) -> None:
         launch = options.listen is None
-        super().__init__(
-            n_workers,
-            placement,
-            cost,
-            options,
-            threshold_book,
+        self.n_workers = n_workers
+        self.placement = placement
+        self.cost = cost
+        self.options = options
+        self.threshold_book = threshold_book or {}
+        self.start_method = (
             resolve_start_method(options.start_method)
             if launch
-            else "external",
+            else "external"
         )
+        self.processes: dict[int, Any] = {}
+        self.shm_prefix: str | None = (
+            new_run_prefix() if options.use_shm else None
+        )
+        self.table_handle: SharedTableHandle | None = None
         self.host_id = _default_host_id()
         self.table_hash = table_fingerprint(table)
         self._master_inbox: queue_module.SimpleQueue = (
             queue_module.SimpleQueue()
         )
+        self._pending_master: list[Message] = []
         self._writers: dict[int, queue_module.SimpleQueue] = {}
         self._threads: list[threading.Thread] = []
         self._conns: dict[int, FrameStream] = {}
@@ -690,10 +649,7 @@ class SocketTransport(WorkerPool):
         self._lock = threading.Lock()
         self._shutdown_started = False
         self._listener: socket.socket | None = None
-        self.fabric = QueueFabric(
-            [_LocalQueue(self._master_inbox)]
-            + [_RelaySender(self, wid) for wid in range(1, n_workers + 1)]
-        )
+        self.fabric = QueueFabric(n_workers + 1, self._put)
         if launch:
             bind_address = ("127.0.0.1", 0)
         else:
@@ -715,16 +671,65 @@ class SocketTransport(WorkerPool):
             )
             self.address: tuple[str, int] = self._listener.getsockname()[:2]
             if launch:
-                table_ref = self._share_table(table)
-                self._start_workers(
-                    _launched_worker_main,
-                    lambda wid: (self.address, wid, table_ref, self.host_id),
-                    "repro-socket-worker",
-                )
+                self._start_workers(self._share_table(table))
             self._rendezvous()
         except BaseException:
             self.shutdown()
             raise
+
+    # -- start-up -------------------------------------------------------
+    def _welcome(
+        self, worker_id: int, host_map: dict[int, str]
+    ) -> WorkerWelcomeMsg:
+        """The start-up record of worker ``worker_id``; ``host_map``
+        names every machine's host."""
+        return WorkerWelcomeMsg(
+            ok=True,
+            n_workers=self.n_workers,
+            held_columns=tuple(
+                sorted(
+                    c for c, ws in self.placement.items() if worker_id in ws
+                )
+            ),
+            host_map=host_map,
+            shm_prefix=self.shm_prefix,
+            cost=self.cost,
+            threshold_book=self.threshold_book,
+        )
+
+    def _share_table(
+        self, table: DataTable
+    ) -> "DataTable | SharedTableHandle":
+        """What a started worker gets for its table: a handle to the
+        table's shm image (made here, unlinked by :meth:`shutdown`) when
+        the shm data plane is on, else the table itself."""
+        if self.shm_prefix is None:
+            return table
+        self.table_handle = SharedTableHandle.create(
+            table, f"{self.shm_prefix}-t"
+        )
+        return self.table_handle
+
+    def _start_workers(
+        self, table_ref: "DataTable | SharedTableHandle"
+    ) -> None:
+        """Start each worker as a daemon process that dials back in.
+
+        Each gets the run's :class:`~repro.runtime.base.FaultPlan` s:
+        ``options.faults``, else the ``REPRO_FAULT`` variable, read here —
+        once per run, and only by code that starts workers.
+        """
+        context = multiprocessing.get_context(self.start_method)
+        faults = message_faults(self.options.faults or FaultPlan.from_env())
+        for wid in range(1, self.n_workers + 1):
+            process = context.Process(
+                target=_run_launched_worker,
+                args=(self.address, wid, table_ref, self.host_id, faults),
+                name=f"repro-worker-{wid}",
+                daemon=True,
+            )
+            process.start()
+            self.processes[wid] = process
 
     # -- start-up -------------------------------------------------------
     def _rendezvous(self) -> None:
@@ -818,8 +823,13 @@ class SocketTransport(WorkerPool):
                         f"missing workers {sorted(expected - set(hellos))}"
                     )
                 try:
-                    hello, stream = results.get(timeout=remaining)
+                    hello, stream = results.get(
+                        timeout=min(remaining, POLL_INTERVAL_SECONDS)
+                    )
                 except queue_module.Empty:
+                    # A started worker that exits before its hello will
+                    # never send one: fail now, not at the deadline.
+                    self.check_alive()
                     continue
                 error = self._validate_hello(hello, hellos)
                 if error is not None:
@@ -926,82 +936,136 @@ class SocketTransport(WorkerPool):
                 broken = True
 
     def _reader_loop(self, wid: int, stream: FrameStream) -> None:
-        """Route frames from one worker; never blocks on a send."""
-        clean = False
+        """Route frames from one worker; never blocks on a send.
+
+        Control frames after the handshake are ignored.
+        """
         try:
             while True:
                 frame = stream.read_frame(timeout=None)
                 if frame is None:  # pragma: no cover - None needs a timeout
                     continue
                 dst, payload = frame
-                if dst == 0:
-                    self._master_inbox.put(payload)
-                elif dst > 0:
-                    writer = self._writers.get(dst)
-                    if writer is not None:
-                        writer.put(payload)
-                # Control frames after the handshake are ignored.
+                if dst >= 0:
+                    self._put(dst, payload)
         except ConnectionClosed as closed:
-            clean = closed.clean
-        except OSError:
-            clean = False
-        with self._lock:
-            self._closed[wid] = clean
+            with self._lock:
+                self._closed[wid] = closed.clean
+
+    # -- driver-side sends / receives -----------------------------------
+    def _put(self, dst: int, blob: bytes) -> None:
+        """The driver fabric's one ``put``: its own inbox for the master,
+        else the worker's writer queue — a blob towards a reaped worker
+        is dropped."""
+        if dst == 0:
+            self._master_inbox.put(blob)
+            return
+        writer = self._writers.get(dst)
+        if writer is not None:
+            writer.put(blob)
+
+    def send(
+        self, src: int, dst: int, kind: str, payload: Any, size_bytes: int
+    ) -> None:
+        """Transport interface: driver-side send towards any machine."""
+        self.fabric.send(src, dst, kind, payload, size_bytes)
+
+    def flush(self) -> None:
+        """Transport interface: push buffered driver-side sends out."""
+        self.fabric.flush()
+
+    def recv_master(self, timeout: float) -> Message:
+        """Blocking receive from the master inbox (raises ``queue.Empty``).
+
+        Receiving means the driver is about to go idle, so buffered sends
+        are flushed first — the other half of the flush-on-idle rule.
+        """
+        self.fabric.flush()
+        if not self._pending_master:
+            self._pending_master.extend(
+                pickle.loads(self._master_inbox.get(timeout=timeout))
+            )
+        return self._pending_master.pop(0)
 
     # -- liveness -------------------------------------------------------
-    def _exit_code(self, wid: int, clean: bool) -> int:
-        """Best-available exit code for a closed connection.
-
-        Self-launch mode asks the real subprocess (so the injected
-        ``CRASH_EXITCODE`` survives); over a bare socket the only signal
-        is the EOF itself — clean counts as 0 only in the shutdown
-        phase, anything earlier is a death (code 1).
-        """
-        process = self.processes.get(wid)
-        if process is not None:
-            process.join(timeout=5.0)
-            if process.exitcode is not None:
-                return process.exitcode
-        return 0 if (clean and self._shutdown_started) else 1
-
     def dead_workers(
         self, allow_clean_exit: bool = False
     ) -> list[tuple[int, int]]:
-        """Worker ids (with exit codes) whose connections have closed."""
+        """Worker ids (with exit codes) that have died.
+
+        A worker this transport started is dead once its process has
+        exited, whatever its connection shows, so a killed worker is seen
+        at once and keeps its real exit code.  An external worker is dead
+        once its connection has closed: a clean EOF counts as exit code 0
+        in the shutdown phase (:meth:`begin_shutdown`), anything else as
+        1.  ``allow_clean_exit`` tolerates exit code 0 (the shutdown
+        phase, where workers legitimately finish after reporting their
+        stats).  Reaped workers (see :meth:`reap_worker`) are not listed.
+        """
         with self._lock:
-            closed = [
-                (wid, clean)
-                for wid, clean in self._closed.items()
-                if wid not in self._reaped
-            ]
+            closed = dict(self._closed)
         dead = []
-        for wid, clean in closed:
-            code = self._exit_code(wid, clean)
-            if allow_clean_exit and code == 0:
+        for wid in range(1, self.n_workers + 1):
+            if wid in self._reaped:
+                continue
+            process = self.processes.get(wid)
+            if process is not None:
+                code = process.exitcode
+            elif wid in closed:
+                code = 0 if (closed[wid] and self._shutdown_started) else 1
+            else:
+                code = None
+            if code is None or (allow_clean_exit and code == 0):
                 continue
             dead.append((wid, code))
         return dead
 
-    def _release_worker(self, worker_id: int) -> None:
-        """Stop the reaped worker's writer thread and close its
-        connection; frames towards it become silent drops in
-        :class:`_RelaySender`."""
+    def check_alive(self, allow_clean_exit: bool = False) -> None:
+        """Raise :class:`WorkerDiedError` if any worker is gone."""
+        dead = self.dead_workers(allow_clean_exit)
+        if dead:
+            raise WorkerDiedError(*dead[0])
+
+    def reap_worker(self, worker_id: int) -> None:
+        """Retire a dead worker the run is recovering from.
+
+        Joins its process, stops its writer thread and closes its
+        connection (sends towards it become silent drops in
+        :meth:`_put`), and sweeps its shm arena segments immediately —
+        recovery must not leak the dead worker's parked ``I_x`` slices
+        for the rest of a long run.  Any live peer still holding a
+        descriptor into the swept arena tolerates the vanished segment
+        (see ``WorkerActor._on_row_response_shm``).  The sweep reaches
+        this host only; a remote worker's host cleans its own on exit.
+        """
         self._reaped.add(worker_id)
+        process = self.processes.pop(worker_id, None)
+        if process is not None:
+            process.join(timeout=5.0)
         writer = self._writers.pop(worker_id, None)
         if writer is not None:
             writer.put(_STOP)
         stream = self._conns.pop(worker_id, None)
         if stream is not None:
             stream.close()
+        if self.shm_prefix is not None:
+            unlink_segments(list_segments(f"{self.shm_prefix}-w{worker_id}"))
 
     def begin_shutdown(self) -> None:
         """Driver hook: clean EOFs from here on count as exit code 0."""
         self._shutdown_started = True
 
     # -- teardown -------------------------------------------------------
-    def _disconnect(self, join_timeout: float) -> None:
-        """Close the listener and every connection (workers see EOF and
-        exit as orphans), then join the relay threads."""
+    def shutdown(self, join_timeout: float = 5.0) -> None:
+        """Close everything down; escalate terminate → kill. Idempotent.
+
+        The listener and every connection close first (workers see EOF
+        and exit as orphans) and the relay threads are joined; then the
+        worker processes are terminated, joined and, where needed,
+        killed, and every shm segment of the run is removed: the table
+        image is unlinked and the run prefix swept, which reclaims arena
+        segments of workers that died without cleaning up.
+        """
         self._shutdown_started = True
         if self._listener is not None:
             try:
@@ -1018,16 +1082,21 @@ class SocketTransport(WorkerPool):
         for thread in self._threads:
             thread.join(timeout=join_timeout)
         self._threads = []
+        stop_processes(self.processes.values(), join_timeout)
+        self.processes = {}
+        if self.table_handle is not None:
+            self.table_handle.unlink()
+            self.table_handle = None
+        if self.shm_prefix is not None:
+            unlink_segments(list_segments(self.shm_prefix))
+
+    def close(self) -> None:
+        """Transport interface alias for :meth:`shutdown`."""
+        self.shutdown()
 
 
 class SocketRuntime(ProcessRuntime):
-    """Training over TCP: the mp driver loop on the socket transport.
-
-    Everything above the transport — the master event loop, fault
-    policies, recovery, shutdown invariants, cluster report — is
-    inherited from :class:`~repro.runtime.process.ProcessRuntime`
-    unchanged; only the substrate the messages ride differs.
-    """
+    """Training over TCP, with workers on any host: the ``mp`` runtime
+    under its own name, which also takes ``RuntimeOptions.listen``."""
 
     name = "socket"
-    transport_class = SocketTransport

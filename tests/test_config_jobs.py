@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 
 import repro
 from repro.cli import _build_parser
-from repro.core import ColumnSampling, SystemConfig, TreeConfig, TreeKind
+from repro.core import (
+    ColumnSampling,
+    SystemConfig,
+    TreeConfig,
+    TreeKind,
+    TreeServer,
+    train_tree,
+)
 from repro.core.impurity import Impurity
 from repro.core.jobs import (
     decision_tree_job,
@@ -17,6 +25,7 @@ from repro.core.jobs import (
     random_forest_job,
     staged_job,
 )
+from repro.datasets import dataset_spec, generate
 from repro.runtime import RuntimeOptions
 from repro.serving import GatewayConfig, ServerConfig
 
@@ -34,6 +43,41 @@ class TestTreeConfig:
         assert cfg.resolved_criterion(False) is Impurity.VARIANCE
         forced = TreeConfig(criterion=Impurity.ENTROPY)
         assert forced.resolved_criterion(True) is Impurity.ENTROPY
+
+    @pytest.mark.parametrize("path", ["train_tree", "sim", "mp"])
+    @pytest.mark.parametrize(
+        "dataset, criterion, kind",
+        [
+            ("covtype", Impurity.VARIANCE, "classification"),
+            ("allstate", Impurity.GINI, "regression"),
+        ],
+        ids=["variance_on_classification", "gini_on_regression"],
+    )
+    def test_mismatched_criterion_fails_before_training(
+        self, path, dataset, criterion, kind, monkeypatch
+    ):
+        """A criterion that does not fit the table is one ValueError
+        naming both, raised before any scan runs or worker starts."""
+        table = generate(dataset_spec(dataset, small=True))
+        config = TreeConfig(max_depth=3, criterion=criterion)
+        match = f"criterion '{criterion.value}' does not fit a {kind}"
+        if path == "train_tree":
+            with pytest.raises(ValueError, match=match):
+                train_tree(table, config)
+            return
+
+        def no_worker_starts(*args, **kwargs):
+            raise AssertionError("a worker transport was started")
+
+        monkeypatch.setattr(
+            "repro.runtime.socket.SocketTransport", no_worker_starts
+        )
+        server = TreeServer(
+            SystemConfig(n_workers=2, compers_per_worker=1), backend=path
+        )
+        with pytest.raises(ValueError, match=match):
+            server.fit(table, [decision_tree_job("dt", config)])
+        assert multiprocessing.active_children() == []
 
     def test_candidate_counts(self):
         assert TreeConfig().n_candidate_columns(100) == 100

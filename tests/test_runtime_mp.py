@@ -1,12 +1,13 @@
 """The multiprocess runtime: parity, robustness, shutdown hygiene.
 
 The headline guarantee: ``TreeServer(..., backend="mp")`` — real worker
-processes exchanging pickled protocol messages over queues — trains a
-forest **bit-identical** to the deterministic simulator on the same
-table, config and seed.  Split arbitration is ``min (score, column)``
-and all per-node randomness derives from ``(tree seed, node path)``, so
-scheduling nondeterminism (which replica computes which column, message
-arrival order) must never leak into the model.
+processes on this host exchanging pickled protocol frames through the
+driver's loopback hub — trains a forest **bit-identical** to the
+deterministic simulator on the same table, config and seed.  Split
+arbitration is ``min (score, column)`` and all per-node randomness
+derives from ``(tree seed, node path)``, so scheduling nondeterminism
+(which replica computes which column, message arrival order) must never
+leak into the model.
 
 The robustness edges the simulator cannot exercise are pinned here too:
 a worker process hard-killed mid-run surfaces as a structured
@@ -48,6 +49,7 @@ from repro.runtime import (
     SimRuntime,
     WorkerDiedError,
     create_runtime,
+    resolve_start_method,
 )
 from repro.runtime.base import (
     FAULT_ENV,
@@ -257,12 +259,12 @@ class TestFailures:
         """A worker-side protocol error reaches the driver with its stack."""
         from repro.core.load_balance import assign_columns_to_workers
         from repro.core.tasks import MSG_ROW_REQUEST, RowRequestMsg, WorkerErrorMsg
-        from repro.runtime.process import ProcessTransport
+        from repro.runtime.socket import SocketTransport
 
         table = _table("covtype")
         system = _system(2, table_rows=table.n_rows)
         placement = assign_columns_to_workers(table.n_columns, [1, 2], 2)
-        transport = ProcessTransport(
+        transport = SocketTransport(
             2, table, placement, TreeServer(system).cost, FAST
         )
         try:
@@ -295,14 +297,16 @@ class TestFailures:
     def test_liveness_check_raises_structured_error(self):
         """The pool's liveness check turns a dead worker into a
         WorkerDiedError carrying its exit code (it is what the shutdown
-        phase calls while it waits for the stats replies)."""
+        phase calls while it waits for the stats replies).  It reads the
+        exit code of the process, so the kill is seen right after the
+        join, without waiting for the connection's EOF."""
         from repro.core.load_balance import assign_columns_to_workers
-        from repro.runtime.process import ProcessTransport
+        from repro.runtime.socket import SocketTransport
 
         table = _table("covtype")
         system = _system(1, table_rows=table.n_rows)
         placement = assign_columns_to_workers(table.n_columns, [1], 1)
-        transport = ProcessTransport(
+        transport = SocketTransport(
             1, table, placement, TreeServer(system).cost, FAST
         )
         try:
@@ -360,6 +364,115 @@ class TestFailures:
             server.fit(table, [decision_tree_job("dt")])
         assert info.value.worker_id == 1
 
+    def test_worker_dead_before_rendezvous_fails_fast(self, monkeypatch):
+        """A started worker that exits before it dials in surfaces as a
+        WorkerDiedError with its exit code at once, not when the
+        rendezvous deadline runs out."""
+        from repro.runtime import socket as socket_backend
+
+        if resolve_start_method(None) != "fork":
+            pytest.skip("the patched entry reaches the workers by fork")
+        monkeypatch.setattr(
+            socket_backend, "_run_launched_worker", lambda *args: os._exit(3)
+        )
+        table = _table("covtype")
+        server = TreeServer(
+            _system(2, table_rows=table.n_rows),
+            backend="mp",
+            runtime_options=_options(rendezvous_timeout_seconds=60.0),
+        )
+        start = time.monotonic()
+        with pytest.raises(WorkerDiedError) as info:
+            server.fit(table, [decision_tree_job("dt")])
+        assert time.monotonic() - start < 10.0
+        assert info.value.exitcode == 3
+        assert multiprocessing.active_children() == []
+        assert _repro_segments() == []
+
+    def test_mp_refuses_a_listen_address(self):
+        """mp always starts its workers on this host: an address to bind
+        is an error that points to the socket backend, raised before any
+        worker starts."""
+        table = _table("covtype")
+        server = TreeServer(
+            _system(2, table_rows=table.n_rows),
+            backend="mp",
+            runtime_options=_options(listen="127.0.0.1:0"),
+        )
+        with pytest.raises(ValueError, match="backend='socket'"):
+            server.fit(table, [decision_tree_job("dt")])
+        assert multiprocessing.active_children() == []
+
+    def test_orphaned_workers_exit_when_the_driver_is_killed(self, tmp_path):
+        """A worker learns that its driver died from the EOF on its one
+        connection: SIGKILL a driver mid-fit and every worker it started
+        exits on its own.  A SIGKILLed driver cannot unlink its shm
+        segments, so the test sweeps the run's prefix itself."""
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs /proc to watch processes that are not ours")
+        script = tmp_path / "driver.py"
+        script.write_text(textwrap.dedent("""
+            from repro import SystemConfig, TreeConfig, TreeServer
+            from repro import random_forest_job
+            from repro.datasets import dataset_spec, generate
+            from repro.runtime import RuntimeOptions
+            from repro.runtime import socket as socket_backend
+
+            rendezvous = socket_backend.SocketTransport._rendezvous
+
+            def announce(transport):
+                rendezvous(transport)
+                pids = sorted(p.pid for p in transport.processes.values())
+                print("UP", transport.shm_prefix, *pids, flush=True)
+
+            socket_backend.SocketTransport._rendezvous = announce
+            table = generate(dataset_spec("higgs_boson", small=True))
+            TreeServer(
+                SystemConfig(
+                    n_workers=2, compers_per_worker=2
+                ).scaled_to(table.n_rows),
+                backend="mp",
+                runtime_options=RuntimeOptions(use_shm=True),
+            ).fit(table, [
+                random_forest_job("rf", 500, TreeConfig(max_depth=10), seed=1),
+            ])
+        """))
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        driver = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        pids: list[int] = []
+        prefix = None
+        try:
+            line = driver.stdout.readline().split()
+            assert line[:1] == ["UP"], line
+            prefix, pids = line[1], [int(pid) for pid in line[2:]]
+            assert len(pids) == 2
+            time.sleep(0.5)  # let training get properly in flight
+            driver.kill()
+            driver.wait(timeout=10.0)
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            if driver.poll() is None:  # pragma: no cover - wedged driver
+                driver.kill()
+                driver.wait()
+            for pid in pids:
+                if _running(pid):  # pragma: no cover - the failing case
+                    os.kill(pid, signal.SIGKILL)
+            if prefix is not None:
+                from repro.data.shm import list_segments, unlink_segments
+
+                unlink_segments(list_segments(prefix))
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             TreeServer(backend="ray")
@@ -370,6 +483,17 @@ class TestFailures:
         error = MessageTimeoutError(2.5, "task results (1/4 trees done)")
         assert "2.5s" in str(error)
         assert "1/4 trees" in str(error)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie no
+    parent has reaped yet counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +516,7 @@ def _repro_segments():
 
 class TestSharedMemoryDataPlane:
     def test_parity_shm_on_and_off(self):
-        """One model, three substrates: sim, mp+shm, mp queues-only."""
+        """One model, three data planes: sim, mp+shm, mp with inline row ids."""
         table = _table("covtype")
         jobs = [random_forest_job("rf", 3, TreeConfig(max_depth=6), seed=9)]
         reference = _fit("sim", table, jobs).trees("rf")
@@ -438,8 +562,6 @@ class TestSharedMemoryDataPlane:
         assert _repro_segments() == []
 
     def test_invalid_start_method_is_a_clear_error(self):
-        from repro.runtime import resolve_start_method
-
         with pytest.raises(ValueError, match="not available"):
             resolve_start_method("bogus-method")
         table = _table("covtype")

@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import socket as socket_module
 import threading
+import time
 
 import pytest
 
@@ -115,8 +116,6 @@ def _free_port() -> int:
 
 def _dial(port, deadline_seconds=10.0) -> FrameStream:
     """Connect to a master that may still be binding its listener."""
-    import time
-
     deadline = time.monotonic() + deadline_seconds
     while True:
         try:
@@ -134,7 +133,7 @@ def _dial(port, deadline_seconds=10.0) -> FrameStream:
 # ----------------------------------------------------------------------
 class TestParity:
     def test_three_worker_loopback_matches_sim_and_mp(self):
-        """One model, three substrates — with and without shm."""
+        """One model, three backends — with and without shm."""
         table = _table()
         jobs = [random_forest_job("rf", 4, TreeConfig(max_depth=8), seed=5)]
         reference = _fit("sim", table, jobs).trees("rf")
@@ -433,8 +432,6 @@ class TestRendezvous:
         claimants: the first hello's admission check is held for a
         second, so the second hello is read and queued behind it before
         the roster closes."""
-        import time
-
         from repro.core.tasks import WorkerHelloMsg, WorkerWelcomeMsg
         from repro.data.table import table_fingerprint
         from repro.runtime.socket import (
@@ -508,8 +505,6 @@ class TestRendezvous:
         thread behind.  (Without the wake the rendezvous gives up on
         the thread after its 5 s join and the fit still ends, but the
         thread sits in ``accept()`` for the rest of the 30 s.)"""
-        import time
-
         from repro.runtime import socket as socket_backend
 
         monkeypatch.setattr(socket_backend, "ACCEPT_POLL_SECONDS", 30.0)
@@ -748,6 +743,42 @@ class TestFrameStream:
             left.close()
             right.close()
 
+    def test_close_from_another_thread_ends_a_blocked_read(
+        self, monkeypatch
+    ):
+        """A stream closed under a polling reader (the relay and worker
+        loops at teardown) ends the read with ``ConnectionClosed``, and
+        so does any read after the close — never a ``ValueError`` from
+        ``select`` on a closed descriptor escaping the thread."""
+        left, right = self._pair()
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        outcome = {}
+
+        def poll_until_closed():
+            while True:
+                try:
+                    right.read_frame(timeout=0.005)
+                except ConnectionClosed as closed:
+                    outcome["clean"] = closed.clean
+                    return
+
+        reader = threading.Thread(target=poll_until_closed)
+        reader.start()
+        try:
+            time.sleep(0.05)
+            right.close()
+            reader.join(timeout=5.0)
+            assert not reader.is_alive()
+            assert "clean" in outcome
+            assert escaped == []
+            with pytest.raises(ConnectionClosed) as info:
+                right.read_frame(timeout=0.01)
+            assert not info.value.clean
+        finally:
+            left.close()
+            right.close()
+
     def test_absurd_length_is_treated_as_corruption(self):
         left, right = self._pair()
         try:
@@ -886,7 +917,8 @@ class TestFactoryAndCli:
         cost = TreeServer(system).cost
         runtime = create_runtime("socket", system, cost)
         assert isinstance(runtime, SocketRuntime)
-        # The whole mp driver loop is inherited, only the transport swaps.
+        # The whole mp runtime is inherited; only the name differs, and
+        # with it whether `listen` is accepted.
         assert isinstance(runtime, ProcessRuntime)
 
     def test_cli_train_socket_backend(self, tmp_path):

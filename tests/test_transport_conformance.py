@@ -13,10 +13,10 @@ promises the TreeServer event loops rely on:
 * **idempotent close** — teardown paths run ``close`` from both success
   and failure branches, sometimes twice.
 
-These run over all three substrates: the simulated network (through
-``SimulatedCluster.send``, the path the simulator's hosts send on),
-``ProcessTransport`` (multiprocessing queues) and ``SocketTransport``
-(framed TCP, loopback self-launch).
+These run over both substrates, under every backend name: the simulated
+network (through ``SimulatedCluster.send``, the path the simulator's
+hosts send on) for ``sim``, and ``SocketTransport`` (framed TCP,
+loopback self-launch) for ``mp`` and ``socket``, which are one transport.
 
 The :class:`~repro.runtime.base.Host` protocol — what an actor needs
 from its machine — is pinned the same way, over a simulated
@@ -116,23 +116,19 @@ def _queue_harness(transport) -> _Harness:
     )
 
 
-def _real_transport(cls):
+def _real_transport():
+    from repro.runtime.socket import SocketTransport
+
     table = generate(dataset_spec("covtype", small=True))
     placement = assign_columns_to_workers(table.n_columns, [1], 1)
     options = RuntimeOptions(message_timeout_seconds=15.0, use_shm=False)
-    return cls(1, table, placement, _cost(), options)
+    return SocketTransport(1, table, placement, _cost(), options)
 
 
 def _make_harness(backend: str) -> _Harness:
     if backend == "sim":
         return _sim_harness()
-    if backend == "mp":
-        from repro.runtime.process import ProcessTransport
-
-        return _queue_harness(_real_transport(ProcessTransport))
-    from repro.runtime.socket import SocketTransport
-
-    return _queue_harness(_real_transport(SocketTransport))
+    return _queue_harness(_real_transport())
 
 
 @pytest.fixture(params=["sim", "mp", "socket"])

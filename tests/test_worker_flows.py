@@ -119,6 +119,26 @@ class TestExtraTreeFlows:
         # Degenerate draws on the constant column must have caused retries.
         assert report.counters.extra.get("extra_retries", 0) >= 1
 
+    def test_stopped_node_is_not_retried(self):
+        """A node the leaf rule stops is a leaf whatever column is drawn:
+        a depth-0 extra tree sends its root one column task and never
+        retries it."""
+        five_columns = generate(
+            SyntheticSpec(
+                name="five_cols", n_rows=300, n_numeric=5, n_categorical=0,
+                n_classes=2, planted_depth=3, noise=0.1, seed=93,
+            )
+        )
+        system = SystemConfig(
+            n_workers=2, compers_per_worker=2, tau_subtree=0, tau_dfs=0
+        )
+        job = extra_trees_job("et", 1, TreeConfig(max_depth=0), seed=4)
+        report = TreeServer(system).fit(five_columns, [job])
+        assert report.counters.column_tasks == 1
+        assert "extra_retries" not in report.counters.extra
+        serial = train_tree(five_columns, job.stages[0].trees[0].config)
+        assert trees_equal(serial, report.trees("et")[0])
+
 
 class TestByteAccounting:
     def test_row_traffic_proportional_to_row_ids(self, table):
